@@ -11,6 +11,7 @@ block-level partial gradients as first-class oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +44,8 @@ class BlockLayout:
         if any(int(d) < 1 for d in self.dims):
             raise ValueError("block dimensions must be positive")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        ends = accumulate(self.dims)
+        object.__setattr__(self, "_ranges", tuple(slice(e - d, e) for d, e in zip(self.dims, ends)))
 
     @property
     def n_blocks(self) -> int:
@@ -52,14 +55,10 @@ class BlockLayout:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def offset(self, i: int) -> int:
-        if not 0 <= i < self.n_blocks:
-            raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")
-        return sum(self.dims[:i])
-
     def block_range(self, i: int) -> slice:
-        off = self.offset(i)
-        return slice(off, off + self.dims[i])
+        if not 0 <= i < len(self._ranges):
+            raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")
+        return self._ranges[i]
 
 
 @dataclass(frozen=True)

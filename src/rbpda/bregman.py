@@ -118,7 +118,7 @@ def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar) -> np.nda
     x_bar = np.asarray(x_bar, dtype=float)
     if r.shape != x_bar.shape:
         raise ValueError("dimension mismatch between linear term and x_bar")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("non-finite entries in the linear term")
     if not step > 0:
         raise ValueError("step must be positive")
@@ -136,7 +136,7 @@ def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar) -> np.nda
     if spec.kind == "zero":
         return point
     if spec.kind == "box":
-        return np.clip(point, spec.lower, spec.upper)
+        return point.clip(spec.lower, spec.upper)
     if spec.kind == "nonneg":
         return np.maximum(point, 0.0)
     if spec.kind == "simplex":

@@ -43,13 +43,12 @@ __all__ = [
 
 
 def _sigmoid(z):
+    # exp(-|z|) lies in [0, 1], so neither branch overflows; each branch is
+    # the usual one-sided form for its sign of z.
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,7 @@ def robust_erm_problem(
     def losses(x):
         return np.logaddexp(0.0, -b * (A @ x))
 
-    def loss_coef(margins, rows):
-        # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
-        return -b[rows] * _sigmoid(-b[rows] * margins)
+    neg_b = -b
 
     def component_grad_x(l, i, x, y):
         a = A[l]
@@ -198,7 +195,9 @@ def robust_erm_problem(
         rows = np.asarray(indices, dtype=int)
         sub = A[rows]
         margins = sub @ x
-        coef = p * y[rows] * loss_coef(margins, rows)
+        # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
+        neg_b_rows = neg_b[rows]
+        coef = p * y[rows] * (neg_b_rows * _sigmoid(neg_b_rows * margins))
         return (coef @ sub[:, i * mb : (i + 1) * mb]) / rows.size
 
     def grad_x(i, x, y):

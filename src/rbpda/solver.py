@@ -19,7 +19,7 @@ M = N = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -107,7 +107,16 @@ class SolverConfig:
 
 @dataclass
 class RunState:
-    """Mutable per-run iterate state; single-owner, never shared across runs."""
+    """Mutable per-run iterate state; single-owner, never shared across runs.
+
+    Block-copy invariant, which lets :func:`rbpda_step` copy one block per
+    side instead of whole vectors: between steps ``y_next`` equals ``y``, and
+    ``x_prev`` / ``y_prev`` differ from ``x`` / ``y`` at most in the slices
+    ``last_x`` / ``last_y`` (the whole vectors until the first step).  The
+    buffers are solver-owned: callers must not write to them between steps.
+    :meth:`start` and :func:`restart_if_saturated` set whole vectors and keep
+    the invariant.
+    """
 
     x: BlockVector
     y: BlockVector
@@ -118,6 +127,13 @@ class RunState:
     grad_budget: int = 0
     dual_grad_evals: int = 0
     restarts: int = 0
+    y_next: Optional[np.ndarray] = None
+    last_x: slice = field(default_factory=lambda: slice(None))
+    last_y: slice = field(default_factory=lambda: slice(None))
+
+    def __post_init__(self):
+        if self.y_next is None:
+            self.y_next = self.y.data.copy()
 
     @classmethod
     def start(cls, problem: SaddleProblem, x0=None, y0=None) -> "RunState":
@@ -228,7 +244,11 @@ def rbpda_step(
     """One primal-dual iteration; mutates and returns ``state``.
 
     Draw order is fixed (dual block, primal block, component indices) so a
-    seed reproduces the whole trajectory.
+    seed reproduces the whole trajectory.  Outside the oracles the step costs
+    O(block): it reads one step size per side, and by the block-copy
+    invariant of :class:`RunState` it moves x^k into ``x_prev`` by copying
+    the one block the previous step changed, then writes the new blocks.  A
+    step that raises leaves x, y, x_prev, y_prev and y_next as they were.
     """
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
@@ -236,6 +256,7 @@ def rbpda_step(
     theta = schedule.theta(k)
     x_k, y_k = state.x.data, state.y.data
     x_prev, y_prev = state.x_prev.data, state.y_prev.data
+    y_next = state.y_next
 
     j = draw_block(rng, N)
     g_now = np.asarray(problem.grad_y(j, x_k, y_k), dtype=float)
@@ -245,33 +266,37 @@ def rbpda_step(
 
     dual_spec = problem.dual_prox[j]
     blk_j = st.dual.block_range(j)
-    y_next = y_k.copy()
     try:
-        y_next[blk_j] = prox_step(dual_spec.geometry, dual_spec, -s, float(schedule.sigma(k)[j]), y_k[blk_j])
+        y_blk = prox_step(dual_spec.geometry, dual_spec, -s, schedule.sigma(k, j), y_k[blk_j])
     except Exception as exc:
         raise SolverError(f"dual prox failed at iteration {k}, block {j}: {exc}") from exc
 
-    i = draw_block(rng, M)
-    v = next_batch_size(batch, state.counters, i, k, p)
-    indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
-    est_new = estimate_partial_grad_x(problem, indices, i, x_k, y_next)
-    est_cur = estimate_partial_grad_x(problem, indices, i, x_k, y_k)
-    est_old = estimate_partial_grad_x(problem, indices, i, x_prev, y_prev)
-    state.grad_budget += 3 * v
-    r = M * (est_new.value + (N - 1) * theta * (est_cur.value - est_old.value))
-
-    primal_spec = problem.primal_prox[i]
-    blk_i = st.primal.block_range(i)
-    x_next = x_k.copy()
+    y_next[blk_j] = y_blk
     try:
-        x_next[blk_i] = prox_step(primal_spec.geometry, primal_spec, r, float(schedule.tau(k)[i]), x_k[blk_i])
-    except Exception as exc:
-        raise SolverError(f"primal prox failed at iteration {k}, block {i}: {exc}") from exc
+        i = draw_block(rng, M)
+        v = next_batch_size(batch, state.counters, i, k, p)
+        indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
+        est_new = estimate_partial_grad_x(problem, indices, i, x_k, y_next)
+        est_cur = estimate_partial_grad_x(problem, indices, i, x_k, y_k)
+        est_old = estimate_partial_grad_x(problem, indices, i, x_prev, y_prev)
+        state.grad_budget += 3 * v
+        r = M * (est_new.value + (N - 1) * theta * (est_cur.value - est_old.value))
 
-    state.x_prev.data[:] = x_k
-    state.y_prev.data[:] = y_k
-    state.x.data[:] = x_next
-    state.y.data[:] = y_next
+        primal_spec = problem.primal_prox[i]
+        blk_i = st.primal.block_range(i)
+        try:
+            x_blk = prox_step(primal_spec.geometry, primal_spec, r, schedule.tau(k, i), x_k[blk_i])
+        except Exception as exc:
+            raise SolverError(f"primal prox failed at iteration {k}, block {i}: {exc}") from exc
+    except BaseException:
+        y_next[blk_j] = y_k[blk_j]  # back to y_next == y
+        raise
+
+    x_prev[state.last_x] = x_k[state.last_x]
+    y_prev[state.last_y] = y_k[state.last_y]
+    x_k[blk_i] = x_blk
+    y_k[blk_j] = y_blk
+    state.last_x, state.last_y = blk_i, blk_j
     state.k += 1
     return state
 
@@ -288,6 +313,7 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
         state.counters.reset()
         state.x_prev.data[:] = state.x.data
         state.y_prev.data[:] = state.y.data
+        state.y_next[:] = state.y.data
         state.restarts += 1
     return state
 

@@ -202,6 +202,59 @@ def schedule_theta(k: int, eta: float) -> float:
     return ((k + 1) / k) ** (0.5 * (1.0 + eta))
 
 
+def _check_diminishing(fp: FreeParams, eta: float, scale: float) -> None:
+    if not 0 <= eta < 1:
+        raise ValueError("eta must lie in [0, 1)")
+    if not 0 < scale <= 1:
+        raise ValueError("scale must lie in (0, 1]")
+    if fp.beta is None:
+        raise ValueError("diminishing step sizes need FreeParams.beta")
+
+
+def _diminishing_terms(agg: AggregateConstants, fp: FreeParams, M: int, N: int):
+    """The k-independent parts of the diminishing denominators, one tuple per side.
+
+    Each tuple ``(diag, count, inv, rest, noise)`` is read by
+    :func:`_diminishing_denominator`; entries are scalars or per-block arrays.
+    """
+    g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
+    tau = (
+        agg.Lxx_diag,
+        N - 1,
+        1.0 / g1 + 1.0 / g2,
+        (N * l2 * agg.L_yx**2, g1 * (N - 1) * agg.C_x**2, ((N - 1) / M) / g2),
+        (fp.alpha + db) / M,
+    )
+    sigma = (
+        agg.Lyy_diag,
+        M,
+        1.0 / l1 + 1.0 / l2,
+        (M * l1 * agg.C_y**2, (M + 1) * ((N - 1) / N) * g2 * agg.L_xy**2),
+        (fp.beta + db) / N,
+    )
+    return tau, sigma
+
+
+def _diminishing_denominator(terms, th: float, t: float):
+    """``diag + count*th*inv + rest[0] + rest[1] + ... + noise/t``, summed left to right.
+
+    The fixed order makes a per-block evaluation on floats bitwise equal to
+    the same entry of the whole-vector evaluation on arrays.
+    """
+    diag, count, inv, rest, noise = terms
+    den = diag + count * th * inv
+    for term in rest:
+        den = den + term
+    return den + noise / t
+
+
+def _block_terms(terms, n_blocks: int) -> list:
+    """Per-block float copies of one side's terms, for O(1) single-step lookups."""
+    diag, count, inv, rest, noise = terms
+    cols = [np.broadcast_to(np.asarray(v, dtype=float), (n_blocks,)).tolist() for v in (diag, *rest, noise)]
+    return [(row[0], count, inv, row[1:-1], row[-1]) for row in zip(*cols)]
+
+
 def diminishing_stepsizes(
     agg: AggregateConstants,
     fp: FreeParams,
@@ -212,32 +265,14 @@ def diminishing_stepsizes(
     scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Per-iteration step sizes for the constant-batch regime at iteration k."""
-    if not 0 <= eta < 1:
-        raise ValueError("eta must lie in [0, 1)")
+    _check_diminishing(fp, eta, scale)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if not 0 < scale <= 1:
-        raise ValueError("scale must lie in (0, 1]")
-    if fp.beta is None:
-        raise ValueError("diminishing step sizes need FreeParams.beta")
-    g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
     th = schedule_theta(k, eta)
     t = schedule_t(k, eta)
-    tau_den = (
-        agg.Lxx_diag
-        + (N - 1) * th * (1.0 / g1 + 1.0 / g2)
-        + N * l2 * agg.L_yx**2
-        + g1 * (N - 1) * agg.C_x**2
-        + ((N - 1) / M) / g2
-        + ((fp.alpha + db) / M) / t
-    )
-    sigma_den = (
-        agg.Lyy_diag
-        + M * th * (1.0 / l1 + 1.0 / l2)
-        + M * l1 * agg.C_y**2
-        + (M + 1) * ((N - 1) / N) * g2 * agg.L_xy**2
-        + ((fp.beta + db) / N) / t
-    )
+    tau_terms, sigma_terms = _diminishing_terms(agg, fp, M, N)
+    tau_den = _diminishing_denominator(tau_terms, th, t)
+    sigma_den = _diminishing_denominator(sigma_terms, th, t)
     return scale / (M * tau_den), scale / (N * sigma_den), th, t
 
 
@@ -246,6 +281,10 @@ class StepSchedule:
     """Evaluable per-block step sizes tau_i(k), sigma_j(k) plus theta(k), t(k).
 
     ``mode`` is ``"constant"`` (theta = t = 1 for all k) or ``"diminishing"``.
+    ``tau(k)`` and ``sigma(k)`` return the step vectors.  With a block index,
+    ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
+    O(1), bitwise equal to the vector entry; this is the solver's path.  The
+    fields are read once, at construction.
     """
 
     mode: str
@@ -265,28 +304,41 @@ class StepSchedule:
             self._tau0, self._sigma0 = constant_stepsizes(
                 self.agg, self.fp, self.M, self.N, self.scale
             )
+        elif self.agg is not None and self.fp is not None:
+            _check_diminishing(self.fp, self.eta, self.scale)
+            self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp, self.M, self.N)
+            self._tau_blocks = _block_terms(self._tau_terms, self.M)
+            self._sigma_blocks = _block_terms(self._sigma_terms, self.N)
+        self._k = None  # iteration whose (theta, t) pair is cached in _theta_t
 
-    def tau(self, k: int) -> np.ndarray:
-        if self.mode == "constant":
-            return self._tau0
-        return diminishing_stepsizes(self.agg, self.fp, self.M, self.N, self.eta, k, self.scale)[0]
+    def _weights(self, k: int) -> tuple[float, float]:
+        """(theta^k, t^k), computed once per k."""
+        if k != self._k:
+            if k < 0:
+                raise ValueError("k must be nonnegative")
+            self._theta_t = (schedule_theta(k, self.eta), schedule_t(k, self.eta))
+            self._k = k
+        return self._theta_t
 
-    def sigma(self, k: int) -> np.ndarray:
+    def tau(self, k: int, i: Optional[int] = None):
         if self.mode == "constant":
-            return self._sigma0
-        return diminishing_stepsizes(self.agg, self.fp, self.M, self.N, self.eta, k, self.scale)[1]
+            return self._tau0 if i is None else float(self._tau0[i])
+        th, t = self._weights(k)
+        terms = self._tau_terms if i is None else self._tau_blocks[i]
+        return self.scale / (self.M * _diminishing_denominator(terms, th, t))
+
+    def sigma(self, k: int, j: Optional[int] = None):
+        if self.mode == "constant":
+            return self._sigma0 if j is None else float(self._sigma0[j])
+        th, t = self._weights(k)
+        terms = self._sigma_terms if j is None else self._sigma_blocks[j]
+        return self.scale / (self.N * _diminishing_denominator(terms, th, t))
 
     def theta(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else schedule_theta(k, self.eta)
+        return 1.0 if self.mode == "constant" else self._weights(k)[0]
 
     def t(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else schedule_t(k, self.eta)
-
-    def T(self, K: int) -> float:
-        """Partial weight sum over k = 0 .. K-1."""
-        if self.mode == "constant":
-            return float(K)
-        return float(sum(schedule_t(k, self.eta) for k in range(K)))
+        return 1.0 if self.mode == "constant" else self._weights(k)[1]
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 from rbpda.bregman import project_simplex
 from rbpda.problems import (
     ConstrainedSpec,
+    _sigmoid,
     MatrixGameSpec,
     box_game_problem,
     constrained_qp_problem,
@@ -305,3 +306,29 @@ def test_validate_problem_on_builtins():
         assert validate_problem(prob).ok
     game, _ = matrix_game_problem(MatrixGameSpec(np.diag([1.0, 2.0])))
     assert validate_problem(game).ok
+
+
+def _masked_sigmoid(z):
+    # Reference logistic: one exp per sign of z through boolean masks.
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bitwise_matches_masked_form():
+    special = np.array([0.0, 1e-300, 1.0, 30.0, 700.0, 745.0, 800.0])
+    special = np.concatenate([special, -special])
+    rng = np.random.default_rng(0)
+    inputs = [np.array(v) for v in special]  # 0-d, as component_grad_x passes
+    for n in range(1, 10):
+        for _ in range(40):
+            inputs.append(rng.choice(special, size=n))
+            inputs.append(rng.standard_normal(n) * 40.0)
+    for z in inputs:
+        got, want = _sigmoid(z), _masked_sigmoid(z)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), z

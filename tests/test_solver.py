@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 
 from rbpda.blocks import BlockStructure, ProxSpec, SaddleProblem
+from rbpda.bregman import prox_step
 from rbpda.problems import (
+    ConstrainedSpec,
     MatrixGameSpec,
     box_game_problem,
+    constrained_qp_problem,
     generate_robust_erm,
     matrix_game_problem,
     robust_erm_problem,
 )
-from rbpda.sampling import BatchSchedule, BlockCounters, make_rng
+from rbpda.sampling import (
+    BatchSchedule,
+    BlockCounters,
+    draw_block,
+    estimate_partial_grad_x,
+    make_rng,
+    next_batch_size,
+    sample_indices,
+)
 from rbpda.solver import (
     ErgodicAccumulator,
     RunState,
@@ -62,11 +73,11 @@ class FixedSchedule:
         self._tau = np.atleast_1d(np.asarray(tau, float))
         self._sigma = np.atleast_1d(np.asarray(sigma, float))
 
-    def tau(self, k):
-        return self._tau
+    def tau(self, k, i=None):
+        return self._tau if i is None else float(self._tau[i])
 
-    def sigma(self, k):
-        return self._sigma
+    def sigma(self, k, j=None):
+        return self._sigma if j is None else float(self._sigma[j])
 
     def theta(self, k):
         return 1.0
@@ -123,6 +134,129 @@ class TestRbpdaStep:
         state = RunState.start(prob)
         with pytest.raises(SolverError, match="iteration 0"):
             rbpda_step(state, prob, FixedSchedule([0.5], [0.5]), BatchSchedule.constant(1, 1), make_rng(0))
+
+
+def full_copy_step(state, problem, schedule, batch, rng):
+    """Reference iteration: the step with whole-vector copies and step vectors.
+
+    It builds y^(k+1) and x^(k+1) as fresh copies and overwrites all four
+    iterate vectors, so it relies on no block-copy invariant.
+    """
+    st = problem.structure
+    M, N, p = st.M, st.N, problem.p
+    k = state.k
+    theta = schedule.theta(k)
+    x_k, y_k = state.x.data, state.y.data
+    x_prev, y_prev = state.x_prev.data, state.y_prev.data
+
+    j = draw_block(rng, N)
+    g_now = np.asarray(problem.grad_y(j, x_k, y_k), dtype=float)
+    g_old = np.asarray(problem.grad_y(j, x_prev, y_prev), dtype=float)
+    state.dual_grad_evals += 2
+    s = N * g_now + N * M * theta * (g_now - g_old)
+    spec = problem.dual_prox[j]
+    blk_j = st.dual.block_range(j)
+    y_next = y_k.copy()
+    y_next[blk_j] = prox_step(spec.geometry, spec, -s, float(schedule.sigma(k)[j]), y_k[blk_j])
+
+    i = draw_block(rng, M)
+    v = next_batch_size(batch, state.counters, i, k, p)
+    indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
+    est_new = estimate_partial_grad_x(problem, indices, i, x_k, y_next)
+    est_cur = estimate_partial_grad_x(problem, indices, i, x_k, y_k)
+    est_old = estimate_partial_grad_x(problem, indices, i, x_prev, y_prev)
+    state.grad_budget += 3 * v
+    r = M * (est_new.value + (N - 1) * theta * (est_cur.value - est_old.value))
+    spec = problem.primal_prox[i]
+    blk_i = st.primal.block_range(i)
+    x_next = x_k.copy()
+    x_next[blk_i] = prox_step(spec.geometry, spec, r, float(schedule.tau(k)[i]), x_k[blk_i])
+
+    state.x_prev.data[:] = x_k
+    state.y_prev.data[:] = y_k
+    state.x.data[:] = x_next
+    state.y.data[:] = y_next
+    state.k += 1
+    return state
+
+
+def lockstep_problem(name):
+    data = generate_robust_erm(3, 12, 6, 0.1)
+    A3 = np.array([[1.0, -0.5, 0.2], [0.3, 0.8, -1.0], [-0.7, 0.1, 0.9]])
+    A4 = np.array(
+        [[1.0, 0.3, 0.2, 0.1], [0.3, 2.0, 0.1, 0.2], [0.2, 0.1, 1.0, 0.3], [0.1, 0.2, 0.3, 2.0]]
+    )
+    qp = ConstrainedSpec(
+        Q=[[2.0, 0.3], [0.3, 1.0]], c=[0.5, -1.0], G=[[1.0, -1.0], [0.5, 1.0]], d=[0.5, 0.2]
+    )
+    builders = {
+        "erm_box": lambda: robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=4),
+        "erm_entropy": lambda: robust_erm_problem(data, radius=2.0, m_blocks=2, n_blocks=1),
+        "game_euclidean": lambda: matrix_game_problem(MatrixGameSpec(A3))[0],
+        "game_entropy": lambda: matrix_game_problem(MatrixGameSpec(A3, "negative_entropy"))[0],
+        "box_game": lambda: box_game_problem(A4, m_blocks=2, n_blocks=2)[0],
+        "qp": lambda: constrained_qp_problem(qp, m_blocks=2)[0],
+    }
+    return builders[name]()
+
+
+class TestBlockCopyLockstep:
+    @pytest.mark.parametrize("mode", ["constant", "diminishing"])
+    @pytest.mark.parametrize(
+        "name", ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp"]
+    )
+    def test_matches_full_copy_step_bitwise(self, name, mode):
+        # the block-copy step and the whole-vector reference run side by side
+        # from the same seed, with one forced restart, and must agree exactly
+        # after every iteration
+        prob = lockstep_problem(name)
+        st = prob.structure
+        agg = aggregate_constants(prob.lipschitz, st.M, st.N)
+        fp = default_free_params(agg, st.M, st.N, mode=mode)
+        eta = 0.3 if mode == "diminishing" else 0.0
+        if mode == "constant":
+            batch = BatchSchedule.increasing(0.0)
+        else:
+            batch = BatchSchedule.constant(1, prob.p)
+        new, ref = RunState.start(prob), RunState.start(prob)
+        sched_new, sched_ref = (
+            StepSchedule(mode=mode, M=st.M, N=st.N, agg=agg, fp=fp, eta=eta) for _ in range(2)
+        )
+        rng_new, rng_ref = make_rng(11), make_rng(11)
+        for it in range(60):
+            rbpda_step(new, prob, sched_new, batch, rng_new)
+            full_copy_step(ref, prob, sched_ref, batch, rng_ref)
+            if it == 25:
+                restart_if_saturated(new, prob.p, threshold=0.0)
+                restart_if_saturated(ref, prob.p, threshold=0.0)
+            for attr in ("x", "y", "x_prev", "y_prev"):
+                assert np.array_equal(getattr(new, attr).data, getattr(ref, attr).data), (attr, it)
+            assert (new.k, new.grad_budget, new.dual_grad_evals, new.restarts) == (
+                ref.k,
+                ref.grad_budget,
+                ref.dual_grad_evals,
+                ref.restarts,
+            )
+            assert np.array_equal(new.counters.counts, ref.counters.counts)
+        assert new.restarts == 1
+        assert not np.array_equal(new.x.data, prob.start_x)
+
+    def test_failed_step_leaves_iterates_unchanged(self):
+        prob = lockstep_problem("box_game")
+        state = RunState.start(prob)
+        rng = make_rng(2)
+        sched = FixedSchedule([0.05, 0.04], [0.03, 0.06])
+        for _ in range(3):
+            rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
+        before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
+        inner = prob.batch_grad_x
+        prob.batch_grad_x = lambda idx, i, x, y: np.full_like(inner(idx, i, x, y), np.nan)
+        with pytest.raises(SolverError, match="primal prox failed"):
+            rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
+        after = (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
+        for old, cur in zip(before, after):
+            assert np.array_equal(old, cur)
+        assert np.array_equal(state.y_next, state.y.data)
 
 
 def reduction_deviation(prob, iters=100, seed=3):

@@ -243,3 +243,65 @@ class TestStepsizeCondition:
         report = validate_stepsize_condition(sched, agg, fp, 2, 3, k_max=2)
         assert report.min_slacks["primal_lipschitz"] >= 0.1 - 1e-9
         assert report.min_slacks["dual_lipschitz"] >= 0.1 - 1e-9
+
+
+def _explicit_diminishing(agg, fp, M, N, eta, k, scale):
+    # Reference: the diminishing step formula written out as one expression.
+    g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
+    th = schedule_theta(k, eta)
+    t = schedule_t(k, eta)
+    tau_den = (
+        agg.Lxx_diag
+        + (N - 1) * th * (1.0 / g1 + 1.0 / g2)
+        + N * l2 * agg.L_yx**2
+        + g1 * (N - 1) * agg.C_x**2
+        + ((N - 1) / M) / g2
+        + ((fp.alpha + db) / M) / t
+    )
+    sigma_den = (
+        agg.Lyy_diag
+        + M * th * (1.0 / l1 + 1.0 / l2)
+        + M * l1 * agg.C_y**2
+        + (M + 1) * ((N - 1) / N) * g2 * agg.L_xy**2
+        + ((fp.beta + db) / N) / t
+    )
+    return scale / (M * tau_den), scale / (N * sigma_den)
+
+
+class TestPerBlockSteps:
+    @pytest.mark.parametrize("M,N", [(1, 1), (3, 5), (10, 200)])
+    def test_block_steps_equal_vector_entries(self, M, N):
+        # the solver reads one step per side; each must be the exact float of
+        # the vector formula, for every k, eta, scale and delta_bar
+        rng = np.random.default_rng(10 * M + N)
+        agg = aggregate_constants(_random_lip(rng, M, N), M, N)
+        for delta_bar in (0.0, 0.1):
+            fp_c = default_free_params(agg, M, N, "constant", delta_bar=delta_bar)
+            fp_d = default_free_params(agg, M, N, "diminishing", delta_bar=delta_bar)
+            for scale in (1.0, 0.37):
+                sched = StepSchedule(mode="constant", M=M, N=N, agg=agg, fp=fp_c, scale=scale)
+                tau, sigma = constant_stepsizes(agg, fp_c, M, N, scale)
+                for k in (0, 300):
+                    assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
+                    assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
+                for eta in (0.0, 0.3, 0.9):
+                    sched = StepSchedule(
+                        mode="diminishing", M=M, N=N, agg=agg, fp=fp_d, eta=eta, scale=scale
+                    )
+                    for k in range(301):
+                        tau, sigma, th, t = diminishing_stepsizes(agg, fp_d, M, N, eta, k, scale)
+                        ref_tau, ref_sigma = _explicit_diminishing(agg, fp_d, M, N, eta, k, scale)
+                        assert tau.tolist() == ref_tau.tolist()
+                        assert sigma.tolist() == ref_sigma.tolist()
+                        assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
+                        assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
+                        assert (sched.theta(k), sched.t(k)) == (th, t)
+                    assert type(sched.tau(0, 0)) is float and type(sched.sigma(0, 0)) is float
+                    assert np.array_equal(sched.tau(7), diminishing_stepsizes(agg, fp_d, M, N, eta, 7, scale)[0])
+
+    def test_block_index_out_of_range(self):
+        agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]), 1, 1)
+        fp = default_free_params(agg, 1, 1, "diminishing")
+        sched = StepSchedule(mode="diminishing", M=1, N=1, agg=agg, fp=fp)
+        with pytest.raises(IndexError):
+            sched.tau(0, 1)
