@@ -14,7 +14,6 @@ from .blocks import (
     BlockVector,
     ProxSpec,
     SaddleProblem,
-    block_slice,
     validate_problem,
 )
 from .bregman import EUCLIDEAN, NEGATIVE_ENTROPY, BregmanGeometry, bregman_distance, prox_step

@@ -24,12 +24,13 @@ __all__ = [
     "BlockVector",
     "ProxSpec",
     "SaddleProblem",
+    "SideBounds",
     "ValidationReport",
-    "block_slice",
     "validate_problem",
 ]
 
 DOMAIN_SLACK = 1e-12  # absolute slack absorbing prox round-off
+VALUE_SLACK = 1e-9  # slack of the indicator values f_value / h_value
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,6 @@ class BlockVector:
     def copy(self) -> "BlockVector":
         return BlockVector(self.layout, self.data.copy())
 
-    def block_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(self.block(i)) for i in range(self.layout.n_blocks)])
-
-
-def block_slice(v: BlockVector, index: int) -> np.ndarray:
-    """Writable view of block ``index`` of ``v``; out of range is an IndexError."""
-    return v.block(index)
-
 
 @dataclass(frozen=True)
 class ProxSpec:
@@ -201,7 +194,7 @@ class ProxSpec:
         x = np.asarray(x, dtype=float)
         if self.kind == "scaled_l1":
             return self.weight * float(np.abs(x).sum())
-        return 0.0 if self.contains(x, slack=1e-9) else np.inf
+        return 0.0 if self.contains(x, slack=VALUE_SLACK) else np.inf
 
     def feasible_point(self, dim: int) -> np.ndarray:
         """An interior-ish point of the domain, used to seed probes and starts."""
@@ -212,6 +205,50 @@ class ProxSpec:
         if self.kind == "simplex":
             return np.full(dim, 1.0 / dim)
         return np.zeros(dim)
+
+
+@dataclass(frozen=True)
+class SideBounds:
+    """One side's domain as whole-vector bounds, where its block kinds allow it.
+
+    ``lower`` and ``upper`` concatenate the block bounds of a side whose
+    blocks are all ``box`` or ``nonneg`` (a nonneg coordinate has upper bound
+    +inf; ``upper`` is None when no block is a box).  Both are None on an
+    all-``zero`` side, whose domain check is finiteness.  :meth:`contains`
+    gives exactly the per-block :meth:`ProxSpec.contains` result, NaN and
+    +-inf included.
+    """
+
+    lower: Optional[np.ndarray]
+    upper: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, specs, layout: BlockLayout) -> Optional["SideBounds"]:
+        """Stacked bounds of a side, or None when it needs the per-block loop."""
+        kinds = {spec.kind for spec in specs}
+        if kinds == {"zero"}:
+            return cls(None, None)
+        if not kinds <= {"box", "nonneg"}:
+            return None
+        lower, upper = [], []
+        for spec, dim in zip(specs, layout.dims):
+            if spec.kind == "nonneg":
+                lower.append(np.zeros(dim))
+                upper.append(np.full(dim, np.inf))
+            elif spec.lower.shape in ((1,), (dim,)):
+                lower.append(np.broadcast_to(spec.lower, (dim,)))
+                upper.append(np.broadcast_to(spec.upper, (dim,)))
+            else:
+                return None  # malformed bounds keep the per-block behaviour
+        return cls(np.concatenate(lower), np.concatenate(upper) if "box" in kinds else None)
+
+    def contains(self, v, slack: float = DOMAIN_SLACK) -> bool:
+        v = np.asarray(v, dtype=float)
+        if self.lower is None:
+            return bool(np.isfinite(v).all())
+        if not (v >= self.lower - slack).all():
+            return False
+        return self.upper is None or bool((v <= self.upper + slack).all())
 
 
 @dataclass
@@ -230,6 +267,19 @@ class SaddleProblem:
     vectorized closures.  Function values (``phi_value``, ``phi_component``)
     are needed only by metrics and may stay ``None``, in which case metrics
     degrade gracefully.
+
+    batch_grad_x(indices, i, points)
+        Mean over ``indices`` of component_grad_x(l, i, x, y) at every
+        ``(x, y)`` pair of ``points``, as a ``(len(points), dim_i)`` array.
+        The solver passes its three extrapolation points in one call, two of
+        which share the primal array x^k.  An implementation should do the
+        x-dependent work (row gathers, margins, Q x) once per distinct
+        primal array, recognised by identity, and must return for each
+        point exactly what a one-point call would.
+
+    Whole-side domain bounds (:meth:`side_bounds`) are built on first use
+    and cached; ``__post_init__`` clears the cache, so call it again after
+    replacing the prox specs.
     """
 
     structure: BlockStructure
@@ -280,6 +330,19 @@ class SaddleProblem:
             self.start_y = np.concatenate(
                 [self.dual_prox[j].feasible_point(d) for j, d in enumerate(self.structure.dual.dims)]
             )
+        self._side_bounds = None
+
+    def side_specs(self, side: int) -> tuple:
+        """(prox specs, layout) of side 0 (primal) or 1 (dual)."""
+        if side:
+            return self.dual_prox, self.structure.dual
+        return self.primal_prox, self.structure.primal
+
+    def side_bounds(self) -> tuple:
+        """(primal, dual) :class:`SideBounds`, None for a side that needs the per-block loop."""
+        if self._side_bounds is None:
+            self._side_bounds = tuple(SideBounds.of(*self.side_specs(side)) for side in (0, 1))
+        return self._side_bounds
 
     # -- default oracles built on the component closures ------------------
     def _grad_x_enumerated(self, i, x, y):
@@ -294,27 +357,31 @@ class SaddleProblem:
             acc += self.component_grad_y(l, j, x, y)
         return acc / self.p
 
-    def _batch_grad_x_looped(self, indices, i, x, y):
+    def _batch_grad_x_looped(self, indices, i, points):
         indices = np.asarray(indices, dtype=int)
-        acc = self.component_grad_x(int(indices[0]), i, x, y).astype(float, copy=True)
-        for l in indices[1:]:
-            acc += self.component_grad_x(int(l), i, x, y)
-        return acc / indices.size
+        means = []
+        for x, y in points:
+            acc = self.component_grad_x(int(indices[0]), i, x, y).astype(float, copy=True)
+            for l in indices[1:]:
+                acc += self.component_grad_x(int(l), i, x, y)
+            means.append(acc / indices.size)
+        return np.stack(means)
 
     # -- values ------------------------------------------------------------
-    def f_value(self, x) -> float:
-        lay = self.structure.primal
+    def _side_value(self, side: int, v) -> float:
+        bounds = self.side_bounds()[side]
+        if bounds is not None:
+            return 0.0 if bounds.contains(v, VALUE_SLACK) else np.inf
+        specs, lay = self.side_specs(side)
         return float(
-            sum(self.primal_prox[i].value(x[lay.block_range(i)]) for i in range(lay.n_blocks))
-            / lay.n_blocks
+            sum(specs[b].value(v[lay.block_range(b)]) for b in range(lay.n_blocks)) / lay.n_blocks
         )
 
+    def f_value(self, x) -> float:
+        return self._side_value(0, x)
+
     def h_value(self, y) -> float:
-        lay = self.structure.dual
-        return float(
-            sum(self.dual_prox[j].value(y[lay.block_range(j)]) for j in range(lay.n_blocks))
-            / lay.n_blocks
-        )
+        return self._side_value(1, y)
 
     def lagrangian(self, x, y) -> Optional[float]:
         """L(x, y) = f(x) + Phi(x, y) - h(y); None when Phi values are unavailable."""
@@ -323,14 +390,14 @@ class SaddleProblem:
         return self.f_value(x) + float(self.phi_value(x, y)) - self.h_value(y)
 
     def in_domain(self, x, y, slack: float = DOMAIN_SLACK) -> bool:
-        play, dlay = self.structure.primal, self.structure.dual
-        ok_x = all(
-            self.primal_prox[i].contains(x[play.block_range(i)], slack) for i in range(play.n_blocks)
-        )
-        ok_y = all(
-            self.dual_prox[j].contains(y[dlay.block_range(j)], slack) for j in range(dlay.n_blocks)
-        )
-        return ok_x and ok_y
+        return self._side_contains(0, x, slack) and self._side_contains(1, y, slack)
+
+    def _side_contains(self, side: int, v, slack: float) -> bool:
+        bounds = self.side_bounds()[side]
+        if bounds is not None:
+            return bounds.contains(v, slack)
+        specs, lay = self.side_specs(side)
+        return all(specs[b].contains(v[lay.block_range(b)], slack) for b in range(lay.n_blocks))
 
 
 @dataclass
@@ -434,7 +501,7 @@ def validate_problem(
         for x, y in points:
             for i in range(st.M):
                 try:
-                    mean = problem._batch_grad_x_looped(np.arange(problem.p), i, x, y)
+                    mean = problem._batch_grad_x_looped(np.arange(problem.p), i, [(x, y)])[0]
                     full = np.asarray(problem.grad_x(i, x, y))
                 except Exception as exc:  # noqa: BLE001
                     failures.append(f"gradient enumeration failed at block {i}: {exc}")

@@ -191,14 +191,22 @@ def robust_erm_problem(
         coef = p * y[l] * (-b[l]) * float(_sigmoid(np.array(-b[l] * margin)))
         return coef * a[i * mb : (i + 1) * mb]
 
-    def batch_grad_x(indices, i, x, y):
+    def batch_grad_x(indices, i, points):
         rows = np.asarray(indices, dtype=int)
         sub = A[rows]
-        margins = sub @ x
-        # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
+        sub_i = sub[:, i * mb : (i + 1) * mb]
         neg_b_rows = neg_b[rows]
-        coef = p * y[rows] * (neg_b_rows * _sigmoid(neg_b_rows * margins))
-        return (coef @ sub[:, i * mb : (i + 1) * mb]) / rows.size
+        out = np.empty((len(points), mb))
+        x_seen, t = None, None
+        for k, (x, y) in enumerate(points):
+            if x is not x_seen:
+                # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
+                x_seen, t = x, neg_b_rows * _sigmoid(neg_b_rows * (sub @ x))
+            coef = p * y[rows] * t
+            # one (v,) @ (v, mb) product per point: stacking the points into
+            # one matrix product would change the summation order
+            out[k] = (coef @ sub_i) / rows.size
+        return out
 
     def grad_x(i, x, y):
         margins = A @ x
@@ -370,7 +378,7 @@ def matrix_game_problem(spec: MatrixGameSpec):
         lipschitz=lip,
         grad_x=lambda i, x, y: A @ y,
         grad_y=lambda j, x, y: A.T @ x,
-        batch_grad_x=lambda idx, i, x, y: A @ y,
+        batch_grad_x=lambda idx, i, points: np.array([A @ y for _, y in points]),
         full_grad_x=lambda x, y: A @ y,
         full_grad_y=lambda x, y: A.T @ x,
         phi_value=lambda x, y: float(x @ A @ y),
@@ -423,7 +431,9 @@ def box_game_problem(
         lipschitz=lip,
         grad_x=lambda i, x, y: (A @ y)[i * mb : (i + 1) * mb],
         grad_y=lambda j, x, y: (A.T @ x)[j * nb : (j + 1) * nb],
-        batch_grad_x=lambda idx, i, x, y: (A @ y)[i * mb : (i + 1) * mb],
+        batch_grad_x=lambda idx, i, points: np.array(
+            [(A @ y)[i * mb : (i + 1) * mb] for _, y in points]
+        ),
         full_grad_x=lambda x, y: A @ y,
         full_grad_y=lambda x, y: A.T @ x,
         phi_value=lambda x, y: float(x @ A @ y),
@@ -541,10 +551,17 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
     def grad_x(i, x, y):
         return (Q @ x + c + G.T @ y)[i * mb : (i + 1) * mb]
 
-    def batch_grad_x(indices, i, x, y):
+    def batch_grad_x(indices, i, points):
         rows = np.asarray(indices, dtype=int)
-        base = (Q @ x + c)[i * mb : (i + 1) * mb]
-        return base + (p / rows.size) * (y[rows] @ G[rows, i * mb : (i + 1) * mb])
+        G_rows = G[rows, i * mb : (i + 1) * mb]
+        scale = p / rows.size
+        out = np.empty((len(points), mb))
+        x_seen, base = None, None
+        for k, (x, y) in enumerate(points):
+            if x is not x_seen:
+                x_seen, base = x, (Q @ x + c)[i * mb : (i + 1) * mb]
+            out[k] = base + scale * (y[rows] @ G_rows)
+        return out
 
     def component_grad_y(l, j, x, y):
         if l == j:

@@ -19,7 +19,6 @@ __all__ = [
     "make_rng",
     "BlockCounters",
     "BatchSchedule",
-    "GradientEstimate",
     "draw_block",
     "next_batch_size",
     "sample_indices",
@@ -112,34 +111,22 @@ def sample_indices(rng: np.random.Generator, v: int, p: int) -> np.ndarray:
     """v i.i.d. uniform component indices over {0, ..., p-1}; duplicates permitted."""
     if v < 1 or p < 1:
         raise ValueError("need v >= 1 and p >= 1")
+    if v == 1:
+        # a scalar draw gives the same index and generator state as size=1,
+        # at a fraction of the call overhead
+        return np.array([rng.integers(0, p)])
     return rng.integers(0, p, size=v)
 
 
-@dataclass
-class GradientEstimate:
-    """Sample mean of component partial gradients over one drawn index set."""
-
-    value: np.ndarray
-    indices: np.ndarray
-    sample_count: int
-    components_evaluated: int
-
-
-def estimate_partial_grad_x(problem, indices, i: int, x, y) -> GradientEstimate:
-    """Mean of component_grad_x over ``indices`` at block i and point (x, y).
+def estimate_partial_grad_x(problem, indices, i: int, points) -> np.ndarray:
+    """Mean of component_grad_x over ``indices`` at block i, one row per ``(x, y)`` point.
 
     The caller applies the M and (N-1)*theta scalings of the update rule.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    value = problem.batch_grad_x(indices, i, x, y)
-    return GradientEstimate(
-        value=np.asarray(value, dtype=float),
-        indices=indices,
-        sample_count=indices.size,
-        components_evaluated=indices.size,
-    )
+    return np.asarray(problem.batch_grad_x(indices, i, points), dtype=float)
 
 
 def expected_inverse_batch(M: int, k: int, eta: float = 0.0) -> tuple[float, float]:

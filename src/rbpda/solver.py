@@ -44,7 +44,6 @@ __all__ = [
     "RunResult",
     "SolverError",
     "ErgodicAccumulator",
-    "accumulate_ergodic",
     "rbpda_step",
     "restart_if_saturated",
     "run",
@@ -172,32 +171,32 @@ class ErgodicAccumulator:
         self.count = 0
         self.sum_x = np.zeros_like(self.x0)
         self.sum_y = np.zeros_like(self.y0)
-        self.last_x = None
-        self.last_y = None
+        self.last_x = np.empty_like(self.x0)
+        self.last_y = np.empty_like(self.y0)
+        self._term_x = np.empty_like(self.x0)  # weighted-mode scratch
+        self._term_y = np.empty_like(self.y0)
         self.weight_x = 0.0
         self.weight_y = 0.0
         self.t_total = 0.0
 
     def update(self, x_new, y_new, k: int) -> None:
-        """Fold in the post-step iterate of iteration k (i.e. x^(k+1))."""
+        """Fold in the post-step iterate of iteration k (i.e. x^(k+1)); allocates nothing."""
         if self.mode == "uniform":
-            if self.last_x is not None:
+            if self.count:
                 self.sum_x += self.last_x
                 self.sum_y += self.last_y
-            self.last_x = np.array(x_new, dtype=float)
-            self.last_y = np.array(y_new, dtype=float)
         else:
             t_k = self.schedule.t(k)
             th_next = self.schedule.theta(k + 1)
             w_x = t_k * (1.0 + (self.M - 1) * (1.0 - 1.0 / th_next))
             w_y = t_k * (1.0 + (self.N - 1) * (1.0 - 1.0 / th_next))
-            self.sum_x += w_x * np.asarray(x_new, dtype=float)
-            self.sum_y += w_y * np.asarray(y_new, dtype=float)
+            self.sum_x += np.multiply(w_x, x_new, out=self._term_x)
+            self.sum_y += np.multiply(w_y, y_new, out=self._term_y)
             self.weight_x += w_x
             self.weight_y += w_y
             self.t_total += t_k
-            self.last_x = np.array(x_new, dtype=float)
-            self.last_y = np.array(y_new, dtype=float)
+        np.copyto(self.last_x, x_new)
+        np.copyto(self.last_y, y_new)
         self.count += 1
 
     def total_weights(self) -> tuple[float, float]:
@@ -226,12 +225,6 @@ class ErgodicAccumulator:
         x_bar = (self.sum_x + (self.M - 1) * t_K * self.last_x) / (self.M - 1 + self.t_total)
         y_bar = (self.sum_y + (self.N - 1) * t_K * self.last_y) / (self.N - 1 + self.t_total)
         return x_bar, y_bar
-
-
-def accumulate_ergodic(acc: ErgodicAccumulator, x_new, y_new, k: int, schedule=None) -> ErgodicAccumulator:
-    """Fold the post-step iterate into the accumulator (call once per iteration)."""
-    acc.update(x_new, y_new, k)
-    return acc
 
 
 def rbpda_step(
@@ -276,11 +269,11 @@ def rbpda_step(
         i = draw_block(rng, M)
         v = next_batch_size(batch, state.counters, i, k, p)
         indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
-        est_new = estimate_partial_grad_x(problem, indices, i, x_k, y_next)
-        est_cur = estimate_partial_grad_x(problem, indices, i, x_k, y_k)
-        est_old = estimate_partial_grad_x(problem, indices, i, x_prev, y_prev)
+        est_new, est_cur, est_old = estimate_partial_grad_x(
+            problem, indices, i, ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
+        )
         state.grad_budget += 3 * v
-        r = M * (est_new.value + (N - 1) * theta * (est_cur.value - est_old.value))
+        r = M * (est_new + (N - 1) * theta * (est_cur - est_old))
 
         primal_spec = problem.primal_prox[i]
         blk_i = st.primal.block_range(i)
@@ -453,25 +446,23 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _stacked_prox(specs, layout):
-    """Whole-vector prox applier for one side; vectorized when the blocks allow it.
+def _stacked_prox(problem: SaddleProblem, side: int):
+    """Whole-vector prox applier for side 0 (primal) or 1 (dual); vectorized when possible.
 
     Box, orthant, and zero blocks under Euclidean geometry collapse into one
-    array operation; anything else falls back to the per-block loop.
+    array operation (boxes clip to the problem's stacked side bounds);
+    anything else falls back to the per-block loop.
     """
+    specs, layout = problem.side_specs(side)
     kinds = {spec.kind for spec in specs}
     geoms = {spec.geometry.kind for spec in specs}
+    bounds = problem.side_bounds()[side]
     if geoms == {"euclidean"} and kinds <= {"zero"}:
         return lambda linear, step, base: base - step * linear
     if geoms == {"euclidean"} and kinds <= {"nonneg"}:
         return lambda linear, step, base: np.maximum(base - step * linear, 0.0)
-    if geoms == {"euclidean"} and kinds <= {"box"}:
-        lo = np.concatenate(
-            [np.broadcast_to(spec.lower, (dim,)) for spec, dim in zip(specs, layout.dims)]
-        )
-        hi = np.concatenate(
-            [np.broadcast_to(spec.upper, (dim,)) for spec, dim in zip(specs, layout.dims)]
-        )
+    if geoms == {"euclidean"} and kinds <= {"box"} and bounds is not None:
+        lo, hi = bounds.lower, bounds.upper
         return lambda linear, step, base: np.clip(base - step * linear, lo, hi)
 
     def blockwise(linear, step, base):
@@ -492,14 +483,13 @@ def deterministic_baseline_step(x, y, x_prev, y_prev, problem: SaddleProblem, ta
     separable nonsmooth terms here are indicators or zero, so treating both
     sides as single blocks and proxing per block is exact.
     """
-    st = problem.structure
     s = 2.0 * np.asarray(problem.full_grad_y(x, y), dtype=float) - np.asarray(
         problem.full_grad_y(x_prev, y_prev), dtype=float
     )
-    dual_apply = _stacked_prox(problem.dual_prox, st.dual)
+    dual_apply = _stacked_prox(problem, 1)
     y_new = dual_apply(-s, sigma, np.asarray(y, dtype=float))
     r = np.asarray(problem.full_grad_x(x, y_new), dtype=float)
-    primal_apply = _stacked_prox(problem.primal_prox, st.primal)
+    primal_apply = _stacked_prox(problem, 0)
     x_new = primal_apply(r, tau, np.asarray(x, dtype=float))
     return x_new, y_new
 
@@ -525,7 +515,6 @@ def deterministic_baseline_run(
     """
     x = np.array(problem.start_x if x0 is None else x0, dtype=float)
     y = np.array(problem.start_y if y0 is None else y0, dtype=float)
-    x_prev, y_prev = x.copy(), y.copy()
     st = problem.structure
     acc = ErgodicAccumulator("uniform", 1, 1, x, y)
     trace = ConvergenceTrace()
@@ -548,18 +537,21 @@ def deterministic_baseline_run(
         )
 
     checkpoint(0)
-    dual_apply = _stacked_prox(problem.dual_prox, st.dual)
-    primal_apply = _stacked_prox(problem.primal_prox, st.primal)
+    dual_apply = _stacked_prox(problem, 1)
+    primal_apply = _stacked_prox(problem, 0)
+    # The dual gradient at (x_prev, y_prev) is the previous iteration's at
+    # (x, y), so each iteration evaluates it once; at k = 1 the two points
+    # coincide.
+    g_old = None
     k = 0
     for k in range(1, iters + 1):
-        s = 2.0 * np.asarray(problem.full_grad_y(x, y), dtype=float) - np.asarray(
-            problem.full_grad_y(x_prev, y_prev), dtype=float
-        )
+        g_now = np.asarray(problem.full_grad_y(x, y), dtype=float)
+        s = 2.0 * g_now - (g_now if g_old is None else g_old)
+        g_old = g_now
         y_new = dual_apply(-s, sigma, y)
         x_new = primal_apply(np.asarray(problem.full_grad_x(x, y_new), dtype=float), tau, x)
         budget += problem.p
         move = float(np.linalg.norm(x_new - x) + np.linalg.norm(y_new - y))
-        x_prev, y_prev = x, y
         x, y = x_new, y_new
         acc.update(x, y, k - 1)
         if k % checkpoint_every == 0 or k == iters:

@@ -193,7 +193,7 @@ def test_c05_estimator_unbiasedness():
     full = prob.grad_x(0, x, y)
     draws = np.stack(
         [
-            estimate_partial_grad_x(prob, sample_indices(rng, 1, prob.p), 0, x, y).value
+            estimate_partial_grad_x(prob, sample_indices(rng, 1, prob.p), 0, [(x, y)])[0]
             for _ in range(10_000)
         ]
     )

@@ -9,7 +9,6 @@ from rbpda.blocks import (
     BlockVector,
     ProxSpec,
     SaddleProblem,
-    block_slice,
     validate_problem,
 )
 from rbpda.problems import MatrixGameSpec, generate_robust_erm, matrix_game_problem, robust_erm_problem
@@ -19,20 +18,20 @@ from rbpda.stepsize import BlockLipschitz
 class TestBlockVector:
     def test_block_slice_offsets(self):
         v = BlockVector(BlockLayout((2, 3)), np.array([1.0, 2, 3, 4, 5]))
-        np.testing.assert_allclose(block_slice(v, 1), [3.0, 4.0, 5.0])
+        np.testing.assert_allclose(v.block(1), [3.0, 4.0, 5.0])
 
     def test_single_block_is_whole_vector(self):
         v = BlockVector(BlockLayout((1,)), np.array([7.0]))
-        np.testing.assert_allclose(block_slice(v, 0), [7.0])
+        np.testing.assert_allclose(v.block(0), [7.0])
 
     def test_out_of_range_hard_failure(self):
         v = BlockVector(BlockLayout((2, 3)), np.zeros(5))
         with pytest.raises(IndexError):
-            block_slice(v, 2)
+            v.block(2)
 
     def test_views_write_through(self):
         v = BlockVector.zeros(BlockLayout((2, 2)))
-        block_slice(v, 1)[:] = 9.0
+        v.block(1)[:] = 9.0
         np.testing.assert_allclose(v.data, [0, 0, 9, 9])
 
     def test_round_trip_concatenation(self):
@@ -153,3 +152,87 @@ def test_lagrangian_on_indicators_equals_phi():
     x = np.array([0.3, 0.7])
     y = np.array([0.6, 0.4])
     assert prob.lagrangian(x, y) == pytest.approx(float(x @ np.diag([1.0, 2.0]) @ y))
+
+
+def _sided_problem(primal, dual):
+    """A problem with the given (spec, dim) lists per side and inert oracles."""
+    st = BlockStructure.from_dims([d for _, d in primal], [d for _, d in dual])
+    return SaddleProblem(
+        structure=st,
+        p=1,
+        primal_prox=[spec for spec, _ in primal],
+        dual_prox=[spec for spec, _ in dual],
+        component_grad_x=lambda l, i, x, y: np.zeros(st.primal.dims[i]),
+        component_grad_y=lambda l, j, x, y: np.zeros(st.dual.dims[j]),
+    )
+
+
+def _loop_contains(specs, layout, v, slack):
+    return all(spec.contains(v[layout.block_range(b)], slack) for b, spec in enumerate(specs))
+
+
+def _loop_value(specs, layout, v):
+    total = sum(spec.value(v[layout.block_range(b)]) for b, spec in enumerate(specs))
+    return float(total / layout.n_blocks)
+
+
+def _adversarial_points(specs, layout, slack):
+    """A feasible point, then one coordinate set to NaN, +-inf or a bound +- slack."""
+    base = np.concatenate([spec.feasible_point(d) for spec, d in zip(specs, layout.dims)])
+    yield base
+    for b, spec in enumerate(specs):
+        blk = layout.block_range(b)
+        for c in range(blk.start, blk.stop):
+            values = [np.nan, np.inf, -np.inf, -1e300, 1e300]
+            if spec.kind == "box":
+                lo = float(np.broadcast_to(spec.lower, (layout.dims[b],))[c - blk.start])
+                hi = float(np.broadcast_to(spec.upper, (layout.dims[b],))[c - blk.start])
+            else:
+                lo, hi = 0.0, 1.0
+            for edge in (lo - slack, hi + slack):
+                values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+            values += [lo - 2 * slack, hi + 2 * slack, lo - 1e-9, hi + 1e-9, -0.0]
+            for value in values:
+                v = base.copy()
+                v[c] = value
+                yield v
+
+
+SIDES = {
+    "box": [(ProxSpec.box([-1.0, 0.0], [1.0, 0.5]), 2), (ProxSpec.box([2.0], [3.0]), 1)],
+    "scalar_box": [(ProxSpec.box(-1.0, 2.0), 3), (ProxSpec.box(0.0, 0.0), 2)],
+    "box_nonneg": [(ProxSpec.box(-1.0, 1.0), 2), (ProxSpec.nonneg(), 2), (ProxSpec.box([0.5], [4.0]), 1)],
+    "nonneg": [(ProxSpec.nonneg(), 2), (ProxSpec.nonneg(), 1)],
+    "zero": [(ProxSpec.zero(), 2), (ProxSpec.zero(), 1)],
+    "simplex": [(ProxSpec.simplex(), 3), (ProxSpec.simplex(), 2)],
+    "simplex_box": [(ProxSpec.simplex(), 2), (ProxSpec.box(-1.0, 1.0), 2)],
+    "l1_zero": [(ProxSpec.scaled_l1(0.5), 2), (ProxSpec.zero(), 1)],
+}
+LOOPED = ("simplex", "simplex_box", "l1_zero")
+
+
+class TestStackedDomain:
+    @pytest.mark.parametrize("name", sorted(SIDES))
+    def test_matches_per_block_loop(self, name):
+        # the whole-side check gives exactly the per-block result on both
+        # sides, for the membership test and the indicator values
+        side, other = SIDES[name], SIDES["box"]
+        for prob, which in ((_sided_problem(side, other), 0), (_sided_problem(other, side), 1)):
+            specs, layout = prob.side_specs(which)
+            assert (prob.side_bounds()[which] is None) == (name in LOOPED)
+            fixed = prob.start_x if which else prob.start_y
+            for slack in (0.0, 1e-12, 1e-9):
+                for v in _adversarial_points(specs, layout, slack):
+                    x, y = (fixed, v) if which else (v, fixed)
+                    assert prob.in_domain(x, y, slack) == _loop_contains(specs, layout, v, slack)
+                    value = prob.h_value(v) if which else prob.f_value(v)
+                    assert np.array_equal(value, _loop_value(specs, layout, v), equal_nan=True)
+                    assert type(value) is float
+
+    def test_bounds_rebuilt_after_post_init(self):
+        prob = _sided_problem(SIDES["box"], SIDES["nonneg"])
+        assert prob.in_domain(np.array([0.0, 0.0, 2.5]), np.zeros(3))
+        prob.primal_prox = [ProxSpec.box([-1.0, 0.0], [1.0, 0.5]), ProxSpec.box([5.0], [6.0])]
+        prob.__post_init__()
+        assert not prob.in_domain(np.array([0.0, 0.0, 2.5]), np.zeros(3))
+        np.testing.assert_array_equal(prob.side_bounds()[0].lower, [-1.0, 0.0, 5.0])

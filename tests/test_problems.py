@@ -82,7 +82,7 @@ class TestRobustErmProblem:
         y = np.abs(rng.standard_normal(10))
         y /= y.sum()
         for i in range(2):
-            mean = prob.batch_grad_x(np.arange(10), i, x, y)
+            mean = prob.batch_grad_x(np.arange(10), i, [(x, y)])[0]
             np.testing.assert_allclose(mean, prob.grad_x(i, x, y), atol=1e-12)
 
     def test_block_divisibility_rejected(self):
@@ -332,3 +332,24 @@ def test_sigmoid_bitwise_matches_masked_form():
         got, want = _sigmoid(z), _masked_sigmoid(z)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), z
+
+
+def test_erm_batch_grad_matches_single_point_formula_bitwise():
+    # per-point products keep the summation order of the one-point formula
+    # at every batch size, up to the full batch
+    data = generate_robust_erm(8, 200, 30, 0.1)
+    prob = robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=200)
+    p, mb = prob.p, 10
+    rng = np.random.default_rng(5)
+    x_k, x_prev = rng.uniform(-2, 2, (2, 30))
+    y_next, y_k, y_prev = rng.uniform(0, 1, (3, 200))
+    points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
+    for v in (1, 2, 7, 95, 200):
+        rows = np.arange(p) if v == p else rng.integers(0, p, size=v)
+        sub = data.A[rows]
+        neg_b = -data.b[rows]
+        for i in range(3):
+            fused = prob.batch_grad_x(rows, i, points)
+            for row, (x, y) in zip(fused, points):
+                coef = p * y[rows] * (neg_b * _sigmoid(neg_b * (sub @ x)))
+                assert np.array_equal(row, (coef @ sub[:, i * mb : (i + 1) * mb]) / v), (v, i)

@@ -24,6 +24,17 @@ class TestRngContract:
         b = [draw_block(rng2, 7) for _ in range(50)]
         assert a == b
 
+    def test_single_index_draw_matches_size_one(self):
+        # v = 1 takes a scalar draw; indices, dtype and generator state must
+        # match rng.integers(0, p, size=1) exactly
+        for p in (1, 2, 3, 7, 200, 1000):
+            for seed in range(200):
+                rng, ref = make_rng(seed), make_rng(seed)
+                got = np.concatenate([sample_indices(rng, 1, p) for _ in range(200)])
+                want = np.concatenate([ref.integers(0, p, size=1) for _ in range(200)])
+                assert got.dtype == want.dtype and np.array_equal(got, want), (p, seed)
+                assert rng.bit_generator.state == ref.bit_generator.state, (p, seed)
+
     def test_streams_independent(self):
         s0 = sample_indices(make_rng(1, 0), 100, 1000).tolist()
         s1 = sample_indices(make_rng(1, 1), 100, 1000).tolist()
@@ -118,16 +129,16 @@ class TestEstimator:
         y = np.abs(rng.standard_normal(16))
         y /= y.sum()
         for i in range(2):
-            est = estimate_partial_grad_x(prob, np.arange(prob.p), i, x, y)
-            np.testing.assert_allclose(est.value, prob.grad_x(i, x, y), atol=1e-12)
+            est = estimate_partial_grad_x(prob, np.arange(prob.p), i, [(x, y)])
+            np.testing.assert_allclose(est[0], prob.grad_x(i, x, y), atol=1e-12)
 
     def test_single_index_exact(self, small_erm):
         prob = small_erm
         x = np.zeros(6)
         y = np.full(16, 1 / 16)
-        est = estimate_partial_grad_x(prob, np.array([4]), 0, x, y)
-        np.testing.assert_allclose(est.value, prob.component_grad_x(4, 0, x, y))
-        assert est.sample_count == 1 and est.components_evaluated == 1
+        est = estimate_partial_grad_x(prob, np.array([4]), 0, [(x, y)])
+        np.testing.assert_allclose(est[0], prob.component_grad_x(4, 0, x, y))
+        assert est.shape == (1, 3)  # one point, one primal block of dimension 3
 
     def test_monte_carlo_unbiased(self, small_erm):
         prob = small_erm
@@ -138,7 +149,7 @@ class TestEstimator:
         full = prob.grad_x(0, x, y)
         draws = np.stack(
             [
-                estimate_partial_grad_x(prob, sample_indices(rng, 1, prob.p), 0, x, y).value
+                estimate_partial_grad_x(prob, sample_indices(rng, 1, prob.p), 0, [(x, y)])[0]
                 for _ in range(10_000)
             ]
         )

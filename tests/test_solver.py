@@ -28,7 +28,6 @@ from rbpda.solver import (
     RunState,
     SolverConfig,
     SolverError,
-    accumulate_ergodic,
     deterministic_baseline_run,
     deterministic_baseline_step,
     rbpda_step,
@@ -162,11 +161,12 @@ def full_copy_step(state, problem, schedule, batch, rng):
     i = draw_block(rng, M)
     v = next_batch_size(batch, state.counters, i, k, p)
     indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
-    est_new = estimate_partial_grad_x(problem, indices, i, x_k, y_next)
-    est_cur = estimate_partial_grad_x(problem, indices, i, x_k, y_k)
-    est_old = estimate_partial_grad_x(problem, indices, i, x_prev, y_prev)
+    # one point per call, independent of the three-point call in rbpda_step
+    est_new = estimate_partial_grad_x(problem, indices, i, [(x_k, y_next)])[0]
+    est_cur = estimate_partial_grad_x(problem, indices, i, [(x_k, y_k)])[0]
+    est_old = estimate_partial_grad_x(problem, indices, i, [(x_prev, y_prev)])[0]
     state.grad_budget += 3 * v
-    r = M * (est_new.value + (N - 1) * theta * (est_cur.value - est_old.value))
+    r = M * (est_new + (N - 1) * theta * (est_cur - est_old))
     spec = problem.primal_prox[i]
     blk_i = st.primal.block_range(i)
     x_next = x_k.copy()
@@ -250,13 +250,34 @@ class TestBlockCopyLockstep:
             rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
         before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
         inner = prob.batch_grad_x
-        prob.batch_grad_x = lambda idx, i, x, y: np.full_like(inner(idx, i, x, y), np.nan)
+        prob.batch_grad_x = lambda idx, i, points: np.full_like(inner(idx, i, points), np.nan)
         with pytest.raises(SolverError, match="primal prox failed"):
             rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
         after = (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
         for old, cur in zip(before, after):
             assert np.array_equal(old, cur)
         assert np.array_equal(state.y_next, state.y.data)
+
+
+@pytest.mark.parametrize(
+    "name", ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp"]
+)
+def test_three_point_batch_grad_equals_one_point_calls(name):
+    # the solver's three points, the first two sharing the array x^k, in one
+    # call must give exactly what three one-point calls give
+    prob = lockstep_problem(name)
+    st = prob.structure
+    rng = np.random.default_rng(4)
+    for v in (1, 2, 7, prob.p):
+        indices = np.arange(prob.p) if v == prob.p else rng.integers(0, prob.p, size=v)
+        x_k, x_prev = rng.uniform(-1, 1, (2, st.m))
+        y_next, y_k, y_prev = rng.uniform(0.05, 1, (3, st.n))
+        points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
+        for i in range(st.M):
+            fused = prob.batch_grad_x(indices, i, points)
+            assert fused.shape == (3, st.primal.dims[i])
+            for row, point in zip(fused, points):
+                assert np.array_equal(row, prob.batch_grad_x(indices, i, [point])[0]), (v, i)
 
 
 def reduction_deviation(prob, iters=100, seed=3):
@@ -325,7 +346,7 @@ class TestErgodicAccumulator:
             )
             acc = ErgodicAccumulator(mode, 3, 2, np.full(3, 2.0), np.full(2, -1.0), sched)
             for k in range(25):
-                accumulate_ergodic(acc, np.full(3, 2.0), np.full(2, -1.0), k)
+                acc.update(np.full(3, 2.0), np.full(2, -1.0), k)
             x_bar, y_bar = acc.finalize()
             np.testing.assert_allclose(x_bar, 2.0, atol=1e-12)
             np.testing.assert_allclose(y_bar, -1.0, atol=1e-12)
@@ -382,6 +403,20 @@ class TestErgodicAccumulator:
         T_K = sum(schedule_t(k, eta) for k in range(K))
         assert abs(w_x - (T_K + M - 1)) <= 1e-10
         assert abs(w_y - (T_K + M - 1)) <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["uniform", "weighted"])
+    def test_update_copies_the_iterates(self, mode):
+        # the solver updates its iterate arrays in place after each fold-in
+        sched = StepSchedule(mode="diminishing", M=2, N=2, agg=None, fp=None, eta=0.0)
+        acc = ErgodicAccumulator(mode, 2, 2, np.zeros(2), np.zeros(1), sched)
+        x, y = np.array([1.0, 2.0]), np.array([3.0])
+        for k in range(3):
+            acc.update(x, y, k)
+        before = acc.finalize()
+        x[:] = 50.0
+        y[:] = -50.0
+        for got, want in zip(acc.finalize(), before):
+            assert np.array_equal(got, want)
 
     def test_zero_iterations_returns_start(self):
         acc = ErgodicAccumulator("uniform", 2, 2, np.array([5.0]), np.array([-5.0]))
@@ -477,9 +512,9 @@ class TestRun:
         calls = {"components": 0}
         inner = prob.batch_grad_x
 
-        def counting_batch(indices, i, x, y):
-            calls["components"] += len(np.atleast_1d(indices))
-            return inner(indices, i, x, y)
+        def counting_batch(indices, i, points):
+            calls["components"] += len(np.atleast_1d(indices)) * len(points)
+            return inner(indices, i, points)
 
         prob.batch_grad_x = counting_batch
         cfg = SolverConfig(mode="increasing_batch", max_iters=200, seed=1, checkpoint_every=10**9, compute_sup_gap=False)
@@ -605,9 +640,9 @@ class TestIntegration:
         seen = []
         inner = prob.batch_grad_x
 
-        def recording(indices, i, x, y):
+        def recording(indices, i, points):
             seen.append(np.array(indices))
-            return inner(indices, i, x, y)
+            return inner(indices, i, points)
 
         prob.batch_grad_x = recording
         cfg = SolverConfig(mode="increasing_batch", max_iters=10, seed=1,
