@@ -260,7 +260,9 @@ class SaddleProblem:
     component_grad_x(l, i, x, y)
         Partial gradient of Phi_l with respect to primal block i.
     component_grad_y(l, j, x, y)
-        Partial gradient of Phi_l with respect to dual block j.
+        Partial gradient of Phi_l with respect to dual block j.  The solver
+        never calls it; it is required only when ``grad_y`` is not given,
+        since the default ``grad_y`` enumerates it.
 
     Optional fast paths (``grad_x``, ``grad_y``, ``batch_grad_x``) default to
     enumeration of the components; built-in problems override them with
@@ -277,6 +279,31 @@ class SaddleProblem:
         primal array, recognised by identity, and must return for each
         point exactly what a one-point call would.
 
+    coupling_cache(x, y, x_prev, y_prev)
+        Optional factory of a per-run cache of coupling products (robust ERM
+        keeps the margins ``A x^k`` and ``A x^(k-1)``).  :func:`rbpda.run`
+        builds one over the run's iterate buffers after the start point is
+        set; it lives on the run state, never on the problem, because
+        concurrent runs share problems.  When a run has a cache, the solver
+        passes it as the keyword ``cache=`` to ``grad_y``, ``batch_grad_x``,
+        ``full_grad_y`` and ``full_grad_x`` (never otherwise, so problems
+        without a cache keep their signatures).  The contract:
+
+        * the oracles look cached products up by identity of the primal
+          array they receive (x^k or x^(k-1)); any other array is computed
+          from scratch, so a cache never changes what an oracle means;
+        * ``cache.move(i, dx)`` runs only after a step has succeeded and
+          its blocks are written: the cached x^k products become the
+          x^(k-1) products, and the x^k products take the rank-block update
+          of primal block i by ``dx``;
+        * every ``cache.period`` moves the cache recomputes its products
+          exactly, which bounds rounding drift whatever the run length;
+        * ``cache.reset()`` recomputes exactly from x^k and collapses the
+          x^(k-1) products onto them; the solver calls it when x^(k-1) is
+          set equal to x^k (restarts, each full-gradient baseline step).
+
+        The default oracles accept the keyword and ignore it.
+
     Whole-side domain bounds (:meth:`side_bounds`) are built on first use
     and cached; ``__post_init__`` clears the cache, so call it again after
     replacing the prox specs.
@@ -287,7 +314,7 @@ class SaddleProblem:
     primal_prox: list
     dual_prox: list
     component_grad_x: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
-    component_grad_y: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
+    component_grad_y: Optional[Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]] = None
     lipschitz: "object" = None  # BlockLipschitz; typed loosely to avoid an import cycle
     grad_x: Optional[Callable] = None
     grad_y: Optional[Callable] = None
@@ -296,6 +323,7 @@ class SaddleProblem:
     full_grad_y: Optional[Callable] = None
     phi_value: Optional[Callable] = None
     phi_component: Optional[Callable] = None
+    coupling_cache: Optional[Callable] = None
     start_x: Optional[np.ndarray] = None
     start_y: Optional[np.ndarray] = None
     name: str = "problem"
@@ -308,6 +336,8 @@ class SaddleProblem:
             raise ValueError("need one primal prox spec per primal block")
         if len(self.dual_prox) != self.structure.N:
             raise ValueError("need one dual prox spec per dual block")
+        if self.grad_y is None and self.component_grad_y is None:
+            raise ValueError("need grad_y or component_grad_y")
         if self.grad_x is None:
             self.grad_x = self._grad_x_enumerated
         if self.grad_y is None:
@@ -315,11 +345,11 @@ class SaddleProblem:
         if self.batch_grad_x is None:
             self.batch_grad_x = self._batch_grad_x_looped
         if self.full_grad_x is None:
-            self.full_grad_x = lambda x, y: np.concatenate(
+            self.full_grad_x = lambda x, y, cache=None: np.concatenate(
                 [np.asarray(self.grad_x(i, x, y)) for i in range(self.structure.M)]
             )
         if self.full_grad_y is None:
-            self.full_grad_y = lambda x, y: np.concatenate(
+            self.full_grad_y = lambda x, y, cache=None: np.concatenate(
                 [np.asarray(self.grad_y(j, x, y)) for j in range(self.structure.N)]
             )
         if self.start_x is None:
@@ -351,13 +381,13 @@ class SaddleProblem:
             acc += self.component_grad_x(l, i, x, y)
         return acc / self.p
 
-    def _grad_y_enumerated(self, j, x, y):
+    def _grad_y_enumerated(self, j, x, y, cache=None):
         acc = self.component_grad_y(0, j, x, y).astype(float, copy=True)
         for l in range(1, self.p):
             acc += self.component_grad_y(l, j, x, y)
         return acc / self.p
 
-    def _batch_grad_x_looped(self, indices, i, points):
+    def _batch_grad_x_looped(self, indices, i, points, cache=None):
         indices = np.asarray(indices, dtype=int)
         means = []
         for x, y in points:
@@ -390,9 +420,10 @@ class SaddleProblem:
         return self.f_value(x) + float(self.phi_value(x, y)) - self.h_value(y)
 
     def in_domain(self, x, y, slack: float = DOMAIN_SLACK) -> bool:
-        return self._side_contains(0, x, slack) and self._side_contains(1, y, slack)
+        return self.side_contains(0, x, slack) and self.side_contains(1, y, slack)
 
-    def _side_contains(self, side: int, v, slack: float) -> bool:
+    def side_contains(self, side: int, v, slack: float = DOMAIN_SLACK) -> bool:
+        """Whether v lies in the domain of side 0 (primal) or 1 (dual), up to slack."""
         bounds = self.side_bounds()[side]
         if bounds is not None:
             return bounds.contains(v, slack)
@@ -484,7 +515,7 @@ def validate_problem(
                 failures.append(
                     f"component_grad_x block {i}: shape {g.shape} != ({st.primal.dims[i]},)"
                 )
-        for j in range(st.N):
+        for j in range(st.N if problem.component_grad_y is not None else 0):
             try:
                 g = np.asarray(problem.component_grad_y(0, j, x, y))
             except Exception as exc:  # noqa: BLE001

@@ -140,6 +140,53 @@ def _erm_lipschitz(A: np.ndarray, m_blocks: int, n_blocks: int, entropy: bool) -
     return BlockLipschitz(Lxx=Lxx, Lxy=Lxy, Lyy=Lyy, Lyx=Lyx)
 
 
+class ErmMargins:
+    """Per-run cache of the robust-ERM margins ``z = A x^k`` and ``z_prev = A x^(k-1)``.
+
+    Built over the run's primal buffers ``x`` and ``x_prev``; the ERM oracles
+    read ``z`` for the array ``x`` and ``z_prev`` for ``x_prev``, found by
+    identity (:meth:`margins`).  A move of primal block i costs one
+    ``(n, mb)`` product with a column block of A, read in place.  Every
+    ``period`` moves, ``period`` being the number of primal blocks, ``z`` is
+    recomputed as ``A @ x``: that refresh costs as much as ``period`` moves
+    together, and it bounds the rounding drift of the rank-block updates
+    whatever the run length.
+    """
+
+    def __init__(self, A: np.ndarray, m_blocks: int, x: np.ndarray, x_prev: np.ndarray):
+        mb = A.shape[1] // m_blocks
+        self.A = A
+        self.cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]
+        self.period = m_blocks
+        self.x, self.x_prev = x, x_prev
+        self.z, self.z_prev = A @ x, A @ x_prev
+        self.moves = 0  # since the last exact product
+
+    def margins(self, x) -> Optional[np.ndarray]:
+        """The cached margins of the buffer ``x``, or None for any other array."""
+        if x is self.x:
+            return self.z
+        if x is self.x_prev:
+            return self.z_prev
+        return None
+
+    def reset(self) -> None:
+        """Recompute ``z`` exactly and collapse ``z_prev`` onto it (x_prev equals x)."""
+        np.matmul(self.A, self.x, out=self.z)
+        np.copyto(self.z_prev, self.z)
+        self.moves = 0
+
+    def move(self, i: int, dx: np.ndarray) -> None:
+        """x_prev took the old x and block i of x moved by dx: shift both margins."""
+        self.z_prev, self.z = self.z, self.z_prev  # z_prev takes the old z
+        self.moves += 1
+        if self.moves == self.period:
+            np.matmul(self.A, self.x, out=self.z)
+            self.moves = 0
+        else:
+            np.add(self.z_prev, self.A[:, self.cols[i]] @ dx, out=self.z)
+
+
 def robust_erm_problem(
     data: RobustErmDataset,
     radius: float = 10.0,
@@ -180,10 +227,12 @@ def robust_erm_problem(
 
     lip = _erm_lipschitz(A, m_blocks, n_blocks, entropy)
 
-    def losses(x):
-        return np.logaddexp(0.0, -b * (A @ x))
+    def margins(x, cache, rows=slice(None)):
+        z = None if cache is None else cache.margins(x)
+        return A[rows] @ x if z is None else z[rows]
 
     neg_b = -b
+    all_rows = np.arange(n)
 
     def component_grad_x(l, i, x, y):
         a = A[l]
@@ -191,31 +240,51 @@ def robust_erm_problem(
         coef = p * y[l] * (-b[l]) * float(_sigmoid(np.array(-b[l] * margin)))
         return coef * a[i * mb : (i + 1) * mb]
 
-    def batch_grad_x(indices, i, points):
+    def batch_grad_x(indices, i, points, cache=None):
         rows = np.asarray(indices, dtype=int)
-        sub = A[rows]
-        sub_i = sub[:, i * mb : (i + 1) * mb]
+        count = rows.size
+        if count == n and np.array_equal(rows, all_rows):
+            rows = slice(None)  # the whole index set: read A in place
+        cols = slice(i * mb, (i + 1) * mb)
         neg_b_rows = neg_b[rows]
+        # one margin row per distinct primal array (consecutive points that
+        # share an array share its row); cached margins need no gather of A
+        xs, which = [points[0][0]], []
+        for x, _ in points:
+            if x is not xs[-1]:
+                xs.append(x)
+            which.append(len(xs) - 1)
+        z = np.empty((len(xs), count))
+        sub = None  # A[rows], gathered only for an uncached margin
+        for r, x in enumerate(xs):
+            cached = None if cache is None else cache.margins(x)
+            if cached is not None:
+                z[r] = cached[rows]
+            else:
+                if sub is None:
+                    sub = A[rows]
+                z[r] = sub @ x
+        sub_i = A[rows, cols] if sub is None else sub[:, cols]
+        # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
+        t = neg_b_rows * _sigmoid(neg_b_rows * z)
         out = np.empty((len(points), mb))
-        x_seen, t = None, None
-        for k, (x, y) in enumerate(points):
-            if x is not x_seen:
-                # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
-                x_seen, t = x, neg_b_rows * _sigmoid(neg_b_rows * (sub @ x))
-            coef = p * y[rows] * t
+        for k, (_, y) in enumerate(points):
+            coef = p * y[rows] * t[which[k]]
             # one (v,) @ (v, mb) product per point: stacking the points into
             # one matrix product would change the summation order
-            out[k] = (coef @ sub_i) / rows.size
+            out[k] = (coef @ sub_i) / count
         return out
 
     def grad_x(i, x, y):
-        margins = A @ x
-        w = y * (-b) * _sigmoid(-b * margins)
+        w = y * (-b) * _sigmoid(-b * (A @ x))
         return A[:, i * mb : (i + 1) * mb].T @ w
 
-    def full_grad_x_vec(x, y):
-        w = y * (-b) * _sigmoid(-b * (A @ x))
+    def full_grad_x(x, y, cache=None):
+        w = y * (-b) * _sigmoid(-b * margins(x, cache))
         return A.T @ w
+
+    def full_grad_y(x, y, cache=None):
+        return np.logaddexp(0.0, -b * margins(x, cache))
 
     def component_grad_y(l, j, x, y):
         out = np.zeros(nb)
@@ -224,12 +293,12 @@ def robust_erm_problem(
             out[l - j * nb] = p * float(np.logaddexp(0.0, -b[l] * float(a @ x)))
         return out
 
-    def grad_y(j, x, y):
+    def grad_y(j, x, y, cache=None):
         rows = slice(j * nb, (j + 1) * nb)
-        return np.logaddexp(0.0, -b[rows] * (A[rows] @ x))
+        return np.logaddexp(0.0, -b[rows] * margins(x, cache, rows))
 
     def phi_value(x, y):
-        return float(y @ losses(x))
+        return float(y @ full_grad_y(x, y))
 
     def phi_component(l, x, y):
         return p * y[l] * float(np.logaddexp(0.0, -b[l] * float(A[l] @ x)))
@@ -246,10 +315,11 @@ def robust_erm_problem(
         grad_x=grad_x,
         grad_y=grad_y,
         batch_grad_x=batch_grad_x,
-        full_grad_x=full_grad_x_vec,
-        full_grad_y=lambda x, y: losses(x),
+        full_grad_x=full_grad_x,
+        full_grad_y=full_grad_y,
         phi_value=phi_value,
         phi_component=phi_component,
+        coupling_cache=lambda x, y, x_prev, y_prev: ErmMargins(A, m_blocks, x, x_prev),
         start_x=np.zeros(m),
         start_y=start_y,
         name=f"robust_erm(n={n},m={m},M={m_blocks},N={n_blocks})",

@@ -118,15 +118,16 @@ def sample_indices(rng: np.random.Generator, v: int, p: int) -> np.ndarray:
     return rng.integers(0, p, size=v)
 
 
-def estimate_partial_grad_x(problem, indices, i: int, points) -> np.ndarray:
+def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:
     """Mean of component_grad_x over ``indices`` at block i, one row per ``(x, y)`` point.
 
     The caller applies the M and (N-1)*theta scalings of the update rule.
+    Keyword arguments (a run's ``cache=``) go to ``batch_grad_x`` unchanged.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    return np.asarray(problem.batch_grad_x(indices, i, points), dtype=float)
+    return np.asarray(problem.batch_grad_x(indices, i, points, **kw), dtype=float)
 
 
 def expected_inverse_batch(M: int, k: int, eta: float = 0.0) -> tuple[float, float]:

@@ -102,6 +102,8 @@ class SolverConfig:
             raise ValueError("single_sample mode needs eta in [0, 1)")
         if self.mode == "increasing_batch" and self.eta < 0:
             raise ValueError("increasing_batch mode needs eta >= 0")
+        if not 0 < self.restart_threshold <= 1:  # also rejects NaN
+            raise ValueError("restart_threshold must be finite and lie in (0, 1]")
 
 
 @dataclass
@@ -115,6 +117,10 @@ class RunState:
     buffers are solver-owned: callers must not write to them between steps.
     :meth:`start` and :func:`restart_if_saturated` set whole vectors and keep
     the invariant.
+
+    ``cache`` is the problem's per-run coupling cache over these buffers
+    (see :class:`~rbpda.blocks.SaddleProblem`), or None.  It moves with the
+    iterates: only after a step has succeeded.
     """
 
     x: BlockVector
@@ -129,6 +135,7 @@ class RunState:
     y_next: Optional[np.ndarray] = None
     last_x: slice = field(default_factory=lambda: slice(None))
     last_y: slice = field(default_factory=lambda: slice(None))
+    cache: Optional[object] = None
 
     def __post_init__(self):
         if self.y_next is None:
@@ -136,8 +143,7 @@ class RunState:
 
     @classmethod
     def start(cls, problem: SaddleProblem, x0=None, y0=None) -> "RunState":
-        x = np.array(problem.start_x if x0 is None else x0, dtype=float)
-        y = np.array(problem.start_y if y0 is None else y0, dtype=float)
+        x, y = _start_point(problem, x0, y0)
         st = problem.structure
         return cls(
             x=BlockVector(st.primal, x.copy()),
@@ -146,6 +152,28 @@ class RunState:
             y_prev=BlockVector(st.dual, y.copy()),
             counters=BlockCounters.zeros(st.M),
         )
+
+
+def _start_point(problem: SaddleProblem, x0=None, y0=None) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of the start (x0, y0), or of the problem's start for a None.
+
+    A given x0 or y0 must have its side's length, be finite and lie in its
+    side's domain (up to the checkpoint slack 1e-9); otherwise ValueError
+    names it.
+    """
+    out = []
+    for side, name, given, default in ((0, "x0", x0, problem.start_x), (1, "y0", y0, problem.start_y)):
+        v = np.array(default if given is None else given, dtype=float)
+        if given is not None:
+            dim = problem.side_specs(side)[1].total_dim
+            if v.shape != (dim,):
+                raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite entries")
+            if not problem.side_contains(side, v, slack=1e-9):
+                raise ValueError(f"{name} lies outside the {('primal', 'dual')[side]} domain")
+        out.append(v)
+    return out[0], out[1]
 
 
 class ErgodicAccumulator:
@@ -242,6 +270,8 @@ def rbpda_step(
     invariant of :class:`RunState` it moves x^k into ``x_prev`` by copying
     the one block the previous step changed, then writes the new blocks.  A
     step that raises leaves x, y, x_prev, y_prev and y_next as they were.
+    A run's coupling cache, if any, is passed to ``grad_y`` and
+    ``batch_grad_x`` and moves only once both blocks are written.
     """
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
@@ -250,10 +280,12 @@ def rbpda_step(
     x_k, y_k = state.x.data, state.y.data
     x_prev, y_prev = state.x_prev.data, state.y_prev.data
     y_next = state.y_next
+    cache = state.cache
+    kw = {} if cache is None else {"cache": cache}
 
     j = draw_block(rng, N)
-    g_now = np.asarray(problem.grad_y(j, x_k, y_k), dtype=float)
-    g_old = np.asarray(problem.grad_y(j, x_prev, y_prev), dtype=float)
+    g_now = np.asarray(problem.grad_y(j, x_k, y_k, **kw), dtype=float)
+    g_old = np.asarray(problem.grad_y(j, x_prev, y_prev, **kw), dtype=float)
     state.dual_grad_evals += 2
     s = N * g_now + N * M * theta * (g_now - g_old)
 
@@ -270,7 +302,7 @@ def rbpda_step(
         v = next_batch_size(batch, state.counters, i, k, p)
         indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
         est_new, est_cur, est_old = estimate_partial_grad_x(
-            problem, indices, i, ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
+            problem, indices, i, ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), **kw
         )
         state.grad_budget += 3 * v
         r = M * (est_new + (N - 1) * theta * (est_cur - est_old))
@@ -287,9 +319,12 @@ def rbpda_step(
 
     x_prev[state.last_x] = x_k[state.last_x]
     y_prev[state.last_y] = y_k[state.last_y]
+    dx = None if cache is None else x_blk - x_k[blk_i]
     x_k[blk_i] = x_blk
     y_k[blk_j] = y_blk
     state.last_x, state.last_y = blk_i, blk_j
+    if cache is not None:
+        cache.move(i, dx)
     state.k += 1
     return state
 
@@ -298,8 +333,9 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
     """Reset the selection counters once every block's batch rule is saturated.
 
     When min_i v_i >= ceil(threshold * p), the counters return to zero and the
-    extrapolation history collapses onto the current iterate; iterates and
-    ergodic accumulators are untouched.
+    extrapolation history collapses onto the current iterate (and the
+    coupling cache, if any, is reset onto it); iterates and ergodic
+    accumulators are untouched.
     """
     vs = np.minimum(p, np.ceil((state.counters.counts + 1) * (state.k + 1) ** eta))
     if np.all(vs >= np.ceil(threshold * p)):
@@ -307,6 +343,8 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
         state.x_prev.data[:] = state.x.data
         state.y_prev.data[:] = state.y.data
         state.y_next[:] = state.y.data
+        if state.cache is not None:
+            state.cache.reset()
         state.restarts += 1
     return state
 
@@ -371,6 +409,10 @@ def run(
         batch = BatchSchedule.constant(1, problem.p)
     rng = make_rng(config.seed, config.stream)
     state = RunState.start(problem, config.x0, config.y0)
+    if problem.coupling_cache is not None:
+        state.cache = problem.coupling_cache(
+            state.x.data, state.y.data, state.x_prev.data, state.y_prev.data
+        )
     acc = ErgodicAccumulator(
         "uniform" if config.mode == "increasing_batch" else "weighted",
         st.M,
@@ -512,9 +554,11 @@ def deterministic_baseline_run(
     Budget accounting charges p component gradients per iteration for the full
     primal gradient.  With ``plateau_tol > 0`` the run stops early once the
     iterate movement stays below the tolerance for 20 consecutive iterations.
+    Both full gradients of an iteration are taken at the same x, so a
+    problem's coupling cache, reset exactly onto x once per iteration, lets
+    them share its products (one ``A @ x`` per iteration for robust ERM).
     """
-    x = np.array(problem.start_x if x0 is None else x0, dtype=float)
-    y = np.array(problem.start_y if y0 is None else y0, dtype=float)
+    x, y = _start_point(problem, x0, y0)
     st = problem.structure
     acc = ErgodicAccumulator("uniform", 1, 1, x, y)
     trace = ConvergenceTrace()
@@ -543,16 +587,22 @@ def deterministic_baseline_run(
     # (x, y), so each iteration evaluates it once; at k = 1 the two points
     # coincide.
     g_old = None
+    # x and y stay the same buffers, so the cache recognises them; x_prev is x here
+    cache = None if problem.coupling_cache is None else problem.coupling_cache(x, y, x, y)
+    kw = {} if cache is None else {"cache": cache}
     k = 0
     for k in range(1, iters + 1):
-        g_now = np.asarray(problem.full_grad_y(x, y), dtype=float)
+        g_now = np.asarray(problem.full_grad_y(x, y, **kw), dtype=float)
         s = 2.0 * g_now - (g_now if g_old is None else g_old)
         g_old = g_now
         y_new = dual_apply(-s, sigma, y)
-        x_new = primal_apply(np.asarray(problem.full_grad_x(x, y_new), dtype=float), tau, x)
+        x_new = primal_apply(np.asarray(problem.full_grad_x(x, y_new, **kw), dtype=float), tau, x)
         budget += problem.p
         move = float(np.linalg.norm(x_new - x) + np.linalg.norm(y_new - y))
-        x, y = x_new, y_new
+        x[:] = x_new
+        y[:] = y_new
+        if cache is not None:
+            cache.reset()
         acc.update(x, y, k - 1)
         if k % checkpoint_every == 0 or k == iters:
             checkpoint(k)

@@ -147,6 +147,49 @@ class TestValidateProblem:
                     assert fd == pytest.approx(g[c], rel=1e-5, abs=1e-7)
 
 
+class TestOptionalComponentGradY:
+    @staticmethod
+    def _without_component_grad_y(A):
+        st = BlockStructure.from_dims([A.shape[0]], [A.shape[1]])
+        lip = BlockLipschitz(np.zeros((1, 1)), np.array([[2.0]]), np.zeros((1, 1)), np.array([[2.0]]))
+        return SaddleProblem(
+            structure=st,
+            p=1,
+            primal_prox=[ProxSpec.simplex()],
+            dual_prox=[ProxSpec.simplex()],
+            component_grad_x=lambda l, i, x, y: A @ y,
+            lipschitz=lip,
+            grad_y=lambda j, x, y: A.T @ x,
+            phi_value=lambda x, y: float(x @ A @ y),
+            phi_component=lambda l, x, y: float(x @ A @ y),
+        )
+
+    def test_problem_without_it_runs_and_validates(self):
+        from rbpda import SolverConfig, run
+
+        A = np.diag([1.0, 2.0])
+        prob = self._without_component_grad_y(A)
+        assert prob.component_grad_y is None
+        report = validate_problem(prob)
+        assert report.ok, report.failures
+        res = run(prob, SolverConfig(max_iters=200, seed=1, checkpoint_every=100))
+        ref, _ = matrix_game_problem(MatrixGameSpec(A))
+        same = run(ref, SolverConfig(max_iters=200, seed=1, checkpoint_every=100))
+        assert np.array_equal(res.x, same.x) and np.array_equal(res.y, same.y)
+
+    def test_needs_grad_y_or_component_grad_y(self):
+        prob = self._without_component_grad_y(np.eye(2))
+        with pytest.raises(ValueError, match="grad_y"):
+            SaddleProblem(
+                structure=prob.structure,
+                p=1,
+                primal_prox=prob.primal_prox,
+                dual_prox=prob.dual_prox,
+                component_grad_x=prob.component_grad_x,
+                lipschitz=prob.lipschitz,
+            )
+
+
 def test_lagrangian_on_indicators_equals_phi():
     prob, _ = matrix_game_problem(MatrixGameSpec(np.diag([1.0, 2.0])))
     x = np.array([0.3, 0.7])

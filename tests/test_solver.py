@@ -200,63 +200,112 @@ def lockstep_problem(name):
     return builders[name]()
 
 
+def attach_cache(state, prob):
+    """Give a hand-driven run state the problem's coupling cache, as run() does."""
+    state.cache = prob.coupling_cache(state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
+    return state
+
+
+def assert_close(got, want, tol=1e-12):
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, float(np.max(np.abs(want))))
+
+
+def run_lockstep(name, mode, cached):
+    """Run the block-copy step beside the whole-vector reference for 60 iterations.
+
+    Both start from the same seed and take one forced restart.  They must
+    agree after every iteration: exactly without a cache, and to 1e-12 with
+    the ERM margin cache (whose rank-block updates round differently), whose
+    margins must also track A x and A x_prev.
+    """
+    prob = lockstep_problem(name)
+    st = prob.structure
+    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
+    fp = default_free_params(agg, st.M, st.N, mode=mode)
+    eta = 0.3 if mode == "diminishing" else 0.0
+    if mode == "constant":
+        batch = BatchSchedule.increasing(0.0)
+    else:
+        batch = BatchSchedule.constant(1, prob.p)
+    new, ref = RunState.start(prob), RunState.start(prob)
+    if cached:
+        attach_cache(new, prob)
+    sched_new, sched_ref = (
+        StepSchedule(mode=mode, M=st.M, N=st.N, agg=agg, fp=fp, eta=eta) for _ in range(2)
+    )
+    rng_new, rng_ref = make_rng(11), make_rng(11)
+    for it in range(60):
+        rbpda_step(new, prob, sched_new, batch, rng_new)
+        full_copy_step(ref, prob, sched_ref, batch, rng_ref)
+        if it == 25:
+            restart_if_saturated(new, prob.p, threshold=0.0)
+            restart_if_saturated(ref, prob.p, threshold=0.0)
+        for attr in ("x", "y", "x_prev", "y_prev"):
+            got, want = getattr(new, attr).data, getattr(ref, attr).data
+            if cached:
+                assert_close(got, want)
+            else:
+                assert np.array_equal(got, want), (attr, it)
+        if cached:
+            A = new.cache.A
+            assert_close(new.cache.z, A @ new.x.data)
+            assert_close(new.cache.z_prev, A @ new.x_prev.data)
+        assert (new.k, new.grad_budget, new.dual_grad_evals, new.restarts) == (
+            ref.k,
+            ref.grad_budget,
+            ref.dual_grad_evals,
+            ref.restarts,
+        )
+        assert np.array_equal(new.counters.counts, ref.counters.counts)
+    assert new.restarts == 1
+    assert not np.array_equal(new.x.data, prob.start_x)
+
+
 class TestBlockCopyLockstep:
     @pytest.mark.parametrize("mode", ["constant", "diminishing"])
     @pytest.mark.parametrize(
         "name", ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp"]
     )
     def test_matches_full_copy_step_bitwise(self, name, mode):
-        # the block-copy step and the whole-vector reference run side by side
-        # from the same seed, with one forced restart, and must agree exactly
-        # after every iteration
-        prob = lockstep_problem(name)
-        st = prob.structure
-        agg = aggregate_constants(prob.lipschitz, st.M, st.N)
-        fp = default_free_params(agg, st.M, st.N, mode=mode)
-        eta = 0.3 if mode == "diminishing" else 0.0
-        if mode == "constant":
-            batch = BatchSchedule.increasing(0.0)
-        else:
-            batch = BatchSchedule.constant(1, prob.p)
-        new, ref = RunState.start(prob), RunState.start(prob)
-        sched_new, sched_ref = (
-            StepSchedule(mode=mode, M=st.M, N=st.N, agg=agg, fp=fp, eta=eta) for _ in range(2)
-        )
-        rng_new, rng_ref = make_rng(11), make_rng(11)
-        for it in range(60):
-            rbpda_step(new, prob, sched_new, batch, rng_new)
-            full_copy_step(ref, prob, sched_ref, batch, rng_ref)
-            if it == 25:
-                restart_if_saturated(new, prob.p, threshold=0.0)
-                restart_if_saturated(ref, prob.p, threshold=0.0)
-            for attr in ("x", "y", "x_prev", "y_prev"):
-                assert np.array_equal(getattr(new, attr).data, getattr(ref, attr).data), (attr, it)
-            assert (new.k, new.grad_budget, new.dual_grad_evals, new.restarts) == (
-                ref.k,
-                ref.grad_budget,
-                ref.dual_grad_evals,
-                ref.restarts,
-            )
-            assert np.array_equal(new.counters.counts, ref.counters.counts)
-        assert new.restarts == 1
-        assert not np.array_equal(new.x.data, prob.start_x)
+        run_lockstep(name, mode, cached=False)
+
+    @pytest.mark.parametrize("mode", ["constant", "diminishing"])
+    @pytest.mark.parametrize("name", ["erm_box", "erm_entropy"])
+    def test_cached_erm_matches_full_copy_step(self, name, mode):
+        run_lockstep(name, mode, cached=True)
 
     def test_failed_step_leaves_iterates_unchanged(self):
-        prob = lockstep_problem("box_game")
+        for name in ("box_game", "erm_box"):  # without and with a coupling cache
+            self._check_failed_step(name)
+
+    @staticmethod
+    def _check_failed_step(name):
+        prob = lockstep_problem(name)
         state = RunState.start(prob)
+        if prob.coupling_cache is not None:
+            attach_cache(state, prob)
         rng = make_rng(2)
-        sched = FixedSchedule([0.05, 0.04], [0.03, 0.06])
+        steps = {"box_game": ([0.05, 0.04], [0.03, 0.06]), "erm_box": ([0.05] * 3, [0.03] * 4)}
+        sched = FixedSchedule(*steps[name])
+        batch = BatchSchedule.constant(1, prob.p)
         for _ in range(3):
-            rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
+            rbpda_step(state, prob, sched, batch, rng)
         before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
+        if state.cache is not None:
+            cache_before = (state.cache.z.copy(), state.cache.z_prev.copy(), state.cache.moves)
         inner = prob.batch_grad_x
-        prob.batch_grad_x = lambda idx, i, points: np.full_like(inner(idx, i, points), np.nan)
+        prob.batch_grad_x = lambda idx, i, points, **kw: np.full_like(inner(idx, i, points, **kw), np.nan)
         with pytest.raises(SolverError, match="primal prox failed"):
-            rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
+            rbpda_step(state, prob, sched, batch, rng)
         after = (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
         for old, cur in zip(before, after):
             assert np.array_equal(old, cur)
         assert np.array_equal(state.y_next, state.y.data)
+        if state.cache is not None:
+            z, z_prev, moves = cache_before
+            assert np.array_equal(state.cache.z, z)
+            assert np.array_equal(state.cache.z_prev, z_prev)
+            assert state.cache.moves == moves
 
 
 @pytest.mark.parametrize(
@@ -278,6 +327,90 @@ def test_three_point_batch_grad_equals_one_point_calls(name):
             assert fused.shape == (3, st.primal.dims[i])
             for row, point in zip(fused, points):
                 assert np.array_equal(row, prob.batch_grad_x(indices, i, [point])[0]), (v, i)
+
+
+@pytest.mark.parametrize("name", ["erm_box", "erm_entropy"])
+def test_cached_batch_grad_matches_uncached(name):
+    # with the margin cache over (x_k, x_prev), the fused call still equals
+    # one-point calls exactly, and the uncached oracle to 1e-12; v = p reads
+    # A in place instead of gathering rows
+    prob = lockstep_problem(name)
+    st = prob.structure
+    rng = np.random.default_rng(5)
+    x_k, x_prev = rng.uniform(-1, 1, (2, st.m))
+    y_next, y_k, y_prev = rng.uniform(0.05, 1, (3, st.n))
+    cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev)
+    points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
+    for v in (1, 2, 7, prob.p):
+        indices = np.arange(prob.p) if v == prob.p else rng.integers(0, prob.p, size=v)
+        for i in range(st.M):
+            fused = prob.batch_grad_x(indices, i, points, cache=cache)
+            for row, point in zip(fused, points):
+                assert np.array_equal(row, prob.batch_grad_x(indices, i, [point], cache=cache)[0])
+            assert_close(fused, prob.batch_grad_x(indices, i, points))
+    for j in range(st.N):
+        for x, y in ((x_k, y_k), (x_prev, y_prev)):
+            assert_close(prob.grad_y(j, x, y, cache=cache), prob.grad_y(j, x, y))
+    # an array the cache does not own is computed from scratch
+    other = x_k.copy()
+    assert np.array_equal(prob.grad_y(0, other, y_k, cache=cache), prob.grad_y(0, other, y_k))
+
+
+GOLDEN_CONFIGS = {
+    "increasing_restarts": dict(mode="increasing_batch", restart_enabled=True, restart_threshold=0.5),
+    "single_sample": dict(mode="single_sample", eta=0.3),
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
+@pytest.mark.parametrize(
+    "name", ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp"]
+)
+def test_golden_trajectory_with_and_without_cache(name, config):
+    # run() with the problem's coupling cache and with the factory removed:
+    # iterates and averages agree to 1e-12, budgets and restarts exactly
+    cached, plain = lockstep_problem(name), lockstep_problem(name)
+    plain.coupling_cache = None
+    built = []
+    if cached.coupling_cache is not None:
+        factory = cached.coupling_cache
+        cached.coupling_cache = lambda *buffers: built.append(factory(*buffers)) or built[-1]
+    for stream in (0, 1):
+        cfg = SolverConfig(
+            max_iters=400, seed=7, stream=stream, checkpoint_every=100, compute_sup_gap=False,
+            **GOLDEN_CONFIGS[config],
+        )
+        got, want = run(cached, cfg), run(plain, cfg)
+        for attr in ("x", "y", "x_bar", "y_bar"):
+            assert_close(getattr(got, attr), getattr(want, attr))
+        for attr in ("grad_budget", "dual_grad_evals", "restarts", "iterations"):
+            assert getattr(got, attr) == getattr(want, attr), attr
+        if config == "increasing_restarts":
+            assert got.restarts >= 1
+    assert len(built) == (2 if name.startswith("erm") else 0)
+
+
+def test_cache_drift_stays_below_1e12_and_refresh_is_exact():
+    # rank-block updates accumulate rounding; every `period` moves the cache
+    # recomputes A x, so after 5 periods the margins still match A x and
+    # A x_prev to 1e-12 relative, and exactly at each refresh
+    data = generate_robust_erm(3, 40, 60, 0.1)
+    prob = robust_erm_problem(data, radius=10.0, m_blocks=6, n_blocks=1)
+    st = prob.structure
+    state = attach_cache(RunState.start(prob), prob)
+    cache = state.cache
+    sched = FixedSchedule(np.full(st.M, 0.5), [0.5])  # large steps, far moves
+    rng = make_rng(3)
+    assert cache.period == st.M
+    A = data.A
+    for move in range(1, 5 * cache.period + 1):
+        rbpda_step(state, prob, sched, BatchSchedule.constant(1, prob.p), rng)
+        assert cache.moves == move % cache.period
+        assert_close(cache.z, A @ state.x.data)
+        assert_close(cache.z_prev, A @ state.x_prev.data)
+        if cache.moves == 0:
+            assert np.array_equal(cache.z, A @ state.x.data)
+    assert np.max(np.abs(state.x.data)) > 1.0  # the iterate moved far from 0
 
 
 def reduction_deviation(prob, iters=100, seed=3):
@@ -512,9 +645,9 @@ class TestRun:
         calls = {"components": 0}
         inner = prob.batch_grad_x
 
-        def counting_batch(indices, i, points):
+        def counting_batch(indices, i, points, **kw):
             calls["components"] += len(np.atleast_1d(indices)) * len(points)
-            return inner(indices, i, points)
+            return inner(indices, i, points, **kw)
 
         prob.batch_grad_x = counting_batch
         cfg = SolverConfig(mode="increasing_batch", max_iters=200, seed=1, checkpoint_every=10**9, compute_sup_gap=False)
@@ -571,6 +704,38 @@ class TestRun:
         assert partial is not None
         assert len(partial.trace) >= 2
         assert partial.iterations < 100
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.5, np.nan, np.inf, -np.inf])
+    def test_restart_threshold_rejected(self, threshold):
+        # -1 used to restart on every iteration, NaN never
+        with pytest.raises(ValueError, match="restart_threshold"):
+            SolverConfig(restart_enabled=True, restart_threshold=threshold)
+
+    def test_restart_threshold_one_accepted(self):
+        assert SolverConfig(restart_threshold=1.0).restart_threshold == 1.0
+
+    @pytest.mark.parametrize(
+        "arg,value,match",
+        [
+            ("x0", [np.nan, 0.0, 0.0, 0.0], "x0 has non-finite"),
+            ("x0", [np.inf, 0.0, 0.0, 0.0], "x0 has non-finite"),
+            ("x0", [1.5, 0.0, 0.0, 0.0], "x0 lies outside the primal domain"),
+            ("x0", [0.0, 0.0, 0.0], "x0 has shape"),
+            ("y0", [0.0, -np.inf, 0.0, 0.0], "y0 has non-finite"),
+            ("y0", [0.0, 0.0, 0.0, -1.01], "y0 lies outside the dual domain"),
+        ],
+    )
+    def test_bad_start_rejected_by_name(self, arg, value, match):
+        prob = lockstep_problem("box_game")
+        with pytest.raises(ValueError, match=match):
+            run(prob, SolverConfig(max_iters=5, **{arg: np.array(value)}))
+        with pytest.raises(ValueError, match=match):
+            deterministic_baseline_run(prob, 0.1, 0.1, 5, **{arg: np.array(value)})
+
+    def test_start_on_the_boundary_accepted(self):
+        prob = lockstep_problem("box_game")
+        res = run(prob, SolverConfig(max_iters=5, x0=np.array([1.0, -1.0, 1.0 + 1e-10, 0.0])))
+        assert res.iterations == 5
 
     def test_as_mode_requires_positive_delta(self):
         prob = scalar_bilinear_problem()
@@ -640,9 +805,9 @@ class TestIntegration:
         seen = []
         inner = prob.batch_grad_x
 
-        def recording(indices, i, points):
+        def recording(indices, i, points, **kw):
             seen.append(np.array(indices))
-            return inner(indices, i, points)
+            return inner(indices, i, points, **kw)
 
         prob.batch_grad_x = recording
         cfg = SolverConfig(mode="increasing_batch", max_iters=10, seed=1,
@@ -733,6 +898,29 @@ class TestIntegration:
 
 
 class TestBaselineRun:
+    def test_cache_keeps_baseline_bitwise(self):
+        # the baseline shares one A x per iteration through the margin cache;
+        # that is the same product, so every output is bitwise unchanged
+        data = generate_robust_erm(11, 50, 100, 0.1)
+        outs = []
+        for use_cache in (True, False):
+            prob = robust_erm_problem(data, radius=10.0, m_blocks=2, n_blocks=1)
+            if not use_cache:
+                prob.coupling_cache = None
+            from rbpda.experiments import baseline_stepsizes, erm_reference
+
+            tau, sigma = baseline_stepsizes(prob)
+            res = deterministic_baseline_run(
+                prob, tau, sigma, 400, checkpoint_every=50, compute_sup_gap=True, plateau_tol=1e-9
+            )
+            outs.append((res, erm_reference(prob, iters=2000)))
+        (got, ref_got), (want, ref_want) = outs
+        for attr in ("x", "y", "x_bar", "y_bar"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert [r.__dict__ for r in got.trace.rows] == [r.__dict__ for r in want.trace.rows]
+        for a, b in zip(ref_got, ref_want):
+            assert np.array_equal(a, b)
+
     def test_monotone_gap_trend_on_desk_erm(self):
         data = generate_robust_erm(11, 50, 100, 0.1)
         prob = robust_erm_problem(data, radius=10.0, m_blocks=1, n_blocks=1)
