@@ -270,6 +270,13 @@ class SaddleProblem:
     are needed only by metrics and may stay ``None``, in which case metrics
     degrade gracefully.
 
+    grad_y(j, points)
+        Full partial gradient of Phi with respect to dual block j at every
+        ``(x, y)`` pair of ``points``, as a ``(len(points), dim_j)`` array.
+        The solver passes its two extrapolation points, ``(x^k, y^k)`` and
+        ``(x^(k-1), y^(k-1))``, in one call; each row must be exactly what
+        a one-point call would return.
+
     batch_grad_x(indices, i, points)
         Mean over ``indices`` of component_grad_x(l, i, x, y) at every
         ``(x, y)`` pair of ``points``, as a ``(len(points), dim_i)`` array.
@@ -284,23 +291,36 @@ class SaddleProblem:
         keeps the margins ``A x^k`` and ``A x^(k-1)``).  :func:`rbpda.run`
         builds one over the run's iterate buffers after the start point is
         set; it lives on the run state, never on the problem, because
-        concurrent runs share problems.  When a run has a cache, the solver
-        passes it as the keyword ``cache=`` to ``grad_y``, ``batch_grad_x``,
-        ``full_grad_y`` and ``full_grad_x`` (never otherwise, so problems
-        without a cache keep their signatures).  The contract:
+        concurrent runs share problems.  A cache is on (its products are
+        current) or off (it holds nothing the oracles may read).  The
+        contract:
 
+        * a new cache is synced and on;
+        * ``cache.plan(v)``, called by :func:`rbpda.run` once per step
+          before the first oracle call, with the batch size the step is
+          expected to draw (from the run's counters and batch schedule,
+          so a seed reproduces it), returns whether the cache stays on for
+          the step.  It turns the cache on only with an exact
+          ``cache.sync()``, and decides from the problem's sizes and v
+          alone;
+        * while the cache is on, the solver passes it as the keyword
+          ``cache=`` to ``grad_y``, ``batch_grad_x``, ``full_grad_y`` and
+          ``full_grad_x`` (never otherwise, so problems without a cache
+          keep their signatures);
         * the oracles look cached products up by identity of the primal
-          array they receive (x^k or x^(k-1)); any other array is computed
-          from scratch, so a cache never changes what an oracle means;
-        * ``cache.move(i, dx)`` runs only after a step has succeeded and
-          its blocks are written: the cached x^k products become the
-          x^(k-1) products, and the x^k products take the rank-block update
-          of primal block i by ``dx``;
+          array they receive (x^k or x^(k-1)); any other array, or any
+          array while the cache is off, is computed from scratch, so a
+          cache never changes what an oracle means;
+        * ``cache.move(i, dx)`` runs only while the cache is on, after a
+          step has succeeded and its blocks are written: the cached x^k
+          products become the x^(k-1) products, and the x^k products take
+          the rank-block update of primal block i by ``dx``;
         * every ``cache.period`` moves the cache recomputes its products
           exactly, which bounds rounding drift whatever the run length;
-        * ``cache.reset()`` recomputes exactly from x^k and collapses the
-          x^(k-1) products onto them; the solver calls it when x^(k-1) is
-          set equal to x^k (restarts, each full-gradient baseline step).
+        * ``cache.sync()`` recomputes the products exactly from the
+          buffers and turns the cache on; a restart syncs a cache that is
+          on (x^(k-1) was set to x^k), and each full-gradient baseline step
+          syncs its cache.
 
         The default oracles accept the keyword and ignore it.
 
@@ -350,7 +370,7 @@ class SaddleProblem:
             )
         if self.full_grad_y is None:
             self.full_grad_y = lambda x, y, cache=None: np.concatenate(
-                [np.asarray(self.grad_y(j, x, y)) for j in range(self.structure.N)]
+                [np.asarray(self.grad_y(j, [(x, y)]))[0] for j in range(self.structure.N)]
             )
         if self.start_x is None:
             self.start_x = np.concatenate(
@@ -381,11 +401,14 @@ class SaddleProblem:
             acc += self.component_grad_x(l, i, x, y)
         return acc / self.p
 
-    def _grad_y_enumerated(self, j, x, y, cache=None):
-        acc = self.component_grad_y(0, j, x, y).astype(float, copy=True)
-        for l in range(1, self.p):
-            acc += self.component_grad_y(l, j, x, y)
-        return acc / self.p
+    def _grad_y_enumerated(self, j, points, cache=None):
+        means = []
+        for x, y in points:
+            acc = self.component_grad_y(0, j, x, y).astype(float, copy=True)
+            for l in range(1, self.p):
+                acc += self.component_grad_y(l, j, x, y)
+            means.append(acc / self.p)
+        return np.stack(means)
 
     def _batch_grad_x_looped(self, indices, i, points, cache=None):
         indices = np.asarray(indices, dtype=int)

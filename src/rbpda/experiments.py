@@ -3,8 +3,8 @@
 Reproduces the benchmark studies at desk scale: repeated seeded runs per
 configuration, per-run trace CSVs, a summary table, and per-configuration
 plot-data files (iteration grid vs mean gap with standard error).  Runs
-within an experiment execute concurrently up to the RBPDA_WORKERS limit; a
-single collector thread writes all output files.
+within an experiment execute one after another, in (seed, stream) order, and
+their outputs are written in that order.
 
 Config files are flat ``key = value`` text, optionally split into
 ``[named]`` sections, one configuration per section.  Command-line flags
@@ -15,10 +15,8 @@ config error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -257,7 +255,6 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     out_dir = Path(out or specs[0].out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(specs, out_dir / "config_effective.txt")
-    workers = max(1, int(os.environ.get("RBPDA_WORKERS", "1")))
 
     summary_rows = []
     any_failed = False
@@ -269,25 +266,12 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
             if problem.p <= 10_000
             else float("nan")
         )
-        tasks = _stream_seeds(spec)
-        results = {}
-
-        def job(seed_stream):
-            seed, stream = seed_stream
-            return seed_stream, _run_one(spec, problem, reference, seed, stream)
-
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for key, value in pool.map(lambda t: _safe_job(job, t), tasks):
-                    results[key] = value
-        else:
-            for t in tasks:
-                key, value = _safe_job(job, t)
-                results[key] = value
-
         per_cfg_traces = []
-        for (seed, stream) in tasks:
-            value = results[(seed, stream)]
+        for (seed, stream) in _stream_seeds(spec):
+            try:
+                value = _run_one(spec, problem, reference, seed, stream)
+            except Exception as exc:  # noqa: BLE001 - recorded per run, runs continue
+                value = exc
             tag = f"{spec.name}_s{seed}_r{stream}"
             if isinstance(value, Exception):
                 any_failed = True
@@ -340,13 +324,6 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     _write_summary(out_dir / "summary.csv", summary_rows)
     (out_dir / "STATUS").write_text("1\n" if any_failed else "0\n", encoding="utf-8")
     return out_dir
-
-
-def _safe_job(job, task):
-    try:
-        return job(task)
-    except Exception as exc:  # noqa: BLE001 - recorded per run, runs continue
-        return task, exc
 
 
 def _write_summary(path, rows) -> None:

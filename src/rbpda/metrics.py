@@ -133,7 +133,7 @@ def best_response_candidates(problem, z_bar):
     ok_y = True
     for j in range(st.N):
         cand = _block_best_response(
-            problem.dual_prox[j], np.asarray(problem.grad_y(j, x_bar, y_bar)), maximize=True
+            problem.dual_prox[j], np.asarray(problem.grad_y(j, [(x_bar, y_bar)]))[0], maximize=True
         )
         if cand is None:
             ok_y = False

@@ -16,6 +16,7 @@ Three families:
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,24 @@ def _sigmoid(z):
     e = np.exp(-np.abs(z))
     d = 1.0 + e
     return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def _sigmoid1(u: float) -> float:
+    """The scalar form of :func:`_sigmoid`, on a Python float.
+
+    numpy's exp rather than libm's, so each value equals the array form bit
+    for bit: libm differs in the last bit on ~2% of inputs, which a long run
+    amplifies past 1e-12.
+    """
+    e = float(np.exp(-abs(u)))
+    return 1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e)
+
+
+def _logaddexp0(u: float) -> float:
+    """log(1 + exp(u)) on a Python float, the scalar form of ``np.logaddexp(0.0, u)``."""
+    if u > 0:
+        return u + math.log1p(math.exp(-u))
+    return math.log1p(math.exp(u))
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +162,62 @@ def _erm_lipschitz(A: np.ndarray, m_blocks: int, n_blocks: int, entropy: bool) -
 class ErmMargins:
     """Per-run cache of the robust-ERM margins ``z = A x^k`` and ``z_prev = A x^(k-1)``.
 
-    Built over the run's primal buffers ``x`` and ``x_prev``; the ERM oracles
-    read ``z`` for the array ``x`` and ``z_prev`` for ``x_prev``, found by
-    identity (:meth:`margins`).  A move of primal block i costs one
-    ``(n, mb)`` product with a column block of A, read in place.  Every
-    ``period`` moves, ``period`` being the number of primal blocks, ``z`` is
-    recomputed as ``A @ x``: that refresh costs as much as ``period`` moves
-    together, and it bounds the rounding drift of the rank-block updates
-    whatever the run length.
+    Built over the run's primal buffers ``x`` and ``x_prev``, synced and on.
+    While on, the ERM oracles read ``z`` for the array ``x`` and ``z_prev``
+    for ``x_prev``, found by identity (:meth:`margins`); while off,
+    :meth:`margins` gives None and the oracles compute the rows they read.
+    A move of primal block i costs one ``(n, mb)`` product with a column
+    block of A, read in place.  Every ``period`` moves, ``period`` being the
+    number of primal blocks, ``z`` is recomputed as ``A @ x``: that refresh
+    costs as much as ``period`` moves together, and it bounds the rounding
+    drift of the rank-block updates whatever the run length.
+
+    :meth:`plan` keeps the cache on only while it pays.  Without it a step's
+    oracles read ``2 (nb + v)`` rows of A, each m long: ``grad_y`` reads the
+    dual block's nb rows and ``batch_grad_x`` the v drawn rows, both at x^k
+    and x^(k-1).  Keeping ``z`` current costs a move plus its share of the
+    refresh, ``2 n mb``.  The decision depends on n, m, nb, mb and v only.
     """
 
-    def __init__(self, A: np.ndarray, m_blocks: int, x: np.ndarray, x_prev: np.ndarray):
-        mb = A.shape[1] // m_blocks
+    def __init__(self, A: np.ndarray, m_blocks: int, n_blocks: int, x: np.ndarray, x_prev: np.ndarray):
+        n, m = A.shape
+        mb = m // m_blocks
         self.A = A
         self.cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]
         self.period = m_blocks
         self.x, self.x_prev = x, x_prev
-        self.z, self.z_prev = A @ x, A @ x_prev
-        self.moves = 0  # since the last exact product
+        self.z, self.z_prev = np.empty(n), np.empty(n)
+        # plan() compares (nb + v) m with n mb: both costs above, halved
+        self._nb, self._m, self._n_mb = n // n_blocks, m, n * mb
+        self.sync()
 
     def margins(self, x) -> Optional[np.ndarray]:
-        """The cached margins of the buffer ``x``, or None for any other array."""
+        """The cached margins of the buffer ``x``; None for any other array or while off."""
+        if not self.on:
+            return None
         if x is self.x:
             return self.z
         if x is self.x_prev:
             return self.z_prev
         return None
 
-    def reset(self) -> None:
-        """Recompute ``z`` exactly and collapse ``z_prev`` onto it (x_prev equals x)."""
+    def sync(self) -> None:
+        """Recompute ``z`` and ``z_prev`` exactly and turn the cache on."""
         np.matmul(self.A, self.x, out=self.z)
-        np.copyto(self.z_prev, self.z)
-        self.moves = 0
+        if self.x_prev is self.x:
+            np.copyto(self.z_prev, self.z)
+        else:
+            np.matmul(self.A, self.x_prev, out=self.z_prev)
+        self.moves = 0  # since the last exact product
+        self.on = True
+
+    def plan(self, v: int) -> bool:
+        """On (syncing if it was off) for a step expected to draw v rows if that pays, else off."""
+        want = (self._nb + v) * self._m > self._n_mb
+        if want and not self.on:
+            self.sync()
+        self.on = want
+        return want
 
     def move(self, i: int, dx: np.ndarray) -> None:
         """x_prev took the old x and block i of x moved by dx: shift both margins."""
@@ -232,17 +275,33 @@ def robust_erm_problem(
         return A[rows] @ x if z is None else z[rows]
 
     neg_b = -b
+    neg_b_list = neg_b.tolist()
     all_rows = np.arange(n)
 
     def component_grad_x(l, i, x, y):
         a = A[l]
-        margin = float(a @ x)
-        coef = p * y[l] * (-b[l]) * float(_sigmoid(np.array(-b[l] * margin)))
-        return coef * a[i * mb : (i + 1) * mb]
+        nbl = neg_b_list[l]
+        t = nbl * _sigmoid1(nbl * float(a.dot(x)))
+        return (p * float(y[l]) * t) * a[i * mb : (i + 1) * mb]
+
+    def one_row_grad_x(l, i, points, cache):
+        # batch size 1 in Python floats: one margin and sigmoid per distinct
+        # primal array, then the row's block scaled once per point
+        a, nbl = A[l], neg_b_list[l]
+        coefs, x_seen = [], None
+        for x, y in points:
+            if x is not x_seen:
+                x_seen = x
+                z = None if cache is None else cache.margins(x)
+                t = nbl * _sigmoid1(nbl * float(a.dot(x) if z is None else z[l]))
+            coefs.append(p * float(y[l]) * t)
+        return np.multiply.outer(coefs, a[i * mb : (i + 1) * mb])
 
     def batch_grad_x(indices, i, points, cache=None):
         rows = np.asarray(indices, dtype=int)
         count = rows.size
+        if count == 1:
+            return one_row_grad_x(int(rows[0]), i, points, cache)
         if count == n and np.array_equal(rows, all_rows):
             rows = slice(None)  # the whole index set: read A in place
         cols = slice(i * mb, (i + 1) * mb)
@@ -289,13 +348,23 @@ def robust_erm_problem(
     def component_grad_y(l, j, x, y):
         out = np.zeros(nb)
         if j * nb <= l < (j + 1) * nb:
-            a = A[l]
-            out[l - j * nb] = p * float(np.logaddexp(0.0, -b[l] * float(a @ x)))
+            out[l - j * nb] = p * _logaddexp0(neg_b_list[l] * float(A[l].dot(x)))
         return out
 
-    def grad_y(j, x, y, cache=None):
+    def grad_y(j, points, cache=None):
+        if nb == 1:
+            a, nbl = A[j], neg_b_list[j]
+            out = np.empty((len(points), 1))
+            for k, (x, _) in enumerate(points):
+                z = None if cache is None else cache.margins(x)
+                out[k, 0] = _logaddexp0(nbl * float(a.dot(x) if z is None else z[j]))
+            return out
         rows = slice(j * nb, (j + 1) * nb)
-        return np.logaddexp(0.0, -b[rows] * margins(x, cache, rows))
+        z = np.empty((len(points), nb))
+        for k, (x, _) in enumerate(points):
+            z[k] = margins(x, cache, rows)
+        # elementwise, so each row equals a one-point call bit for bit
+        return np.logaddexp(0.0, neg_b[rows] * z)
 
     def phi_value(x, y):
         return float(y @ full_grad_y(x, y))
@@ -319,7 +388,7 @@ def robust_erm_problem(
         full_grad_y=full_grad_y,
         phi_value=phi_value,
         phi_component=phi_component,
-        coupling_cache=lambda x, y, x_prev, y_prev: ErmMargins(A, m_blocks, x, x_prev),
+        coupling_cache=lambda x, y, x_prev, y_prev: ErmMargins(A, m_blocks, n_blocks, x, x_prev),
         start_x=np.zeros(m),
         start_y=start_y,
         name=f"robust_erm(n={n},m={m},M={m_blocks},N={n_blocks})",
@@ -447,7 +516,7 @@ def matrix_game_problem(spec: MatrixGameSpec):
         component_grad_y=lambda l, j, x, y: A.T @ x,
         lipschitz=lip,
         grad_x=lambda i, x, y: A @ y,
-        grad_y=lambda j, x, y: A.T @ x,
+        grad_y=lambda j, points: np.array([A.T @ x for x, _ in points]),
         batch_grad_x=lambda idx, i, points: np.array([A @ y for _, y in points]),
         full_grad_x=lambda x, y: A @ y,
         full_grad_y=lambda x, y: A.T @ x,
@@ -500,7 +569,7 @@ def box_game_problem(
         component_grad_y=lambda l, j, x, y: (A.T @ x)[j * nb : (j + 1) * nb],
         lipschitz=lip,
         grad_x=lambda i, x, y: (A @ y)[i * mb : (i + 1) * mb],
-        grad_y=lambda j, x, y: (A.T @ x)[j * nb : (j + 1) * nb],
+        grad_y=lambda j, points: np.array([(A.T @ x)[j * nb : (j + 1) * nb] for x, _ in points]),
         batch_grad_x=lambda idx, i, points: np.array(
             [(A @ y)[i * mb : (i + 1) * mb] for _, y in points]
         ),
@@ -638,8 +707,8 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
             return np.array([p * (G[j] @ x - d[j])])
         return np.zeros(1)
 
-    def grad_y(j, x, y):
-        return np.array([G[j] @ x - d[j]])
+    def grad_y(j, points):
+        return np.array([[G[j] @ x - d[j]] for x, _ in points])
 
     def phi_value(x, y):
         return float(0.5 * x @ Q @ x + c @ x + y @ (G @ x - d))

@@ -10,7 +10,7 @@ enumerates all components instead, which makes the estimate exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,7 @@ __all__ = [
     "BatchSchedule",
     "draw_block",
     "next_batch_size",
+    "typical_batch_size",
     "sample_indices",
     "estimate_partial_grad_x",
     "expected_inverse_batch",
@@ -34,9 +35,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass
 class BlockCounters:
-    """Per-primal-block selection counts; after k iterations they sum to k."""
+    """Per-primal-block selection counts; after k iterations they sum to k.
+
+    ``total`` is their sum, kept by :meth:`record` and :meth:`reset`.
+    """
 
     counts: np.ndarray
+    total: int = field(init=False)
+
+    def __post_init__(self):
+        self.total = int(self.counts.sum())
 
     @classmethod
     def zeros(cls, M: int) -> "BlockCounters":
@@ -44,13 +52,11 @@ class BlockCounters:
 
     def record(self, i: int) -> None:
         self.counts[i] += 1
+        self.total += 1
 
     def reset(self) -> None:
         self.counts[:] = 0
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+        self.total = 0
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,21 @@ def next_batch_size(
     if schedule.saturation_fraction is not None:
         v = min(v, math.ceil(schedule.saturation_fraction * p))
     counters.record(i_k)
+    return int(v)
+
+
+def typical_batch_size(schedule: BatchSchedule, counters: BlockCounters, k: int, p: int) -> int:
+    """Batch size the rule gives at iteration k to a block drawn as often as the mean block.
+
+    Reads the counters without recording a selection, so it draws nothing
+    and moves no state; a run's coupling cache is planned from it.
+    """
+    if schedule.kind == "constant":
+        return schedule.v
+    mean_count = counters.total / counters.counts.size
+    v = min(p, math.ceil((mean_count + 1) * (k + 1) ** schedule.eta))
+    if schedule.saturation_fraction is not None:
+        v = min(v, math.ceil(schedule.saturation_fraction * p))
     return int(v)
 
 

@@ -159,7 +159,7 @@ class TestOptionalComponentGradY:
             dual_prox=[ProxSpec.simplex()],
             component_grad_x=lambda l, i, x, y: A @ y,
             lipschitz=lip,
-            grad_y=lambda j, x, y: A.T @ x,
+            grad_y=lambda j, points: np.array([A.T @ x for x, _ in points]),
             phi_value=lambda x, y: float(x @ A @ y),
             phi_component=lambda l, x, y: float(x @ A @ y),
         )

@@ -117,13 +117,31 @@ class TestRunExperiment:
             rows = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
         assert len({r["final_gap"] for r in rows}) == 1
 
-    def test_worker_pool_runs(self, tmp_path, monkeypatch):
+    def test_runs_execute_sequentially_in_order(self, tmp_path, monkeypatch):
+        # the retired worker variable must not bring back concurrent runs
+        import rbpda.experiments as exp
+
         monkeypatch.setenv("RBPDA_WORKERS", "3")
-        spec = ExperimentSpec(name="par", iters=100, repeats=3, checkpoint_every=50, out=str(tmp_path / "p"))
+        real_run = exp.run
+        log, active = [], []
+
+        def recording(problem, config, reference=None, f_star=None):
+            assert not active, "a run started while another was active"
+            active.append(config.stream)
+            log.append(config.stream)
+            try:
+                return real_run(problem, config, reference=reference, f_star=f_star)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(exp, "run", recording)
+        spec = ExperimentSpec(name="seq", iters=100, repeats=3, checkpoint_every=50, out=str(tmp_path / "p"))
         out_dir = run_experiment(spec)
+        assert log == [0, 1, 2]
         with open(out_dir / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+        assert [int(r["stream"]) for r in rows] == [0, 1, 2]
+        assert all(r["status"] == "ok" for r in rows)
         assert all(float(r["delta_hat"]) >= 0 for r in rows)
 
     def test_failures_recorded_and_continue(self, tmp_path, monkeypatch):

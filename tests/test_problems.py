@@ -63,7 +63,7 @@ class TestRobustErmProblem:
         x = np.zeros(6)
         y = np.full(12, 1.0 / 12)
         for j in range(4):
-            np.testing.assert_allclose(prob.grad_y(j, x, y), np.log(2.0), atol=1e-12)
+            np.testing.assert_allclose(prob.grad_y(j, [(x, y)]), np.log(2.0), atol=1e-12)
 
     def test_single_datum_gradient(self):
         # a = (1), b = +1, x = 0, P = (1): gradient is -sigmoid(0) = -0.5
@@ -123,8 +123,7 @@ class TestRobustErmProblem:
             # dual-primal coupling
             j = int(rng.integers(st.N))
             dual_ord = np.inf if entropy[j] else 2
-            gy0 = prob.grad_y(j, x, y)
-            gy1 = prob.grad_y(j, x2, y)
+            gy0, gy1 = prob.grad_y(j, [(x, y), (x2, y)])
             lhs = np.linalg.norm(gy1 - gy0, ord=dual_ord)
             assert lhs <= lip.Lyx[j, l] * np.linalg.norm(v) * (1 + 1e-7) + 1e-12
             # primal-dual coupling
@@ -353,3 +352,35 @@ def test_erm_batch_grad_matches_single_point_formula_bitwise():
             for row, (x, y) in zip(fused, points):
                 coef = p * y[rows] * (neg_b * _sigmoid(neg_b * (sub @ x)))
                 assert np.array_equal(row, (coef @ sub[:, i * mb : (i + 1) * mb]) / v), (v, i)
+
+
+def test_erm_one_row_scalar_paths_agree_with_array_paths():
+    # batch size 1 and one-row dual blocks run in Python floats; they agree
+    # with the array formulas to 1e-12
+    data = generate_robust_erm(9, 60, 12, 0.1)
+    prob = robust_erm_problem(data, radius=3.0, m_blocks=4, n_blocks=60)
+    A, b, p, mb = data.A, data.b, prob.p, 3
+    rng = np.random.default_rng(7)
+    x_k, x_prev = rng.uniform(-3, 3, (2, 12))
+    y_next, y_k, y_prev = rng.uniform(0, 1, (3, 60))
+    points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
+    cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+    for l in range(60):
+        for i in range(4):
+            one = prob.batch_grad_x(np.array([l]), i, points)
+            # a repeated index takes the array path and has the same mean
+            close(one, prob.batch_grad_x(np.array([l, l]), i, points))
+            close(one, prob.batch_grad_x(np.array([l]), i, points, cache=cache))
+            for row, (x, y) in zip(one, points):
+                close(row, prob.component_grad_x(l, i, x, y))
+                t = -b[l] * _sigmoid(-b[l] * (A[l] @ x))
+                close(row, p * y[l] * t * A[l, i * mb : (i + 1) * mb])
+        got = prob.grad_y(l, ((x_k, y_k), (x_prev, y_prev)))
+        want = [[np.logaddexp(0.0, -b[l] * (A[l] @ x))] for x in (x_k, x_prev)]
+        close(got, np.array(want))
+        close(got, prob.grad_y(l, ((x_k, y_k), (x_prev, y_prev)), cache=cache))
+        close(prob.component_grad_y(l, l, x_k, y_k), p * got[0])

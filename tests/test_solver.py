@@ -25,6 +25,7 @@ from rbpda.sampling import (
 )
 from rbpda.solver import (
     ErgodicAccumulator,
+    _build_schedule,
     RunState,
     SolverConfig,
     SolverError,
@@ -149,8 +150,9 @@ def full_copy_step(state, problem, schedule, batch, rng):
     x_prev, y_prev = state.x_prev.data, state.y_prev.data
 
     j = draw_block(rng, N)
-    g_now = np.asarray(problem.grad_y(j, x_k, y_k), dtype=float)
-    g_old = np.asarray(problem.grad_y(j, x_prev, y_prev), dtype=float)
+    # one point per call, independent of the two-point call in rbpda_step
+    g_now = np.asarray(problem.grad_y(j, [(x_k, y_k)]), dtype=float)[0]
+    g_old = np.asarray(problem.grad_y(j, [(x_prev, y_prev)]), dtype=float)[0]
     state.dual_grad_evals += 2
     s = N * g_now + N * M * theta * (g_now - g_old)
     spec = problem.dual_prox[j]
@@ -350,10 +352,10 @@ def test_cached_batch_grad_matches_uncached(name):
             assert_close(fused, prob.batch_grad_x(indices, i, points))
     for j in range(st.N):
         for x, y in ((x_k, y_k), (x_prev, y_prev)):
-            assert_close(prob.grad_y(j, x, y, cache=cache), prob.grad_y(j, x, y))
+            assert_close(prob.grad_y(j, [(x, y)], cache=cache), prob.grad_y(j, [(x, y)]))
     # an array the cache does not own is computed from scratch
     other = x_k.copy()
-    assert np.array_equal(prob.grad_y(0, other, y_k, cache=cache), prob.grad_y(0, other, y_k))
+    assert np.array_equal(prob.grad_y(0, [(other, y_k)], cache=cache), prob.grad_y(0, [(other, y_k)]))
 
 
 GOLDEN_CONFIGS = {
@@ -938,3 +940,349 @@ class TestBaselineRun:
         prob, _ = matrix_game_problem(MatrixGameSpec(np.zeros((2, 2))))
         res = deterministic_baseline_run(prob, 0.1, 0.1, 10_000, plateau_tol=1e-12, checkpoint_every=100)
         assert res.iterations < 10_000
+
+
+# ---------------------------------------------------------------------------
+# Lazy ergodic sums, the demand-driven margin cache, oracle errors, batch growth
+# ---------------------------------------------------------------------------
+
+
+def eager_averages(mode, M, N, xs, ys, ks, schedule=None):
+    """The ergodic averages by the direct formula over the whole iterate history."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    K = len(xs)
+    if mode == "uniform":
+        return (
+            (M * xs[-1] + xs[:-1].sum(axis=0)) / (K + M - 1),
+            (N * ys[-1] + ys[:-1].sum(axis=0)) / (K + N - 1),
+        )
+    ts = [schedule.t(k) for k in ks]
+    grow = [1.0 - 1.0 / schedule.theta(k + 1) for k in ks]
+    w_x = np.array([t * (1 + (M - 1) * g) for t, g in zip(ts, grow)])
+    w_y = np.array([t * (1 + (N - 1) * g) for t, g in zip(ts, grow)])
+    t_K = schedule.t(ks[-1] + 1)
+    x_bar = (w_x @ xs + (M - 1) * t_K * xs[-1]) / (M - 1 + sum(ts))
+    y_bar = (w_y @ ys + (N - 1) * t_K * ys[-1]) / (N - 1 + sum(ts))
+    return x_bar, y_bar
+
+
+SIDES = {
+    # one-coordinate blocks fold alone, longer ones widen to the whole side
+    "mixed": ([slice(0, 1), slice(1, 4), slice(4, 15), slice(15, 16)], [slice(0, 10), slice(10, 11), slice(11, 12)]),
+    # every block one coordinate: per-coordinate stamps only
+    "scalar": ([slice(c, c + 1) for c in range(5)], [slice(c, c + 1) for c in range(3)]),
+}
+
+
+def random_touches(rng, x, y, x_blocks, y_blocks, steps):
+    """Iterates after (x, y) that change one random block per side per step,
+    with whole-vector changes and restart-like steps (nothing moves) mixed in."""
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.05:
+            touched = (slice(None), slice(None))
+            x, y = rng.standard_normal(x.size), rng.standard_normal(y.size)
+        else:
+            touched = (x_blocks[rng.integers(len(x_blocks))], y_blocks[rng.integers(len(y_blocks))])
+            if roll > 0.1:
+                x, y = x.copy(), y.copy()
+                x[touched[0]] = rng.standard_normal(x[touched[0]].size) * 10
+                y[touched[1]] = rng.standard_normal(y[touched[1]].size)
+        yield x, y, touched
+
+
+def lazy_state(acc):
+    fields = ("total", "stamp", "stamps", "last", "weight")
+    return [np.copy(getattr(side, f)) for side in (acc.sum_x, acc.sum_y) for f in fields]
+
+
+class TestLazyErgodicSums:
+    @pytest.mark.parametrize("sides", sorted(SIDES))
+    @pytest.mark.parametrize("mode", ["uniform", "weighted"])
+    def test_random_block_touches_match_eager_formula(self, mode, sides):
+        x_blocks, y_blocks = SIDES[sides]
+        M, N = len(x_blocks), len(y_blocks)
+        sched = StepSchedule(mode="diminishing", M=M, N=N, agg=None, fp=None, eta=0.3)
+        rng = np.random.default_rng(2)
+        x0, y0 = rng.standard_normal(x_blocks[-1].stop), rng.standard_normal(y_blocks[-1].stop)
+        acc = ErgodicAccumulator(mode, M, N, x0, y0, sched)
+        xs, ys = [], []
+        for k, (x, y, touched) in enumerate(random_touches(rng, x0, y0, x_blocks, y_blocks, 300)):
+            acc.update(x, y, k, touched)
+            xs.append(x.copy())
+            ys.append(y.copy())
+            if k % 37 == 0 or k == 299:
+                want = eager_averages(mode, M, N, xs, ys, range(k + 1), sched)
+                for got, ref in zip(acc.finalize(), want):
+                    assert_close(got, ref)
+
+    @pytest.mark.parametrize("sides", sorted(SIDES))
+    @pytest.mark.parametrize("mode", ["uniform", "weighted"])
+    def test_finalize_is_pure(self, mode, sides):
+        # finalizing between updates changes neither later averages nor the
+        # state it folds from
+        x_blocks, y_blocks = SIDES[sides]
+        sched = StepSchedule(mode="diminishing", M=4, N=3, agg=None, fp=None, eta=0.0)
+        x0, y0 = np.zeros(x_blocks[-1].stop), np.zeros(y_blocks[-1].stop)
+        plain = ErgodicAccumulator(mode, 4, 3, x0, y0, sched)
+        probed = ErgodicAccumulator(mode, 4, 3, x0, y0, sched)
+        rng = np.random.default_rng(3)
+        for k, (x, y, touched) in enumerate(random_touches(rng, x0, y0, x_blocks, y_blocks, 60)):
+            plain.update(x, y, k, touched)
+            probed.update(x, y, k, touched)
+            before = lazy_state(probed)
+            first, second = probed.finalize(), probed.finalize()
+            for a, b in zip(first, second):
+                assert np.array_equal(a, b)
+            for a, b in zip(before, lazy_state(probed)):
+                assert np.array_equal(a, b)
+        for a, b in zip(plain.finalize(), probed.finalize()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_whole_vector_uniform_sums_are_the_eager_running_sum(self, dim):
+        # the default touch folds exactly one iterate per update, so the
+        # uniform sum is the eager running sum bit for bit
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((30, dim))
+        acc = ErgodicAccumulator("uniform", 3, 2, np.zeros(dim), np.zeros(2))
+        running = np.zeros(dim)
+        for k, x in enumerate(xs):
+            acc.update(x, np.zeros(2), k)
+            if k:
+                running += xs[k - 1]
+        x_bar, _ = acc.finalize()
+        assert np.array_equal(x_bar, (3 * xs[-1] + running) / (30 + 3 - 1))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(mode="increasing_batch", restart_enabled=True, restart_threshold=0.5),
+            dict(mode="single_sample", eta=0.3),
+        ],
+    )
+    def test_run_averages_match_eager_formula(self, config, monkeypatch):
+        # run() folds only the blocks each step wrote; its averages equal the
+        # direct formula over every iterate, restarts included
+        prob = lockstep_problem("erm_box")
+        seen = []
+        update = ErgodicAccumulator.update
+
+        def recording(self, x, y, k, touched=(slice(None), slice(None))):
+            seen.append((x.copy(), y.copy(), k))
+            return update(self, x, y, k, touched)
+
+        monkeypatch.setattr(ErgodicAccumulator, "update", recording)
+        cfg = SolverConfig(max_iters=300, seed=4, checkpoint_every=10**9, compute_sup_gap=False, **config)
+        res = run(prob, cfg)
+        if cfg.restart_enabled:
+            assert res.restarts >= 1
+        st = prob.structure
+        sched, _, _ = _build_schedule(prob, cfg)
+        mode = "uniform" if cfg.mode == "increasing_batch" else "weighted"
+        xs, ys, ks = zip(*seen)
+        want = eager_averages(mode, st.M, st.N, xs, ys, ks, sched)
+        assert_close(res.x_bar, want[0])
+        assert_close(res.y_bar, want[1])
+
+
+def cache_events(prob):
+    """Wrap the problem's cache factory so each run's cache logs its plans and syncs."""
+    events = []
+    factory = prob.coupling_cache
+
+    def logged(*buffers):
+        cache = factory(*buffers)
+        plan, sync = cache.plan, cache.sync
+
+        def plan_logged(v):
+            on = plan(v)
+            events.append(("plan", v, on))
+            return on
+
+        def sync_logged():
+            sync()
+            exact = np.array_equal(cache.z, cache.A @ cache.x) and np.array_equal(
+                cache.z_prev, cache.A @ cache.x_prev
+            )
+            events.append(("sync", exact))
+
+        cache.plan, cache.sync = plan_logged, sync_logged
+        return cache
+
+    prob.coupling_cache = logged
+    return events
+
+
+def erm_boxes(n_blocks, n=40, m=20, m_blocks=5):
+    data = generate_robust_erm(6, n, m, 0.1)
+    return robust_erm_problem(data, radius=2.0, m_blocks=m_blocks, n_blocks=n_blocks)
+
+
+class TestDemandDrivenCache:
+    def test_single_sample_one_row_blocks_stay_off(self):
+        # (nb + v) m = 2 * 20 rows' worth of reads against n mb = 160 of
+        # upkeep: the cache never turns on and so never syncs
+        prob = erm_boxes(n_blocks=40)
+        events = cache_events(prob)
+        run(prob, SolverConfig(mode="single_sample", max_iters=200, seed=1, checkpoint_every=10**9,
+                               compute_sup_gap=False))
+        plans = [e for e in events if e[0] == "plan"]
+        assert len(plans) == 200
+        assert not any(on for _, _, on in plans)
+        assert not [e for e in events if e[0] == "sync"]
+
+    def test_entropy_dual_stays_on(self):
+        # grad_y reads all n rows, so the cache always pays
+        prob = erm_boxes(n_blocks=1)
+        events = cache_events(prob)
+        run(prob, SolverConfig(mode="single_sample", max_iters=100, seed=1, checkpoint_every=10**9,
+                               compute_sup_gap=False))
+        plans = [e for e in events if e[0] == "plan"]
+        assert len(plans) == 100 and all(on for _, _, on in plans)
+        assert not [e for e in events if e[0] == "sync"]
+
+    def test_increasing_batch_turns_on_with_exact_sync_and_restarts_turn_it_off(self):
+        prob = erm_boxes(n_blocks=40)
+        events = cache_events(prob)
+        cfg = SolverConfig(mode="increasing_batch", max_iters=600, seed=2, restart_enabled=True,
+                           checkpoint_every=10**9, compute_sup_gap=False)
+        res = run(prob, cfg)
+        assert res.restarts >= 2
+        plans = [e for e in events if e[0] == "plan"]
+        # on exactly when (nb + v) m > n mb, i.e. v > 7 here
+        assert all(on == (v > 7) for _, v, on in plans)
+        # every switch from off to on is one exact sync
+        turned_on = sum(1 for a, b in zip(plans, plans[1:]) if b[2] and not a[2])
+        syncs = [e for e in events if e[0] == "sync"]
+        assert turned_on >= 2 and all(exact for _, exact in syncs)
+        # a restart starts the batch over at v = 1, which turns the cache off
+        turned_off = [b for a, b in zip(plans, plans[1:]) if a[2] and not b[2]]
+        assert len(turned_off) == res.restarts and all(v == 1 for _, v, _ in turned_off)
+        # the only other syncs are the restarts' own, made while the cache was on
+        assert len(syncs) == turned_on + res.restarts
+
+    def test_off_cache_is_neither_read_nor_moved(self):
+        prob = erm_boxes(n_blocks=40)
+        state = attach_cache(RunState.start(prob), prob)
+        cache = state.cache
+        assert cache.plan(1) is False and cache.margins(state.x.data) is None
+        z_before = cache.z.copy()
+        sched = FixedSchedule(np.full(prob.structure.M, 0.05), np.full(prob.structure.N, 0.05))
+        seen = []
+        inner = prob.batch_grad_x
+        prob.batch_grad_x = lambda idx, i, points, **kw: seen.append(kw) or inner(idx, i, points, **kw)
+        rbpda_step(state, prob, sched, BatchSchedule.constant(1, prob.p), make_rng(0))
+        assert seen == [{}]
+        assert np.array_equal(cache.z, z_before) and cache.moves == 0
+        assert cache.plan(30) is True
+        assert np.array_equal(cache.z, cache.A @ state.x.data)
+        assert np.array_equal(cache.z_prev, cache.A @ state.x_prev.data)
+
+
+@pytest.mark.parametrize(
+    "name", ["erm_box", "erm_entropy", "erm_rows", "game_euclidean", "game_entropy", "box_game", "qp"]
+)
+def test_two_point_grad_y_equals_one_point_calls(name):
+    # the solver's two dual points in one call must give exactly what two
+    # one-point calls give, with and without a synced margin cache
+    if name == "erm_rows":
+        prob = robust_erm_problem(generate_robust_erm(3, 12, 6, 0.1), radius=2.0, m_blocks=3, n_blocks=12)
+    else:
+        prob = lockstep_problem(name)
+    st = prob.structure
+    rng = np.random.default_rng(6)
+    x_k, x_prev = rng.uniform(-1, 1, (2, st.m))
+    y_k, y_prev = rng.uniform(0.05, 1, (2, st.n))
+    points = ((x_k, y_k), (x_prev, y_prev))
+    caches = [None]
+    if prob.coupling_cache is not None:
+        caches.append(prob.coupling_cache(x_k, y_k, x_prev, y_prev))
+    for cache in caches:
+        kw = {} if cache is None else {"cache": cache}
+        for j in range(st.N):
+            fused = np.asarray(prob.grad_y(j, points, **kw))
+            assert fused.shape == (2, st.dual.dims[j])
+            for row, point in zip(fused, points):
+                assert np.array_equal(row, np.asarray(prob.grad_y(j, [point], **kw))[0]), (j, cache)
+
+
+class TestOracleErrors:
+    @staticmethod
+    def _raising(prob, attr):
+        inner = getattr(prob, attr)
+
+        def oracle(*args, **kw):
+            if oracle.calls == 3:
+                raise FloatingPointError("oracle overflow")
+            oracle.calls += 1
+            return inner(*args, **kw)
+
+        oracle.calls = 0
+        setattr(prob, attr, oracle)
+
+    @pytest.mark.parametrize("attr,label", [("grad_y", "dual block"), ("batch_grad_x", "primal block")])
+    def test_step_names_iteration_block_and_oracle(self, attr, label):
+        prob = lockstep_problem("box_game")
+        self._raising(prob, attr)
+        state = RunState.start(prob)
+        sched = FixedSchedule([0.05, 0.04], [0.03, 0.06])
+        rng = make_rng(2)
+        for _ in range(3):
+            rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
+        before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
+        with pytest.raises(SolverError, match=rf"{attr} failed at iteration 3, {label} \d") as info:
+            rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert "oracle overflow" in str(info.value)
+        for old, cur in zip(before, (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)):
+            assert np.array_equal(old, cur)
+        assert np.array_equal(state.y_next, state.y.data)
+
+    def test_run_keeps_the_step_message_and_partial_result(self):
+        prob = lockstep_problem("qp")
+        self._raising(prob, "grad_y")
+        with pytest.raises(SolverError, match="grad_y failed at iteration 3") as info:
+            run(prob, SolverConfig(max_iters=10, seed=1, checkpoint_every=2, compute_sup_gap=False))
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert info.value.result is not None and info.value.result.iterations == 3
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.15])
+def test_increasing_batch_grows_per_block_and_resets_on_restart(eta, monkeypatch):
+    # every drawn batch follows v = min(p, ceil((I_i + 1)(k + 1)^eta)) for
+    # the block's selection count I_i since the last restart, so the batch
+    # reaches p and starts again from the bottom after each restart
+    import math
+
+    import rbpda.solver as solver_mod
+
+    prob = lockstep_problem("erm_box")
+    p = prob.p
+    drawn, restart_at = [], []
+    inner = prob.batch_grad_x
+    prob.batch_grad_x = lambda idx, i, points, **kw: drawn.append((len(idx), i)) or inner(idx, i, points, **kw)
+    restart = solver_mod.restart_if_saturated
+
+    def watched(state, *args):
+        before = state.restarts
+        out = restart(state, *args)
+        if state.restarts > before:
+            restart_at.append(state.k)
+        return out
+
+    monkeypatch.setattr(solver_mod, "restart_if_saturated", watched)
+    cfg = SolverConfig(mode="increasing_batch", eta=eta, max_iters=200, seed=3, restart_enabled=True,
+                       checkpoint_every=10**9, compute_sup_gap=False)
+    res = run(prob, cfg)
+    assert len(drawn) == 200 and res.restarts == len(restart_at) >= 2
+    counts = np.zeros(prob.structure.M, dtype=int)
+    saturated = 0
+    for k, (v, i) in enumerate(drawn):
+        if k in restart_at:
+            counts[:] = 0
+            assert v == min(p, math.ceil((k + 1) ** eta))  # back at the bottom
+        assert v == min(p, math.ceil((counts[i] + 1) * (k + 1) ** eta)), (k, i)
+        saturated += v == p
+        counts[i] += 1
+    assert saturated > 0
