@@ -12,6 +12,7 @@ for the supported choices of g (see ``ProxSpec`` in :mod:`rbpda.blocks`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,42 @@ def _soft_threshold(z, thresh):
     return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
-def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar) -> np.ndarray:
+_FLOAT64 = np.dtype(float)
+_SCALAR_KINDS = ("zero", "box", "nonneg")
+
+
+def _as_float_array(v) -> np.ndarray:
+    # a float64 ndarray is used as it is, without the asarray call
+    return v if type(v) is np.ndarray and v.dtype is _FLOAT64 else np.asarray(v, dtype=float)
+
+
+def _prox_scalar(geom: BregmanGeometry, spec, r: float, step: float, x_bar: float) -> float:
+    """:func:`prox_step` on one coordinate in Python floats, for zero, box and nonneg specs.
+
+    The operations and their order are those of the array path, and the
+    comparisons are numpy's ``maximum``/``minimum`` (a tie keeps the bound,
+    a NaN point stays NaN), so the result equals the one-element array
+    result bit for bit.
+    """
+    if not math.isfinite(r):
+        raise ValueError("non-finite entries in the linear term")
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if geom.is_entropy:
+        raise ValueError("negative-entropy geometry supports only simplex blocks")
+    point = x_bar - step * r
+    if spec.kind == "box":
+        if spec.lower.size != 1:
+            raise ValueError("dimension mismatch between the box bounds and x_bar")
+        lo, hi = spec.lower.item(0), spec.upper.item(0)
+        point = point if point > lo or point != point else lo
+        return point if point < hi or point != point else hi
+    if spec.kind == "nonneg":
+        return point if point > 0.0 or point != point else 0.0
+    return point
+
+
+def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar):
     """Exact minimizer of ``g(x) + <linear, x> + (1/step) * D(x, x_bar)``.
 
     ``spec`` selects g: zero, a box/simplex/orthant indicator, or a scaled
@@ -113,12 +149,26 @@ def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar) -> np.nda
     g at ``x_bar - step * linear``; under negative entropy on the simplex it
     is the exponentiated-gradient update, stabilized by a max-subtraction in
     the log domain so large exponents never overflow.
+
+    ``linear`` and ``x_bar`` are arrays of one shape, and the result is a
+    new array of that shape.  Both may instead be floats, for a
+    one-coordinate block: the result is then a float, equal bit for bit to
+    the one-element array result, and for zero, box and nonneg specs it is
+    computed in Python floats without numpy's per-call overhead.  Either
+    form raises ValueError for mismatched shapes, a non-finite linear term
+    or a step that is not positive.
     """
-    r = np.asarray(linear, dtype=float)
-    x_bar = np.asarray(x_bar, dtype=float)
+    if isinstance(linear, float) and isinstance(x_bar, float):
+        if spec.kind in _SCALAR_KINDS:
+            return _prox_scalar(geom, spec, linear, step, x_bar)
+        return prox_step(geom, spec, np.array([linear]), step, np.array([x_bar])).item()
+    r = _as_float_array(linear)
+    x_bar = _as_float_array(x_bar)
     if r.shape != x_bar.shape:
         raise ValueError("dimension mismatch between linear term and x_bar")
-    if not np.isfinite(r).all():
+    # r.r is finite iff every entry is, unless it overflows (numpy then warns
+    # of the overflow): only then is each entry tested
+    if not (r.ndim == 1 and math.isfinite(r.dot(r))) and not np.isfinite(r).all():
         raise ValueError("non-finite entries in the linear term")
     if not step > 0:
         raise ValueError("step must be positive")
@@ -135,10 +185,12 @@ def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar) -> np.nda
     point = x_bar - step * r
     if spec.kind == "zero":
         return point
+    out = point if point.ndim else None  # clip into the new point; 0-d inputs give a numpy scalar
     if spec.kind == "box":
-        return point.clip(spec.lower, spec.upper)
+        # np.clip's values bit for bit, without its Python-level wrapper
+        return np.minimum(np.maximum(point, spec.lower, out=out), spec.upper, out=out)
     if spec.kind == "nonneg":
-        return np.maximum(point, 0.0)
+        return np.maximum(point, 0.0, out=out)
     if spec.kind == "simplex":
         return project_simplex(point)
     if spec.kind == "scaled_l1":

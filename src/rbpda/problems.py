@@ -45,11 +45,15 @@ __all__ = [
 
 def _sigmoid(z):
     # exp(-|z|) lies in [0, 1], so neither branch overflows; each branch is
-    # the usual one-sided form for its sign of z.
+    # the usual one-sided form for its sign of z, 1 / (1 + e) or e / (1 + e),
+    # as one divide of the selected numerator.
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    e = np.abs(z, out=np.empty_like(z))  # an array also for 0-d z, so it is written in place
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(z >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    return np.divide(num, e, out=num)
 
 
 def _sigmoid1(u: float) -> float:
@@ -302,7 +306,8 @@ def robust_erm_problem(
         count = rows.size
         if count == 1:
             return one_row_grad_x(int(rows[0]), i, points, cache)
-        if count == n and np.array_equal(rows, all_rows):
+        full = count == n and np.array_equal(rows, all_rows)
+        if full:
             rows = slice(None)  # the whole index set: read A in place
         cols = slice(i * mb, (i + 1) * mb)
         neg_b_rows = neg_b[rows]
@@ -321,29 +326,30 @@ def robust_erm_problem(
                 z[r] = cached[rows]
             else:
                 if sub is None:
-                    sub = A[rows]
-                z[r] = sub @ x
+                    # take() gathers whole rows faster than fancy indexing
+                    sub = A if full else A.take(rows, axis=0)
+                np.matmul(sub, x, out=z[r])
         sub_i = A[rows, cols] if sub is None else sub[:, cols]
         # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
         t = neg_b_rows * _sigmoid(neg_b_rows * z)
         out = np.empty((len(points), mb))
         for k, (_, y) in enumerate(points):
-            coef = p * y[rows] * t[which[k]]
             # one (v,) @ (v, mb) product per point: stacking the points into
             # one matrix product would change the summation order
-            out[k] = (coef @ sub_i) / count
+            np.matmul(p * y[rows] * t[which[k]], sub_i, out=out[k])
+        out /= count
         return out
 
     def grad_x(i, x, y):
-        w = y * (-b) * _sigmoid(-b * (A @ x))
+        w = y * neg_b * _sigmoid(neg_b * (A @ x))
         return A[:, i * mb : (i + 1) * mb].T @ w
 
     def full_grad_x(x, y, cache=None):
-        w = y * (-b) * _sigmoid(-b * margins(x, cache))
+        w = y * neg_b * _sigmoid(neg_b * margins(x, cache))
         return A.T @ w
 
     def full_grad_y(x, y, cache=None):
-        return np.logaddexp(0.0, -b * margins(x, cache))
+        return np.logaddexp(0.0, neg_b * margins(x, cache))
 
     def component_grad_y(l, j, x, y):
         out = np.zeros(nb)

@@ -352,17 +352,24 @@ def rbpda_step(
     except Exception as exc:
         raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
     state.dual_grad_evals += 2
-    g_now = g[0]
-    s = N * g_now + N * M * theta * (g_now - g[1])
+    blk_j = st.dual.block_range(j)
+    if st.dual.dims[j] == 1 and g.shape == (2, 1):
+        # a one-coordinate block in Python floats: the same operations as on
+        # one-element arrays, bit for bit, without numpy's per-call overhead
+        at_j = blk_j.start
+        g_now, g_old, y_base = g.item(0), g.item(1), y_k.item(at_j)
+    else:
+        at_j = blk_j
+        g_now, g_old, y_base = g[0], g[1], y_k[blk_j]
+    s = N * g_now + N * M * theta * (g_now - g_old)
 
     dual_spec = problem.dual_prox[j]
-    blk_j = st.dual.block_range(j)
     try:
-        y_blk = prox_step(dual_spec.geometry, dual_spec, -s, schedule.sigma(k, j), y_k[blk_j])
+        y_blk = prox_step(dual_spec.geometry, dual_spec, -s, schedule.sigma(k, j), y_base)
     except Exception as exc:
         raise SolverError(f"dual prox failed at iteration {k}, block {j}: {exc}") from exc
 
-    y_next[blk_j] = y_blk
+    y_next[at_j] = y_blk
     try:
         i = draw_block(rng, M)
         v = next_batch_size(batch, state.counters, i, k, p)
@@ -385,14 +392,14 @@ def rbpda_step(
         except Exception as exc:
             raise SolverError(f"primal prox failed at iteration {k}, block {i}: {exc}") from exc
     except BaseException:
-        y_next[blk_j] = y_k[blk_j]  # back to y_next == y
+        y_next[at_j] = y_k[at_j]  # back to y_next == y
         raise
 
     x_prev[state.last_x] = x_k[state.last_x]
     y_prev[state.last_y] = y_k[state.last_y]
     dx = None if cache is None else x_blk - x_k[blk_i]
     x_k[blk_i] = x_blk
-    y_k[blk_j] = y_blk
+    y_k[at_j] = y_blk
     state.last_x, state.last_y = blk_i, blk_j
     if cache is not None:
         cache.move(i, dx)
@@ -408,10 +415,11 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
     cache that is on is synced onto it); iterates and ergodic accumulators
     are untouched.  With the counters at zero the batch rule starts again
     from v = 1, so in :func:`run` the next step's plan usually turns the
-    cache off.
+    cache off.  The rule is nondecreasing in a block's count, so the least
+    v_i is the rule at the least count, and the test is O(1).
     """
-    vs = np.minimum(p, np.ceil((state.counters.counts + 1) * (state.k + 1) ** eta))
-    if np.all(vs >= np.ceil(threshold * p)):
+    v_low = min(p, math.ceil((state.counters.low + 1) * (state.k + 1) ** eta))
+    if v_low >= math.ceil(threshold * p):
         state.counters.reset()
         state.x_prev.data[:] = state.x.data
         state.y_prev.data[:] = state.y.data
@@ -585,7 +593,13 @@ def _stacked_prox(problem: SaddleProblem, side: int):
         return lambda linear, step, base: np.maximum(base - step * linear, 0.0)
     if geoms == {"euclidean"} and kinds <= {"box"} and bounds is not None:
         lo, hi = bounds.lower, bounds.upper
-        return lambda linear, step, base: np.clip(base - step * linear, lo, hi)
+
+        def box(linear, step, base):
+            # np.clip's values bit for bit, in place, without its Python-level wrapper
+            point = base - step * linear
+            return np.minimum(np.maximum(point, lo, out=point), hi, out=point)
+
+        return box
 
     def blockwise(linear, step, base):
         out = np.empty(layout.total_dim)

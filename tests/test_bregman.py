@@ -180,3 +180,144 @@ def test_geometry_validation():
         BregmanGeometry("spherical")
     with pytest.raises(ValueError):
         prox_step(NEGATIVE_ENTROPY, ProxSpec.box([0.0], [1.0]), np.zeros(1), 1.0, np.array([0.5]))
+
+
+SCALAR_SPECS = [
+    ProxSpec.box([0.0], [1.0]),
+    ProxSpec.box([-0.0], [0.0]),
+    ProxSpec.box([-1e300], [1e300]),
+    ProxSpec.box([-2.5], [-0.5]),
+    ProxSpec.nonneg(),
+    ProxSpec.zero(),
+]
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, -0.5, 1e-300, -1e-300, 1e300, -1e300]
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+class TestScalarProx:
+    """Float inputs for a one-coordinate block against the one-element array path."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(11)
+        for spec in SCALAR_SPECS:
+            for r in SPECIAL:
+                for x_bar in SPECIAL:
+                    for step in (1.0, 0.25, 1e-300):
+                        yield spec, r, step, x_bar
+            for _ in range(500):
+                r, x_bar = rng.standard_normal(2) * 10.0 ** rng.integers(-3, 4, 2)
+                yield spec, float(r), float(10 ** rng.uniform(-3, 1)), float(x_bar)
+
+    def test_float_path_equals_one_element_array_path_bitwise(self):
+        for spec, r, step, x_bar in self._cases():
+            got = prox_step(EUCLIDEAN, spec, r, step, x_bar)
+            with np.errstate(over="ignore"):  # r.r overflows at |r| = 1e300
+                want = prox_step(EUCLIDEAN, spec, np.array([r]), step, np.array([x_bar]))
+            assert type(got) is float
+            assert want.shape == (1,)
+            assert bits(got) == bits(want[0]), (spec.kind, r, step, x_bar)
+
+    def test_bounds_and_signed_zeros(self):
+        box = ProxSpec.box([0.0], [1.0])
+        # a point at or beyond a bound lands on it; a tie keeps the bound's sign
+        assert prox_step(EUCLIDEAN, box, 1.0, 2.0, 1.0) == 0.0
+        assert bits(prox_step(EUCLIDEAN, box, 0.0, 1.0, -0.0)) == bits(0.0)
+        assert prox_step(EUCLIDEAN, box, -1e300, 1.0, 0.5) == 1.0
+        assert prox_step(EUCLIDEAN, box, 1e300, 1.0, 0.5) == 0.0
+        assert prox_step(EUCLIDEAN, box, -0.25, 2.0, 0.5) == 1.0
+        assert bits(prox_step(EUCLIDEAN, ProxSpec.nonneg(), 0.0, 1.0, -0.0)) == bits(0.0)
+
+    def test_other_kinds_take_floats_through_the_array_path(self):
+        cases = [
+            (EUCLIDEAN, ProxSpec.simplex()),
+            (NEGATIVE_ENTROPY, ProxSpec.simplex(geometry=NEGATIVE_ENTROPY)),
+            (EUCLIDEAN, ProxSpec.scaled_l1(0.3)),
+        ]
+        for geom, spec in cases:
+            for r, x_bar in ((0.7, 1.0), (-2.0, 0.4), (0.1, -0.2)):
+                got = prox_step(geom, spec, r, 0.5, x_bar)
+                want = prox_step(geom, spec, np.array([r]), 0.5, np.array([x_bar]))
+                assert type(got) is float and bits(got) == bits(want[0])
+
+    @pytest.mark.parametrize(
+        "r,step,match",
+        [
+            (np.nan, 1.0, "non-finite"),
+            (np.inf, 1.0, "non-finite"),
+            (-np.inf, 1.0, "non-finite"),
+            (1.0, 0.0, "step must be positive"),
+            (1.0, -1.0, "step must be positive"),
+            (1.0, np.nan, "step must be positive"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec", SCALAR_SPECS, ids=["box01", "box_zeros", "box_wide", "box_negative", "nonneg", "zero"]
+    )
+    def test_both_paths_raise_the_same_errors(self, spec, r, step, match):
+        with pytest.raises(ValueError, match=match) as as_float:
+            prox_step(EUCLIDEAN, spec, float(r), step, 0.5)
+        with pytest.raises(ValueError, match=match) as as_array:
+            prox_step(EUCLIDEAN, spec, np.array([r]), step, np.array([0.5]))
+        assert str(as_float.value) == str(as_array.value)
+
+    def test_entropy_geometry_on_a_box_rejected_for_floats(self):
+        with pytest.raises(ValueError, match="only simplex"):
+            prox_step(NEGATIVE_ENTROPY, ProxSpec.box([0.0], [1.0]), 0.0, 1.0, 0.5)
+
+    def test_float_against_a_wider_box_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            prox_step(EUCLIDEAN, ProxSpec.box([0.0, 0.0], [1.0, 1.0]), 0.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            prox_step(EUCLIDEAN, ProxSpec.zero(), 0.0, 1.0, np.array([0.5]))
+
+
+class TestArrayProxChecks:
+    def test_finite_linear_term_whose_square_overflows_accepted(self):
+        # r.r overflows (numpy reports it), so every entry is tested instead
+        r = np.full(4, 1e200)
+        spec = ProxSpec.box(-np.ones(4), np.ones(4))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(r @ r)
+            out = prox_step(EUCLIDEAN, spec, r, 1.0, np.zeros(4))
+            np.testing.assert_array_equal(out, -np.ones(4))
+            out = prox_step(EUCLIDEAN, ProxSpec.zero(), r, 1e-200, np.zeros(4))
+            np.testing.assert_array_equal(out, -np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_rejected(self, bad):
+        for size in (1, 3, 50):
+            r = np.full(size, 1e200)  # r.r overflows too, so the entrywise test decides
+            r[size // 2] = bad
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+                prox_step(EUCLIDEAN, ProxSpec.zero(), r, 1.0, np.zeros(size))
+            r[:] = 0.5
+            r[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                prox_step(EUCLIDEAN, ProxSpec.zero(), r, 1.0, np.zeros(size))
+
+    def test_box_equals_np_clip_bitwise(self):
+        rng = np.random.default_rng(12)
+        values = np.array(SPECIAL + [np.inf, -np.inf])
+        for size in (1, 2, 7, 50, 200):
+            lo = rng.choice([0.0, -0.0, -1.0, -1e300], size=size)
+            hi = np.maximum(lo, rng.choice([0.0, -0.0, 1.0, 1e300], size=size))
+            spec = ProxSpec.box(lo, hi)
+            for _ in range(20):
+                x_bar = rng.choice(values, size=size)
+                r = rng.choice(values[:-2], size=size)
+                with np.errstate(over="ignore"):  # r.r overflows at |r| = 1e300
+                    got = prox_step(EUCLIDEAN, spec, r, 0.5, x_bar)
+                assert np.array_equal(bits(got), bits(np.clip(x_bar - 0.5 * r, lo, hi)))
+
+    def test_inputs_are_never_written(self):
+        spec = ProxSpec.box(-np.ones(3), np.ones(3))
+        r, x_bar = np.array([3.0, -3.0, 0.1]), np.array([0.5, 0.5, 0.5])
+        keep = (r.copy(), x_bar.copy(), spec.lower.copy(), spec.upper.copy())
+        out = prox_step(EUCLIDEAN, spec, r, 1.0, x_bar)
+        assert out is not x_bar and out is not r
+        for old, cur in zip(keep, (r, x_bar, spec.lower, spec.upper)):
+            np.testing.assert_array_equal(old, cur)

@@ -101,6 +101,28 @@ class TestBatchSchedule:
             assert counters.total == k + 1
 
 
+class TestBlockCountersLow:
+    def test_direct_construction(self):
+        for counts in ([0], [3], [5, 2, 2, 9], [7, 7, 7], [0, 4, 1, 0]):
+            counters = BlockCounters(np.array(counts, dtype=np.int64))
+            assert counters.low == min(counts)
+            assert counters.total == sum(counts)
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 13])
+    def test_random_record_and_reset_sequences(self, M):
+        rng = np.random.default_rng(M)
+        start = rng.integers(0, 4, size=M)
+        counters = BlockCounters(start.copy())
+        for step in range(3000):
+            if rng.random() < 0.005:
+                counters.reset()
+            else:
+                # skewed draws, so some blocks lag far behind the others
+                counters.record(int(min(rng.geometric(0.3) - 1, M - 1)))
+            assert counters.low == counters.counts.min(), step
+            assert counters.total == counters.counts.sum(), step
+
+
 class TestSampleIndices:
     def test_p_one(self):
         assert set(sample_indices(make_rng(0), 50, 1).tolist()) == {0}

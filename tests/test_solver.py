@@ -193,6 +193,7 @@ def lockstep_problem(name):
     )
     builders = {
         "erm_box": lambda: robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=4),
+        "erm_box_scalar": lambda: robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=12),
         "erm_entropy": lambda: robust_erm_problem(data, radius=2.0, m_blocks=2, n_blocks=1),
         "game_euclidean": lambda: matrix_game_problem(MatrixGameSpec(A3))[0],
         "game_entropy": lambda: matrix_game_problem(MatrixGameSpec(A3, "negative_entropy"))[0],
@@ -264,9 +265,11 @@ def run_lockstep(name, mode, cached):
 
 
 class TestBlockCopyLockstep:
+    # erm_box_scalar has one-coordinate dual blocks, whose step runs in Python floats
     @pytest.mark.parametrize("mode", ["constant", "diminishing"])
     @pytest.mark.parametrize(
-        "name", ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp"]
+        "name",
+        ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp", "erm_box_scalar"],
     )
     def test_matches_full_copy_step_bitwise(self, name, mode):
         run_lockstep(name, mode, cached=False)
@@ -275,6 +278,28 @@ class TestBlockCopyLockstep:
     @pytest.mark.parametrize("name", ["erm_box", "erm_entropy"])
     def test_cached_erm_matches_full_copy_step(self, name, mode):
         run_lockstep(name, mode, cached=True)
+
+    def test_non_finite_dual_gradient_on_a_one_coordinate_block(self):
+        prob = lockstep_problem("erm_box_scalar")
+        state = RunState.start(prob)
+        rng = make_rng(2)
+        sched = FixedSchedule([0.05] * 3, [0.03] * 12)
+        batch = BatchSchedule.constant(1, prob.p)
+        for _ in range(3):
+            rbpda_step(state, prob, sched, batch, rng)
+        before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
+        inner = prob.grad_y
+        for bad in (np.nan, np.inf, -np.inf):
+            prob.grad_y = lambda j, points, **kw: np.full_like(inner(j, points, **kw), bad)
+            message = r"dual prox failed at iteration 3, block \d+: non-finite"
+            with pytest.raises(SolverError, match=message) as info:
+                rbpda_step(state, prob, sched, batch, rng)
+            assert isinstance(info.value.__cause__, ValueError)
+            after = (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
+            for old, cur in zip(before, after):
+                assert np.array_equal(old, cur)
+            assert np.array_equal(state.y_next, state.y.data)
+            assert state.k == 3
 
     def test_failed_step_leaves_iterates_unchanged(self):
         for name in ("box_game", "erm_box"):  # without and with a coupling cache
@@ -595,6 +620,22 @@ class TestRestart:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 0.9, 0.97, 1.0])
+    def test_decision_equals_the_rule_over_all_blocks(self, eta, threshold):
+        # the O(1) test at the least count against the rule over every block
+        rng = np.random.default_rng(int(threshold * 100) + int(eta * 10))
+        for _ in range(300):
+            M, p, k = int(rng.integers(1, 6)), int(rng.integers(1, 60)), int(rng.integers(0, 400))
+            counts = rng.integers(0, 80, size=M)
+            state = self._state(counts.copy(), k)
+            vs = np.minimum(p, np.ceil((counts + 1) * (k + 1) ** eta))
+            want = bool(np.all(vs >= np.ceil(threshold * p)))
+            restart_if_saturated(state, p=p, threshold=threshold, eta=eta)
+            assert state.restarts == int(want), (counts, p, k)
+            assert state.counters.counts.tolist() == ([0] * M if want else counts.tolist())
+            assert state.counters.low == (0 if want else counts.min())
 
 
 class TestRun:
