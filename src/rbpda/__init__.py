@@ -24,7 +24,6 @@ from .solver import (
     RunResult,
     SolverConfig,
     deterministic_baseline_run,
-    deterministic_baseline_step,
     rbpda_step,
     run,
 )

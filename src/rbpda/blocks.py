@@ -56,6 +56,11 @@ class BlockLayout:
     def total_dim(self) -> int:
         return sum(self.dims)
 
+    @property
+    def ranges(self) -> tuple[slice, ...]:
+        """Every block's slice, in block order."""
+        return self._ranges
+
     def block_range(self, i: int) -> slice:
         if not 0 <= i < len(self._ranges):
             raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")
@@ -280,6 +285,7 @@ class SaddleProblem:
     batch_grad_x(indices, i, points)
         Mean over ``indices`` of component_grad_x(l, i, x, y) at every
         ``(x, y)`` pair of ``points``, as a ``(len(points), dim_i)`` array.
+        ``indices`` may be a read-only view of the run's drawn indices.
         The solver passes its three extrapolation points in one call, two of
         which share the primal array x^k.  An implementation should do the
         x-dependent work (row gathers, margins, Q x) once per distinct
@@ -296,13 +302,13 @@ class SaddleProblem:
         contract:
 
         * a new cache is synced and on;
-        * ``cache.plan(v)``, called by :func:`rbpda.run` once per step
-          before the first oracle call, with the batch size the step is
-          expected to draw (from the run's counters and batch schedule,
-          so a seed reproduces it), returns whether the cache stays on for
-          the step.  It turns the cache on only with an exact
-          ``cache.sync()``, and decides from the problem's sizes and v
-          alone;
+        * ``cache.plan(v)``, called by :func:`rbpda.run` before the first
+          step and before every step whose expected batch size v differs
+          from the last one planned (v comes from the run's counters and
+          batch schedule, so a seed reproduces it), returns whether the
+          cache stays on until the next call.  It turns the cache on only
+          with an exact ``cache.sync()``, and decides from the problem's
+          sizes and v alone, so it is idempotent for an unchanged v;
         * while the cache is on, the solver passes it as the keyword
           ``cache=`` to ``grad_y``, ``batch_grad_x``, ``full_grad_y`` and
           ``full_grad_x`` (never otherwise, so problems without a cache

@@ -166,9 +166,9 @@ def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar):
     x_bar = _as_float_array(x_bar)
     if r.shape != x_bar.shape:
         raise ValueError("dimension mismatch between linear term and x_bar")
-    # r.r is finite iff every entry is, unless it overflows (numpy then warns
-    # of the overflow): only then is each entry tested
-    if not (r.ndim == 1 and math.isfinite(r.dot(r))) and not np.isfinite(r).all():
+    # entrywise and without arithmetic: r.r would be cheaper but overflows
+    # (and warns) once entries pass ~1e154; count_nonzero beats isfinite().all()
+    if np.count_nonzero(np.isfinite(r)) != r.size:
         raise ValueError("non-finite entries in the linear term")
     if not step > 0:
         raise ValueError("step must be positive")

@@ -5,6 +5,12 @@ then primal block, then component indices), so a (seed, stream) pair
 reproduces full trajectories bit for bit.  Component indices are drawn
 uniformly with replacement; when the scheduled batch reaches p the solver
 enumerates all components instead, which makes the estimate exact.
+
+Draws may be taken ahead: when every step draws the same pattern,
+:class:`ChunkedDraws` draws a chunk of steps in one call and yields exactly
+the sequence that :func:`draw_block` and :func:`sample_indices` give one step
+at a time.  The trajectory is still fixed by (seed, stream); only the
+generator's position after a failed step, or after the run, is unspecified.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ __all__ = [
     "sample_indices",
     "estimate_partial_grad_x",
     "expected_inverse_batch",
+    "CHUNK_ELEMENTS",
+    "ChunkedDraws",
+    "chunked_draws",
 ]
 
 
@@ -155,6 +164,81 @@ def sample_indices(rng: np.random.Generator, v: int, p: int) -> np.ndarray:
         # at a fraction of the call overhead
         return np.array([rng.integers(0, p)])
     return rng.integers(0, p, size=v)
+
+
+CHUNK_ELEMENTS = 1 << 14  # most integers one chunk of ChunkedDraws holds (128 KiB)
+
+
+class ChunkedDraws:
+    """A run's draws, taken ahead in chunks, when every step draws the same pattern.
+
+    Each step draws its dual block over N, its primal block over M and, for a
+    constant batch v < p, v component indices over p; at v >= p it draws no
+    indices and enumerates all p components.  numpy draws bounded integers
+    (Lemire's method) element by element from the same generator stream for
+    one call over an array of bounds as for the same bounds in scalar calls,
+    so one ``rng.integers(0, bounds)`` over the pattern tiled for a chunk of
+    steps gives exactly what :func:`draw_block` and :func:`sample_indices`
+    give step after step.  A chunk (``buffer``) holds at most
+    :data:`CHUNK_ELEMENTS` integers and covers at most the ``steps`` still to
+    come; a step taken after those is drawn as a chunk of one.  Built by
+    :func:`chunked_draws`, which checks that one step fits a chunk.
+    """
+
+    def __init__(self, rng: np.random.Generator, N: int, M: int, p: int, v: int, steps: int):
+        self.pattern = np.array([N, M] + ([p] * v if v < p else []), dtype=np.int64)
+        self.width = self.pattern.size
+        self.cap = CHUNK_ELEMENTS // self.width  # steps per full chunk
+        self.rng = rng
+        self.left = steps
+        if v >= p:
+            self.full = np.arange(p)
+            self.full.flags.writeable = False
+        else:
+            self.full = None
+        self.buffer = None
+        self._at = self._size = 0
+
+    def _fill(self) -> None:
+        n = min(self.cap, max(self.left, 1))
+        self.left -= n
+        buf = self.rng.integers(0, np.tile(self.pattern, n)).reshape(n, self.width)
+        buf.flags.writeable = False  # index rows are handed out as views
+        self.buffer = buf
+        self._dual, self._primal = buf[:, 0].tolist(), buf[:, 1].tolist()
+        self._indices = buf[:, 2:]
+        self._at, self._size = 0, n
+
+    def take(self) -> tuple[int, int, np.ndarray]:
+        """The next step's dual block, primal block and component indices."""
+        t = self._at
+        if t == self._size:
+            self._fill()
+            t = 0
+        self._at = t + 1
+        full = self.full
+        return self._dual[t], self._primal[t], self._indices[t] if full is None else full
+
+
+def chunked_draws(rng: np.random.Generator, N: int, M: int, p: int, batch: BatchSchedule,
+                  steps: int) -> Optional[ChunkedDraws]:
+    """The draws of a run of ``steps`` steps in chunks if every step draws the same pattern.
+
+    Returns None otherwise.  The pattern is fixed for a constant batch, and at p = 1, where every
+    batch enumerates the one component.  An increasing batch at p > 1 draws
+    a number of indices that depends on the drawn block, and a pattern wider
+    than :data:`CHUNK_ELEMENTS` does not fit a chunk: both are drawn step by
+    step.
+    """
+    if batch.kind == "constant":
+        v = batch.v
+    elif p == 1:
+        v = 1
+    else:
+        return None
+    if (2 if v >= p else 2 + v) > CHUNK_ELEMENTS:
+        return None
+    return ChunkedDraws(rng, N, M, p, v, steps)
 
 
 def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:

@@ -35,7 +35,6 @@ from rbpda.solver import (
     ErgodicAccumulator,
     RunState,
     SolverConfig,
-    deterministic_baseline_step,
     rbpda_step,
     restart_if_saturated,
     run,
@@ -49,6 +48,8 @@ from rbpda.stepsize import (
     schedule_t,
     validate_stepsize_condition,
 )
+
+from baseline_oracle import deterministic_baseline_step
 
 BOX4 = np.array(
     [[1.0, 0.3, 0.2, 0.1], [0.3, 2.0, 0.1, 0.2], [0.2, 0.1, 1.0, 0.3], [0.1, 0.2, 0.3, 2.0]]

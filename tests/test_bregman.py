@@ -277,7 +277,6 @@ class TestScalarProx:
 
 class TestArrayProxChecks:
     def test_finite_linear_term_whose_square_overflows_accepted(self):
-        # r.r overflows (numpy reports it), so every entry is tested instead
         r = np.full(4, 1e200)
         spec = ProxSpec.box(-np.ones(4), np.ones(4))
         with np.errstate(over="ignore"):
@@ -290,7 +289,7 @@ class TestArrayProxChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_non_finite_entry_rejected(self, bad):
         for size in (1, 3, 50):
-            r = np.full(size, 1e200)  # r.r overflows too, so the entrywise test decides
+            r = np.full(size, 1e200)  # beside entries whose squares overflow
             r[size // 2] = bad
             with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
                 prox_step(EUCLIDEAN, ProxSpec.zero(), r, 1.0, np.zeros(size))
@@ -298,6 +297,27 @@ class TestArrayProxChecks:
             r[-1] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 prox_step(EUCLIDEAN, ProxSpec.zero(), r, 1.0, np.zeros(size))
+
+    @pytest.mark.parametrize("big", [1e200, 1.7e308, 1e-300])
+    def test_finite_extremes_accepted_under_raising_errstate(self, big):
+        # r.r overflows (or underflows) here, and the check must not: the
+        # clipped point comes back with no floating-point error raised
+        spec = ProxSpec.box(-np.ones(4), np.ones(4))
+        r = np.array([big, -big, big, -big])
+        want = np.clip(-r, -1.0, 1.0)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError):
+                r @ r
+            out = prox_step(EUCLIDEAN, spec, r, 1.0, np.zeros(4))
+        np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_under_raising_errstate(self, bad):
+        for fill in (0.5, 1e200, 1.7e308):
+            r = np.full(5, fill)
+            r[2] = bad
+            with np.errstate(all="raise"), pytest.raises(ValueError, match="non-finite"):
+                prox_step(EUCLIDEAN, ProxSpec.box(-np.ones(5), np.ones(5)), r, 1.0, np.zeros(5))
 
     def test_box_equals_np_clip_bitwise(self):
         rng = np.random.default_rng(12)
@@ -309,8 +329,7 @@ class TestArrayProxChecks:
             for _ in range(20):
                 x_bar = rng.choice(values, size=size)
                 r = rng.choice(values[:-2], size=size)
-                with np.errstate(over="ignore"):  # r.r overflows at |r| = 1e300
-                    got = prox_step(EUCLIDEAN, spec, r, 0.5, x_bar)
+                got = prox_step(EUCLIDEAN, spec, r, 0.5, x_bar)
                 assert np.array_equal(bits(got), bits(np.clip(x_bar - 0.5 * r, lo, hi)))
 
     def test_inputs_are_never_written(self):

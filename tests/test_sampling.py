@@ -5,8 +5,10 @@ import pytest
 
 from rbpda.problems import generate_robust_erm, robust_erm_problem
 from rbpda.sampling import (
+    CHUNK_ELEMENTS,
     BatchSchedule,
     BlockCounters,
+    chunked_draws,
     draw_block,
     expected_inverse_batch,
     make_rng,
@@ -40,6 +42,70 @@ class TestRngContract:
         s1 = sample_indices(make_rng(1, 1), 100, 1000).tolist()
         assert s0 != s1
         assert s0 == sample_indices(make_rng(1, 0), 100, 1000).tolist()
+
+
+def sequential_draws(rng, N, M, p, v, steps):
+    """The draws of ``steps`` steps one call at a time, in the solver's order."""
+    out = []
+    for _ in range(steps):
+        j, i = draw_block(rng, N), draw_block(rng, M)
+        out.append((j, i, np.arange(p) if v >= p else sample_indices(rng, v, p)))
+    return out
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("N", [1, 2, 7])
+    @pytest.mark.parametrize("M", [1, 2, 7])
+    @pytest.mark.parametrize("p", [1, 3, 200])
+    def test_chunks_give_the_sequential_draws(self, N, M, p):
+        # two and a half full chunks plus one step cross two chunk
+        # boundaries and end inside a chunk; the run leaves the generator
+        # where the sequential draws leave it
+        for v in sorted({1, 5, p} & set(range(1, p + 1))):
+            batch = BatchSchedule.constant(v, p)
+            per_chunk = CHUNK_ELEMENTS // (2 if v >= p else 2 + v)
+            steps = 2 * per_chunk + per_chunk // 2 + 1
+            rng, ref = make_rng(N * 100 + M, p), make_rng(N * 100 + M, p)
+            draws = chunked_draws(rng, N, M, p, batch, steps)
+            got = [draws.take() for _ in range(steps)]
+            want = sequential_draws(ref, N, M, p, v, steps)
+            assert draws.buffer.shape[0] == per_chunk // 2 + 1
+            for (j, i, idx), (j_ref, i_ref, idx_ref) in zip(got, want):
+                assert (j, i) == (j_ref, i_ref) and type(j) is int and type(i) is int
+                assert idx.dtype == idx_ref.dtype and np.array_equal(idx, idx_ref), v
+            assert rng.bit_generator.state == ref.bit_generator.state
+            # steps past the run's length are drawn one at a time
+            extra = [draws.take() for _ in range(3)]
+            assert draws.buffer.shape[0] == 1
+            for (j, i, idx), (j_ref, i_ref, idx_ref) in zip(extra, sequential_draws(ref, N, M, p, v, 3)):
+                assert (j, i) == (j_ref, i_ref) and np.array_equal(idx, idx_ref)
+
+    def test_increasing_batch_is_chunked_only_at_p_one(self):
+        rng, ref = make_rng(5), make_rng(5)
+        draws = chunked_draws(rng, 3, 4, 1, BatchSchedule.increasing(0.5), 10)
+        got = [draws.take() for _ in range(10)]
+        assert [(j, i) for j, i, _ in got] == [(j, i) for j, i, _ in sequential_draws(ref, 3, 4, 1, 1, 10)]
+        assert all(np.array_equal(idx, [0]) for _, _, idx in got)
+        assert chunked_draws(make_rng(5), 3, 4, 2, BatchSchedule.increasing(0.0), 10) is None
+
+    def test_chunk_stays_within_its_element_budget(self):
+        # v = p - 1 at a large p: a chunk holds as many steps as fit the
+        # budget, and a step wider than the budget is drawn step by step
+        p = 5000
+        draws = chunked_draws(make_rng(1), 7, 7, p, BatchSchedule.constant(p - 1, p), 1000)
+        for _ in range(7):
+            _, _, idx = draws.take()
+            assert idx.size == p - 1
+            assert draws.buffer.size <= CHUNK_ELEMENTS
+        assert draws.buffer.shape == (CHUNK_ELEMENTS // (p + 1), p + 1)
+        p = 10**6
+        assert chunked_draws(make_rng(1), 7, 7, p, BatchSchedule.constant(p - 1, p), 1000) is None
+
+    def test_index_rows_are_read_only(self):
+        draws = chunked_draws(make_rng(2), 2, 2, 10, BatchSchedule.constant(3, 10), 5)
+        _, _, idx = draws.take()
+        with pytest.raises(ValueError):
+            idx[0] = 1
 
 
 class TestDrawBlock:

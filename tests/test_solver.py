@@ -30,7 +30,6 @@ from rbpda.solver import (
     SolverConfig,
     SolverError,
     deterministic_baseline_run,
-    deterministic_baseline_step,
     rbpda_step,
     restart_if_saturated,
     run,
@@ -44,6 +43,8 @@ from rbpda.stepsize import (
     schedule_t,
     schedule_theta,
 )
+
+from baseline_oracle import deterministic_baseline_step
 
 
 def scalar_bilinear_problem():
@@ -264,13 +265,67 @@ def run_lockstep(name, mode, cached):
     assert not np.array_equal(new.x.data, prob.start_x)
 
 
+LOCKSTEP_BUILTINS = ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp", "erm_box_scalar"]
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+@pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
+def test_run_draws_in_chunks_like_sequential_steps(name, batch):
+    # run() takes its draws ahead in chunks; the whole-vector reference
+    # draws one call at a time from a fresh generator of the same
+    # (seed, stream), and both must reach the same iterates bit for bit
+    # (without the coupling cache, whose updates round differently)
+    prob = lockstep_problem(name)
+    prob.coupling_cache = None
+    p = prob.p
+    v = 1 if batch is None else min(batch, p)
+    cfg = SolverConfig(mode="single_sample", eta=0.3, max_iters=150, seed=5, stream=2,
+                       batch=None if batch is None else v, checkpoint_every=40, compute_sup_gap=False)
+    res = run(prob, cfg)
+    sched, _, _ = _build_schedule(prob, cfg)
+    ref = RunState.start(prob)
+    rng = make_rng(5, 2)
+    for _ in range(150):
+        full_copy_step(ref, prob, sched, BatchSchedule.constant(v, p), rng)
+    assert np.array_equal(res.x, ref.x.data) and np.array_equal(res.y, ref.y.data)
+    assert (res.grad_budget, res.dual_grad_evals) == (ref.grad_budget, ref.dual_grad_evals)
+    assert not np.array_equal(res.x, prob.start_x)
+
+
+def test_hand_driven_steps_draw_one_step_at_a_time():
+    # a step driven by hand takes nothing ahead from its generator: after
+    # every step it sits where the sequential draws leave it, across a
+    # change of batch schedule, other use of the generator between steps,
+    # a saved and restored generator state, and a new generator
+    prob = lockstep_problem("erm_box")
+    prob.coupling_cache = None
+    p = prob.p
+    st = prob.structure
+    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
+    fp = default_free_params(agg, st.M, st.N, mode="constant")
+    sched_new, sched_ref = (StepSchedule(mode="constant", M=st.M, N=st.N, agg=agg, fp=fp) for _ in range(2))
+    new, ref = RunState.start(prob), RunState.start(prob)
+    rng_new, rng_ref = make_rng(3), make_rng(3)
+    for it in range(40):
+        if it == 30:
+            rng_new, rng_ref = make_rng(4), make_rng(4)
+        batch = BatchSchedule.constant(1 if it < 10 else 2, p)
+        if it == 20:
+            saved = rng_new.bit_generator.state
+            rbpda_step(RunState.start(prob), prob, sched_new, batch, rng_new)
+            rng_new.bit_generator.state = saved
+        rbpda_step(new, prob, sched_new, batch, rng_new)
+        full_copy_step(ref, prob, sched_ref, batch, rng_ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state, it
+        assert np.array_equal(new.x.data, ref.x.data) and np.array_equal(new.y.data, ref.y.data), it
+        if it % 7 == 0:
+            assert rng_new.random() == rng_ref.random()
+
+
 class TestBlockCopyLockstep:
     # erm_box_scalar has one-coordinate dual blocks, whose step runs in Python floats
     @pytest.mark.parametrize("mode", ["constant", "diminishing"])
-    @pytest.mark.parametrize(
-        "name",
-        ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp", "erm_box_scalar"],
-    )
+    @pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
     def test_matches_full_copy_step_bitwise(self, name, mode):
         run_lockstep(name, mode, cached=False)
 
@@ -1163,24 +1218,25 @@ def erm_boxes(n_blocks, n=40, m=20, m_blocks=5):
 class TestDemandDrivenCache:
     def test_single_sample_one_row_blocks_stay_off(self):
         # (nb + v) m = 2 * 20 rows' worth of reads against n mb = 160 of
-        # upkeep: the cache never turns on and so never syncs
+        # upkeep: the cache never turns on and so never syncs; the batch
+        # size never changes, so the run plans the cache once
         prob = erm_boxes(n_blocks=40)
         events = cache_events(prob)
         run(prob, SolverConfig(mode="single_sample", max_iters=200, seed=1, checkpoint_every=10**9,
                                compute_sup_gap=False))
         plans = [e for e in events if e[0] == "plan"]
-        assert len(plans) == 200
-        assert not any(on for _, _, on in plans)
+        assert plans == [("plan", 1, False)]
         assert not [e for e in events if e[0] == "sync"]
 
     def test_entropy_dual_stays_on(self):
-        # grad_y reads all n rows, so the cache always pays
+        # grad_y reads all n rows, so the cache always pays; planned once,
+        # for the one batch size of the run
         prob = erm_boxes(n_blocks=1)
         events = cache_events(prob)
         run(prob, SolverConfig(mode="single_sample", max_iters=100, seed=1, checkpoint_every=10**9,
                                compute_sup_gap=False))
         plans = [e for e in events if e[0] == "plan"]
-        assert len(plans) == 100 and all(on for _, _, on in plans)
+        assert plans == [("plan", 1, True)]
         assert not [e for e in events if e[0] == "sync"]
 
     def test_increasing_batch_turns_on_with_exact_sync_and_restarts_turn_it_off(self):
