@@ -279,18 +279,25 @@ class SaddleProblem:
         Full partial gradient of Phi with respect to dual block j at every
         ``(x, y)`` pair of ``points``, as a ``(len(points), dim_j)`` array.
         The solver passes its two extrapolation points, ``(x^k, y^k)`` and
-        ``(x^(k-1), y^(k-1))``, in one call; each row must be exactly what
-        a one-point call would return.
+        ``(x^(k-1), y^(k-1))``, in one call, or only ``(x^k, y^k)`` when it
+        kept the other row from the step before; each row must be exactly
+        what a one-point call would return.  The solver keeps the returned
+        array between steps, so an implementation must not write to it
+        after returning it.
 
-    batch_grad_x(indices, i, points)
-        Mean over ``indices`` of component_grad_x(l, i, x, y) at every
-        ``(x, y)`` pair of ``points``, as a ``(len(points), dim_i)`` array.
+    batch_grad_x(indices, i, points, weights)
+        The weighted sum ``sum_k weights[k] * g_k`` as a ``(dim_i,)``
+        array, where ``g_k`` is the mean over ``indices`` of
+        component_grad_x(l, i, x_k, y_k) at the k-th ``(x_k, y_k)`` pair of
+        ``points``; a single point of weight 1.0 gives that point's mean.
         ``indices`` may be a read-only view of the run's drawn indices.
         The solver passes its three extrapolation points in one call, two of
-        which share the primal array x^k.  An implementation should do the
-        x-dependent work (row gathers, margins, Q x) once per distinct
-        primal array, recognised by identity, and must return for each
-        point exactly what a one-point call would.
+        which share the primal array x^k, with the weights ``(1, c, -c)``,
+        ``c = (N-1) theta^k``, and takes M times the result as its primal
+        linear term.  An implementation should do the x-dependent
+        work (row gathers, margins, Q x) once per distinct primal array,
+        recognised by identity, and fold the weights in before its products
+        with the data, so that a call costs one product, not one per point.
 
     coupling_cache(x, y, x_prev, y_prev)
         Optional factory of a per-run cache of coupling products (robust ERM
@@ -416,15 +423,16 @@ class SaddleProblem:
             means.append(acc / self.p)
         return np.stack(means)
 
-    def _batch_grad_x_looped(self, indices, i, points, cache=None):
+    def _batch_grad_x_looped(self, indices, i, points, weights, cache=None):
         indices = np.asarray(indices, dtype=int)
-        means = []
-        for x, y in points:
+        total = None
+        for (x, y), w in zip(points, weights):
             acc = self.component_grad_x(int(indices[0]), i, x, y).astype(float, copy=True)
             for l in indices[1:]:
                 acc += self.component_grad_x(int(l), i, x, y)
-            means.append(acc / indices.size)
-        return np.stack(means)
+            term = w * (acc / indices.size)
+            total = term if total is None else total + term
+        return total
 
     # -- values ------------------------------------------------------------
     def _side_value(self, side: int, v) -> float:
@@ -507,10 +515,12 @@ def validate_problem(
 ) -> ValidationReport:
     """Check the consistency promises of the finite-sum structure.
 
-    Flags dimension mismatches, finite-sum gradient mismatches beyond
-    ``tolerance`` at random domain probes (skipped when p exceeds
-    ``max_enumeration``), empty prox domains, and Phi-value inconsistencies.
-    Returns a report; never raises.
+    Flags dimension mismatches (also a ``batch_grad_x`` return that is not
+    ``(dim_i,)``), finite-sum gradient mismatches beyond ``tolerance`` at
+    random domain probes, a weighted ``batch_grad_x`` call over the probes
+    that differs from the weighted component means (both enumerations
+    skipped when p exceeds ``max_enumeration``), empty prox domains, and
+    Phi-value inconsistencies.  Returns a report; never raises.
     """
     failures = []
     st = problem.structure
@@ -544,6 +554,13 @@ def validate_problem(
                 failures.append(
                     f"component_grad_x block {i}: shape {g.shape} != ({st.primal.dims[i]},)"
                 )
+            try:
+                g = np.asarray(problem.batch_grad_x(np.array([0]), i, [(x, y)], (1.0,)))
+            except Exception as exc:  # noqa: BLE001
+                failures.append(f"batch_grad_x([0], {i}) raised: {exc}")
+                continue
+            if g.shape != (st.primal.dims[i],):
+                failures.append(f"batch_grad_x block {i}: shape {g.shape} != ({st.primal.dims[i]},)")
         for j in range(st.N if problem.component_grad_y is not None else 0):
             try:
                 g = np.asarray(problem.component_grad_y(0, j, x, y))
@@ -558,10 +575,25 @@ def validate_problem(
             break
 
     if problem.p <= max_enumeration and not failures:
+        everything = np.arange(problem.p)
+        weights = tuple(rng.uniform(-2.0, 2.0, len(points)))
+        for i in range(st.M):
+            try:
+                got = np.asarray(problem.batch_grad_x(everything, i, points, weights))
+                want = problem._batch_grad_x_looped(everything, i, points, weights)
+            except Exception as exc:  # noqa: BLE001
+                failures.append(f"weighted batch_grad_x failed at block {i}: {exc}")
+                continue
+            err = np.linalg.norm(got - want)
+            if err > tolerance * (1.0 + np.linalg.norm(want)):
+                failures.append(
+                    f"batch_grad_x mismatch at primal block {i}: "
+                    f"|weighted call - weighted component means| = {err:.3e}"
+                )
         for x, y in points:
             for i in range(st.M):
                 try:
-                    mean = problem._batch_grad_x_looped(np.arange(problem.p), i, [(x, y)])[0]
+                    mean = problem._batch_grad_x_looped(everything, i, [(x, y)], (1.0,))
                     full = np.asarray(problem.grad_x(i, x, y))
                 except Exception as exc:  # noqa: BLE001
                     failures.append(f"gradient enumeration failed at block {i}: {exc}")

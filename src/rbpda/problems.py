@@ -46,14 +46,16 @@ __all__ = [
 def _sigmoid(z):
     # exp(-|z|) lies in [0, 1], so neither branch overflows; each branch is
     # the usual one-sided form for its sign of z, 1 / (1 + e) or e / (1 + e),
-    # as one divide of the selected numerator.
+    # as one divide of the selected numerator.  That numerator is
+    # exp(min(z, 0)): exp(0) = 1 where z >= 0, and exp(z) = e elsewhere,
+    # since -|z| is z there; an exp costs less than a comparison and a select.
     z = np.asarray(z, dtype=float)
     e = np.abs(z, out=np.empty_like(z))  # an array also for 0-d z, so it is written in place
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(z >= 0, 1.0, e)
+    num = np.exp(np.minimum(z, 0.0))
     np.add(e, 1.0, out=e)
-    return np.divide(num, e, out=num)
+    return np.divide(num, e, out=e)
 
 
 def _sigmoid1(u: float) -> float:
@@ -72,6 +74,18 @@ def _logaddexp0(u: float) -> float:
     if u > 0:
         return u + math.log1p(math.exp(-u))
     return math.log1p(math.exp(u))
+
+
+def _weighted_y(points, weights) -> np.ndarray:
+    """sum_k weights[k] * y_k over the ``(x_k, y_k)`` points, as a new array.
+
+    The estimators of the problems that are linear in y take one product
+    with it; a single point of weight 1 gives y itself.
+    """
+    total = None
+    for (_, y), w in zip(points, weights):
+        total = w * y if total is None else total + w * y
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +195,15 @@ class ErmMargins:
     dual block's nb rows and ``batch_grad_x`` the v drawn rows, both at x^k
     and x^(k-1).  Keeping ``z`` current costs a move plus its share of the
     refresh, ``2 n mb``.  The decision depends on n, m, nb, mb and v only.
+
+    :meth:`slopes` gives ``slope(z)`` or ``slope(z_prev)``, the primal
+    estimator's per-row factor, computed on first use after the margins
+    change; a move hands the slopes of x^k on to x^(k-1) with the margins,
+    so each step computes them for x^k alone.
     """
 
-    def __init__(self, A: np.ndarray, m_blocks: int, n_blocks: int, x: np.ndarray, x_prev: np.ndarray):
+    def __init__(self, A: np.ndarray, m_blocks: int, n_blocks: int, x: np.ndarray, x_prev: np.ndarray,
+                 slope):
         n, m = A.shape
         mb = m // m_blocks
         self.A = A
@@ -191,6 +211,7 @@ class ErmMargins:
         self.period = m_blocks
         self.x, self.x_prev = x, x_prev
         self.z, self.z_prev = np.empty(n), np.empty(n)
+        self.slope = slope
         # plan() compares (nb + v) m with n mb: both costs above, halved
         self._nb, self._m, self._n_mb = n // n_blocks, m, n * mb
         self.sync()
@@ -205,6 +226,20 @@ class ErmMargins:
             return self.z_prev
         return None
 
+    def slopes(self, x) -> Optional[np.ndarray]:
+        """``slope`` of the cached margins of the buffer ``x``; None where :meth:`margins` is."""
+        if not self.on:
+            return None
+        if x is self.x:
+            if self.s is None:
+                self.s = self.slope(self.z)
+            return self.s
+        if x is self.x_prev:
+            if self.s_prev is None:
+                self.s_prev = self.slope(self.z_prev)
+            return self.s_prev
+        return None
+
     def sync(self) -> None:
         """Recompute ``z`` and ``z_prev`` exactly and turn the cache on."""
         np.matmul(self.A, self.x, out=self.z)
@@ -212,6 +247,7 @@ class ErmMargins:
             np.copyto(self.z_prev, self.z)
         else:
             np.matmul(self.A, self.x_prev, out=self.z_prev)
+        self.s = self.s_prev = None
         self.moves = 0  # since the last exact product
         self.on = True
 
@@ -226,6 +262,7 @@ class ErmMargins:
     def move(self, i: int, dx: np.ndarray) -> None:
         """x_prev took the old x and block i of x moved by dx: shift both margins."""
         self.z_prev, self.z = self.z, self.z_prev  # z_prev takes the old z
+        self.s_prev, self.s = self.s, None
         self.moves += 1
         if self.moves == self.period:
             np.matmul(self.A, self.x, out=self.z)
@@ -282,61 +319,87 @@ def robust_erm_problem(
     neg_b_list = neg_b.tolist()
     all_rows = np.arange(n)
 
+    def slope(z, rows=slice(None)):
+        # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a: the factor of
+        # each row's a at its margin z = a'x, for the given rows
+        neg_b_rows = neg_b[rows]
+        return neg_b_rows * _sigmoid(neg_b_rows * z)
+
     def component_grad_x(l, i, x, y):
         a = A[l]
         nbl = neg_b_list[l]
         t = nbl * _sigmoid1(nbl * float(a.dot(x)))
         return (p * float(y[l]) * t) * a[i * mb : (i + 1) * mb]
 
-    def one_row_grad_x(l, i, points, cache):
+    def one_row_grad_x(l, i, points, weights, cache):
         # batch size 1 in Python floats: one margin and sigmoid per distinct
-        # primal array, then the row's block scaled once per point
+        # primal array, the points' coefficients summed, then one scaled row block
         a, nbl = A[l], neg_b_list[l]
-        coefs, x_seen = [], None
-        for x, y in points:
+        coef, x_seen = 0.0, None
+        for (x, y), w in zip(points, weights):
             if x is not x_seen:
                 x_seen = x
                 z = None if cache is None else cache.margins(x)
                 t = nbl * _sigmoid1(nbl * float(a.dot(x) if z is None else z[l]))
-            coefs.append(p * float(y[l]) * t)
-        return np.multiply.outer(coefs, a[i * mb : (i + 1) * mb])
+            coef += w * p * float(y[l]) * t
+        return coef * a[i * mb : (i + 1) * mb]
 
-    def batch_grad_x(indices, i, points, cache=None):
+    def batch_grad_x(indices, i, points, weights, cache=None):
         rows = np.asarray(indices, dtype=int)
         count = rows.size
         if count == 1:
-            return one_row_grad_x(int(rows[0]), i, points, cache)
+            return one_row_grad_x(int(rows[0]), i, points, weights, cache)
         full = count == n and np.array_equal(rows, all_rows)
         if full:
             rows = slice(None)  # the whole index set: read A in place
         cols = slice(i * mb, (i + 1) * mb)
-        neg_b_rows = neg_b[rows]
-        # one margin row per distinct primal array (consecutive points that
-        # share an array share its row); cached margins need no gather of A
+        # consecutive points that share a primal array form one group
         xs, which = [points[0][0]], []
         for x, _ in points:
             if x is not xs[-1]:
                 xs.append(x)
             which.append(len(xs) - 1)
-        z = np.empty((len(xs), count))
-        sub = None  # A[rows], gathered only for an uncached margin
-        for r, x in enumerate(xs):
-            cached = None if cache is None else cache.margins(x)
-            if cached is not None:
-                z[r] = cached[rows]
-            else:
-                if sub is None:
-                    # take() gathers whole rows faster than fancy indexing
-                    sub = A if full else A.take(rows, axis=0)
-                np.matmul(sub, x, out=z[r])
-        sub_i = A[rows, cols] if sub is None else sub[:, cols]
-        # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a
-        t = neg_b_rows * _sigmoid(neg_b_rows * z)
-        out = np.empty((len(points), mb))
-        for k, (_, y) in enumerate(points):
-            # one (v,) @ (v, mb) product per point: stacking the points into
-            # one matrix product would change the summation order
-            np.matmul(p * y[rows] * t[which[k]], sub_i, out=out[k])
+        slopes = None if cache is None else [cache.slopes(x) for x in xs]
+        if slopes is not None and all(s is not None for s in slopes):
+            # the cache holds every group's slopes over all n rows: the
+            # coefficient is formed over all rows and gathered once, which
+            # costs fewer numpy calls than gathering each group's rows; its
+            # O(n) is below the O(n mb) of the move that keeps the cache on
+            coef = None
+            for (_, y), w, r in zip(points, weights, which):
+                term = y * (w * p)
+                term *= slopes[r]
+                coef = term if coef is None else np.add(coef, term, out=coef)
+            coef = coef[rows]
+            sub_i = A[rows, cols]
+        else:
+            # one margin row per group, from the cache where it has one
+            z = np.empty((len(xs), count))
+            sub = None  # A[rows], gathered only for an uncached margin
+            for r, x in enumerate(xs):
+                margins = None if cache is None else cache.margins(x)
+                if margins is not None:
+                    z[r] = margins[rows]
+                else:
+                    if sub is None:
+                        # take() gathers whole rows faster than fancy indexing
+                        sub = A if full else A.take(rows, axis=0)
+                    np.matmul(sub, x, out=z[r])
+            sub_i = A[rows, cols] if sub is None else sub[:, cols]
+            t = slope(z, rows)
+            # each group's sum_k (w_k p) y_k[rows] as one small product,
+            # times the group's t, summed over the groups
+            ys = np.empty((len(points), count))
+            ws = np.zeros((len(xs), len(points)))
+            for k, ((_, y), w) in enumerate(zip(points, weights)):
+                ys[k] = y[rows]
+                ws[which[k], k] = w * p
+            parts = ws @ ys
+            parts *= t
+            coef = np.add.reduce(parts, axis=0)
+        # one (v,) @ (v, mb) product; a single point of weight 1 keeps the
+        # one-point formula's order, ((p y) t) @ A / v, bit for bit
+        out = coef @ sub_i
         out /= count
         return out
 
@@ -394,7 +457,7 @@ def robust_erm_problem(
         full_grad_y=full_grad_y,
         phi_value=phi_value,
         phi_component=phi_component,
-        coupling_cache=lambda x, y, x_prev, y_prev: ErmMargins(A, m_blocks, n_blocks, x, x_prev),
+        coupling_cache=lambda x, y, x_prev, y_prev: ErmMargins(A, m_blocks, n_blocks, x, x_prev, slope),
         start_x=np.zeros(m),
         start_y=start_y,
         name=f"robust_erm(n={n},m={m},M={m_blocks},N={n_blocks})",
@@ -523,7 +586,7 @@ def matrix_game_problem(spec: MatrixGameSpec):
         lipschitz=lip,
         grad_x=lambda i, x, y: A @ y,
         grad_y=lambda j, points: np.array([A.T @ x for x, _ in points]),
-        batch_grad_x=lambda idx, i, points: np.array([A @ y for _, y in points]),
+        batch_grad_x=lambda idx, i, points, weights: A @ _weighted_y(points, weights),
         full_grad_x=lambda x, y: A @ y,
         full_grad_y=lambda x, y: A.T @ x,
         phi_value=lambda x, y: float(x @ A @ y),
@@ -563,6 +626,7 @@ def box_game_problem(
         Lyy=np.zeros((n_blocks, n_blocks)),
         Lyx=Lxy.T.copy(),
     )
+    row_blocks = [A[i * mb : (i + 1) * mb] for i in range(m_blocks)]
     # Deterministic interior start away from the saddle.
     signs_x = np.where(np.arange(n1) % 2 == 0, 1.0, -1.0)
     signs_y = np.where(np.arange(n2) % 2 == 0, 1.0, -1.0)
@@ -576,9 +640,7 @@ def box_game_problem(
         lipschitz=lip,
         grad_x=lambda i, x, y: (A @ y)[i * mb : (i + 1) * mb],
         grad_y=lambda j, points: np.array([(A.T @ x)[j * nb : (j + 1) * nb] for x, _ in points]),
-        batch_grad_x=lambda idx, i, points: np.array(
-            [(A @ y)[i * mb : (i + 1) * mb] for _, y in points]
-        ),
+        batch_grad_x=lambda idx, i, points, weights: row_blocks[i] @ _weighted_y(points, weights),
         full_grad_x=lambda x, y: A @ y,
         full_grad_y=lambda x, y: A.T @ x,
         phi_value=lambda x, y: float(x @ A @ y),
@@ -696,16 +758,17 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
     def grad_x(i, x, y):
         return (Q @ x + c + G.T @ y)[i * mb : (i + 1) * mb]
 
-    def batch_grad_x(indices, i, points):
+    def batch_grad_x(indices, i, points, weights):
         rows = np.asarray(indices, dtype=int)
-        G_rows = G[rows, i * mb : (i + 1) * mb]
-        scale = p / rows.size
-        out = np.empty((len(points), mb))
+        blk = slice(i * mb, (i + 1) * mb)
+        # linear in y: one product with the weighted dual points, then the
+        # weighted Q x + c, computed once per distinct primal array
+        out = (p / rows.size) * (_weighted_y(points, weights)[rows] @ G[rows, blk])
         x_seen, base = None, None
-        for k, (x, y) in enumerate(points):
+        for (x, _), w in zip(points, weights):
             if x is not x_seen:
-                x_seen, base = x, (Q @ x + c)[i * mb : (i + 1) * mb]
-            out[k] = base + scale * (y[rows] @ G_rows)
+                x_seen, base = x, (Q @ x + c)[blk]
+            out += w * base
         return out
 
     def component_grad_y(l, j, x, y):

@@ -132,6 +132,13 @@ class RunState:
     moves with the iterates, only after a step has succeeded; :func:`run`
     turns it on and off between steps.  ``plan`` is the :class:`StepPlan`
     the steps read, built by :func:`run` or by the first step.
+
+    ``dual_row`` is ``(j, g, cache)``: the dual gradient g(x^k, y^k) on
+    block j that the last step computed, under the coupling cache it passed
+    (None while off).  After that step it is g(x^(k-1), y^(k-1)), so the
+    next step reuses it if it draws block j under the same cache; a margin
+    read from the cache and one computed directly can differ in the last
+    bit.  :func:`restart_if_saturated` and a new plan forget it.
     """
 
     x: BlockVector
@@ -148,6 +155,7 @@ class RunState:
     last_y: slice = field(default_factory=lambda: slice(None))
     cache: Optional[object] = None
     plan: Optional[StepPlan] = None
+    dual_row: Optional[tuple] = None
 
     def __post_init__(self):
         if self.y_next is None:
@@ -372,16 +380,21 @@ def rbpda_step(
     costs O(block): it reads one step size per side, and by the block-copy
     invariant of :class:`RunState` it moves x^k into ``x_prev`` by copying
     the one block the previous step changed, then writes the new blocks.  A
-    step that raises leaves x, y, x_prev, y_prev and y_next as they were.  A
-    run's coupling cache, while on, is passed to ``grad_y`` and
-    ``batch_grad_x`` and moves only once both blocks are written; a cache
-    that is off is left alone.  An exception from an oracle or a prox
-    becomes a :class:`SolverError` naming the iteration, the block and the
-    failing call, with the original as its ``__cause__``.
+    step that raises leaves x, y, x_prev, y_prev and y_next as they were.
+    The dual gradient at (x^(k-1), y^(k-1)) is the previous step's row when
+    it is kept (``RunState.dual_row``), so ``grad_y`` then takes only
+    (x^k, y^k); either way a step counts two dual gradients.  The primal
+    linear term is one weighted ``batch_grad_x`` call.  A run's coupling
+    cache, while on, is passed to ``grad_y`` and ``batch_grad_x`` and moves
+    only once both blocks are written; a cache that is off is left alone.
+    An exception from an oracle or a prox becomes a :class:`SolverError`
+    naming the iteration, the block and the failing call, with the original
+    as its ``__cause__``.
     """
     plan = state.plan
     if plan is None or not plan.serves(problem, batch, rng):
         plan = state.plan = StepPlan(problem)
+        state.dual_row = None
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
     k = state.k
@@ -399,19 +412,25 @@ def rbpda_step(
         j = draw_block(rng, N)
     else:
         j, i, indices = draws.take()
+    kept = state.dual_row
+    if kept is not None and (kept[0] != j or kept[2] is not cache):
+        kept = None
+    points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
     try:
-        g = np.asarray(problem.grad_y(j, ((x_k, y_k), (x_prev, y_prev)), **kw), dtype=float)
+        g = np.asarray(problem.grad_y(j, points, **kw), dtype=float)
     except Exception as exc:
         raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
     state.dual_grad_evals += 2
     blk_j, at_j, dual_spec = plan.dual[j]
-    if at_j is not None and g.shape == (2, 1):
+    if at_j is not None and g.shape == (len(points), 1):
         # a one-coordinate block in Python floats: the same operations as on
         # one-element arrays, bit for bit, without numpy's per-call overhead
-        g_now, g_old, y_base = g.item(0), g.item(1), y_k.item(at_j)
+        g_now, y_base = g.item(0), y_k.item(at_j)
+        g_old = g.item(1) if kept is None else kept[1]
     else:
         at_j = blk_j
-        g_now, g_old, y_base = g[0], g[1], y_k[blk_j]
+        g_now, y_base = g[0], y_k[blk_j]
+        g_old = g[1] if kept is None else kept[1]
     s = N * g_now + N * M * theta * (g_now - g_old)
 
     try:
@@ -426,9 +445,15 @@ def rbpda_step(
         v = next_batch_size(batch, state.counters, i, k, p)
         if draws is None:
             indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
+        # r = M (g_new + (N-1) theta (g_cur - g_old)), the sum in one weighted
+        # call; M is applied to its result, so at N = 1 the weights (1, 0, -0)
+        # give M g_new with the bits of the per-point form
+        c = (N - 1) * theta
         try:
-            est_new, est_cur, est_old = np.asarray(
-                problem.batch_grad_x(indices, i, ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), **kw),
+            r = M * np.asarray(
+                problem.batch_grad_x(
+                    indices, i, ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), (1.0, c, -c), **kw
+                ),
                 dtype=float,
             )
         except Exception as exc:
@@ -436,7 +461,6 @@ def rbpda_step(
                 f"batch_grad_x failed at iteration {k}, primal block {i}: {exc}"
             ) from exc
         state.grad_budget += 3 * v
-        r = M * (est_new + (N - 1) * theta * (est_cur - est_old))
 
         blk_i, primal_spec = plan.primal[i]
         try:
@@ -453,6 +477,7 @@ def rbpda_step(
     x_k[blk_i] = x_blk
     y_k[at_j] = y_blk
     state.last_x, state.last_y = blk_i, blk_j
+    state.dual_row = (j, g_now, cache)
     if cache is not None:
         cache.move(i, dx)
     state.k += 1
@@ -464,10 +489,10 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
 
     When min_i v_i >= ceil(threshold * p), the counters return to zero and the
     extrapolation history collapses onto the current iterate (a coupling
-    cache that is on is synced onto it); iterates and ergodic accumulators
-    are untouched.  With the counters at zero the batch rule starts again
-    from v = 1, so in :func:`run` the next step's plan usually turns the
-    cache off.  The rule is nondecreasing in a block's count, so the least
+    cache that is on is synced onto it, and the kept dual row is
+    forgotten); iterates and ergodic accumulators are untouched.  With the
+    counters at zero the batch rule starts again from v = 1, so in
+    :func:`run` the next step's plan usually turns the cache off.  The rule is nondecreasing in a block's count, so the least
     v_i is the rule at the least count, and the test is O(1).
     """
     v_low = min(p, math.ceil((state.counters.low + 1) * (state.k + 1) ** eta))
@@ -476,6 +501,7 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
         state.x_prev.data[:] = state.x.data
         state.y_prev.data[:] = state.y.data
         state.y_next[:] = state.y.data
+        state.dual_row = None
         if state.cache is not None and state.cache.on:
             state.cache.sync()
         state.restarts += 1

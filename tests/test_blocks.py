@@ -102,6 +102,23 @@ class TestValidateProblem:
         assert not report.ok
         assert any("finite-sum mismatch" in msg for msg in report.failures)
 
+    def test_batch_grad_x_of_the_wrong_shape_flagged(self):
+        # the per-point rows of the earlier contract are not a (dim_i,) array
+        prob = _bilinear_problem(np.eye(2))
+        looped = prob._batch_grad_x_looped
+        prob.batch_grad_x = lambda idx, i, points, weights: np.stack(
+            [looped(idx, i, [point], (1.0,)) for point in points]
+        )
+        report = validate_problem(prob)
+        assert any("batch_grad_x block 0: shape (1, 2) != (2,)" in msg for msg in report.failures)
+
+    def test_batch_grad_x_that_ignores_its_weights_flagged(self):
+        prob = _bilinear_problem(np.eye(2))
+        looped = prob._batch_grad_x_looped
+        prob.batch_grad_x = lambda idx, i, points, weights: looped(idx, i, points, [1.0] * len(points))
+        report = validate_problem(prob)
+        assert any("batch_grad_x mismatch at primal block 0" in msg for msg in report.failures)
+
     def test_never_raises_on_broken_oracle(self):
         prob = _bilinear_problem(np.eye(2))
 

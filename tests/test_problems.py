@@ -82,7 +82,7 @@ class TestRobustErmProblem:
         y = np.abs(rng.standard_normal(10))
         y /= y.sum()
         for i in range(2):
-            mean = prob.batch_grad_x(np.arange(10), i, [(x, y)])[0]
+            mean = prob.batch_grad_x(np.arange(10), i, [(x, y)], (1.0,))
             np.testing.assert_allclose(mean, prob.grad_x(i, x, y), atol=1e-12)
 
     def test_block_divisibility_rejected(self):
@@ -334,8 +334,9 @@ def test_sigmoid_bitwise_matches_masked_form():
 
 
 def test_erm_batch_grad_matches_single_point_formula_bitwise():
-    # per-point products keep the summation order of the one-point formula
-    # at every batch size, up to the full batch
+    # a point of weight 1 keeps the summation order of the one-point formula
+    # at every batch size, up to the full batch, also inside a call whose
+    # weights select it from the solver's three points
     data = generate_robust_erm(8, 200, 30, 0.1)
     prob = robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=200)
     p, mb = prob.p, 10
@@ -348,10 +349,12 @@ def test_erm_batch_grad_matches_single_point_formula_bitwise():
         sub = data.A[rows]
         neg_b = -data.b[rows]
         for i in range(3):
-            fused = prob.batch_grad_x(rows, i, points)
-            for row, (x, y) in zip(fused, points):
+            for k, (x, y) in enumerate(points):
                 coef = p * y[rows] * (neg_b * _sigmoid(neg_b * (sub @ x)))
-                assert np.array_equal(row, (coef @ sub[:, i * mb : (i + 1) * mb]) / v), (v, i)
+                want = (coef @ sub[:, i * mb : (i + 1) * mb]) / v
+                assert np.array_equal(prob.batch_grad_x(rows, i, [(x, y)], (1.0,)), want), (v, i)
+                select = tuple(float(k == q) for q in range(3))
+                assert np.array_equal(prob.batch_grad_x(rows, i, points, select), want), (v, i, k)
 
 
 def test_erm_one_row_scalar_paths_agree_with_array_paths():
@@ -364,6 +367,7 @@ def test_erm_one_row_scalar_paths_agree_with_array_paths():
     x_k, x_prev = rng.uniform(-3, 3, (2, 12))
     y_next, y_k, y_prev = rng.uniform(0, 1, (3, 60))
     points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
+    weights = (1.0, 2.5, -2.5)  # the solver's (1, c, -c)
     cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev)
 
     def close(got, want):
@@ -371,14 +375,18 @@ def test_erm_one_row_scalar_paths_agree_with_array_paths():
 
     for l in range(60):
         for i in range(4):
-            one = prob.batch_grad_x(np.array([l]), i, points)
+            one = prob.batch_grad_x(np.array([l]), i, points, weights)
             # a repeated index takes the array path and has the same mean
-            close(one, prob.batch_grad_x(np.array([l, l]), i, points))
-            close(one, prob.batch_grad_x(np.array([l]), i, points, cache=cache))
-            for row, (x, y) in zip(one, points):
+            close(one, prob.batch_grad_x(np.array([l, l]), i, points, weights))
+            close(one, prob.batch_grad_x(np.array([l]), i, points, weights, cache=cache))
+            want = 0.0
+            for w, (x, y) in zip(weights, points):
+                row = prob.batch_grad_x(np.array([l]), i, [(x, y)], (1.0,))
                 close(row, prob.component_grad_x(l, i, x, y))
                 t = -b[l] * _sigmoid(-b[l] * (A[l] @ x))
                 close(row, p * y[l] * t * A[l, i * mb : (i + 1) * mb])
+                want = want + w * row
+            close(one, want)
         got = prob.grad_y(l, ((x_k, y_k), (x_prev, y_prev)))
         want = [[np.logaddexp(0.0, -b[l] * (A[l] @ x))] for x in (x_k, x_prev)]
         close(got, np.array(want))

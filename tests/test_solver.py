@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from rbpda.blocks import BlockStructure, ProxSpec, SaddleProblem
 from rbpda.bregman import prox_step
 from rbpda.problems import (
     ConstrainedSpec,
     MatrixGameSpec,
+    _sigmoid,
     box_game_problem,
     constrained_qp_problem,
     generate_robust_erm,
@@ -164,12 +167,13 @@ def full_copy_step(state, problem, schedule, batch, rng):
     i = draw_block(rng, M)
     v = next_batch_size(batch, state.counters, i, k, p)
     indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
-    # one point per call, independent of the three-point call in rbpda_step
-    est_new = estimate_partial_grad_x(problem, indices, i, [(x_k, y_next)])[0]
-    est_cur = estimate_partial_grad_x(problem, indices, i, [(x_k, y_k)])[0]
-    est_old = estimate_partial_grad_x(problem, indices, i, [(x_prev, y_prev)])[0]
+    # the estimator itself is checked against the component means in
+    # test_weighted_batch_grad_matches_component_means; this reference takes
+    # r = M (g_new + (N-1) theta (g_cur - g_old)) from one weighted call
+    c = (N - 1) * theta
+    points = [(x_k, y_next), (x_k, y_k), (x_prev, y_prev)]
+    r = M * estimate_partial_grad_x(problem, indices, i, points, (1.0, c, -c))
     state.grad_budget += 3 * v
-    r = M * (est_new + (N - 1) * theta * (est_cur - est_old))
     spec = problem.primal_prox[i]
     blk_i = st.primal.block_range(i)
     x_next = x_k.copy()
@@ -376,7 +380,9 @@ class TestBlockCopyLockstep:
         if state.cache is not None:
             cache_before = (state.cache.z.copy(), state.cache.z_prev.copy(), state.cache.moves)
         inner = prob.batch_grad_x
-        prob.batch_grad_x = lambda idx, i, points, **kw: np.full_like(inner(idx, i, points, **kw), np.nan)
+        prob.batch_grad_x = lambda idx, i, points, w, **kw: np.full_like(
+            inner(idx, i, points, w, **kw), np.nan
+        )
         with pytest.raises(SolverError, match="primal prox failed"):
             rbpda_step(state, prob, sched, batch, rng)
         after = (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
@@ -395,7 +401,8 @@ class TestBlockCopyLockstep:
 )
 def test_three_point_batch_grad_equals_one_point_calls(name):
     # the solver's three points, the first two sharing the array x^k, in one
-    # call must give exactly what three one-point calls give
+    # call whose weights select one point must give exactly what that
+    # point's one-point call gives: the shared x^k work serves the right points
     prob = lockstep_problem(name)
     st = prob.structure
     rng = np.random.default_rng(4)
@@ -405,17 +412,19 @@ def test_three_point_batch_grad_equals_one_point_calls(name):
         y_next, y_k, y_prev = rng.uniform(0.05, 1, (3, st.n))
         points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
         for i in range(st.M):
-            fused = prob.batch_grad_x(indices, i, points)
-            assert fused.shape == (3, st.primal.dims[i])
-            for row, point in zip(fused, points):
-                assert np.array_equal(row, prob.batch_grad_x(indices, i, [point])[0]), (v, i)
+            for k, point in enumerate(points):
+                select = tuple(float(k == q) for q in range(3))
+                fused = prob.batch_grad_x(indices, i, points, select)
+                assert fused.shape == (st.primal.dims[i],)
+                assert np.array_equal(fused, prob.batch_grad_x(indices, i, [point], (1.0,))), (v, i, k)
 
 
 @pytest.mark.parametrize("name", ["erm_box", "erm_entropy"])
 def test_cached_batch_grad_matches_uncached(name):
-    # with the margin cache over (x_k, x_prev), the fused call still equals
-    # one-point calls exactly, and the uncached oracle to 1e-12; v = p reads
-    # A in place instead of gathering rows
+    # with the margin cache over (x_k, x_prev), a three-point call that
+    # selects one point still equals its one-point call exactly, and the
+    # weighted call equals the uncached oracle to 1e-12; v = p reads A in
+    # place instead of gathering rows
     prob = lockstep_problem(name)
     st = prob.structure
     rng = np.random.default_rng(5)
@@ -426,16 +435,57 @@ def test_cached_batch_grad_matches_uncached(name):
     for v in (1, 2, 7, prob.p):
         indices = np.arange(prob.p) if v == prob.p else rng.integers(0, prob.p, size=v)
         for i in range(st.M):
-            fused = prob.batch_grad_x(indices, i, points, cache=cache)
-            for row, point in zip(fused, points):
-                assert np.array_equal(row, prob.batch_grad_x(indices, i, [point], cache=cache)[0])
-            assert_close(fused, prob.batch_grad_x(indices, i, points))
+            for k, point in enumerate(points):
+                select = tuple(float(k == q) for q in range(3))
+                fused = prob.batch_grad_x(indices, i, points, select, cache=cache)
+                assert np.array_equal(fused, prob.batch_grad_x(indices, i, [point], (1.0,), cache=cache))
+            weights = (3.0, 1.5, -1.5)
+            assert_close(prob.batch_grad_x(indices, i, points, weights, cache=cache),
+                         prob.batch_grad_x(indices, i, points, weights))
     for j in range(st.N):
         for x, y in ((x_k, y_k), (x_prev, y_prev)):
             assert_close(prob.grad_y(j, [(x, y)], cache=cache), prob.grad_y(j, [(x, y)]))
     # an array the cache does not own is computed from scratch
     other = x_k.copy()
     assert np.array_equal(prob.grad_y(0, [(other, y_k)], cache=cache), prob.grad_y(0, [(other, y_k)]))
+
+
+_WEIGHT = hst.one_of(hst.just(0.0), hst.floats(-2.0, 2.0, allow_nan=False))
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    v=hst.sampled_from(["1", "2", "7", "p", "p drawn"]),
+    sharing=hst.lists(hst.integers(0, 1), min_size=1, max_size=4),
+    weights=hst.lists(_WEIGHT, min_size=4, max_size=4),
+    cached=hst.booleans(),
+)
+def test_weighted_batch_grad_matches_component_means(name, seed, v, sharing, weights, cached):
+    # one weighted call equals the weighted sum of the looped component
+    # means, point by point; the points share two primal arrays in the
+    # drawn pattern, the indices are read-only and hold duplicates
+    prob = lockstep_problem(name)
+    st, p = prob.structure, prob.p
+    rng = np.random.default_rng(seed)
+    if v == "p":
+        indices = np.arange(p)
+    else:
+        indices = rng.integers(0, p, size=p if v == "p drawn" else int(v))
+        indices[-1] = indices[0]
+    indices.flags.writeable = False
+    xs = list(rng.uniform(-1, 1, (2, st.m)))
+    points = [(xs[a], rng.uniform(0.05, 1, st.n)) for a in sharing]
+    weights = tuple(weights[: len(points)])
+    kw = {}
+    if cached and prob.coupling_cache is not None:
+        kw["cache"] = prob.coupling_cache(xs[0], points[0][1], xs[1], points[0][1])
+    for i in range(st.M):
+        got = prob.batch_grad_x(indices, i, points, weights, **kw)
+        want = sum(w * prob._batch_grad_x_looped(indices, i, [pt], (1.0,)) for w, pt in zip(weights, points))
+        assert got.shape == (st.primal.dims[i],)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want)))), (i, v)
 
 
 GOLDEN_CONFIGS = {
@@ -470,6 +520,126 @@ def test_golden_trajectory_with_and_without_cache(name, config):
         if config == "increasing_restarts":
             assert got.restarts >= 1
     assert len(built) == (2 if name.startswith("erm") else 0)
+
+
+@pytest.mark.parametrize("name", ["erm_entropy", "game_euclidean", "box_game", "erm_box"])
+def test_dual_row_is_reused_for_the_same_block(name):
+    # a step's g(x^k, y^k) is the next step's g(x^(k-1), y^(k-1)): grad_y
+    # takes one point when the drawn dual block repeats, two at the first
+    # step and after each restart (every step on N = 1 otherwise), and
+    # dual_grad_evals still counts two per step
+    prob = lockstep_problem(name)
+    calls = []
+    inner = prob.grad_y
+    prob.grad_y = lambda j, points, **kw: calls.append((j, len(points))) or inner(j, points, **kw)
+    st = prob.structure
+    state = RunState.start(prob)
+    if prob.coupling_cache is not None:
+        attach_cache(state, prob)
+    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
+    fp = default_free_params(agg, st.M, st.N, mode="constant")
+    sched = StepSchedule(mode="constant", M=st.M, N=st.N, agg=agg, fp=fp)
+    rng = make_rng(9)
+    for it in range(60):
+        rbpda_step(state, prob, sched, BatchSchedule.increasing(0.0), rng)
+        if it in (20, 41):
+            restart_if_saturated(state, prob.p, threshold=0.0)
+    assert state.restarts == 2 and state.dual_grad_evals == 2 * 60
+    for it, (j, count) in enumerate(calls):
+        fresh = it in (0, 21, 42) or j != calls[it - 1][0]
+        assert count == (2 if fresh else 1), (it, j)
+    if st.N == 1:
+        assert [c for _, c in calls].count(2) == 3
+    else:
+        assert 0 < [c for _, c in calls].count(1) < 60
+
+
+def test_dual_row_is_kept_only_under_the_same_cache_state():
+    # a cached margin and a direct one can differ in the last bit, so a row
+    # computed with the cache off is not reused with it on, nor the reverse
+    data = generate_robust_erm(4, 40, 20, 0.1)
+    prob = robust_erm_problem(data, radius=2.0, m_blocks=1, n_blocks=2)
+    calls = []
+    inner = prob.grad_y
+    prob.grad_y = lambda j, points, **kw: (
+        calls.append((j, len(points), "cache" in kw)) or inner(j, points, **kw)
+    )
+    state = attach_cache(RunState.start(prob), prob)
+    sched = FixedSchedule([0.05], [0.05, 0.05])
+    rng = make_rng(6)
+    for it in range(60):
+        assert state.cache.plan(30 if it // 5 % 2 else 1) is bool(it // 5 % 2)
+        rbpda_step(state, prob, sched, BatchSchedule.constant(3, prob.p), rng)
+    for it, (j, count, on) in enumerate(calls):
+        fresh = it == 0 or (j, on) != (calls[it - 1][0], calls[it - 1][2])
+        assert count == (2 if fresh else 1), it
+    assert [c for _, c, _ in calls].count(1) > 10
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
+@pytest.mark.parametrize("name", ["erm_box", "erm_entropy", "box_game", "qp"])
+def test_dual_row_reuse_is_bitwise(name, config, monkeypatch):
+    # run() with the kept dual row and with the row forgotten before every
+    # step reach the same bits, also across the margin cache's re-plans:
+    # an increasing batch on erm_box turns the cache on at v = 2 and off
+    # again after each restart
+    import rbpda.solver as solver_mod
+
+    prob = lockstep_problem(name)
+    planned = []
+    if prob.coupling_cache is not None:
+        factory = prob.coupling_cache
+
+        def recording_factory(*buffers):
+            cache = factory(*buffers)
+            plan = cache.plan
+            cache.plan = lambda v: planned.append(plan(v)) or planned[-1]
+            return cache
+
+        prob.coupling_cache = recording_factory
+    single = []
+    inner = prob.grad_y
+    prob.grad_y = lambda j, points, **kw: single.append(len(points) == 1) or inner(j, points, **kw)
+    cfg = SolverConfig(max_iters=400, seed=7, stream=1, checkpoint_every=100, compute_sup_gap=False,
+                       **GOLDEN_CONFIGS[config])
+    kept = run(prob, cfg)
+    assert any(single) or kept.restarts == kept.iterations  # p <= 2 restarts after every step
+    step = solver_mod.rbpda_step
+
+    def forgetting(state, *args):
+        state.dual_row = None
+        return step(state, *args)
+
+    monkeypatch.setattr(solver_mod, "rbpda_step", forgetting)
+    fresh = run(prob, cfg)
+    for attr in ("x", "y", "x_bar", "y_bar"):
+        assert np.array_equal(getattr(kept, attr), getattr(fresh, attr)), attr
+    for attr in ("grad_budget", "dual_grad_evals", "restarts", "iterations"):
+        assert getattr(kept, attr) == getattr(fresh, attr), attr
+    if name == "erm_box" and config == "increasing_restarts":
+        assert kept.restarts >= 1 and True in planned and False in planned
+
+
+def test_cached_slopes_move_with_the_margins():
+    # a move hands the slopes of x^k on to x^(k-1) unchanged, a sync (here
+    # by a restart) drops them, and fresh slopes equal the formula on the
+    # cached margins bit for bit
+    data = generate_robust_erm(3, 40, 60, 0.1)
+    prob = robust_erm_problem(data, radius=10.0, m_blocks=6, n_blocks=40)
+    neg_b = -data.b
+    state = attach_cache(RunState.start(prob), prob)
+    cache = state.cache
+    sched = FixedSchedule(np.full(6, 0.5), np.full(40, 0.5))
+    rng = make_rng(3)
+    for it in range(30):
+        s = cache.slopes(state.x.data)
+        assert np.array_equal(s, neg_b * _sigmoid(neg_b * cache.z))
+        rbpda_step(state, prob, sched, BatchSchedule.constant(5, prob.p), rng)
+        assert cache.slopes(state.x_prev.data) is s
+        if it % 10 == 9:
+            restart_if_saturated(state, prob.p, threshold=0.0)
+            assert cache.s is None and cache.s_prev is None
+    assert state.restarts == 3
 
 
 def test_cache_drift_stays_below_1e12_and_refresh_is_exact():
@@ -743,9 +913,9 @@ class TestRun:
         calls = {"components": 0}
         inner = prob.batch_grad_x
 
-        def counting_batch(indices, i, points, **kw):
+        def counting_batch(indices, i, points, weights, **kw):
             calls["components"] += len(np.atleast_1d(indices)) * len(points)
-            return inner(indices, i, points, **kw)
+            return inner(indices, i, points, weights, **kw)
 
         prob.batch_grad_x = counting_batch
         cfg = SolverConfig(mode="increasing_batch", max_iters=200, seed=1, checkpoint_every=10**9, compute_sup_gap=False)
@@ -903,9 +1073,9 @@ class TestIntegration:
         seen = []
         inner = prob.batch_grad_x
 
-        def recording(indices, i, points, **kw):
+        def recording(indices, i, points, weights, **kw):
             seen.append(np.array(indices))
-            return inner(indices, i, points, **kw)
+            return inner(indices, i, points, weights, **kw)
 
         prob.batch_grad_x = recording
         cfg = SolverConfig(mode="increasing_batch", max_iters=10, seed=1,
@@ -1268,7 +1438,7 @@ class TestDemandDrivenCache:
         sched = FixedSchedule(np.full(prob.structure.M, 0.05), np.full(prob.structure.N, 0.05))
         seen = []
         inner = prob.batch_grad_x
-        prob.batch_grad_x = lambda idx, i, points, **kw: seen.append(kw) or inner(idx, i, points, **kw)
+        prob.batch_grad_x = lambda idx, i, points, w, **kw: seen.append(kw) or inner(idx, i, points, w, **kw)
         rbpda_step(state, prob, sched, BatchSchedule.constant(1, prob.p), make_rng(0))
         assert seen == [{}]
         assert np.array_equal(cache.z, z_before) and cache.moves == 0
@@ -1358,7 +1528,9 @@ def test_increasing_batch_grows_per_block_and_resets_on_restart(eta, monkeypatch
     p = prob.p
     drawn, restart_at = [], []
     inner = prob.batch_grad_x
-    prob.batch_grad_x = lambda idx, i, points, **kw: drawn.append((len(idx), i)) or inner(idx, i, points, **kw)
+    prob.batch_grad_x = lambda idx, i, points, w, **kw: (
+        drawn.append((len(idx), i)) or inner(idx, i, points, w, **kw)
+    )
     restart = solver_mod.restart_if_saturated
 
     def watched(state, *args):
