@@ -333,7 +333,11 @@ class SaddleProblem:
         * ``cache.sync()`` recomputes the products exactly from the
           buffers and turns the cache on; a restart syncs a cache that is
           on (x^(k-1) was set to x^k), and each full-gradient baseline step
-          syncs its cache.
+          syncs its cache;
+        * ``cache.syncs`` counts the syncs, the one of a new cache included:
+          a dual gradient computed from the cached products is reused by
+          the next step only while the count is unchanged, because a sync
+          can move the cached x^(k-1) products in their last bits.
 
         The default oracles accept the keyword and ignore it.
 

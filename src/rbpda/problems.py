@@ -214,6 +214,7 @@ class ErmMargins:
         self.slope = slope
         # plan() compares (nb + v) m with n mb: both costs above, halved
         self._nb, self._m, self._n_mb = n // n_blocks, m, n * mb
+        self.syncs = 0
         self.sync()
 
     def margins(self, x) -> Optional[np.ndarray]:
@@ -249,6 +250,7 @@ class ErmMargins:
             np.matmul(self.A, self.x_prev, out=self.z_prev)
         self.s = self.s_prev = None
         self.moves = 0  # since the last exact product
+        self.syncs += 1
         self.on = True
 
     def plan(self, v: int) -> bool:
@@ -373,19 +375,13 @@ def robust_erm_problem(
             coef = coef[rows]
             sub_i = A[rows, cols]
         else:
-            # one margin row per group, from the cache where it has one
+            # one margin row per group; take() gathers whole rows faster
+            # than fancy indexing
+            sub = A if full else A.take(rows, axis=0)
             z = np.empty((len(xs), count))
-            sub = None  # A[rows], gathered only for an uncached margin
             for r, x in enumerate(xs):
-                margins = None if cache is None else cache.margins(x)
-                if margins is not None:
-                    z[r] = margins[rows]
-                else:
-                    if sub is None:
-                        # take() gathers whole rows faster than fancy indexing
-                        sub = A if full else A.take(rows, axis=0)
-                    np.matmul(sub, x, out=z[r])
-            sub_i = A[rows, cols] if sub is None else sub[:, cols]
+                np.matmul(sub, x, out=z[r])
+            sub_i = sub[:, cols]
             t = slope(z, rows)
             # each group's sum_k (w_k p) y_k[rows] as one small product,
             # times the group's t, summed over the groups

@@ -241,21 +241,16 @@ def chunked_draws(rng: np.random.Generator, N: int, M: int, p: int, batch: Batch
     return ChunkedDraws(rng, N, M, p, v, steps)
 
 
-def estimate_partial_grad_x(problem, indices, i: int, points, weights=None, **kw) -> np.ndarray:
-    """Mean of component_grad_x over ``indices`` at block i, at the ``(x, y)`` points.
+def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:
+    """Mean of component_grad_x over ``indices`` at block i, one row per ``(x, y)`` point.
 
-    With ``weights`` it is one ``batch_grad_x`` call, which returns the
-    weighted sum of the points' means as a ``(dim_i,)`` array (M times it
-    is the solver's primal linear term for the weights ``(1, c, -c)``).
-    Without, it is one unit-weight call per point, stacked into one row per
-    point.  Keyword arguments (a run's ``cache=``) go to ``batch_grad_x``
-    unchanged.
+    Each row is one ``batch_grad_x`` call at its point with weight 1.0; the
+    caller applies the M and (N-1)*theta scalings of the update rule.
+    Keyword arguments (a run's ``cache=``) go to ``batch_grad_x`` unchanged.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    if weights is not None:
-        return np.asarray(problem.batch_grad_x(indices, i, points, weights, **kw), dtype=float)
     return np.stack([np.asarray(problem.batch_grad_x(indices, i, [point], (1.0,), **kw), dtype=float)
                      for point in points])
 

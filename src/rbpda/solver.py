@@ -133,12 +133,14 @@ class RunState:
     turns it on and off between steps.  ``plan`` is the :class:`StepPlan`
     the steps read, built by :func:`run` or by the first step.
 
-    ``dual_row`` is ``(j, g, cache)``: the dual gradient g(x^k, y^k) on
-    block j that the last step computed, under the coupling cache it passed
-    (None while off).  After that step it is g(x^(k-1), y^(k-1)), so the
-    next step reuses it if it draws block j under the same cache; a margin
-    read from the cache and one computed directly can differ in the last
-    bit.  :func:`restart_if_saturated` and a new plan forget it.
+    ``dual_row`` is ``(j, g, cache, syncs)``: the dual gradient g(x^k, y^k)
+    on block j that the last step computed, under the coupling cache it
+    passed (None while off) and that cache's ``syncs`` count.  After that
+    step it is g(x^(k-1), y^(k-1)), so the next step reuses it if it draws
+    block j under the same cache with no sync since; a margin read from the
+    cache and one computed directly can differ in the last bit, and so can
+    one before and after a sync.  :func:`restart_if_saturated` and a new
+    plan forget it.
     """
 
     x: BlockVector
@@ -413,7 +415,9 @@ def rbpda_step(
     else:
         j, i, indices = draws.take()
     kept = state.dual_row
-    if kept is not None and (kept[0] != j or kept[2] is not cache):
+    if kept is not None and (
+        kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
+    ):
         kept = None
     points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
     try:
@@ -477,7 +481,7 @@ def rbpda_step(
     x_k[blk_i] = x_blk
     y_k[at_j] = y_blk
     state.last_x, state.last_y = blk_i, blk_j
-    state.dual_row = (j, g_now, cache)
+    state.dual_row = (j, g_now, cache, None if cache is None else cache.syncs)
     if cache is not None:
         cache.move(i, dx)
     state.k += 1

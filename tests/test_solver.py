@@ -21,7 +21,6 @@ from rbpda.sampling import (
     BatchSchedule,
     BlockCounters,
     draw_block,
-    estimate_partial_grad_x,
     make_rng,
     next_batch_size,
     sample_indices,
@@ -172,7 +171,7 @@ def full_copy_step(state, problem, schedule, batch, rng):
     # r = M (g_new + (N-1) theta (g_cur - g_old)) from one weighted call
     c = (N - 1) * theta
     points = [(x_k, y_next), (x_k, y_k), (x_prev, y_prev)]
-    r = M * estimate_partial_grad_x(problem, indices, i, points, (1.0, c, -c))
+    r = M * np.asarray(problem.batch_grad_x(indices, i, points, (1.0, c, -c)), dtype=float)
     state.grad_budget += 3 * v
     spec = problem.primal_prox[i]
     blk_i = st.primal.block_range(i)
@@ -574,6 +573,41 @@ def test_dual_row_is_kept_only_under_the_same_cache_state():
         fresh = it == 0 or (j, on) != (calls[it - 1][0], calls[it - 1][2])
         assert count == (2 if fresh else 1), it
     assert [c for _, c, _ in calls].count(1) > 10
+
+
+def test_dual_row_is_forgotten_when_the_cache_resyncs():
+    # a sync between hand-driven steps, direct or by a plan that turns the
+    # cache off and on again, recomputes the cached x^(k-1) margins that the
+    # rank-block moves had left a few ulps off, so the next step computes
+    # g(x^(k-1), y^(k-1)) afresh: the run keeps the bits of one that forgets
+    # the row before every step
+    data = generate_robust_erm(5, 80, 20, 0.1)
+    prob = robust_erm_problem(data, radius=2.0, m_blocks=4, n_blocks=8)
+    calls = []
+    inner = prob.grad_y
+    prob.grad_y = lambda j, points, **kw: calls.append(len(points)) or inner(j, points, **kw)
+    sched = FixedSchedule([0.05] * 4, [0.05] * 8)
+    runs = []
+    for forget in (False, True):
+        calls.clear()
+        state = attach_cache(RunState.start(prob), prob)
+        rng = make_rng(6)
+        resynced = []
+        for it in range(200):
+            if forget:
+                state.dual_row = None
+            if it % 7 == 3:
+                state.cache.sync()
+                resynced.append(it)
+            elif it % 7 == 5:
+                assert state.cache.plan(1) is False and state.cache.plan(30) is True
+                resynced.append(it)
+            rbpda_step(state, prob, sched, BatchSchedule.constant(3, prob.p), rng)
+        assert all(calls[it] == 2 for it in resynced)
+        runs.append((state.x.data.copy(), state.y.data.copy(), list(calls)))
+    (x_kept, y_kept, kept_calls), (x_fresh, y_fresh, _) = runs
+    assert kept_calls.count(1) > 10
+    assert np.array_equal(x_kept, x_fresh) and np.array_equal(y_kept, y_fresh)
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
