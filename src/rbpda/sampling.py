@@ -6,11 +6,16 @@ reproduces full trajectories bit for bit.  Component indices are drawn
 uniformly with replacement; when the scheduled batch reaches p the solver
 enumerates all components instead, which makes the estimate exact.
 
-Draws may be taken ahead: when every step draws the same pattern,
-:class:`ChunkedDraws` draws a chunk of steps in one call and yields exactly
-the sequence that :func:`draw_block` and :func:`sample_indices` give one step
-at a time.  The trajectory is still fixed by (seed, stream); only the
-generator's position after a failed step, or after the run, is unspecified.
+Draws may be taken ahead, and yield exactly the sequence that
+:func:`draw_block` and :func:`sample_indices` give one step at a time.  When
+every step draws the same pattern, :class:`ChunkedDraws` draws a chunk of
+steps in one call; when the batch size depends on the drawn block (an
+increasing batch at p > 1), or a step is too wide for a chunk,
+:class:`WordDraws` draws the generator's raw 32-bit words ahead and maps
+them to blocks and indices as numpy does.  :func:`rbpda.solver.run` takes
+every run's draws ahead; steps driven by hand draw one step at a time.  The
+trajectory is still fixed by (seed, stream); only the generator's position
+after a failed step, or after the run, is unspecified.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ __all__ = [
     "expected_inverse_batch",
     "CHUNK_ELEMENTS",
     "ChunkedDraws",
+    "WORD_CHUNK",
+    "WordDraws",
     "chunked_draws",
 ]
 
@@ -209,36 +216,135 @@ class ChunkedDraws:
         self._indices = buf[:, 2:]
         self._at, self._size = 0, n
 
-    def take(self) -> tuple[int, int, np.ndarray]:
-        """The next step's dual block, primal block and component indices."""
+    def blocks(self) -> tuple[int, int]:
+        """The next step's dual and primal blocks."""
         t = self._at
         if t == self._size:
             self._fill()
             t = 0
         self._at = t + 1
+        return self._dual[t], self._primal[t]
+
+    def indices(self, v: int) -> np.ndarray:
+        """The component indices of the step whose blocks were taken last; ``v`` is the pattern's."""
         full = self.full
-        return self._dual[t], self._primal[t], self._indices[t] if full is None else full
+        return self._indices[self._at - 1] if full is None else full
+
+
+WORD_CHUNK = 4096  # most 32-bit words one fill of WordDraws draws ahead (32 KiB)
+_WORD = 1 << 32
+
+
+class WordDraws:
+    """A run's draws, taken ahead as raw 32-bit words, when the batch size changes from step to step.
+
+    numpy draws an integer below a bound r <= 2**32 from the generator's
+    stream of 32-bit words by Lemire's method (Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 2019): with m = w * r for the
+    next word w, it rejects w while ``m % 2**32 < (2**32 - r) % r`` and
+    otherwise gives ``m >> 32``; a bound of 1 takes no word.  A fill draws
+    the words themselves, ``rng.integers(0, 2**32, size=n, dtype=np.uint64)``,
+    and this class maps them the same way, so :meth:`blocks` and
+    :meth:`indices` give exactly what :func:`draw_block` and
+    :func:`sample_indices` give step after step.
+
+    Blocks are mapped one word at a time in Python ints.  Each fill also
+    maps every word by p at once, with one flag for a rejection anywhere in
+    the fill: the v indices of a step in a fill without one are a read-only
+    slice of that map, and otherwise they are mapped word by word.  A batch
+    of v >= p takes no word and gets the read-only ``arange(p)``, built on
+    its first use.  Words a fill leaves over carry into the next.  A fill
+    draws :data:`WORD_CHUNK` words, or more when one step's indices need
+    more.  Built by :func:`chunked_draws` for bounds up to 2**32; any
+    sequence of batch sizes may be taken.
+    """
+
+    def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
+        self.rng = rng
+        self.N, self.M, self.p = N, M, p
+        self._cut = [(_WORD - r) % r for r in (N, M, p)]  # rejection thresholds
+        self.full = None
+        self.words = np.zeros(0, dtype=np.uint64)
+        self._map = None  # the words mapped by p, set by each fill
+        self._clean = True
+        self._at = self._size = 0
+
+    def _fill(self, need: int) -> None:
+        """Draw words so that at least ``need`` are left, keeping the ones not yet taken."""
+        rest = self.words[self._at:]
+        words = self.rng.integers(0, _WORD, size=max(need - rest.size, WORD_CHUNK), dtype=np.uint64)
+        if rest.size:
+            words = np.concatenate((rest, words))
+        m = words * np.uint64(self.p)
+        cut = self._cut[2]
+        self._clean = not cut or int(m.astype(np.uint32).min()) >= cut
+        m >>= np.uint64(32)
+        m = m.view(np.int64)
+        m.flags.writeable = False  # indices are handed out as views
+        self.words, self._map = words, m
+        self._at, self._size = 0, words.size
+
+    def _bounded(self, r: int, cut: int) -> int:
+        """The next value below r, as ``rng.integers(r)`` draws it."""
+        if r == 1:
+            return 0
+        while True:
+            if self._at == self._size:
+                self._fill(1)
+            m = self.words.item(self._at) * r
+            self._at += 1
+            if m & 0xFFFFFFFF >= cut:
+                return m >> 32
+
+    def blocks(self) -> tuple[int, int]:
+        """The next step's dual and primal blocks."""
+        N, M = self.N, self.M
+        cut_n, cut_m, _ = self._cut
+        at = self._at
+        if at + 2 <= self._size and N > 1 and M > 1:
+            # two words in hand, both accepted: the common case
+            words = self.words
+            m, n = words.item(at) * N, words.item(at + 1) * M
+            if m & 0xFFFFFFFF >= cut_n and n & 0xFFFFFFFF >= cut_m:
+                self._at = at + 2
+                return m >> 32, n >> 32
+        return self._bounded(N, cut_n), self._bounded(M, cut_m)
+
+    def indices(self, v: int) -> np.ndarray:
+        """The step's v component indices, drawn after its blocks."""
+        p = self.p
+        if v >= p:
+            if self.full is None:
+                self.full = np.arange(p)
+                self.full.flags.writeable = False
+            return self.full
+        at = self._at
+        if at + v > self._size:
+            self._fill(v)
+            at = 0
+        if self._clean:
+            self._at = at + v
+            return self._map[at:at + v]
+        cut = self._cut[2]
+        return np.array([self._bounded(p, cut) for _ in range(v)], dtype=np.int64)
 
 
 def chunked_draws(rng: np.random.Generator, N: int, M: int, p: int, batch: BatchSchedule,
-                  steps: int) -> Optional[ChunkedDraws]:
-    """The draws of a run of ``steps`` steps in chunks if every step draws the same pattern.
+                  steps: int) -> Optional[ChunkedDraws | WordDraws]:
+    """The draws of a run of ``steps`` steps, taken ahead; None if they must be drawn step by step.
 
-    Returns None otherwise.  The pattern is fixed for a constant batch, and at p = 1, where every
-    batch enumerates the one component.  An increasing batch at p > 1 draws
-    a number of indices that depends on the drawn block, and a pattern wider
-    than :data:`CHUNK_ELEMENTS` does not fit a chunk: both are drawn step by
-    step.
+    Every step draws the same pattern for a constant batch, and at p = 1,
+    where every batch enumerates the one component: that pattern is drawn
+    in chunks (:class:`ChunkedDraws`) if it fits :data:`CHUNK_ELEMENTS`.
+    Otherwise, as for an increasing batch at p > 1, whose number of indices
+    depends on the drawn block, the words are drawn ahead
+    (:class:`WordDraws`) while N, M and p are at most 2**32.
     """
-    if batch.kind == "constant":
-        v = batch.v
-    elif p == 1:
-        v = 1
-    else:
-        return None
-    if (2 if v >= p else 2 + v) > CHUNK_ELEMENTS:
-        return None
-    return ChunkedDraws(rng, N, M, p, v, steps)
+    if batch.kind == "constant" or p == 1:
+        v = batch.v if batch.kind == "constant" else 1
+        if (2 if v >= p else 2 + v) <= CHUNK_ELEMENTS:
+            return ChunkedDraws(rng, N, M, p, v, steps)
+    return WordDraws(rng, N, M, p) if max(N, M, p) <= _WORD else None
 
 
 def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:

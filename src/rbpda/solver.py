@@ -17,10 +17,12 @@ error vanishes and the method reduces to its deterministic counterpart for
 M = N = 1.
 
 A run's draws come from one generator in the fixed order of
-:mod:`rbpda.sampling`; when every step draws the same pattern they are taken
-ahead in chunks (:class:`StepPlan`), which changes no trajectory: (seed,
-stream) still fixes it.  The generator's position after a step that raised,
-or after the run, is unspecified.
+:mod:`rbpda.sampling`.  :func:`run` always takes them ahead
+(:class:`StepPlan`): in chunks of steps when every step draws the same
+pattern, and as buffered 32-bit words when the batch size depends on the
+drawn block.  That changes no trajectory: (seed, stream) still fixes it.
+The generator's position after a step that raised, or after the run, is
+unspecified.  A step driven by hand draws one step at a time.
 """
 
 from __future__ import annotations
@@ -204,12 +206,17 @@ class StepPlan:
     ``dual[j]`` is block j's slice, its coordinate for the one-coordinate
     float path (None for a wider block) and its prox spec; ``primal[i]`` is
     block i's slice and prox spec.  Given the run's ``batch``, ``rng`` and
-    number of ``steps``, ``draws`` is the run's
+    number of ``steps``, ``draws`` takes the run's draws ahead
+    (:func:`~rbpda.sampling.chunked_draws`): a
     :class:`~rbpda.sampling.ChunkedDraws` when every step draws the same
-    pattern; otherwise, and always for a plan built without ``steps``, it is
-    None and each step draws from its generator in turn.  A plan without
-    draws serves any step on ``problem``; one with draws only steps with the
-    same ``batch`` and ``rng`` objects.
+    pattern and it fits a chunk, else a
+    :class:`~rbpda.sampling.WordDraws`.  A step takes its
+    blocks from ``draws.blocks()`` and, once its batch size v is known, its
+    indices from ``draws.indices(v)``.  For a plan built without ``steps``
+    (and for bounds past 2**32) ``draws`` is None and each step draws from
+    its generator in turn.  A plan without draws serves any step on
+    ``problem``; one with draws only steps with the same ``batch`` and
+    ``rng`` objects.
     """
 
     def __init__(self, problem: SaddleProblem, batch: Optional[BatchSchedule] = None,
@@ -373,11 +380,12 @@ def rbpda_step(
     Draw order is fixed (dual block, primal block, component indices) so a
     seed reproduces the whole trajectory.  The draws, block slices and prox
     specs come from ``state.plan``.  :func:`run` builds it with the run's
-    length, and when every step draws the same pattern it takes the draws
-    ahead in chunks, with the same values, so the generator's position
-    after a step that raised is unspecified.  A step driven by hand builds
-    a plan on its first call for the problem, and that plan draws from
-    ``rng`` step by step, as :func:`~rbpda.sampling.draw_block` and
+    length and takes every run's draws ahead, with the same values: the
+    step takes its blocks first and its indices once the batch size is
+    known, so the generator's position after a step that raised is
+    unspecified.  A step driven by hand builds a plan on its first call for
+    the problem, and that plan draws from ``rng`` one step at a time, as
+    :func:`~rbpda.sampling.draw_block` and
     :func:`~rbpda.sampling.sample_indices` do.  Outside the oracles the step
     costs O(block): it reads one step size per side, and by the block-copy
     invariant of :class:`RunState` it moves x^k into ``x_prev`` by copying
@@ -413,7 +421,7 @@ def rbpda_step(
     if draws is None:
         j = draw_block(rng, N)
     else:
-        j, i, indices = draws.take()
+        j, i = draws.blocks()
     kept = state.dual_row
     if kept is not None and (
         kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
@@ -449,6 +457,8 @@ def rbpda_step(
         v = next_batch_size(batch, state.counters, i, k, p)
         if draws is None:
             indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
+        else:
+            indices = draws.indices(v)
         # r = M (g_new + (N-1) theta (g_cur - g_old)), the sum in one weighted
         # call; M is applied to its result, so at N = 1 the weights (1, 0, -0)
         # give M g_new with the bits of the per-point form
@@ -559,9 +569,9 @@ def run(
 ) -> RunResult:
     """Execute the configured number of iterations with checkpointed metrics.
 
-    Fully deterministic given (seed, stream); the draws may be taken ahead
-    in chunks (:class:`StepPlan`), so the generator's final position is
-    unspecified.  A step failure aborts the run but the partial trace is
+    Fully deterministic given (seed, stream); the draws are taken ahead
+    (:class:`StepPlan`), for every batch schedule, so the generator's final
+    position is unspecified.  A step failure aborts the run but the partial trace is
     preserved on the raised :class:`SolverError`.  A problem's coupling
     cache is planned from the batch size the next step is expected to draw
     (:func:`~rbpda.sampling.typical_batch_size`), whenever that size

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from rbpda import sampling
 from rbpda.problems import generate_robust_erm, robust_erm_problem
 from rbpda.sampling import (
     CHUNK_ELEMENTS,
     BatchSchedule,
     BlockCounters,
+    ChunkedDraws,
+    WordDraws,
     chunked_draws,
     draw_block,
     expected_inverse_batch,
@@ -46,11 +51,19 @@ class TestRngContract:
 
 def sequential_draws(rng, N, M, p, v, steps):
     """The draws of ``steps`` steps one call at a time, in the solver's order."""
-    out = []
-    for _ in range(steps):
-        j, i = draw_block(rng, N), draw_block(rng, M)
-        out.append((j, i, np.arange(p) if v >= p else sample_indices(rng, v, p)))
-    return out
+    return [sequential_step(rng, N, M, p, v) for _ in range(steps)]
+
+
+def sequential_step(rng, N, M, p, v):
+    """One step's draws one call at a time; the full index set is built only at v >= p."""
+    j, i = draw_block(rng, N), draw_block(rng, M)
+    return j, i, np.arange(p) if v >= p else sample_indices(rng, v, p)
+
+
+def take(draws, v):
+    """One step's draws from a draw source, in the order a step takes them."""
+    j, i = draws.blocks()
+    return j, i, draws.indices(v)
 
 
 class TestChunkedDraws:
@@ -67,7 +80,7 @@ class TestChunkedDraws:
             steps = 2 * per_chunk + per_chunk // 2 + 1
             rng, ref = make_rng(N * 100 + M, p), make_rng(N * 100 + M, p)
             draws = chunked_draws(rng, N, M, p, batch, steps)
-            got = [draws.take() for _ in range(steps)]
+            got = [take(draws, v) for _ in range(steps)]
             want = sequential_draws(ref, N, M, p, v, steps)
             assert draws.buffer.shape[0] == per_chunk // 2 + 1
             for (j, i, idx), (j_ref, i_ref, idx_ref) in zip(got, want):
@@ -75,37 +88,111 @@ class TestChunkedDraws:
                 assert idx.dtype == idx_ref.dtype and np.array_equal(idx, idx_ref), v
             assert rng.bit_generator.state == ref.bit_generator.state
             # steps past the run's length are drawn one at a time
-            extra = [draws.take() for _ in range(3)]
+            extra = [take(draws, v) for _ in range(3)]
             assert draws.buffer.shape[0] == 1
             for (j, i, idx), (j_ref, i_ref, idx_ref) in zip(extra, sequential_draws(ref, N, M, p, v, 3)):
                 assert (j, i) == (j_ref, i_ref) and np.array_equal(idx, idx_ref)
 
     def test_increasing_batch_is_chunked_only_at_p_one(self):
+        # at p = 1 every batch enumerates the one component, so the pattern
+        # is fixed; at p > 1 the batch size depends on the drawn block and
+        # the run's raw words are drawn ahead instead
         rng, ref = make_rng(5), make_rng(5)
         draws = chunked_draws(rng, 3, 4, 1, BatchSchedule.increasing(0.5), 10)
-        got = [draws.take() for _ in range(10)]
+        assert isinstance(draws, ChunkedDraws)
+        got = [take(draws, 1) for _ in range(10)]
         assert [(j, i) for j, i, _ in got] == [(j, i) for j, i, _ in sequential_draws(ref, 3, 4, 1, 1, 10)]
         assert all(np.array_equal(idx, [0]) for _, _, idx in got)
-        assert chunked_draws(make_rng(5), 3, 4, 2, BatchSchedule.increasing(0.0), 10) is None
+        assert isinstance(chunked_draws(make_rng(5), 3, 4, 2, BatchSchedule.increasing(0.0), 10), WordDraws)
+        big = 2**32 + 1  # past the 32-bit words: drawn step by step
+        assert chunked_draws(make_rng(5), 3, 4, big, BatchSchedule.increasing(0.0), 10) is None
 
     def test_chunk_stays_within_its_element_budget(self):
         # v = p - 1 at a large p: a chunk holds as many steps as fit the
-        # budget, and a step wider than the budget is drawn step by step
+        # budget, and a step wider than the budget is drawn from words
         p = 5000
         draws = chunked_draws(make_rng(1), 7, 7, p, BatchSchedule.constant(p - 1, p), 1000)
         for _ in range(7):
-            _, _, idx = draws.take()
+            _, _, idx = take(draws, p - 1)
             assert idx.size == p - 1
             assert draws.buffer.size <= CHUNK_ELEMENTS
         assert draws.buffer.shape == (CHUNK_ELEMENTS // (p + 1), p + 1)
         p = 10**6
-        assert chunked_draws(make_rng(1), 7, 7, p, BatchSchedule.constant(p - 1, p), 1000) is None
+        wide = chunked_draws(make_rng(1), 7, 7, p, BatchSchedule.constant(p - 1, p), 1000)
+        assert isinstance(wide, WordDraws)
 
     def test_index_rows_are_read_only(self):
         draws = chunked_draws(make_rng(2), 2, 2, 10, BatchSchedule.constant(3, 10), 5)
-        _, _, idx = draws.take()
+        _, _, idx = take(draws, 3)
         with pytest.raises(ValueError):
             idx[0] = 1
+
+
+BIG = 2**31 + 1  # Lemire's method rejects about half the 32-bit words for this bound
+
+
+class TestWordDraws:
+    """The buffered 32-bit words give exactly the one-step-at-a-time draws."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        N=hst.sampled_from([1, 2, 7, 200, BIG]),
+        M=hst.sampled_from([1, 2, 10, BIG]),
+        p=hst.sampled_from([1, 2, 3, 200, 2**31, BIG, 2**32]),
+        pattern=hst.lists(hst.integers(1, 300), min_size=1, max_size=12),
+        chunk=hst.sampled_from([1, 5, 64, sampling.WORD_CHUNK]),
+        seed=hst.integers(0, 2**16),
+    )
+    def test_words_give_the_sequential_draws(self, N, M, p, pattern, chunk, seed):
+        # the batch sizes cycle through ``pattern``, which at small p
+        # includes v >= p; the run goes on until the words of at least two
+        # refills are used (or for 2000 steps, as when no bound takes a
+        # word), with fills smaller and larger than one step's indices
+        rng, ref = make_rng(seed), make_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "WORD_CHUNK", chunk)
+            draws = WordDraws(rng, N, M, p)
+            fills = t = 0
+            words = None
+            while fills < 3 and t < 2000:
+                v = pattern[t % len(pattern)]
+                got, want = take(draws, v), sequential_step(ref, N, M, p, v)
+                assert got[:2] == want[:2] and type(got[0]) is int and type(got[1]) is int, t
+                assert got[2].dtype == np.int64 and np.array_equal(got[2], want[2]), (t, v)
+                if draws.words is not words:
+                    words, fills = draws.words, fills + 1
+                t += 1
+        assert fills == 3 or t == 2000
+
+    @pytest.mark.parametrize("bound", ["N", "M", "p"])
+    def test_rejected_words_are_skipped(self, bound):
+        # a bound near 2**31 rejects about half the words, in every fill
+        N, M, p = (BIG if bound == b else n for b, n in (("N", 7), ("M", 5), ("p", 50)))
+        rng, ref = make_rng(9), make_rng(9)
+        draws = WordDraws(rng, N, M, p)
+        fills, words = 0, None
+        for t in range(600):
+            v = 1 + (t * 7) % 60
+            got, want = take(draws, v), sequential_step(ref, N, M, p, v)
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2]), t
+            if draws.words is not words:
+                words, fills = draws.words, fills + 1
+        assert fills >= 3
+        if bound == "p":
+            assert not draws._clean  # the indices were mapped word by word
+
+    def test_full_batch_takes_no_word_and_is_read_only(self):
+        rng = make_rng(4)
+        draws = WordDraws(rng, 3, 4, 6)
+        draws.blocks()
+        at = draws._at
+        full = draws.indices(6)
+        assert draws._at == at and np.array_equal(full, np.arange(6)) and draws.indices(9) is full
+        part = draws.indices(3)
+        with pytest.raises(ValueError):
+            full[0] = 1
+        with pytest.raises(ValueError):
+            part[0] = 1
 
 
 class TestDrawBlock:

@@ -295,6 +295,34 @@ def test_run_draws_in_chunks_like_sequential_steps(name, batch):
     assert not np.array_equal(res.x, prob.start_x)
 
 
+@pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
+def test_increasing_batch_run_draws_ahead_like_sequential_steps(name):
+    # at p > 1 an increasing batch draws as many indices as the drawn
+    # block's count asks for, and run() takes the generator's 32-bit words
+    # ahead; the whole-vector reference draws one call at a time, restarts
+    # as run() does, and both must reach the same state bit for bit
+    # (without the coupling cache, whose updates round differently)
+    prob = lockstep_problem(name)
+    prob.coupling_cache = None
+    cfg = SolverConfig(mode="increasing_batch", eta=0.5, max_iters=300, seed=5, stream=3,
+                       restart_enabled=True, checkpoint_every=100, compute_sup_gap=False)
+    res = run(prob, cfg)
+    sched, _, _ = _build_schedule(prob, cfg)
+    batch = BatchSchedule.increasing(cfg.eta)
+    ref = RunState.start(prob)
+    rng = make_rng(5, 3)
+    for _ in range(cfg.max_iters):
+        full_copy_step(ref, prob, sched, batch, rng)
+        restart_if_saturated(ref, prob.p, cfg.restart_threshold, cfg.eta)
+    assert np.array_equal(res.x, ref.x.data) and np.array_equal(res.y, ref.y.data)
+    assert (res.grad_budget, res.dual_grad_evals, res.restarts) == (
+        ref.grad_budget, ref.dual_grad_evals, ref.restarts
+    )
+    assert res.restarts >= 2 and not np.array_equal(res.x, prob.start_x)
+    if prob.p > 1:  # the batches grew
+        assert res.grad_budget > 3 * cfg.max_iters
+
+
 def test_hand_driven_steps_draw_one_step_at_a_time():
     # a step driven by hand takes nothing ahead from its generator: after
     # every step it sits where the sequential draws leave it, across a
