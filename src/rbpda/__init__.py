@@ -11,7 +11,6 @@ experiment runner in :mod:`rbpda.experiments`.
 from .blocks import (
     BlockLayout,
     BlockStructure,
-    BlockVector,
     ProxSpec,
     SaddleProblem,
     validate_problem,

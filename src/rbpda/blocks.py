@@ -1,4 +1,4 @@
-"""Block-structured vectors, prox specifications, and the saddle-problem container.
+"""Block layouts, prox specifications, and the saddle-problem container.
 
 A problem couples a block-partitioned primal variable x with a
 block-partitioned dual variable y through a finite-sum function
@@ -21,7 +21,6 @@ from .bregman import EUCLIDEAN, BregmanGeometry
 __all__ = [
     "BlockLayout",
     "BlockStructure",
-    "BlockVector",
     "ProxSpec",
     "SaddleProblem",
     "SideBounds",
@@ -93,36 +92,6 @@ class BlockStructure:
     @property
     def n(self) -> int:
         return self.dual.total_dim
-
-
-@dataclass
-class BlockVector:
-    """A dense vector carrying the layout of one side of a problem.
-
-    Block views are contiguous, non-overlapping slices of ``data``; writes
-    through a view mutate the parent vector.
-    """
-
-    layout: BlockLayout
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 1 or self.data.size != self.layout.total_dim:
-            raise ValueError(
-                f"data length {self.data.size} does not match layout "
-                f"total dimension {self.layout.total_dim}"
-            )
-
-    @classmethod
-    def zeros(cls, layout: BlockLayout) -> "BlockVector":
-        return cls(layout, np.zeros(layout.total_dim))
-
-    def block(self, i: int) -> np.ndarray:
-        return self.data[self.layout.block_range(i)]
-
-    def copy(self) -> "BlockVector":
-        return BlockVector(self.layout, self.data.copy())
 
 
 @dataclass(frozen=True)
@@ -269,8 +238,10 @@ class SaddleProblem:
         never calls it; it is required only when ``grad_y`` is not given,
         since the default ``grad_y`` enumerates it.
 
-    Optional fast paths (``grad_x``, ``grad_y``, ``batch_grad_x``) default to
-    enumeration of the components; built-in problems override them with
+    A step of the solver calls ``grad_y`` and ``batch_grad_x``; the
+    full-gradient baseline and the sup-gap best responses call one full
+    gradient per side, ``full_grad_x`` and ``full_grad_y``.  All four default
+    to enumeration of the components; built-in problems override them with
     vectorized closures.  Function values (``phi_value``, ``phi_component``)
     are needed only by metrics and may stay ``None``, in which case metrics
     degrade gracefully.
@@ -298,6 +269,11 @@ class SaddleProblem:
         work (row gathers, margins, Q x) once per distinct primal array,
         recognised by identity, and fold the weights in before its products
         with the data, so that a call costs one product, not one per point.
+
+    full_grad_x(x, y) and full_grad_y(x, y)
+        The whole-side partial gradients of Phi at one point, as ``(m,)``
+        and ``(n,)`` arrays: every block's component mean, and every block's
+        ``grad_y`` row, in block order.
 
     coupling_cache(x, y, x_prev, y_prev)
         Optional factory of a per-run cache of coupling products (robust ERM
@@ -353,7 +329,6 @@ class SaddleProblem:
     component_grad_x: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
     component_grad_y: Optional[Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]] = None
     lipschitz: "object" = None  # BlockLipschitz; typed loosely to avoid an import cycle
-    grad_x: Optional[Callable] = None
     grad_y: Optional[Callable] = None
     batch_grad_x: Optional[Callable] = None
     full_grad_x: Optional[Callable] = None
@@ -375,15 +350,14 @@ class SaddleProblem:
             raise ValueError("need one dual prox spec per dual block")
         if self.grad_y is None and self.component_grad_y is None:
             raise ValueError("need grad_y or component_grad_y")
-        if self.grad_x is None:
-            self.grad_x = self._grad_x_enumerated
         if self.grad_y is None:
             self.grad_y = self._grad_y_enumerated
         if self.batch_grad_x is None:
             self.batch_grad_x = self._batch_grad_x_looped
         if self.full_grad_x is None:
+            everything = np.arange(self.p)
             self.full_grad_x = lambda x, y, cache=None: np.concatenate(
-                [np.asarray(self.grad_x(i, x, y)) for i in range(self.structure.M)]
+                [self._batch_grad_x_looped(everything, i, ((x, y),), (1.0,)) for i in range(self.structure.M)]
             )
         if self.full_grad_y is None:
             self.full_grad_y = lambda x, y, cache=None: np.concatenate(
@@ -412,12 +386,6 @@ class SaddleProblem:
         return self._side_bounds
 
     # -- default oracles built on the component closures ------------------
-    def _grad_x_enumerated(self, i, x, y):
-        acc = self.component_grad_x(0, i, x, y).astype(float, copy=True)
-        for l in range(1, self.p):
-            acc += self.component_grad_x(l, i, x, y)
-        return acc / self.p
-
     def _grad_y_enumerated(self, j, points, cache=None):
         means = []
         for x, y in points:
@@ -520,11 +488,13 @@ def validate_problem(
     """Check the consistency promises of the finite-sum structure.
 
     Flags dimension mismatches (also a ``batch_grad_x`` return that is not
-    ``(dim_i,)``), finite-sum gradient mismatches beyond ``tolerance`` at
-    random domain probes, a weighted ``batch_grad_x`` call over the probes
-    that differs from the weighted component means (both enumerations
-    skipped when p exceeds ``max_enumeration``), empty prox domains, and
-    Phi-value inconsistencies.  Returns a report; never raises.
+    ``(dim_i,)``), empty prox domains, and beyond ``tolerance`` at random
+    domain probes: a weighted ``batch_grad_x`` call over the probes that
+    differs from the weighted component means, a ``full_grad_x`` block that
+    differs from the block's component mean (the finite-sum identity), a
+    ``full_grad_y`` block that differs from the ``grad_y`` row, and
+    Phi-value inconsistencies.  These probe checks are skipped when p
+    exceeds ``max_enumeration``.  Returns a report; never raises.
     """
     failures = []
     st = problem.structure
@@ -595,18 +565,29 @@ def validate_problem(
                     f"|weighted call - weighted component means| = {err:.3e}"
                 )
         for x, y in points:
-            for i in range(st.M):
-                try:
-                    mean = problem._batch_grad_x_looped(everything, i, [(x, y)], (1.0,))
-                    full = np.asarray(problem.grad_x(i, x, y))
-                except Exception as exc:  # noqa: BLE001
-                    failures.append(f"gradient enumeration failed at block {i}: {exc}")
-                    continue
-                err = np.linalg.norm(mean - full)
-                if err > tolerance * (1.0 + np.linalg.norm(full)):
+            try:
+                full_x = np.asarray(problem.full_grad_x(x, y))
+                means = [problem._batch_grad_x_looped(everything, i, [(x, y)], (1.0,)) for i in range(st.M)]
+                full_y = np.asarray(problem.full_grad_y(x, y))
+                rows = [np.asarray(problem.grad_y(j, [(x, y)]))[0] for j in range(st.N)]
+            except Exception as exc:  # noqa: BLE001
+                failures.append(f"full-gradient check failed: {exc}")
+                continue
+            if full_x.shape != (st.m,) or full_y.shape != (st.n,):
+                failures.append(f"full gradient shapes {full_x.shape}, {full_y.shape} != ({st.m},), ({st.n},)")
+                continue
+            for i, blk in enumerate(st.primal.ranges):
+                err = np.linalg.norm(means[i] - full_x[blk])
+                if err > tolerance * (1.0 + np.linalg.norm(full_x[blk])):
                     failures.append(
                         f"finite-sum mismatch at primal block {i}: "
-                        f"|mean component grad - grad_x| = {err:.3e}"
+                        f"|mean component grad - full_grad_x| = {err:.3e}"
+                    )
+            for j, blk in enumerate(st.dual.ranges):
+                err = np.linalg.norm(rows[j] - full_y[blk])
+                if err > tolerance * (1.0 + np.linalg.norm(rows[j])):
+                    failures.append(
+                        f"full_grad_y mismatch at dual block {j}: |full_grad_y slice - grad_y row| = {err:.3e}"
                     )
             if problem.phi_value is not None and problem.phi_component is not None:
                 total = sum(problem.phi_component(l, x, y) for l in range(problem.p)) / problem.p

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import problems as problems_mod
-from .metrics import ConvergenceTrace, estimate_component_noise, fit_rate
+from .metrics import ConvergenceTrace, estimate_component_noise, fit_rate  # noqa: F401  kept for perfbench's patch list
 from .solver import SolverConfig, deterministic_baseline_run, run
 from .stepsize import aggregate_constants, constant_stepsizes, default_free_params
 
@@ -58,7 +58,6 @@ class ExperimentSpec:
     restart: bool = False
     restart_threshold: float = 0.9
     checkpoint_every: int = 100
-    step_scale: float = 1.0
     out: str = "rbpda_out"
     data_seed: int = 7
 
@@ -70,7 +69,6 @@ class ExperimentSpec:
             seed=seed,
             stream=stream,
             batch=self.batch or None,
-            step_scale=self.step_scale,
             restart_enabled=self.restart,
             restart_threshold=self.restart_threshold,
             checkpoint_every=self.checkpoint_every,
@@ -260,12 +258,6 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     any_failed = False
     for spec in specs:
         problem, reference, signature = build_problem(spec)
-        # empirical component-gradient noise level for this problem instance
-        delta_hat = (
-            estimate_component_noise(problem, np.random.default_rng(0), n_points=2)
-            if problem.p <= 10_000
-            else float("nan")
-        )
         per_cfg_traces = []
         for (seed, stream) in _stream_seeds(spec):
             try:
@@ -287,7 +279,6 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
                         "grad_budget": "",
                         "wall_time": "",
                         "restarts": "",
-                        "delta_hat": f"{delta_hat:.6g}",
                     }
                 )
                 continue
@@ -313,7 +304,6 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
                     "grad_budget": result.grad_budget,
                     "wall_time": f"{elapsed:.3f}",
                     "restarts": result.restarts,
-                    "delta_hat": f"{delta_hat:.6g}",
                 }
             )
             per_cfg_traces.append((ks, budgets, gaps))
@@ -338,7 +328,6 @@ def _write_summary(path, rows) -> None:
         "grad_budget",
         "wall_time",
         "restarts",
-        "delta_hat",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")

@@ -106,50 +106,40 @@ def lagrangian_gap(problem, z_bar, z_ref) -> Optional[float]:
 
 
 def _block_best_response(spec, grad_block, maximize: bool):
-    """Argmax/argmin of a linear form over one block's domain, where bounded."""
+    """Argmax/argmin of a linear form over one box or simplex block."""
     g = grad_block if maximize else -grad_block
     if spec.kind == "box":
         lo = np.broadcast_to(spec.lower, g.shape)
         hi = np.broadcast_to(spec.upper, g.shape)
         return np.where(g > 0, hi, lo).astype(float)
-    if spec.kind == "simplex":
-        out = np.zeros_like(g)
-        out[int(np.argmax(g))] = 1.0
-        return out
-    return None  # unbounded or uninformative domain: no automatic candidate
+    out = np.zeros_like(g)
+    out[int(np.argmax(g))] = 1.0
+    return out
+
+
+def _side_best_response(problem, side: int, z_bar):
+    """Side 0's (primal) or 1's (dual) blockwise best response, None unless every block is a box or simplex."""
+    specs, layout = problem.side_specs(side)
+    if any(spec.kind not in ("box", "simplex") for spec in specs):
+        return None  # unbounded or uninformative domain: no automatic candidate
+    g = np.asarray((problem.full_grad_y if side else problem.full_grad_x)(*z_bar), dtype=float)
+    out = np.empty(layout.total_dim)
+    for spec, blk in zip(specs, layout.ranges):
+        out[blk] = _block_best_response(spec, g[blk], maximize=bool(side))
+    return out
 
 
 def best_response_candidates(problem, z_bar):
     """(x_br, y_br) linearized best responses at z_bar, or None per side.
 
     y_br maximizes the linearization of L(x_bar, .) blockwise; x_br minimizes
-    the linearization of L(., y_bar).  For bilinear couplings these are exact
-    best responses; in general they only produce feasible candidates, so the
-    resulting sup-gap estimate is a lower bound.
+    the linearization of L(., y_bar).  Each side takes one full gradient
+    (``full_grad_x``, ``full_grad_y``) and slices it per block; a side with a
+    block that is neither a box nor a simplex computes none.  For bilinear
+    couplings these are exact best responses; in general they only produce
+    feasible candidates, so the resulting sup-gap estimate is a lower bound.
     """
-    x_bar, y_bar = z_bar
-    st = problem.structure
-    y_br = np.empty(st.n)
-    ok_y = True
-    for j in range(st.N):
-        cand = _block_best_response(
-            problem.dual_prox[j], np.asarray(problem.grad_y(j, [(x_bar, y_bar)]))[0], maximize=True
-        )
-        if cand is None:
-            ok_y = False
-            break
-        y_br[st.dual.block_range(j)] = cand
-    x_br = np.empty(st.m)
-    ok_x = True
-    for i in range(st.M):
-        cand = _block_best_response(
-            problem.primal_prox[i], np.asarray(problem.grad_x(i, x_bar, y_bar)), maximize=False
-        )
-        if cand is None:
-            ok_x = False
-            break
-        x_br[st.primal.block_range(i)] = cand
-    return (x_br if ok_x else None), (y_br if ok_y else None)
+    return _side_best_response(problem, 0, z_bar), _side_best_response(problem, 1, z_bar)
 
 
 def sup_gap(problem, z_bar, candidates: Sequence, auto_best_response: bool = True) -> Optional[float]:
@@ -202,18 +192,14 @@ class RateFit:
     n_points: int
 
 
-def fit_rate(trace, window: tuple, column: str = "gap_ref") -> Optional[RateFit]:
-    """Fit the empirical convergence rate on checkpoints inside the window.
+def fit_rate(points, window: tuple) -> Optional[RateFit]:
+    """Fit the empirical convergence rate on the (k, gap) pairs inside the window.
 
     Nonpositive or missing gaps are excluded; fewer than 5 surviving
     checkpoints leaves the fit unavailable (None).
     """
-    if isinstance(trace, ConvergenceTrace):
-        ks = trace.column("k")
-        gaps = trace.column(column)
-    else:
-        ks = np.asarray([r[0] for r in trace], dtype=float)
-        gaps = np.asarray([r[1] for r in trace], dtype=float)
+    ks = np.asarray([r[0] for r in points], dtype=float)
+    gaps = np.asarray([r[1] for r in points], dtype=float)
     lo, hi = window
     keep = (ks >= lo) & (ks <= hi) & np.isfinite(gaps) & (gaps > 0) & (ks > 0)
     if keep.sum() < 5:
@@ -237,13 +223,11 @@ def evaluate_checkpoint(
     y_bar,
     reference=None,
     f_star: Optional[float] = None,
-    candidates: Sequence = (),
     auto_best_response: bool = True,
 ) -> TraceRow:
     """Assemble one trace row; metrics without the needed inputs stay missing."""
     row = TraceRow(k=k, grad_budget=grad_budget)
     z_bar = (np.asarray(x_bar, dtype=float), np.asarray(y_bar, dtype=float))
-    cands = list(candidates)
     if reference is not None:
         ref = (np.asarray(reference[0], dtype=float), np.asarray(reference[1], dtype=float))
         row.gap_ref = lagrangian_gap(problem, z_bar, ref)
@@ -252,10 +236,8 @@ def evaluate_checkpoint(
                 np.sum((z_bar[0] - ref[0]) ** 2) + np.sum((z_bar[1] - ref[1]) ** 2)
             )
         )
-        if auto_best_response:
-            cands.append(ref)
-    if cands or auto_best_response:
-        row.sup_gap = sup_gap(problem, z_bar, cands, auto_best_response=auto_best_response)
+    if auto_best_response:
+        row.sup_gap = sup_gap(problem, z_bar, [] if reference is None else [ref])
     if f_star is not None and "objective" in problem.notes:
         row.subopt, row.infeas = constrained_metrics(problem, z_bar[0], f_star)
     return row

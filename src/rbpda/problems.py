@@ -399,10 +399,6 @@ def robust_erm_problem(
         out /= count
         return out
 
-    def grad_x(i, x, y):
-        w = y * neg_b * _sigmoid(neg_b * (A @ x))
-        return A[:, i * mb : (i + 1) * mb].T @ w
-
     def full_grad_x(x, y, cache=None):
         w = y * neg_b * _sigmoid(neg_b * margins(x, cache))
         return A.T @ w
@@ -446,7 +442,6 @@ def robust_erm_problem(
         component_grad_x=component_grad_x,
         component_grad_y=component_grad_y,
         lipschitz=lip,
-        grad_x=grad_x,
         grad_y=grad_y,
         batch_grad_x=batch_grad_x,
         full_grad_x=full_grad_x,
@@ -580,7 +575,6 @@ def matrix_game_problem(spec: MatrixGameSpec):
         component_grad_x=lambda l, i, x, y: A @ y,
         component_grad_y=lambda l, j, x, y: A.T @ x,
         lipschitz=lip,
-        grad_x=lambda i, x, y: A @ y,
         grad_y=lambda j, points: np.array([A.T @ x for x, _ in points]),
         batch_grad_x=lambda idx, i, points, weights: A @ _weighted_y(points, weights),
         full_grad_x=lambda x, y: A @ y,
@@ -634,7 +628,6 @@ def box_game_problem(
         component_grad_x=lambda l, i, x, y: (A @ y)[i * mb : (i + 1) * mb],
         component_grad_y=lambda l, j, x, y: (A.T @ x)[j * nb : (j + 1) * nb],
         lipschitz=lip,
-        grad_x=lambda i, x, y: (A @ y)[i * mb : (i + 1) * mb],
         grad_y=lambda j, points: np.array([(A.T @ x)[j * nb : (j + 1) * nb] for x, _ in points]),
         batch_grad_x=lambda idx, i, points, weights: row_blocks[i] @ _weighted_y(points, weights),
         full_grad_x=lambda x, y: A @ y,
@@ -751,9 +744,6 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
         base = (Q @ x + c)[i * mb : (i + 1) * mb]
         return base + p * y[l] * G[l, i * mb : (i + 1) * mb]
 
-    def grad_x(i, x, y):
-        return (Q @ x + c + G.T @ y)[i * mb : (i + 1) * mb]
-
     def batch_grad_x(indices, i, points, weights):
         rows = np.asarray(indices, dtype=int)
         blk = slice(i * mb, (i + 1) * mb)
@@ -789,7 +779,6 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
         component_grad_x=component_grad_x,
         component_grad_y=component_grad_y,
         lipschitz=lip,
-        grad_x=grad_x,
         grad_y=grad_y,
         batch_grad_x=batch_grad_x,
         full_grad_x=lambda x, y: Q @ x + c + G.T @ y,

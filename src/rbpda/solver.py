@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockVector, SaddleProblem
+from .blocks import SaddleProblem
 from .bregman import prox_step
 from .metrics import ConvergenceTrace, evaluate_checkpoint
 from .sampling import (  # noqa: F401  estimate_partial_grad_x is kept here for perfbench's patch list
@@ -92,7 +92,6 @@ class SolverConfig:
     stream: int = 0
     batch: Optional[int] = None
     free_params: Optional[object] = None
-    step_scale: float = 1.0
     restart_enabled: bool = False
     restart_threshold: float = 0.9
     saturation_fraction: Optional[float] = None
@@ -121,6 +120,8 @@ class SolverConfig:
 class RunState:
     """Mutable per-run iterate state; single-owner, never shared across runs.
 
+    ``x``, ``y``, ``x_prev`` and ``y_prev`` are plain float64 arrays of the
+    primal and dual lengths; a block is a slice of the problem's layout.
     Block-copy invariant, which lets :func:`rbpda_step` copy one block per
     side instead of whole vectors: between steps ``y_next`` equals ``y``, and
     ``x_prev`` / ``y_prev`` differ from ``x`` / ``y`` at most in the slices
@@ -145,10 +146,10 @@ class RunState:
     plan forget it.
     """
 
-    x: BlockVector
-    y: BlockVector
-    x_prev: BlockVector
-    y_prev: BlockVector
+    x: np.ndarray
+    y: np.ndarray
+    x_prev: np.ndarray
+    y_prev: np.ndarray
     counters: BlockCounters
     k: int = 0
     grad_budget: int = 0
@@ -163,19 +164,13 @@ class RunState:
 
     def __post_init__(self):
         if self.y_next is None:
-            self.y_next = self.y.data.copy()
+            self.y_next = self.y.copy()
 
     @classmethod
     def start(cls, problem: SaddleProblem, x0=None, y0=None) -> "RunState":
         x, y = _start_point(problem, x0, y0)
-        st = problem.structure
-        return cls(
-            x=BlockVector(st.primal, x.copy()),
-            y=BlockVector(st.dual, y.copy()),
-            x_prev=BlockVector(st.primal, x.copy()),
-            y_prev=BlockVector(st.dual, y.copy()),
-            counters=BlockCounters.zeros(st.M),
-        )
+        return cls(x=x, y=y, x_prev=x.copy(), y_prev=y.copy(),
+                   counters=BlockCounters.zeros(problem.structure.M))
 
 
 def _start_point(problem: SaddleProblem, x0=None, y0=None) -> tuple[np.ndarray, np.ndarray]:
@@ -409,8 +404,8 @@ def rbpda_step(
     M, N, p = st.M, st.N, problem.p
     k = state.k
     theta = schedule.theta(k)
-    x_k, y_k = state.x.data, state.y.data
-    x_prev, y_prev = state.x_prev.data, state.y_prev.data
+    x_k, y_k = state.x, state.y
+    x_prev, y_prev = state.x_prev, state.y_prev
     y_next = state.y_next
     cache = state.cache
     if cache is not None and not cache.on:
@@ -512,9 +507,9 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
     v_low = min(p, math.ceil((state.counters.low + 1) * (state.k + 1) ** eta))
     if v_low >= math.ceil(threshold * p):
         state.counters.reset()
-        state.x_prev.data[:] = state.x.data
-        state.y_prev.data[:] = state.y.data
-        state.y_next[:] = state.y.data
+        state.x_prev[:] = state.x
+        state.y_prev[:] = state.y
+        state.y_next[:] = state.y
         state.dual_row = None
         if state.cache is not None and state.cache.on:
             state.cache.sync()
@@ -524,7 +519,7 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
 
 @dataclass
 class RunResult:
-    """Final iterates, ergodic averages, trace, and budget accounting of one run."""
+    """Final iterates, ergodic averages and their total weights, trace, and budget accounting of one run."""
 
     x: np.ndarray
     y: np.ndarray
@@ -535,8 +530,8 @@ class RunResult:
     dual_grad_evals: int
     restarts: int
     iterations: int
+    ergodic_weights: tuple
     config: Optional[SolverConfig] = None
-    ergodic_weights: tuple = (0.0, 0.0)
 
 
 def _build_schedule(problem: SaddleProblem, config: SolverConfig):
@@ -556,7 +551,6 @@ def _build_schedule(problem: SaddleProblem, config: SolverConfig):
         agg=agg,
         fp=fp,
         eta=config.eta if step_mode == "diminishing" else 0.0,
-        scale=config.step_scale,
     )
     return schedule, agg, fp
 
@@ -589,21 +583,19 @@ def run(
     state = RunState.start(problem, config.x0, config.y0)
     state.plan = StepPlan(problem, batch, rng, steps=config.max_iters)
     if problem.coupling_cache is not None:
-        state.cache = problem.coupling_cache(
-            state.x.data, state.y.data, state.x_prev.data, state.y_prev.data
-        )
+        state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev)
     acc = ErgodicAccumulator(
         "uniform" if config.mode == "increasing_batch" else "weighted",
         st.M,
         st.N,
-        state.x.data,
-        state.y.data,
+        state.x,
+        state.y,
         schedule,
     )
     trace = ConvergenceTrace()
 
     def checkpoint():
-        if not problem.in_domain(state.x.data, state.y.data, slack=1e-9):
+        if not problem.in_domain(state.x, state.y, slack=1e-9):
             raise SolverError(f"iterate left the domain by iteration {state.k}")
         x_bar, y_bar = acc.finalize()
         row = evaluate_checkpoint(
@@ -631,33 +623,26 @@ def run(
                     cache.plan(v)  # idempotent for an unchanged v
                     planned = v
             rbpda_step(state, problem, schedule, batch, rng)
-            acc.update(state.x.data, state.y.data, k_pre, (state.last_x, state.last_y))
+            acc.update(state.x, state.y, k_pre, (state.last_x, state.last_y))
             if config.restart_enabled and config.mode == "increasing_batch" and config.batch is None:
                 restart_if_saturated(state, p, config.restart_threshold, config.eta)
             if state.k % config.checkpoint_every == 0 or state.k == config.max_iters:
                 checkpoint()
         except Exception as exc:
-            x_bar, y_bar = acc.finalize()
-            partial = RunResult(
-                x=state.x.data.copy(),
-                y=state.y.data.copy(),
-                x_bar=x_bar,
-                y_bar=y_bar,
-                trace=trace,
-                grad_budget=state.grad_budget,
-                dual_grad_evals=state.dual_grad_evals,
-                restarts=state.restarts,
-                iterations=state.k,
-                config=config,
-            )
+            partial = _result(state, acc, trace, config)
             if isinstance(exc, SolverError):
                 exc.result = partial
                 raise
             raise SolverError(f"run aborted at iteration {state.k}: {exc}", partial) from exc
+    return _result(state, acc, trace, config)
+
+
+def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace, config: SolverConfig) -> RunResult:
+    """The run's result so far: copies of the iterates, the averages and their weights."""
     x_bar, y_bar = acc.finalize()
     return RunResult(
-        x=state.x.data.copy(),
-        y=state.y.data.copy(),
+        x=state.x.copy(),
+        y=state.y.copy(),
         x_bar=x_bar,
         y_bar=y_bar,
         trace=trace,

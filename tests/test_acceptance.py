@@ -79,8 +79,8 @@ def _reduction_deviation(prob, iters, seed=3):
         x_prev, y_prev, x, y = x, y, x_new, y_new
         worst = max(
             worst,
-            float(np.max(np.abs(state.x.data - x))),
-            float(np.max(np.abs(state.y.data - y))),
+            float(np.max(np.abs(state.x - x))),
+            float(np.max(np.abs(state.y - y))),
         )
     return worst
 
@@ -191,7 +191,7 @@ def test_c05_estimator_unbiasedness():
     x = rng.uniform(-1, 1, 100)
     y = np.abs(rng.standard_normal(50))
     y /= y.sum()
-    full = prob.grad_x(0, x, y)
+    full = prob.full_grad_x(x, y)[prob.structure.primal.block_range(0)]
     draws = np.stack(
         [
             estimate_partial_grad_x(prob, sample_indices(rng, 1, prob.p), 0, [(x, y)])[0]

@@ -6,7 +6,6 @@ import pytest
 from rbpda.blocks import (
     BlockLayout,
     BlockStructure,
-    BlockVector,
     ProxSpec,
     SaddleProblem,
     validate_problem,
@@ -15,39 +14,38 @@ from rbpda.problems import MatrixGameSpec, generate_robust_erm, matrix_game_prob
 from rbpda.stepsize import BlockLipschitz
 
 
-class TestBlockVector:
+class TestBlockLayout:
     def test_block_slice_offsets(self):
-        v = BlockVector(BlockLayout((2, 3)), np.array([1.0, 2, 3, 4, 5]))
-        np.testing.assert_allclose(v.block(1), [3.0, 4.0, 5.0])
+        assert BlockLayout((2, 3)).block_range(1) == slice(2, 5)
 
     def test_single_block_is_whole_vector(self):
-        v = BlockVector(BlockLayout((1,)), np.array([7.0]))
-        np.testing.assert_allclose(v.block(0), [7.0])
+        layout = BlockLayout((1,))
+        assert layout.ranges == (slice(0, 1),) and layout.n_blocks == layout.total_dim == 1
 
     def test_out_of_range_hard_failure(self):
-        v = BlockVector(BlockLayout((2, 3)), np.zeros(5))
         with pytest.raises(IndexError):
-            v.block(2)
+            BlockLayout((2, 3)).block_range(2)
 
     def test_views_write_through(self):
-        v = BlockVector.zeros(BlockLayout((2, 2)))
-        v.block(1)[:] = 9.0
-        np.testing.assert_allclose(v.data, [0, 0, 9, 9])
+        # block ranges are basic slices, so a block of a side's array is a view
+        v = np.zeros(4)
+        block = v[BlockLayout((2, 2)).block_range(1)]
+        block[:] = 9.0
+        np.testing.assert_allclose(v, [0, 0, 9, 9])
 
     def test_round_trip_concatenation(self):
         rng = np.random.default_rng(0)
         for dims in [(1,), (3, 2), (2, 5, 1, 4)]:
             layout = BlockLayout(dims)
             data = rng.standard_normal(layout.total_dim)
-            v = BlockVector(layout, data.copy())
-            rebuilt = np.concatenate([v.block(i) for i in range(layout.n_blocks)])
+            rebuilt = np.concatenate([data[layout.block_range(i)] for i in range(layout.n_blocks)])
             np.testing.assert_array_equal(rebuilt, data)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            BlockVector(BlockLayout((2, 2)), np.zeros(5))
-        with pytest.raises(ValueError):
             BlockLayout((2, 0))
+        with pytest.raises(ValueError):
+            BlockLayout(())
 
 
 class TestProxSpec:
@@ -94,13 +92,25 @@ class TestValidateProblem:
         bad = robust_erm_problem(data, radius=1.0, m_blocks=2, n_blocks=1)
         # component oracle returning the full gradient scaled by p at block 0
         orig = bad.component_grad_x
+        blk_0 = good.structure.primal.block_range(0)
         bad.component_grad_x = lambda l, i, x, y: (
-            bad.p * good.grad_x(i, x, y) if i == 0 else orig(l, i, x, y)
+            bad.p * good.full_grad_x(x, y)[blk_0] if i == 0 else orig(l, i, x, y)
         )
         bad.batch_grad_x = bad._batch_grad_x_looped
         report = validate_problem(bad, tolerance=1e-8)
         assert not report.ok
         assert any("finite-sum mismatch" in msg for msg in report.failures)
+
+    def test_shifted_full_grad_y_flagged(self):
+        # the sup-gap best responses read full_grad_y; it must agree with grad_y
+        data = generate_robust_erm(5, 8, 6, 0.0)
+        prob = robust_erm_problem(data, radius=1.0, m_blocks=2, n_blocks=4)
+        assert validate_problem(prob).ok
+        full_grad_y = prob.full_grad_y
+        prob.full_grad_y = lambda x, y, cache=None: full_grad_y(x, y) + 1e-3
+        report = validate_problem(prob)
+        assert [msg for msg in report.failures if "full_grad_y mismatch at dual block" in msg]
+        assert not [msg for msg in report.failures if "full_grad_y" not in msg]
 
     def test_batch_grad_x_of_the_wrong_shape_flagged(self):
         # the per-point rows of the earlier contract are not a (dim_i,) array
@@ -143,7 +153,7 @@ class TestValidateProblem:
                     mean = np.mean(
                         [prob.component_grad_x(l, i, x, y) for l in range(prob.p)], axis=0
                     )
-                    full = prob.grad_x(i, x, y)
+                    full = prob.full_grad_x(x, y)[prob.structure.primal.block_range(i)]
                     assert np.linalg.norm(mean - full) <= 1e-10 * (1 + np.linalg.norm(full))
 
     def test_component_grads_match_finite_differences(self):

@@ -142,7 +142,6 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         assert [int(r["stream"]) for r in rows] == [0, 1, 2]
         assert all(r["status"] == "ok" for r in rows)
-        assert all(float(r["delta_hat"]) >= 0 for r in rows)
 
     def test_failures_recorded_and_continue(self, tmp_path, monkeypatch):
         import rbpda.experiments as exp

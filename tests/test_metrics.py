@@ -6,6 +6,7 @@ import pytest
 from rbpda.metrics import (
     ConvergenceTrace,
     TraceRow,
+    best_response_candidates,
     constrained_metrics,
     evaluate_checkpoint,
     estimate_component_noise,
@@ -94,6 +95,51 @@ class TestSupGap:
         z_bar = (np.array([0.9, 0.1]), np.array([0.2, 0.8]))
         ref_z = (ref.x, ref.y)
         assert sup_gap(prob, z_bar, [ref_z]) >= lagrangian_gap(prob, z_bar, ref_z) - 1e-15
+
+
+class TestBestResponses:
+    @staticmethod
+    def _counting(prob):
+        calls = {"full_grad_x": 0, "full_grad_y": 0}
+        for name in calls:
+            oracle = getattr(prob, name)
+
+            def counted(x, y, name=name, oracle=oracle):
+                calls[name] += 1
+                return oracle(x, y)
+
+            setattr(prob, name, counted)
+
+        def no_block_oracle(*args, **kwargs):
+            raise AssertionError("best responses take whole-side gradients only")
+
+        prob.grad_y = no_block_oracle
+        return calls
+
+    def test_robust_erm_box_dual(self):
+        # Phi is linear in y with positive logistic losses as coefficients, so
+        # the dual best response is the upper corner; the primal one is the
+        # box corner against the gradient's sign
+        radius = 2.0
+        data = generate_robust_erm(4, 12, 6, 0.1)
+        prob = robust_erm_problem(data, radius=radius, m_blocks=3, n_blocks=12)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-radius, radius, 6)
+        y = rng.uniform(0.0, 1.0, 12)
+        g = prob.full_grad_x(x, y)
+        calls = self._counting(prob)
+        x_br, y_br = best_response_candidates(prob, (x, y))
+        assert calls == {"full_grad_x": 1, "full_grad_y": 1}
+        assert np.array_equal(y_br, np.ones(12))
+        assert np.all(g != 0) and np.array_equal(x_br, -radius * np.sign(g))
+
+    def test_unbounded_sides_compute_no_gradient(self):
+        # the QP's primal is free and its dual an orthant: no candidate, no gradient
+        spec = ConstrainedSpec(Q=[[2.0, 0.3], [0.3, 1.0]], c=[0.5, -1.0], G=[[1.0, -1.0]], d=[0.5])
+        prob, _, _ = constrained_qp_problem(spec)
+        calls = self._counting(prob)
+        assert best_response_candidates(prob, (np.zeros(2), np.zeros(1))) == (None, None)
+        assert calls == {"full_grad_x": 0, "full_grad_y": 0}
 
 
 class TestConstrainedMetrics:

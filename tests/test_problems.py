@@ -81,9 +81,10 @@ class TestRobustErmProblem:
         x = rng.uniform(-1, 1, 8)
         y = np.abs(rng.standard_normal(10))
         y /= y.sum()
+        full = prob.full_grad_x(x, y)
         for i in range(2):
             mean = prob.batch_grad_x(np.arange(10), i, [(x, y)], (1.0,))
-            np.testing.assert_allclose(mean, prob.grad_x(i, x, y), atol=1e-12)
+            np.testing.assert_allclose(mean, full[prob.structure.primal.block_range(i)], atol=1e-12)
 
     def test_block_divisibility_rejected(self):
         data = generate_robust_erm(1, 10, 8, 0.1)
@@ -111,14 +112,15 @@ class TestRobustErmProblem:
             x = rng.uniform(-prob.notes["radius"], prob.notes["radius"], st.m)
             y = dual_sampler(rng)
             i = int(rng.integers(st.M))
-            g0 = prob.grad_x(i, x, y)
+            blk_i = st.primal.block_range(i)
+            g0 = prob.full_grad_x(x, y)[blk_i]
             # primal-primal curvature along a random block direction
             l = int(rng.integers(st.M))
             v = rng.standard_normal(st.primal.dims[l])
             v *= 10 ** rng.uniform(-3, -1) / np.linalg.norm(v)
             x2 = x.copy()
             x2[st.primal.block_range(l)] += v
-            lhs = np.linalg.norm(prob.grad_x(i, x2, y) - g0)
+            lhs = np.linalg.norm(prob.full_grad_x(x2, y)[blk_i] - g0)
             assert lhs <= lip.Lxx[l, i] * np.linalg.norm(v) * (1 + 1e-7) + 1e-12
             # dual-primal coupling
             j = int(rng.integers(st.N))
@@ -132,7 +134,7 @@ class TestRobustErmProblem:
             y2 = y.copy()
             y2[st.dual.block_range(j)] += u
             u_norm = np.abs(u).sum() if entropy[j] else np.linalg.norm(u)
-            lhs = np.linalg.norm(prob.grad_x(i, x, y2) - g0)
+            lhs = np.linalg.norm(prob.full_grad_x(x, y2)[blk_i] - g0)
             assert lhs <= lip.Lxy[i, j] * u_norm * (1 + 1e-7) + 1e-12
 
     def test_lipschitz_certification_entropy_config(self):

@@ -303,9 +303,10 @@ class TestEstimator:
         x = rng.uniform(-1, 1, 6)
         y = np.abs(rng.standard_normal(16))
         y /= y.sum()
+        full = prob.full_grad_x(x, y)
         for i in range(2):
             est = estimate_partial_grad_x(prob, np.arange(prob.p), i, [(x, y)])
-            np.testing.assert_allclose(est[0], prob.grad_x(i, x, y), atol=1e-12)
+            np.testing.assert_allclose(est[0], full[prob.structure.primal.block_range(i)], atol=1e-12)
 
     def test_single_index_exact(self, small_erm):
         prob = small_erm
@@ -321,7 +322,7 @@ class TestEstimator:
         x = rng.uniform(-1, 1, 6)
         y = np.abs(rng.standard_normal(16))
         y /= y.sum()
-        full = prob.grad_x(0, x, y)
+        full = prob.full_grad_x(x, y)[prob.structure.primal.block_range(0)]
         draws = np.stack(
             [
                 estimate_partial_grad_x(prob, sample_indices(rng, 1, prob.p), 0, [(x, y)])[0]

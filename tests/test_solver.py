@@ -107,15 +107,15 @@ class TestRbpdaStep:
         state = RunState.start(prob)
         for _ in range(10):
             rbpda_step(state, prob, FixedSchedule([0.3], [0.3]), BatchSchedule.constant(1, 1), make_rng(0))
-        np.testing.assert_allclose(state.x.data, [1.0, -2.0])
-        np.testing.assert_allclose(state.y.data, [0.5, 0.5])
+        np.testing.assert_allclose(state.x, [1.0, -2.0])
+        np.testing.assert_allclose(state.y, [0.5, 0.5])
 
     def test_scalar_bilinear_hand_simulation(self):
         prob = scalar_bilinear_problem()
         state = RunState.start(prob)
         rbpda_step(state, prob, FixedSchedule([0.5], [0.5]), BatchSchedule.constant(1, 1), make_rng(0))
-        assert state.y.data[0] == pytest.approx(1.5)
-        assert state.x.data[0] == pytest.approx(0.25)
+        assert state.y[0] == pytest.approx(1.5)
+        assert state.x[0] == pytest.approx(0.25)
 
     def test_budget_increments(self):
         prob = scalar_bilinear_problem()
@@ -132,7 +132,6 @@ class TestRbpdaStep:
 
         prob.component_grad_x = bad_grad
         prob.batch_grad_x = None
-        prob.grad_x = None
         prob.__post_init__()
         state = RunState.start(prob)
         with pytest.raises(SolverError, match="iteration 0"):
@@ -149,8 +148,8 @@ def full_copy_step(state, problem, schedule, batch, rng):
     M, N, p = st.M, st.N, problem.p
     k = state.k
     theta = schedule.theta(k)
-    x_k, y_k = state.x.data, state.y.data
-    x_prev, y_prev = state.x_prev.data, state.y_prev.data
+    x_k, y_k = state.x, state.y
+    x_prev, y_prev = state.x_prev, state.y_prev
 
     j = draw_block(rng, N)
     # one point per call, independent of the two-point call in rbpda_step
@@ -178,10 +177,10 @@ def full_copy_step(state, problem, schedule, batch, rng):
     x_next = x_k.copy()
     x_next[blk_i] = prox_step(spec.geometry, spec, r, float(schedule.tau(k)[i]), x_k[blk_i])
 
-    state.x_prev.data[:] = x_k
-    state.y_prev.data[:] = y_k
-    state.x.data[:] = x_next
-    state.y.data[:] = y_next
+    state.x_prev[:] = x_k
+    state.y_prev[:] = y_k
+    state.x[:] = x_next
+    state.y[:] = y_next
     state.k += 1
     return state
 
@@ -209,7 +208,7 @@ def lockstep_problem(name):
 
 def attach_cache(state, prob):
     """Give a hand-driven run state the problem's coupling cache, as run() does."""
-    state.cache = prob.coupling_cache(state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
+    state.cache = prob.coupling_cache(state.x, state.y, state.x_prev, state.y_prev)
     return state
 
 
@@ -248,15 +247,15 @@ def run_lockstep(name, mode, cached):
             restart_if_saturated(new, prob.p, threshold=0.0)
             restart_if_saturated(ref, prob.p, threshold=0.0)
         for attr in ("x", "y", "x_prev", "y_prev"):
-            got, want = getattr(new, attr).data, getattr(ref, attr).data
+            got, want = getattr(new, attr), getattr(ref, attr)
             if cached:
                 assert_close(got, want)
             else:
                 assert np.array_equal(got, want), (attr, it)
         if cached:
             A = new.cache.A
-            assert_close(new.cache.z, A @ new.x.data)
-            assert_close(new.cache.z_prev, A @ new.x_prev.data)
+            assert_close(new.cache.z, A @ new.x)
+            assert_close(new.cache.z_prev, A @ new.x_prev)
         assert (new.k, new.grad_budget, new.dual_grad_evals, new.restarts) == (
             ref.k,
             ref.grad_budget,
@@ -265,7 +264,7 @@ def run_lockstep(name, mode, cached):
         )
         assert np.array_equal(new.counters.counts, ref.counters.counts)
     assert new.restarts == 1
-    assert not np.array_equal(new.x.data, prob.start_x)
+    assert not np.array_equal(new.x, prob.start_x)
 
 
 LOCKSTEP_BUILTINS = ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp", "erm_box_scalar"]
@@ -290,7 +289,7 @@ def test_run_draws_in_chunks_like_sequential_steps(name, batch):
     rng = make_rng(5, 2)
     for _ in range(150):
         full_copy_step(ref, prob, sched, BatchSchedule.constant(v, p), rng)
-    assert np.array_equal(res.x, ref.x.data) and np.array_equal(res.y, ref.y.data)
+    assert np.array_equal(res.x, ref.x) and np.array_equal(res.y, ref.y)
     assert (res.grad_budget, res.dual_grad_evals) == (ref.grad_budget, ref.dual_grad_evals)
     assert not np.array_equal(res.x, prob.start_x)
 
@@ -314,7 +313,7 @@ def test_increasing_batch_run_draws_ahead_like_sequential_steps(name):
     for _ in range(cfg.max_iters):
         full_copy_step(ref, prob, sched, batch, rng)
         restart_if_saturated(ref, prob.p, cfg.restart_threshold, cfg.eta)
-    assert np.array_equal(res.x, ref.x.data) and np.array_equal(res.y, ref.y.data)
+    assert np.array_equal(res.x, ref.x) and np.array_equal(res.y, ref.y)
     assert (res.grad_budget, res.dual_grad_evals, res.restarts) == (
         ref.grad_budget, ref.dual_grad_evals, ref.restarts
     )
@@ -348,7 +347,7 @@ def test_hand_driven_steps_draw_one_step_at_a_time():
         rbpda_step(new, prob, sched_new, batch, rng_new)
         full_copy_step(ref, prob, sched_ref, batch, rng_ref)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state, it
-        assert np.array_equal(new.x.data, ref.x.data) and np.array_equal(new.y.data, ref.y.data), it
+        assert np.array_equal(new.x, ref.x) and np.array_equal(new.y, ref.y), it
         if it % 7 == 0:
             assert rng_new.random() == rng_ref.random()
 
@@ -373,7 +372,7 @@ class TestBlockCopyLockstep:
         batch = BatchSchedule.constant(1, prob.p)
         for _ in range(3):
             rbpda_step(state, prob, sched, batch, rng)
-        before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
+        before = [v.copy() for v in (state.x, state.y, state.x_prev, state.y_prev)]
         inner = prob.grad_y
         for bad in (np.nan, np.inf, -np.inf):
             prob.grad_y = lambda j, points, **kw: np.full_like(inner(j, points, **kw), bad)
@@ -381,10 +380,10 @@ class TestBlockCopyLockstep:
             with pytest.raises(SolverError, match=message) as info:
                 rbpda_step(state, prob, sched, batch, rng)
             assert isinstance(info.value.__cause__, ValueError)
-            after = (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
+            after = (state.x, state.y, state.x_prev, state.y_prev)
             for old, cur in zip(before, after):
                 assert np.array_equal(old, cur)
-            assert np.array_equal(state.y_next, state.y.data)
+            assert np.array_equal(state.y_next, state.y)
             assert state.k == 3
 
     def test_failed_step_leaves_iterates_unchanged(self):
@@ -403,7 +402,7 @@ class TestBlockCopyLockstep:
         batch = BatchSchedule.constant(1, prob.p)
         for _ in range(3):
             rbpda_step(state, prob, sched, batch, rng)
-        before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
+        before = [v.copy() for v in (state.x, state.y, state.x_prev, state.y_prev)]
         if state.cache is not None:
             cache_before = (state.cache.z.copy(), state.cache.z_prev.copy(), state.cache.moves)
         inner = prob.batch_grad_x
@@ -412,10 +411,10 @@ class TestBlockCopyLockstep:
         )
         with pytest.raises(SolverError, match="primal prox failed"):
             rbpda_step(state, prob, sched, batch, rng)
-        after = (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)
+        after = (state.x, state.y, state.x_prev, state.y_prev)
         for old, cur in zip(before, after):
             assert np.array_equal(old, cur)
-        assert np.array_equal(state.y_next, state.y.data)
+        assert np.array_equal(state.y_next, state.y)
         if state.cache is not None:
             z, z_prev, moves = cache_before
             assert np.array_equal(state.cache.z, z)
@@ -632,7 +631,7 @@ def test_dual_row_is_forgotten_when_the_cache_resyncs():
                 resynced.append(it)
             rbpda_step(state, prob, sched, BatchSchedule.constant(3, prob.p), rng)
         assert all(calls[it] == 2 for it in resynced)
-        runs.append((state.x.data.copy(), state.y.data.copy(), list(calls)))
+        runs.append((state.x.copy(), state.y.copy(), list(calls)))
     (x_kept, y_kept, kept_calls), (x_fresh, y_fresh, _) = runs
     assert kept_calls.count(1) > 10
     assert np.array_equal(x_kept, x_fresh) and np.array_equal(y_kept, y_fresh)
@@ -694,10 +693,10 @@ def test_cached_slopes_move_with_the_margins():
     sched = FixedSchedule(np.full(6, 0.5), np.full(40, 0.5))
     rng = make_rng(3)
     for it in range(30):
-        s = cache.slopes(state.x.data)
+        s = cache.slopes(state.x)
         assert np.array_equal(s, neg_b * _sigmoid(neg_b * cache.z))
         rbpda_step(state, prob, sched, BatchSchedule.constant(5, prob.p), rng)
-        assert cache.slopes(state.x_prev.data) is s
+        assert cache.slopes(state.x_prev) is s
         if it % 10 == 9:
             restart_if_saturated(state, prob.p, threshold=0.0)
             assert cache.s is None and cache.s_prev is None
@@ -720,11 +719,11 @@ def test_cache_drift_stays_below_1e12_and_refresh_is_exact():
     for move in range(1, 5 * cache.period + 1):
         rbpda_step(state, prob, sched, BatchSchedule.constant(1, prob.p), rng)
         assert cache.moves == move % cache.period
-        assert_close(cache.z, A @ state.x.data)
-        assert_close(cache.z_prev, A @ state.x_prev.data)
+        assert_close(cache.z, A @ state.x)
+        assert_close(cache.z_prev, A @ state.x_prev)
         if cache.moves == 0:
-            assert np.array_equal(cache.z, A @ state.x.data)
-    assert np.max(np.abs(state.x.data)) > 1.0  # the iterate moved far from 0
+            assert np.array_equal(cache.z, A @ state.x)
+    assert np.max(np.abs(state.x)) > 1.0  # the iterate moved far from 0
 
 
 def reduction_deviation(prob, iters=100, seed=3):
@@ -748,8 +747,8 @@ def reduction_deviation(prob, iters=100, seed=3):
         x, y = x_new, y_new
         worst = max(
             worst,
-            float(np.max(np.abs(state.x.data - x))),
-            float(np.max(np.abs(state.y.data - y))),
+            float(np.max(np.abs(state.x - x))),
+            float(np.max(np.abs(state.y - y))),
         )
     return worst
 
@@ -888,14 +887,14 @@ class TestRestart:
 
     def test_reset_at_threshold(self):
         state = self._state([8, 9], k=17)
-        state.x.data[:] = 3.0
-        state.x_prev.data[:] = -1.0
+        state.x[:] = 3.0
+        state.x_prev[:] = -1.0
         restart_if_saturated(state, p=10, threshold=0.9)
         assert state.counters.counts.tolist() == [0, 0]
         assert state.restarts == 1
         # iterates preserved, history collapsed
-        assert state.x.data[0] == 3.0
-        assert state.x_prev.data[0] == 3.0
+        assert state.x[0] == 3.0
+        assert state.x_prev[0] == 3.0
 
     def test_next_batch_after_restart_is_one(self):
         state = self._state([8, 8], k=16)
@@ -1024,7 +1023,6 @@ class TestRun:
 
         prob.component_grad_x = failing_after
         prob.batch_grad_x = None
-        prob.grad_x = None
         prob.__post_init__()
         cfg = SolverConfig(mode="increasing_batch", max_iters=100, seed=1, checkpoint_every=5,
                            compute_sup_gap=False)
@@ -1033,7 +1031,11 @@ class TestRun:
         partial = excinfo.value.result
         assert partial is not None
         assert len(partial.trace) >= 2
-        assert partial.iterations < 100
+        k = partial.iterations
+        assert 0 < k < 100
+        # uniform averaging weights of the iterates reached, not the (0, 0) of no iterate
+        M, N = prob.structure.M, prob.structure.N
+        assert partial.ergodic_weights == (float(k + M - 1), float(k + N - 1))
 
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.5, np.nan, np.inf, -np.inf])
     def test_restart_threshold_rejected(self, threshold):
@@ -1121,8 +1123,8 @@ class TestMultiBlockHandOracle:
             x_prev, y_prev = x, y
             x, y = x_new, y_new
 
-        np.testing.assert_allclose(state.x.data, x, atol=1e-14)
-        np.testing.assert_allclose(state.y.data, y, atol=1e-14)
+        np.testing.assert_allclose(state.x, x, atol=1e-14)
+        np.testing.assert_allclose(state.y, y, atol=1e-14)
         assert not np.array_equal(x, prob.start_x)  # the replay actually moved
 
 
@@ -1495,7 +1497,7 @@ class TestDemandDrivenCache:
         prob = erm_boxes(n_blocks=40)
         state = attach_cache(RunState.start(prob), prob)
         cache = state.cache
-        assert cache.plan(1) is False and cache.margins(state.x.data) is None
+        assert cache.plan(1) is False and cache.margins(state.x) is None
         z_before = cache.z.copy()
         sched = FixedSchedule(np.full(prob.structure.M, 0.05), np.full(prob.structure.N, 0.05))
         seen = []
@@ -1505,8 +1507,8 @@ class TestDemandDrivenCache:
         assert seen == [{}]
         assert np.array_equal(cache.z, z_before) and cache.moves == 0
         assert cache.plan(30) is True
-        assert np.array_equal(cache.z, cache.A @ state.x.data)
-        assert np.array_equal(cache.z_prev, cache.A @ state.x_prev.data)
+        assert np.array_equal(cache.z, cache.A @ state.x)
+        assert np.array_equal(cache.z_prev, cache.A @ state.x_prev)
 
 
 @pytest.mark.parametrize(
@@ -1559,14 +1561,14 @@ class TestOracleErrors:
         rng = make_rng(2)
         for _ in range(3):
             rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
-        before = [v.copy() for v in (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)]
+        before = [v.copy() for v in (state.x, state.y, state.x_prev, state.y_prev)]
         with pytest.raises(SolverError, match=rf"{attr} failed at iteration 3, {label} \d") as info:
             rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), rng)
         assert isinstance(info.value.__cause__, FloatingPointError)
         assert "oracle overflow" in str(info.value)
-        for old, cur in zip(before, (state.x.data, state.y.data, state.x_prev.data, state.y_prev.data)):
+        for old, cur in zip(before, (state.x, state.y, state.x_prev, state.y_prev)):
             assert np.array_equal(old, cur)
-        assert np.array_equal(state.y_next, state.y.data)
+        assert np.array_equal(state.y_next, state.y)
 
     def test_run_keeps_the_step_message_and_partial_result(self):
         prob = lockstep_problem("qp")
