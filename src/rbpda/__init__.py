@@ -16,7 +16,7 @@ from .blocks import (
     validate_problem,
 )
 from .bregman import EUCLIDEAN, NEGATIVE_ENTROPY, BregmanGeometry, bregman_distance, prox_step
-from .metrics import ConvergenceTrace, RateFit, fit_rate, lagrangian_gap, sup_gap
+from .metrics import ConvergenceTrace, RateFit, certified_gap, fit_rate, lagrangian_gap, sup_gap
 from .sampling import BatchSchedule, BlockCounters, expected_inverse_batch, make_rng
 from .solver import (
     ErgodicAccumulator,

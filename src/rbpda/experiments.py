@@ -15,6 +15,7 @@ config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -24,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import problems as problems_mod
-from .metrics import ConvergenceTrace, estimate_component_noise, fit_rate  # noqa: F401  kept for perfbench's patch list
-from .solver import SolverConfig, deterministic_baseline_run, run
+from .metrics import ConvergenceTrace, certified_gap, estimate_component_noise, fit_rate  # noqa: F401  kept for perfbench's patch list
+from .solver import SolverConfig, _stacked_prox, deterministic_baseline_run, run
 from .stepsize import aggregate_constants, constant_stepsizes, default_free_params
 
 __all__ = ["ExperimentSpec", "parse_config", "write_config", "run_experiment", "compare_runs", "main"]
@@ -172,7 +173,12 @@ def build_problem(spec: ExperimentSpec):
             data, radius=spec.radius, m_blocks=spec.blocks_m, n_blocks=n_blocks
         )
         reference = erm_reference(problem)
-        return problem, reference, f"robust_erm:n{spec.n}:m{spec.m}:seed{spec.data_seed}"
+        dual = "simplex" if n_blocks == 1 else "box"
+        signature = (
+            f"robust_erm:n{spec.n}:m{spec.m}:seed{spec.data_seed}:radius{spec.radius!r}"
+            f":flip{spec.flip_prob!r}:dual_{dual}"
+        )
+        return problem, reference, signature
     raise ConfigError(f"unknown problem: {spec.problem!r}")
 
 
@@ -198,8 +204,28 @@ def baseline_stepsizes(problem) -> tuple[float, float]:
     return float(tau[0]), float(sigma[0])
 
 
+REFERENCE_TOL = 1e-4  # box-dual reference: certified gap relative to the start point's
+_CERT_EVERY = 25  # FISTA iterations between two certificate checks
+
+
 def erm_reference(problem, iters: int = 30_000, plateau_tol: float = 1e-9):
-    """High-accuracy saddle reference from a long full-gradient baseline run."""
+    """High-accuracy saddle reference (x, y) of a robust-ERM problem.
+
+    With box dual blocks, Phi is linear in y and its y-gradient, the
+    per-datum logistic losses, is positive, so the saddle's y is the boxes'
+    upper bounds and its x minimizes L(., y*) over the primal box.  FISTA
+    (Beck & Teboulle, 2009) solves that from the problem's start x, with the
+    step 1 / ||Lxx||_2 and the baseline's primal prox, for at most ``iters``
+    iterations.  Every 25 iterations it stops once
+    ``certified_gap(problem, (x, y*))`` is at most ``REFERENCE_TOL`` times the
+    certified gap at the problem's start point (``start_x``, ``start_y``).
+
+    Otherwise (the entropy simplex, whose best response is a vertex) the
+    reference is the last iterate of a full-gradient baseline run of
+    ``iters`` iterations that stops on a ``plateau_tol`` plateau.
+    """
+    if all(spec.kind == "box" for spec in problem.dual_prox):
+        return _box_dual_reference(problem, iters)
     tau, sigma = baseline_stepsizes(problem)
     result = deterministic_baseline_run(
         problem,
@@ -210,6 +236,23 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol: float = 1e-9):
         plateau_tol=plateau_tol,
     )
     return result.x, result.y
+
+
+def _box_dual_reference(problem, iters: int):
+    y = problem.side_bounds()[1].upper.copy()
+    target = REFERENCE_TOL * certified_gap(problem, (problem.start_x, problem.start_y))
+    project = _stacked_prox(problem, 0)
+    step = 1.0 / np.linalg.norm(problem.lipschitz.Lxx, 2)
+    x = np.array(problem.start_x, dtype=float)
+    w, t = x, 1.0
+    for k in range(1, iters + 1):
+        x_new = project(problem.full_grad_x(w, y), step, w)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        w = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        if k % _CERT_EVERY == 0 and certified_gap(problem, (x, y)) <= target:
+            break
+    return x, y
 
 
 def _stream_seeds(spec: ExperimentSpec):
@@ -258,6 +301,8 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     any_failed = False
     for spec in specs:
         problem, reference, signature = build_problem(spec)
+        cert = certified_gap(problem, reference)
+        ref_cert_gap = "" if cert is None else repr(cert)
         per_cfg_traces = []
         for (seed, stream) in _stream_seeds(spec):
             try:
@@ -271,6 +316,7 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
                     {
                         "config": spec.name,
                         "signature": signature,
+                        "ref_cert_gap": ref_cert_gap,
                         "seed": seed,
                         "stream": stream,
                         "status": "failed: " + str(value).replace(",", ";").replace("\n", " "),
@@ -296,6 +342,7 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
                 {
                     "config": spec.name,
                     "signature": signature,
+                    "ref_cert_gap": ref_cert_gap,
                     "seed": seed,
                     "stream": stream,
                     "status": "ok",
@@ -320,6 +367,7 @@ def _write_summary(path, rows) -> None:
     cols = [
         "config",
         "signature",
+        "ref_cert_gap",
         "seed",
         "stream",
         "status",

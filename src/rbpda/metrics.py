@@ -5,7 +5,8 @@ G0(z_bar, z) = L(x_bar, y) - L(x, y_bar) evaluated against a reference point
 (zero at a saddle point referenced there, nonnegative when the reference is an
 exact saddle).  A candidate-based lower bound of the sup-gap sup_z G0 is also
 provided, using sign-corner and vertex best responses on box and simplex
-blocks.  Expected metrics are estimated by averaging over independent seeded
+blocks, and a Frank-Wolfe upper bound on it built from the same best
+responses.  Expected metrics are estimated by averaging over independent seeded
 runs at the experiment layer.
 """
 
@@ -24,6 +25,7 @@ __all__ = [
     "RateFit",
     "lagrangian_gap",
     "sup_gap",
+    "certified_gap",
     "best_response_candidates",
     "constrained_metrics",
     "fit_rate",
@@ -117,16 +119,23 @@ def _block_best_response(spec, grad_block, maximize: bool):
     return out
 
 
-def _side_best_response(problem, side: int, z_bar):
-    """Side 0's (primal) or 1's (dual) blockwise best response, None unless every block is a box or simplex."""
+def _side_oracle(problem, side: int, z):
+    """(gradient, blockwise best response) of side 0 (primal) or 1 (dual) at z.
+
+    None unless every block of the side is a box or a simplex.
+    """
     specs, layout = problem.side_specs(side)
     if any(spec.kind not in ("box", "simplex") for spec in specs):
         return None  # unbounded or uninformative domain: no automatic candidate
-    g = np.asarray((problem.full_grad_y if side else problem.full_grad_x)(*z_bar), dtype=float)
+    g = np.asarray((problem.full_grad_y if side else problem.full_grad_x)(*z), dtype=float)
+    bounds = problem.side_bounds()[side]
+    if bounds is not None:
+        # every block is a box: one whole-side select, blockwise values bit for bit
+        return g, np.where((g if side else -g) > 0, bounds.upper, bounds.lower)
     out = np.empty(layout.total_dim)
     for spec, blk in zip(specs, layout.ranges):
         out[blk] = _block_best_response(spec, g[blk], maximize=bool(side))
-    return out
+    return g, out
 
 
 def best_response_candidates(problem, z_bar):
@@ -139,7 +148,30 @@ def best_response_candidates(problem, z_bar):
     couplings these are exact best responses; in general they only produce
     feasible candidates, so the resulting sup-gap estimate is a lower bound.
     """
-    return _side_best_response(problem, 0, z_bar), _side_best_response(problem, 1, z_bar)
+    sides = [_side_oracle(problem, side, z_bar) for side in (0, 1)]
+    return tuple(None if oracle is None else oracle[1] for oracle in sides)
+
+
+def certified_gap(problem, z) -> Optional[float]:
+    """Frank-Wolfe upper bound on the saddle gap at z = (x, y); None when unavailable.
+
+    With g_x, g_y the full gradients of L at z and x_br, y_br the linearized
+    best responses of :func:`best_response_candidates`, the bound is
+    <g_x, x - x_br> + <g_y, y_br - y>.  For a convex-concave L (every
+    built-in) the linearizations bound L(., y) from below and L(x, .) from
+    above, so the bound is at least max_y' L(x, y') - min_x' L(x', y), the
+    true gap, which in turn is at least :func:`sup_gap` (Jaggi, ICML 2013).
+    It is zero at a saddle point.  It costs one ``full_grad_x`` and one
+    ``full_grad_y`` call, and is None when a side has a block that is
+    neither a box nor a simplex.
+    """
+    x, y = (np.asarray(v, dtype=float) for v in z)
+    primal = _side_oracle(problem, 0, (x, y))
+    dual = None if primal is None else _side_oracle(problem, 1, (x, y))
+    if dual is None:
+        return None
+    (g_x, x_br), (g_y, y_br) = primal, dual
+    return float(g_x @ (x - x_br) + g_y @ (y_br - y))
 
 
 def sup_gap(problem, z_bar, candidates: Sequence, auto_best_response: bool = True) -> Optional[float]:

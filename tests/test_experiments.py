@@ -1,20 +1,27 @@
 """Config parsing, experiment orchestration, output files, and comparisons."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rbpda.experiments import (
+    REFERENCE_TOL,
     ConfigError,
     ExperimentSpec,
+    baseline_stepsizes,
+    build_problem,
     compare_runs,
+    erm_reference,
     main,
     parse_config,
     run_experiment,
     write_config,
 )
-from rbpda.metrics import ConvergenceTrace
+from rbpda.metrics import ConvergenceTrace, certified_gap
+from rbpda.problems import generate_robust_erm, robust_erm_problem
+from rbpda.solver import deterministic_baseline_run
 
 
 class TestParseConfig:
@@ -182,6 +189,60 @@ def test_block_count_ablation(tmp_path):
     assert budgets[0] != budgets[1]
 
 
+class TestErmReference:
+    def test_box_dual_reference_is_certified(self):
+        data = generate_robust_erm(3, 30, 20, 0.1)
+        prob = robust_erm_problem(data, radius=5.0, m_blocks=2, n_blocks=30)
+        x, y = erm_reference(prob)
+        assert np.array_equal(y, np.ones(30))  # the dual boxes' upper bounds
+        assert prob.in_domain(x, y, 0.0)
+        start = certified_gap(prob, (prob.start_x, prob.start_y))
+        assert 0.0 <= certified_gap(prob, (x, y)) <= REFERENCE_TOL * start
+
+    def test_iters_caps_the_box_dual_solve(self):
+        data = generate_robust_erm(3, 30, 20, 0.1)
+        prob = robust_erm_problem(data, radius=5.0, m_blocks=2, n_blocks=30)
+        x, y = erm_reference(prob, iters=0)
+        assert np.array_equal(x, prob.start_x) and np.array_equal(y, np.ones(30))
+        start = certified_gap(prob, (prob.start_x, prob.start_y))
+        assert certified_gap(prob, erm_reference(prob, iters=10)) > REFERENCE_TOL * start
+
+    def test_entropy_dual_reference_is_the_baseline_run(self):
+        data = generate_robust_erm(3, 30, 20, 0.1)
+        prob = robust_erm_problem(data, radius=5.0, m_blocks=2, n_blocks=1)
+        tau, sigma = baseline_stepsizes(prob)
+        want = deterministic_baseline_run(prob, tau, sigma, 500, checkpoint_every=25, plateau_tol=1e-7)
+        x, y = erm_reference(prob, iters=500, plateau_tol=1e-7)
+        assert np.array_equal(x, want.x) and np.array_equal(y, want.y)
+
+
+class TestReferenceCertificateColumn:
+    @staticmethod
+    def _rows(out_dir):
+        with open(out_dir / "summary.csv") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_robust_erm_reference_certificate(self, tmp_path):
+        spec = ExperimentSpec(
+            name="erm", problem="robust_erm", n=20, m=40, blocks_m=2, iters=40, repeats=2,
+            checkpoint_every=20, out=str(tmp_path / "erm"),
+        )
+        rows = self._rows(run_experiment(spec))
+        problem, reference, _ = build_problem(spec)
+        want = certified_gap(problem, reference)
+        assert [float(r["ref_cert_gap"]) for r in rows] == [want, want]
+        start = certified_gap(problem, (problem.start_x, problem.start_y))
+        assert 0.0 <= want <= REFERENCE_TOL * start
+
+    def test_box_game_reference_is_exact(self, tmp_path):
+        spec = ExperimentSpec(
+            name="box", problem="box_game", blocks_m=2, blocks_n=2, iters=20, repeats=1,
+            out=str(tmp_path / "box"),
+        )
+        (row,) = self._rows(run_experiment(spec))
+        assert abs(float(row["ref_cert_gap"])) <= 1e-12
+
+
 class TestCompareRuns:
     def test_single_directory(self, game_out):
         out_dir, spec = game_out
@@ -209,6 +270,20 @@ class TestCompareRuns:
             ExperimentSpec(name="b", problem="box_game", blocks_m=2, blocks_n=2, iters=20, repeats=1,
                            out=str(tmp_path / "b"))
         )
+        with pytest.raises(ValueError, match="signatures"):
+            compare_runs([d1, d2])
+
+
+    @pytest.mark.parametrize(
+        "change", [{"radius": 5.0}, {"blocks_n": 1}], ids=["radius", "dual_geometry"]
+    )
+    def test_different_erm_problems_refused(self, tmp_path, change):
+        base = ExperimentSpec(
+            name="erm", problem="robust_erm", n=20, m=40, blocks_m=2, blocks_n=20, iters=20,
+            repeats=1, checkpoint_every=10,
+        )
+        d1 = run_experiment(replace(base, out=str(tmp_path / "a")))
+        d2 = run_experiment(replace(base, out=str(tmp_path / "b"), **change))
         with pytest.raises(ValueError, match="signatures"):
             compare_runs([d1, d2])
 

@@ -7,6 +7,7 @@ from rbpda.metrics import (
     ConvergenceTrace,
     TraceRow,
     best_response_candidates,
+    certified_gap,
     constrained_metrics,
     evaluate_checkpoint,
     estimate_component_noise,
@@ -14,9 +15,11 @@ from rbpda.metrics import (
     lagrangian_gap,
     sup_gap,
 )
+from rbpda.blocks import _probe_points
 from rbpda.problems import (
     ConstrainedSpec,
     MatrixGameSpec,
+    box_game_problem,
     constrained_qp_problem,
     game_saddle_oracle,
     generate_robust_erm,
@@ -140,6 +143,60 @@ class TestBestResponses:
         calls = self._counting(prob)
         assert best_response_candidates(prob, (np.zeros(2), np.zeros(1))) == (None, None)
         assert calls == {"full_grad_x": 0, "full_grad_y": 0}
+
+
+A3 = np.array([[1.0, -0.5, 0.2], [0.3, 2.0, -1.0], [-0.4, 0.1, 1.5]])
+A4 = np.array(
+    [[1.0, 0.3, 0.2, 0.1], [0.3, 2.0, 0.1, 0.2], [0.2, 0.1, 1.0, 0.3], [0.1, 0.2, 0.3, 2.0]]
+)
+
+
+def _bounded_builtin(name):
+    data = generate_robust_erm(5, 12, 6, 0.1)
+    builders = {
+        "game_euclidean": lambda: matrix_game_problem(MatrixGameSpec(A3))[0],
+        "game_entropy": lambda: matrix_game_problem(MatrixGameSpec(A3, "negative_entropy"))[0],
+        "box_game": lambda: box_game_problem(A4, m_blocks=2, n_blocks=2)[0],
+        "erm_box": lambda: robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=12),
+        "erm_simplex": lambda: robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=1),
+    }
+    return builders[name]()
+
+
+class TestCertifiedGap:
+    @pytest.mark.parametrize("name", ["game_euclidean", "game_entropy", "box_game", "erm_box", "erm_simplex"])
+    def test_bounds_sup_gap_on_random_points(self, name):
+        prob = _bounded_builtin(name)
+        for x, y in _probe_points(prob, np.random.default_rng(11), 20):
+            lower = sup_gap(prob, (x, y), [])
+            upper = certified_gap(prob, (x, y))
+            assert lower >= 0.0
+            assert upper >= lower - 1e-12 * (1.0 + abs(lower))
+
+    def test_bilinear_bound_is_the_exact_gap(self):
+        # x' A y over simplices: the linearization is L itself, so the bound
+        # equals max_j (A' x)_j - min_i (A y)_i
+        prob, _ = matrix_game_problem(MatrixGameSpec(A3))
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            x, y = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+            exact = float(np.max(A3.T @ x) - np.min(A3 @ y))
+            assert certified_gap(prob, (x, y)) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("geometry", ["euclidean", "negative_entropy"])
+    def test_zero_at_matrix_game_saddle(self, geometry):
+        prob, ref = matrix_game_problem(MatrixGameSpec(A3, geometry))
+        assert abs(certified_gap(prob, (ref.x, ref.y))) <= 1e-9
+
+    def test_zero_at_box_game_saddle(self):
+        prob, ref = box_game_problem(A4, m_blocks=2, n_blocks=2)
+        assert abs(certified_gap(prob, (ref.x, ref.y))) <= 1e-9
+
+    def test_unbounded_multipliers_give_none(self):
+        spec = ConstrainedSpec(Q=[[2.0, 0.3], [0.3, 1.0]], c=[0.5, -1.0], G=[[1.0, -1.0]], d=[0.5])
+        prob, (x_star, y_star), _ = constrained_qp_problem(spec)
+        assert certified_gap(prob, (x_star, y_star)) is None
+        assert certified_gap(prob, (np.zeros(2), np.zeros(1))) is None
 
 
 class TestConstrainedMetrics:
