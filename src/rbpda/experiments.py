@@ -204,55 +204,83 @@ def baseline_stepsizes(problem) -> tuple[float, float]:
     return float(tau[0]), float(sigma[0])
 
 
-REFERENCE_TOL = 1e-4  # box-dual reference: certified gap relative to the start point's
+REFERENCE_TOL = 1e-4  # reference: certified gap relative to the start point's
 _CERT_EVERY = 25  # FISTA iterations between two certificate checks
 
 
-def erm_reference(problem, iters: int = 30_000, plateau_tol: float = 1e-9):
+def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
     """High-accuracy saddle reference (x, y) of a robust-ERM problem.
 
-    With box dual blocks, Phi is linear in y and its y-gradient, the
-    per-datum logistic losses, is positive, so the saddle's y is the boxes'
-    upper bounds and its x minimizes L(., y*) over the primal box.  FISTA
-    (Beck & Teboulle, 2009) solves that from the problem's start x, with the
-    step 1 / ||Lxx||_2 and the baseline's primal prox, for at most ``iters``
-    iterations.  Every 25 iterations it stops once
-    ``certified_gap(problem, (x, y*))`` is at most ``REFERENCE_TOL`` times the
-    certified gap at the problem's start point (``start_x``, ``start_y``).
+    Both duals reduce to minimizing a convex f over the primal box, solved
+    by FISTA (Beck & Teboulle, 2009) from the problem's start x with the
+    baseline's primal prox, for at most ``iters`` iterations.  Every 25
+    iterations it stops once ``certified_gap(problem, (x, y(x)))`` is at
+    most ``REFERENCE_TOL`` times the certified gap at the problem's start
+    point (``start_x``, ``start_y``).
 
-    Otherwise (the entropy simplex, whose best response is a vertex) the
-    reference is the last iterate of a full-gradient baseline run of
-    ``iters`` iterations that stops on a ``plateau_tol`` plateau.
+    * With box dual blocks, Phi is linear in y and its y-gradient, the
+      per-datum logistic losses, is positive, so the saddle's y is the
+      boxes' upper bounds and f = L(., y*), with the step 1 / ||Lxx||_2.
+      A simplex of one datum is the single point y = [1], solved alike.
+    * With the entropy simplex, max_y L(x, y) is the largest loss, which is
+      not smooth.  Nesterov's entropy smoothing (Math. Prog. 2005) gives
+      f(x) = mu logsumexp(loss(x) / mu), whose gradient is ``full_grad_x``
+      at y(x) = softmax(loss(x) / mu).  With mu = target / (2 log n) the
+      dual side of the certificate at (x, y(x)) is at most half the target.
+      The step 1 / lip backtracks: lip starts at and never falls below
+      ||Lxx||_2, doubles when sufficient decrease fails and shrinks by 0.9
+      after each step.
+
+    ``plateau_tol`` is ignored.  It is accepted only because the benchmark
+    workloads (``perfbench/workloads.py``) pass it.
     """
-    if all(spec.kind == "box" for spec in problem.dual_prox):
-        return _box_dual_reference(problem, iters)
-    tau, sigma = baseline_stepsizes(problem)
-    result = deterministic_baseline_run(
-        problem,
-        tau,
-        sigma,
-        iters,
-        checkpoint_every=max(1, iters // 20),
-        plateau_tol=plateau_tol,
-    )
-    return result.x, result.y
-
-
-def _box_dual_reference(problem, iters: int):
-    y = problem.side_bounds()[1].upper.copy()
     target = REFERENCE_TOL * certified_gap(problem, (problem.start_x, problem.start_y))
+    n = problem.structure.n
+    if all(spec.kind == "box" for spec in problem.dual_prox) or n == 1:
+        y = problem.side_bounds()[1].upper.copy() if n > 1 else np.ones(1)
+        return _fista(problem, iters, target, lambda x: (None, y))
+    if target == 0.0:  # the start is a saddle; mu would be 0
+        return np.array(problem.start_x, dtype=float), np.array(problem.start_y, dtype=float)
+    mu = 0.5 * target / math.log(n)
+
+    def smoothed(x):
+        s = problem.full_grad_y(x, problem.start_y) / mu
+        top = s.max()
+        e = np.exp(s - top)
+        total = e.sum()
+        return mu * (top + math.log(total)), e / total
+
+    return _fista(problem, iters, target, smoothed)
+
+
+def _fista(problem, iters: int, target: float, oracle):
+    """FISTA on min_x f(x) over the primal box, where grad f(x) = full_grad_x(x, y(x)).
+
+    ``oracle(x)`` returns (f(x), y(x)).  A value of None means y is constant
+    and ||Lxx||_2 bounds f's curvature, so the step stays 1 / ||Lxx||_2 and
+    no value is taken; otherwise the step backtracks.
+    """
     project = _stacked_prox(problem, 0)
-    step = 1.0 / np.linalg.norm(problem.lipschitz.Lxx, 2)
+    floor = lip = np.linalg.norm(problem.lipschitz.Lxx, 2)
     x = np.array(problem.start_x, dtype=float)
     w, t = x, 1.0
     for k in range(1, iters + 1):
-        x_new = project(problem.full_grad_x(w, y), step, w)
+        f_w, y_w = oracle(w)
+        grad = problem.full_grad_x(w, y_w)
+        x_new = project(grad, 1.0 / lip, w)
+        while f_w is not None:
+            d = x_new - w
+            if oracle(x_new)[0] <= f_w + grad @ d + 0.5 * lip * (d @ d):
+                lip = max(floor, 0.9 * lip)
+                break
+            lip *= 2.0
+            x_new = project(grad, 1.0 / lip, w)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         w = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-        if k % _CERT_EVERY == 0 and certified_gap(problem, (x, y)) <= target:
+        if k % _CERT_EVERY == 0 and certified_gap(problem, (x, oracle(x)[1])) <= target:
             break
-    return x, y
+    return x, oracle(x)[1]
 
 
 def _stream_seeds(spec: ExperimentSpec):

@@ -695,11 +695,6 @@ def _stacked_prox(problem: SaddleProblem, side: int):
     return blockwise
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D array: ``np.linalg.norm``'s arithmetic, bit for bit, without its call overhead."""
-    return math.sqrt(v.dot(v))
-
-
 def deterministic_baseline_run(
     problem: SaddleProblem,
     tau: float,
@@ -710,24 +705,21 @@ def deterministic_baseline_run(
     reference=None,
     f_star: Optional[float] = None,
     checkpoint_every: int = 100,
-    plateau_tol: float = 0.0,
     compute_sup_gap: bool = False,
 ) -> RunResult:
     """Run the baseline with uniform ergodic averaging and checkpointing.
 
     Budget accounting charges p component gradients per iteration for the full
-    primal gradient.  With ``plateau_tol > 0`` the run stops early once the
-    iterate movement stays below the tolerance for 20 consecutive iterations.
-    Both full gradients of an iteration are taken at the same x, so a
-    problem's coupling cache, synced exactly onto x once per iteration, lets
-    them share its products (one ``A @ x`` per iteration for robust ERM).
+    primal gradient.  Both full gradients of an iteration are taken at the
+    same x, so a problem's coupling cache, synced exactly onto x once per
+    iteration, lets them share its products (one ``A @ x`` per iteration for
+    robust ERM).
     """
     x, y = _start_point(problem, x0, y0)
     st = problem.structure
     acc = ErgodicAccumulator("uniform", 1, 1, x, y)
     trace = ConvergenceTrace()
     budget = 0
-    quiet = 0
 
     def checkpoint(k):
         x_bar, y_bar = acc.finalize()
@@ -762,7 +754,6 @@ def deterministic_baseline_run(
         y_new = dual_apply(-s, sigma, y)
         x_new = primal_apply(np.asarray(problem.full_grad_x(x, y_new, **kw), dtype=float), tau, x)
         budget += problem.p
-        move = _norm(x_new - x) + _norm(y_new - y)
         x[:] = x_new
         y[:] = y_new
         if cache is not None:
@@ -770,13 +761,6 @@ def deterministic_baseline_run(
         acc.update(x, y, k - 1)
         if k % checkpoint_every == 0 or k == iters:
             checkpoint(k)
-        if plateau_tol > 0:
-            scale = 1.0 + (_norm(x) + _norm(y))
-            quiet = quiet + 1 if move <= plateau_tol * scale else 0
-            if quiet >= 20:
-                if trace.rows[-1].k != k:
-                    checkpoint(k)
-                break
     x_bar, y_bar = acc.finalize()
     return RunResult(
         x=x.copy(),

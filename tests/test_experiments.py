@@ -10,7 +10,6 @@ from rbpda.experiments import (
     REFERENCE_TOL,
     ConfigError,
     ExperimentSpec,
-    baseline_stepsizes,
     build_problem,
     compare_runs,
     erm_reference,
@@ -20,8 +19,7 @@ from rbpda.experiments import (
     write_config,
 )
 from rbpda.metrics import ConvergenceTrace, certified_gap
-from rbpda.problems import generate_robust_erm, robust_erm_problem
-from rbpda.solver import deterministic_baseline_run
+from rbpda.problems import RobustErmDataset, generate_robust_erm, robust_erm_problem
 
 
 class TestParseConfig:
@@ -207,13 +205,48 @@ class TestErmReference:
         start = certified_gap(prob, (prob.start_x, prob.start_y))
         assert certified_gap(prob, erm_reference(prob, iters=10)) > REFERENCE_TOL * start
 
-    def test_entropy_dual_reference_is_the_baseline_run(self):
+    @staticmethod
+    def _start_cert(prob):
+        return certified_gap(prob, (prob.start_x, prob.start_y))
+
+    @pytest.mark.parametrize("data_seed,n,m", [(5, 1, 4), (9, 60, 10), (3, 30, 20)])
+    def test_entropy_dual_reference_is_certified(self, data_seed, n, m):
+        # one datum: log n = 0 and the simplex is the point y = [1], solved
+        # like the box dual; the loss is then least at a primal corner
+        data = generate_robust_erm(data_seed, n, m, 0.1)
+        prob = robust_erm_problem(data, radius=1.0, m_blocks=2, n_blocks=1)
+        x, y = erm_reference(prob)
+        assert prob.in_domain(x, y, 0.0) and abs(y.sum() - 1.0) <= 1e-12
+        cert = certified_gap(prob, (x, y))
+        if n == 1:
+            assert np.array_equal(y, [1.0]) and cert == 0.0
+        else:
+            assert 0.0 <= cert <= REFERENCE_TOL * self._start_cert(prob)
+
+    def test_iters_caps_the_entropy_dual_solve(self):
         data = generate_robust_erm(3, 30, 20, 0.1)
         prob = robust_erm_problem(data, radius=5.0, m_blocks=2, n_blocks=1)
-        tau, sigma = baseline_stepsizes(prob)
-        want = deterministic_baseline_run(prob, tau, sigma, 500, checkpoint_every=25, plateau_tol=1e-7)
-        x, y = erm_reference(prob, iters=500, plateau_tol=1e-7)
-        assert np.array_equal(x, want.x) and np.array_equal(y, want.y)
+        x, y = erm_reference(prob, iters=0)
+        assert np.array_equal(x, prob.start_x) and prob.in_domain(x, y, 0.0)
+        assert certified_gap(prob, erm_reference(prob, iters=10)) > REFERENCE_TOL * self._start_cert(prob)
+
+    def test_entropy_dual_start_at_a_saddle(self):
+        # a datum twice with opposite labels: at x = 0 both losses are log 2
+        # and their gradients cancel, so the start's certificate is 0
+        a = np.array([0.5, -1.0, 2.0, 0.25])
+        data = RobustErmDataset(A=np.vstack([a, a]), b=np.array([1.0, -1.0]), x_true=np.zeros(4), flip_prob=0.0)
+        prob = robust_erm_problem(data, radius=1.0, m_blocks=2, n_blocks=1)
+        x, y = erm_reference(prob)
+        assert np.array_equal(x, prob.start_x) and np.array_equal(y, prob.start_y)
+        assert certified_gap(prob, (x, y)) == 0.0
+
+    @pytest.mark.parametrize("data_seed", [1, 7])
+    def test_entropy_dual_reference_at_c09_scale(self, data_seed):
+        data = generate_robust_erm(data_seed, 200, 500, 0.1)
+        prob = robust_erm_problem(data, radius=10.0, m_blocks=10, n_blocks=1)
+        x, y = erm_reference(prob, iters=20_000, plateau_tol=3e-7)
+        assert prob.in_domain(x, y, 0.0)
+        assert certified_gap(prob, (x, y)) <= 1e-4 * self._start_cert(prob)
 
 
 class TestReferenceCertificateColumn:
@@ -229,6 +262,19 @@ class TestReferenceCertificateColumn:
         )
         rows = self._rows(run_experiment(spec))
         problem, reference, _ = build_problem(spec)
+        want = certified_gap(problem, reference)
+        assert [float(r["ref_cert_gap"]) for r in rows] == [want, want]
+        start = certified_gap(problem, (problem.start_x, problem.start_y))
+        assert 0.0 <= want <= REFERENCE_TOL * start
+
+    def test_entropy_dual_reference_certificate(self, tmp_path):
+        spec = ExperimentSpec(
+            name="erm1", problem="robust_erm", n=20, m=40, blocks_m=2, blocks_n=1, iters=40,
+            repeats=2, checkpoint_every=20, out=str(tmp_path / "erm1"),
+        )
+        rows = self._rows(run_experiment(spec))
+        problem, reference, signature = build_problem(spec)
+        assert signature.endswith("dual_simplex")
         want = certified_gap(problem, reference)
         assert [float(r["ref_cert_gap"]) for r in rows] == [want, want]
         start = certified_gap(problem, (problem.start_x, problem.start_y))
