@@ -6,16 +6,16 @@ reproduces full trajectories bit for bit.  Component indices are drawn
 uniformly with replacement; when the scheduled batch reaches p the solver
 enumerates all components instead, which makes the estimate exact.
 
-Draws may be taken ahead, and yield exactly the sequence that
-:func:`draw_block` and :func:`sample_indices` give one step at a time.  When
-every step draws the same pattern, :class:`ChunkedDraws` draws a chunk of
-steps in one call; when the batch size depends on the drawn block (an
-increasing batch at p > 1), or a step is too wide for a chunk,
-:class:`WordDraws` draws the generator's raw 32-bit words ahead and maps
-them to blocks and indices as numpy does.  :func:`rbpda.solver.run` takes
-every run's draws ahead; steps driven by hand draw one step at a time.  The
-trajectory is still fixed by (seed, stream); only the generator's position
-after a failed step, or after the run, is unspecified.
+A step takes its draws from a draw source: ``blocks()`` gives its dual and
+primal blocks and, once its batch size v is known, ``indices(v)`` its
+component indices.  :class:`SequentialDraws` calls :func:`draw_block` and
+:func:`sample_indices` one at a time; :class:`WordDraws` draws the
+generator's raw 32-bit words ahead and maps them to blocks and indices as
+numpy does, so both give the same draws for any sequence of batch sizes.
+:func:`rbpda.solver.run` draws from words while N, M and p are at most
+2**32; steps driven by hand, and runs past those bounds, draw one call at a
+time.  The trajectory is fixed by (seed, stream) either way; only the
+generator's position after a failed step, or after a run, is unspecified.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ __all__ = [
     "sample_indices",
     "estimate_partial_grad_x",
     "expected_inverse_batch",
-    "CHUNK_ELEMENTS",
-    "ChunkedDraws",
+    "WORD_BOUND",
     "WORD_CHUNK",
     "WordDraws",
-    "chunked_draws",
+    "SequentialDraws",
 ]
 
 
@@ -166,77 +165,15 @@ def sample_indices(rng: np.random.Generator, v: int, p: int) -> np.ndarray:
     """v i.i.d. uniform component indices over {0, ..., p-1}; duplicates permitted."""
     if v < 1 or p < 1:
         raise ValueError("need v >= 1 and p >= 1")
-    if v == 1:
-        # a scalar draw gives the same index and generator state as size=1,
-        # at a fraction of the call overhead
-        return np.array([rng.integers(0, p)])
     return rng.integers(0, p, size=v)
 
 
-CHUNK_ELEMENTS = 1 << 14  # most integers one chunk of ChunkedDraws holds (128 KiB)
-
-
-class ChunkedDraws:
-    """A run's draws, taken ahead in chunks, when every step draws the same pattern.
-
-    Each step draws its dual block over N, its primal block over M and, for a
-    constant batch v < p, v component indices over p; at v >= p it draws no
-    indices and enumerates all p components.  numpy draws bounded integers
-    (Lemire's method) element by element from the same generator stream for
-    one call over an array of bounds as for the same bounds in scalar calls,
-    so one ``rng.integers(0, bounds)`` over the pattern tiled for a chunk of
-    steps gives exactly what :func:`draw_block` and :func:`sample_indices`
-    give step after step.  A chunk (``buffer``) holds at most
-    :data:`CHUNK_ELEMENTS` integers and covers at most the ``steps`` still to
-    come; a step taken after those is drawn as a chunk of one.  Built by
-    :func:`chunked_draws`, which checks that one step fits a chunk.
-    """
-
-    def __init__(self, rng: np.random.Generator, N: int, M: int, p: int, v: int, steps: int):
-        self.pattern = np.array([N, M] + ([p] * v if v < p else []), dtype=np.int64)
-        self.width = self.pattern.size
-        self.cap = CHUNK_ELEMENTS // self.width  # steps per full chunk
-        self.rng = rng
-        self.left = steps
-        if v >= p:
-            self.full = np.arange(p)
-            self.full.flags.writeable = False
-        else:
-            self.full = None
-        self.buffer = None
-        self._at = self._size = 0
-
-    def _fill(self) -> None:
-        n = min(self.cap, max(self.left, 1))
-        self.left -= n
-        buf = self.rng.integers(0, np.tile(self.pattern, n)).reshape(n, self.width)
-        buf.flags.writeable = False  # index rows are handed out as views
-        self.buffer = buf
-        self._dual, self._primal = buf[:, 0].tolist(), buf[:, 1].tolist()
-        self._indices = buf[:, 2:]
-        self._at, self._size = 0, n
-
-    def blocks(self) -> tuple[int, int]:
-        """The next step's dual and primal blocks."""
-        t = self._at
-        if t == self._size:
-            self._fill()
-            t = 0
-        self._at = t + 1
-        return self._dual[t], self._primal[t]
-
-    def indices(self, v: int) -> np.ndarray:
-        """The component indices of the step whose blocks were taken last; ``v`` is the pattern's."""
-        full = self.full
-        return self._indices[self._at - 1] if full is None else full
-
-
 WORD_CHUNK = 4096  # most 32-bit words one fill of WordDraws draws ahead (32 KiB)
-_WORD = 1 << 32
+WORD_BOUND = 1 << 32  # the largest bound WordDraws maps words by
 
 
 class WordDraws:
-    """A run's draws, taken ahead as raw 32-bit words, when the batch size changes from step to step.
+    """A run's draws, taken ahead as the generator's raw 32-bit words.
 
     numpy draws an integer below a bound r <= 2**32 from the generator's
     stream of 32-bit words by Lemire's method (Lemire, "Fast random integer
@@ -246,42 +183,53 @@ class WordDraws:
     the words themselves, ``rng.integers(0, 2**32, size=n, dtype=np.uint64)``,
     and this class maps them the same way, so :meth:`blocks` and
     :meth:`indices` give exactly what :func:`draw_block` and
-    :func:`sample_indices` give step after step.
+    :func:`sample_indices` give step after step, for any sequence of batch
+    sizes.
 
-    Blocks are mapped one word at a time in Python ints.  Each fill also
-    maps every word by p at once, with one flag for a rejection anywhere in
-    the fill: the v indices of a step in a fill without one are a read-only
-    slice of that map, and otherwise they are mapped word by word.  A batch
-    of v >= p takes no word and gets the read-only ``arange(p)``, built on
-    its first use.  Words a fill leaves over carry into the next.  A fill
-    draws :data:`WORD_CHUNK` words, or more when one step's indices need
-    more.  Built by :func:`chunked_draws` for bounds up to 2**32; any
-    sequence of batch sizes may be taken.
+    Each fill maps every word by N, by M and by p at once, with one flag per
+    bound for a rejection anywhere in the fill.  In a fill clean for N and
+    M, :meth:`blocks` reads the two blocks from those maps (a bound of 1
+    maps every word to 0 and takes none); in a fill clean for p, a step's v
+    indices are a read-only slice of the p map.  Otherwise they are mapped
+    word by word.  A batch of v >= p takes no word and gets the read-only
+    ``arange(p)``, built on its first use.  Words a fill leaves over carry
+    into the next.  A fill draws :data:`WORD_CHUNK` words, or more when one
+    step's indices need more.  N, M and p must be at most 2**32.
     """
 
     def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
+        if max(N, M, p) > WORD_BOUND:
+            raise ValueError("WordDraws needs N, M and p of at most 2**32")
         self.rng = rng
         self.N, self.M, self.p = N, M, p
-        self._cut = [(_WORD - r) % r for r in (N, M, p)]  # rejection thresholds
+        self._bounds = np.array([[N], [M], [p]], dtype=np.uint64)
+        self._cut = [(WORD_BOUND - r) % r for r in (N, M, p)]  # rejection thresholds
+        self._width = (N > 1) + (M > 1)  # the words two accepted blocks take
+        self._off = int(N > 1)  # the primal block's word, after the dual block's
         self.full = None
         self.words = np.zeros(0, dtype=np.uint64)
-        self._map = None  # the words mapped by p, set by each fill
+        self._dual = self._primal = self._map = None  # the words mapped by N, M and p
+        self._fast = 0  # blocks are read from the maps while the position is below it
         self._clean = True
         self._at = self._size = 0
 
     def _fill(self, need: int) -> None:
         """Draw words so that at least ``need`` are left, keeping the ones not yet taken."""
         rest = self.words[self._at:]
-        words = self.rng.integers(0, _WORD, size=max(need - rest.size, WORD_CHUNK), dtype=np.uint64)
+        words = self.rng.integers(0, WORD_BOUND, size=max(need - rest.size, WORD_CHUNK), dtype=np.uint64)
         if rest.size:
             words = np.concatenate((rest, words))
-        m = words * np.uint64(self.p)
-        cut = self._cut[2]
-        self._clean = not cut or int(m.astype(np.uint32).min()) >= cut
+        m = self._bounds * words  # one row per bound, in one pass
+        clean = (m.astype(np.uint32).min(axis=1) >= self._cut).tolist()
         m >>= np.uint64(32)
         m = m.view(np.int64)
         m.flags.writeable = False  # indices are handed out as views
-        self.words, self._map = words, m
+        # the primal map starts at the primal block's word, so both blocks are read at one position
+        self._dual, self._primal, self._map = memoryview(m[0]), memoryview(m[1, self._off:]), m[2]
+        # the last word cannot hold both blocks; blocks() then maps word by word
+        self._fast = words.size - 1 if clean[0] and clean[1] else 0
+        self._clean = clean[2]
+        self.words = words
         self._at, self._size = 0, words.size
 
     def _bounded(self, r: int, cut: int) -> int:
@@ -298,17 +246,12 @@ class WordDraws:
 
     def blocks(self) -> tuple[int, int]:
         """The next step's dual and primal blocks."""
-        N, M = self.N, self.M
-        cut_n, cut_m, _ = self._cut
         at = self._at
-        if at + 2 <= self._size and N > 1 and M > 1:
-            # two words in hand, both accepted: the common case
-            words = self.words
-            m, n = words.item(at) * N, words.item(at + 1) * M
-            if m & 0xFFFFFFFF >= cut_n and n & 0xFFFFFFFF >= cut_m:
-                self._at = at + 2
-                return m >> 32, n >> 32
-        return self._bounded(N, cut_n), self._bounded(M, cut_m)
+        if at < self._fast:
+            self._at = at + self._width
+            return self._dual[at], self._primal[at]
+        cut_n, cut_m, _ = self._cut
+        return self._bounded(self.N, cut_n), self._bounded(self.M, cut_m)
 
     def indices(self, v: int) -> np.ndarray:
         """The step's v component indices, drawn after its blocks."""
@@ -329,22 +272,29 @@ class WordDraws:
         return np.array([self._bounded(p, cut) for _ in range(v)], dtype=np.int64)
 
 
-def chunked_draws(rng: np.random.Generator, N: int, M: int, p: int, batch: BatchSchedule,
-                  steps: int) -> Optional[ChunkedDraws | WordDraws]:
-    """The draws of a run of ``steps`` steps, taken ahead; None if they must be drawn step by step.
+class SequentialDraws:
+    """A step's draws, taken from the generator one call at a time as the step needs them.
 
-    Every step draws the same pattern for a constant batch, and at p = 1,
-    where every batch enumerates the one component: that pattern is drawn
-    in chunks (:class:`ChunkedDraws`) if it fits :data:`CHUNK_ELEMENTS`.
-    Otherwise, as for an increasing batch at p > 1, whose number of indices
-    depends on the drawn block, the words are drawn ahead
-    (:class:`WordDraws`) while N, M and p are at most 2**32.
+    :meth:`blocks` calls :func:`draw_block` over N and then over M, and
+    :meth:`indices` calls :func:`sample_indices` over p, or draws nothing
+    and gives ``arange(p)`` at v >= p.  Nothing is drawn ahead, so after
+    each step the generator sits where those calls leave it, and it may be
+    used, saved or restored between steps.  It gives the draws that
+    :class:`WordDraws` takes ahead from the same generator, and serves
+    bounds of any size.
     """
-    if batch.kind == "constant" or p == 1:
-        v = batch.v if batch.kind == "constant" else 1
-        if (2 if v >= p else 2 + v) <= CHUNK_ELEMENTS:
-            return ChunkedDraws(rng, N, M, p, v, steps)
-    return WordDraws(rng, N, M, p) if max(N, M, p) <= _WORD else None
+
+    def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
+        self.rng = rng
+        self.N, self.M, self.p = N, M, p
+
+    def blocks(self) -> tuple[int, int]:
+        """The next step's dual and primal blocks."""
+        return draw_block(self.rng, self.N), draw_block(self.rng, self.M)
+
+    def indices(self, v: int) -> np.ndarray:
+        """The step's v component indices, drawn after its blocks."""
+        return np.arange(self.p) if v >= self.p else sample_indices(self.rng, v, self.p)
 
 
 def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:

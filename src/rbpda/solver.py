@@ -17,12 +17,11 @@ error vanishes and the method reduces to its deterministic counterpart for
 M = N = 1.
 
 A run's draws come from one generator in the fixed order of
-:mod:`rbpda.sampling`.  :func:`run` always takes them ahead
-(:class:`StepPlan`): in chunks of steps when every step draws the same
-pattern, and as buffered 32-bit words when the batch size depends on the
-drawn block.  That changes no trajectory: (seed, stream) still fixes it.
-The generator's position after a step that raised, or after the run, is
-unspecified.  A step driven by hand draws one step at a time.
+:mod:`rbpda.sampling`, through the draw source of its :class:`StepPlan`.
+:func:`run` takes them ahead as buffered 32-bit words; a step driven by hand
+draws one call at a time.  That changes no trajectory: (seed, stream) fixes
+it either way.  The generator's position after a step that raised, or after
+a run, is unspecified.
 """
 
 from __future__ import annotations
@@ -36,17 +35,18 @@ import numpy as np
 from .blocks import SaddleProblem
 from .bregman import prox_step
 from .metrics import ConvergenceTrace, evaluate_checkpoint
-from .sampling import (  # noqa: F401  estimate_partial_grad_x is kept here for perfbench's patch list
+from .sampling import (
+    WORD_BOUND,
     BatchSchedule,
     BlockCounters,
-    chunked_draws,
-    draw_block,
-    estimate_partial_grad_x,
+    SequentialDraws,
+    WordDraws,
     make_rng,
     next_batch_size,
-    sample_indices,
     typical_batch_size,
 )
+# the step calls none of these; perfbench's layer spans patch them in this module
+from .sampling import draw_block, estimate_partial_grad_x, sample_indices  # noqa: F401
 from .stepsize import StepSchedule, aggregate_constants, default_free_params
 
 __all__ = [
@@ -200,33 +200,30 @@ class StepPlan:
 
     ``dual[j]`` is block j's slice, its coordinate for the one-coordinate
     float path (None for a wider block) and its prox spec; ``primal[i]`` is
-    block i's slice and prox spec.  Given the run's ``batch``, ``rng`` and
-    number of ``steps``, ``draws`` takes the run's draws ahead
-    (:func:`~rbpda.sampling.chunked_draws`): a
-    :class:`~rbpda.sampling.ChunkedDraws` when every step draws the same
-    pattern and it fits a chunk, else a
-    :class:`~rbpda.sampling.WordDraws`.  A step takes its
-    blocks from ``draws.blocks()`` and, once its batch size v is known, its
-    indices from ``draws.indices(v)``.  For a plan built without ``steps``
-    (and for bounds past 2**32) ``draws`` is None and each step draws from
-    its generator in turn.  A plan without draws serves any step on
-    ``problem``; one with draws only steps with the same ``batch`` and
-    ``rng`` objects.
+    block i's slice and prox spec.  ``draws`` is the steps' draw source on
+    ``rng``: a step takes its blocks from ``draws.blocks()`` and, once its
+    batch size v is known, its indices from ``draws.indices(v)``.  With
+    ``ahead`` (as :func:`run` builds it) and N, M and p of at most 2**32,
+    it is a :class:`~rbpda.sampling.WordDraws`, which draws words ahead;
+    otherwise a :class:`~rbpda.sampling.SequentialDraws`, which draws one
+    call at a time.  A plan serves the steps on ``problem`` that draw from
+    the same ``rng`` object.
     """
 
-    def __init__(self, problem: SaddleProblem, batch: Optional[BatchSchedule] = None,
-                 rng: Optional[np.random.Generator] = None, steps: Optional[int] = None):
+    def __init__(self, problem: SaddleProblem, rng: np.random.Generator, ahead: bool = False):
         st = problem.structure
-        self.problem, self.batch, self.rng = problem, batch, rng
-        self.draws = None if steps is None else chunked_draws(rng, st.N, st.M, problem.p, batch, steps)
+        self.problem, self.rng = problem, rng
+        bounds = (st.N, st.M, problem.p)
+        source = WordDraws if ahead and max(bounds) <= WORD_BOUND else SequentialDraws
+        self.draws = source(rng, *bounds)
         self.dual = [
             (blk, blk.start if dim == 1 else None, spec)
             for blk, dim, spec in zip(st.dual.ranges, st.dual.dims, problem.dual_prox)
         ]
         self.primal = list(zip(st.primal.ranges, problem.primal_prox))
 
-    def serves(self, problem: SaddleProblem, batch: BatchSchedule, rng: np.random.Generator) -> bool:
-        return self.problem is problem and (self.draws is None or (self.rng is rng and self.batch is batch))
+    def serves(self, problem: SaddleProblem, rng: np.random.Generator) -> bool:
+        return self.problem is problem and self.rng is rng
 
 
 class _LazySum:
@@ -374,14 +371,16 @@ def rbpda_step(
 
     Draw order is fixed (dual block, primal block, component indices) so a
     seed reproduces the whole trajectory.  The draws, block slices and prox
-    specs come from ``state.plan``.  :func:`run` builds it with the run's
-    length and takes every run's draws ahead, with the same values: the
-    step takes its blocks first and its indices once the batch size is
-    known, so the generator's position after a step that raised is
-    unspecified.  A step driven by hand builds a plan on its first call for
-    the problem, and that plan draws from ``rng`` one step at a time, as
+    specs come from ``state.plan``: the step takes both blocks from
+    ``plan.draws`` first and its indices once the batch size is known.
+    :func:`run` builds a plan that draws ahead.  A step driven by hand
+    builds a plan on its first call for the problem and ``rng`` (and again
+    when either changes), and that plan draws from ``rng`` one call at a
+    time: after each step that returns, the generator sits where
     :func:`~rbpda.sampling.draw_block` and
-    :func:`~rbpda.sampling.sample_indices` do.  Outside the oracles the step
+    :func:`~rbpda.sampling.sample_indices` called in turn leave it.  After
+    a step that raised, its position is unspecified, as it is during and
+    after a run.  Outside the oracles the step
     costs O(block): it reads one step size per side, and by the block-copy
     invariant of :class:`RunState` it moves x^k into ``x_prev`` by copying
     the one block the previous step changed, then writes the new blocks.  A
@@ -397,8 +396,8 @@ def rbpda_step(
     as its ``__cause__``.
     """
     plan = state.plan
-    if plan is None or not plan.serves(problem, batch, rng):
-        plan = state.plan = StepPlan(problem)
+    if plan is None or not plan.serves(problem, rng):
+        plan = state.plan = StepPlan(problem, rng)
         state.dual_row = None
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
@@ -413,10 +412,7 @@ def rbpda_step(
     kw = {} if cache is None else {"cache": cache}
 
     draws = plan.draws
-    if draws is None:
-        j = draw_block(rng, N)
-    else:
-        j, i = draws.blocks()
+    j, i = draws.blocks()
     kept = state.dual_row
     if kept is not None and (
         kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
@@ -447,13 +443,8 @@ def rbpda_step(
 
     y_next[at_j] = y_blk
     try:
-        if draws is None:
-            i = draw_block(rng, M)
         v = next_batch_size(batch, state.counters, i, k, p)
-        if draws is None:
-            indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
-        else:
-            indices = draws.indices(v)
+        indices = draws.indices(v)
         # r = M (g_new + (N-1) theta (g_cur - g_old)), the sum in one weighted
         # call; M is applied to its result, so at N = 1 the weights (1, 0, -0)
         # give M g_new with the bits of the per-point form
@@ -563,9 +554,9 @@ def run(
 ) -> RunResult:
     """Execute the configured number of iterations with checkpointed metrics.
 
-    Fully deterministic given (seed, stream); the draws are taken ahead
-    (:class:`StepPlan`), for every batch schedule, so the generator's final
-    position is unspecified.  A step failure aborts the run but the partial trace is
+    Fully deterministic given (seed, stream); the draws are taken ahead as
+    buffered words (:class:`StepPlan`), so the generator's final position
+    is unspecified.  A step failure aborts the run but the partial trace is
     preserved on the raised :class:`SolverError`.  A problem's coupling
     cache is planned from the batch size the next step is expected to draw
     (:func:`~rbpda.sampling.typical_batch_size`), whenever that size
@@ -581,7 +572,7 @@ def run(
         batch = BatchSchedule.constant(1, problem.p)
     rng = make_rng(config.seed, config.stream)
     state = RunState.start(problem, config.x0, config.y0)
-    state.plan = StepPlan(problem, batch, rng, steps=config.max_iters)
+    state.plan = StepPlan(problem, rng, ahead=True)
     if problem.coupling_cache is not None:
         state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev)
     acc = ErgodicAccumulator(

@@ -1,5 +1,7 @@
 """Seeded draws, batch schedules, counters, and the gradient estimator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,10 @@ from hypothesis import strategies as hst
 from rbpda import sampling
 from rbpda.problems import generate_robust_erm, robust_erm_problem
 from rbpda.sampling import (
-    CHUNK_ELEMENTS,
     BatchSchedule,
     BlockCounters,
-    ChunkedDraws,
+    SequentialDraws,
     WordDraws,
-    chunked_draws,
     draw_block,
     expected_inverse_batch,
     make_rng,
@@ -21,6 +21,7 @@ from rbpda.sampling import (
     sample_indices,
     estimate_partial_grad_x,
 )
+from rbpda.solver import StepPlan
 
 
 class TestRngContract:
@@ -31,27 +32,11 @@ class TestRngContract:
         b = [draw_block(rng2, 7) for _ in range(50)]
         assert a == b
 
-    def test_single_index_draw_matches_size_one(self):
-        # v = 1 takes a scalar draw; indices, dtype and generator state must
-        # match rng.integers(0, p, size=1) exactly
-        for p in (1, 2, 3, 7, 200, 1000):
-            for seed in range(200):
-                rng, ref = make_rng(seed), make_rng(seed)
-                got = np.concatenate([sample_indices(rng, 1, p) for _ in range(200)])
-                want = np.concatenate([ref.integers(0, p, size=1) for _ in range(200)])
-                assert got.dtype == want.dtype and np.array_equal(got, want), (p, seed)
-                assert rng.bit_generator.state == ref.bit_generator.state, (p, seed)
-
     def test_streams_independent(self):
         s0 = sample_indices(make_rng(1, 0), 100, 1000).tolist()
         s1 = sample_indices(make_rng(1, 1), 100, 1000).tolist()
         assert s0 != s1
         assert s0 == sample_indices(make_rng(1, 0), 100, 1000).tolist()
-
-
-def sequential_draws(rng, N, M, p, v, steps):
-    """The draws of ``steps`` steps one call at a time, in the solver's order."""
-    return [sequential_step(rng, N, M, p, v) for _ in range(steps)]
 
 
 def sequential_step(rng, N, M, p, v):
@@ -64,68 +49,6 @@ def take(draws, v):
     """One step's draws from a draw source, in the order a step takes them."""
     j, i = draws.blocks()
     return j, i, draws.indices(v)
-
-
-class TestChunkedDraws:
-    @pytest.mark.parametrize("N", [1, 2, 7])
-    @pytest.mark.parametrize("M", [1, 2, 7])
-    @pytest.mark.parametrize("p", [1, 3, 200])
-    def test_chunks_give_the_sequential_draws(self, N, M, p):
-        # two and a half full chunks plus one step cross two chunk
-        # boundaries and end inside a chunk; the run leaves the generator
-        # where the sequential draws leave it
-        for v in sorted({1, 5, p} & set(range(1, p + 1))):
-            batch = BatchSchedule.constant(v, p)
-            per_chunk = CHUNK_ELEMENTS // (2 if v >= p else 2 + v)
-            steps = 2 * per_chunk + per_chunk // 2 + 1
-            rng, ref = make_rng(N * 100 + M, p), make_rng(N * 100 + M, p)
-            draws = chunked_draws(rng, N, M, p, batch, steps)
-            got = [take(draws, v) for _ in range(steps)]
-            want = sequential_draws(ref, N, M, p, v, steps)
-            assert draws.buffer.shape[0] == per_chunk // 2 + 1
-            for (j, i, idx), (j_ref, i_ref, idx_ref) in zip(got, want):
-                assert (j, i) == (j_ref, i_ref) and type(j) is int and type(i) is int
-                assert idx.dtype == idx_ref.dtype and np.array_equal(idx, idx_ref), v
-            assert rng.bit_generator.state == ref.bit_generator.state
-            # steps past the run's length are drawn one at a time
-            extra = [take(draws, v) for _ in range(3)]
-            assert draws.buffer.shape[0] == 1
-            for (j, i, idx), (j_ref, i_ref, idx_ref) in zip(extra, sequential_draws(ref, N, M, p, v, 3)):
-                assert (j, i) == (j_ref, i_ref) and np.array_equal(idx, idx_ref)
-
-    def test_increasing_batch_is_chunked_only_at_p_one(self):
-        # at p = 1 every batch enumerates the one component, so the pattern
-        # is fixed; at p > 1 the batch size depends on the drawn block and
-        # the run's raw words are drawn ahead instead
-        rng, ref = make_rng(5), make_rng(5)
-        draws = chunked_draws(rng, 3, 4, 1, BatchSchedule.increasing(0.5), 10)
-        assert isinstance(draws, ChunkedDraws)
-        got = [take(draws, 1) for _ in range(10)]
-        assert [(j, i) for j, i, _ in got] == [(j, i) for j, i, _ in sequential_draws(ref, 3, 4, 1, 1, 10)]
-        assert all(np.array_equal(idx, [0]) for _, _, idx in got)
-        assert isinstance(chunked_draws(make_rng(5), 3, 4, 2, BatchSchedule.increasing(0.0), 10), WordDraws)
-        big = 2**32 + 1  # past the 32-bit words: drawn step by step
-        assert chunked_draws(make_rng(5), 3, 4, big, BatchSchedule.increasing(0.0), 10) is None
-
-    def test_chunk_stays_within_its_element_budget(self):
-        # v = p - 1 at a large p: a chunk holds as many steps as fit the
-        # budget, and a step wider than the budget is drawn from words
-        p = 5000
-        draws = chunked_draws(make_rng(1), 7, 7, p, BatchSchedule.constant(p - 1, p), 1000)
-        for _ in range(7):
-            _, _, idx = take(draws, p - 1)
-            assert idx.size == p - 1
-            assert draws.buffer.size <= CHUNK_ELEMENTS
-        assert draws.buffer.shape == (CHUNK_ELEMENTS // (p + 1), p + 1)
-        p = 10**6
-        wide = chunked_draws(make_rng(1), 7, 7, p, BatchSchedule.constant(p - 1, p), 1000)
-        assert isinstance(wide, WordDraws)
-
-    def test_index_rows_are_read_only(self):
-        draws = chunked_draws(make_rng(2), 2, 2, 10, BatchSchedule.constant(3, 10), 5)
-        _, _, idx = take(draws, 3)
-        with pytest.raises(ValueError):
-            idx[0] = 1
 
 
 BIG = 2**31 + 1  # Lemire's method rejects about half the 32-bit words for this bound
@@ -164,6 +87,23 @@ class TestWordDraws:
                 t += 1
         assert fills == 3 or t == 2000
 
+    @pytest.mark.parametrize("N, M, p, v", [(200, 10, 200, 1), (1, 10, 200, 1), (2, 2, 1, 1), (7, 3, 5, 9)])
+    def test_constant_batch_gives_the_sequential_draws(self, N, M, p, v, monkeypatch):
+        # the shapes of single-sample ERM with box and entropy duals and of
+        # the 4x4 game, and a batch past p, which takes no word; small
+        # fills make the run cross at least three of them
+        monkeypatch.setattr(sampling, "WORD_CHUNK", 64)
+        rng, ref = make_rng(N * 100 + M, p), make_rng(N * 100 + M, p)
+        draws = WordDraws(rng, N, M, p)
+        fills, words = 0, None
+        for t in range(200):
+            got, want = take(draws, v), sequential_step(ref, N, M, p, v)
+            assert got[:2] == want[:2] and type(got[0]) is int and type(got[1]) is int, t
+            assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2]), t
+            if draws.words is not words:
+                words, fills = draws.words, fills + 1
+        assert fills >= 3
+
     @pytest.mark.parametrize("bound", ["N", "M", "p"])
     def test_rejected_words_are_skipped(self, bound):
         # a bound near 2**31 rejects about half the words, in every fill
@@ -193,6 +133,25 @@ class TestWordDraws:
             full[0] = 1
         with pytest.raises(ValueError):
             part[0] = 1
+
+
+class TestSequentialDraws:
+    def test_bounds_past_32_bits_are_drawn_one_call_at_a_time(self, small_erm):
+        # 32-bit words cannot be mapped to a bound past 2**32, so a plan that
+        # draws ahead gets the one-call source there, with the sequential
+        # draws, and leaves the generator where they leave it
+        big = SimpleNamespace(structure=small_erm.structure, p=2**32 + 1,
+                              dual_prox=small_erm.dual_prox, primal_prox=small_erm.primal_prox)
+        st = small_erm.structure
+        rng, ref = make_rng(5), make_rng(5)
+        draws = StepPlan(big, rng, ahead=True).draws
+        assert isinstance(draws, SequentialDraws)
+        for v in (1, 3, 2):
+            got, want = take(draws, v), sequential_step(ref, st.N, st.M, big.p, v)
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert isinstance(StepPlan(small_erm, rng, ahead=True).draws, WordDraws)
+        assert isinstance(StepPlan(small_erm, rng).draws, SequentialDraws)
 
 
 class TestDrawBlock:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from rbpda import sampling
 from rbpda.blocks import BlockStructure, ProxSpec, SaddleProblem
 from rbpda.bregman import prox_step
 from rbpda.problems import (
@@ -272,11 +273,17 @@ LOCKSTEP_BUILTINS = ["erm_box", "erm_entropy", "game_euclidean", "game_entropy",
 
 @pytest.mark.parametrize("batch", [None, 2])
 @pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
-def test_run_draws_in_chunks_like_sequential_steps(name, batch):
-    # run() takes its draws ahead in chunks; the whole-vector reference
-    # draws one call at a time from a fresh generator of the same
-    # (seed, stream), and both must reach the same iterates bit for bit
-    # (without the coupling cache, whose updates round differently)
+def test_run_draws_in_chunks_like_sequential_steps(name, batch, monkeypatch):
+    # run() takes its draws ahead as buffered words, here in fills of 16
+    # words, so that a run that takes words crosses at least three fills;
+    # the whole-vector reference draws one call at a time from a fresh
+    # generator of the same (seed, stream), and both must reach the same
+    # iterates bit for bit (without the coupling cache, whose updates
+    # round differently)
+    monkeypatch.setattr(sampling, "WORD_CHUNK", 16)
+    fills = []
+    fill = sampling.WordDraws._fill
+    monkeypatch.setattr(sampling.WordDraws, "_fill", lambda draws, need: fills.append(need) or fill(draws, need))
     prob = lockstep_problem(name)
     prob.coupling_cache = None
     p = prob.p
@@ -284,6 +291,8 @@ def test_run_draws_in_chunks_like_sequential_steps(name, batch):
     cfg = SolverConfig(mode="single_sample", eta=0.3, max_iters=150, seed=5, stream=2,
                        batch=None if batch is None else v, checkpoint_every=40, compute_sup_gap=False)
     res = run(prob, cfg)
+    st = prob.structure
+    assert len(fills) >= 3 or (st.N == st.M == 1 and v >= p)  # only a run that takes no word fills none
     sched, _, _ = _build_schedule(prob, cfg)
     ref = RunState.start(prob)
     rng = make_rng(5, 2)
