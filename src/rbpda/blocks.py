@@ -275,41 +275,34 @@ class SaddleProblem:
         and ``(n,)`` arrays: every block's component mean, and every block's
         ``grad_y`` row, in block order.
 
-    coupling_cache(x, y, x_prev, y_prev)
+    coupling_cache(x, y, x_prev, y_prev, v)
         Optional factory of a per-run cache of coupling products (robust ERM
         keeps the margins ``A x^k`` and ``A x^(k-1)``).  :func:`rbpda.run`
-        builds one over the run's iterate buffers after the start point is
-        set; it lives on the run state, never on the problem, because
-        concurrent runs share problems.  A cache is on (its products are
-        current) or off (it holds nothing the oracles may read).  The
-        contract:
+        calls it once, over the run's iterate buffers after the start point
+        is set, with v the largest batch size the run can draw (p for an
+        increasing schedule, the constant v otherwise); a hand-driven caller
+        passes p.  It returns a synced cache, or None where keeping the
+        products would cost more than the rows they save at batch size v,
+        decided from the problem's sizes and v alone.  The cache lives on
+        the run state, never on the problem, because concurrent runs share
+        problems.  The contract:
 
-        * a new cache is synced and on;
-        * ``cache.plan(v)``, called by :func:`rbpda.run` before the first
-          step and before every step whose expected batch size v differs
-          from the last one planned (v comes from the run's counters and
-          batch schedule, so a seed reproduces it), returns whether the
-          cache stays on until the next call.  It turns the cache on only
-          with an exact ``cache.sync()``, and decides from the problem's
-          sizes and v alone, so it is idempotent for an unchanged v;
-        * while the cache is on, the solver passes it as the keyword
-          ``cache=`` to ``grad_y``, ``batch_grad_x``, ``full_grad_y`` and
-          ``full_grad_x`` (never otherwise, so problems without a cache
-          keep their signatures);
+        * the solver passes the cache as the keyword ``cache=`` to
+          ``grad_y``, ``batch_grad_x``, ``full_grad_y`` and ``full_grad_x``
+          (never otherwise, so problems without a cache keep their
+          signatures);
         * the oracles look cached products up by identity of the primal
-          array they receive (x^k or x^(k-1)); any other array, or any
-          array while the cache is off, is computed from scratch, so a
-          cache never changes what an oracle means;
-        * ``cache.move(i, dx)`` runs only while the cache is on, after a
-          step has succeeded and its blocks are written: the cached x^k
-          products become the x^(k-1) products, and the x^k products take
-          the rank-block update of primal block i by ``dx``;
+          array they receive (x^k or x^(k-1)); any other array is computed
+          from scratch, so a cache never changes what an oracle means;
+        * ``cache.move(i, dx)`` runs after a step has succeeded and its
+          blocks are written: the cached x^k products become the x^(k-1)
+          products, and the x^k products take the rank-block update of
+          primal block i by ``dx``;
         * every ``cache.period`` moves the cache recomputes its products
           exactly, which bounds rounding drift whatever the run length;
         * ``cache.sync()`` recomputes the products exactly from the
-          buffers and turns the cache on; a restart syncs a cache that is
-          on (x^(k-1) was set to x^k), and each full-gradient baseline step
-          syncs its cache;
+          buffers; a restart syncs the cache (x^(k-1) was set to x^k), and
+          each full-gradient baseline step syncs its cache;
         * ``cache.syncs`` counts the syncs, the one of a new cache included:
           a dual gradient computed from the cached products is reused by
           the next step only while the count is unchanged, because a sync

@@ -238,13 +238,13 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
     n = problem.structure.n
     if all(spec.kind == "box" for spec in problem.dual_prox) or n == 1:
         y = problem.side_bounds()[1].upper.copy() if n > 1 else np.ones(1)
-        return _fista(problem, iters, target, lambda x: (None, y))
+        return _fista(problem, iters, target, lambda x, **kw: (None, y))
     if target == 0.0:  # the start is a saddle; mu would be 0
         return np.array(problem.start_x, dtype=float), np.array(problem.start_y, dtype=float)
     mu = 0.5 * target / math.log(n)
 
-    def smoothed(x):
-        s = problem.full_grad_y(x, problem.start_y) / mu
+    def smoothed(x, **kw):
+        s = problem.full_grad_y(x, problem.start_y, **kw) / mu
         top = s.max()
         e = np.exp(s - top)
         total = e.sum()
@@ -256,17 +256,25 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
 def _fista(problem, iters: int, target: float, oracle):
     """FISTA on min_x f(x) over the primal box, where grad f(x) = full_grad_x(x, y(x)).
 
-    ``oracle(x)`` returns (f(x), y(x)).  A value of None means y is constant
-    and ||Lxx||_2 bounds f's curvature, so the step stays 1 / ||Lxx||_2 and
-    no value is taken; otherwise the step backtracks.
+    ``oracle(x, **kw)`` returns (f(x), y(x)).  A value of None means y is
+    constant and ||Lxx||_2 bounds f's curvature, so the step stays
+    1 / ||Lxx||_2 and no value is taken; otherwise the step backtracks.
+    A value oracle reads the margins at w, as ``full_grad_x`` does, so w
+    stays one buffer, and the problem's coupling cache over it is synced
+    once per iteration and passed in ``kw``: the two share one product.
     """
     project = _stacked_prox(problem, 0)
     floor = lip = np.linalg.norm(problem.lipschitz.Lxx, 2)
     x = np.array(problem.start_x, dtype=float)
-    w, t = x, 1.0
+    w, t = x.copy(), 1.0
+    cache = None
+    if problem.coupling_cache is not None and oracle(x)[0] is not None:
+        # robust ERM's cache reads the primal buffers only
+        cache = problem.coupling_cache(w, None, w, None, problem.p)
+    kw = {} if cache is None else {"cache": cache}
     for k in range(1, iters + 1):
-        f_w, y_w = oracle(w)
-        grad = problem.full_grad_x(w, y_w)
+        f_w, y_w = oracle(w, **kw)
+        grad = problem.full_grad_x(w, y_w, **kw)
         x_new = project(grad, 1.0 / lip, w)
         while f_w is not None:
             d = x_new - w
@@ -276,7 +284,9 @@ def _fista(problem, iters: int, target: float, oracle):
             lip *= 2.0
             x_new = project(grad, 1.0 / lip, w)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        w = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        np.add(x_new, ((t - 1.0) / t_new) * (x_new - x), out=w)
+        if cache is not None:
+            cache.sync()
         x, t = x_new, t_new
         if k % _CERT_EVERY == 0 and certified_gap(problem, (x, oracle(x)[1])) <= target:
             break

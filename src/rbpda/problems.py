@@ -180,21 +180,16 @@ def _erm_lipschitz(A: np.ndarray, m_blocks: int, n_blocks: int, entropy: bool) -
 class ErmMargins:
     """Per-run cache of the robust-ERM margins ``z = A x^k`` and ``z_prev = A x^(k-1)``.
 
-    Built over the run's primal buffers ``x`` and ``x_prev``, synced and on.
-    While on, the ERM oracles read ``z`` for the array ``x`` and ``z_prev``
-    for ``x_prev``, found by identity (:meth:`margins`); while off,
-    :meth:`margins` gives None and the oracles compute the rows they read.
-    A move of primal block i costs one ``(n, mb)`` product with a column
-    block of A, read in place.  Every ``period`` moves, ``period`` being the
-    number of primal blocks, ``z`` is recomputed as ``A @ x``: that refresh
-    costs as much as ``period`` moves together, and it bounds the rounding
-    drift of the rank-block updates whatever the run length.
-
-    :meth:`plan` keeps the cache on only while it pays.  Without it a step's
-    oracles read ``2 (nb + v)`` rows of A, each m long: ``grad_y`` reads the
-    dual block's nb rows and ``batch_grad_x`` the v drawn rows, both at x^k
-    and x^(k-1).  Keeping ``z`` current costs a move plus its share of the
-    refresh, ``2 n mb``.  The decision depends on n, m, nb, mb and v only.
+    Built over the run's primal buffers ``x`` and ``x_prev``, and synced.
+    The ERM oracles read ``z`` for the array ``x`` and ``z_prev`` for
+    ``x_prev``, found by identity (:meth:`margins`); for any other array
+    they compute the rows they read.  A move of primal block i costs one
+    ``(n, mb)`` product with a column block of A, read in place.  Every
+    ``period`` moves, ``period`` being the number of primal blocks, ``z``
+    is recomputed as ``A @ x``: that refresh costs as much as ``period``
+    moves together, and it bounds the rounding drift of the rank-block
+    updates whatever the run length.  The problem's factory builds one only
+    for runs whose largest batch makes it pay.
 
     :meth:`slopes` gives ``slope(z)`` or ``slope(z_prev)``, the primal
     estimator's per-row factor, computed on first use after the margins
@@ -202,8 +197,7 @@ class ErmMargins:
     so each step computes them for x^k alone.
     """
 
-    def __init__(self, A: np.ndarray, m_blocks: int, n_blocks: int, x: np.ndarray, x_prev: np.ndarray,
-                 slope):
+    def __init__(self, A: np.ndarray, m_blocks: int, x: np.ndarray, x_prev: np.ndarray, slope):
         n, m = A.shape
         mb = m // m_blocks
         self.A = A
@@ -212,15 +206,11 @@ class ErmMargins:
         self.x, self.x_prev = x, x_prev
         self.z, self.z_prev = np.empty(n), np.empty(n)
         self.slope = slope
-        # plan() compares (nb + v) m with n mb: both costs above, halved
-        self._nb, self._m, self._n_mb = n // n_blocks, m, n * mb
         self.syncs = 0
         self.sync()
 
     def margins(self, x) -> Optional[np.ndarray]:
-        """The cached margins of the buffer ``x``; None for any other array or while off."""
-        if not self.on:
-            return None
+        """The cached margins of the buffer ``x``; None for any other array."""
         if x is self.x:
             return self.z
         if x is self.x_prev:
@@ -229,8 +219,6 @@ class ErmMargins:
 
     def slopes(self, x) -> Optional[np.ndarray]:
         """``slope`` of the cached margins of the buffer ``x``; None where :meth:`margins` is."""
-        if not self.on:
-            return None
         if x is self.x:
             if self.s is None:
                 self.s = self.slope(self.z)
@@ -242,7 +230,7 @@ class ErmMargins:
         return None
 
     def sync(self) -> None:
-        """Recompute ``z`` and ``z_prev`` exactly and turn the cache on."""
+        """Recompute ``z`` and ``z_prev`` exactly."""
         np.matmul(self.A, self.x, out=self.z)
         if self.x_prev is self.x:
             np.copyto(self.z_prev, self.z)
@@ -251,15 +239,6 @@ class ErmMargins:
         self.s = self.s_prev = None
         self.moves = 0  # since the last exact product
         self.syncs += 1
-        self.on = True
-
-    def plan(self, v: int) -> bool:
-        """On (syncing if it was off) for a step expected to draw v rows if that pays, else off."""
-        want = (self._nb + v) * self._m > self._n_mb
-        if want and not self.on:
-            self.sync()
-        self.on = want
-        return want
 
     def move(self, i: int, dx: np.ndarray) -> None:
         """x_prev took the old x and block i of x moved by dx: shift both margins."""
@@ -366,7 +345,7 @@ def robust_erm_problem(
             # the cache holds every group's slopes over all n rows: the
             # coefficient is formed over all rows and gathered once, which
             # costs fewer numpy calls than gathering each group's rows; its
-            # O(n) is below the O(n mb) of the move that keeps the cache on
+            # O(n) is below the O(n mb) of the move that keeps the cache current
             coef = None
             for (_, y), w, r in zip(points, weights, which):
                 term = y * (w * p)
@@ -433,6 +412,15 @@ def robust_erm_problem(
     def phi_component(l, x, y):
         return p * y[l] * float(np.logaddexp(0.0, -b[l] * float(A[l] @ x)))
 
+    def coupling_cache(x, y, x_prev, y_prev, v):
+        # without the cache a step reads 2 (nb + v) rows of A, each m long:
+        # the dual block's nb rows and the v drawn rows, at x^k and x^(k-1);
+        # keeping the margins current costs a move and its share of the
+        # refresh, 2 n mb
+        if (nb + v) * m <= n * mb:
+            return None
+        return ErmMargins(A, m_blocks, x, x_prev, slope)
+
     start_y = np.full(n, 1.0 / p)
     return SaddleProblem(
         structure=structure,
@@ -448,7 +436,7 @@ def robust_erm_problem(
         full_grad_y=full_grad_y,
         phi_value=phi_value,
         phi_component=phi_component,
-        coupling_cache=lambda x, y, x_prev, y_prev: ErmMargins(A, m_blocks, n_blocks, x, x_prev, slope),
+        coupling_cache=coupling_cache,
         start_x=np.zeros(m),
         start_y=start_y,
         name=f"robust_erm(n={n},m={m},M={m_blocks},N={n_blocks})",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "BatchSchedule",
     "draw_block",
     "next_batch_size",
-    "typical_batch_size",
     "sample_indices",
     "estimate_partial_grad_x",
     "expected_inverse_batch",
@@ -96,23 +94,18 @@ class BlockCounters:
 class BatchSchedule:
     """Batch-size rule: increasing with the block's selection count, or constant.
 
-    Increasing: v = min(p, ceil((I_i + 1) * (k+1)^eta)), optionally capped at
-    ceil(saturation_fraction * p) (a practical option, off by default; the
-    rate guarantees use the uncapped rule).
+    Increasing: v = min(p, ceil((I_i + 1) * (k+1)^eta)).
     """
 
     kind: str
     eta: float = 0.0
     v: int = 1
-    saturation_fraction: Optional[float] = None
 
     @staticmethod
-    def increasing(eta: float = 0.0, saturation_fraction: Optional[float] = None) -> "BatchSchedule":
+    def increasing(eta: float = 0.0) -> "BatchSchedule":
         if eta < 0:
             raise ValueError("eta must be nonnegative")
-        if saturation_fraction is not None and not 0 < saturation_fraction <= 1:
-            raise ValueError("saturation_fraction must lie in (0, 1]")
-        return BatchSchedule("increasing", eta=float(eta), saturation_fraction=saturation_fraction)
+        return BatchSchedule("increasing", eta=float(eta))
 
     @staticmethod
     def constant(v: int, p: int) -> "BatchSchedule":
@@ -140,24 +133,7 @@ def next_batch_size(
             raise ValueError("constant batch size exceeds the number of components")
         return schedule.v
     v = min(p, math.ceil((int(counters.counts[i_k]) + 1) * (k + 1) ** schedule.eta))
-    if schedule.saturation_fraction is not None:
-        v = min(v, math.ceil(schedule.saturation_fraction * p))
     counters.record(i_k)
-    return int(v)
-
-
-def typical_batch_size(schedule: BatchSchedule, counters: BlockCounters, k: int, p: int) -> int:
-    """Batch size the rule gives at iteration k to a block drawn as often as the mean block.
-
-    Reads the counters without recording a selection, so it draws nothing
-    and moves no state; a run's coupling cache is planned from it.
-    """
-    if schedule.kind == "constant":
-        return schedule.v
-    mean_count = counters.total / counters.counts.size
-    v = min(p, math.ceil((mean_count + 1) * (k + 1) ** schedule.eta))
-    if schedule.saturation_fraction is not None:
-        v = min(v, math.ceil(schedule.saturation_fraction * p))
     return int(v)
 
 

@@ -43,7 +43,6 @@ from .sampling import (
     WordDraws,
     make_rng,
     next_batch_size,
-    typical_batch_size,
 )
 # the step calls none of these; perfbench's layer spans patch them in this module
 from .sampling import draw_block, estimate_partial_grad_x, sample_indices  # noqa: F401
@@ -94,7 +93,6 @@ class SolverConfig:
     free_params: Optional[object] = None
     restart_enabled: bool = False
     restart_threshold: float = 0.9
-    saturation_fraction: Optional[float] = None
     checkpoint_every: int = 100
     as_mode: bool = False
     x0: Optional[np.ndarray] = None
@@ -131,14 +129,14 @@ class RunState:
     the invariant.
 
     ``cache`` is the problem's per-run coupling cache over these buffers
-    (see :class:`~rbpda.blocks.SaddleProblem`), or None.  While it is on it
-    moves with the iterates, only after a step has succeeded; :func:`run`
-    turns it on and off between steps.  ``plan`` is the :class:`StepPlan`
-    the steps read, built by :func:`run` or by the first step.
+    (see :class:`~rbpda.blocks.SaddleProblem`), or None.  It moves with the
+    iterates, only after a step has succeeded.  ``plan`` is the
+    :class:`StepPlan` the steps read, built by :func:`run` or by the first
+    step.
 
     ``dual_row`` is ``(j, g, cache, syncs)``: the dual gradient g(x^k, y^k)
     on block j that the last step computed, under the coupling cache it
-    passed (None while off) and that cache's ``syncs`` count.  After that
+    passed (or None) and that cache's ``syncs`` count.  After that
     step it is g(x^(k-1), y^(k-1)), so the next step reuses it if it draws
     block j under the same cache with no sync since; a margin read from the
     cache and one computed directly can differ in the last bit, and so can
@@ -388,9 +386,9 @@ def rbpda_step(
     The dual gradient at (x^(k-1), y^(k-1)) is the previous step's row when
     it is kept (``RunState.dual_row``), so ``grad_y`` then takes only
     (x^k, y^k); either way a step counts two dual gradients.  The primal
-    linear term is one weighted ``batch_grad_x`` call.  A run's coupling
-    cache, while on, is passed to ``grad_y`` and ``batch_grad_x`` and moves
-    only once both blocks are written; a cache that is off is left alone.
+    linear term is one weighted ``batch_grad_x`` call.  The state's coupling
+    cache is passed to ``grad_y`` and ``batch_grad_x`` and moves only once
+    both blocks are written.
     An exception from an oracle or a prox becomes a :class:`SolverError`
     naming the iteration, the block and the failing call, with the original
     as its ``__cause__``.
@@ -407,8 +405,6 @@ def rbpda_step(
     x_prev, y_prev = state.x_prev, state.y_prev
     y_next = state.y_next
     cache = state.cache
-    if cache is not None and not cache.on:
-        cache = None
     kw = {} if cache is None else {"cache": cache}
 
     draws = plan.draws
@@ -488,12 +484,11 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
     """Reset the selection counters once every block's batch rule is saturated.
 
     When min_i v_i >= ceil(threshold * p), the counters return to zero and the
-    extrapolation history collapses onto the current iterate (a coupling
-    cache that is on is synced onto it, and the kept dual row is
-    forgotten); iterates and ergodic accumulators are untouched.  With the
-    counters at zero the batch rule starts again from v = 1, so in
-    :func:`run` the next step's plan usually turns the cache off.  The rule is nondecreasing in a block's count, so the least
-    v_i is the rule at the least count, and the test is O(1).
+    extrapolation history collapses onto the current iterate (the coupling
+    cache, if any, is synced onto it, and the kept dual row is forgotten);
+    iterates and ergodic accumulators are untouched.  The rule is
+    nondecreasing in a block's count, so the least v_i is the rule at the
+    least count, and the test is O(1).
     """
     v_low = min(p, math.ceil((state.counters.low + 1) * (state.k + 1) ** eta))
     if v_low >= math.ceil(threshold * p):
@@ -502,7 +497,7 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
         state.y_prev[:] = state.y
         state.y_next[:] = state.y
         state.dual_row = None
-        if state.cache is not None and state.cache.on:
+        if state.cache is not None:
             state.cache.sync()
         state.restarts += 1
     return state
@@ -558,23 +553,24 @@ def run(
     buffered words (:class:`StepPlan`), so the generator's final position
     is unspecified.  A step failure aborts the run but the partial trace is
     preserved on the raised :class:`SolverError`.  A problem's coupling
-    cache is planned from the batch size the next step is expected to draw
-    (:func:`~rbpda.sampling.typical_batch_size`), whenever that size
-    changes, so it is on only while it costs less than the rows it saves.
+    cache is built once, for the largest batch size the run can draw: p
+    for an increasing schedule, the constant batch size otherwise.
     """
     st = problem.structure
     schedule, _, _ = _build_schedule(problem, config)
+    p = problem.p
     if config.batch is not None:
-        batch = BatchSchedule.constant(config.batch, problem.p)
+        batch = BatchSchedule.constant(config.batch, p)
     elif config.mode == "increasing_batch":
-        batch = BatchSchedule.increasing(config.eta, config.saturation_fraction)
+        batch = BatchSchedule.increasing(config.eta)
     else:
-        batch = BatchSchedule.constant(1, problem.p)
+        batch = BatchSchedule.constant(1, p)
     rng = make_rng(config.seed, config.stream)
     state = RunState.start(problem, config.x0, config.y0)
     state.plan = StepPlan(problem, rng, ahead=True)
     if problem.coupling_cache is not None:
-        state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev)
+        v_max = p if batch.kind == "increasing" else batch.v
+        state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
     acc = ErgodicAccumulator(
         "uniform" if config.mode == "increasing_batch" else "weighted",
         st.M,
@@ -602,17 +598,9 @@ def run(
         trace.append(row)
 
     checkpoint()
-    cache = state.cache
-    planned = None  # the batch size the cache was last planned for
-    p = problem.p
     for _ in range(config.max_iters):
         k_pre = state.k
         try:
-            if cache is not None:
-                v = typical_batch_size(batch, state.counters, k_pre, p)
-                if v != planned:
-                    cache.plan(v)  # idempotent for an unchanged v
-                    planned = v
             rbpda_step(state, problem, schedule, batch, rng)
             acc.update(state.x, state.y, k_pre, (state.last_x, state.last_y))
             if config.restart_enabled and config.mode == "increasing_batch" and config.batch is None:
@@ -735,7 +723,7 @@ def deterministic_baseline_run(
     # coincide.
     g_old = None
     # x and y stay the same buffers, so the cache recognises them; x_prev is x here
-    cache = None if problem.coupling_cache is None else problem.coupling_cache(x, y, x, y)
+    cache = None if problem.coupling_cache is None else problem.coupling_cache(x, y, x, y, problem.p)
     kw = {} if cache is None else {"cache": cache}
     k = 0
     for k in range(1, iters + 1):

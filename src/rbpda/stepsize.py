@@ -162,14 +162,9 @@ def default_free_params(
 
 
 def constant_stepsizes(
-    agg: AggregateConstants, fp: FreeParams, M: int, N: int, scale: float = 1.0
+    agg: AggregateConstants, fp: FreeParams, M: int, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Constant per-block step sizes for the increasing-batch regime.
-
-    ``scale`` in (0, 1] shrinks both families uniformly for extra conservatism.
-    """
-    if not 0 < scale <= 1:
-        raise ValueError("scale must lie in (0, 1]")
+    """Constant per-block step sizes for the increasing-batch regime."""
     g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
     tau_den = (
         agg.Lxx_diag
@@ -187,7 +182,7 @@ def constant_stepsizes(
     )
     if np.any(~np.isfinite(tau_den)) or np.any(~np.isfinite(sigma_den)):
         raise ValueError("non-finite step-size denominator")
-    return scale / (M * tau_den), scale / (N * sigma_den)
+    return 1.0 / (M * tau_den), 1.0 / (N * sigma_den)
 
 
 def schedule_t(k: int, eta: float) -> float:
@@ -202,11 +197,9 @@ def schedule_theta(k: int, eta: float) -> float:
     return ((k + 1) / k) ** (0.5 * (1.0 + eta))
 
 
-def _check_diminishing(fp: FreeParams, eta: float, scale: float) -> None:
+def _check_diminishing(fp: FreeParams, eta: float) -> None:
     if not 0 <= eta < 1:
         raise ValueError("eta must lie in [0, 1)")
-    if not 0 < scale <= 1:
-        raise ValueError("scale must lie in (0, 1]")
     if fp.beta is None:
         raise ValueError("diminishing step sizes need FreeParams.beta")
 
@@ -262,10 +255,9 @@ def diminishing_stepsizes(
     N: int,
     eta: float,
     k: int,
-    scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Per-iteration step sizes for the constant-batch regime at iteration k."""
-    _check_diminishing(fp, eta, scale)
+    _check_diminishing(fp, eta)
     if k < 0:
         raise ValueError("k must be nonnegative")
     th = schedule_theta(k, eta)
@@ -273,7 +265,7 @@ def diminishing_stepsizes(
     tau_terms, sigma_terms = _diminishing_terms(agg, fp, M, N)
     tau_den = _diminishing_denominator(tau_terms, th, t)
     sigma_den = _diminishing_denominator(sigma_terms, th, t)
-    return scale / (M * tau_den), scale / (N * sigma_den), th, t
+    return 1.0 / (M * tau_den), 1.0 / (N * sigma_den), th, t
 
 
 @dataclass
@@ -293,7 +285,6 @@ class StepSchedule:
     agg: AggregateConstants = None
     fp: FreeParams = None
     eta: float = 0.0
-    scale: float = 1.0
     _tau0: np.ndarray = field(default=None, repr=False)
     _sigma0: np.ndarray = field(default=None, repr=False)
 
@@ -301,11 +292,9 @@ class StepSchedule:
         if self.mode not in ("constant", "diminishing"):
             raise ValueError(f"unknown schedule mode: {self.mode!r}")
         if self.mode == "constant":
-            self._tau0, self._sigma0 = constant_stepsizes(
-                self.agg, self.fp, self.M, self.N, self.scale
-            )
+            self._tau0, self._sigma0 = constant_stepsizes(self.agg, self.fp, self.M, self.N)
         elif self.agg is not None and self.fp is not None:
-            _check_diminishing(self.fp, self.eta, self.scale)
+            _check_diminishing(self.fp, self.eta)
             self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp, self.M, self.N)
             self._tau_blocks = _block_terms(self._tau_terms, self.M)
             self._sigma_blocks = _block_terms(self._sigma_terms, self.N)
@@ -325,14 +314,14 @@ class StepSchedule:
             return self._tau0 if i is None else float(self._tau0[i])
         th, t = self._weights(k)
         terms = self._tau_terms if i is None else self._tau_blocks[i]
-        return self.scale / (self.M * _diminishing_denominator(terms, th, t))
+        return 1.0 / (self.M * _diminishing_denominator(terms, th, t))
 
     def sigma(self, k: int, j: Optional[int] = None):
         if self.mode == "constant":
             return self._sigma0 if j is None else float(self._sigma0[j])
         th, t = self._weights(k)
         terms = self._sigma_terms if j is None else self._sigma_blocks[j]
-        return self.scale / (self.N * _diminishing_denominator(terms, th, t))
+        return 1.0 / (self.N * _diminishing_denominator(terms, th, t))
 
     def theta(self, k: int) -> float:
         return 1.0 if self.mode == "constant" else self._weights(k)[0]

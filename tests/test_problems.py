@@ -370,7 +370,7 @@ def test_erm_one_row_scalar_paths_agree_with_array_paths():
     y_next, y_k, y_prev = rng.uniform(0, 1, (3, 60))
     points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
     weights = (1.0, 2.5, -2.5)  # the solver's (1, c, -c)
-    cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev)
+    cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev, p)
 
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))

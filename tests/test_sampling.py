@@ -189,11 +189,6 @@ class TestBatchSchedule:
         counters = BlockCounters(np.array([2]))
         assert next_batch_size(sched, counters, 0, k=3, p=100) == 12
 
-    def test_saturation_cap(self):
-        sched = BatchSchedule.increasing(0.0, saturation_fraction=0.9)
-        counters = BlockCounters(np.array([99]))
-        assert next_batch_size(sched, counters, 0, k=99, p=10) == 9
-
     def test_constant_over_p_rejected(self):
         with pytest.raises(ValueError):
             BatchSchedule.constant(11, 10)

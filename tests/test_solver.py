@@ -208,8 +208,8 @@ def lockstep_problem(name):
 
 
 def attach_cache(state, prob):
-    """Give a hand-driven run state the problem's coupling cache, as run() does."""
-    state.cache = prob.coupling_cache(state.x, state.y, state.x_prev, state.y_prev)
+    """Give a hand-driven run state the problem's coupling cache, built for batches up to p."""
+    state.cache = prob.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, prob.p)
     return state
 
 
@@ -465,7 +465,7 @@ def test_cached_batch_grad_matches_uncached(name):
     rng = np.random.default_rng(5)
     x_k, x_prev = rng.uniform(-1, 1, (2, st.m))
     y_next, y_k, y_prev = rng.uniform(0.05, 1, (3, st.n))
-    cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev)
+    cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev, prob.p)
     points = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev))
     for v in (1, 2, 7, prob.p):
         indices = np.arange(prob.p) if v == prob.p else rng.integers(0, prob.p, size=v)
@@ -515,7 +515,7 @@ def test_weighted_batch_grad_matches_component_means(name, seed, v, sharing, wei
     weights = tuple(weights[: len(points)])
     kw = {}
     if cached and prob.coupling_cache is not None:
-        kw["cache"] = prob.coupling_cache(xs[0], points[0][1], xs[1], points[0][1])
+        kw["cache"] = prob.coupling_cache(xs[0], points[0][1], xs[1], points[0][1], p)
     for i in range(st.M):
         got = prob.batch_grad_x(indices, i, points, weights, **kw)
         want = sum(w * prob._batch_grad_x_looped(indices, i, [pt], (1.0,)) for w, pt in zip(weights, points))
@@ -591,7 +591,9 @@ def test_dual_row_is_reused_for_the_same_block(name):
 
 def test_dual_row_is_kept_only_under_the_same_cache_state():
     # a cached margin and a direct one can differ in the last bit, so a row
-    # computed with the cache off is not reused with it on, nor the reverse
+    # computed without the cache is not reused with it, nor the reverse: the
+    # hand-driven state drops its cache and takes it back, synced, every
+    # five steps
     data = generate_robust_erm(4, 40, 20, 0.1)
     prob = robust_erm_problem(data, radius=2.0, m_blocks=1, n_blocks=2)
     calls = []
@@ -600,10 +602,14 @@ def test_dual_row_is_kept_only_under_the_same_cache_state():
         calls.append((j, len(points), "cache" in kw)) or inner(j, points, **kw)
     )
     state = attach_cache(RunState.start(prob), prob)
+    cache = state.cache
     sched = FixedSchedule([0.05], [0.05, 0.05])
     rng = make_rng(6)
     for it in range(60):
-        assert state.cache.plan(30 if it // 5 % 2 else 1) is bool(it // 5 % 2)
+        on = bool(it // 5 % 2)
+        if on and state.cache is None:
+            cache.sync()  # the steps without it did not move it
+        state.cache = cache if on else None
         rbpda_step(state, prob, sched, BatchSchedule.constant(3, prob.p), rng)
     for it, (j, count, on) in enumerate(calls):
         fresh = it == 0 or (j, on) != (calls[it - 1][0], calls[it - 1][2])
@@ -612,11 +618,10 @@ def test_dual_row_is_kept_only_under_the_same_cache_state():
 
 
 def test_dual_row_is_forgotten_when_the_cache_resyncs():
-    # a sync between hand-driven steps, direct or by a plan that turns the
-    # cache off and on again, recomputes the cached x^(k-1) margins that the
-    # rank-block moves had left a few ulps off, so the next step computes
-    # g(x^(k-1), y^(k-1)) afresh: the run keeps the bits of one that forgets
-    # the row before every step
+    # a sync between hand-driven steps recomputes the cached x^(k-1)
+    # margins that the rank-block moves had left a few ulps off, so the next
+    # step computes g(x^(k-1), y^(k-1)) afresh: the run keeps the bits of
+    # one that forgets the row before every step
     data = generate_robust_erm(5, 80, 20, 0.1)
     prob = robust_erm_problem(data, radius=2.0, m_blocks=4, n_blocks=8)
     calls = []
@@ -632,11 +637,8 @@ def test_dual_row_is_forgotten_when_the_cache_resyncs():
         for it in range(200):
             if forget:
                 state.dual_row = None
-            if it % 7 == 3:
+            if it % 7 in (3, 5):
                 state.cache.sync()
-                resynced.append(it)
-            elif it % 7 == 5:
-                assert state.cache.plan(1) is False and state.cache.plan(30) is True
                 resynced.append(it)
             rbpda_step(state, prob, sched, BatchSchedule.constant(3, prob.p), rng)
         assert all(calls[it] == 2 for it in resynced)
@@ -650,23 +652,16 @@ def test_dual_row_is_forgotten_when_the_cache_resyncs():
 @pytest.mark.parametrize("name", ["erm_box", "erm_entropy", "box_game", "qp"])
 def test_dual_row_reuse_is_bitwise(name, config, monkeypatch):
     # run() with the kept dual row and with the row forgotten before every
-    # step reach the same bits, also across the margin cache's re-plans:
-    # an increasing batch on erm_box turns the cache on at v = 2 and off
-    # again after each restart
+    # step reach the same bits, also across the margin cache's syncs: an
+    # increasing batch on erm_box keeps the cache from the first step and
+    # syncs it at each restart
     import rbpda.solver as solver_mod
 
     prob = lockstep_problem(name)
-    planned = []
+    built = []
     if prob.coupling_cache is not None:
         factory = prob.coupling_cache
-
-        def recording_factory(*buffers):
-            cache = factory(*buffers)
-            plan = cache.plan
-            cache.plan = lambda v: planned.append(plan(v)) or planned[-1]
-            return cache
-
-        prob.coupling_cache = recording_factory
+        prob.coupling_cache = lambda *buffers: built.append(factory(*buffers)) or built[-1]
     single = []
     inner = prob.grad_y
     prob.grad_y = lambda j, points, **kw: single.append(len(points) == 1) or inner(j, points, **kw)
@@ -687,7 +682,7 @@ def test_dual_row_reuse_is_bitwise(name, config, monkeypatch):
     for attr in ("grad_budget", "dual_grad_evals", "restarts", "iterations"):
         assert getattr(kept, attr) == getattr(fresh, attr), attr
     if name == "erm_box" and config == "increasing_restarts":
-        assert kept.restarts >= 1 and True in planned and False in planned
+        assert kept.restarts >= 1 and built[0] is not None and built[0].syncs > 1
 
 
 def test_cached_slopes_move_with_the_margins():
@@ -1159,17 +1154,6 @@ class TestIntegration:
         for idx in saturated:
             np.testing.assert_array_equal(np.sort(idx), np.arange(prob.p))
 
-    def test_saturation_cap_through_run(self):
-        # with the cap on, batch sizes never pass ceil(0.5 p), so the budget
-        # stays strictly below the uncapped run's
-        data = generate_robust_erm(5, 20, 8, 0.1)
-        prob = robust_erm_problem(data, radius=2.0, m_blocks=2, n_blocks=20)
-        base = dict(mode="increasing_batch", max_iters=120, seed=2,
-                    checkpoint_every=10**9, compute_sup_gap=False)
-        res_uncapped = run(prob, SolverConfig(**base))
-        res_capped = run(prob, SolverConfig(saturation_fraction=0.5, **base))
-        assert res_capped.grad_budget < res_uncapped.grad_budget
-
     def test_batches_grow_until_restart(self):
         # growing batches saturate the 0.9p rule and trigger counter resets
         data = generate_robust_erm(5, 20, 8, 0.1)
@@ -1221,21 +1205,6 @@ class TestIntegration:
         w_x, w_y = res.ergodic_weights
         assert w_x == pytest.approx(T + 2 - 1, abs=1e-10)
         assert w_y == pytest.approx(T + 8 - 1, abs=1e-10)
-
-    def test_scaled_schedule_stays_admissible(self):
-        from rbpda.stepsize import validate_stepsize_condition
-
-        rng = np.random.default_rng(9)
-        lip = BlockLipschitz(
-            rng.uniform(0, 3, (2, 2)), rng.uniform(0.2, 3, (2, 3)),
-            rng.uniform(0, 3, (3, 3)), rng.uniform(0.2, 3, (3, 2)),
-        )
-        agg = aggregate_constants(lip, 2, 3)
-        fp = default_free_params(agg, 2, 3, "constant")
-        sched = StepSchedule(mode="constant", M=2, N=3, agg=agg, fp=fp, scale=0.5)
-        report = validate_stepsize_condition(sched, agg, fp, 2, 3, k_max=5)
-        assert report.passed
-        assert min(report.min_slacks["primal_lipschitz"], report.min_slacks["dual_lipschitz"]) > 0
 
 
 class TestBaselineRun:
@@ -1419,18 +1388,16 @@ class TestLazyErgodicSums:
 
 
 def cache_events(prob):
-    """Wrap the problem's cache factory so each run's cache logs its plans and syncs."""
+    """Wrap the problem's cache factory so each call and each sync of its caches is logged."""
     events = []
     factory = prob.coupling_cache
 
-    def logged(*buffers):
-        cache = factory(*buffers)
-        plan, sync = cache.plan, cache.sync
-
-        def plan_logged(v):
-            on = plan(v)
-            events.append(("plan", v, on))
-            return on
+    def logged(x, y, x_prev, y_prev, v):
+        cache = factory(x, y, x_prev, y_prev, v)
+        events.append(("build", v, cache is not None))
+        if cache is None:
+            return None
+        sync = cache.sync
 
         def sync_logged():
             sync()
@@ -1439,7 +1406,7 @@ def cache_events(prob):
             )
             events.append(("sync", exact))
 
-        cache.plan, cache.sync = plan_logged, sync_logged
+        cache.sync = sync_logged
         return cache
 
     prob.coupling_cache = logged
@@ -1452,65 +1419,73 @@ def erm_boxes(n_blocks, n=40, m=20, m_blocks=5):
 
 
 class TestDemandDrivenCache:
+    @pytest.mark.parametrize("n,m,m_blocks,n_blocks", [(40, 20, 5, 40), (40, 20, 5, 8), (40, 20, 1, 40),
+                                                       (12, 6, 3, 4), (30, 10, 10, 1)])
+    def test_erm_factory_keeps_the_cache_only_where_it_pays(self, n, m, m_blocks, n_blocks):
+        # a step without the cache reads 2 (nb + v) rows of A, each m long;
+        # keeping the margins costs 2 n mb: the factory returns None exactly
+        # when (nb + v) m <= n mb, and otherwise a synced cache
+        prob = erm_boxes(n_blocks, n=n, m=m, m_blocks=m_blocks)
+        nb, mb = n // n_blocks, m // m_blocks
+        rng = np.random.default_rng(1)
+        x, x_prev = rng.uniform(-1, 1, (2, m))
+        y = prob.start_y.copy()
+        kept = []
+        for v in range(1, prob.p + 1):
+            cache = prob.coupling_cache(x, y, x_prev, y, v)
+            kept.append(cache is not None)
+            assert kept[-1] == ((nb + v) * m > n * mb), v
+            if cache is not None:
+                assert cache.syncs == 1
+                assert np.array_equal(cache.z, cache.A @ x) and np.array_equal(cache.z_prev, cache.A @ x_prev)
+        assert kept[-1]  # at v = p the cache always pays
+
+    @pytest.mark.parametrize("config,v", [
+        (dict(mode="increasing_batch"), "p"),
+        (dict(mode="single_sample"), 1),
+        (dict(mode="single_sample", batch=6), 6),
+        (dict(mode="increasing_batch", batch=3), 3),
+    ])
+    def test_run_builds_its_cache_once(self, config, v):
+        # run() calls the factory once, before the first step, with the
+        # largest batch the run can draw: p for an increasing schedule, the
+        # constant batch size otherwise
+        prob = erm_boxes(n_blocks=40)
+        events = cache_events(prob)
+        run(prob, SolverConfig(max_iters=300, seed=2, checkpoint_every=10**9, compute_sup_gap=False,
+                               **config))
+        builds = [e for e in events if e[0] == "build"]
+        assert [b[1] for b in builds] == [prob.p if v == "p" else v]
+
     def test_single_sample_one_row_blocks_stay_off(self):
         # (nb + v) m = 2 * 20 rows' worth of reads against n mb = 160 of
-        # upkeep: the cache never turns on and so never syncs; the batch
-        # size never changes, so the run plans the cache once
+        # upkeep: the run builds no cache
         prob = erm_boxes(n_blocks=40)
         events = cache_events(prob)
         run(prob, SolverConfig(mode="single_sample", max_iters=200, seed=1, checkpoint_every=10**9,
                                compute_sup_gap=False))
-        plans = [e for e in events if e[0] == "plan"]
-        assert plans == [("plan", 1, False)]
-        assert not [e for e in events if e[0] == "sync"]
+        assert events == [("build", 1, False)]
 
     def test_entropy_dual_stays_on(self):
-        # grad_y reads all n rows, so the cache always pays; planned once,
-        # for the one batch size of the run
+        # grad_y reads all n rows, so the cache always pays; it is built
+        # once and, without restarts, never synced again
         prob = erm_boxes(n_blocks=1)
         events = cache_events(prob)
         run(prob, SolverConfig(mode="single_sample", max_iters=100, seed=1, checkpoint_every=10**9,
                                compute_sup_gap=False))
-        plans = [e for e in events if e[0] == "plan"]
-        assert plans == [("plan", 1, True)]
-        assert not [e for e in events if e[0] == "sync"]
+        assert events == [("build", 1, True)]
 
-    def test_increasing_batch_turns_on_with_exact_sync_and_restarts_turn_it_off(self):
+    def test_increasing_batch_keeps_the_cache_across_restarts(self):
+        # an increasing batch can reach v = p, where the cache pays: the run
+        # keeps it from the first step, and each restart syncs it exactly
         prob = erm_boxes(n_blocks=40)
         events = cache_events(prob)
         cfg = SolverConfig(mode="increasing_batch", max_iters=600, seed=2, restart_enabled=True,
                            checkpoint_every=10**9, compute_sup_gap=False)
         res = run(prob, cfg)
         assert res.restarts >= 2
-        plans = [e for e in events if e[0] == "plan"]
-        # on exactly when (nb + v) m > n mb, i.e. v > 7 here
-        assert all(on == (v > 7) for _, v, on in plans)
-        # every switch from off to on is one exact sync
-        turned_on = sum(1 for a, b in zip(plans, plans[1:]) if b[2] and not a[2])
-        syncs = [e for e in events if e[0] == "sync"]
-        assert turned_on >= 2 and all(exact for _, exact in syncs)
-        # a restart starts the batch over at v = 1, which turns the cache off
-        turned_off = [b for a, b in zip(plans, plans[1:]) if a[2] and not b[2]]
-        assert len(turned_off) == res.restarts and all(v == 1 for _, v, _ in turned_off)
-        # the only other syncs are the restarts' own, made while the cache was on
-        assert len(syncs) == turned_on + res.restarts
-
-    def test_off_cache_is_neither_read_nor_moved(self):
-        prob = erm_boxes(n_blocks=40)
-        state = attach_cache(RunState.start(prob), prob)
-        cache = state.cache
-        assert cache.plan(1) is False and cache.margins(state.x) is None
-        z_before = cache.z.copy()
-        sched = FixedSchedule(np.full(prob.structure.M, 0.05), np.full(prob.structure.N, 0.05))
-        seen = []
-        inner = prob.batch_grad_x
-        prob.batch_grad_x = lambda idx, i, points, w, **kw: seen.append(kw) or inner(idx, i, points, w, **kw)
-        rbpda_step(state, prob, sched, BatchSchedule.constant(1, prob.p), make_rng(0))
-        assert seen == [{}]
-        assert np.array_equal(cache.z, z_before) and cache.moves == 0
-        assert cache.plan(30) is True
-        assert np.array_equal(cache.z, cache.A @ state.x)
-        assert np.array_equal(cache.z_prev, cache.A @ state.x_prev)
+        assert events[0] == ("build", prob.p, True)
+        assert events[1:] == [("sync", True)] * res.restarts
 
 
 @pytest.mark.parametrize(
@@ -1530,7 +1505,7 @@ def test_two_point_grad_y_equals_one_point_calls(name):
     points = ((x_k, y_k), (x_prev, y_prev))
     caches = [None]
     if prob.coupling_cache is not None:
-        caches.append(prob.coupling_cache(x_k, y_k, x_prev, y_prev))
+        caches.append(prob.coupling_cache(x_k, y_k, x_prev, y_prev, prob.p))
     for cache in caches:
         kw = {} if cache is None else {"cache": cache}
         for j in range(st.N):

@@ -109,15 +109,6 @@ class TestConstantStepsizes:
         t2, _ = constant_stepsizes(agg, FreeParams(1, 1, 1, 1, np.array([2.0])), 1, 1)
         assert t2[0] < t1[0]
 
-    def test_scale_factor(self):
-        agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]), 1, 1)
-        fp = FreeParams(1, 1, 1, 1, np.array([1.0]))
-        tau_full, _ = constant_stepsizes(agg, fp, 1, 1)
-        tau_half, _ = constant_stepsizes(agg, fp, 1, 1, scale=0.5)
-        assert tau_half[0] == pytest.approx(0.5 * tau_full[0])
-        with pytest.raises(ValueError):
-            constant_stepsizes(agg, fp, 1, 1, scale=1.5)
-
 
 class TestDiminishingSchedule:
     def test_anchor_values(self):
@@ -245,7 +236,7 @@ class TestStepsizeCondition:
         assert report.min_slacks["dual_lipschitz"] >= 0.1 - 1e-9
 
 
-def _explicit_diminishing(agg, fp, M, N, eta, k, scale):
+def _explicit_diminishing(agg, fp, M, N, eta, k):
     # Reference: the diminishing step formula written out as one expression.
     g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
     th = schedule_theta(k, eta)
@@ -265,39 +256,36 @@ def _explicit_diminishing(agg, fp, M, N, eta, k, scale):
         + (M + 1) * ((N - 1) / N) * g2 * agg.L_xy**2
         + ((fp.beta + db) / N) / t
     )
-    return scale / (M * tau_den), scale / (N * sigma_den)
+    return 1.0 / (M * tau_den), 1.0 / (N * sigma_den)
 
 
 class TestPerBlockSteps:
     @pytest.mark.parametrize("M,N", [(1, 1), (3, 5), (10, 200)])
     def test_block_steps_equal_vector_entries(self, M, N):
         # the solver reads one step per side; each must be the exact float of
-        # the vector formula, for every k, eta, scale and delta_bar
+        # the vector formula, for every k, eta and delta_bar
         rng = np.random.default_rng(10 * M + N)
         agg = aggregate_constants(_random_lip(rng, M, N), M, N)
         for delta_bar in (0.0, 0.1):
             fp_c = default_free_params(agg, M, N, "constant", delta_bar=delta_bar)
             fp_d = default_free_params(agg, M, N, "diminishing", delta_bar=delta_bar)
-            for scale in (1.0, 0.37):
-                sched = StepSchedule(mode="constant", M=M, N=N, agg=agg, fp=fp_c, scale=scale)
-                tau, sigma = constant_stepsizes(agg, fp_c, M, N, scale)
-                for k in (0, 300):
+            sched = StepSchedule(mode="constant", M=M, N=N, agg=agg, fp=fp_c)
+            tau, sigma = constant_stepsizes(agg, fp_c, M, N)
+            for k in (0, 300):
+                assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
+                assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
+            for eta in (0.0, 0.3, 0.9):
+                sched = StepSchedule(mode="diminishing", M=M, N=N, agg=agg, fp=fp_d, eta=eta)
+                for k in range(301):
+                    tau, sigma, th, t = diminishing_stepsizes(agg, fp_d, M, N, eta, k)
+                    ref_tau, ref_sigma = _explicit_diminishing(agg, fp_d, M, N, eta, k)
+                    assert tau.tolist() == ref_tau.tolist()
+                    assert sigma.tolist() == ref_sigma.tolist()
                     assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
                     assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
-                for eta in (0.0, 0.3, 0.9):
-                    sched = StepSchedule(
-                        mode="diminishing", M=M, N=N, agg=agg, fp=fp_d, eta=eta, scale=scale
-                    )
-                    for k in range(301):
-                        tau, sigma, th, t = diminishing_stepsizes(agg, fp_d, M, N, eta, k, scale)
-                        ref_tau, ref_sigma = _explicit_diminishing(agg, fp_d, M, N, eta, k, scale)
-                        assert tau.tolist() == ref_tau.tolist()
-                        assert sigma.tolist() == ref_sigma.tolist()
-                        assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
-                        assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
-                        assert (sched.theta(k), sched.t(k)) == (th, t)
-                    assert type(sched.tau(0, 0)) is float and type(sched.sigma(0, 0)) is float
-                    assert np.array_equal(sched.tau(7), diminishing_stepsizes(agg, fp_d, M, N, eta, 7, scale)[0])
+                    assert (sched.theta(k), sched.t(k)) == (th, t)
+                assert type(sched.tau(0, 0)) is float and type(sched.sigma(0, 0)) is float
+                assert np.array_equal(sched.tau(7), diminishing_stepsizes(agg, fp_d, M, N, eta, 7)[0])
 
     def test_block_index_out_of_range(self):
         agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]), 1, 1)
