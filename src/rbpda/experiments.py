@@ -185,15 +185,17 @@ def build_problem(spec: ExperimentSpec):
 def baseline_stepsizes(problem) -> tuple[float, float]:
     """Scalar steps for the full-gradient baseline via the single-block view.
 
-    The block Lipschitz matrices fold into valid whole-vector constants
-    (spectral norm for the diagonal families, Frobenius for the couplings),
-    and the single-block step formulas apply to those.
+    The block Lipschitz matrices fold into valid whole-vector constants, and
+    the single-block step formulas apply to those.  The primal curvature is
+    the problem's ``Lxx_whole`` when it gives one (robust ERM does), else
+    the spectral norm of ``Lxx``; ``Lyy`` folds by its spectral norm and
+    the couplings by their Frobenius norms.
     """
     from .stepsize import BlockLipschitz
 
     lip = problem.lipschitz
     folded = BlockLipschitz(
-        Lxx=np.array([[np.linalg.norm(lip.Lxx, 2)]]),
+        Lxx=np.array([[lip.primal_whole()]]),
         Lxy=np.array([[max(np.linalg.norm(lip.Lxy), 1e-12)]]),
         Lyy=np.array([[np.linalg.norm(lip.Lyy, 2)]]),
         Lyx=np.array([[max(np.linalg.norm(lip.Lyx), 1e-12)]]),
@@ -213,34 +215,36 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
 
     Both duals reduce to minimizing a convex f over the primal box, solved
     by FISTA (Beck & Teboulle, 2009) from the problem's start x with the
-    baseline's primal prox, for at most ``iters`` iterations.  Every 25
-    iterations it stops once ``certified_gap(problem, (x, y(x)))`` is at
-    most ``REFERENCE_TOL`` times the certified gap at the problem's start
-    point (``start_x``, ``start_y``).
+    baseline's primal prox, for at most ``iters`` iterations.  It stops as
+    soon as ``certified_gap(problem, (x, y(x)))`` is at most
+    ``REFERENCE_TOL`` times the certified gap at the problem's start point
+    (``start_x``, ``start_y``), checked at the start and every 25
+    iterations; when that start certificate is 0 the start is returned.
 
     * With box dual blocks, Phi is linear in y and its y-gradient, the
       per-datum logistic losses, is positive, so the saddle's y is the
-      boxes' upper bounds and f = L(., y*), with the step 1 / ||Lxx||_2.
-      A simplex of one datum is the single point y = [1], solved alike.
+      boxes' upper bounds and f = L(., y*), with the fixed step
+      1 / ``Lxx_whole`` (||A||_2^2 / 4).  A simplex of one datum is the
+      single point y = [1], solved alike.
     * With the entropy simplex, max_y L(x, y) is the largest loss, which is
       not smooth.  Nesterov's entropy smoothing (Math. Prog. 2005) gives
       f(x) = mu logsumexp(loss(x) / mu), whose gradient is ``full_grad_x``
       at y(x) = softmax(loss(x) / mu).  With mu = target / (2 log n) the
       dual side of the certificate at (x, y(x)) is at most half the target.
       The step 1 / lip backtracks: lip starts at and never falls below
-      ||Lxx||_2, doubles when sufficient decrease fails and shrinks by 0.9
-      after each step.
+      ``Lxx_whole`` (max_r ||a_r||^2 / 4), doubles when sufficient decrease
+      fails and shrinks by 0.9 after each step.
 
     ``plateau_tol`` is ignored.  It is accepted only because the benchmark
     workloads (``perfbench/workloads.py``) pass it.
     """
     target = REFERENCE_TOL * certified_gap(problem, (problem.start_x, problem.start_y))
+    if target <= 0.0:  # the start is a saddle (up to rounding); mu would be 0
+        return np.array(problem.start_x, dtype=float), np.array(problem.start_y, dtype=float)
     n = problem.structure.n
     if all(spec.kind == "box" for spec in problem.dual_prox) or n == 1:
         y = problem.side_bounds()[1].upper.copy() if n > 1 else np.ones(1)
         return _fista(problem, iters, target, lambda x, **kw: (None, y))
-    if target == 0.0:  # the start is a saddle; mu would be 0
-        return np.array(problem.start_x, dtype=float), np.array(problem.start_y, dtype=float)
     mu = 0.5 * target / math.log(n)
 
     def smoothed(x, **kw):
@@ -256,16 +260,28 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
 def _fista(problem, iters: int, target: float, oracle):
     """FISTA on min_x f(x) over the primal box, where grad f(x) = full_grad_x(x, y(x)).
 
-    ``oracle(x, **kw)`` returns (f(x), y(x)).  A value of None means y is
-    constant and ||Lxx||_2 bounds f's curvature, so the step stays
-    1 / ||Lxx||_2 and no value is taken; otherwise the step backtracks.
-    A value oracle reads the margins at w, as ``full_grad_x`` does, so w
-    stays one buffer, and the problem's coupling cache over it is synced
-    once per iteration and passed in ``kw``: the two share one product.
+    ``oracle(x, **kw)`` returns (f(x), y(x)).  The curvature bound lip is
+    ``problem.lipschitz.primal_whole()``: ``Lxx_whole`` when the problem
+    gives it, else ||Lxx||_2.  A value of None means y is constant and lip
+    bounds f's curvature, so the step stays 1 / lip and no value is taken;
+    otherwise the step backtracks, with lip as its floor.  A value oracle
+    reads the margins at w, as ``full_grad_x`` does, so w stays one buffer,
+    and the problem's coupling cache over it is synced once per iteration
+    and passed in ``kw``: the two share one product.  The fixed-step path
+    keeps no cache, and ``full_grad_x`` takes its own product.
+
+    Returns the start at once if its certificate is already at most
+    ``target``; otherwise raises ``ValueError`` when lip is not positive,
+    since a zero bound gives no step.
     """
     project = _stacked_prox(problem, 0)
-    floor = lip = np.linalg.norm(problem.lipschitz.Lxx, 2)
     x = np.array(problem.start_x, dtype=float)
+    y = oracle(x)[1]
+    if certified_gap(problem, (x, y)) <= target:
+        return x, y
+    floor = lip = problem.lipschitz.primal_whole()
+    if not lip > 0.0:
+        raise ValueError(f"FISTA needs a positive primal curvature bound, got {lip!r}")
     w, t = x.copy(), 1.0
     cache = None
     if problem.coupling_cache is not None and oracle(x)[0] is not None:

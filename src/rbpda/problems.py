@@ -165,6 +165,9 @@ def _erm_lipschitz(A: np.ndarray, m_blocks: int, n_blocks: int, entropy: bool) -
         # Single simplex block under the l1 norm: the operator bound is the max.
         Lxy = np.max(anorm, axis=0)[:, None]
         Lyx = Lxy.T.copy()
+        # whole vector: for a unit u, u' A' D A u = sum_r y_r s_r (a_r' u)^2,
+        # at most max_r ||a_r||^2 / 4 since the weights sum to one
+        whole = 0.25 * float(np.max(np.sum(anorm**2, axis=1)))
     else:
         # In the [0, 1] boxes each weight is at most one (the weights may sum
         # to n), so D <= 1/4 and ||A_l' D A_i|| <= ||A_l|| ||A_i|| / 4.
@@ -173,8 +176,12 @@ def _erm_lipschitz(A: np.ndarray, m_blocks: int, n_blocks: int, entropy: bool) -
         grouped = anorm.reshape(n_blocks, nb, m_blocks)
         Lyx = np.sqrt(np.sum(grouped**2, axis=1))  # (n_blocks, m_blocks)
         Lxy = Lyx.T.copy()
+        # whole vector: ||A' D A|| <= ||A||_2^2 / 4, the largest eigenvalue of
+        # the smaller Gram matrix, which costs less than an SVD of A
+        gram = A @ A.T if n <= m else A.T @ A
+        whole = 0.25 * float(np.linalg.eigvalsh(gram)[-1])
     Lyy = np.zeros((n_blocks, n_blocks))
-    return BlockLipschitz(Lxx=Lxx, Lxy=Lxy, Lyy=Lyy, Lyx=Lyx)
+    return BlockLipschitz(Lxx=Lxx, Lxy=Lxy, Lyy=Lyy, Lyx=Lyx, Lxx_whole=whole)
 
 
 class ErmMargins:
@@ -269,7 +276,9 @@ def robust_erm_problem(
     the weights sum to one, so ``Lxx[l, i] = max_r ||a_{r,l}|| ||a_{r,i}|| / 4``
     over the rows r.  In the boxes each weight is at most one but the weights
     may sum to n, so ``Lxx[l, i] = ||A_l||_2 ||A_i||_2 / 4`` with ``A_i`` the
-    column block of primal block i.
+    column block of primal block i.  ``Lxx_whole`` is the whole-vector
+    bound, ``max_r ||a_r||^2 / 4`` on the simplex and ``||A||_2^2 / 4`` in
+    the boxes; only the whole-vector solvers read it.
     """
     A, b = data.A, data.b
     n, m = A.shape

@@ -13,6 +13,7 @@ to hold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,12 +45,18 @@ class BlockLipschitz:
     differentiated block's side).  All entries must be finite and nonnegative.
     Structural zeros are tolerated; the free-parameter defaults fall back to 1
     whenever an aggregate group vanishes.
+
+    ``Lxx_whole``, when given, bounds the change of the whole primal gradient
+    per unit change of the whole primal vector, at any fixed dual point of
+    the domain.  The block steps never read it; the whole-vector solvers do,
+    through :meth:`primal_whole`.
     """
 
     Lxx: np.ndarray  # (M, M), entry [l, i]
     Lxy: np.ndarray  # (M, N), entry [i, j]
     Lyy: np.ndarray  # (N, N), entry [l, j]
     Lyx: np.ndarray  # (N, M), entry [j, i]
+    Lxx_whole: Optional[float] = None
 
     def __post_init__(self):
         for name in ("Lxx", "Lxy", "Lyy", "Lyx"):
@@ -62,6 +69,22 @@ class BlockLipschitz:
         M, N = self.Lxy.shape
         if self.Lxx.shape != (M, M) or self.Lyy.shape != (N, N) or self.Lyx.shape != (N, M):
             raise ValueError("inconsistent Lipschitz matrix shapes")
+        if self.Lxx_whole is not None:
+            whole = float(self.Lxx_whole)
+            if not (math.isfinite(whole) and whole >= 0):
+                raise ValueError("Lxx_whole must be finite and nonnegative")
+            object.__setattr__(self, "Lxx_whole", whole)
+
+    def primal_whole(self) -> float:
+        """A bound on the whole primal gradient's curvature: ``Lxx_whole``, or else ``||Lxx||_2``.
+
+        The spectral norm of the block matrix is always a valid whole-vector
+        bound, since ||g(x') - g(x)||^2 = sum_i ||g_i(x') - g_i(x)||^2 and
+        each term is at most (sum_l Lxx[l, i] ||x'_l - x_l||)^2.
+        """
+        if self.Lxx_whole is not None:
+            return self.Lxx_whole
+        return float(np.linalg.norm(self.Lxx, 2))
 
     @property
     def M(self) -> int:

@@ -333,7 +333,7 @@ def test_c09_desk_erm_end_to_end():
     gradients (~1.2e3 iterations) the increasing-batch gap only falls to
     ~0.996 of gap0.  The single-sample regime spends the same budget on
     ~48x more iterations and reaches ~0.428; even the full-gradient baseline
-    reaches only ~0.079 at that budget.  At this scale the budget buys iterations, not lower noise, so
+    reaches only ~0.048 at that budget.  At this scale the budget buys iterations, not lower noise, so
     no equal-budget ordering and no 5% target is claimed.
     """
     t0 = time.perf_counter()

@@ -10,6 +10,7 @@ from rbpda.experiments import (
     REFERENCE_TOL,
     ConfigError,
     ExperimentSpec,
+    baseline_stepsizes,
     build_problem,
     compare_runs,
     erm_reference,
@@ -239,6 +240,47 @@ class TestErmReference:
         x, y = erm_reference(prob)
         assert np.array_equal(x, prob.start_x) and np.array_equal(y, prob.start_y)
         assert certified_gap(prob, (x, y)) == 0.0
+
+    @pytest.mark.parametrize("n_blocks", [4, 1])
+    def test_all_zero_data_returns_the_start(self, n_blocks):
+        # every loss is log 2 whatever x, so the start x is optimal; the
+        # curvature bound is 0, which must not become a step of 1 / 0
+        data = RobustErmDataset(A=np.zeros((4, 6)), b=np.ones(4), x_true=np.zeros(6), flip_prob=0.0)
+        prob = robust_erm_problem(data, radius=1.0, m_blocks=2, n_blocks=n_blocks)
+        assert prob.lipschitz.Lxx_whole == 0.0
+        x, y = erm_reference(prob)
+        assert np.array_equal(x, prob.start_x) and prob.in_domain(x, y, 0.0)
+        assert certified_gap(prob, (x, y)) <= 0.0
+
+    def test_zero_curvature_bound_is_refused(self):
+        data = generate_robust_erm(3, 30, 20, 0.1)
+        prob = robust_erm_problem(data, radius=5.0, m_blocks=2, n_blocks=30)
+        prob.lipschitz = replace(prob.lipschitz, Lxx_whole=0.0)
+        with pytest.raises(ValueError, match="positive primal curvature bound"):
+            erm_reference(prob)
+
+    def test_steps_use_the_whole_vector_bound(self, monkeypatch):
+        # the fallback ||Lxx||_2 is a valid but larger bound: both certify,
+        # and the whole-vector step needs fewer iterations (fewer checks)
+        import rbpda.experiments as experiments
+
+        checks = []
+        monkeypatch.setattr(experiments, "certified_gap", lambda *a: checks.append(1) or certified_gap(*a))
+        data = generate_robust_erm(3, 30, 20, 0.1)
+        prob = robust_erm_problem(data, radius=5.0, m_blocks=2, n_blocks=30)
+        folded = robust_erm_problem(data, radius=5.0, m_blocks=2, n_blocks=30)
+        folded.lipschitz = replace(folded.lipschitz, Lxx_whole=None)
+        assert prob.lipschitz.Lxx_whole < folded.lipschitz.primal_whole()
+        tau, sigma = baseline_stepsizes(prob)
+        tau_folded, sigma_folded = baseline_stepsizes(folded)
+        assert tau > tau_folded and sigma == sigma_folded
+        start = certified_gap(prob, (prob.start_x, prob.start_y))
+        counts = []
+        for p in (prob, folded):
+            checks.clear()
+            assert certified_gap(p, erm_reference(p)) <= REFERENCE_TOL * start
+            counts.append(len(checks))
+        assert counts[0] < counts[1]
 
     @pytest.mark.parametrize("data_seed", [1, 7])
     def test_entropy_dual_reference_at_c09_scale(self, data_seed):

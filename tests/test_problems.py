@@ -156,6 +156,42 @@ class TestRobustErmProblem:
 
         self._lipschitz_certification(prob, sampler, seed=11)
 
+    @pytest.mark.parametrize(
+        "n,m,m_blocks,n_blocks",
+        [(12, 8, 4, 12), (12, 8, 1, 12), (6, 10, 2, 3), (12, 8, 2, 1), (12, 8, 1, 1), (1, 4, 2, 1)],
+    )
+    def test_whole_vector_curvature_certification(self, n, m, m_blocks, n_blocks):
+        # Lxx_whole bounds ||grad_x(x1, y) - grad_x(x2, y)|| / ||x1 - x2|| over
+        # the primal box, at y = 1 in the dual boxes and at simplex points
+        # (vertices included) on the entropy dual.  The bound is met near
+        # x = 0, where every logistic curvature is 1/4, along the top right
+        # singular vector of A (boxes) or the largest row (a simplex vertex).
+        data = generate_robust_erm(n + m, n, m, 0.1)
+        prob = robust_erm_problem(data, radius=2.0, m_blocks=m_blocks, n_blocks=n_blocks)
+        whole = prob.lipschitz.Lxx_whole
+        assert whole <= np.linalg.norm(prob.lipschitz.Lxx, 2) * (1 + 1e-12)
+        A = data.A
+        rng = np.random.default_rng(n * m)
+        if n_blocks > 1:
+            tight_y, tight_dir = np.ones(n), np.linalg.svd(A)[2][0]
+        else:
+            r = int(np.argmax(np.sum(A**2, axis=1)))
+            tight_y, tight_dir = np.eye(n)[r], A[r] / np.linalg.norm(A[r])
+        worst = 0.0
+        for k in range(200):
+            if k == 0:
+                y, x1, d = tight_y, np.zeros(m), 1e-6 * tight_dir
+            else:
+                y = np.ones(n) if n_blocks > 1 else project_simplex(rng.standard_normal(n) * 3)
+                x1 = rng.uniform(-2.0, 2.0, m)
+                d = rng.standard_normal(m) * 10 ** rng.uniform(-3, 0)
+            x2 = np.clip(x1 + d, -2.0, 2.0)
+            lhs = np.linalg.norm(prob.full_grad_x(x2, y) - prob.full_grad_x(x1, y))
+            rhs = np.linalg.norm(x2 - x1)
+            assert lhs <= whole * rhs * (1 + 1e-7) + 1e-12
+            worst = max(worst, lhs / rhs)
+        assert worst >= 0.99 * whole  # the bound is tight, not merely valid
+
 
 class TestGameOracle:
     def test_identity_game(self):

@@ -66,6 +66,16 @@ class TestAggregates:
         lip = BlockLipschitz.broadcast(2, 3, lxx=1.0, lxy=2.0, lyy=0.0, lyx=4.0)
         assert lip.Lxy.shape == (2, 3) and lip.Lyx[0, 0] == 4.0
 
+    def test_whole_primal_bound(self):
+        lxx = [[3.0, 4.0], [4.0, 3.0]]
+        folded = _lip(lxx, [[1.0], [1.0]], [[0.0]], [[1.0, 1.0]])
+        assert folded.Lxx_whole is None and folded.primal_whole() == pytest.approx(7.0, rel=1e-12)
+        given = BlockLipschitz(folded.Lxx, folded.Lxy, folded.Lyy, folded.Lyx, Lxx_whole=2)
+        assert given.primal_whole() == 2.0
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="Lxx_whole"):
+                BlockLipschitz(folded.Lxx, folded.Lxy, folded.Lyy, folded.Lyx, Lxx_whole=bad)
+
 
 class TestDefaultFreeParams:
     def test_gamma1_from_mean(self):
