@@ -26,13 +26,13 @@ lip = BlockLipschitz(
     Lyy=np.zeros((N, N)),
     Lyx=rng.uniform(0.5, 4, (N, M)),
 )
-agg = aggregate_constants(lip, M, N)
+agg = aggregate_constants(lip)
 print(f"aggregates: C_x = {np.round(agg.C_x, 3)}, L_yx = {np.round(agg.L_yx, 3)}")
 
 for mode in ("constant", "diminishing"):
-    fp = default_free_params(agg, M, N, mode)
-    sched = StepSchedule(mode=mode, M=M, N=N, agg=agg, fp=fp, eta=0.0)
-    report = validate_stepsize_condition(sched, agg, fp, M, N, k_max=200)
+    fp = default_free_params(agg, mode)
+    sched = StepSchedule(mode=mode, agg=agg, fp=fp, eta=0.0)
+    report = validate_stepsize_condition(sched, k_max=200)
     name, slack = report.worst()
     print(f"\n{mode} schedule:")
     print(f"  tau(0)   = {np.round(sched.tau(0), 5)}")
@@ -42,10 +42,10 @@ for mode in ("constant", "diminishing"):
     print(f"  condition check over k <= 200: passed = {report.passed}, tightest = {name} ({slack:.2e})")
 
 # An inadmissibly aggressive schedule is caught numerically.
-fp = default_free_params(agg, M, N, "constant")
-bad = StepSchedule(mode="constant", M=M, N=N, agg=agg, fp=fp)
+fp = default_free_params(agg, "constant")
+bad = StepSchedule(mode="constant", agg=agg, fp=fp)
 bad._tau0 = 3.0 * bad._tau0
-report = validate_stepsize_condition(bad, agg, fp, M, N, k_max=5)
+report = validate_stepsize_condition(bad, k_max=5)
 print(f"\ntripled primal steps: passed = {report.passed}, min slack = {min(report.min_slacks.values()):.3f}")
 
 # Batch sizes grow with each block's own selection count, not the global clock.

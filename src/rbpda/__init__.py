@@ -34,7 +34,6 @@ from .stepsize import (
     aggregate_constants,
     constant_stepsizes,
     default_free_params,
-    diminishing_stepsizes,
     validate_stepsize_condition,
 )
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import problems as problems_mod
 from .metrics import ConvergenceTrace, certified_gap, estimate_component_noise, fit_rate  # noqa: F401  kept for perfbench's patch list
 from .solver import SolverConfig, _stacked_prox, deterministic_baseline_run, run
-from .stepsize import aggregate_constants, constant_stepsizes, default_free_params
+from .stepsize import BlockLipschitz, aggregate_constants, constant_stepsizes, default_free_params
 
 __all__ = ["ExperimentSpec", "parse_config", "write_config", "run_experiment", "compare_runs", "main"]
 
@@ -191,8 +191,6 @@ def baseline_stepsizes(problem) -> tuple[float, float]:
     the spectral norm of ``Lxx``; ``Lyy`` folds by its spectral norm and
     the couplings by their Frobenius norms.
     """
-    from .stepsize import BlockLipschitz
-
     lip = problem.lipschitz
     folded = BlockLipschitz(
         Lxx=np.array([[lip.primal_whole()]]),
@@ -200,9 +198,8 @@ def baseline_stepsizes(problem) -> tuple[float, float]:
         Lyy=np.array([[np.linalg.norm(lip.Lyy, 2)]]),
         Lyx=np.array([[max(np.linalg.norm(lip.Lyx), 1e-12)]]),
     )
-    agg = aggregate_constants(folded, 1, 1)
-    fp = default_free_params(agg, 1, 1, mode="constant")
-    tau, sigma = constant_stepsizes(agg, fp, 1, 1)
+    agg = aggregate_constants(folded)
+    tau, sigma = constant_stepsizes(agg, default_free_params(agg))
     return float(tau[0]), float(sigma[0])
 
 
@@ -344,9 +341,17 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     """Run every (configuration, seed) pair and write traces, summary, plot data.
 
     Individual run failures are recorded in the summary and the remaining
-    runs continue.
+    runs continue.  A solver setting that :class:`~rbpda.solver.SolverConfig`
+    rejects (an unknown mode, negative ``iters``, an ``eta`` outside its
+    mode's range) raises :class:`ConfigError` before any run.
     """
     specs = [spec_or_specs] if isinstance(spec_or_specs, ExperimentSpec) else list(spec_or_specs)
+    for spec in specs:
+        if spec.mode != "baseline":
+            try:
+                spec.solver_config(spec.seed, 0)
+            except ValueError as exc:
+                raise ConfigError(f"[{spec.name}] {exc}") from exc
     out_dir = Path(out or specs[0].out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(specs, out_dir / "config_effective.txt")

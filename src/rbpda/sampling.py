@@ -103,8 +103,8 @@ class BatchSchedule:
 
     @staticmethod
     def increasing(eta: float = 0.0) -> "BatchSchedule":
-        if eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not 0 <= eta < math.inf:  # also rejects NaN
+            raise ValueError("eta must be finite and nonnegative")
         return BatchSchedule("increasing", eta=float(eta))
 
     @staticmethod

@@ -108,8 +108,8 @@ class SolverConfig:
             raise ValueError("checkpoint_every must be at least 1")
         if self.mode == "single_sample" and not 0 <= self.eta < 1:
             raise ValueError("single_sample mode needs eta in [0, 1)")
-        if self.mode == "increasing_batch" and self.eta < 0:
-            raise ValueError("increasing_batch mode needs eta >= 0")
+        if self.mode == "increasing_batch" and not 0 <= self.eta < math.inf:  # also rejects NaN
+            raise ValueError("increasing_batch mode needs a finite eta >= 0")
         if not 0 < self.restart_threshold <= 1:  # also rejects NaN
             raise ValueError("restart_threshold must be finite and lie in (0, 1]")
 
@@ -282,11 +282,12 @@ class _LazySum:
 class ErgodicAccumulator:
     """Running ergodic averages of the iterate sequence, both sides at once.
 
-    Uniform mode (constant steps): the average at K puts weight M (resp. N)
-    on the final iterate and weight 1 on iterates 1 .. K-1.  Weighted mode
-    (diminishing steps): iterate k+1 gets weight t^k * [1 + (M-1)(1 - 1/theta^(k+1))]
-    and the final iterate an extra (M-1) * t^K, so the total weight telescopes
-    to T_K + M - 1 exactly.
+    The averages are weighted exactly when ``schedule`` is diminishing, and
+    uniform otherwise (constant steps, or no schedule).  Uniform: the
+    average at K puts weight M (resp. N) on the final iterate and weight 1
+    on iterates 1 .. K-1.  Weighted: iterate k+1 gets weight
+    t^k * [1 + (M-1)(1 - 1/theta^(k+1))] and the final iterate an extra
+    (M-1) * t^K, so the total weight telescopes to T_K + M - 1 exactly.
 
     The sums are lazy where that pays (:class:`_LazySum`): :meth:`update`
     folds a touched one-coordinate block alone and any other touched slice
@@ -295,14 +296,10 @@ class ErgodicAccumulator:
     running sum bit for bit; lazy folds agree with it to rounding.
     """
 
-    def __init__(self, mode: str, M: int, N: int, x0, y0, schedule: Optional[StepSchedule] = None):
-        if mode not in ("uniform", "weighted"):
-            raise ValueError(f"unknown ergodic mode: {mode!r}")
-        if mode == "weighted" and schedule is None:
-            raise ValueError("weighted averaging needs the step schedule")
-        self.mode = mode
+    def __init__(self, M: int, N: int, x0, y0, schedule: Optional[StepSchedule] = None):
         self.M, self.N = M, N
-        self.schedule = schedule
+        # the schedule that weighs the averages, None for uniform ones
+        self.schedule = schedule if schedule is not None and schedule.mode == "diminishing" else None
         self.x0 = np.array(x0, dtype=float)
         self.y0 = np.array(y0, dtype=float)
         self.count = 0
@@ -316,7 +313,7 @@ class ErgodicAccumulator:
         and y^(k+1) equal the previous iterate; the default is the whole
         vectors.
         """
-        if self.mode == "uniform":
+        if self.schedule is None:
             w_x = w_y = 1.0
         else:
             t_k = self.schedule.t(k)
@@ -333,7 +330,7 @@ class ErgodicAccumulator:
         K = self.count
         if K == 0:
             return 0.0, 0.0
-        if self.mode == "uniform":
+        if self.schedule is None:
             return float(K + self.M - 1), float(K + self.N - 1)
         t_K = self.schedule.t(K)
         return (
@@ -347,7 +344,7 @@ class ErgodicAccumulator:
         if K == 0:
             return self.x0.copy(), self.y0.copy()
         sx, sy = self.sum_x, self.sum_y
-        if self.mode == "uniform":
+        if self.schedule is None:
             # the sums stop at iterate K-1: the final one has weight M (N)
             x_bar = (self.M * sx.last + sx.sum_to(sx.weight - 1.0)) / (K + self.M - 1)
             y_bar = (self.N * sy.last + sy.sum_to(sy.weight - 1.0)) / (K + self.N - 1)
@@ -520,25 +517,16 @@ class RunResult:
     config: Optional[SolverConfig] = None
 
 
-def _build_schedule(problem: SaddleProblem, config: SolverConfig):
-    st = problem.structure
-    agg = aggregate_constants(problem.lipschitz, st.M, st.N)
+def _build_schedule(problem: SaddleProblem, config: SolverConfig) -> StepSchedule:
+    """The run's step schedule: constant for increasing batches, else diminishing."""
+    agg = aggregate_constants(problem.lipschitz)
     step_mode = "constant" if config.mode == "increasing_batch" else "diminishing"
     fp = config.free_params
     if fp is None:
-        delta_bar = 1e-6 if config.as_mode else 0.0
-        fp = default_free_params(agg, st.M, st.N, mode=step_mode, delta_bar=delta_bar)
+        fp = default_free_params(agg, step_mode, delta_bar=1e-6 if config.as_mode else 0.0)
     elif config.as_mode and not fp.delta_bar > 0:
         raise ValueError("as_mode requires free parameters with delta_bar > 0")
-    schedule = StepSchedule(
-        mode=step_mode,
-        M=st.M,
-        N=st.N,
-        agg=agg,
-        fp=fp,
-        eta=config.eta if step_mode == "diminishing" else 0.0,
-    )
-    return schedule, agg, fp
+    return StepSchedule(step_mode, agg, fp, eta=config.eta if step_mode == "diminishing" else 0.0)
 
 
 def run(
@@ -554,10 +542,12 @@ def run(
     is unspecified.  A step failure aborts the run but the partial trace is
     preserved on the raised :class:`SolverError`.  A problem's coupling
     cache is built once, for the largest batch size the run can draw: p
-    for an increasing schedule, the constant batch size otherwise.
+    for an increasing schedule, the constant batch size otherwise.  The
+    run's :class:`~rbpda.stepsize.StepSchedule` carries its regime, and the
+    ergodic averages read it: weighted exactly when it is diminishing.
     """
     st = problem.structure
-    schedule, _, _ = _build_schedule(problem, config)
+    schedule = _build_schedule(problem, config)
     p = problem.p
     if config.batch is not None:
         batch = BatchSchedule.constant(config.batch, p)
@@ -571,14 +561,7 @@ def run(
     if problem.coupling_cache is not None:
         v_max = p if batch.kind == "increasing" else batch.v
         state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
-    acc = ErgodicAccumulator(
-        "uniform" if config.mode == "increasing_batch" else "weighted",
-        st.M,
-        st.N,
-        state.x,
-        state.y,
-        schedule,
-    )
+    acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
     trace = ConvergenceTrace()
 
     def checkpoint():
@@ -642,36 +625,35 @@ def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace, c
 def _stacked_prox(problem: SaddleProblem, side: int):
     """Whole-vector prox applier for side 0 (primal) or 1 (dual); vectorized when possible.
 
-    Box, orthant, and zero blocks under Euclidean geometry collapse into one
-    array operation (boxes clip to the problem's stacked side bounds);
-    anything else falls back to the per-block loop.
+    A side with stacked bounds (:class:`~rbpda.blocks.SideBounds`: zero,
+    box and nonneg blocks, all Euclidean) takes one array operation: a
+    gradient step, clipped to the bounds unless the side is all zero.  Any
+    other side falls back to the per-block loop.
     """
-    specs, layout = problem.side_specs(side)
-    kinds = {spec.kind for spec in specs}
-    geoms = {spec.geometry.kind for spec in specs}
     bounds = problem.side_bounds()[side]
-    if geoms == {"euclidean"} and kinds <= {"zero"}:
+    if bounds is None:
+        specs, layout = problem.side_specs(side)
+
+        def blockwise(linear, step, base):
+            out = np.empty(layout.total_dim)
+            for b, spec in enumerate(specs):
+                blk = layout.block_range(b)
+                out[blk] = prox_step(spec.geometry, spec, linear[blk], step, base[blk])
+            return out
+
+        return blockwise
+    lo, hi = bounds.lower, bounds.upper
+    if lo is None:
         return lambda linear, step, base: base - step * linear
-    if geoms == {"euclidean"} and kinds <= {"nonneg"}:
-        return lambda linear, step, base: np.maximum(base - step * linear, 0.0)
-    if geoms == {"euclidean"} and kinds <= {"box"} and bounds is not None:
-        lo, hi = bounds.lower, bounds.upper
 
-        def box(linear, step, base):
-            # np.clip's values bit for bit, in place, without its Python-level wrapper
-            point = base - step * linear
-            return np.minimum(np.maximum(point, lo, out=point), hi, out=point)
+    def clip(linear, step, base):
+        # the per-block prox values bit for bit, in place, without np.clip's
+        # Python-level wrapper; a nonneg coordinate's bounds are 0 and +inf
+        point = base - step * linear
+        np.maximum(point, lo, out=point)
+        return point if hi is None else np.minimum(point, hi, out=point)
 
-        return box
-
-    def blockwise(linear, step, base):
-        out = np.empty(layout.total_dim)
-        for b, spec in enumerate(specs):
-            blk = layout.block_range(b)
-            out[blk] = prox_step(spec.geometry, spec, linear[blk], step, base[blk])
-        return out
-
-    return blockwise
+    return clip
 
 
 def deterministic_baseline_run(
@@ -696,7 +678,7 @@ def deterministic_baseline_run(
     """
     x, y = _start_point(problem, x0, y0)
     st = problem.structure
-    acc = ErgodicAccumulator("uniform", 1, 1, x, y)
+    acc = ErgodicAccumulator(1, 1, x, y)
     trace = ConvergenceTrace()
     budget = 0
 

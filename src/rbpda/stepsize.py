@@ -6,15 +6,17 @@ Two step regimes are supported:
 * diminishing steps paired with a constant (mini) batch (near-1/sqrt(K) rate),
   driven by the schedule t^k = (k+1)^(-(1+eta)/2), theta^k = ((k+1)/k)^((1+eta)/2).
 
-The validator checks, numerically and per block, the diagonal matrix
-inequalities that the step sizes must satisfy for the convergence guarantees
-to hold.
+:class:`StepSchedule` owns a run's regime: its mode, eta, aggregate
+constants and free parameters, and the block counts M and N read from the
+constants' shapes.  The validator checks, numerically and per block, the
+diagonal matrix inequalities that the schedule's step sizes must satisfy for
+the convergence guarantees to hold, with the schedule's own constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +30,6 @@ __all__ = [
     "aggregate_constants",
     "default_free_params",
     "constant_stepsizes",
-    "diminishing_stepsizes",
     "schedule_t",
     "schedule_theta",
     "validate_stepsize_condition",
@@ -94,16 +95,6 @@ class BlockLipschitz:
     def N(self) -> int:
         return self.Lxy.shape[1]
 
-    @classmethod
-    def broadcast(cls, M: int, N: int, lxx=0.0, lxy=1.0, lyy=0.0, lyx=1.0) -> "BlockLipschitz":
-        """Scalar-broadcast constructor, matching the config-file interface."""
-        return cls(
-            np.full((M, M), float(lxx)),
-            np.full((M, N), float(lxy)),
-            np.full((N, N), float(lyy)),
-            np.full((N, M), float(lyx)),
-        )
-
 
 @dataclass(frozen=True)
 class AggregateConstants:
@@ -117,10 +108,8 @@ class AggregateConstants:
     Lyy_diag: np.ndarray  # (N,)
 
 
-def aggregate_constants(lip: BlockLipschitz, M: int, N: int) -> AggregateConstants:
-    """RMS column aggregates; M and N must match the matrices."""
-    if (M, N) != (lip.M, lip.N):
-        raise ValueError("M, N do not match the Lipschitz matrices")
+def aggregate_constants(lip: BlockLipschitz) -> AggregateConstants:
+    """RMS column aggregates of the matrices; M and N are their shapes."""
     return AggregateConstants(
         L_yx=np.sqrt(np.mean(lip.Lyx**2, axis=0)),
         C_x=np.sqrt(np.mean(lip.Lxx**2, axis=0)),
@@ -169,12 +158,11 @@ def _safe_ratio(num: float, denom: float) -> float:
     return num / denom if denom > 0 else 1.0
 
 
-def default_free_params(
-    agg: AggregateConstants, M: int, N: int, mode: str = "constant", delta_bar: float = 0.0
-) -> FreeParams:
+def default_free_params(agg: AggregateConstants, mode: str = "constant", delta_bar: float = 0.0) -> FreeParams:
     """Default free parameters; ``mode`` is ``"constant"`` or ``"diminishing"``."""
     if mode not in ("constant", "diminishing"):
         raise ValueError(f"unknown step mode: {mode!r}")
+    M, N = agg.L_yx.size, agg.L_xy.size
     gamma1 = _safe_ratio(M, float(np.sum(agg.C_x)))
     lambda1 = _safe_ratio(N, float(np.sum(agg.C_y)))
     gamma2 = _safe_ratio(N, float(np.sum(agg.L_xy)))
@@ -184,10 +172,9 @@ def default_free_params(
     return FreeParams(gamma1, gamma2, lambda1, lambda2, alpha, beta, delta_bar)
 
 
-def constant_stepsizes(
-    agg: AggregateConstants, fp: FreeParams, M: int, N: int
-) -> tuple[np.ndarray, np.ndarray]:
+def constant_stepsizes(agg: AggregateConstants, fp: FreeParams) -> tuple[np.ndarray, np.ndarray]:
     """Constant per-block step sizes for the increasing-batch regime."""
+    M, N = agg.L_yx.size, agg.L_xy.size
     g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
     tau_den = (
         agg.Lxx_diag
@@ -220,19 +207,13 @@ def schedule_theta(k: int, eta: float) -> float:
     return ((k + 1) / k) ** (0.5 * (1.0 + eta))
 
 
-def _check_diminishing(fp: FreeParams, eta: float) -> None:
-    if not 0 <= eta < 1:
-        raise ValueError("eta must lie in [0, 1)")
-    if fp.beta is None:
-        raise ValueError("diminishing step sizes need FreeParams.beta")
-
-
-def _diminishing_terms(agg: AggregateConstants, fp: FreeParams, M: int, N: int):
+def _diminishing_terms(agg: AggregateConstants, fp: FreeParams):
     """The k-independent parts of the diminishing denominators, one tuple per side.
 
     Each tuple ``(diag, count, inv, rest, noise)`` is read by
     :func:`_diminishing_denominator`; entries are scalars or per-block arrays.
     """
+    M, N = agg.L_yx.size, agg.L_xy.size
     g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
     tau = (
         agg.Lxx_diag,
@@ -271,31 +252,16 @@ def _block_terms(terms, n_blocks: int) -> list:
     return [(row[0], count, inv, row[1:-1], row[-1]) for row in zip(*cols)]
 
 
-def diminishing_stepsizes(
-    agg: AggregateConstants,
-    fp: FreeParams,
-    M: int,
-    N: int,
-    eta: float,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Per-iteration step sizes for the constant-batch regime at iteration k."""
-    _check_diminishing(fp, eta)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    th = schedule_theta(k, eta)
-    t = schedule_t(k, eta)
-    tau_terms, sigma_terms = _diminishing_terms(agg, fp, M, N)
-    tau_den = _diminishing_denominator(tau_terms, th, t)
-    sigma_den = _diminishing_denominator(sigma_terms, th, t)
-    return 1.0 / (M * tau_den), 1.0 / (N * sigma_den), th, t
-
-
 @dataclass
 class StepSchedule:
-    """Evaluable per-block step sizes tau_i(k), sigma_j(k) plus theta(k), t(k).
+    """The step regime of a run: per-block step sizes tau_i(k), sigma_j(k) plus theta(k), t(k).
 
-    ``mode`` is ``"constant"`` (theta = t = 1 for all k) or ``"diminishing"``.
+    ``mode`` is ``"constant"`` (theta = t = 1 for all k) or ``"diminishing"``
+    (the decay exponent ``eta`` lies in [0, 1), and ``fp.beta`` is set).
+    ``M`` and ``N`` are the block counts of ``agg``, set once at
+    construction, and the validator and the ergodic averages read ``agg``,
+    ``fp`` and the mode from the schedule.  A diminishing schedule without
+    ``agg`` and ``fp`` gives only theta(k) and t(k), and its M and N are None.
     ``tau(k)`` and ``sigma(k)`` return the step vectors.  With a block index,
     ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
     O(1), bitwise equal to the vector entry; this is the solver's path.  The
@@ -303,22 +269,22 @@ class StepSchedule:
     """
 
     mode: str
-    M: int
-    N: int
     agg: AggregateConstants = None
     fp: FreeParams = None
     eta: float = 0.0
-    _tau0: np.ndarray = field(default=None, repr=False)
-    _sigma0: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("constant", "diminishing"):
             raise ValueError(f"unknown schedule mode: {self.mode!r}")
+        self.M, self.N = (None, None) if self.agg is None else (self.agg.L_yx.size, self.agg.L_xy.size)
         if self.mode == "constant":
-            self._tau0, self._sigma0 = constant_stepsizes(self.agg, self.fp, self.M, self.N)
+            self._tau0, self._sigma0 = constant_stepsizes(self.agg, self.fp)
         elif self.agg is not None and self.fp is not None:
-            _check_diminishing(self.fp, self.eta)
-            self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp, self.M, self.N)
+            if not 0 <= self.eta < 1:
+                raise ValueError("eta must lie in [0, 1)")
+            if self.fp.beta is None:
+                raise ValueError("diminishing step sizes need FreeParams.beta")
+            self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp)
             self._tau_blocks = _block_terms(self._tau_terms, self.M)
             self._sigma_blocks = _block_terms(self._sigma_terms, self.N)
         self._k = None  # iteration whose (theta, t) pair is cached in _theta_t
@@ -369,7 +335,8 @@ class StepsizeReport:
         return key, self.min_slacks[key]
 
 
-def _m_matrices(schedule: StepSchedule, agg: AggregateConstants, fp: FreeParams, M, N, k):
+def _m_matrices(schedule: StepSchedule, k: int):
+    agg, fp, M, N = schedule.agg, schedule.fp, schedule.M, schedule.N
     th = schedule.theta(k)
     tau = schedule.tau(k)
     sigma = schedule.sigma(k)
@@ -390,19 +357,12 @@ def _m_matrices(schedule: StepSchedule, agg: AggregateConstants, fp: FreeParams,
     return m1, m2, m3, m4
 
 
-def validate_stepsize_condition(
-    schedule: StepSchedule,
-    agg: AggregateConstants,
-    fp: FreeParams,
-    M: int,
-    N: int,
-    k_max: int = 200,
-    tolerance: float = 1e-9,
-) -> StepsizeReport:
-    """Numerically check the per-block step-size inequalities for k in [0, k_max].
+def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolerance: float = 1e-9) -> StepsizeReport:
+    """Numerically check the schedule's per-block step-size inequalities for k in [0, k_max].
 
-    All matrices involved are diagonal by construction, so each semidefinite
-    ordering reduces to scalar inequalities per block.  The noise weights are
+    The constants and free parameters are the schedule's own.  All matrices
+    involved are diagonal by construction, so each semidefinite ordering
+    reduces to scalar inequalities per block.  The noise weights are
     A^k = diag(alpha)/t^k and, in diminishing mode, B^k = diag(beta)/t^k
     (B^k = 0 in constant mode).  Violations are reported, not raised.
     """
@@ -414,13 +374,14 @@ def validate_stepsize_condition(
         "t_theta_identity": 0.0,  # t^k = t^{k+1} theta^{k+1}
         "m_matrices_psd": np.inf,  # M1..M4 >= 0
     }
+    fp = schedule.fp
     diminishing = schedule.mode == "diminishing"
     for k in range(k_max + 1):
         t_k, t_next = schedule.t(k), schedule.t(k + 1)
-        m1_k, m2_k, m3_k, m4_k = _m_matrices(schedule, agg, fp, M, N, k)
-        m1_next, m2_next, _, _ = _m_matrices(schedule, agg, fp, M, N, k + 1)
+        m1_k, m2_k, m3_k, m4_k = _m_matrices(schedule, k)
+        m1_next, m2_next, _, _ = _m_matrices(schedule, k + 1)
         a_k = fp.alpha / t_k
-        b_k = (fp.beta / t_k) if (diminishing and fp.beta is not None) else 0.0
+        b_k = fp.beta / t_k if diminishing else 0.0
         slacks["primal_lipschitz"] = min(
             slacks["primal_lipschitz"], float(np.min(t_k * (m3_k - a_k) - t_next * m1_next))
         )

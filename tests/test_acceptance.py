@@ -62,11 +62,10 @@ def report(tag, ok, detail):
 
 
 def _reduction_deviation(prob, iters, seed=3):
-    st = prob.structure
-    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
-    fp = default_free_params(agg, st.M, st.N, mode="constant")
-    tau, sigma = constant_stepsizes(agg, fp, st.M, st.N)
-    sched = StepSchedule(mode="constant", M=st.M, N=st.N, agg=agg, fp=fp)
+    agg = aggregate_constants(prob.lipschitz)
+    fp = default_free_params(agg, mode="constant")
+    tau, sigma = constant_stepsizes(agg, fp)
+    sched = StepSchedule(mode="constant", agg=agg, fp=fp)
     state = RunState.start(prob)
     rng = make_rng(seed)
     batch = BatchSchedule.constant(prob.p, prob.p)
@@ -165,16 +164,13 @@ def test_c04_stepsize_condition():
             rng.uniform(0, 5, (N, N)),
             rng.uniform(0.05, 5, (N, M)),
         )
-        agg = aggregate_constants(lip, M, N)
-        fp_c = default_free_params(agg, M, N, "constant")
-        rep_c = validate_stepsize_condition(
-            StepSchedule(mode="constant", M=M, N=N, agg=agg, fp=fp_c), agg, fp_c, M, N, k_max=200
-        )
+        agg = aggregate_constants(lip)
+        fp_c = default_free_params(agg, "constant")
+        rep_c = validate_stepsize_condition(StepSchedule(mode="constant", agg=agg, fp=fp_c), k_max=200)
         eta = float(rng.choice([0.0, 0.25, 0.5]))
-        fp_d = default_free_params(agg, M, N, "diminishing")
+        fp_d = default_free_params(agg, "diminishing")
         rep_d = validate_stepsize_condition(
-            StepSchedule(mode="diminishing", M=M, N=N, agg=agg, fp=fp_d, eta=eta),
-            agg, fp_d, M, N, k_max=200,
+            StepSchedule(mode="diminishing", agg=agg, fp=fp_d, eta=eta), k_max=200
         )
         worst = min(worst, min(rep_c.min_slacks.values()), min(rep_d.min_slacks.values()))
         if not (rep_c.passed and rep_d.passed):
@@ -227,9 +223,9 @@ def test_c07_weighted_average_identity():
     worst = 0.0
     for M in (1, 3):
         for eta in (0.0, 0.5):
-            sched = StepSchedule(mode="diminishing", M=M, N=M, agg=None, fp=None, eta=eta)
+            sched = StepSchedule(mode="diminishing", eta=eta)
             for K in (1, 10, 100):
-                acc = ErgodicAccumulator("weighted", M, M, np.zeros(1), np.zeros(1), sched)
+                acc = ErgodicAccumulator(M, M, np.zeros(1), np.zeros(1), sched)
                 for k in range(K):
                     acc.update(np.ones(1), np.ones(1), k)
                 w_x, w_y = acc.total_weights()

@@ -10,7 +10,9 @@ from rbpda.blocks import (
     SaddleProblem,
     validate_problem,
 )
+from rbpda.bregman import prox_step
 from rbpda.problems import MatrixGameSpec, generate_robust_erm, matrix_game_problem, robust_erm_problem
+from rbpda.solver import _stacked_prox
 from rbpda.stepsize import BlockLipschitz
 
 
@@ -298,6 +300,27 @@ class TestStackedDomain:
                     value = prob.h_value(v) if which else prob.f_value(v)
                     assert np.array_equal(value, _loop_value(specs, layout, v), equal_nan=True)
                     assert type(value) is float
+
+    @pytest.mark.parametrize("name", sorted(set(SIDES) - set(LOOPED)))
+    def test_stacked_prox_matches_per_block_prox(self, name):
+        # the whole-vector prox of a side with stacked bounds (one clip for
+        # a mixed box and nonneg side) gives the per-block prox_step bits,
+        # NaN, +-inf, -0.0 and points on and past the bounds included
+        side, other = SIDES[name], SIDES["box"]
+        rng = np.random.default_rng(5)
+        for prob, which in ((_sided_problem(side, other), 0), (_sided_problem(other, side), 1)):
+            specs, layout = prob.side_specs(which)
+            apply = _stacked_prox(prob, which)
+            for base in _adversarial_points(specs, layout, 1e-9):
+                for linear in (np.zeros(base.size), rng.standard_normal(base.size), np.full(base.size, -0.0)):
+                    for step in (0.5, 3.0):
+                        want = np.concatenate(
+                            [
+                                prox_step(spec.geometry, spec, linear[blk], step, base[blk])
+                                for spec, blk in zip(specs, layout.ranges)
+                            ]
+                        )
+                        assert apply(linear, step, base).tobytes() == want.tobytes()
 
     def test_bounds_rebuilt_after_post_init(self):
         prob = _sided_problem(SIDES["box"], SIDES["nonneg"])

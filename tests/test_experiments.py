@@ -382,6 +382,19 @@ class TestMainCli:
         bad.write_text("mode = turbo\nwat = 1\n")
         assert main(["--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "foo"], ["--iters", "-1"], ["--mode", "single_sample", "--eta", "1.0"]],
+    )
+    def test_rejected_solver_setting_exit_code(self, tmp_path, capsys, flags):
+        # a setting SolverConfig rejects is a config error before any run,
+        # not a failed run per seed
+        out = tmp_path / "bad"
+        argv = ["--problem", "box_game", "--iters", "10", "--repeats", "1", "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_and_run(self, tmp_path):
         out = tmp_path / "cli"
         code = main(

@@ -189,6 +189,12 @@ class TestBatchSchedule:
         counters = BlockCounters(np.array([2]))
         assert next_batch_size(sched, counters, 0, k=3, p=100) == 12
 
+    @pytest.mark.parametrize("eta", [-0.5, np.nan, np.inf])
+    def test_increasing_eta_must_be_finite_and_nonnegative(self, eta):
+        # NaN and inf used to pass and fail at the first batch size
+        with pytest.raises(ValueError, match="eta"):
+            BatchSchedule.increasing(eta)
+
     def test_constant_over_p_rejected(self):
         with pytest.raises(ValueError):
             BatchSchedule.constant(11, 10)

@@ -226,9 +226,8 @@ def run_lockstep(name, mode, cached):
     margins must also track A x and A x_prev.
     """
     prob = lockstep_problem(name)
-    st = prob.structure
-    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
-    fp = default_free_params(agg, st.M, st.N, mode=mode)
+    agg = aggregate_constants(prob.lipschitz)
+    fp = default_free_params(agg, mode=mode)
     eta = 0.3 if mode == "diminishing" else 0.0
     if mode == "constant":
         batch = BatchSchedule.increasing(0.0)
@@ -238,7 +237,7 @@ def run_lockstep(name, mode, cached):
     if cached:
         attach_cache(new, prob)
     sched_new, sched_ref = (
-        StepSchedule(mode=mode, M=st.M, N=st.N, agg=agg, fp=fp, eta=eta) for _ in range(2)
+        StepSchedule(mode=mode, agg=agg, fp=fp, eta=eta) for _ in range(2)
     )
     rng_new, rng_ref = make_rng(11), make_rng(11)
     for it in range(60):
@@ -293,7 +292,7 @@ def test_run_draws_in_chunks_like_sequential_steps(name, batch, monkeypatch):
     res = run(prob, cfg)
     st = prob.structure
     assert len(fills) >= 3 or (st.N == st.M == 1 and v >= p)  # only a run that takes no word fills none
-    sched, _, _ = _build_schedule(prob, cfg)
+    sched = _build_schedule(prob, cfg)
     ref = RunState.start(prob)
     rng = make_rng(5, 2)
     for _ in range(150):
@@ -315,7 +314,7 @@ def test_increasing_batch_run_draws_ahead_like_sequential_steps(name):
     cfg = SolverConfig(mode="increasing_batch", eta=0.5, max_iters=300, seed=5, stream=3,
                        restart_enabled=True, checkpoint_every=100, compute_sup_gap=False)
     res = run(prob, cfg)
-    sched, _, _ = _build_schedule(prob, cfg)
+    sched = _build_schedule(prob, cfg)
     batch = BatchSchedule.increasing(cfg.eta)
     ref = RunState.start(prob)
     rng = make_rng(5, 3)
@@ -339,10 +338,9 @@ def test_hand_driven_steps_draw_one_step_at_a_time():
     prob = lockstep_problem("erm_box")
     prob.coupling_cache = None
     p = prob.p
-    st = prob.structure
-    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
-    fp = default_free_params(agg, st.M, st.N, mode="constant")
-    sched_new, sched_ref = (StepSchedule(mode="constant", M=st.M, N=st.N, agg=agg, fp=fp) for _ in range(2))
+    agg = aggregate_constants(prob.lipschitz)
+    fp = default_free_params(agg, mode="constant")
+    sched_new, sched_ref = (StepSchedule(mode="constant", agg=agg, fp=fp) for _ in range(2))
     new, ref = RunState.start(prob), RunState.start(prob)
     rng_new, rng_ref = make_rng(3), make_rng(3)
     for it in range(40):
@@ -571,9 +569,9 @@ def test_dual_row_is_reused_for_the_same_block(name):
     state = RunState.start(prob)
     if prob.coupling_cache is not None:
         attach_cache(state, prob)
-    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
-    fp = default_free_params(agg, st.M, st.N, mode="constant")
-    sched = StepSchedule(mode="constant", M=st.M, N=st.N, agg=agg, fp=fp)
+    agg = aggregate_constants(prob.lipschitz)
+    fp = default_free_params(agg, mode="constant")
+    sched = StepSchedule(mode="constant", agg=agg, fp=fp)
     rng = make_rng(9)
     for it in range(60):
         rbpda_step(state, prob, sched, BatchSchedule.increasing(0.0), rng)
@@ -732,11 +730,10 @@ def test_cache_drift_stays_below_1e12_and_refresh_is_exact():
 
 def reduction_deviation(prob, iters=100, seed=3):
     """Max per-iterate deviation between RB-PDA at M=N=1, v=p and the baseline."""
-    st = prob.structure
-    agg = aggregate_constants(prob.lipschitz, st.M, st.N)
-    fp = default_free_params(agg, st.M, st.N, mode="constant")
-    tau, sigma = constant_stepsizes(agg, fp, st.M, st.N)
-    sched = StepSchedule(mode="constant", M=st.M, N=st.N, agg=agg, fp=fp)
+    agg = aggregate_constants(prob.lipschitz)
+    fp = default_free_params(agg, mode="constant")
+    tau, sigma = constant_stepsizes(agg, fp)
+    sched = StepSchedule(mode="constant", agg=agg, fp=fp)
     state = RunState.start(prob)
     rng = make_rng(seed)
     batch = BatchSchedule.constant(prob.p, prob.p)
@@ -786,15 +783,8 @@ class TestReductionEquivalence:
 class TestErgodicAccumulator:
     def test_constant_iterates_average_to_constant(self):
         for mode in ("uniform", "weighted"):
-            sched = StepSchedule(
-                mode="diminishing",
-                M=3,
-                N=2,
-                agg=None,
-                fp=None,
-                eta=0.0,
-            )
-            acc = ErgodicAccumulator(mode, 3, 2, np.full(3, 2.0), np.full(2, -1.0), sched)
+            sched = StepSchedule(mode="diminishing", eta=0.0) if mode == "weighted" else None
+            acc = ErgodicAccumulator(3, 2, np.full(3, 2.0), np.full(2, -1.0), sched)
             for k in range(25):
                 acc.update(np.full(3, 2.0), np.full(2, -1.0), k)
             x_bar, y_bar = acc.finalize()
@@ -802,7 +792,7 @@ class TestErgodicAccumulator:
             np.testing.assert_allclose(y_bar, -1.0, atol=1e-12)
 
     def test_uniform_k1_equals_first_iterate(self):
-        acc = ErgodicAccumulator("uniform", 4, 2, np.zeros(2), np.zeros(2))
+        acc = ErgodicAccumulator(4, 2, np.zeros(2), np.zeros(2))
         acc.update(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0)
         x_bar, y_bar = acc.finalize()
         np.testing.assert_allclose(x_bar, [1.0, 2.0])
@@ -813,7 +803,7 @@ class TestErgodicAccumulator:
         M, N, K = 3, 2, 17
         xs = rng.standard_normal((K, 4))
         ys = rng.standard_normal((K, 3))
-        acc = ErgodicAccumulator("uniform", M, N, np.zeros(4), np.zeros(3))
+        acc = ErgodicAccumulator(M, N, np.zeros(4), np.zeros(3))
         for k in range(K):
             acc.update(xs[k], ys[k], k)
         x_bar, y_bar = acc.finalize()
@@ -826,10 +816,10 @@ class TestErgodicAccumulator:
     def test_weighted_matches_direct_formula(self):
         rng = np.random.default_rng(1)
         M, N, K, eta = 3, 2, 12, 0.5
-        sched = StepSchedule(mode="diminishing", M=M, N=N, agg=None, fp=None, eta=eta)
+        sched = StepSchedule(mode="diminishing", eta=eta)
         xs = rng.standard_normal((K, 2))
         ys = rng.standard_normal((K, 2))
-        acc = ErgodicAccumulator("weighted", M, N, np.zeros(2), np.zeros(2), sched)
+        acc = ErgodicAccumulator(M, N, np.zeros(2), np.zeros(2), sched)
         for k in range(K):
             acc.update(xs[k], ys[k], k)
         x_bar, _ = acc.finalize()
@@ -845,8 +835,8 @@ class TestErgodicAccumulator:
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     @pytest.mark.parametrize("K", [1, 10, 100])
     def test_weighted_total_weight_identity(self, M, eta, K):
-        sched = StepSchedule(mode="diminishing", M=M, N=M, agg=None, fp=None, eta=eta)
-        acc = ErgodicAccumulator("weighted", M, M, np.zeros(1), np.zeros(1), sched)
+        sched = StepSchedule(mode="diminishing", eta=eta)
+        acc = ErgodicAccumulator(M, M, np.zeros(1), np.zeros(1), sched)
         for k in range(K):
             acc.update(np.ones(1), np.ones(1), k)
         w_x, w_y = acc.total_weights()
@@ -857,8 +847,8 @@ class TestErgodicAccumulator:
     @pytest.mark.parametrize("mode", ["uniform", "weighted"])
     def test_update_copies_the_iterates(self, mode):
         # the solver updates its iterate arrays in place after each fold-in
-        sched = StepSchedule(mode="diminishing", M=2, N=2, agg=None, fp=None, eta=0.0)
-        acc = ErgodicAccumulator(mode, 2, 2, np.zeros(2), np.zeros(1), sched)
+        sched = StepSchedule(mode="diminishing", eta=0.0) if mode == "weighted" else None
+        acc = ErgodicAccumulator(2, 2, np.zeros(2), np.zeros(1), sched)
         x, y = np.array([1.0, 2.0]), np.array([3.0])
         for k in range(3):
             acc.update(x, y, k)
@@ -869,7 +859,7 @@ class TestErgodicAccumulator:
             assert np.array_equal(got, want)
 
     def test_zero_iterations_returns_start(self):
-        acc = ErgodicAccumulator("uniform", 2, 2, np.array([5.0]), np.array([-5.0]))
+        acc = ErgodicAccumulator(2, 2, np.array([5.0]), np.array([-5.0]))
         x_bar, y_bar = acc.finalize()
         np.testing.assert_allclose(x_bar, [5.0])
         np.testing.assert_allclose(y_bar, [-5.0])
@@ -1047,6 +1037,12 @@ class TestRun:
         with pytest.raises(ValueError, match="restart_threshold"):
             SolverConfig(restart_enabled=True, restart_threshold=threshold)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_increasing_batch_eta_must_be_finite(self, eta):
+        # these used to pass and fail at iteration 1, converting the batch size to int
+        with pytest.raises(ValueError, match="finite eta"):
+            SolverConfig(mode="increasing_batch", eta=eta)
+
     def test_restart_threshold_one_accepted(self):
         assert SolverConfig(restart_threshold=1.0).restart_threshold == 1.0
 
@@ -1075,9 +1071,8 @@ class TestRun:
 
     def test_as_mode_requires_positive_delta(self):
         prob = scalar_bilinear_problem()
-        st = prob.structure
-        agg = aggregate_constants(prob.lipschitz, 1, 1)
-        fp = default_free_params(agg, 1, 1, "constant", delta_bar=0.0)
+        agg = aggregate_constants(prob.lipschitz)
+        fp = default_free_params(agg, "constant", delta_bar=0.0)
         with pytest.raises(ValueError):
             run(prob, SolverConfig(mode="increasing_batch", max_iters=1, as_mode=True, free_params=fp))
         res = run(prob, SolverConfig(mode="increasing_batch", max_iters=5, as_mode=True))
@@ -1303,10 +1298,10 @@ class TestLazyErgodicSums:
     def test_random_block_touches_match_eager_formula(self, mode, sides):
         x_blocks, y_blocks = SIDES[sides]
         M, N = len(x_blocks), len(y_blocks)
-        sched = StepSchedule(mode="diminishing", M=M, N=N, agg=None, fp=None, eta=0.3)
+        sched = StepSchedule(mode="diminishing", eta=0.3)
         rng = np.random.default_rng(2)
         x0, y0 = rng.standard_normal(x_blocks[-1].stop), rng.standard_normal(y_blocks[-1].stop)
-        acc = ErgodicAccumulator(mode, M, N, x0, y0, sched)
+        acc = ErgodicAccumulator(M, N, x0, y0, sched if mode == "weighted" else None)
         xs, ys = [], []
         for k, (x, y, touched) in enumerate(random_touches(rng, x0, y0, x_blocks, y_blocks, 300)):
             acc.update(x, y, k, touched)
@@ -1323,10 +1318,10 @@ class TestLazyErgodicSums:
         # finalizing between updates changes neither later averages nor the
         # state it folds from
         x_blocks, y_blocks = SIDES[sides]
-        sched = StepSchedule(mode="diminishing", M=4, N=3, agg=None, fp=None, eta=0.0)
+        sched = StepSchedule(mode="diminishing", eta=0.0) if mode == "weighted" else None
         x0, y0 = np.zeros(x_blocks[-1].stop), np.zeros(y_blocks[-1].stop)
-        plain = ErgodicAccumulator(mode, 4, 3, x0, y0, sched)
-        probed = ErgodicAccumulator(mode, 4, 3, x0, y0, sched)
+        plain = ErgodicAccumulator(4, 3, x0, y0, sched)
+        probed = ErgodicAccumulator(4, 3, x0, y0, sched)
         rng = np.random.default_rng(3)
         for k, (x, y, touched) in enumerate(random_touches(rng, x0, y0, x_blocks, y_blocks, 60)):
             plain.update(x, y, k, touched)
@@ -1346,7 +1341,7 @@ class TestLazyErgodicSums:
         # uniform sum is the eager running sum bit for bit
         rng = np.random.default_rng(4)
         xs = rng.standard_normal((30, dim))
-        acc = ErgodicAccumulator("uniform", 3, 2, np.zeros(dim), np.zeros(2))
+        acc = ErgodicAccumulator(3, 2, np.zeros(dim), np.zeros(2))
         running = np.zeros(dim)
         for k, x in enumerate(xs):
             acc.update(x, np.zeros(2), k)
@@ -1379,7 +1374,7 @@ class TestLazyErgodicSums:
         if cfg.restart_enabled:
             assert res.restarts >= 1
         st = prob.structure
-        sched, _, _ = _build_schedule(prob, cfg)
+        sched = _build_schedule(prob, cfg)
         mode = "uniform" if cfg.mode == "increasing_batch" else "weighted"
         xs, ys, ks = zip(*seen)
         want = eager_averages(mode, st.M, st.N, xs, ys, ks, sched)
