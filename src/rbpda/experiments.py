@@ -205,32 +205,29 @@ def baseline_stepsizes(problem) -> tuple[float, float]:
 
 REFERENCE_TOL = 1e-4  # reference: certified gap relative to the start point's
 _CERT_EVERY = 25  # FISTA iterations between two certificate checks
+_LIP_FLOOR = 1e-12  # FISTA's lip stays above this fraction of its start bound: 1 / lip stays finite
 
 
 def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
     """High-accuracy saddle reference (x, y) of a robust-ERM problem.
 
     Both duals reduce to minimizing a convex f over the primal box, solved
-    by FISTA (Beck & Teboulle, 2009) from the problem's start x with the
-    baseline's primal prox, for at most ``iters`` iterations.  It stops as
-    soon as ``certified_gap(problem, (x, y(x)))`` is at most
+    by one backtracking FISTA (``_fista``) from the problem's start x with
+    the baseline's primal prox, for at most ``iters`` iterations.  It stops
+    as soon as ``certified_gap(problem, (x, y(x)))`` is at most
     ``REFERENCE_TOL`` times the certified gap at the problem's start point
     (``start_x``, ``start_y``), checked at the start and every 25
     iterations; when that start certificate is 0 the start is returned.
 
     * With box dual blocks, Phi is linear in y and its y-gradient, the
       per-datum logistic losses, is positive, so the saddle's y is the
-      boxes' upper bounds and f = L(., y*), with the fixed step
-      1 / ``Lxx_whole`` (||A||_2^2 / 4).  A simplex of one datum is the
-      single point y = [1], solved alike.
+      boxes' upper bounds and f(x) = y . loss(x) = L(x, y*).  A simplex of
+      one datum is the single point y = [1], solved alike.
     * With the entropy simplex, max_y L(x, y) is the largest loss, which is
       not smooth.  Nesterov's entropy smoothing (Math. Prog. 2005) gives
       f(x) = mu logsumexp(loss(x) / mu), whose gradient is ``full_grad_x``
       at y(x) = softmax(loss(x) / mu).  With mu = target / (2 log n) the
       dual side of the certificate at (x, y(x)) is at most half the target.
-      The step 1 / lip backtracks: lip starts at and never falls below
-      ``Lxx_whole`` (max_r ||a_r||^2 / 4), doubles when sufficient decrease
-      fails and shrinks by 0.9 after each step.
 
     ``plateau_tol`` is ignored.  It is accepted only because the benchmark
     workloads (``perfbench/workloads.py``) pass it.
@@ -241,7 +238,11 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
     n = problem.structure.n
     if all(spec.kind == "box" for spec in problem.dual_prox) or n == 1:
         y = problem.side_bounds()[1].upper.copy() if n > 1 else np.ones(1)
-        return _fista(problem, iters, target, lambda x, **kw: (None, y))
+
+        def total_loss(x, **kw):
+            return float(y @ problem.full_grad_y(x, y, **kw)), y
+
+        return _fista(problem, iters, target, total_loss)
     mu = 0.5 * target / math.log(n)
 
     def smoothed(x, **kw):
@@ -257,45 +258,48 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
 def _fista(problem, iters: int, target: float, oracle):
     """FISTA on min_x f(x) over the primal box, where grad f(x) = full_grad_x(x, y(x)).
 
-    ``oracle(x, **kw)`` returns (f(x), y(x)).  The curvature bound lip is
-    ``problem.lipschitz.primal_whole()``: ``Lxx_whole`` when the problem
-    gives it, else ||Lxx||_2.  A value of None means y is constant and lip
-    bounds f's curvature, so the step stays 1 / lip and no value is taken;
-    otherwise the step backtracks, with lip as its floor.  A value oracle
-    reads the margins at w, as ``full_grad_x`` does, so w stays one buffer,
-    and the problem's coupling cache over it is synced once per iteration
-    and passed in ``kw``: the two share one product.  The fixed-step path
-    keeps no cache, and ``full_grad_x`` takes its own product.
+    ``oracle(x, **kw)`` returns (f(x), y(x)).  The step 1 / lip backtracks
+    (Beck & Teboulle, 2009) and may grow again (Scheinberg, Goldfarb & Bai,
+    2014): lip starts at ``problem.lipschitz.primal_whole()`` (``Lxx_whole``
+    when the problem gives it, else ||Lxx||_2), doubles when sufficient
+    decrease fails and shrinks by 0.9 after each accepted step, also below
+    that start bound, where f is flatter than the bound says (robust ERM on
+    separable data, near the box corner).  It never falls below
+    ``_LIP_FLOOR`` times the start bound.  The certificate, not the step
+    rule, certifies the output.  The oracle reads the margins at w, as
+    ``full_grad_x`` does, so w stays one buffer, and the problem's coupling
+    cache over it is synced once per iteration and passed in ``kw``: the
+    two share one product.
 
     Returns the start at once if its certificate is already at most
-    ``target``; otherwise raises ``ValueError`` when lip is not positive,
-    since a zero bound gives no step.
+    ``target``; otherwise raises ``ValueError`` when the start bound is not
+    positive, since a zero bound gives no step.
     """
     project = _stacked_prox(problem, 0)
     x = np.array(problem.start_x, dtype=float)
     y = oracle(x)[1]
     if certified_gap(problem, (x, y)) <= target:
         return x, y
-    floor = lip = problem.lipschitz.primal_whole()
+    lip = problem.lipschitz.primal_whole()
     if not lip > 0.0:
         raise ValueError(f"FISTA needs a positive primal curvature bound, got {lip!r}")
+    floor = _LIP_FLOOR * lip
     w, t = x.copy(), 1.0
     cache = None
-    if problem.coupling_cache is not None and oracle(x)[0] is not None:
+    if problem.coupling_cache is not None:
         # robust ERM's cache reads the primal buffers only
         cache = problem.coupling_cache(w, None, w, None, problem.p)
     kw = {} if cache is None else {"cache": cache}
     for k in range(1, iters + 1):
         f_w, y_w = oracle(w, **kw)
         grad = problem.full_grad_x(w, y_w, **kw)
-        x_new = project(grad, 1.0 / lip, w)
-        while f_w is not None:
+        while True:
+            x_new = project(grad, 1.0 / lip, w)
             d = x_new - w
             if oracle(x_new)[0] <= f_w + grad @ d + 0.5 * lip * (d @ d):
                 lip = max(floor, 0.9 * lip)
                 break
             lip *= 2.0
-            x_new = project(grad, 1.0 / lip, w)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         np.add(x_new, ((t - 1.0) / t_new) * (x_new - x), out=w)
         if cache is not None:
@@ -343,15 +347,18 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     Individual run failures are recorded in the summary and the remaining
     runs continue.  A solver setting that :class:`~rbpda.solver.SolverConfig`
     rejects (an unknown mode, negative ``iters``, an ``eta`` outside its
-    mode's range) raises :class:`ConfigError` before any run.
+    mode's range), or a negative ``iters`` in baseline mode, raises
+    :class:`ConfigError` before any run.
     """
     specs = [spec_or_specs] if isinstance(spec_or_specs, ExperimentSpec) else list(spec_or_specs)
     for spec in specs:
-        if spec.mode != "baseline":
-            try:
+        try:
+            if spec.mode != "baseline":
                 spec.solver_config(spec.seed, 0)
-            except ValueError as exc:
-                raise ConfigError(f"[{spec.name}] {exc}") from exc
+            elif spec.iters < 0:
+                raise ValueError(f"iters must be nonnegative, got {spec.iters!r}")
+        except ValueError as exc:
+            raise ConfigError(f"[{spec.name}] {exc}") from exc
     out_dir = Path(out or specs[0].out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(specs, out_dir / "config_effective.txt")

@@ -674,8 +674,10 @@ def deterministic_baseline_run(
     primal gradient.  Both full gradients of an iteration are taken at the
     same x, so a problem's coupling cache, synced exactly onto x once per
     iteration, lets them share its products (one ``A @ x`` per iteration for
-    robust ERM).
+    robust ERM).  A negative ``iters`` raises ``ValueError``.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters!r}")
     x, y = _start_point(problem, x0, y0)
     st = problem.structure
     acc = ErgodicAccumulator(1, 1, x, y)

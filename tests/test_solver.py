@@ -1224,6 +1224,11 @@ class TestBaselineRun:
         for a, b in zip(ref_got, ref_want):
             assert np.array_equal(a, b)
 
+    def test_negative_iters_is_refused(self):
+        prob, _ = box_game_problem(np.eye(2), half_width=1.0)
+        with pytest.raises(ValueError, match="iters must be nonnegative"):
+            deterministic_baseline_run(prob, 0.1, 0.1, -1)
+
     def test_monotone_gap_trend_on_desk_erm(self):
         data = generate_robust_erm(11, 50, 100, 0.1)
         prob = robust_erm_problem(data, radius=10.0, m_blocks=1, n_blocks=1)
