@@ -15,6 +15,7 @@ config error.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 import time
@@ -346,17 +347,18 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
 
     Individual run failures are recorded in the summary and the remaining
     runs continue.  A solver setting that :class:`~rbpda.solver.SolverConfig`
-    rejects (an unknown mode, negative ``iters``, an ``eta`` outside its
-    mode's range), or a negative ``iters`` in baseline mode, raises
-    :class:`ConfigError` before any run.
+    rejects (an unknown mode, negative ``iters``, ``checkpoint_every`` below
+    1, an ``eta`` outside its mode's range) raises :class:`ConfigError`
+    before any run; baseline specs take its ``iters`` and
+    ``checkpoint_every`` checks.
     """
     specs = [spec_or_specs] if isinstance(spec_or_specs, ExperimentSpec) else list(spec_or_specs)
     for spec in specs:
         try:
-            if spec.mode != "baseline":
+            if spec.mode == "baseline":
+                SolverConfig(max_iters=spec.iters, checkpoint_every=spec.checkpoint_every)
+            else:
                 spec.solver_config(spec.seed, 0)
-            elif spec.iters < 0:
-                raise ValueError(f"iters must be nonnegative, got {spec.iters!r}")
         except ValueError as exc:
             raise ConfigError(f"[{spec.name}] {exc}") from exc
     out_dir = Path(out or specs[0].out)
@@ -376,23 +378,11 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
             except Exception as exc:  # noqa: BLE001 - recorded per run, runs continue
                 value = exc
             tag = f"{spec.name}_s{seed}_r{stream}"
+            head = (spec.name, signature, ref_cert_gap, seed, stream)
             if isinstance(value, Exception):
                 any_failed = True
-                summary_rows.append(
-                    {
-                        "config": spec.name,
-                        "signature": signature,
-                        "ref_cert_gap": ref_cert_gap,
-                        "seed": seed,
-                        "stream": stream,
-                        "status": "failed: " + str(value).replace(",", ";").replace("\n", " "),
-                        "final_gap": "",
-                        "slope": "",
-                        "grad_budget": "",
-                        "wall_time": "",
-                        "restarts": "",
-                    }
-                )
+                status = "failed: " + str(value).replace(",", ";").replace("\n", " ")
+                summary_rows.append(head + (status, "", "", "", "", ""))
                 continue
             result, elapsed = value
             trace_path = out_dir / f"trace_{tag}.csv"
@@ -404,20 +394,10 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
                 list(zip(ks, np.where(np.isfinite(gaps), gaps, np.nan))),
                 (max(1, spec.iters // 100), spec.iters),
             )
+            slope = "" if fit is None else f"{fit.slope:.6f}"
             summary_rows.append(
-                {
-                    "config": spec.name,
-                    "signature": signature,
-                    "ref_cert_gap": ref_cert_gap,
-                    "seed": seed,
-                    "stream": stream,
-                    "status": "ok",
-                    "final_gap": repr(float(final_gap)),
-                    "slope": "" if fit is None else f"{fit.slope:.6f}",
-                    "grad_budget": result.grad_budget,
-                    "wall_time": f"{elapsed:.3f}",
-                    "restarts": result.restarts,
-                }
+                head + ("ok", repr(float(final_gap)), slope, result.grad_budget, f"{elapsed:.3f}",
+                        result.restarts)
             )
             per_cfg_traces.append((ks, budgets, gaps))
 
@@ -429,24 +409,17 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     return out_dir
 
 
+SUMMARY_COLUMNS = (
+    "config", "signature", "ref_cert_gap", "seed", "stream",
+    "status", "final_gap", "slope", "grad_budget", "wall_time", "restarts",
+)
+
+
 def _write_summary(path, rows) -> None:
-    cols = [
-        "config",
-        "signature",
-        "ref_cert_gap",
-        "seed",
-        "stream",
-        "status",
-        "final_gap",
-        "slope",
-        "grad_budget",
-        "wall_time",
-        "restarts",
-    ]
+    """``summary.csv``: one row per run, its values in ``SUMMARY_COLUMNS`` order."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+        for row in (SUMMARY_COLUMNS, *rows):
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _write_plot_data(path, traces) -> None:
@@ -467,10 +440,8 @@ def _write_plot_data(path, traces) -> None:
 
 
 def _read_csv_dicts(path):
-    import csv as _csv
-
     with open(path, "r", encoding="utf-8") as fh:
-        return list(_csv.DictReader(fh))
+        return list(csv.DictReader(fh))
 
 
 def compare_runs(directories) -> list[dict]:
@@ -551,18 +522,9 @@ def main(argv=None) -> int:
 
     try:
         specs = parse_config(args.config) if args.config else [ExperimentSpec()]
-        overrides = {
-            "seed": args.seed,
-            "out": args.out,
-            "mode": args.mode,
-            "eta": args.eta,
-            "iters": args.iters,
-            "blocks_m": args.blocks_m,
-            "blocks_n": args.blocks_n,
-            "problem": args.problem,
-            "repeats": args.repeats,
-        }
-        overrides = {k: v for k, v in overrides.items() if v is not None}
+        # every other flag is named after the spec field it overrides
+        flags = {k: v for k, v in vars(args).items() if k not in ("config", "compare")}
+        overrides = {k: v for k, v in flags.items() if v is not None}
         specs = [replace(spec, **overrides) for spec in specs]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

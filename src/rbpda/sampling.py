@@ -31,6 +31,7 @@ __all__ = [
     "BatchSchedule",
     "draw_block",
     "next_batch_size",
+    "increasing_batch_size",
     "sample_indices",
     "estimate_partial_grad_x",
     "expected_inverse_batch",
@@ -132,9 +133,17 @@ def next_batch_size(
         if schedule.v > p:
             raise ValueError("constant batch size exceeds the number of components")
         return schedule.v
-    v = min(p, math.ceil((int(counters.counts[i_k]) + 1) * (k + 1) ** schedule.eta))
+    v = increasing_batch_size(int(counters.counts[i_k]), k, schedule.eta, p)
     counters.record(i_k)
     return int(v)
+
+
+def increasing_batch_size(count: int, k: int, eta: float, p: int) -> int:
+    """The increasing rule v = min(p, ceil((count + 1) * (k + 1)^eta)).
+
+    ``count`` is how often the block was selected before iteration k.
+    """
+    return min(p, math.ceil((count + 1) * (k + 1) ** eta))
 
 
 def sample_indices(rng: np.random.Generator, v: int, p: int) -> np.ndarray:

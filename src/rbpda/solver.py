@@ -41,6 +41,7 @@ from .sampling import (
     BlockCounters,
     SequentialDraws,
     WordDraws,
+    increasing_batch_size,
     make_rng,
     next_batch_size,
 )
@@ -166,31 +167,27 @@ class RunState:
 
     @classmethod
     def start(cls, problem: SaddleProblem, x0=None, y0=None) -> "RunState":
-        x, y = _start_point(problem, x0, y0)
+        """The state at k = 0: fresh copies of (x0, y0), or of the problem's start for a None.
+
+        A given x0 or y0 must have its side's length, be finite and lie in
+        its side's domain (up to the checkpoint slack 1e-9); otherwise
+        ValueError names it.
+        """
+        out = []
+        for side, name, given, default in ((0, "x0", x0, problem.start_x), (1, "y0", y0, problem.start_y)):
+            v = np.array(default if given is None else given, dtype=float)
+            if given is not None:
+                dim = problem.side_specs(side)[1].total_dim
+                if v.shape != (dim,):
+                    raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
+                if not np.isfinite(v).all():
+                    raise ValueError(f"{name} has non-finite entries")
+                if not problem.side_contains(side, v, slack=1e-9):
+                    raise ValueError(f"{name} lies outside the {('primal', 'dual')[side]} domain")
+            out.append(v)
+        x, y = out
         return cls(x=x, y=y, x_prev=x.copy(), y_prev=y.copy(),
                    counters=BlockCounters.zeros(problem.structure.M))
-
-
-def _start_point(problem: SaddleProblem, x0=None, y0=None) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh copies of the start (x0, y0), or of the problem's start for a None.
-
-    A given x0 or y0 must have its side's length, be finite and lie in its
-    side's domain (up to the checkpoint slack 1e-9); otherwise ValueError
-    names it.
-    """
-    out = []
-    for side, name, given, default in ((0, "x0", x0, problem.start_x), (1, "y0", y0, problem.start_y)):
-        v = np.array(default if given is None else given, dtype=float)
-        if given is not None:
-            dim = problem.side_specs(side)[1].total_dim
-            if v.shape != (dim,):
-                raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} has non-finite entries")
-            if not problem.side_contains(side, v, slack=1e-9):
-                raise ValueError(f"{name} lies outside the {('primal', 'dual')[side]} domain")
-        out.append(v)
-    return out[0], out[1]
 
 
 class StepPlan:
@@ -487,8 +484,7 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
     nondecreasing in a block's count, so the least v_i is the rule at the
     least count, and the test is O(1).
     """
-    v_low = min(p, math.ceil((state.counters.low + 1) * (state.k + 1) ** eta))
-    if v_low >= math.ceil(threshold * p):
+    if increasing_batch_size(state.counters.low, state.k, eta, p) >= math.ceil(threshold * p):
         state.counters.reset()
         state.x_prev[:] = state.x
         state.y_prev[:] = state.y
@@ -540,11 +536,13 @@ def run(
     Fully deterministic given (seed, stream); the draws are taken ahead as
     buffered words (:class:`StepPlan`), so the generator's final position
     is unspecified.  A step failure aborts the run but the partial trace is
-    preserved on the raised :class:`SolverError`.  A problem's coupling
-    cache is built once, for the largest batch size the run can draw: p
-    for an increasing schedule, the constant batch size otherwise.  The
-    run's :class:`~rbpda.stepsize.StepSchedule` carries its regime, and the
-    ergodic averages read it: weighted exactly when it is diminishing.
+    preserved on the raised :class:`SolverError` (see :func:`_drive`).  A
+    problem's coupling cache is built once, for the largest batch size the
+    run can draw: p for an increasing schedule, the constant batch size
+    otherwise.  The run's :class:`~rbpda.stepsize.StepSchedule` carries its
+    regime, and the ergodic averages read it: weighted exactly when it is
+    diminishing.  Restarts, when enabled, apply to the increasing batch
+    rule only.
     """
     st = problem.structure
     schedule = _build_schedule(problem, config)
@@ -562,33 +560,46 @@ def run(
         v_max = p if batch.kind == "increasing" else batch.v
         state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
     acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
+    restart = config.restart_enabled and batch.kind == "increasing"
+
+    def step():
+        k = state.k
+        rbpda_step(state, problem, schedule, batch, rng)
+        acc.update(state.x, state.y, k, (state.last_x, state.last_y))
+        if restart:
+            restart_if_saturated(state, p, config.restart_threshold, batch.eta)
+
+    return _drive(problem, state, acc, step, config.max_iters, config.checkpoint_every, config,
+                  reference=reference, f_star=f_star, auto_best_response=config.compute_sup_gap)
+
+
+def _drive(problem: SaddleProblem, state: RunState, acc: ErgodicAccumulator, step, iters: int,
+           checkpoint_every: int, config: Optional[SolverConfig], **metrics) -> RunResult:
+    """The run loop of :func:`run` and :func:`deterministic_baseline_run`.
+
+    ``step()`` advances ``state`` by one iteration, with its budget, and
+    folds the new iterate into ``acc``; it is called ``iters`` times.  A
+    checkpoint at k = 0, every ``checkpoint_every`` iterations and at the
+    end checks that the iterate lies in the domain (slack 1e-9) and appends
+    :func:`~rbpda.metrics.evaluate_checkpoint` of the averages, with
+    ``metrics`` as its keywords, to the trace.  A failure after k = 0
+    raises a :class:`SolverError` carrying the result so far: a step's own
+    :class:`SolverError` keeps its message, any other exception becomes
+    "run aborted at iteration k: ...".
+    """
     trace = ConvergenceTrace()
 
     def checkpoint():
         if not problem.in_domain(state.x, state.y, slack=1e-9):
             raise SolverError(f"iterate left the domain by iteration {state.k}")
         x_bar, y_bar = acc.finalize()
-        row = evaluate_checkpoint(
-            problem,
-            state.k,
-            state.grad_budget,
-            x_bar,
-            y_bar,
-            reference=reference,
-            f_star=f_star,
-            auto_best_response=config.compute_sup_gap,
-        )
-        trace.append(row)
+        trace.append(evaluate_checkpoint(problem, state.k, state.grad_budget, x_bar, y_bar, **metrics))
 
     checkpoint()
-    for _ in range(config.max_iters):
-        k_pre = state.k
+    for _ in range(iters):
         try:
-            rbpda_step(state, problem, schedule, batch, rng)
-            acc.update(state.x, state.y, k_pre, (state.last_x, state.last_y))
-            if config.restart_enabled and config.mode == "increasing_batch" and config.batch is None:
-                restart_if_saturated(state, p, config.restart_threshold, config.eta)
-            if state.k % config.checkpoint_every == 0 or state.k == config.max_iters:
+            step()
+            if state.k % checkpoint_every == 0 or state.k == iters:
                 checkpoint()
         except Exception as exc:
             partial = _result(state, acc, trace, config)
@@ -599,7 +610,8 @@ def run(
     return _result(state, acc, trace, config)
 
 
-def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace, config: SolverConfig) -> RunResult:
+def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace,
+            config: Optional[SolverConfig]) -> RunResult:
     """The run's result so far: copies of the iterates, the averages and their weights."""
     x_bar, y_bar = acc.finalize()
     return RunResult(
@@ -674,67 +686,42 @@ def deterministic_baseline_run(
     primal gradient.  Both full gradients of an iteration are taken at the
     same x, so a problem's coupling cache, synced exactly onto x once per
     iteration, lets them share its products (one ``A @ x`` per iteration for
-    robust ERM).  A negative ``iters`` raises ``ValueError``.
+    robust ERM).  The loop is :func:`run`'s (:func:`_drive`): the same start
+    point checks, checkpoints with the domain check, and a
+    :class:`SolverError` carrying the partial result on any failure.  A
+    negative ``iters`` or a ``checkpoint_every`` below 1 raises
+    ``ValueError``, as in :class:`SolverConfig`.
     """
-    if iters < 0:
-        raise ValueError(f"iters must be nonnegative, got {iters!r}")
-    x, y = _start_point(problem, x0, y0)
-    st = problem.structure
+    SolverConfig(max_iters=iters, checkpoint_every=checkpoint_every)  # run()'s checks of both
+    state = RunState.start(problem, x0, y0)
+    x, y = state.x, state.y
     acc = ErgodicAccumulator(1, 1, x, y)
-    trace = ConvergenceTrace()
-    budget = 0
-
-    def checkpoint(k):
-        x_bar, y_bar = acc.finalize()
-        trace.append(
-            evaluate_checkpoint(
-                problem,
-                k,
-                budget,
-                x_bar,
-                y_bar,
-                reference=reference,
-                f_star=f_star,
-                auto_best_response=compute_sup_gap,
-            )
-        )
-
-    checkpoint(0)
     dual_apply = _stacked_prox(problem, 1)
     primal_apply = _stacked_prox(problem, 0)
+    # x and y stay the same buffers, so the cache recognises them; x_prev is x here
+    cache = None if problem.coupling_cache is None else problem.coupling_cache(x, y, x, y, problem.p)
+    kw = {} if cache is None else {"cache": cache}
+    dual_evals = 2 * problem.structure.N
     # The dual gradient at (x_prev, y_prev) is the previous iteration's at
     # (x, y), so each iteration evaluates it once; at k = 1 the two points
     # coincide.
     g_old = None
-    # x and y stay the same buffers, so the cache recognises them; x_prev is x here
-    cache = None if problem.coupling_cache is None else problem.coupling_cache(x, y, x, y, problem.p)
-    kw = {} if cache is None else {"cache": cache}
-    k = 0
-    for k in range(1, iters + 1):
+
+    def step():
+        nonlocal g_old
         g_now = np.asarray(problem.full_grad_y(x, y, **kw), dtype=float)
         s = 2.0 * g_now - (g_now if g_old is None else g_old)
         g_old = g_now
         y_new = dual_apply(-s, sigma, y)
         x_new = primal_apply(np.asarray(problem.full_grad_x(x, y_new, **kw), dtype=float), tau, x)
-        budget += problem.p
         x[:] = x_new
         y[:] = y_new
         if cache is not None:
             cache.sync()
-        acc.update(x, y, k - 1)
-        if k % checkpoint_every == 0 or k == iters:
-            checkpoint(k)
-    x_bar, y_bar = acc.finalize()
-    return RunResult(
-        x=x.copy(),
-        y=y.copy(),
-        x_bar=x_bar,
-        y_bar=y_bar,
-        trace=trace,
-        grad_budget=budget,
-        dual_grad_evals=2 * st.N * k,
-        restarts=0,
-        iterations=k,
-        config=None,
-        ergodic_weights=acc.total_weights(),
-    )
+        state.grad_budget += problem.p
+        state.dual_grad_evals += dual_evals
+        acc.update(x, y, state.k)
+        state.k += 1
+
+    return _drive(problem, state, acc, step, iters, checkpoint_every, None,
+                  reference=reference, f_star=f_star, auto_best_response=compute_sup_gap)

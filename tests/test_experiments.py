@@ -430,6 +430,16 @@ class TestMainCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_baseline_checkpoint_every_zero_exit_code(self, tmp_path, capsys):
+        # baseline specs take SolverConfig's checks; this used to fail every
+        # run with "integer modulo by zero" and exit 1
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text("problem = box_game\nmode = baseline\niters = 10\nrepeats = 1\ncheckpoint_every = 0\n")
+        out = tmp_path / "bad"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert "checkpoint_every must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_and_run(self, tmp_path):
         out = tmp_path / "cli"
         code = main(

@@ -1229,6 +1229,52 @@ class TestBaselineRun:
         with pytest.raises(ValueError, match="iters must be nonnegative"):
             deterministic_baseline_run(prob, 0.1, 0.1, -1)
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_checkpoint_every_below_one_is_refused(self, every):
+        # 0 used to fail at k = 1 with "integer modulo by zero"
+        prob, _ = box_game_problem(np.eye(2), half_width=1.0)
+        with pytest.raises(ValueError, match="checkpoint_every must be at least 1"):
+            deterministic_baseline_run(prob, 0.1, 0.1, 5, checkpoint_every=every)
+
+    def test_nan_gradient_leaves_the_domain(self):
+        # a NaN primal gradient used to come back as a successful run with NaN iterates
+        prob, _ = box_game_problem(np.eye(2), half_width=1.0)
+        full_grad_x, calls = prob.full_grad_x, [0]
+
+        def nan_at_seven(x, y, **kw):
+            calls[0] += 1
+            g = full_grad_x(x, y, **kw)
+            return np.full_like(g, np.nan) if calls[0] == 7 else g
+
+        prob.full_grad_x = nan_at_seven
+        with pytest.raises(SolverError, match="iterate left the domain by iteration 20") as info:
+            deterministic_baseline_run(prob, 0.1, 0.1, 20)
+        partial = info.value.result
+        assert partial.iterations == 20
+        assert partial.trace.column("k").tolist() == [0]
+        assert np.isnan(partial.x).all()
+
+    def test_oracle_failure_keeps_the_partial_result(self):
+        prob, _ = box_game_problem(np.eye(2), half_width=1.0)
+        full_grad_y, calls = prob.full_grad_y, [0]
+
+        def failing_at_thirteen(x, y, **kw):
+            calls[0] += 1
+            if calls[0] == 13:
+                raise RuntimeError("oracle went away")
+            return full_grad_y(x, y, **kw)
+
+        prob.full_grad_y = failing_at_thirteen
+        with pytest.raises(SolverError, match="run aborted at iteration 12: oracle went away") as info:
+            deterministic_baseline_run(prob, 0.1, 0.1, 20, checkpoint_every=5)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        partial = info.value.result
+        assert partial.iterations == 12
+        assert partial.trace.column("k").tolist() == [0, 5, 10]
+        assert partial.ergodic_weights == (12.0, 12.0)  # uniform, M = N = 1
+        assert partial.grad_budget == 12 * prob.p
+        assert partial.dual_grad_evals == 2 * prob.structure.N * 12
+
     def test_monotone_gap_trend_on_desk_erm(self):
         data = generate_robust_erm(11, 50, 100, 0.1)
         prob = robust_erm_problem(data, radius=10.0, m_blocks=1, n_blocks=1)
