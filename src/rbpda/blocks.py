@@ -16,14 +16,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bregman import EUCLIDEAN, BregmanGeometry
+from .bregman import EUCLIDEAN, BregmanGeometry, prox_step
 
 __all__ = [
     "BlockLayout",
     "BlockStructure",
     "ProxSpec",
     "SaddleProblem",
-    "SideBounds",
+    "Side",
     "ValidationReport",
     "validate_problem",
 ]
@@ -181,31 +181,31 @@ class ProxSpec:
         return np.zeros(dim)
 
 
-@dataclass(frozen=True)
-class SideBounds:
-    """One side's domain as whole-vector bounds, where its block kinds allow it.
+class Side:
+    """One side (primal or dual) of a problem: its layout, prox specs and, where they stack, bounds.
 
-    ``lower`` and ``upper`` concatenate the block bounds of a side whose
-    blocks are all ``box`` or ``nonneg`` (a nonneg coordinate has upper bound
-    +inf; ``upper`` is None when no block is a box).  Both are None on an
-    all-``zero`` side, whose domain check is finiteness.  :meth:`contains`
-    gives exactly the per-block :meth:`ProxSpec.contains` result, NaN and
-    +-inf included.
+    ``specs`` holds one :class:`ProxSpec` per block of ``layout``.  A side
+    stacks when every block is ``box`` or ``nonneg`` (all Euclidean), or
+    every block is ``zero``: ``lower`` and ``upper`` then concatenate the
+    block bounds (a nonneg coordinate has bounds 0 and +inf; ``upper`` is
+    None when no block is a box; both are None on an all-``zero`` side,
+    whose domain is the finite vectors).  A box whose bounds neither have
+    one entry nor the block's length does not stack.  Every whole-side
+    operation takes one numpy call on a side that stacks and loops over the
+    blocks otherwise, and both give the per-block results bit for bit, NaN
+    and +-inf included.  ``responds`` says whether every block is a box or
+    a simplex, the sides :meth:`best_response` serves.
     """
 
-    lower: Optional[np.ndarray]
-    upper: Optional[np.ndarray]
-
-    @classmethod
-    def of(cls, specs, layout: BlockLayout) -> Optional["SideBounds"]:
-        """Stacked bounds of a side, or None when it needs the per-block loop."""
-        kinds = {spec.kind for spec in specs}
-        if kinds == {"zero"}:
-            return cls(None, None)
+    def __init__(self, name: str, specs, layout: BlockLayout):
+        self.name, self.specs, self.layout = name, tuple(specs), layout
+        kinds = {spec.kind for spec in self.specs}
+        self.responds = kinds <= {"box", "simplex"}
+        self.stacks, self.lower, self.upper = kinds == {"zero"}, None, None
         if not kinds <= {"box", "nonneg"}:
-            return None
+            return
         lower, upper = [], []
-        for spec, dim in zip(specs, layout.dims):
+        for spec, dim in zip(self.specs, layout.dims):
             if spec.kind == "nonneg":
                 lower.append(np.zeros(dim))
                 upper.append(np.full(dim, np.inf))
@@ -213,16 +213,76 @@ class SideBounds:
                 lower.append(np.broadcast_to(spec.lower, (dim,)))
                 upper.append(np.broadcast_to(spec.upper, (dim,)))
             else:
-                return None  # malformed bounds keep the per-block behaviour
-        return cls(np.concatenate(lower), np.concatenate(upper) if "box" in kinds else None)
+                return  # malformed bounds keep the per-block behaviour
+        self.stacks, self.lower = True, np.concatenate(lower)
+        self.upper = np.concatenate(upper) if "box" in kinds else None
+
+    def _blocks(self, v):
+        return zip(self.specs, (v[blk] for blk in self.layout.ranges))
 
     def contains(self, v, slack: float = DOMAIN_SLACK) -> bool:
+        """Whether v lies in the side's domain, up to slack."""
         v = np.asarray(v, dtype=float)
+        if not self.stacks:
+            return all(spec.contains(vb, slack) for spec, vb in self._blocks(v))
         if self.lower is None:
             return bool(np.isfinite(v).all())
         if not (v >= self.lower - slack).all():
             return False
         return self.upper is None or bool((v <= self.upper + slack).all())
+
+    def value(self, v) -> float:
+        """The side's nonsmooth term at v: the mean of the block values (0 or inf for indicators)."""
+        if self.stacks:
+            return 0.0 if self.contains(v, VALUE_SLACK) else np.inf
+        return float(sum(spec.value(vb) for spec, vb in self._blocks(v)) / self.layout.n_blocks)
+
+    def prox(self, linear, step: float, base, geometry: Optional[BregmanGeometry] = None) -> np.ndarray:
+        """Every block's :func:`~rbpda.bregman.prox_step`, as a new whole-side array.
+
+        ``geometry`` replaces every block's own geometry when given.  A side
+        that stacks takes a gradient step clipped to its bounds, without
+        prox_step's finiteness check of ``linear``.
+        """
+        if not self.stacks:
+            out = np.empty(self.layout.total_dim)
+            for spec, blk in zip(self.specs, self.layout.ranges):
+                geom = spec.geometry if geometry is None else geometry
+                out[blk] = prox_step(geom, spec, linear[blk], step, base[blk])
+            return out
+        point = base - step * linear
+        if self.lower is None:
+            return point
+        # np.clip's values bit for bit, in place, without its Python-level wrapper
+        np.maximum(point, self.lower, out=point)
+        return point if self.upper is None else np.minimum(point, self.upper, out=point)
+
+    def best_response(self, g, maximize: bool) -> np.ndarray:
+        """The point of a :attr:`responds` side that maximizes (or minimizes) <g, .>.
+
+        A box coordinate takes its upper bound where the signed gradient is
+        positive and its lower bound otherwise (0.0, -0.0 and NaN included);
+        a simplex block takes the vertex of its first largest signed entry.
+        """
+        g = g if maximize else -g
+        if self.stacks:
+            return np.where(g > 0, self.upper, self.lower)
+        out = np.zeros(self.layout.total_dim)
+        for spec, blk in zip(self.specs, self.layout.ranges):
+            if spec.kind == "box":
+                out[blk] = np.where(g[blk] > 0, spec.upper, spec.lower)
+            else:
+                out[blk.start + int(np.argmax(g[blk]))] = 1.0
+        return out
+
+    def start(self) -> np.ndarray:
+        """Every block's :meth:`ProxSpec.feasible_point`, the default start."""
+        return np.concatenate([spec.feasible_point(d) for spec, d in zip(self.specs, self.layout.dims)])
+
+    def probe(self, rng: np.random.Generator) -> np.ndarray:
+        """A random domain point: a Gaussian draw under the Euclidean prox of every block."""
+        dim = self.layout.total_dim
+        return self.prox(np.zeros(dim), 1.0, rng.standard_normal(dim), EUCLIDEAN)
 
 
 @dataclass
@@ -310,8 +370,10 @@ class SaddleProblem:
 
         The default oracles accept the keyword and ignore it.
 
-    Whole-side domain bounds (:meth:`side_bounds`) are built on first use
-    and cached; ``__post_init__`` clears the cache, so call it again after
+    ``sides`` holds the (primal, dual) :class:`Side`, which owns every
+    whole-side operation on the prox specs: the domain checks, the values
+    of f and h, the whole-side prox and the best responses.  It is built on
+    first use and kept; ``__post_init__`` drops it, so call it again after
     replacing the prox specs.
     """
 
@@ -356,27 +418,19 @@ class SaddleProblem:
             self.full_grad_y = lambda x, y, cache=None: np.concatenate(
                 [np.asarray(self.grad_y(j, [(x, y)]))[0] for j in range(self.structure.N)]
             )
+        self._sides = None
         if self.start_x is None:
-            self.start_x = np.concatenate(
-                [self.primal_prox[i].feasible_point(d) for i, d in enumerate(self.structure.primal.dims)]
-            )
+            self.start_x = self.sides[0].start()
         if self.start_y is None:
-            self.start_y = np.concatenate(
-                [self.dual_prox[j].feasible_point(d) for j, d in enumerate(self.structure.dual.dims)]
-            )
-        self._side_bounds = None
+            self.start_y = self.sides[1].start()
 
-    def side_specs(self, side: int) -> tuple:
-        """(prox specs, layout) of side 0 (primal) or 1 (dual)."""
-        if side:
-            return self.dual_prox, self.structure.dual
-        return self.primal_prox, self.structure.primal
-
-    def side_bounds(self) -> tuple:
-        """(primal, dual) :class:`SideBounds`, None for a side that needs the per-block loop."""
-        if self._side_bounds is None:
-            self._side_bounds = tuple(SideBounds.of(*self.side_specs(side)) for side in (0, 1))
-        return self._side_bounds
+    @property
+    def sides(self) -> tuple:
+        """The (primal, dual) :class:`Side`, built on first use."""
+        if self._sides is None:
+            st = self.structure
+            self._sides = (Side("primal", self.primal_prox, st.primal), Side("dual", self.dual_prox, st.dual))
+        return self._sides
 
     # -- default oracles built on the component closures ------------------
     def _grad_y_enumerated(self, j, points, cache=None):
@@ -400,20 +454,11 @@ class SaddleProblem:
         return total
 
     # -- values ------------------------------------------------------------
-    def _side_value(self, side: int, v) -> float:
-        bounds = self.side_bounds()[side]
-        if bounds is not None:
-            return 0.0 if bounds.contains(v, VALUE_SLACK) else np.inf
-        specs, lay = self.side_specs(side)
-        return float(
-            sum(specs[b].value(v[lay.block_range(b)]) for b in range(lay.n_blocks)) / lay.n_blocks
-        )
-
     def f_value(self, x) -> float:
-        return self._side_value(0, x)
+        return self.sides[0].value(x)
 
     def h_value(self, y) -> float:
-        return self._side_value(1, y)
+        return self.sides[1].value(y)
 
     def lagrangian(self, x, y) -> Optional[float]:
         """L(x, y) = f(x) + Phi(x, y) - h(y); None when Phi values are unavailable."""
@@ -422,15 +467,7 @@ class SaddleProblem:
         return self.f_value(x) + float(self.phi_value(x, y)) - self.h_value(y)
 
     def in_domain(self, x, y, slack: float = DOMAIN_SLACK) -> bool:
-        return self.side_contains(0, x, slack) and self.side_contains(1, y, slack)
-
-    def side_contains(self, side: int, v, slack: float = DOMAIN_SLACK) -> bool:
-        """Whether v lies in the domain of side 0 (primal) or 1 (dual), up to slack."""
-        bounds = self.side_bounds()[side]
-        if bounds is not None:
-            return bounds.contains(v, slack)
-        specs, lay = self.side_specs(side)
-        return all(specs[b].contains(v[lay.block_range(b)], slack) for b in range(lay.n_blocks))
+        return self.sides[0].contains(x, slack) and self.sides[1].contains(y, slack)
 
 
 @dataclass
@@ -448,27 +485,9 @@ class ValidationReport:
 
 
 def _probe_points(problem: SaddleProblem, rng: np.random.Generator, count: int):
-    """Random domain points, obtained by proxing raw Gaussian draws block by block."""
-    from .bregman import prox_step  # local import keeps module load order flexible
-
-    pts = []
-    for _ in range(count):
-        x = np.empty(problem.structure.m)
-        for i, d in enumerate(problem.structure.primal.dims):
-            spec = problem.primal_prox[i]
-            raw = rng.standard_normal(d)
-            x[problem.structure.primal.block_range(i)] = prox_step(
-                EUCLIDEAN, spec if not spec.geometry.is_entropy else ProxSpec.simplex(), np.zeros(d), 1.0, raw
-            )
-        y = np.empty(problem.structure.n)
-        for j, d in enumerate(problem.structure.dual.dims):
-            spec = problem.dual_prox[j]
-            raw = rng.standard_normal(d)
-            y[problem.structure.dual.block_range(j)] = prox_step(
-                EUCLIDEAN, spec if not spec.geometry.is_entropy else ProxSpec.simplex(), np.zeros(d), 1.0, raw
-            )
-        pts.append((x, y))
-    return pts
+    """Random domain points: each (x, y) is the primal, then the dual :meth:`Side.probe`."""
+    primal, dual = problem.sides
+    return [(primal.probe(rng), dual.probe(rng)) for _ in range(count)]
 
 
 def validate_problem(
@@ -493,16 +512,12 @@ def validate_problem(
     st = problem.structure
     rng = np.random.default_rng(seed)
 
-    for i, spec in enumerate(problem.primal_prox):
-        if spec.kind == "box" and spec.lower.size not in (1, st.primal.dims[i]):
-            failures.append(f"primal block {i}: box bound length does not match block dimension")
-        if spec.kind == "box" and np.any(spec.lower > spec.upper):
-            failures.append(f"primal block {i}: empty box domain")
-    for j, spec in enumerate(problem.dual_prox):
-        if spec.kind == "box" and spec.lower.size not in (1, st.dual.dims[j]):
-            failures.append(f"dual block {j}: box bound length does not match block dimension")
-        if spec.kind == "box" and np.any(spec.lower > spec.upper):
-            failures.append(f"dual block {j}: empty box domain")
+    for side in problem.sides:
+        for b, (spec, dim) in enumerate(zip(side.specs, side.layout.dims)):
+            if spec.kind == "box" and spec.lower.size not in (1, dim):
+                failures.append(f"{side.name} block {b}: box bound length does not match block dimension")
+            if spec.kind == "box" and np.any(spec.lower > spec.upper):
+                failures.append(f"{side.name} block {b}: empty box domain")
 
     try:
         points = _probe_points(problem, rng, probes)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import problems as problems_mod
 from .metrics import ConvergenceTrace, certified_gap, estimate_component_noise, fit_rate  # noqa: F401  kept for perfbench's patch list
-from .solver import SolverConfig, _stacked_prox, deterministic_baseline_run, run
+from .solver import SolverConfig, deterministic_baseline_run, run
 from .stepsize import BlockLipschitz, aggregate_constants, constant_stepsizes, default_free_params
 
 __all__ = ["ExperimentSpec", "parse_config", "write_config", "run_experiment", "compare_runs", "main"]
@@ -238,7 +238,7 @@ def erm_reference(problem, iters: int = 30_000, plateau_tol=None):
         return np.array(problem.start_x, dtype=float), np.array(problem.start_y, dtype=float)
     n = problem.structure.n
     if all(spec.kind == "box" for spec in problem.dual_prox) or n == 1:
-        y = problem.side_bounds()[1].upper.copy() if n > 1 else np.ones(1)
+        y = problem.sides[1].upper.copy() if n > 1 else np.ones(1)
 
         def total_loss(x, **kw):
             return float(y @ problem.full_grad_y(x, y, **kw)), y
@@ -276,7 +276,7 @@ def _fista(problem, iters: int, target: float, oracle):
     ``target``; otherwise raises ``ValueError`` when the start bound is not
     positive, since a zero bound gives no step.
     """
-    project = _stacked_prox(problem, 0)
+    project = problem.sides[0].prox
     x = np.array(problem.start_x, dtype=float)
     y = oracle(x)[1]
     if certified_gap(problem, (x, y)) <= target:
@@ -346,29 +346,35 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     """Run every (configuration, seed) pair and write traces, summary, plot data.
 
     Individual run failures are recorded in the summary and the remaining
-    runs continue.  A solver setting that :class:`~rbpda.solver.SolverConfig`
+    runs continue.  A setting that :class:`~rbpda.solver.SolverConfig`
     rejects (an unknown mode, negative ``iters``, ``checkpoint_every`` below
-    1, an ``eta`` outside its mode's range) raises :class:`ConfigError`
-    before any run; baseline specs take its ``iters`` and
-    ``checkpoint_every`` checks.
+    1, an ``eta`` outside its mode's range, a ``batch`` below 1) raises
+    :class:`ConfigError` before any run, and so does a constant ``batch``
+    above the problem's p, checked once every spec's problem is built;
+    baseline specs take only the ``iters`` and ``checkpoint_every`` checks.
     """
     specs = [spec_or_specs] if isinstance(spec_or_specs, ExperimentSpec) else list(spec_or_specs)
     for spec in specs:
+        if spec.iters < 0:  # SolverConfig would name its own field, max_iters
+            raise ConfigError(f"[{spec.name}] iters must be nonnegative, got iters = {spec.iters}")
         try:
             if spec.mode == "baseline":
-                SolverConfig(max_iters=spec.iters, checkpoint_every=spec.checkpoint_every)
+                SolverConfig(checkpoint_every=spec.checkpoint_every)
             else:
                 spec.solver_config(spec.seed, 0)
         except ValueError as exc:
             raise ConfigError(f"[{spec.name}] {exc}") from exc
+    built = [build_problem(spec) for spec in specs]
+    for spec, (problem, _, _) in zip(specs, built):
+        if spec.mode != "baseline" and spec.batch > problem.p:
+            raise ConfigError(f"[{spec.name}] batch = {spec.batch} exceeds the problem's p = {problem.p}")
     out_dir = Path(out or specs[0].out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(specs, out_dir / "config_effective.txt")
 
     summary_rows = []
     any_failed = False
-    for spec in specs:
-        problem, reference, signature = build_problem(spec)
+    for spec, (problem, reference, signature) in zip(specs, built):
         cert = certified_gap(problem, reference)
         ref_cert_gap = "" if cert is None else repr(cert)
         per_cfg_traces = []

@@ -107,35 +107,17 @@ def lagrangian_gap(problem, z_bar, z_ref) -> Optional[float]:
     return float(left - right)
 
 
-def _block_best_response(spec, grad_block, maximize: bool):
-    """Argmax/argmin of a linear form over one box or simplex block."""
-    g = grad_block if maximize else -grad_block
-    if spec.kind == "box":
-        lo = np.broadcast_to(spec.lower, g.shape)
-        hi = np.broadcast_to(spec.upper, g.shape)
-        return np.where(g > 0, hi, lo).astype(float)
-    out = np.zeros_like(g)
-    out[int(np.argmax(g))] = 1.0
-    return out
-
-
 def _side_oracle(problem, side: int, z):
-    """(gradient, blockwise best response) of side 0 (primal) or 1 (dual) at z.
+    """(gradient, best response) of side 0 (primal) or 1 (dual) at z.
 
-    None unless every block of the side is a box or a simplex.
+    None unless every block of the side is a box or a simplex
+    (:attr:`~rbpda.blocks.Side.responds`).
     """
-    specs, layout = problem.side_specs(side)
-    if any(spec.kind not in ("box", "simplex") for spec in specs):
+    s = problem.sides[side]
+    if not s.responds:
         return None  # unbounded or uninformative domain: no automatic candidate
     g = np.asarray((problem.full_grad_y if side else problem.full_grad_x)(*z), dtype=float)
-    bounds = problem.side_bounds()[side]
-    if bounds is not None:
-        # every block is a box: one whole-side select, blockwise values bit for bit
-        return g, np.where((g if side else -g) > 0, bounds.upper, bounds.lower)
-    out = np.empty(layout.total_dim)
-    for spec, blk in zip(specs, layout.ranges):
-        out[blk] = _block_best_response(spec, g[blk], maximize=bool(side))
-    return g, out
+    return g, s.best_response(g, maximize=bool(side))
 
 
 def best_response_candidates(problem, z_bar):
@@ -143,7 +125,8 @@ def best_response_candidates(problem, z_bar):
 
     y_br maximizes the linearization of L(x_bar, .) blockwise; x_br minimizes
     the linearization of L(., y_bar).  Each side takes one full gradient
-    (``full_grad_x``, ``full_grad_y``) and slices it per block; a side with a
+    (``full_grad_x``, ``full_grad_y``) and its side's
+    :meth:`~rbpda.blocks.Side.best_response`; a side with a
     block that is neither a box nor a simplex computes none.  For bilinear
     couplings these are exact best responses; in general they only produce
     feasible candidates, so the resulting sup-gap estimate is a lower bound.

@@ -51,20 +51,18 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 class BlockCounters:
     """Per-primal-block selection counts; after k iterations they sum to k.
 
-    ``total`` is their sum and ``low`` their minimum, both kept by
-    :meth:`record` and :meth:`reset`; ``counts`` changes only through them.
+    ``low`` is their minimum, kept by :meth:`record` and :meth:`reset`;
+    ``counts`` changes only through them.
     ``low`` costs amortized O(1) per record: it rises once every block at
     the minimum has been recorded, and only then are the blocks at the new
     minimum counted.
     """
 
     counts: np.ndarray
-    total: int = field(init=False)
     low: int = field(init=False)
     _at_low: int = field(init=False, repr=False)  # blocks whose count is ``low``
 
     def __post_init__(self):
-        self.total = int(self.counts.sum())
         self._set_low(int(self.counts.min()))
 
     def _set_low(self, low: int) -> None:
@@ -78,7 +76,6 @@ class BlockCounters:
     def record(self, i: int) -> None:
         count = self.counts.item(i)
         self.counts[i] = count + 1
-        self.total += 1
         if count == self.low:
             self._at_low -= 1
             if not self._at_low:
@@ -86,7 +83,6 @@ class BlockCounters:
 
     def reset(self) -> None:
         self.counts[:] = 0
-        self.total = 0
         self.low = 0
         self._at_low = self.counts.size
 

@@ -55,6 +55,7 @@ __all__ = [
     "RunResult",
     "SolverError",
     "StepPlan",
+    "build_schedule",
     "ErgodicAccumulator",
     "rbpda_step",
     "restart_if_saturated",
@@ -80,8 +81,9 @@ class SolverConfig:
     ``increasing_batch`` pairs constant step sizes with the growing batch rule
     (eta is the batch growth exponent); ``single_sample`` pairs diminishing
     step sizes with a constant batch (eta is the step decay exponent, in
-    [0, 1)).  ``batch`` overrides the batch size with a constant in either
-    mode (e.g. v = p for the deterministic reduction).  ``as_mode`` requests
+    [0, 1)).  ``batch`` overrides the batch size with a constant of at
+    least 1 in either mode (e.g. v = p for the deterministic reduction; a
+    run refuses one above p).  ``as_mode`` requests
     the almost-sure-convergence regime, which needs delta_bar > 0.
     """
 
@@ -107,6 +109,8 @@ class SolverConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
+        if self.batch is not None and self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got batch = {self.batch}")
         if self.mode == "single_sample" and not 0 <= self.eta < 1:
             raise ValueError("single_sample mode needs eta in [0, 1)")
         if self.mode == "increasing_batch" and not 0 <= self.eta < math.inf:  # also rejects NaN
@@ -174,16 +178,17 @@ class RunState:
         ValueError names it.
         """
         out = []
-        for side, name, given, default in ((0, "x0", x0, problem.start_x), (1, "y0", y0, problem.start_y)):
+        for side, name, given, default in zip(problem.sides, ("x0", "y0"), (x0, y0),
+                                              (problem.start_x, problem.start_y)):
             v = np.array(default if given is None else given, dtype=float)
             if given is not None:
-                dim = problem.side_specs(side)[1].total_dim
+                dim = side.layout.total_dim
                 if v.shape != (dim,):
                     raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
                 if not np.isfinite(v).all():
                     raise ValueError(f"{name} has non-finite entries")
-                if not problem.side_contains(side, v, slack=1e-9):
-                    raise ValueError(f"{name} lies outside the {('primal', 'dual')[side]} domain")
+                if not side.contains(v, slack=1e-9):
+                    raise ValueError(f"{name} lies outside the {side.name} domain")
             out.append(v)
         x, y = out
         return cls(x=x, y=y, x_prev=x.copy(), y_prev=y.copy(),
@@ -513,8 +518,12 @@ class RunResult:
     config: Optional[SolverConfig] = None
 
 
-def _build_schedule(problem: SaddleProblem, config: SolverConfig) -> StepSchedule:
-    """The run's step schedule: constant for increasing batches, else diminishing."""
+def build_schedule(problem: SaddleProblem, config: SolverConfig) -> StepSchedule:
+    """The step schedule :func:`run` takes under ``config``: constant for increasing batches, else diminishing.
+
+    :func:`~rbpda.stepsize.validate_stepsize_condition` on it checks exactly
+    the steps of that run.
+    """
     agg = aggregate_constants(problem.lipschitz)
     step_mode = "constant" if config.mode == "increasing_batch" else "diminishing"
     fp = config.free_params
@@ -545,7 +554,7 @@ def run(
     rule only.
     """
     st = problem.structure
-    schedule = _build_schedule(problem, config)
+    schedule = build_schedule(problem, config)
     p = problem.p
     if config.batch is not None:
         batch = BatchSchedule.constant(config.batch, p)
@@ -634,40 +643,6 @@ def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace,
 # ---------------------------------------------------------------------------
 
 
-def _stacked_prox(problem: SaddleProblem, side: int):
-    """Whole-vector prox applier for side 0 (primal) or 1 (dual); vectorized when possible.
-
-    A side with stacked bounds (:class:`~rbpda.blocks.SideBounds`: zero,
-    box and nonneg blocks, all Euclidean) takes one array operation: a
-    gradient step, clipped to the bounds unless the side is all zero.  Any
-    other side falls back to the per-block loop.
-    """
-    bounds = problem.side_bounds()[side]
-    if bounds is None:
-        specs, layout = problem.side_specs(side)
-
-        def blockwise(linear, step, base):
-            out = np.empty(layout.total_dim)
-            for b, spec in enumerate(specs):
-                blk = layout.block_range(b)
-                out[blk] = prox_step(spec.geometry, spec, linear[blk], step, base[blk])
-            return out
-
-        return blockwise
-    lo, hi = bounds.lower, bounds.upper
-    if lo is None:
-        return lambda linear, step, base: base - step * linear
-
-    def clip(linear, step, base):
-        # the per-block prox values bit for bit, in place, without np.clip's
-        # Python-level wrapper; a nonneg coordinate's bounds are 0 and +inf
-        point = base - step * linear
-        np.maximum(point, lo, out=point)
-        return point if hi is None else np.minimum(point, hi, out=point)
-
-    return clip
-
-
 def deterministic_baseline_run(
     problem: SaddleProblem,
     tau: float,
@@ -696,8 +671,7 @@ def deterministic_baseline_run(
     state = RunState.start(problem, x0, y0)
     x, y = state.x, state.y
     acc = ErgodicAccumulator(1, 1, x, y)
-    dual_apply = _stacked_prox(problem, 1)
-    primal_apply = _stacked_prox(problem, 0)
+    primal, dual = problem.sides
     # x and y stay the same buffers, so the cache recognises them; x_prev is x here
     cache = None if problem.coupling_cache is None else problem.coupling_cache(x, y, x, y, problem.p)
     kw = {} if cache is None else {"cache": cache}
@@ -712,8 +686,8 @@ def deterministic_baseline_run(
         g_now = np.asarray(problem.full_grad_y(x, y, **kw), dtype=float)
         s = 2.0 * g_now - (g_now if g_old is None else g_old)
         g_old = g_now
-        y_new = dual_apply(-s, sigma, y)
-        x_new = primal_apply(np.asarray(problem.full_grad_x(x, y_new, **kw), dtype=float), tau, x)
+        y_new = dual.prox(-s, sigma, y)
+        x_new = primal.prox(np.asarray(problem.full_grad_x(x, y_new, **kw), dtype=float), tau, x)
         x[:] = x_new
         y[:] = y_new
         if cache is not None:

@@ -8,7 +8,6 @@ the reduction-equivalence tests compare the solver's steps against.
 import numpy as np
 
 from rbpda.blocks import SaddleProblem
-from rbpda.solver import _stacked_prox
 
 
 def deterministic_baseline_step(x, y, x_prev, y_prev, problem: SaddleProblem, tau: float, sigma: float):
@@ -22,9 +21,8 @@ def deterministic_baseline_step(x, y, x_prev, y_prev, problem: SaddleProblem, ta
     s = 2.0 * np.asarray(problem.full_grad_y(x, y), dtype=float) - np.asarray(
         problem.full_grad_y(x_prev, y_prev), dtype=float
     )
-    dual_apply = _stacked_prox(problem, 1)
-    y_new = dual_apply(-s, sigma, np.asarray(y, dtype=float))
+    primal, dual = problem.sides
+    y_new = dual.prox(-s, sigma, np.asarray(y, dtype=float))
     r = np.asarray(problem.full_grad_x(x, y_new), dtype=float)
-    primal_apply = _stacked_prox(problem, 0)
-    x_new = primal_apply(r, tau, np.asarray(x, dtype=float))
+    x_new = primal.prox(r, tau, np.asarray(x, dtype=float))
     return x_new, y_new

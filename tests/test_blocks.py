@@ -12,7 +12,6 @@ from rbpda.blocks import (
 )
 from rbpda.bregman import prox_step
 from rbpda.problems import MatrixGameSpec, generate_robust_erm, matrix_game_problem, robust_erm_problem
-from rbpda.solver import _stacked_prox
 from rbpda.stepsize import BlockLipschitz
 
 
@@ -248,6 +247,17 @@ def _loop_value(specs, layout, v):
     return float(total / layout.n_blocks)
 
 
+def _loop_best_response(spec, grad_block, maximize):
+    g = grad_block if maximize else -grad_block
+    if spec.kind == "box":
+        lo = np.broadcast_to(spec.lower, g.shape)
+        hi = np.broadcast_to(spec.upper, g.shape)
+        return np.where(g > 0, hi, lo).astype(float)
+    out = np.zeros_like(g)
+    out[int(np.argmax(g))] = 1.0
+    return out
+
+
 def _adversarial_points(specs, layout, slack):
     """A feasible point, then one coordinate set to NaN, +-inf or a bound +- slack."""
     base = np.concatenate([spec.feasible_point(d) for spec, d in zip(specs, layout.dims)])
@@ -290,8 +300,9 @@ class TestStackedDomain:
         # sides, for the membership test and the indicator values
         side, other = SIDES[name], SIDES["box"]
         for prob, which in ((_sided_problem(side, other), 0), (_sided_problem(other, side), 1)):
-            specs, layout = prob.side_specs(which)
-            assert (prob.side_bounds()[which] is None) == (name in LOOPED)
+            side = prob.sides[which]
+            specs, layout = side.specs, side.layout
+            assert side.stacks == (name not in LOOPED)
             fixed = prob.start_x if which else prob.start_y
             for slack in (0.0, 1e-12, 1e-9):
                 for v in _adversarial_points(specs, layout, slack):
@@ -309,8 +320,9 @@ class TestStackedDomain:
         side, other = SIDES[name], SIDES["box"]
         rng = np.random.default_rng(5)
         for prob, which in ((_sided_problem(side, other), 0), (_sided_problem(other, side), 1)):
-            specs, layout = prob.side_specs(which)
-            apply = _stacked_prox(prob, which)
+            side = prob.sides[which]
+            specs, layout = side.specs, side.layout
+            apply = side.prox
             for base in _adversarial_points(specs, layout, 1e-9):
                 for linear in (np.zeros(base.size), rng.standard_normal(base.size), np.full(base.size, -0.0)):
                     for step in (0.5, 3.0):
@@ -328,4 +340,25 @@ class TestStackedDomain:
         prob.primal_prox = [ProxSpec.box([-1.0, 0.0], [1.0, 0.5]), ProxSpec.box([5.0], [6.0])]
         prob.__post_init__()
         assert not prob.in_domain(np.array([0.0, 0.0, 2.5]), np.zeros(3))
-        np.testing.assert_array_equal(prob.side_bounds()[0].lower, [-1.0, 0.0, 5.0])
+        np.testing.assert_array_equal(prob.sides[0].lower, [-1.0, 0.0, 5.0])
+
+    @pytest.mark.parametrize("name", ["box", "scalar_box", "simplex", "simplex_box"])
+    def test_best_response_matches_per_block_loop(self, name):
+        # the whole-side best response (one select on a box side) gives the
+        # per-block corners and vertices bit for bit, for gradients with
+        # signed zeros, infinities, NaN and tied simplex entries
+        side, other = SIDES[name], SIDES["box"]
+        specials = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0)
+        rng = np.random.default_rng(3)
+        for prob, which in ((_sided_problem(side, other), 0), (_sided_problem(other, side), 1)):
+            s = prob.sides[which]
+            assert s.responds
+            dim = s.layout.total_dim
+            grads = [np.zeros(dim), np.full(dim, -0.0), np.ones(dim), rng.standard_normal(dim)]
+            grads += [rng.choice(specials, size=dim) for _ in range(200)]
+            for g in grads:
+                for maximize in (False, True):
+                    want = np.concatenate(
+                        [_loop_best_response(spec, g[blk], maximize) for spec, blk in zip(s.specs, s.layout.ranges)]
+                    )
+                    assert s.best_response(g, maximize).tobytes() == want.tobytes()

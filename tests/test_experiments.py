@@ -440,6 +440,25 @@ class TestMainCli:
         assert "checkpoint_every must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--iters", "-1"], ["--mode", "baseline", "--iters", "-1"]])
+    def test_negative_iters_names_the_runner_key(self, tmp_path, capsys, flags):
+        # the flag and the config key are iters, not SolverConfig's max_iters
+        argv = ["--problem", "box_game", "--repeats", "1", "--out", str(tmp_path / "bad"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "iters = -1" in err and "max_iters" not in err
+
+    @pytest.mark.parametrize("batch, message", [(5, "batch = 5 exceeds the problem's p = 1"),
+                                                (-2, "batch must be at least 1, got batch = -2")])
+    def test_constant_batch_outside_one_to_p_exit_code(self, tmp_path, capsys, batch, message):
+        # the box game has p = 1: batch = 5 used to fail every run and exit 1
+        cfg = tmp_path / "batch.cfg"
+        cfg.write_text(f"problem = box_game\nbatch = {batch}\niters = 10\nrepeats = 1\n")
+        out = tmp_path / "bad"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_and_run(self, tmp_path):
         out = tmp_path / "cli"
         code = main(

@@ -28,7 +28,7 @@ from rbpda.sampling import (
 )
 from rbpda.solver import (
     ErgodicAccumulator,
-    _build_schedule,
+    build_schedule,
     RunState,
     SolverConfig,
     SolverError,
@@ -292,7 +292,7 @@ def test_run_draws_in_chunks_like_sequential_steps(name, batch, monkeypatch):
     res = run(prob, cfg)
     st = prob.structure
     assert len(fills) >= 3 or (st.N == st.M == 1 and v >= p)  # only a run that takes no word fills none
-    sched = _build_schedule(prob, cfg)
+    sched = build_schedule(prob, cfg)
     ref = RunState.start(prob)
     rng = make_rng(5, 2)
     for _ in range(150):
@@ -314,7 +314,7 @@ def test_increasing_batch_run_draws_ahead_like_sequential_steps(name):
     cfg = SolverConfig(mode="increasing_batch", eta=0.5, max_iters=300, seed=5, stream=3,
                        restart_enabled=True, checkpoint_every=100, compute_sup_gap=False)
     res = run(prob, cfg)
-    sched = _build_schedule(prob, cfg)
+    sched = build_schedule(prob, cfg)
     batch = BatchSchedule.increasing(cfg.eta)
     ref = RunState.start(prob)
     rng = make_rng(5, 3)
@@ -1043,6 +1043,12 @@ class TestRun:
         with pytest.raises(ValueError, match="finite eta"):
             SolverConfig(mode="increasing_batch", eta=eta)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_is_refused(self, batch):
+        # these used to pass and fail every run in BatchSchedule.constant
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            SolverConfig(batch=batch)
+
     def test_restart_threshold_one_accepted(self):
         assert SolverConfig(restart_threshold=1.0).restart_threshold == 1.0
 
@@ -1425,7 +1431,7 @@ class TestLazyErgodicSums:
         if cfg.restart_enabled:
             assert res.restarts >= 1
         st = prob.structure
-        sched = _build_schedule(prob, cfg)
+        sched = build_schedule(prob, cfg)
         mode = "uniform" if cfg.mode == "increasing_batch" else "weighted"
         xs, ys, ks = zip(*seen)
         want = eager_averages(mode, st.M, st.N, xs, ys, ks, sched)
