@@ -293,19 +293,6 @@ class SaddleProblem:
     ----------------
     component_grad_x(l, i, x, y)
         Partial gradient of Phi_l with respect to primal block i.
-    component_grad_y(l, j, x, y)
-        Partial gradient of Phi_l with respect to dual block j.  The solver
-        never calls it; it is required only when ``grad_y`` is not given,
-        since the default ``grad_y`` enumerates it.
-
-    A step of the solver calls ``grad_y`` and ``batch_grad_x``; the
-    full-gradient baseline and the sup-gap best responses call one full
-    gradient per side, ``full_grad_x`` and ``full_grad_y``.  All four default
-    to enumeration of the components; built-in problems override them with
-    vectorized closures.  Function values (``phi_value``, ``phi_component``)
-    are needed only by metrics and may stay ``None``, in which case metrics
-    degrade gracefully.
-
     grad_y(j, points)
         Full partial gradient of Phi with respect to dual block j at every
         ``(x, y)`` pair of ``points``, as a ``(len(points), dim_j)`` array.
@@ -314,7 +301,17 @@ class SaddleProblem:
         kept the other row from the step before; each row must be exactly
         what a one-point call would return.  The solver keeps the returned
         array between steps, so an implementation must not write to it
-        after returning it.
+        after returning it.  Only the primal side is sampled, so the dual
+        oracle is always a block's full partial gradient.
+
+    A step of the solver calls ``grad_y`` and ``batch_grad_x``; the
+    full-gradient baseline and the sup-gap best responses call one full
+    gradient per side, ``full_grad_x`` and ``full_grad_y``.  The last three
+    default to enumeration: ``batch_grad_x`` and ``full_grad_x`` of the
+    component closures, ``full_grad_y`` of the ``grad_y`` rows; built-in
+    problems override them with vectorized closures.  Function values
+    (``phi_value``, ``phi_component``) are needed only by metrics and may
+    stay ``None``, in which case metrics degrade gracefully.
 
     batch_grad_x(indices, i, points, weights)
         The weighted sum ``sum_k weights[k] * g_k`` as a ``(dim_i,)``
@@ -382,7 +379,6 @@ class SaddleProblem:
     primal_prox: list
     dual_prox: list
     component_grad_x: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
-    component_grad_y: Optional[Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]] = None
     lipschitz: "object" = None  # BlockLipschitz; typed loosely to avoid an import cycle
     grad_y: Optional[Callable] = None
     batch_grad_x: Optional[Callable] = None
@@ -403,10 +399,8 @@ class SaddleProblem:
             raise ValueError("need one primal prox spec per primal block")
         if len(self.dual_prox) != self.structure.N:
             raise ValueError("need one dual prox spec per dual block")
-        if self.grad_y is None and self.component_grad_y is None:
-            raise ValueError("need grad_y or component_grad_y")
         if self.grad_y is None:
-            self.grad_y = self._grad_y_enumerated
+            raise ValueError("need grad_y")
         if self.batch_grad_x is None:
             self.batch_grad_x = self._batch_grad_x_looped
         if self.full_grad_x is None:
@@ -432,16 +426,7 @@ class SaddleProblem:
             self._sides = (Side("primal", self.primal_prox, st.primal), Side("dual", self.dual_prox, st.dual))
         return self._sides
 
-    # -- default oracles built on the component closures ------------------
-    def _grad_y_enumerated(self, j, points, cache=None):
-        means = []
-        for x, y in points:
-            acc = self.component_grad_y(0, j, x, y).astype(float, copy=True)
-            for l in range(1, self.p):
-                acc += self.component_grad_y(l, j, x, y)
-            means.append(acc / self.p)
-        return np.stack(means)
-
+    # -- default oracle built on the component closure ---------------------
     def _batch_grad_x_looped(self, indices, i, points, weights, cache=None):
         indices = np.asarray(indices, dtype=int)
         total = None
@@ -500,7 +485,8 @@ def validate_problem(
     """Check the consistency promises of the finite-sum structure.
 
     Flags dimension mismatches (also a ``batch_grad_x`` return that is not
-    ``(dim_i,)``), empty prox domains, and beyond ``tolerance`` at random
+    ``(dim_i,)`` and a one-point ``grad_y`` return that is not
+    ``(1, dim_j)``), empty prox domains, and beyond ``tolerance`` at random
     domain probes: a weighted ``batch_grad_x`` call over the probes that
     differs from the weighted component means, a ``full_grad_x`` block that
     differs from the block's component mean (the finite-sum identity), a
@@ -543,16 +529,14 @@ def validate_problem(
                 continue
             if g.shape != (st.primal.dims[i],):
                 failures.append(f"batch_grad_x block {i}: shape {g.shape} != ({st.primal.dims[i]},)")
-        for j in range(st.N if problem.component_grad_y is not None else 0):
+        for j in range(st.N):
             try:
-                g = np.asarray(problem.component_grad_y(0, j, x, y))
+                g = np.asarray(problem.grad_y(j, [(x, y)]))
             except Exception as exc:  # noqa: BLE001
-                failures.append(f"component_grad_y(0, {j}) raised: {exc}")
+                failures.append(f"grad_y({j}) raised: {exc}")
                 continue
-            if g.shape != (st.dual.dims[j],):
-                failures.append(
-                    f"component_grad_y block {j}: shape {g.shape} != ({st.dual.dims[j]},)"
-                )
+            if g.shape != (1, st.dual.dims[j]):
+                failures.append(f"grad_y block {j}: shape {g.shape} != (1, {st.dual.dims[j]})")
         if failures:
             break
 

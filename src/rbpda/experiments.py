@@ -79,6 +79,7 @@ class ExperimentSpec:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 _FIELDS = {f.name: f for f in fields(ExperimentSpec)}
+_RUN_ONLY = ("batch", "eta", "restart", "restart_threshold")  # keys the baseline never reads
 
 
 def _coerce(key: str, raw: str, lineno: int):
@@ -350,8 +351,11 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     rejects (an unknown mode, negative ``iters``, ``checkpoint_every`` below
     1, an ``eta`` outside its mode's range, a ``batch`` below 1) raises
     :class:`ConfigError` before any run, and so does a constant ``batch``
-    above the problem's p, checked once every spec's problem is built;
-    baseline specs take only the ``iters`` and ``checkpoint_every`` checks.
+    above the problem's p, checked once every spec's problem is built.
+    Baseline specs take the ``iters`` and ``checkpoint_every`` checks, and
+    one that sets ``batch``, ``eta``, ``restart`` or ``restart_threshold``
+    away from its default raises :class:`ConfigError`, since the baseline
+    never reads them.
     """
     specs = [spec_or_specs] if isinstance(spec_or_specs, ExperimentSpec) else list(spec_or_specs)
     for spec in specs:
@@ -360,6 +364,9 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
         try:
             if spec.mode == "baseline":
                 SolverConfig(checkpoint_every=spec.checkpoint_every)
+                for key in _RUN_ONLY:
+                    if getattr(spec, key) != _FIELDS[key].default:
+                        raise ValueError(f"baseline mode ignores {key}, got {key} = {getattr(spec, key)}")
             else:
                 spec.solver_config(spec.seed, 0)
         except ValueError as exc:

@@ -394,12 +394,6 @@ def robust_erm_problem(
     def full_grad_y(x, y, cache=None):
         return np.logaddexp(0.0, neg_b * margins(x, cache))
 
-    def component_grad_y(l, j, x, y):
-        out = np.zeros(nb)
-        if j * nb <= l < (j + 1) * nb:
-            out[l - j * nb] = p * _logaddexp0(neg_b_list[l] * float(A[l].dot(x)))
-        return out
-
     def grad_y(j, points, cache=None):
         if nb == 1:
             a, nbl = A[j], neg_b_list[j]
@@ -437,7 +431,6 @@ def robust_erm_problem(
         primal_prox=primal_prox,
         dual_prox=dual_prox,
         component_grad_x=component_grad_x,
-        component_grad_y=component_grad_y,
         lipschitz=lip,
         grad_y=grad_y,
         batch_grad_x=batch_grad_x,
@@ -570,7 +563,6 @@ def matrix_game_problem(spec: MatrixGameSpec):
         primal_prox=[ProxSpec.simplex(geometry=geom)],
         dual_prox=[ProxSpec.simplex(geometry=geom)],
         component_grad_x=lambda l, i, x, y: A @ y,
-        component_grad_y=lambda l, j, x, y: A.T @ x,
         lipschitz=lip,
         grad_y=lambda j, points: np.array([A.T @ x for x, _ in points]),
         batch_grad_x=lambda idx, i, points, weights: A @ _weighted_y(points, weights),
@@ -623,7 +615,6 @@ def box_game_problem(
         primal_prox=[ProxSpec.box(-w * np.ones(mb), w * np.ones(mb)) for _ in range(m_blocks)],
         dual_prox=[ProxSpec.box(-w * np.ones(nb), w * np.ones(nb)) for _ in range(n_blocks)],
         component_grad_x=lambda l, i, x, y: (A @ y)[i * mb : (i + 1) * mb],
-        component_grad_y=lambda l, j, x, y: (A.T @ x)[j * nb : (j + 1) * nb],
         lipschitz=lip,
         grad_y=lambda j, points: np.array([(A.T @ x)[j * nb : (j + 1) * nb] for x, _ in points]),
         batch_grad_x=lambda idx, i, points, weights: row_blocks[i] @ _weighted_y(points, weights),
@@ -754,11 +745,6 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
             out += w * base
         return out
 
-    def component_grad_y(l, j, x, y):
-        if l == j:
-            return np.array([p * (G[j] @ x - d[j])])
-        return np.zeros(1)
-
     def grad_y(j, points):
         return np.array([[G[j] @ x - d[j]] for x, _ in points])
 
@@ -774,7 +760,6 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
         primal_prox=[ProxSpec.zero() for _ in range(m_blocks)],
         dual_prox=[ProxSpec.nonneg() for _ in range(n_con)],
         component_grad_x=component_grad_x,
-        component_grad_y=component_grad_y,
         lipschitz=lip,
         grad_y=grad_y,
         batch_grad_x=batch_grad_x,

@@ -108,15 +108,16 @@ class SolverConfig:
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
+            raise ValueError(f"checkpoint_every must be at least 1, got checkpoint_every = {self.checkpoint_every}")
         if self.batch is not None and self.batch < 1:
             raise ValueError(f"batch must be at least 1, got batch = {self.batch}")
         if self.mode == "single_sample" and not 0 <= self.eta < 1:
-            raise ValueError("single_sample mode needs eta in [0, 1)")
+            raise ValueError(f"single_sample mode needs eta in [0, 1), got eta = {self.eta}")
         if self.mode == "increasing_batch" and not 0 <= self.eta < math.inf:  # also rejects NaN
-            raise ValueError("increasing_batch mode needs a finite eta >= 0")
+            raise ValueError(f"increasing_batch mode needs a finite eta >= 0, got eta = {self.eta}")
         if not 0 < self.restart_threshold <= 1:  # also rejects NaN
-            raise ValueError("restart_threshold must be finite and lie in (0, 1]")
+            raise ValueError("restart_threshold must be finite and lie in (0, 1], "
+                             f"got restart_threshold = {self.restart_threshold}")
 
 
 @dataclass
@@ -515,7 +516,6 @@ class RunResult:
     restarts: int
     iterations: int
     ergodic_weights: tuple
-    config: Optional[SolverConfig] = None
 
 
 def build_schedule(problem: SaddleProblem, config: SolverConfig) -> StepSchedule:
@@ -578,12 +578,12 @@ def run(
         if restart:
             restart_if_saturated(state, p, config.restart_threshold, batch.eta)
 
-    return _drive(problem, state, acc, step, config.max_iters, config.checkpoint_every, config,
+    return _drive(problem, state, acc, step, config.max_iters, config.checkpoint_every,
                   reference=reference, f_star=f_star, auto_best_response=config.compute_sup_gap)
 
 
 def _drive(problem: SaddleProblem, state: RunState, acc: ErgodicAccumulator, step, iters: int,
-           checkpoint_every: int, config: Optional[SolverConfig], **metrics) -> RunResult:
+           checkpoint_every: int, **metrics) -> RunResult:
     """The run loop of :func:`run` and :func:`deterministic_baseline_run`.
 
     ``step()`` advances ``state`` by one iteration, with its budget, and
@@ -611,16 +611,15 @@ def _drive(problem: SaddleProblem, state: RunState, acc: ErgodicAccumulator, ste
             if state.k % checkpoint_every == 0 or state.k == iters:
                 checkpoint()
         except Exception as exc:
-            partial = _result(state, acc, trace, config)
+            partial = _result(state, acc, trace)
             if isinstance(exc, SolverError):
                 exc.result = partial
                 raise
             raise SolverError(f"run aborted at iteration {state.k}: {exc}", partial) from exc
-    return _result(state, acc, trace, config)
+    return _result(state, acc, trace)
 
 
-def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace,
-            config: Optional[SolverConfig]) -> RunResult:
+def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace) -> RunResult:
     """The run's result so far: copies of the iterates, the averages and their weights."""
     x_bar, y_bar = acc.finalize()
     return RunResult(
@@ -633,7 +632,6 @@ def _result(state: RunState, acc: ErgodicAccumulator, trace: ConvergenceTrace,
         dual_grad_evals=state.dual_grad_evals,
         restarts=state.restarts,
         iterations=state.k,
-        config=config,
         ergodic_weights=acc.total_weights(),
     )
 
@@ -697,5 +695,5 @@ def deterministic_baseline_run(
         acc.update(x, y, state.k)
         state.k += 1
 
-    return _drive(problem, state, acc, step, iters, checkpoint_every, None,
+    return _drive(problem, state, acc, step, iters, checkpoint_every,
                   reference=reference, f_star=f_star, auto_best_response=compute_sup_gap)

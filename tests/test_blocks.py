@@ -11,7 +11,13 @@ from rbpda.blocks import (
     validate_problem,
 )
 from rbpda.bregman import prox_step
-from rbpda.problems import MatrixGameSpec, generate_robust_erm, matrix_game_problem, robust_erm_problem
+from rbpda.problems import (
+    MatrixGameSpec,
+    box_game_problem,
+    generate_robust_erm,
+    matrix_game_problem,
+    robust_erm_problem,
+)
 from rbpda.stepsize import BlockLipschitz
 
 
@@ -75,7 +81,7 @@ def _bilinear_problem(A):
         primal_prox=[ProxSpec.simplex()],
         dual_prox=[ProxSpec.simplex()],
         component_grad_x=lambda l, i, x, y: A @ y,
-        component_grad_y=lambda l, j, x, y: A.T @ x,
+        grad_y=lambda j, points: np.array([A.T @ x for x, _ in points]),
         lipschitz=lip,
         phi_value=lambda x, y: float(x @ A @ y),
         phi_component=lambda l, x, y: float(x @ A @ y),
@@ -175,9 +181,9 @@ class TestValidateProblem:
                     assert fd == pytest.approx(g[c], rel=1e-5, abs=1e-7)
 
 
-class TestOptionalComponentGradY:
+class TestGradYOracle:
     @staticmethod
-    def _without_component_grad_y(A):
+    def _game(A):
         st = BlockStructure.from_dims([A.shape[0]], [A.shape[1]])
         lip = BlockLipschitz(np.zeros((1, 1)), np.array([[2.0]]), np.zeros((1, 1)), np.array([[2.0]]))
         return SaddleProblem(
@@ -192,12 +198,11 @@ class TestOptionalComponentGradY:
             phi_component=lambda l, x, y: float(x @ A @ y),
         )
 
-    def test_problem_without_it_runs_and_validates(self):
+    def test_problem_with_grad_y_runs_and_validates(self):
         from rbpda import SolverConfig, run
 
         A = np.diag([1.0, 2.0])
-        prob = self._without_component_grad_y(A)
-        assert prob.component_grad_y is None
+        prob = self._game(A)
         report = validate_problem(prob)
         assert report.ok, report.failures
         res = run(prob, SolverConfig(max_iters=200, seed=1, checkpoint_every=100))
@@ -205,9 +210,9 @@ class TestOptionalComponentGradY:
         same = run(ref, SolverConfig(max_iters=200, seed=1, checkpoint_every=100))
         assert np.array_equal(res.x, same.x) and np.array_equal(res.y, same.y)
 
-    def test_needs_grad_y_or_component_grad_y(self):
-        prob = self._without_component_grad_y(np.eye(2))
-        with pytest.raises(ValueError, match="grad_y"):
+    def test_needs_grad_y(self):
+        prob = self._game(np.eye(2))
+        with pytest.raises(ValueError, match="need grad_y"):
             SaddleProblem(
                 structure=prob.structure,
                 p=1,
@@ -216,6 +221,16 @@ class TestOptionalComponentGradY:
                 component_grad_x=prob.component_grad_x,
                 lipschitz=prob.lipschitz,
             )
+
+    def test_wrong_row_length_is_a_failure_not_a_raise(self):
+        # one column too many used to make the full_grad_y comparison raise
+        # "operands could not be broadcast together"
+        prob, _ = box_game_problem(np.eye(2))
+        A = prob.notes["payoff"]
+        prob.grad_y = lambda j, points: np.array([np.append(A.T @ x, 0.0) for x, _ in points])
+        report = validate_problem(prob)
+        assert not report.ok
+        assert "grad_y block 0: shape (1, 3) != (1, 2)" in report.failures
 
 
 def test_lagrangian_on_indicators_equals_phi():
@@ -234,7 +249,7 @@ def _sided_problem(primal, dual):
         primal_prox=[spec for spec, _ in primal],
         dual_prox=[spec for spec, _ in dual],
         component_grad_x=lambda l, i, x, y: np.zeros(st.primal.dims[i]),
-        component_grad_y=lambda l, j, x, y: np.zeros(st.dual.dims[j]),
+        grad_y=lambda j, points: np.zeros((len(points), st.dual.dims[j])),
     )
 
 

@@ -459,6 +459,27 @@ class TestMainCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("batch = 5", "baseline mode ignores batch, got batch = 5"),
+        ("eta = 0.5", "baseline mode ignores eta, got eta = 0.5"),
+        ("restart = true", "baseline mode ignores restart, got restart = True"),
+        ("restart_threshold = 0.5", "baseline mode ignores restart_threshold, got restart_threshold = 0.5"),
+    ], ids=["batch", "eta", "restart", "restart_threshold"])
+    def test_baseline_refuses_the_solver_keys_it_ignores(self, tmp_path, capsys, line, message):
+        # the baseline never reads these; it used to run, exit 0 and echo them
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(f"problem = box_game\nmode = baseline\n{line}\niters = 10\nrepeats = 1\n")
+        out = tmp_path / "bad"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solver_refusal_shows_the_value_given(self, tmp_path, capsys):
+        argv = ["--problem", "box_game", "--mode", "single_sample", "--eta", "1.0", "--iters", "10",
+                "--repeats", "1", "--out", str(tmp_path / "bad")]
+        assert main(argv) == 2
+        assert "single_sample mode needs eta in [0, 1), got eta = 1.0" in capsys.readouterr().err
+
     def test_flags_override_and_run(self, tmp_path):
         out = tmp_path / "cli"
         code = main(

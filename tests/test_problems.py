@@ -429,4 +429,3 @@ def test_erm_one_row_scalar_paths_agree_with_array_paths():
         want = [[np.logaddexp(0.0, -b[l] * (A[l] @ x))] for x in (x_k, x_prev)]
         close(got, np.array(want))
         close(got, prob.grad_y(l, ((x_k, y_k), (x_prev, y_prev)), cache=cache))
-        close(prob.component_grad_y(l, l, x_k, y_k), p * got[0])

@@ -59,7 +59,7 @@ def scalar_bilinear_problem():
         primal_prox=[ProxSpec.zero()],
         dual_prox=[ProxSpec.zero()],
         component_grad_x=lambda l, i, x, y: y.copy(),
-        component_grad_y=lambda l, j, x, y: x.copy(),
+        grad_y=lambda j, points: np.array([x for x, _ in points]),
         lipschitz=lip,
         phi_value=lambda x, y: float(x @ y),
         phi_component=lambda l, x, y: float(x @ y),
@@ -100,7 +100,7 @@ class TestRbpdaStep:
             primal_prox=[ProxSpec.zero()],
             dual_prox=[ProxSpec.zero()],
             component_grad_x=lambda l, i, x, y: np.zeros(2),
-            component_grad_y=lambda l, j, x, y: np.zeros(2),
+            grad_y=lambda j, points: np.zeros((len(points), 2)),
             lipschitz=lip,
             start_x=np.array([1.0, -2.0]),
             start_y=np.array([0.5, 0.5]),
@@ -1042,6 +1042,17 @@ class TestRun:
         # these used to pass and fail at iteration 1, converting the batch size to int
         with pytest.raises(ValueError, match="finite eta"):
             SolverConfig(mode="increasing_batch", eta=eta)
+
+    @pytest.mark.parametrize("kwargs, tail", [
+        ({"checkpoint_every": 0}, "got checkpoint_every = 0"),
+        ({"mode": "single_sample", "eta": 1.0}, "got eta = 1.0"),
+        ({"mode": "increasing_batch", "eta": -0.5}, "got eta = -0.5"),
+        ({"restart_threshold": 1.5}, "got restart_threshold = 1.5"),
+    ], ids=["checkpoint_every", "single_sample_eta", "increasing_batch_eta", "restart_threshold"])
+    def test_refusal_shows_the_value_given(self, kwargs, tail):
+        with pytest.raises(ValueError) as excinfo:
+            SolverConfig(**kwargs)
+        assert str(excinfo.value).endswith(", " + tail)
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_is_refused(self, batch):
