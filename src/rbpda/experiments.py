@@ -4,7 +4,8 @@ Reproduces the benchmark studies at desk scale: repeated seeded runs per
 configuration, per-run trace CSVs, a summary table, and per-configuration
 plot-data files (iteration grid vs mean gap with standard error).  Runs
 within an experiment execute one after another, in (seed, stream) order, and
-their outputs are written in that order.
+their outputs are written in that order.  A baseline configuration draws
+nothing, so it runs once, at its first (seed, stream) pair.
 
 Config files are flat ``key = value`` text, optionally split into
 ``[named]`` sections, one configuration per section.  Command-line flags
@@ -313,9 +314,9 @@ def _fista(problem, iters: int, target: float, oracle):
 
 
 def _stream_seeds(spec: ExperimentSpec):
-    if spec.seeds:
-        return [(s, 0) for s in spec.seeds]
-    return [(spec.seed, r) for r in range(spec.repeats)]
+    pairs = [(s, 0) for s in spec.seeds] if spec.seeds else [(spec.seed, r) for r in range(spec.repeats)]
+    # the baseline draws nothing, so every further pair would repeat the first run
+    return pairs[:1] if spec.mode == "baseline" else pairs
 
 
 def _run_one(spec: ExperimentSpec, problem, reference, seed: int, stream: int):

@@ -106,7 +106,7 @@ class SolverConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+            raise ValueError(f"max_iters must be nonnegative, got max_iters = {self.max_iters}")
         if self.checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be at least 1, got checkpoint_every = {self.checkpoint_every}")
         if self.batch is not None and self.batch < 1:

@@ -335,23 +335,21 @@ class StepsizeReport:
         return key, self.min_slacks[key]
 
 
-def _m_matrices(schedule: StepSchedule, k: int):
+def _m_matrices(schedule: StepSchedule, theta: np.ndarray, tau: np.ndarray, sigma: np.ndarray):
+    """M1..M4 with one row per k: ``theta`` is a column over k, ``tau`` and ``sigma`` are the step tables."""
     agg, fp, M, N = schedule.agg, schedule.fp, schedule.M, schedule.N
-    th = schedule.theta(k)
-    tau = schedule.tau(k)
-    sigma = schedule.sigma(k)
-    m1 = M * th * (fp.lambda2 * N * agg.L_yx**2 + (N - 1) * fp.gamma1 * agg.C_x**2)
-    m2 = M * th * (fp.gamma2 * (N - 1) * agg.L_xy**2 + fp.lambda1 * N * agg.C_y**2)
+    m1 = M * theta * (fp.lambda2 * N * agg.L_yx**2 + (N - 1) * fp.gamma1 * agg.C_x**2)
+    m2 = M * theta * (fp.gamma2 * (N - 1) * agg.L_xy**2 + fp.lambda1 * N * agg.C_y**2)
     m3 = (
         1.0 / tau
         - M * agg.Lxx_diag
-        - M * (N - 1) * th * (1.0 / fp.gamma1 + 1.0 / fp.gamma2)
+        - M * (N - 1) * theta * (1.0 / fp.gamma1 + 1.0 / fp.gamma2)
         - (N - 1) / fp.gamma2
     )
     m4 = (
         1.0 / sigma
         - N * agg.Lyy_diag
-        - M * N * th * (1.0 / fp.lambda1 + 1.0 / fp.lambda2)
+        - M * N * theta * (1.0 / fp.lambda1 + 1.0 / fp.lambda2)
         - fp.gamma2 * (N - 1) * agg.L_xy**2
     )
     return m1, m2, m3, m4
@@ -365,42 +363,33 @@ def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolera
     reduces to scalar inequalities per block.  The noise weights are
     A^k = diag(alpha)/t^k and, in diminishing mode, B^k = diag(beta)/t^k
     (B^k = 0 in constant mode).  Violations are reported, not raised.
+
+    t, theta, tau and sigma are evaluated once per k in [0, k_max + 1],
+    through the schedule's scalar methods, into one row per k; each
+    inequality is then one array over rows k ("now") and k + 1 ("next").
     """
-    slacks = {
-        "primal_lipschitz": np.inf,  # t^k (M3^k - A^k) >= t^{k+1} M1^{k+1}
-        "dual_lipschitz": np.inf,  # t^k (M4^k - B^k) >= t^{k+1} M2^{k+1}
-        "tau_scaled_monotone": np.inf,  # t^k / tau^k >= t^{k+1} / tau^{k+1}
-        "sigma_scaled_monotone": np.inf,  # t^k / sigma^k >= t^{k+1} / sigma^{k+1}
-        "t_theta_identity": 0.0,  # t^k = t^{k+1} theta^{k+1}
-        "m_matrices_psd": np.inf,  # M1..M4 >= 0
-    }
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got k_max = {k_max}")
+    rows = [(schedule.t(k), schedule.theta(k), schedule.tau(k), schedule.sigma(k)) for k in range(k_max + 2)]
+    t, theta, tau, sigma = (np.array(col) for col in zip(*rows))
+    t, theta = t[:, None], theta[:, None]
+    m1, m2, m3, m4 = _m_matrices(schedule, theta, tau, sigma)
     fp = schedule.fp
-    diminishing = schedule.mode == "diminishing"
-    for k in range(k_max + 1):
-        t_k, t_next = schedule.t(k), schedule.t(k + 1)
-        m1_k, m2_k, m3_k, m4_k = _m_matrices(schedule, k)
-        m1_next, m2_next, _, _ = _m_matrices(schedule, k + 1)
-        a_k = fp.alpha / t_k
-        b_k = fp.beta / t_k if diminishing else 0.0
-        slacks["primal_lipschitz"] = min(
-            slacks["primal_lipschitz"], float(np.min(t_k * (m3_k - a_k) - t_next * m1_next))
-        )
-        slacks["dual_lipschitz"] = min(
-            slacks["dual_lipschitz"], float(np.min(t_k * (m4_k - b_k) - t_next * m2_next))
-        )
-        slacks["tau_scaled_monotone"] = min(
-            slacks["tau_scaled_monotone"],
-            float(np.min(t_k / schedule.tau(k) - t_next / schedule.tau(k + 1))),
-        )
-        slacks["sigma_scaled_monotone"] = min(
-            slacks["sigma_scaled_monotone"],
-            float(np.min(t_k / schedule.sigma(k) - t_next / schedule.sigma(k + 1))),
-        )
-        slacks["t_theta_identity"] = min(
-            slacks["t_theta_identity"], -abs(t_k - t_next * schedule.theta(k + 1))
-        )
-        slacks["m_matrices_psd"] = min(
-            slacks["m_matrices_psd"],
-            float(min(np.min(m1_k), np.min(m2_k), np.min(m3_k), np.min(m4_k))),
-        )
-    return StepsizeReport(slacks, tolerance)
+    now, nxt = slice(None, -1), slice(1, None)
+    t_k, t_next = t[now], t[nxt]
+    b_k = fp.beta / t_k if schedule.mode == "diminishing" else 0.0
+    slacks = {
+        # t^k (M3^k - A^k) >= t^{k+1} M1^{k+1}
+        "primal_lipschitz": np.min(t_k * (m3[now] - fp.alpha / t_k) - t_next * m1[nxt]),
+        # t^k (M4^k - B^k) >= t^{k+1} M2^{k+1}
+        "dual_lipschitz": np.min(t_k * (m4[now] - b_k) - t_next * m2[nxt]),
+        # t^k / tau^k >= t^{k+1} / tau^{k+1}
+        "tau_scaled_monotone": np.min(t_k / tau[now] - t_next / tau[nxt]),
+        # t^k / sigma^k >= t^{k+1} / sigma^{k+1}
+        "sigma_scaled_monotone": np.min(t_k / sigma[now] - t_next / sigma[nxt]),
+        # t^k = t^{k+1} theta^{k+1}; 0.0 - |.| keeps an exact match at +0.0
+        "t_theta_identity": np.min(0.0 - np.abs(t_k - t_next * theta[nxt])),
+        # M1..M4 >= 0
+        "m_matrices_psd": np.min([np.min(m[now]) for m in (m1, m2, m3, m4)]),
+    }
+    return StepsizeReport({key: float(v) for key, v in slacks.items()}, tolerance)

@@ -112,6 +112,20 @@ class TestRunExperiment:
         trace = ConvergenceTrace.from_csv(next(out_dir.glob("trace_*.csv")))
         assert len(trace) == 1 and trace.rows[0].k == 0
 
+    @pytest.mark.parametrize("streams", [{"repeats": 3}, {"seeds": (4, 5)}], ids=["repeats", "seeds"])
+    def test_baseline_runs_once(self, tmp_path, streams):
+        # the baseline draws nothing; it used to write one identical run per stream
+        spec = ExperimentSpec(name="base", problem="box_game", mode="baseline", iters=20,
+                              checkpoint_every=10, out=str(tmp_path / "b"), **streams)
+        out_dir = run_experiment(spec)
+        with open(out_dir / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        first = spec.seeds[0] if spec.seeds else spec.seed
+        assert [(r["seed"], r["stream"], r["status"]) for r in rows] == [(str(first), "0", "ok")]
+        assert [p.name for p in out_dir.glob("trace_*.csv")] == [f"trace_base_s{first}_r0.csv"]
+        with open(out_dir / "plotdata_base.csv") as fh:
+            assert {r["runs"] for r in csv.DictReader(fh)} == {"1"}
+
     def test_identical_seeds_identical_traces(self, tmp_path):
         spec = ExperimentSpec(
             name="same", iters=200, seeds=(5, 5), checkpoint_every=50, out=str(tmp_path / "s")

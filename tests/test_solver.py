@@ -1048,7 +1048,8 @@ class TestRun:
         ({"mode": "single_sample", "eta": 1.0}, "got eta = 1.0"),
         ({"mode": "increasing_batch", "eta": -0.5}, "got eta = -0.5"),
         ({"restart_threshold": 1.5}, "got restart_threshold = 1.5"),
-    ], ids=["checkpoint_every", "single_sample_eta", "increasing_batch_eta", "restart_threshold"])
+        ({"max_iters": -1}, "got max_iters = -1"),
+    ], ids=["checkpoint_every", "single_sample_eta", "increasing_batch_eta", "restart_threshold", "max_iters"])
     def test_refusal_shows_the_value_given(self, kwargs, tail):
         with pytest.raises(ValueError) as excinfo:
             SolverConfig(**kwargs)

@@ -242,6 +242,86 @@ class TestStepsizeCondition:
         assert report.min_slacks["primal_lipschitz"] >= 0.1 - 1e-9
         assert report.min_slacks["dual_lipschitz"] >= 0.1 - 1e-9
 
+    @pytest.mark.parametrize("k_max", [-1, -200])
+    def test_negative_k_max_raises(self, k_max):
+        # an empty range used to pass with every slack inf
+        agg = aggregate_constants(_random_lip(np.random.default_rng(9), 2, 2))
+        sched = StepSchedule(mode="constant", agg=agg, fp=default_free_params(agg, "constant"))
+        with pytest.raises(ValueError, match=f"got k_max = {k_max}"):
+            validate_stepsize_condition(sched, k_max=k_max)
+
+    def test_nan_step_fails(self):
+        # C_x overflows to inf and (N - 1) * C_x**2 is 0 * inf, so tau is NaN;
+        # the per-k loop's running min skipped NaN slacks and passed this
+        with np.errstate(over="ignore", invalid="ignore"):
+            agg = aggregate_constants(_lip([[1e200]], [[1.0]], [[0.0]], [[1.0]]))
+            sched = StepSchedule("diminishing", agg, FreeParams(1.0, 1.0, 1.0, 1.0, [1.0], [1.0]))
+            assert np.isnan(sched.tau(0)).all()
+            report = validate_stepsize_condition(sched, k_max=3)
+        assert np.isnan(report.min_slacks["primal_lipschitz"])
+        assert not report.passed
+
+    @pytest.mark.parametrize("k_max", [0, 5, 200])
+    @pytest.mark.parametrize("M,N", [(1, 3), (3, 1), (2, 4)])
+    def test_slacks_equal_the_per_k_loop_bitwise(self, M, N, k_max):
+        # the validator's whole-table slacks are the exact floats of the
+        # per-k loop, and it evaluates each step vector once per k
+        agg = aggregate_constants(_random_lip(np.random.default_rng(10 * M + N), M, N))
+        for mode, eta in (("constant", 0.0), ("diminishing", 0.25)):
+            for delta_bar in (0.0, 0.1):
+                sched = StepSchedule(mode, agg, default_free_params(agg, mode, delta_bar), eta=eta)
+                want = _per_k_slacks(sched, k_max)
+                calls = {"tau": 0, "sigma": 0}
+                for side in calls:
+                    def counted(k, *args, _side=side, _fn=getattr(sched, side)):
+                        calls[_side] += 1
+                        return _fn(k, *args)
+                    setattr(sched, side, counted)
+                got = validate_stepsize_condition(sched, k_max=k_max)
+                assert calls == {"tau": k_max + 2, "sigma": k_max + 2}
+                assert list(got.min_slacks) == list(want)
+                assert [v.hex() for v in got.min_slacks.values()] == [v.hex() for v in want.values()]
+                if mode == "constant":
+                    assert got.min_slacks["t_theta_identity"].hex() == "0x0.0p+0"
+
+
+def _per_k_slacks(schedule, k_max):
+    # Reference: the validator written as one loop over k, every step size
+    # recomputed where a term needs it and each minimum kept as it goes.
+    agg, fp, M, N = schedule.agg, schedule.fp, schedule.M, schedule.N
+
+    def m_matrices(k):
+        th, tau, sigma = schedule.theta(k), schedule.tau(k), schedule.sigma(k)
+        m1 = M * th * (fp.lambda2 * N * agg.L_yx**2 + (N - 1) * fp.gamma1 * agg.C_x**2)
+        m2 = M * th * (fp.gamma2 * (N - 1) * agg.L_xy**2 + fp.lambda1 * N * agg.C_y**2)
+        m3 = (1.0 / tau - M * agg.Lxx_diag - M * (N - 1) * th * (1.0 / fp.gamma1 + 1.0 / fp.gamma2)
+              - (N - 1) / fp.gamma2)
+        m4 = (1.0 / sigma - N * agg.Lyy_diag - M * N * th * (1.0 / fp.lambda1 + 1.0 / fp.lambda2)
+              - fp.gamma2 * (N - 1) * agg.L_xy**2)
+        return m1, m2, m3, m4
+
+    slacks = dict.fromkeys(
+        ("primal_lipschitz", "dual_lipschitz", "tau_scaled_monotone", "sigma_scaled_monotone"), np.inf
+    )
+    slacks["t_theta_identity"] = 0.0
+    slacks["m_matrices_psd"] = np.inf
+    for k in range(k_max + 1):
+        t_k, t_next = schedule.t(k), schedule.t(k + 1)
+        m1_k, m2_k, m3_k, m4_k = m_matrices(k)
+        m1_next, m2_next, _, _ = m_matrices(k + 1)
+        b_k = fp.beta / t_k if schedule.mode == "diminishing" else 0.0
+        terms = {
+            "primal_lipschitz": np.min(t_k * (m3_k - fp.alpha / t_k) - t_next * m1_next),
+            "dual_lipschitz": np.min(t_k * (m4_k - b_k) - t_next * m2_next),
+            "tau_scaled_monotone": np.min(t_k / schedule.tau(k) - t_next / schedule.tau(k + 1)),
+            "sigma_scaled_monotone": np.min(t_k / schedule.sigma(k) - t_next / schedule.sigma(k + 1)),
+            "t_theta_identity": -abs(t_k - t_next * schedule.theta(k + 1)),
+            "m_matrices_psd": min(np.min(m1_k), np.min(m2_k), np.min(m3_k), np.min(m4_k)),
+        }
+        for key, value in terms.items():
+            slacks[key] = min(slacks[key], float(value))
+    return slacks
+
 
 def _explicit_diminishing(agg, fp, M, N, eta, k):
     # Reference: the diminishing step formula written out as one expression.
