@@ -23,6 +23,7 @@ __all__ = [
     "NEGATIVE_ENTROPY",
     "DomainError",
     "bregman_distance",
+    "prox_kernel",
     "prox_step",
     "project_simplex",
 ]
@@ -110,35 +111,153 @@ _FLOAT64 = np.dtype(float)
 _SCALAR_KINDS = ("zero", "box", "nonneg")
 
 
-def _as_float_array(v) -> np.ndarray:
+def _checked(linear, step: float, x_bar):
+    """``(linear, x_bar)`` as float arrays, after the shape, finiteness and step checks of every kind."""
     # a float64 ndarray is used as it is, without the asarray call
-    return v if type(v) is np.ndarray and v.dtype is _FLOAT64 else np.asarray(v, dtype=float)
+    r = linear if type(linear) is np.ndarray and linear.dtype is _FLOAT64 else np.asarray(linear, dtype=float)
+    if type(x_bar) is not np.ndarray or x_bar.dtype is not _FLOAT64:
+        x_bar = np.asarray(x_bar, dtype=float)
+    if r.shape != x_bar.shape:
+        raise ValueError("dimension mismatch between linear term and x_bar")
+    # entrywise and without arithmetic: r.r would be cheaper but overflows
+    # (and warns) once entries pass ~1e154.  A zero byte in the isfinite mask
+    # is a non-finite entry; the byte search costs less than count_nonzero,
+    # whose Python-level dispatch is most of its time at block sizes
+    if b"\x00" in np.isfinite(r).tobytes():
+        raise ValueError("non-finite entries in the linear term")
+    if not step > 0:
+        raise ValueError("step must be positive")
+    return r, x_bar
 
 
-def _prox_scalar(geom: BregmanGeometry, spec, r: float, step: float, x_bar: float) -> float:
-    """:func:`prox_step` on one coordinate in Python floats, for zero, box and nonneg specs.
+def _float_clip(lo: float, hi: float):
+    """The prox of a one-coordinate box [lo, hi] in Python floats, with the checks of every kind.
 
-    The operations and their order are those of the array path, and the
+    A zero block has the bounds -inf and inf, a nonneg block 0 and inf:
+    clipping to an infinite bound gives the same bits as not clipping.  The
+    operations and their order are those of the array kernel, and the
     comparisons are numpy's ``maximum``/``minimum`` (a tie keeps the bound,
     a NaN point stays NaN), so the result equals the one-element array
     result bit for bit.
     """
-    if not math.isfinite(r):
-        raise ValueError("non-finite entries in the linear term")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if geom.is_entropy:
-        raise ValueError("negative-entropy geometry supports only simplex blocks")
-    point = x_bar - step * r
-    if spec.kind == "box":
-        if spec.lower.size != 1:
-            raise ValueError("dimension mismatch between the box bounds and x_bar")
-        lo, hi = spec.lower.item(0), spec.upper.item(0)
+
+    def prox_float(r, step, x_bar):
+        if not math.isfinite(r):
+            raise ValueError("non-finite entries in the linear term")
+        if not step > 0:
+            raise ValueError("step must be positive")
+        point = x_bar - step * r
         point = point if point > lo or point != point else lo
         return point if point < hi or point != point else hi
-    if spec.kind == "nonneg":
-        return point if point > 0.0 or point != point else 0.0
-    return point
+
+    return prox_float
+
+
+def _refusal(message: str, scalar: bool):
+    """A kernel that makes the common checks, then refuses its (geometry, spec) pair."""
+    check = _float_clip(-math.inf, math.inf) if scalar else _checked
+
+    def prox_refused(linear, step, x_bar):
+        check(linear, step, x_bar)
+        raise ValueError(message)
+
+    return prox_refused
+
+
+def _array_kernel(geom: BregmanGeometry, spec):
+    """The array prox of one (geometry, spec) pair; see :func:`prox_kernel`."""
+    kind = spec.kind
+    if geom.is_entropy:
+        if kind != "simplex":
+            return _refusal("negative-entropy geometry supports only simplex blocks", False)
+        floor = geom.epsilon_floor
+
+        def prox_entropy(linear, step, x_bar):
+            r, x_bar = _checked(linear, step, x_bar)
+            z = np.log(np.maximum(x_bar, floor)) - step * r
+            z -= z.max()
+            w = np.exp(z)
+            w = np.maximum(w, floor)
+            return w / w.sum()
+
+        return prox_entropy
+    if kind == "zero":
+
+        def prox_zero(linear, step, x_bar):
+            r, x_bar = _checked(linear, step, x_bar)
+            return x_bar - step * r
+
+        return prox_zero
+    if kind == "box":
+        lower, upper = spec.lower, spec.upper
+
+        def prox_box(linear, step, x_bar):
+            r, x_bar = _checked(linear, step, x_bar)
+            point = x_bar - step * r
+            out = point if point.ndim else None  # clip into the new point; 0-d inputs give a numpy scalar
+            # np.clip's values bit for bit, without its Python-level wrapper
+            return np.minimum(np.maximum(point, lower, out=out), upper, out=out)
+
+        return prox_box
+    if kind == "nonneg":
+
+        def prox_nonneg(linear, step, x_bar):
+            r, x_bar = _checked(linear, step, x_bar)
+            point = x_bar - step * r
+            return np.maximum(point, 0.0, out=point if point.ndim else None)
+
+        return prox_nonneg
+    if kind == "simplex":
+
+        def prox_simplex(linear, step, x_bar):
+            r, x_bar = _checked(linear, step, x_bar)
+            return project_simplex(x_bar - step * r)
+
+        return prox_simplex
+    if kind == "scaled_l1":
+        weight = spec.weight
+
+        def prox_scaled_l1(linear, step, x_bar):
+            r, x_bar = _checked(linear, step, x_bar)
+            return _soft_threshold(x_bar - step * r, step * weight)
+
+        return prox_scaled_l1
+    return _refusal(f"unknown prox spec kind: {kind!r}", False)
+
+
+def _float_kernel(geom: BregmanGeometry, spec):
+    """The one-coordinate prox of a zero, box or nonneg spec in Python floats; see :func:`prox_kernel`."""
+    if geom.is_entropy:
+        return _refusal("negative-entropy geometry supports only simplex blocks", True)
+    if spec.kind != "box":
+        return _float_clip(0.0 if spec.kind == "nonneg" else -math.inf, math.inf)
+    if spec.lower.size != 1:
+        return _refusal("dimension mismatch between the box bounds and x_bar", True)
+    return _float_clip(spec.lower.item(0), spec.upper.item(0))
+
+
+def prox_kernel(geom: BregmanGeometry, spec, scalar: bool = False):
+    """The prox of one block, resolved once, as a function ``(linear, step, x_bar) -> point``.
+
+    The geometry and ``spec`` (its kind and bounds) are read here; each call
+    makes every check of :func:`prox_step` and gives its result bit for bit.
+    With ``scalar`` the function takes and returns floats, for a
+    one-coordinate block: zero, box and nonneg specs run in Python floats,
+    any other kind through its array kernel on one-element arrays.  A pair
+    that has no prox (entropy geometry off the simplex, an unknown kind, a
+    float against a wider box) gives a function that makes the common
+    checks and then raises ValueError.
+    """
+    if scalar and spec.kind in _SCALAR_KINDS:
+        return _float_kernel(geom, spec)
+    array = _array_kernel(geom, spec)
+    if not scalar:
+        return array
+
+    def prox_one(linear, step, x_bar):
+        return array(np.array([linear]), step, np.array([x_bar])).item()
+
+    return prox_one
 
 
 def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar):
@@ -156,43 +275,9 @@ def prox_step(geom: BregmanGeometry, spec, linear, step: float, x_bar):
     the one-element array result, and for zero, box and nonneg specs it is
     computed in Python floats without numpy's per-call overhead.  Either
     form raises ValueError for mismatched shapes, a non-finite linear term
-    or a step that is not positive.
+    or a step that is not positive.  This is :func:`prox_kernel` resolved
+    and called at once; a caller that proxes one block many times resolves
+    its kernel once instead.
     """
-    if isinstance(linear, float) and isinstance(x_bar, float):
-        if spec.kind in _SCALAR_KINDS:
-            return _prox_scalar(geom, spec, linear, step, x_bar)
-        return prox_step(geom, spec, np.array([linear]), step, np.array([x_bar])).item()
-    r = _as_float_array(linear)
-    x_bar = _as_float_array(x_bar)
-    if r.shape != x_bar.shape:
-        raise ValueError("dimension mismatch between linear term and x_bar")
-    # entrywise and without arithmetic: r.r would be cheaper but overflows
-    # (and warns) once entries pass ~1e154; count_nonzero beats isfinite().all()
-    if np.count_nonzero(np.isfinite(r)) != r.size:
-        raise ValueError("non-finite entries in the linear term")
-    if not step > 0:
-        raise ValueError("step must be positive")
-
-    if geom.is_entropy:
-        if spec.kind != "simplex":
-            raise ValueError("negative-entropy geometry supports only simplex blocks")
-        z = np.log(np.maximum(x_bar, geom.epsilon_floor)) - step * r
-        z -= z.max()
-        w = np.exp(z)
-        w = np.maximum(w, geom.epsilon_floor)
-        return w / w.sum()
-
-    point = x_bar - step * r
-    if spec.kind == "zero":
-        return point
-    out = point if point.ndim else None  # clip into the new point; 0-d inputs give a numpy scalar
-    if spec.kind == "box":
-        # np.clip's values bit for bit, without its Python-level wrapper
-        return np.minimum(np.maximum(point, spec.lower, out=out), spec.upper, out=out)
-    if spec.kind == "nonneg":
-        return np.maximum(point, 0.0, out=out)
-    if spec.kind == "simplex":
-        return project_simplex(point)
-    if spec.kind == "scaled_l1":
-        return _soft_threshold(point, step * spec.weight)
-    raise ValueError(f"unknown prox spec kind: {spec.kind!r}")
+    scalar = isinstance(linear, float) and isinstance(x_bar, float)
+    return prox_kernel(geom, spec, scalar)(linear, step, x_bar)

@@ -293,11 +293,12 @@ def robust_erm_problem(
     entropy = n_blocks == 1
 
     structure = BlockStructure.from_dims([mb] * m_blocks, [nb] * n_blocks)
-    primal_prox = [ProxSpec.box(-radius * np.ones(mb), radius * np.ones(mb)) for _ in range(m_blocks)]
+    # equal blocks share one (immutable) spec, and a step plan one kernel for it
+    primal_prox = [ProxSpec.box(-radius * np.ones(mb), radius * np.ones(mb))] * m_blocks
     if entropy:
         dual_prox = [ProxSpec.simplex(geometry=NEGATIVE_ENTROPY)]
     else:
-        dual_prox = [ProxSpec.box(np.zeros(nb), np.ones(nb)) for _ in range(n_blocks)]
+        dual_prox = [ProxSpec.box(np.zeros(nb), np.ones(nb))] * n_blocks
 
     lip = _erm_lipschitz(A, m_blocks, n_blocks, entropy)
 

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import SaddleProblem
-from .bregman import prox_step
+from .bregman import prox_kernel
 from .metrics import ConvergenceTrace, evaluate_checkpoint
 from .sampling import (
     WORD_BOUND,
@@ -46,6 +46,7 @@ from .sampling import (
     next_batch_size,
 )
 # the step calls none of these; perfbench's layer spans patch them in this module
+from .bregman import prox_step  # noqa: F401
 from .sampling import draw_block, estimate_partial_grad_x, sample_indices  # noqa: F401
 from .stepsize import StepSchedule, aggregate_constants, default_free_params
 
@@ -128,8 +129,10 @@ class RunState:
     primal and dual lengths; a block is a slice of the problem's layout.
     Block-copy invariant, which lets :func:`rbpda_step` copy one block per
     side instead of whole vectors: between steps ``y_next`` equals ``y``, and
-    ``x_prev`` / ``y_prev`` differ from ``x`` / ``y`` at most in the slices
-    ``last_x`` / ``last_y`` (the whole vectors until the first step).  The
+    ``x_prev`` / ``y_prev`` differ from ``x`` / ``y`` at most at the indices
+    ``last_x`` / ``last_y`` (the whole vectors until the first step).  An
+    index is the block's slice, or the coordinate of a one-coordinate dual
+    block that the step took in Python floats.  The
     buffers are solver-owned: callers must not write to them between steps.
     :meth:`start` and :func:`restart_if_saturated` set whole vectors and keep
     the invariant.
@@ -161,7 +164,7 @@ class RunState:
     restarts: int = 0
     y_next: Optional[np.ndarray] = None
     last_x: slice = field(default_factory=lambda: slice(None))
-    last_y: slice = field(default_factory=lambda: slice(None))
+    last_y: slice | int = field(default_factory=lambda: slice(None))
     cache: Optional[object] = None
     plan: Optional[StepPlan] = None
     dual_row: Optional[tuple] = None
@@ -197,34 +200,166 @@ class RunState:
 
 
 class StepPlan:
-    """What a run's steps need that does not depend on the iterates, built once per run.
+    """A run's step, built once: everything its steps need that does not depend on the iterates.
 
-    ``dual[j]`` is block j's slice, its coordinate for the one-coordinate
-    float path (None for a wider block) and its prox spec; ``primal[i]`` is
-    block i's slice and prox spec.  ``draws`` is the steps' draw source on
-    ``rng``: a step takes its blocks from ``draws.blocks()`` and, once its
-    batch size v is known, its indices from ``draws.indices(v)``.  With
-    ``ahead`` (as :func:`run` builds it) and N, M and p of at most 2**32,
-    it is a :class:`~rbpda.sampling.WordDraws`, which draws words ahead;
-    otherwise a :class:`~rbpda.sampling.SequentialDraws`, which draws one
-    call at a time.  A plan serves the steps on ``problem`` that draw from
-    the same ``rng`` object.
+    A plan serves the steps on ``problem`` that draw from ``rng`` under
+    ``schedule`` and ``batch`` (:meth:`serves`), and ``step(state)`` is the
+    iteration :func:`rbpda_step` describes.  It resolves once, when built:
+
+    * the draws: ``draws`` is the steps' draw source on ``rng``.  A step
+      takes its blocks from ``draws.blocks()`` and, once its batch size v is
+      known, its indices from ``draws.indices(v)``.  With ``ahead`` (as
+      :func:`run` builds it) and N, M and p of at most 2**32, it is a
+      :class:`~rbpda.sampling.WordDraws`, which draws words ahead; otherwise
+      a :class:`~rbpda.sampling.SequentialDraws`, which draws one call at a
+      time;
+    * the step sizes: a constant schedule's per-block floats, or a
+      diminishing schedule's per-block step functions of (theta^k, t^k)
+      (:meth:`~rbpda.stepsize.StepSchedule.block_steps`, which refuses
+      non-finite terms here, before any step).  The pair comes from
+      :meth:`~rbpda.stepsize.StepSchedule.theta_t`, once per k, and the
+      ergodic weights read the same pair;
+    * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
+      and for a one-coordinate dual block its coordinate and float kernel;
+    * the batch rule: :func:`~rbpda.sampling.next_batch_size` as this
+      module holds it when the plan is built, called once per step.
+
+    The oracles, the counters and the coupling cache are read from the
+    problem and the state on every step.
     """
 
-    def __init__(self, problem: SaddleProblem, rng: np.random.Generator, ahead: bool = False):
+    def __init__(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
+                 batch: BatchSchedule, ahead: bool = False):
         st = problem.structure
-        self.problem, self.rng = problem, rng
-        bounds = (st.N, st.M, problem.p)
-        source = WordDraws if ahead and max(bounds) <= WORD_BOUND else SequentialDraws
-        self.draws = source(rng, *bounds)
-        self.dual = [
-            (blk, blk.start if dim == 1 else None, spec)
-            for blk, dim, spec in zip(st.dual.ranges, st.dual.dims, problem.dual_prox)
-        ]
-        self.primal = list(zip(st.primal.ranges, problem.primal_prox))
+        self.problem, self.rng, self.schedule, self.batch = problem, rng, schedule, batch
+        M, N, p = st.M, st.N, problem.p
+        source = WordDraws if ahead and max(N, M, p) <= WORD_BOUND else SequentialDraws
+        self.draws = source(rng, N, M, p)
+        self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size)
 
-    def serves(self, problem: SaddleProblem, rng: np.random.Generator) -> bool:
-        return self.problem is problem and self.rng is rng
+    def serves(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
+               batch: BatchSchedule) -> bool:
+        """Whether the plan was built for these objects; an equal batch rule serves as the same one."""
+        return (self.problem is problem and self.rng is rng and self.schedule is schedule
+                and (self.batch is batch or self.batch == batch))
+
+
+def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSchedule, draws, batch_size):
+    """The step of a :class:`StepPlan`, as a closure over what the plan resolved."""
+    st = problem.structure
+    M, N, p = st.M, st.N, problem.p
+    M_float = float(M)  # a float scalar multiplies an array faster than an int, to the same bits
+    blocks, take_indices = draws.blocks, draws.indices
+    kernels = {}  # blocks that share a spec object share its kernel
+
+    def kernel(spec, scalar=False):
+        key = id(spec), scalar
+        if key not in kernels:
+            kernels[key] = prox_kernel(spec.geometry, spec, scalar)
+        return kernels[key]
+
+    # a one-coordinate dual block gets its float kernel; its array kernel is
+    # resolved only if its oracle ever returns wider rows
+    dual = [
+        (blk, blk.start, kernel(spec, scalar=True), spec) if dim == 1 else (blk, None, kernel(spec), spec)
+        for blk, dim, spec in zip(st.dual.ranges, st.dual.dims, problem.dual_prox)
+    ]
+    primal = [(blk, kernel(spec)) for blk, spec in zip(st.primal.ranges, problem.primal_prox)]
+    if schedule.mode == "constant":
+        pair = tau_at = sigma_at = None
+        taus = np.asarray(schedule.tau(0), dtype=float).tolist()
+        sigmas = np.asarray(schedule.sigma(0), dtype=float).tolist()
+    else:
+        pair = schedule.theta_t
+        tau_at, sigma_at = schedule.block_steps()
+
+    def step(state: RunState) -> RunState:
+        k = state.k
+        x_k, y_k = state.x, state.y
+        x_prev, y_prev = state.x_prev, state.y_prev
+        y_next = state.y_next
+        cache = state.cache  # passed by keyword only when there is one: **kw costs more than a branch
+        if pair is None:
+            theta = 1.0
+        else:
+            theta, t = pair(k)
+
+        j, i = blocks()
+        kept = state.dual_row
+        if kept is not None and (
+            kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
+        ):
+            kept = None
+        points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
+        try:
+            g = problem.grad_y(j, points) if cache is None else problem.grad_y(j, points, cache=cache)
+            g = np.asarray(g, dtype=float)
+        except Exception as exc:
+            raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
+        state.dual_grad_evals += 2
+        blk_j, at_j, prox_dual, spec = dual[j]
+        if at_j is not None and g.shape == (len(points), 1):
+            # a one-coordinate block in Python floats: the same operations as on
+            # one-element arrays, bit for bit, without numpy's per-call overhead
+            g_now, y_base = g.item(0), y_k.item(at_j)
+            g_old = g.item(1) if kept is None else kept[1]
+        else:
+            if at_j is not None:
+                prox_dual = prox_kernel(spec.geometry, spec)
+            at_j = blk_j
+            g_now, y_base = g[0], y_k[blk_j]
+            g_old = g[1] if kept is None else kept[1]
+        s = N * g_now + N * M * theta * (g_now - g_old)
+
+        try:
+            y_blk = prox_dual(-s, sigmas[j] if pair is None else sigma_at(j, theta, t), y_base)
+        except Exception as exc:
+            raise SolverError(f"dual prox failed at iteration {k}, block {j}: {exc}") from exc
+
+        y_next[at_j] = y_blk
+        try:
+            v = batch_size(batch, state.counters, i, k, p)
+            indices = take_indices(v)
+            # r = M (g_new + (N-1) theta (g_cur - g_old)), the sum in one weighted
+            # call; M is applied to its result, so at N = 1 the weights (1, 0, -0)
+            # give M g_new with the bits of the per-point form
+            c = (N - 1) * theta
+            points, weights = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), (1.0, c, -c)
+            try:
+                if cache is None:
+                    r = problem.batch_grad_x(indices, i, points, weights)
+                else:
+                    r = problem.batch_grad_x(indices, i, points, weights, cache=cache)
+                r = M_float * np.asarray(r, dtype=float)
+            except Exception as exc:
+                raise SolverError(
+                    f"batch_grad_x failed at iteration {k}, primal block {i}: {exc}"
+                ) from exc
+            state.grad_budget += 3 * v
+
+            blk_i, prox_primal = primal[i]
+            try:
+                x_blk = prox_primal(r, taus[i] if pair is None else tau_at(i, theta, t), x_k[blk_i])
+            except Exception as exc:
+                raise SolverError(f"primal prox failed at iteration {k}, block {i}: {exc}") from exc
+        except BaseException:
+            y_next[at_j] = y_k[at_j]  # back to y_next == y
+            raise
+
+        last_x, last_y = state.last_x, state.last_y
+        x_prev[last_x] = x_k[last_x]
+        y_prev[last_y] = y_k[last_y]
+        dx = None if cache is None else x_blk - x_k[blk_i]
+        x_k[blk_i] = x_blk
+        y_k[at_j] = y_blk
+        state.last_x, state.last_y = blk_i, at_j
+        state.dual_row = (j, g_now, cache, None if cache is None else cache.syncs)
+        if cache is not None:
+            cache.move(i, dx)
+        state.k = k + 1
+        return state
+
+    return step
 
 
 class _LazySum:
@@ -253,12 +388,20 @@ class _LazySum:
         self.stamp = 0.0
         self.stamps = np.zeros_like(v0)
 
-    def fold(self, blk: slice, new, w: float) -> None:
-        """Take the next iterate ``new``, equal to ``last`` outside ``blk``, with weight ``w``."""
+    def fold(self, blk, new, w: float) -> None:
+        """Take the next iterate ``new``, equal to ``last`` outside ``blk``, with weight ``w``.
+
+        ``blk`` is a slice, or the index of one coordinate.
+        """
         total, last, weight = self.total, self.last, self.weight
         self.weight = weight + w
-        c = blk.start
-        if c is not None and blk.stop == c + 1 and 0 <= c < last.size and blk.step is None:
+        if type(blk) is int:
+            c = blk
+        else:
+            c = blk.start
+            if c is None or blk.stop != c + 1 or not 0 <= c < last.size or blk.step is not None:
+                c = None
+        if c is not None:
             stamps = self.stamps
             if self.stamp is not None:
                 stamps.fill(self.stamp)
@@ -312,15 +455,16 @@ class ErgodicAccumulator:
     def update(self, x_new, y_new, k: int, touched=(slice(None), slice(None))) -> None:
         """Fold in the post-step iterate of iteration k (i.e. x^(k+1)).
 
-        ``touched`` holds the (primal, dual) slices outside which x^(k+1)
-        and y^(k+1) equal the previous iterate; the default is the whole
-        vectors.
+        ``touched`` holds the (primal, dual) indices, slices or single
+        coordinates, outside which x^(k+1) and y^(k+1) equal the previous
+        iterate; the default is the whole vectors.
         """
         if self.schedule is None:
             w_x = w_y = 1.0
         else:
-            t_k = self.schedule.t(k)
-            th_next = self.schedule.theta(k + 1)
+            # the pairs the steps of k and k + 1 take (StepPlan), each computed once
+            t_k = self.schedule.theta_t(k)[1]
+            th_next = self.schedule.theta_t(k + 1)[0]
             w_x = t_k * (1.0 + (self.M - 1) * (1.0 - 1.0 / th_next))
             w_y = t_k * (1.0 + (self.N - 1) * (1.0 - 1.0 / th_next))
             self.t_total += t_k
@@ -367,18 +511,21 @@ def rbpda_step(
 ) -> RunState:
     """One primal-dual iteration; mutates and returns ``state``.
 
-    Draw order is fixed (dual block, primal block, component indices) so a
-    seed reproduces the whole trajectory.  The draws, block slices and prox
-    specs come from ``state.plan``: the step takes both blocks from
-    ``plan.draws`` first and its indices once the batch size is known.
-    :func:`run` builds a plan that draws ahead.  A step driven by hand
-    builds a plan on its first call for the problem and ``rng`` (and again
-    when either changes), and that plan draws from ``rng`` one call at a
-    time: after each step that returns, the generator sits where
-    :func:`~rbpda.sampling.draw_block` and
+    The step is ``state.plan``'s (:class:`StepPlan`), which resolved the
+    step sizes, the prox kernels, the draw source and the batch rule once;
+    a plan built for other objects than the ones passed is rebuilt, and the
+    kept dual row forgotten.  :func:`run` builds a plan that draws ahead.
+    A step driven by hand builds a plan on its first call for the problem,
+    ``rng``, ``schedule`` and ``batch`` (and again when one of them
+    changes; an equal batch rule keeps it), and that plan draws from
+    ``rng`` one call at a time: after each step that returns, the generator
+    sits where :func:`~rbpda.sampling.draw_block` and
     :func:`~rbpda.sampling.sample_indices` called in turn leave it.  After
     a step that raised, its position is unspecified, as it is during and
-    after a run.  Outside the oracles the step
+    after a run.
+
+    Draw order is fixed (dual block, primal block, component indices) so a
+    seed reproduces the whole trajectory.  Outside the oracles the step
     costs O(block): it reads one step size per side, and by the block-copy
     invariant of :class:`RunState` it moves x^k into ``x_prev`` by copying
     the one block the previous step changed, then writes the new blocks.  A
@@ -394,90 +541,10 @@ def rbpda_step(
     as its ``__cause__``.
     """
     plan = state.plan
-    if plan is None or not plan.serves(problem, rng):
-        plan = state.plan = StepPlan(problem, rng)
+    if plan is None or not plan.serves(problem, rng, schedule, batch):
+        plan = state.plan = StepPlan(problem, rng, schedule, batch)
         state.dual_row = None
-    st = problem.structure
-    M, N, p = st.M, st.N, problem.p
-    k = state.k
-    theta = schedule.theta(k)
-    x_k, y_k = state.x, state.y
-    x_prev, y_prev = state.x_prev, state.y_prev
-    y_next = state.y_next
-    cache = state.cache
-    kw = {} if cache is None else {"cache": cache}
-
-    draws = plan.draws
-    j, i = draws.blocks()
-    kept = state.dual_row
-    if kept is not None and (
-        kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
-    ):
-        kept = None
-    points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
-    try:
-        g = np.asarray(problem.grad_y(j, points, **kw), dtype=float)
-    except Exception as exc:
-        raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
-    state.dual_grad_evals += 2
-    blk_j, at_j, dual_spec = plan.dual[j]
-    if at_j is not None and g.shape == (len(points), 1):
-        # a one-coordinate block in Python floats: the same operations as on
-        # one-element arrays, bit for bit, without numpy's per-call overhead
-        g_now, y_base = g.item(0), y_k.item(at_j)
-        g_old = g.item(1) if kept is None else kept[1]
-    else:
-        at_j = blk_j
-        g_now, y_base = g[0], y_k[blk_j]
-        g_old = g[1] if kept is None else kept[1]
-    s = N * g_now + N * M * theta * (g_now - g_old)
-
-    try:
-        y_blk = prox_step(dual_spec.geometry, dual_spec, -s, schedule.sigma(k, j), y_base)
-    except Exception as exc:
-        raise SolverError(f"dual prox failed at iteration {k}, block {j}: {exc}") from exc
-
-    y_next[at_j] = y_blk
-    try:
-        v = next_batch_size(batch, state.counters, i, k, p)
-        indices = draws.indices(v)
-        # r = M (g_new + (N-1) theta (g_cur - g_old)), the sum in one weighted
-        # call; M is applied to its result, so at N = 1 the weights (1, 0, -0)
-        # give M g_new with the bits of the per-point form
-        c = (N - 1) * theta
-        try:
-            r = M * np.asarray(
-                problem.batch_grad_x(
-                    indices, i, ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), (1.0, c, -c), **kw
-                ),
-                dtype=float,
-            )
-        except Exception as exc:
-            raise SolverError(
-                f"batch_grad_x failed at iteration {k}, primal block {i}: {exc}"
-            ) from exc
-        state.grad_budget += 3 * v
-
-        blk_i, primal_spec = plan.primal[i]
-        try:
-            x_blk = prox_step(primal_spec.geometry, primal_spec, r, schedule.tau(k, i), x_k[blk_i])
-        except Exception as exc:
-            raise SolverError(f"primal prox failed at iteration {k}, block {i}: {exc}") from exc
-    except BaseException:
-        y_next[at_j] = y_k[at_j]  # back to y_next == y
-        raise
-
-    x_prev[state.last_x] = x_k[state.last_x]
-    y_prev[state.last_y] = y_k[state.last_y]
-    dx = None if cache is None else x_blk - x_k[blk_i]
-    x_k[blk_i] = x_blk
-    y_k[at_j] = y_blk
-    state.last_x, state.last_y = blk_i, blk_j
-    state.dual_row = (j, g_now, cache, None if cache is None else cache.syncs)
-    if cache is not None:
-        cache.move(i, dx)
-    state.k += 1
-    return state
+    return plan.step(state)
 
 
 def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: float = 0.0) -> RunState:
@@ -564,16 +631,17 @@ def run(
         batch = BatchSchedule.constant(1, p)
     rng = make_rng(config.seed, config.stream)
     state = RunState.start(problem, config.x0, config.y0)
-    state.plan = StepPlan(problem, rng, ahead=True)
+    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True)
     if problem.coupling_cache is not None:
         v_max = p if batch.kind == "increasing" else batch.v
         state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
     acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
     restart = config.restart_enabled and batch.kind == "increasing"
+    one_step = rbpda_step  # read with the plan, so a replaced rbpda_step is the one called
 
     def step():
         k = state.k
-        rbpda_step(state, problem, schedule, batch, rng)
+        one_step(state, problem, schedule, batch, rng)
         acc.update(state.x, state.y, k, (state.last_x, state.last_y))
         if restart:
             restart_if_saturated(state, p, config.restart_threshold, batch.eta)

@@ -252,6 +252,20 @@ def _block_terms(terms, n_blocks: int) -> list:
     return [(row[0], count, inv, row[1:-1], row[-1]) for row in zip(*cols)]
 
 
+def _block_step(n: int, blocks: list):
+    """One side's diminishing step as a function ``(b, theta, t) -> float`` of block b and (theta^k, t^k).
+
+    ``blocks`` are the side's per-block float terms and ``n`` its block
+    count; the step is ``1 / (n * denominator)`` with the denominator of
+    :func:`_diminishing_denominator`, so it equals the vector entry bit for bit.
+    """
+
+    def step(b: int, th: float, t: float) -> float:
+        return 1.0 / (n * _diminishing_denominator(blocks[b], th, t))
+
+    return step
+
+
 @dataclass
 class StepSchedule:
     """The step regime of a run: per-block step sizes tau_i(k), sigma_j(k) plus theta(k), t(k).
@@ -264,7 +278,8 @@ class StepSchedule:
     ``agg`` and ``fp`` gives only theta(k) and t(k), and its M and N are None.
     ``tau(k)`` and ``sigma(k)`` return the step vectors.  With a block index,
     ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
-    O(1), bitwise equal to the vector entry; this is the solver's path.  The
+    O(1), bitwise equal to the vector entry.  A run's step plan reads the
+    same floats through :meth:`block_steps` and :meth:`theta_t`.  The
     fields are read once, at construction.
     """
 
@@ -287,10 +302,12 @@ class StepSchedule:
             self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp)
             self._tau_blocks = _block_terms(self._tau_terms, self.M)
             self._sigma_blocks = _block_terms(self._sigma_terms, self.N)
+            self._tau_at = _block_step(self.M, self._tau_blocks)
+            self._sigma_at = _block_step(self.N, self._sigma_blocks)
         self._k = None  # iteration whose (theta, t) pair is cached in _theta_t
 
-    def _weights(self, k: int) -> tuple[float, float]:
-        """(theta^k, t^k), computed once per k."""
+    def theta_t(self, k: int) -> tuple[float, float]:
+        """The diminishing pair (theta^k, t^k), computed once per k: repeated calls for one k reuse it."""
         if k != self._k:
             if k < 0:
                 raise ValueError("k must be nonnegative")
@@ -298,25 +315,45 @@ class StepSchedule:
             self._k = k
         return self._theta_t
 
+    def block_steps(self):
+        """The diminishing per-block steps as ``(tau_at, sigma_at)``, for a run's step plan.
+
+        ``tau_at(i, theta, t)`` is block i's step at the pair (theta^k, t^k)
+        of :meth:`theta_t`, equal bit for bit to ``tau(k, i)``; likewise
+        ``sigma_at``.  A k-independent term that is not finite (an
+        aggregate constant that overflowed) raises
+        ``ValueError("non-finite step-size denominator")``, as the constant
+        regime does, before any step takes it.
+        """
+        if self.mode != "diminishing" or self.agg is None or self.fp is None:
+            raise ValueError("block_steps needs a diminishing schedule with constants and free parameters")
+        for diag, _, inv, rest, noise in (self._tau_terms, self._sigma_terms):
+            # the per-block terms are copies of these entries
+            if not all(np.isfinite(v).all() for v in (diag, inv, *rest, noise)):
+                raise ValueError("non-finite step-size denominator")
+        return self._tau_at, self._sigma_at
+
     def tau(self, k: int, i: Optional[int] = None):
         if self.mode == "constant":
             return self._tau0 if i is None else float(self._tau0[i])
-        th, t = self._weights(k)
-        terms = self._tau_terms if i is None else self._tau_blocks[i]
-        return 1.0 / (self.M * _diminishing_denominator(terms, th, t))
+        th, t = self.theta_t(k)
+        if i is None:
+            return 1.0 / (self.M * _diminishing_denominator(self._tau_terms, th, t))
+        return self._tau_at(i, th, t)
 
     def sigma(self, k: int, j: Optional[int] = None):
         if self.mode == "constant":
             return self._sigma0 if j is None else float(self._sigma0[j])
-        th, t = self._weights(k)
-        terms = self._sigma_terms if j is None else self._sigma_blocks[j]
-        return 1.0 / (self.N * _diminishing_denominator(terms, th, t))
+        th, t = self.theta_t(k)
+        if j is None:
+            return 1.0 / (self.N * _diminishing_denominator(self._sigma_terms, th, t))
+        return self._sigma_at(j, th, t)
 
     def theta(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else self._weights(k)[0]
+        return 1.0 if self.mode == "constant" else self.theta_t(k)[0]
 
     def t(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else self._weights(k)[1]
+        return 1.0 if self.mode == "constant" else self.theta_t(k)[1]
 
 
 @dataclass
@@ -355,22 +392,8 @@ def _m_matrices(schedule: StepSchedule, theta: np.ndarray, tau: np.ndarray, sigm
     return m1, m2, m3, m4
 
 
-def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolerance: float = 1e-9) -> StepsizeReport:
-    """Numerically check the schedule's per-block step-size inequalities for k in [0, k_max].
-
-    The constants and free parameters are the schedule's own.  All matrices
-    involved are diagonal by construction, so each semidefinite ordering
-    reduces to scalar inequalities per block.  The noise weights are
-    A^k = diag(alpha)/t^k and, in diminishing mode, B^k = diag(beta)/t^k
-    (B^k = 0 in constant mode).  Violations are reported, not raised.
-
-    t, theta, tau and sigma are evaluated once per k in [0, k_max + 1],
-    through the schedule's scalar methods, into one row per k; each
-    inequality is then one array over rows k ("now") and k + 1 ("next").
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got k_max = {k_max}")
-    rows = [(schedule.t(k), schedule.theta(k), schedule.tau(k), schedule.sigma(k)) for k in range(k_max + 2)]
+def _chunk_slacks(schedule: StepSchedule, rows: list) -> dict:
+    """Each inequality's least slack over ``rows`` (t, theta, tau, sigma) of k = k0 .. k1: rows k0 .. k1 - 1 are "now"."""
     t, theta, tau, sigma = (np.array(col) for col in zip(*rows))
     t, theta = t[:, None], theta[:, None]
     m1, m2, m3, m4 = _m_matrices(schedule, theta, tau, sigma)
@@ -378,7 +401,7 @@ def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolera
     now, nxt = slice(None, -1), slice(1, None)
     t_k, t_next = t[now], t[nxt]
     b_k = fp.beta / t_k if schedule.mode == "diminishing" else 0.0
-    slacks = {
+    return {
         # t^k (M3^k - A^k) >= t^{k+1} M1^{k+1}
         "primal_lipschitz": np.min(t_k * (m3[now] - fp.alpha / t_k) - t_next * m1[nxt]),
         # t^k (M4^k - B^k) >= t^{k+1} M2^{k+1}
@@ -392,4 +415,40 @@ def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolera
         # M1..M4 >= 0
         "m_matrices_psd": np.min([np.min(m[now]) for m in (m1, m2, m3, m4)]),
     }
-    return StepsizeReport({key: float(v) for key, v in slacks.items()}, tolerance)
+
+
+_K_CHUNK = 1024  # most values of k whose rows the validator holds at once
+
+
+def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolerance: float = 1e-9) -> StepsizeReport:
+    """Numerically check the schedule's per-block step-size inequalities for k in [0, k_max].
+
+    The constants and free parameters are the schedule's own.  All matrices
+    involved are diagonal by construction, so each semidefinite ordering
+    reduces to scalar inequalities per block.  The noise weights are
+    A^k = diag(alpha)/t^k and, in diminishing mode, B^k = diag(beta)/t^k
+    (B^k = 0 in constant mode).  Violations are reported, not raised.
+
+    t, theta, tau and sigma are evaluated once per k in [0, k_max + 1],
+    through the schedule's scalar methods, into one row per k; each
+    inequality is then one array over rows k ("now") and k + 1 ("next").
+    The rows are taken 1,024 values of k at a time, each chunk's last row
+    carried over as the next chunk's first "now" row, so the tables hold
+    O(1024 * (M + N)) floats whatever ``k_max``.  A minimum is exact, so
+    the slacks do not depend on the chunking, and a NaN slack propagates
+    and fails the report.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got k_max = {k_max}")
+    chunk = _K_CHUNK
+
+    def row(k):
+        return schedule.t(k), schedule.theta(k), schedule.tau(k), schedule.sigma(k)
+
+    mins = []
+    last = row(0)
+    for k0 in range(0, k_max + 1, chunk):
+        rows = [last] + [row(k) for k in range(k0 + 1, min(k0 + chunk, k_max + 1) + 1)]
+        last = rows[-1]
+        mins.append(_chunk_slacks(schedule, rows))
+    return StepsizeReport({key: float(np.min([m[key] for m in mins])) for key in mins[0]}, tolerance)

@@ -21,7 +21,7 @@ from rbpda.sampling import (
     sample_indices,
     estimate_partial_grad_x,
 )
-from rbpda.solver import StepPlan
+from rbpda.solver import SolverConfig, StepPlan, build_schedule
 
 
 class TestRngContract:
@@ -144,14 +144,16 @@ class TestSequentialDraws:
                               dual_prox=small_erm.dual_prox, primal_prox=small_erm.primal_prox)
         st = small_erm.structure
         rng, ref = make_rng(5), make_rng(5)
-        draws = StepPlan(big, rng, ahead=True).draws
+        sched = build_schedule(small_erm, SolverConfig())
+        batch = BatchSchedule.constant(1, small_erm.p)
+        draws = StepPlan(big, rng, sched, batch, ahead=True).draws
         assert isinstance(draws, SequentialDraws)
         for v in (1, 3, 2):
             got, want = take(draws, v), sequential_step(ref, st.N, st.M, big.p, v)
             assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
             assert rng.bit_generator.state == ref.bit_generator.state
-        assert isinstance(StepPlan(small_erm, rng, ahead=True).draws, WordDraws)
-        assert isinstance(StepPlan(small_erm, rng).draws, SequentialDraws)
+        assert isinstance(StepPlan(small_erm, rng, sched, batch, ahead=True).draws, WordDraws)
+        assert isinstance(StepPlan(small_erm, rng, sched, batch).draws, SequentialDraws)
 
 
 class TestDrawBlock:

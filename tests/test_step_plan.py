@@ -1,0 +1,198 @@
+"""The step plan: run() against the one-function reference step, the calls a run makes, and plan rebuilds."""
+
+import math
+
+import numpy as np
+import pytest
+
+import rbpda.experiments as experiments
+import rbpda.solver as solver
+from rbpda.problems import generate_robust_erm, robust_erm_problem
+from rbpda.sampling import BatchSchedule, make_rng
+from rbpda.solver import RunState, SolverConfig, StepPlan, build_schedule, rbpda_step, run
+from rbpda.stepsize import BlockLipschitz, FreeParams, StepSchedule, aggregate_constants, default_free_params
+
+from reference_step import reference_step
+from test_solver import LOCKSTEP_BUILTINS, lockstep_problem, scalar_bilinear_problem
+
+REFERENCE_CONFIGS = {
+    "single_sample_eta0": dict(mode="single_sample", eta=0.0),
+    "single_sample_eta03": dict(mode="single_sample", eta=0.3),
+    "increasing_restarts": dict(mode="increasing_batch", restart_enabled=True, restart_threshold=0.5),
+}
+
+
+def bits(v):
+    """A value's exact bits, for arrays, floats, None and NaN alike."""
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def assert_same_run(got, want):
+    for attr in ("x", "y", "x_bar", "y_bar", "ergodic_weights"):
+        assert bits(getattr(got, attr)) == bits(getattr(want, attr)), attr
+    for attr in ("grad_budget", "dual_grad_evals", "restarts", "iterations"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert len(got.trace.rows) == len(want.trace.rows)
+    for a, b in zip(got.trace.rows, want.trace.rows):
+        assert [bits(v) for v in vars(a).values()] == [bits(v) for v in vars(b).values()], (a, b)
+
+
+def reference_run(problem, config, monkeypatch, **kw):
+    """run() with every step taken by :func:`reference_step` instead of the plan's."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "rbpda_step", reference_step)
+        return run(problem, config, **kw)
+
+
+def cached(problem, on: bool):
+    """The problem with its coupling cache switched off, or forced on for every batch size."""
+    factory = problem.coupling_cache
+    if not on:
+        problem.coupling_cache = None
+    elif factory is not None:
+        problem.coupling_cache = lambda x, y, x_prev, y_prev, v: factory(x, y, x_prev, y_prev, problem.p)
+    return problem
+
+
+@pytest.mark.parametrize("cache", [False, True])
+@pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+@pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
+def test_run_equals_the_reference_step_bitwise(name, config, cache, monkeypatch):
+    # iterates, averages and their weights, budgets, restarts and every
+    # trace row, sup-gaps included, are the reference's bits
+    prob = cached(lockstep_problem(name), cache)
+    cfg = SolverConfig(max_iters=400, seed=3, stream=1, checkpoint_every=100, **REFERENCE_CONFIGS[config])
+    got = run(prob, cfg)
+    want = reference_run(prob, cfg, monkeypatch)
+    assert_same_run(got, want)
+    assert not np.array_equal(got.x, prob.start_x)
+    if config == "increasing_restarts":
+        assert got.restarts >= 1
+
+
+@pytest.mark.parametrize("n_blocks", [200, 1])
+def test_benchmark_erm_runs_equal_the_reference_step_bitwise(n_blocks, monkeypatch):
+    # the c09 problem of the ERM workloads: N = 200 boxes with the float
+    # dual path, and the N = 1 entropy simplex, whose run amplifies a
+    # one-ulp change in any step
+    data = generate_robust_erm(7, 200, 500, 0.1)
+    prob = robust_erm_problem(data, radius=10.0, m_blocks=10, n_blocks=n_blocks)
+    for stream in (0, 1):
+        cfg = SolverConfig(mode="single_sample", eta=0.0, max_iters=1500, seed=1, stream=stream,
+                           checkpoint_every=500, compute_sup_gap=False)
+        assert_same_run(run(prob, cfg), reference_run(prob, cfg, monkeypatch))
+
+
+def count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(solver, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+ERM_WORKLOADS = {
+    # (n_blocks, config) of perfbench's ERM workloads, with fewer iterations
+    "erm_single_sample": (200, dict(mode="single_sample", checkpoint_every=300)),
+    "erm_increasing_batch": (200, dict(mode="increasing_batch", restart_enabled=True, checkpoint_every=50)),
+    "erm_entropy": (1, dict(mode="single_sample", checkpoint_every=300)),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ERM_WORKLOADS))
+def test_each_iteration_calls_the_step_and_the_batch_rule_once(workload, monkeypatch):
+    # the benchmark's traced mode wraps these two module globals; a run must
+    # call each exactly once per iteration, restarts included
+    n_blocks, config = ERM_WORKLOADS[workload]
+    data = generate_robust_erm(7, 200, 500, 0.1)
+    prob = robust_erm_problem(data, radius=10.0, m_blocks=10, n_blocks=n_blocks)
+    calls = count_calls(monkeypatch, ("rbpda_step", "next_batch_size"))
+    res = run(prob, SolverConfig(eta=0.0, max_iters=600, seed=1, compute_sup_gap=False, **config))
+    assert calls == {"rbpda_step": 600, "next_batch_size": 600}
+    assert res.iterations == 600 and res.grad_budget > 0
+
+
+def test_each_experiment_iteration_calls_the_step_and_the_batch_rule_once(tmp_path, monkeypatch):
+    # the game workload: the runner's box game, 2 x 2 blocks, increasing batch
+    calls = count_calls(monkeypatch, ("rbpda_step", "next_batch_size"))
+    spec = experiments.ExperimentSpec(name="game", problem="box_game", mode="increasing_batch", blocks_m=2,
+                                      blocks_n=2, iters=120, repeats=3, seed=1, checkpoint_every=40,
+                                      out=str(tmp_path))
+    experiments.run_experiment(spec)
+    assert calls == {"rbpda_step": 360, "next_batch_size": 360}
+
+
+def overflowing_lipschitz():
+    # C_x overflows to inf and (N - 1) * C_x**2 is 0 * inf: the terms are NaN
+    return BlockLipschitz(np.array([[1e200]]), np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
+
+
+def test_non_finite_diminishing_terms_refused_before_any_step():
+    with np.errstate(over="ignore", invalid="ignore"):
+        agg = aggregate_constants(overflowing_lipschitz())
+        sched = StepSchedule("diminishing", agg, FreeParams(1.0, 1.0, 1.0, 1.0, [1.0], [1.0]))
+    assert math.isnan(sched.tau(0, 0))  # the schedule itself takes them
+    prob = scalar_bilinear_problem()
+    state = RunState.start(prob)
+    with pytest.raises(ValueError, match="non-finite step-size denominator"):
+        rbpda_step(state, prob, sched, BatchSchedule.constant(1, 1), make_rng(0))
+    assert state.k == 0 and state.plan is None and state.grad_budget == 0
+
+
+def test_run_refuses_non_finite_diminishing_terms():
+    prob = scalar_bilinear_problem()
+    prob.lipschitz = overflowing_lipschitz()
+    cfg = SolverConfig(mode="single_sample", max_iters=5,
+                       free_params=FreeParams(1.0, 1.0, 1.0, 1.0, [1.0], [1.0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite step-size"):
+        run(prob, cfg)
+
+
+def test_a_plan_serves_only_its_schedule_and_batch_rule():
+    # a hand-driven step that passes another schedule, or an unequal batch
+    # rule, rebuilds the plan and forgets the kept dual row; an equal batch
+    # rule keeps both
+    prob = lockstep_problem("erm_box")
+    agg = aggregate_constants(prob.lipschitz)
+    sched = StepSchedule("constant", agg, default_free_params(agg, "constant"))
+    other = StepSchedule("constant", agg, default_free_params(agg, "constant"))
+    state, rng = RunState.start(prob), make_rng(2)
+    forgotten = []  # whether the step met no kept row, seen from inside grad_y
+    inner = prob.grad_y
+    prob.grad_y = lambda j, pts, **kw: forgotten.append(state.dual_row is None) or inner(j, pts, **kw)
+    rbpda_step(state, prob, sched, BatchSchedule.constant(2, prob.p), rng)
+    plan = state.plan
+    assert isinstance(plan, StepPlan) and plan.serves(prob, rng, sched, BatchSchedule.constant(2, prob.p))
+    rbpda_step(state, prob, sched, BatchSchedule.constant(2, prob.p), rng)
+    assert state.plan is plan and forgotten == [True, False]
+    for sched_, batch in ((other, BatchSchedule.constant(2, prob.p)), (other, BatchSchedule.constant(3, prob.p))):
+        previous = state.plan
+        rbpda_step(state, prob, sched_, batch, rng)
+        assert state.plan is not previous and state.plan.serves(prob, rng, sched_, batch)
+        assert forgotten[-1]
+    assert not plan.serves(prob, rng, other, BatchSchedule.constant(2, prob.p))
+    assert not plan.serves(prob, make_rng(2), sched, BatchSchedule.constant(2, prob.p))
+
+
+def test_a_plan_reads_the_batch_rule_when_built(monkeypatch):
+    # the batch rule is the module's next_batch_size at build time: a plan
+    # built before a replacement keeps the old one, a plan built after it
+    # calls the replacement
+    prob = lockstep_problem("box_game")
+    sched = build_schedule(prob, SolverConfig())
+    batch = BatchSchedule.constant(1, prob.p)
+    state, rng = RunState.start(prob), make_rng(1)
+    rbpda_step(state, prob, sched, batch, rng)
+    seen = []
+    inner = solver.next_batch_size
+    monkeypatch.setattr(solver, "next_batch_size", lambda *args: seen.append(args[3]) or inner(*args))
+    rbpda_step(state, prob, sched, batch, rng)
+    assert seen == []
+    state.plan = None
+    rbpda_step(state, prob, sched, batch, rng)
+    assert seen == [2]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rbpda import stepsize
 from rbpda.stepsize import (
     AggregateConstants,
     BlockLipschitz,
@@ -283,6 +284,33 @@ class TestStepsizeCondition:
                 assert [v.hex() for v in got.min_slacks.values()] == [v.hex() for v in want.values()]
                 if mode == "constant":
                     assert got.min_slacks["t_theta_identity"].hex() == "0x0.0p+0"
+
+
+    @pytest.mark.parametrize("k_max", [0, 200])
+    def test_chunked_slacks_equal_the_one_table_result(self, k_max, monkeypatch):
+        # the rows are taken chunk by chunk with the last row carried over;
+        # every slack is the one-table float, over 3 or more chunks, an
+        # uneven last chunk and chunks of one k, still one row per k
+        agg = aggregate_constants(_random_lip(np.random.default_rng(7), 3, 4))
+        for mode, eta in (("constant", 0.0), ("diminishing", 0.25)):
+            sched = StepSchedule(mode, agg, default_free_params(agg, mode, 0.1), eta=eta)
+            monkeypatch.setattr(stepsize, "_K_CHUNK", k_max + 2)
+            whole = validate_stepsize_condition(sched, k_max=k_max)
+            want = [v.hex() for v in whole.min_slacks.values()]
+            assert want == [v.hex() for v in _per_k_slacks(sched, k_max).values()]
+            for chunk in (1, 7, 64, k_max + 1):  # 201, 29, 4 and 1 chunks at k_max = 200
+                monkeypatch.setattr(stepsize, "_K_CHUNK", chunk)
+                got = validate_stepsize_condition(sched, k_max=k_max)
+                assert [v.hex() for v in got.min_slacks.values()] == want, chunk
+
+    def test_chunked_nan_slack_fails(self, monkeypatch):
+        # a NaN in any chunk propagates through the minimum over chunks
+        monkeypatch.setattr(stepsize, "_K_CHUNK", 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            agg = aggregate_constants(_lip([[1e200]], [[1.0]], [[0.0]], [[1.0]]))
+            sched = StepSchedule("diminishing", agg, FreeParams(1.0, 1.0, 1.0, 1.0, [1.0], [1.0]))
+            report = validate_stepsize_condition(sched, k_max=10)
+        assert np.isnan(report.min_slacks["primal_lipschitz"]) and not report.passed
 
 
 def _per_k_slacks(schedule, k_max):
