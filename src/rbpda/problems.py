@@ -58,6 +58,9 @@ def _sigmoid(z):
     return np.divide(num, e, out=e)
 
 
+_exp = np.exp  # bound once: on a scalar, the attribute lookup is a measurable share of the call
+
+
 def _sigmoid1(u: float) -> float:
     """The scalar form of :func:`_sigmoid`, on a Python float.
 
@@ -65,7 +68,7 @@ def _sigmoid1(u: float) -> float:
     for bit: libm differs in the last bit on ~2% of inputs, which a long run
     amplifies past 1e-12.
     """
-    e = float(np.exp(-abs(u)))
+    e = float(_exp(-abs(u)))
     return 1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e)
 
 
@@ -259,6 +262,9 @@ class ErmMargins:
             np.add(self.z_prev, self.A[:, self.cols[i]] @ dx, out=self.z)
 
 
+_INDEX = np.dtype(int)  # the dtype of a run's drawn index arrays
+
+
 def robust_erm_problem(
     data: RobustErmDataset,
     radius: float = 10.0,
@@ -309,6 +315,7 @@ def robust_erm_problem(
     neg_b = -b
     neg_b_list = neg_b.tolist()
     all_rows = np.arange(n)
+    cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]  # each primal block's columns
 
     def slope(z, rows=slice(None)):
         # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a: the factor of
@@ -330,20 +337,23 @@ def robust_erm_problem(
         for (x, y), w in zip(points, weights):
             if x is not x_seen:
                 x_seen = x
-                z = None if cache is None else cache.margins(x)
-                t = nbl * _sigmoid1(nbl * float(a.dot(x) if z is None else z[l]))
-            coef += w * p * float(y[l]) * t
-        return coef * a[i * mb : (i + 1) * mb]
+                u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[l]
+                t = nbl * _sigmoid1(nbl * float(u))
+            coef += w * p * y.item(l) * t
+        return coef * a[cols[i]]
 
     def batch_grad_x(indices, i, points, weights, cache=None):
-        rows = np.asarray(indices, dtype=int)
+        # a run's drawn indices are used as they are, without the asarray call
+        if type(indices) is np.ndarray and indices.dtype is _INDEX:
+            rows = indices
+        else:
+            rows = np.asarray(indices, dtype=int)
         count = rows.size
         if count == 1:
-            return one_row_grad_x(int(rows[0]), i, points, weights, cache)
+            return one_row_grad_x(rows.item(0), i, points, weights, cache)
         full = count == n and np.array_equal(rows, all_rows)
         if full:
             rows = slice(None)  # the whole index set: read A in place
-        cols = slice(i * mb, (i + 1) * mb)
         # consecutive points that share a primal array form one group
         xs, which = [points[0][0]], []
         for x, _ in points:
@@ -362,7 +372,7 @@ def robust_erm_problem(
                 term *= slopes[r]
                 coef = term if coef is None else np.add(coef, term, out=coef)
             coef = coef[rows]
-            sub_i = A[rows, cols]
+            sub_i = A[rows, cols[i]]
         else:
             # one margin row per group; take() gathers whole rows faster
             # than fancy indexing
@@ -370,7 +380,7 @@ def robust_erm_problem(
             z = np.empty((len(xs), count))
             for r, x in enumerate(xs):
                 np.matmul(sub, x, out=z[r])
-            sub_i = sub[:, cols]
+            sub_i = sub[:, cols[i]]
             t = slope(z, rows)
             # each group's sum_k (w_k p) y_k[rows] as one small product,
             # times the group's t, summed over the groups
@@ -400,8 +410,8 @@ def robust_erm_problem(
             a, nbl = A[j], neg_b_list[j]
             out = np.empty((len(points), 1))
             for k, (x, _) in enumerate(points):
-                z = None if cache is None else cache.margins(x)
-                out[k, 0] = _logaddexp0(nbl * float(a.dot(x) if z is None else z[j]))
+                u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[j]
+                out[k, 0] = _logaddexp0(nbl * float(u))
             return out
         rows = slice(j * nb, (j + 1) * nb)
         z = np.empty((len(points), nb))

@@ -55,7 +55,8 @@ class BlockCounters:
     ``counts`` changes only through them.
     ``low`` costs amortized O(1) per record: it rises once every block at
     the minimum has been recorded, and only then are the blocks at the new
-    minimum counted.
+    minimum counted, on a Python list of the counts (for a few blocks, a
+    numpy comparison and count cost more in dispatch than in work).
     """
 
     counts: np.ndarray
@@ -67,7 +68,7 @@ class BlockCounters:
 
     def _set_low(self, low: int) -> None:
         self.low = low
-        self._at_low = int(np.count_nonzero(self.counts == low))
+        self._at_low = self.counts.tolist().count(low)
 
     @classmethod
     def zeros(cls, M: int) -> "BlockCounters":
@@ -129,7 +130,7 @@ def next_batch_size(
         if schedule.v > p:
             raise ValueError("constant batch size exceeds the number of components")
         return schedule.v
-    v = increasing_batch_size(int(counters.counts[i_k]), k, schedule.eta, p)
+    v = increasing_batch_size(counters.counts.item(i_k), k, schedule.eta, p)
     counters.record(i_k)
     return int(v)
 

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 MODES = ("increasing_batch", "single_sample")
+_FLOAT64 = np.dtype(float)
 
 
 class SolverError(RuntimeError):
@@ -135,7 +136,8 @@ class RunState:
     block that the step took in Python floats.  The
     buffers are solver-owned: callers must not write to them between steps.
     :meth:`start` and :func:`restart_if_saturated` set whole vectors and keep
-    the invariant.
+    the invariant.  After each step ``x_prev`` and ``y_prev`` therefore
+    equal x^k and y^k, and :func:`run`'s ergodic fold reads them as such.
 
     ``cache`` is the problem's per-run coupling cache over these buffers
     (see :class:`~rbpda.blocks.SaddleProblem`), or None.  It moves with the
@@ -216,9 +218,9 @@ class StepPlan:
     * the step sizes: a constant schedule's per-block floats, or a
       diminishing schedule's per-block step functions of (theta^k, t^k)
       (:meth:`~rbpda.stepsize.StepSchedule.block_steps`, which refuses
-      non-finite terms here, before any step).  The pair comes from
-      :meth:`~rbpda.stepsize.StepSchedule.theta_t`, once per k, and the
-      ergodic weights read the same pair;
+      non-finite terms here, before any step).  The pair comes from the
+      schedule's :meth:`~rbpda.stepsize.StepSchedule.row` of k, computed
+      once per k, and the ergodic weights read the same row;
     * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
       and for a one-coordinate dual block its coordinate and float kernel;
     * the batch rule: :func:`~rbpda.sampling.next_batch_size` as this
@@ -266,11 +268,11 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     ]
     primal = [(blk, kernel(spec)) for blk, spec in zip(st.primal.ranges, problem.primal_prox)]
     if schedule.mode == "constant":
-        pair = tau_at = sigma_at = None
+        row = tau_at = sigma_at = None
         taus = np.asarray(schedule.tau(0), dtype=float).tolist()
         sigmas = np.asarray(schedule.sigma(0), dtype=float).tolist()
     else:
-        pair = schedule.theta_t
+        row = schedule.row
         tau_at, sigma_at = schedule.block_steps()
 
     def step(state: RunState) -> RunState:
@@ -279,10 +281,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         x_prev, y_prev = state.x_prev, state.y_prev
         y_next = state.y_next
         cache = state.cache  # passed by keyword only when there is one: **kw costs more than a branch
-        if pair is None:
+        if row is None:
             theta = 1.0
         else:
-            theta, t = pair(k)
+            theta, t, _ = row(k)
 
         j, i = blocks()
         kept = state.dual_row
@@ -293,7 +295,9 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
         try:
             g = problem.grad_y(j, points) if cache is None else problem.grad_y(j, points, cache=cache)
-            g = np.asarray(g, dtype=float)
+            # a float64 array is used as it is: asarray with a dtype costs more than the test
+            if type(g) is not np.ndarray or g.dtype is not _FLOAT64:
+                g = np.asarray(g, dtype=float)
         except Exception as exc:
             raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
         state.dual_grad_evals += 2
@@ -312,7 +316,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         s = N * g_now + N * M * theta * (g_now - g_old)
 
         try:
-            y_blk = prox_dual(-s, sigmas[j] if pair is None else sigma_at(j, theta, t), y_base)
+            y_blk = prox_dual(-s, sigmas[j] if row is None else sigma_at[j](theta, t), y_base)
         except Exception as exc:
             raise SolverError(f"dual prox failed at iteration {k}, block {j}: {exc}") from exc
 
@@ -330,7 +334,9 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                     r = problem.batch_grad_x(indices, i, points, weights)
                 else:
                     r = problem.batch_grad_x(indices, i, points, weights, cache=cache)
-                r = M_float * np.asarray(r, dtype=float)
+                if type(r) is not np.ndarray or r.dtype is not _FLOAT64:
+                    r = np.asarray(r, dtype=float)
+                r = M_float * r
             except Exception as exc:
                 raise SolverError(
                     f"batch_grad_x failed at iteration {k}, primal block {i}: {exc}"
@@ -339,7 +345,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
 
             blk_i, prox_primal = primal[i]
             try:
-                x_blk = prox_primal(r, taus[i] if pair is None else tau_at(i, theta, t), x_k[blk_i])
+                x_blk = prox_primal(r, taus[i] if row is None else tau_at[i](theta, t), x_k[blk_i])
             except Exception as exc:
                 raise SolverError(f"primal prox failed at iteration {k}, block {i}: {exc}") from exc
         except BaseException:
@@ -379,45 +385,61 @@ class _LazySum:
     two or three numpy calls, against five plus slicing for a lazy fold of
     a multi-coordinate slice, so it is the cheaper one until a side has a
     few thousand coordinates (~1.5 us against ~3 us at 500).
+
+    ``last`` is the sum's own copy of the iterate, ``own``, until a fold is
+    handed the previous iterate (``old``); from then on it is the caller's
+    array.
     """
 
     def __init__(self, v0: np.ndarray):
         self.total = np.zeros_like(v0)
-        self.last = v0.copy()
+        self.last = self.own = v0.copy()
         self.weight = 0.0
         self.stamp = 0.0
         self.stamps = np.zeros_like(v0)
 
-    def fold(self, blk, new, w: float) -> None:
-        """Take the next iterate ``new``, equal to ``last`` outside ``blk``, with weight ``w``.
+    def fold(self, blk, new, w: float, old=None) -> None:
+        """Take the next iterate ``new``, equal to the current one outside ``blk``, with weight ``w``.
 
-        ``blk`` is a slice, or the index of one coordinate.
+        ``blk`` is a slice, or the index of one coordinate.  Without ``old``
+        the terms come from the own copy, which then takes ``new``'s values;
+        with it they come from ``old``, an array equal to the current
+        iterate, and ``new`` itself becomes ``last``.
         """
-        total, last, weight = self.total, self.last, self.weight
+        weight = self.weight
         self.weight = weight + w
-        if type(blk) is int:
+        if old is None:
+            old = self.own
+            if self.last is not old:
+                raise ValueError("a sum that was handed the previous iterate needs it on every fold")
+        else:
+            self.last = new
+        if blk.__class__ is int:
             c = blk
         else:
             c = blk.start
-            if c is None or blk.stop != c + 1 or not 0 <= c < last.size or blk.step is not None:
+            if c is None or blk.stop != c + 1 or not 0 <= c < old.size or blk.step is not None:
                 c = None
         if c is not None:
             stamps = self.stamps
             if self.stamp is not None:
                 stamps.fill(self.stamp)
                 self.stamp = None
-            total[c] += (weight - stamps[c]) * last[c]
+            self.total[c] += (weight - stamps[c]) * old[c]
             stamps[c] = weight
-            last[c] = new[c]
+            if old is self.own:
+                old[c] = new[c]
             return
-        if self.stamp is None:
-            total += (weight - self.stamps) * last
-        elif weight - self.stamp == 1.0:  # uniform weights: the same bits without the multiply
-            total += last
+        stamp = self.stamp
+        if stamp is None:
+            self.total += (weight - self.stamps) * old
+        elif weight - stamp == 1.0:  # uniform weights: the same bits without the multiply
+            self.total += old
         else:
-            total += (weight - self.stamp) * last
+            self.total += (weight - stamp) * old
         self.stamp = weight
-        last[...] = new
+        if old is self.own:
+            old[...] = new
 
     def sum_to(self, weight: float) -> np.ndarray:
         """The sum with every coordinate's pending terms up to running weight ``weight``, as a new array."""
@@ -452,24 +474,43 @@ class ErgodicAccumulator:
         self.sum_x, self.sum_y = _LazySum(self.x0), _LazySum(self.y0)
         self.t_total = 0.0
 
-    def update(self, x_new, y_new, k: int, touched=(slice(None), slice(None))) -> None:
+    def update(self, x_new, y_new, k: int, touched=(slice(None), slice(None)), old=None) -> None:
         """Fold in the post-step iterate of iteration k (i.e. x^(k+1)).
 
         ``touched`` holds the (primal, dual) indices, slices or single
         coordinates, outside which x^(k+1) and y^(k+1) equal the previous
         iterate; the default is the whole vectors.
+
+        Without ``old`` the accumulator copies what it needs of x^(k+1) and
+        y^(k+1), so the caller may overwrite ``x_new`` and ``y_new`` at once.
+        ``old=(x_old, y_old)`` holds arrays equal to the previous iterate,
+        x^k and y^k (x0 and y0 before the first update): the fold reads its
+        terms from them and keeps ``x_new`` and ``y_new`` themselves as the
+        current iterate, copying nothing.  The caller then keeps three
+        promises: the arrays passed as ``x_new`` and ``y_new`` hold x^(k+1)
+        and y^(k+1) whenever :meth:`finalize` is called, until the next
+        update; the next update's ``old`` equals them; and every later
+        update passes ``old`` (one without it raises ``ValueError``).
+        :func:`run` passes ``(state.x_prev, state.y_prev)``, which equal
+        x^k and y^k after each step by :class:`RunState`'s block-copy
+        invariant.  Both ways give the same sums bit for bit.
         """
-        if self.schedule is None:
+        schedule = self.schedule
+        if schedule is None:
             w_x = w_y = 1.0
         else:
-            # the pairs the steps of k and k + 1 take (StepPlan), each computed once
-            t_k = self.schedule.theta_t(k)[1]
-            th_next = self.schedule.theta_t(k + 1)[0]
-            w_x = t_k * (1.0 + (self.M - 1) * (1.0 - 1.0 / th_next))
-            w_y = t_k * (1.0 + (self.N - 1) * (1.0 - 1.0 / th_next))
+            # the row the step of k read (StepPlan): t^k, and theta^(k+1) of the next step
+            _, t_k, th_next = schedule.row(k)
+            grow = 1.0 - 1.0 / th_next
+            w_x = t_k * (1.0 + (self.M - 1) * grow)
+            w_y = t_k * (1.0 + (self.N - 1) * grow)
             self.t_total += t_k
-        self.sum_x.fold(touched[0], x_new, w_x)
-        self.sum_y.fold(touched[1], y_new, w_y)
+        if old is None:
+            self.sum_x.fold(touched[0], x_new, w_x)
+            self.sum_y.fold(touched[1], y_new, w_y)
+        else:
+            self.sum_x.fold(touched[0], x_new, w_x, old[0])
+            self.sum_y.fold(touched[1], y_new, w_y, old[1])
         self.count += 1
 
     def total_weights(self) -> tuple[float, float]:
@@ -638,11 +679,12 @@ def run(
     acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
     restart = config.restart_enabled and batch.kind == "increasing"
     one_step = rbpda_step  # read with the plan, so a replaced rbpda_step is the one called
+    old = (state.x_prev, state.y_prev)  # x^k and y^k after each step, so the fold copies nothing
 
     def step():
         k = state.k
         one_step(state, problem, schedule, batch, rng)
-        acc.update(state.x, state.y, k, (state.last_x, state.last_y))
+        acc.update(state.x, state.y, k, (state.last_x, state.last_y), old=old)
         if restart:
             restart_if_saturated(state, p, config.restart_threshold, batch.eta)
 

@@ -245,25 +245,23 @@ def _diminishing_denominator(terms, th: float, t: float):
     return den + noise / t
 
 
-def _block_terms(terms, n_blocks: int) -> list:
-    """Per-block float copies of one side's terms, for O(1) single-step lookups."""
-    diag, count, inv, rest, noise = terms
-    cols = [np.broadcast_to(np.asarray(v, dtype=float), (n_blocks,)).tolist() for v in (diag, *rest, noise)]
-    return [(row[0], count, inv, row[1:-1], row[-1]) for row in zip(*cols)]
+def _block_steps(n: int, terms) -> list:
+    """One side's diminishing steps, one function ``(theta, t) -> float`` per block.
 
-
-def _block_step(n: int, blocks: list):
-    """One side's diminishing step as a function ``(b, theta, t) -> float`` of block b and (theta^k, t^k).
-
-    ``blocks`` are the side's per-block float terms and ``n`` its block
-    count; the step is ``1 / (n * denominator)`` with the denominator of
-    :func:`_diminishing_denominator`, so it equals the vector entry bit for bit.
+    ``n`` is the side's block count and ``terms`` its k-independent terms
+    (:func:`_diminishing_terms`).  Each function is ``1 / (n * denominator)``
+    with its block's terms bound as floats and the sum of
+    :func:`_diminishing_denominator` written out in its order, so it equals
+    the vector entry bit for bit.
     """
-
-    def step(b: int, th: float, t: float) -> float:
-        return 1.0 / (n * _diminishing_denominator(blocks[b], th, t))
-
-    return step
+    diag, count, inv, rest, noise = terms
+    rows = zip(*(np.broadcast_to(np.asarray(v, dtype=float), (n,)).tolist() for v in (diag, *rest, noise)))
+    # each block's floats bound as defaults, which a call reads as locals
+    if len(rest) == 3:
+        return [lambda th, t, d=d, r0=r0, r1=r1, r2=r2, q=q:
+                1.0 / (n * (d + count * th * inv + r0 + r1 + r2 + q / t)) for d, r0, r1, r2, q in rows]
+    return [lambda th, t, d=d, r0=r0, r1=r1, q=q:
+            1.0 / (n * (d + count * th * inv + r0 + r1 + q / t)) for d, r0, r1, q in rows]
 
 
 @dataclass
@@ -279,8 +277,8 @@ class StepSchedule:
     ``tau(k)`` and ``sigma(k)`` return the step vectors.  With a block index,
     ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
     O(1), bitwise equal to the vector entry.  A run's step plan reads the
-    same floats through :meth:`block_steps` and :meth:`theta_t`.  The
-    fields are read once, at construction.
+    same floats through :meth:`block_steps` and :meth:`row`.  The fields
+    are read once, at construction.
     """
 
     mode: str
@@ -300,30 +298,45 @@ class StepSchedule:
             if self.fp.beta is None:
                 raise ValueError("diminishing step sizes need FreeParams.beta")
             self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp)
-            self._tau_blocks = _block_terms(self._tau_terms, self.M)
-            self._sigma_blocks = _block_terms(self._sigma_terms, self.N)
-            self._tau_at = _block_step(self.M, self._tau_blocks)
-            self._sigma_at = _block_step(self.N, self._sigma_blocks)
-        self._k = None  # iteration whose (theta, t) pair is cached in _theta_t
+            self._tau_at = _block_steps(self.M, self._tau_terms)
+            self._sigma_at = _block_steps(self.N, self._sigma_terms)
+        self._power = 0.5 * (1.0 + self.eta)  # the exponent of schedule_theta and schedule_t
+        self._k, self._row = -2, None  # the iteration whose row is cached, and the row
 
-    def theta_t(self, k: int) -> tuple[float, float]:
-        """The diminishing pair (theta^k, t^k), computed once per k: repeated calls for one k reuse it."""
+    def row(self, k: int) -> tuple[float, float, float]:
+        """The diminishing scalars (theta^k, t^k, theta^(k+1)) of iteration k, computed once per k.
+
+        A step at k reads (theta^k, t^k), and the ergodic weights of its
+        iterate read t^k and theta^(k+1).  Repeated calls for one k reuse
+        the row, and the row of k + 1 takes its theta from the row of k.
+        Each value has the bits of :func:`schedule_theta` and
+        :func:`schedule_t`.
+        """
         if k != self._k:
-            if k < 0:
+            e = self._power
+            if k == self._k + 1 and k > 0:
+                th = self._row[2]
+            elif k > 0:
+                th = ((k + 1) / k) ** e
+            elif k == 0:
+                th = 1.0
+            else:
                 raise ValueError("k must be nonnegative")
-            self._theta_t = (schedule_theta(k, self.eta), schedule_t(k, self.eta))
+            self._row = (th, (1.0 / (k + 1)) ** e, ((k + 2) / (k + 1)) ** e)
             self._k = k
-        return self._theta_t
+        return self._row
 
     def block_steps(self):
         """The diminishing per-block steps as ``(tau_at, sigma_at)``, for a run's step plan.
 
-        ``tau_at(i, theta, t)`` is block i's step at the pair (theta^k, t^k)
-        of :meth:`theta_t`, equal bit for bit to ``tau(k, i)``; likewise
-        ``sigma_at``.  A k-independent term that is not finite (an
-        aggregate constant that overflowed) raises
-        ``ValueError("non-finite step-size denominator")``, as the constant
-        regime does, before any step takes it.
+        ``tau_at[i](theta, t)`` is block i's step at the pair (theta^k, t^k)
+        of :meth:`row`, equal bit for bit to ``tau(k, i)``; likewise
+        ``sigma_at``.  Each is a function with its block's k-independent
+        terms bound, so a step evaluates only its k-dependent terms.  A
+        k-independent term that is not finite (an aggregate constant that
+        overflowed) raises ``ValueError("non-finite step-size
+        denominator")``, as the constant regime does, before any step
+        takes it.
         """
         if self.mode != "diminishing" or self.agg is None or self.fp is None:
             raise ValueError("block_steps needs a diminishing schedule with constants and free parameters")
@@ -336,24 +349,24 @@ class StepSchedule:
     def tau(self, k: int, i: Optional[int] = None):
         if self.mode == "constant":
             return self._tau0 if i is None else float(self._tau0[i])
-        th, t = self.theta_t(k)
+        th, t, _ = self.row(k)
         if i is None:
             return 1.0 / (self.M * _diminishing_denominator(self._tau_terms, th, t))
-        return self._tau_at(i, th, t)
+        return self._tau_at[i](th, t)
 
     def sigma(self, k: int, j: Optional[int] = None):
         if self.mode == "constant":
             return self._sigma0 if j is None else float(self._sigma0[j])
-        th, t = self.theta_t(k)
+        th, t, _ = self.row(k)
         if j is None:
             return 1.0 / (self.N * _diminishing_denominator(self._sigma_terms, th, t))
-        return self._sigma_at(j, th, t)
+        return self._sigma_at[j](th, t)
 
     def theta(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else self.theta_t(k)[0]
+        return 1.0 if self.mode == "constant" else self.row(k)[0]
 
     def t(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else self.theta_t(k)[1]
+        return 1.0 if self.mode == "constant" else self.row(k)[1]
 
 
 @dataclass

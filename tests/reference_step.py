@@ -8,6 +8,13 @@ again on every call: its step sizes are entries of the schedule's step
 vectors, its prox is :func:`~rbpda.bregman.prox_step`, and it draws one call
 at a time.  It is the same iteration, so a run driven by it must reach the
 bits of :func:`rbpda.solver.run`.
+
+:class:`ReferenceAccumulator` is likewise the ergodic fold without what
+:func:`rbpda.solver.run` hands its accumulator: it keeps its own copy of
+the current iterate, analyses each touched slice on every call and reads
+theta and t from :func:`~rbpda.stepsize.schedule_theta` and
+:func:`~rbpda.stepsize.schedule_t`.  A run folded by it must reach the same
+averages, weights and trace rows.
 """
 
 import numpy as np
@@ -15,6 +22,7 @@ import numpy as np
 from rbpda.bregman import prox_step
 from rbpda.sampling import SequentialDraws, next_batch_size
 from rbpda.solver import SolverError
+from rbpda.stepsize import schedule_t, schedule_theta
 
 
 def reference_step(state, problem, schedule, batch, rng):
@@ -99,3 +107,97 @@ def reference_step(state, problem, schedule, batch, rng):
         cache.move(i, dx)
     state.k += 1
     return state
+
+
+class _ReferenceSum:
+    """One side's weighted sum with lazy one-coordinate folds, from its own copy of the iterate."""
+
+    def __init__(self, v0):
+        self.total = np.zeros_like(v0)
+        self.last = v0.copy()
+        self.weight = 0.0
+        self.stamp = 0.0
+        self.stamps = np.zeros_like(v0)
+
+    def fold(self, blk, new, w):
+        total, last, weight = self.total, self.last, self.weight
+        self.weight = weight + w
+        if type(blk) is int:
+            c = blk
+        else:
+            c = blk.start
+            if c is None or blk.stop != c + 1 or not 0 <= c < last.size or blk.step is not None:
+                c = None
+        if c is not None:
+            stamps = self.stamps
+            if self.stamp is not None:
+                stamps.fill(self.stamp)
+                self.stamp = None
+            total[c] += (weight - stamps[c]) * last[c]
+            stamps[c] = weight
+            last[c] = new[c]
+            return
+        if self.stamp is None:
+            total += (weight - self.stamps) * last
+        elif weight - self.stamp == 1.0:
+            total += last
+        else:
+            total += (weight - self.stamp) * last
+        self.stamp = weight
+        last[...] = new
+
+    def sum_to(self, weight):
+        stamp = self.stamps if self.stamp is None else self.stamp
+        return self.total + (weight - stamp) * self.last
+
+
+class ReferenceAccumulator:
+    """:class:`rbpda.solver.ErgodicAccumulator`'s averages, folded from private copies.
+
+    ``update`` takes and ignores ``old``, so :func:`rbpda.solver.run` can
+    be driven with it in place of the accumulator under test.
+    """
+
+    def __init__(self, M, N, x0, y0, schedule=None):
+        self.M, self.N = M, N
+        self.eta = None if schedule is None or schedule.mode != "diminishing" else schedule.eta
+        self.x0 = np.array(x0, dtype=float)
+        self.y0 = np.array(y0, dtype=float)
+        self.count = 0
+        self.sum_x, self.sum_y = _ReferenceSum(self.x0), _ReferenceSum(self.y0)
+        self.t_total = 0.0
+
+    def update(self, x_new, y_new, k, touched=(slice(None), slice(None)), old=None):
+        if self.eta is None:
+            w_x = w_y = 1.0
+        else:
+            t_k, th_next = schedule_t(k, self.eta), schedule_theta(k + 1, self.eta)
+            w_x = t_k * (1.0 + (self.M - 1) * (1.0 - 1.0 / th_next))
+            w_y = t_k * (1.0 + (self.N - 1) * (1.0 - 1.0 / th_next))
+            self.t_total += t_k
+        self.sum_x.fold(touched[0], x_new, w_x)
+        self.sum_y.fold(touched[1], y_new, w_y)
+        self.count += 1
+
+    def total_weights(self):
+        K = self.count
+        if K == 0:
+            return 0.0, 0.0
+        if self.eta is None:
+            return float(K + self.M - 1), float(K + self.N - 1)
+        t_K = schedule_t(K, self.eta)
+        return self.sum_x.weight + (self.M - 1) * t_K, self.sum_y.weight + (self.N - 1) * t_K
+
+    def finalize(self):
+        K = self.count
+        if K == 0:
+            return self.x0.copy(), self.y0.copy()
+        sx, sy = self.sum_x, self.sum_y
+        if self.eta is None:
+            x_bar = (self.M * sx.last + sx.sum_to(sx.weight - 1.0)) / (K + self.M - 1)
+            y_bar = (self.N * sy.last + sy.sum_to(sy.weight - 1.0)) / (K + self.N - 1)
+            return x_bar, y_bar
+        t_K = schedule_t(K, self.eta)
+        x_bar = (sx.sum_to(sx.weight) + (self.M - 1) * t_K * sx.last) / (self.M - 1 + self.t_total)
+        y_bar = (sy.sum_to(sy.weight) + (self.N - 1) * t_K * sy.last) / (self.N - 1 + self.t_total)
+        return x_bar, y_bar

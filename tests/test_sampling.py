@@ -234,6 +234,9 @@ class TestBlockCountersLow:
                 # skewed draws, so some blocks lag far behind the others
                 counters.record(int(min(rng.geometric(0.3) - 1, M - 1)))
             assert counters.low == counters.counts.min(), step
+            # the blocks at the minimum, counted without numpy when it rises
+            assert counters._at_low == np.count_nonzero(counters.counts == counters.low), step
+        assert counters.counts.dtype == np.int64
 
 
 class TestSampleIndices:

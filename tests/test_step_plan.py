@@ -1,6 +1,8 @@
-"""The step plan: run() against the one-function reference step, the calls a run makes, and plan rebuilds."""
+"""The step plan: run() against the one-function reference step and fold, the calls a run makes, and plan rebuilds."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from rbpda.sampling import BatchSchedule, make_rng
 from rbpda.solver import RunState, SolverConfig, StepPlan, build_schedule, rbpda_step, run
 from rbpda.stepsize import BlockLipschitz, FreeParams, StepSchedule, aggregate_constants, default_free_params
 
-from reference_step import reference_step
+from reference_step import ReferenceAccumulator, reference_step
 from test_solver import LOCKSTEP_BUILTINS, lockstep_problem, scalar_bilinear_problem
 
 REFERENCE_CONFIGS = {
@@ -38,9 +40,11 @@ def assert_same_run(got, want):
 
 
 def reference_run(problem, config, monkeypatch, **kw):
-    """run() with every step taken by :func:`reference_step` instead of the plan's."""
+    """run() with every step taken by :func:`reference_step` instead of the plan's, and folded by
+    :class:`ReferenceAccumulator` instead of the accumulator run() hands its previous iterates."""
     with monkeypatch.context() as m:
         m.setattr(solver, "rbpda_step", reference_step)
+        m.setattr(solver, "ErgodicAccumulator", ReferenceAccumulator)
         return run(problem, config, **kw)
 
 
@@ -59,7 +63,8 @@ def cached(problem, on: bool):
 @pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
 def test_run_equals_the_reference_step_bitwise(name, config, cache, monkeypatch):
     # iterates, averages and their weights, budgets, restarts and every
-    # trace row, sup-gaps included, are the reference's bits
+    # trace row, sup-gaps included, are the reference's bits; the reference
+    # run folds from its own copies of the iterates
     prob = cached(lockstep_problem(name), cache)
     cfg = SolverConfig(max_iters=400, seed=3, stream=1, checkpoint_every=100, **REFERENCE_CONFIGS[config])
     got = run(prob, cfg)
@@ -196,3 +201,54 @@ def test_a_plan_reads_the_batch_rule_when_built(monkeypatch):
     state.plan = None
     rbpda_step(state, prob, sched, batch, rng)
     assert seen == [2]
+
+
+def run_opcodes(problem, config) -> int:
+    """The Python opcodes a run executes in rbpda's own code, counted by ``sys.settrace``."""
+    package = os.path.dirname(solver.__file__)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run(problem, config)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def opcodes_per_iteration(problem, iters: int, **config) -> float:
+    """Opcodes per iteration of run(): the count of iters more iterations, so set-up and the
+    final checkpoint cancel."""
+    counts = [run_opcodes(problem, SolverConfig(max_iters=n, checkpoint_every=10**9, compute_sup_gap=False,
+                                                **config))
+              for n in (iters // 2, iters + iters // 2)]
+    return (counts[1] - counts[0]) / iters
+
+
+OPCODES_PER_SINGLE_SAMPLE_ITERATION = 1284  # the test's count, measured on CPython 3.11
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are CPython 3.11's")
+def test_single_sample_iteration_opcodes():
+    # a single-sample iteration's cost is mostly Python bookkeeping, so its
+    # opcode count is a deterministic stand-in for its time: robust ERM with
+    # one-row dual blocks and no cache, as in the benchmark's single-sample
+    # workload, at a fixed seed and stream
+    data = generate_robust_erm(3, 60, 120, 0.1)
+    prob = robust_erm_problem(data, radius=10.0, m_blocks=4, n_blocks=60)
+    assert prob.coupling_cache(prob.start_x, prob.start_y, prob.start_x, prob.start_y, 1) is None
+    got = opcodes_per_iteration(prob, 500, mode="single_sample", eta=0.0, seed=5, stream=2)
+    assert got <= 1.05 * OPCODES_PER_SINGLE_SAMPLE_ITERATION, f"{got:.1f} opcodes per iteration"
