@@ -208,60 +208,45 @@ def schedule_theta(k: int, eta: float) -> float:
 
 
 def _diminishing_terms(agg: AggregateConstants, fp: FreeParams):
-    """The k-independent parts of the diminishing denominators, one tuple per side.
+    """The k-independent terms of each side's diminishing step, in its template's order.
 
-    Each tuple ``(diag, count, inv, rest, noise)`` is read by
-    :func:`_diminishing_denominator`; entries are scalars or per-block arrays.
+    ``(n, count, inv, diag, *rest, noise)``: ``n`` is the side's block count,
+    and the other entries are scalars or per-block arrays.
     """
     M, N = agg.L_yx.size, agg.L_xy.size
     g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
     tau = (
-        agg.Lxx_diag,
-        N - 1,
-        1.0 / g1 + 1.0 / g2,
-        (N * l2 * agg.L_yx**2, g1 * (N - 1) * agg.C_x**2, ((N - 1) / M) / g2),
-        (fp.alpha + db) / M,
+        M, N - 1, 1.0 / g1 + 1.0 / g2,
+        agg.Lxx_diag, N * l2 * agg.L_yx**2, g1 * (N - 1) * agg.C_x**2, ((N - 1) / M) / g2, (fp.alpha + db) / M,
     )
     sigma = (
-        agg.Lyy_diag,
-        M,
-        1.0 / l1 + 1.0 / l2,
-        (M * l1 * agg.C_y**2, (M + 1) * ((N - 1) / N) * g2 * agg.L_xy**2),
-        (fp.beta + db) / N,
+        N, M, 1.0 / l1 + 1.0 / l2,
+        agg.Lyy_diag, M * l1 * agg.C_y**2, (M + 1) * ((N - 1) / N) * g2 * agg.L_xy**2, (fp.beta + db) / N,
     )
     return tau, sigma
 
 
-def _diminishing_denominator(terms, th: float, t: float):
-    """``diag + count*th*inv + rest[0] + rest[1] + ... + noise/t``, summed left to right.
+def _tau_step(n, count, inv, d, r0, r1, r2, q):
+    return lambda th, t, d=d, r0=r0, r1=r1, r2=r2, q=q: 1.0 / (n * (d + count * th * inv + r0 + r1 + r2 + q / t))
 
-    The fixed order makes a per-block evaluation on floats bitwise equal to
-    the same entry of the whole-vector evaluation on arrays.
+
+def _sigma_step(n, count, inv, d, r0, r1, q):
+    return lambda th, t, d=d, r0=r0, r1=r1, q=q: 1.0 / (n * (d + count * th * inv + r0 + r1 + q / t))
+
+
+def _bind_steps(template, terms):
+    """One side's diminishing step bound to its arrays, and to each block's floats, as ``(vector, per_block)``.
+
+    The template is ``1 / (n * (diag + count*theta*inv + rest... + noise/t))``
+    summed left to right, a function of (theta, t) with the terms bound as
+    defaults, which a call reads as locals.  It uses only +, * and /, which
+    numpy computes elementwise and correctly rounded, as Python does on
+    floats, so the vector function's entries, or its table at columns of
+    theta and t, are the per-block floats bit for bit.
     """
-    diag, count, inv, rest, noise = terms
-    den = diag + count * th * inv
-    for term in rest:
-        den = den + term
-    return den + noise / t
-
-
-def _block_steps(n: int, terms) -> list:
-    """One side's diminishing steps, one function ``(theta, t) -> float`` per block.
-
-    ``n`` is the side's block count and ``terms`` its k-independent terms
-    (:func:`_diminishing_terms`).  Each function is ``1 / (n * denominator)``
-    with its block's terms bound as floats and the sum of
-    :func:`_diminishing_denominator` written out in its order, so it equals
-    the vector entry bit for bit.
-    """
-    diag, count, inv, rest, noise = terms
-    rows = zip(*(np.broadcast_to(np.asarray(v, dtype=float), (n,)).tolist() for v in (diag, *rest, noise)))
-    # each block's floats bound as defaults, which a call reads as locals
-    if len(rest) == 3:
-        return [lambda th, t, d=d, r0=r0, r1=r1, r2=r2, q=q:
-                1.0 / (n * (d + count * th * inv + r0 + r1 + r2 + q / t)) for d, r0, r1, r2, q in rows]
-    return [lambda th, t, d=d, r0=r0, r1=r1, q=q:
-            1.0 / (n * (d + count * th * inv + r0 + r1 + q / t)) for d, r0, r1, q in rows]
+    n, count, inv, *arrays = terms
+    rows = zip(*(np.broadcast_to(np.asarray(v, dtype=float), (n,)).tolist() for v in arrays))
+    return template(*terms), [template(n, count, inv, *row) for row in rows]
 
 
 @dataclass
@@ -274,7 +259,8 @@ class StepSchedule:
     construction, and the validator and the ergodic averages read ``agg``,
     ``fp`` and the mode from the schedule.  A diminishing schedule without
     ``agg`` and ``fp`` gives only theta(k) and t(k), and its M and N are None.
-    ``tau(k)`` and ``sigma(k)`` return the step vectors.  With a block index,
+    ``tau(k)`` and ``sigma(k)`` return the step vectors, a constant
+    schedule's own arrays, read-only.  With a block index,
     ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
     O(1), bitwise equal to the vector entry.  A run's step plan reads the
     same floats through :meth:`block_steps` and :meth:`row`.  The fields
@@ -289,17 +275,27 @@ class StepSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "diminishing"):
             raise ValueError(f"unknown schedule mode: {self.mode!r}")
+        # what the schedule lacks of agg and fp, named by the methods that need them
+        self._missing = " and ".join(name for name in ("agg", "fp") if getattr(self, name) is None)
+        if self.mode == "constant" and self._missing:
+            raise ValueError(f"a constant schedule needs {self._missing}")
         self.M, self.N = (None, None) if self.agg is None else (self.agg.L_yx.size, self.agg.L_xy.size)
+        if not self._missing and self.fp.alpha.shape not in ((1,), (self.M,)):
+            raise ValueError(f"alpha has shape {self.fp.alpha.shape}; it needs 1 or M = {self.M} entries")
         if self.mode == "constant":
             self._tau0, self._sigma0 = constant_stepsizes(self.agg, self.fp)
-        elif self.agg is not None and self.fp is not None:
-            if not 0 <= self.eta < 1:
-                raise ValueError("eta must lie in [0, 1)")
+            # tau(k) and sigma(k) return these arrays; a write into one would change every later step
+            self._tau0.flags.writeable = self._sigma0.flags.writeable = False
+        elif not 0 <= self.eta < 1:
+            raise ValueError(f"eta must lie in [0, 1), got eta = {self.eta}")
+        elif not self._missing:
             if self.fp.beta is None:
                 raise ValueError("diminishing step sizes need FreeParams.beta")
+            if self.fp.beta.shape not in ((1,), (self.N,)):
+                raise ValueError(f"beta has shape {self.fp.beta.shape}; it needs 1 or N = {self.N} entries")
             self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp)
-            self._tau_at = _block_steps(self.M, self._tau_terms)
-            self._sigma_at = _block_steps(self.N, self._sigma_terms)
+            self._tau_vec, self._tau_at = _bind_steps(_tau_step, self._tau_terms)
+            self._sigma_vec, self._sigma_at = _bind_steps(_sigma_step, self._sigma_terms)
         self._power = 0.5 * (1.0 + self.eta)  # the exponent of schedule_theta and schedule_t
         self._k, self._row = -2, None  # the iteration whose row is cached, and the row
 
@@ -338,29 +334,29 @@ class StepSchedule:
         denominator")``, as the constant regime does, before any step
         takes it.
         """
-        if self.mode != "diminishing" or self.agg is None or self.fp is None:
+        if self.mode != "diminishing" or self._missing:
             raise ValueError("block_steps needs a diminishing schedule with constants and free parameters")
-        for diag, _, inv, rest, noise in (self._tau_terms, self._sigma_terms):
+        for terms in (self._tau_terms, self._sigma_terms):
             # the per-block terms are copies of these entries
-            if not all(np.isfinite(v).all() for v in (diag, inv, *rest, noise)):
+            if not all(np.isfinite(v).all() for v in terms):
                 raise ValueError("non-finite step-size denominator")
         return self._tau_at, self._sigma_at
 
     def tau(self, k: int, i: Optional[int] = None):
         if self.mode == "constant":
             return self._tau0 if i is None else float(self._tau0[i])
+        if self._missing:
+            raise ValueError(f"tau(k) needs a schedule with {self._missing}")
         th, t, _ = self.row(k)
-        if i is None:
-            return 1.0 / (self.M * _diminishing_denominator(self._tau_terms, th, t))
-        return self._tau_at[i](th, t)
+        return self._tau_vec(th, t) if i is None else self._tau_at[i](th, t)
 
     def sigma(self, k: int, j: Optional[int] = None):
         if self.mode == "constant":
             return self._sigma0 if j is None else float(self._sigma0[j])
+        if self._missing:
+            raise ValueError(f"sigma(k) needs a schedule with {self._missing}")
         th, t, _ = self.row(k)
-        if j is None:
-            return 1.0 / (self.N * _diminishing_denominator(self._sigma_terms, th, t))
-        return self._sigma_at[j](th, t)
+        return self._sigma_vec(th, t) if j is None else self._sigma_at[j](th, t)
 
     def theta(self, k: int) -> float:
         return 1.0 if self.mode == "constant" else self.row(k)[0]
@@ -405,10 +401,21 @@ def _m_matrices(schedule: StepSchedule, theta: np.ndarray, tau: np.ndarray, sigm
     return m1, m2, m3, m4
 
 
-def _chunk_slacks(schedule: StepSchedule, rows: list) -> dict:
-    """Each inequality's least slack over ``rows`` (t, theta, tau, sigma) of k = k0 .. k1: rows k0 .. k1 - 1 are "now"."""
-    t, theta, tau, sigma = (np.array(col) for col in zip(*rows))
-    t, theta = t[:, None], theta[:, None]
+def _chunk_slacks(schedule: StepSchedule, ks: range) -> dict:
+    """Each inequality's least slack over the consecutive ``ks``: every k but the last is "now".
+
+    A diminishing schedule's tables are its steps bound to arrays, at the
+    columns of (theta^k, t^k) from :meth:`StepSchedule.row`, so they are the
+    floats a run's steps take; a constant schedule's are ``tau(0)`` and
+    ``sigma(0)`` broadcast, with theta = t = 1.
+    """
+    if schedule.mode == "constant":
+        theta = t = np.ones((len(ks), 1))
+        tau, sigma = (np.broadcast_to(v, (len(ks), v.size)) for v in (schedule._tau0, schedule._sigma0))
+    else:
+        rows = np.array([schedule.row(k)[:2] for k in ks])
+        theta, t = rows[:, :1], rows[:, 1:]
+        tau, sigma = schedule._tau_vec(theta, t), schedule._sigma_vec(theta, t)
     m1, m2, m3, m4 = _m_matrices(schedule, theta, tau, sigma)
     fp = schedule.fp
     now, nxt = slice(None, -1), slice(1, None)
@@ -430,7 +437,7 @@ def _chunk_slacks(schedule: StepSchedule, rows: list) -> dict:
     }
 
 
-_K_CHUNK = 1024  # most values of k whose rows the validator holds at once
+_K_CHUNK = 256  # most values of k whose rows the validator holds at once
 
 
 def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolerance: float = 1e-9) -> StepsizeReport:
@@ -442,26 +449,18 @@ def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolera
     A^k = diag(alpha)/t^k and, in diminishing mode, B^k = diag(beta)/t^k
     (B^k = 0 in constant mode).  Violations are reported, not raised.
 
-    t, theta, tau and sigma are evaluated once per k in [0, k_max + 1],
-    through the schedule's scalar methods, into one row per k; each
-    inequality is then one array over rows k ("now") and k + 1 ("next").
-    The rows are taken 1,024 values of k at a time, each chunk's last row
-    carried over as the next chunk's first "now" row, so the tables hold
-    O(1024 * (M + N)) floats whatever ``k_max``.  A minimum is exact, so
+    t, theta, tau and sigma are tables with one row per k in [0, k_max + 1],
+    and each inequality is one array over rows k ("now") and k + 1 ("next").
+    The tables are filled 256 values of k at a time, one call of each
+    side's step per chunk, and consecutive chunks share a row, so they hold
+    O(256 * (M + N)) floats whatever ``k_max``.  A minimum is exact, so
     the slacks do not depend on the chunking, and a NaN slack propagates
     and fails the report.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got k_max = {k_max}")
-    chunk = _K_CHUNK
-
-    def row(k):
-        return schedule.t(k), schedule.theta(k), schedule.tau(k), schedule.sigma(k)
-
-    mins = []
-    last = row(0)
-    for k0 in range(0, k_max + 1, chunk):
-        rows = [last] + [row(k) for k in range(k0 + 1, min(k0 + chunk, k_max + 1) + 1)]
-        last = rows[-1]
-        mins.append(_chunk_slacks(schedule, rows))
+    if schedule._missing:
+        raise ValueError(f"validate_stepsize_condition needs a schedule with {schedule._missing}")
+    chunks = (range(k0, min(k0 + _K_CHUNK, k_max + 1) + 1) for k0 in range(0, k_max + 1, _K_CHUNK))
+    mins = [_chunk_slacks(schedule, ks) for ks in chunks]
     return StepsizeReport({key: float(np.min([m[key] for m in mins])) for key in mins[0]}, tolerance)

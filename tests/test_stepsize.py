@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rbpda import stepsize
+from rbpda.problems import generate_robust_erm, robust_erm_problem
+from rbpda.solver import SolverConfig, build_schedule
 from rbpda.stepsize import (
     AggregateConstants,
     BlockLipschitz,
@@ -131,10 +133,14 @@ class TestDiminishingSchedule:
                 assert abs(schedule_t(k, eta) - schedule_t(k + 1, eta) * schedule_theta(k + 1, eta)) <= 1e-14
 
     def test_eta_range_rejected(self):
+        # also without constants, where theta(k) and t(k) used to take any eta
         agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]))
         fp = default_free_params(agg, "diminishing")
         with pytest.raises(ValueError):
             StepSchedule(mode="diminishing", agg=agg, fp=fp, eta=1.0)
+        for eta in (1.5, -3.0, np.nan):
+            with pytest.raises(ValueError, match=f"got eta = {eta}"):
+                StepSchedule(mode="diminishing", eta=eta)
 
     def test_scaled_monotonicity(self):
         # the guaranteed form: t^k / tau^k and t^k / sigma^k are nonincreasing
@@ -180,6 +186,54 @@ class TestDiminishingSchedule:
             assert np.all(np.diff(sigmas, axis=0) <= 1e-15)
 
 
+class TestScheduleInputs:
+    # a schedule that lacks an input, or has one of the wrong length, fails by name
+    def test_constant_schedule_needs_agg_and_fp(self):
+        agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]))
+        with pytest.raises(ValueError, match="a constant schedule needs agg and fp"):
+            StepSchedule("constant")
+        with pytest.raises(ValueError, match="a constant schedule needs fp"):
+            StepSchedule("constant", agg=agg)
+
+    def test_diminishing_schedule_without_constants_has_no_steps(self):
+        sched = StepSchedule("diminishing", eta=0.25)
+        assert (sched.theta(3), sched.t(3)) == (schedule_theta(3, 0.25), schedule_t(3, 0.25))
+        for name, call in (
+            ("tau", lambda: sched.tau(3)),
+            ("sigma", lambda: sched.sigma(3, 0)),
+            ("validate_stepsize_condition", lambda: validate_stepsize_condition(sched, k_max=3)),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name}(\(k\))? needs a schedule with agg and fp$"):
+                call()
+
+    @pytest.mark.parametrize("mode", ["constant", "diminishing"])
+    def test_alpha_and_beta_lengths(self, mode):
+        # alpha has 1 or M entries; beta, which only the diminishing steps read, 1 or N
+        agg = aggregate_constants(_random_lip(np.random.default_rng(11), 2, 3))
+        fp = default_free_params(agg, mode)
+        fp.alpha = np.ones(3)
+        with pytest.raises(ValueError, match=r"alpha has shape \(3,\); it needs 1 or M = 2 entries"):
+            StepSchedule(mode, agg, fp)
+        fp.alpha, fp.beta = np.ones(1), np.ones(2)
+        if mode == "diminishing":
+            with pytest.raises(ValueError, match=r"beta has shape \(2,\); it needs 1 or N = 3 entries"):
+                StepSchedule(mode, agg, fp)
+            fp.beta = np.ones(1)
+        sched = StepSchedule(mode, agg, fp)
+        assert sched.tau(0).shape == (2,) and sched.sigma(0).shape == (3,)
+
+    def test_constant_steps_are_read_only(self):
+        # tau(k) and sigma(k) return the schedule's own vectors, which every
+        # later step and validation reads
+        agg = aggregate_constants(_random_lip(np.random.default_rng(12), 2, 3))
+        sched = StepSchedule("constant", agg, default_free_params(agg, "constant"))
+        want = sched.tau(0).tolist(), sched.sigma(0).tolist()
+        for v in (sched.tau(3), sched.sigma(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                v *= 100
+        assert (sched.tau(0).tolist(), sched.sigma(0).tolist()) == want
+
+
 def _random_lip(rng, M, N):
     return _lip(
         rng.uniform(0, 5, (M, M)),
@@ -187,6 +241,12 @@ def _random_lip(rng, M, N):
         rng.uniform(0, 5, (N, N)),
         rng.uniform(0.05, 5, (N, M)),
     )
+
+
+@pytest.fixture(scope="module")
+def c09_problem():
+    # the acceptance check's desk-scale robust ERM: M = 10 primal blocks, N = 200 dual boxes
+    return robust_erm_problem(generate_robust_erm(7, 200, 500, 0.1), radius=10.0, m_blocks=10, n_blocks=200)
 
 
 class TestStepsizeCondition:
@@ -264,31 +324,43 @@ class TestStepsizeCondition:
 
     @pytest.mark.parametrize("k_max", [0, 5, 200])
     @pytest.mark.parametrize("M,N", [(1, 3), (3, 1), (2, 4)])
-    def test_slacks_equal_the_per_k_loop_bitwise(self, M, N, k_max):
+    def test_slacks_equal_the_per_k_loop_bitwise(self, M, N, k_max, monkeypatch):
         # the validator's whole-table slacks are the exact floats of the
-        # per-k loop, and it evaluates each step vector once per k
+        # per-k loop; it calls neither tau(k) nor sigma(k), and a diminishing
+        # schedule's steps bound to arrays once per side per chunk (4 chunks
+        # of 64 values of k at k_max = 200)
+        monkeypatch.setattr(stepsize, "_K_CHUNK", 64)
         agg = aggregate_constants(_random_lip(np.random.default_rng(10 * M + N), M, N))
         for mode, eta in (("constant", 0.0), ("diminishing", 0.25)):
             for delta_bar in (0.0, 0.1):
                 sched = StepSchedule(mode, agg, default_free_params(agg, mode, delta_bar), eta=eta)
                 want = _per_k_slacks(sched, k_max)
-                calls = {"tau": 0, "sigma": 0}
-                for side in calls:
-                    def counted(k, *args, _side=side, _fn=getattr(sched, side)):
-                        calls[_side] += 1
-                        return _fn(k, *args)
-                    setattr(sched, side, counted)
+                calls = {"tau": 0, "sigma": 0, "_tau_vec": 0, "_sigma_vec": 0}
+                for name in calls:
+                    if hasattr(sched, name):
+                        def counted(*args, _name=name, _fn=getattr(sched, name)):
+                            calls[_name] += 1
+                            return _fn(*args)
+                        setattr(sched, name, counted)
                 got = validate_stepsize_condition(sched, k_max=k_max)
-                assert calls == {"tau": k_max + 2, "sigma": k_max + 2}
+                chunks = -(-(k_max + 1) // 64) if mode == "diminishing" else 0
+                assert calls == {"tau": 0, "sigma": 0, "_tau_vec": chunks, "_sigma_vec": chunks}
                 assert list(got.min_slacks) == list(want)
                 assert [v.hex() for v in got.min_slacks.values()] == [v.hex() for v in want.values()]
                 if mode == "constant":
                     assert got.min_slacks["t_theta_identity"].hex() == "0x0.0p+0"
 
+    @pytest.mark.parametrize("mode,k_max", [("single_sample", 66_666), ("increasing_batch", 1_400)])
+    def test_c09_schedules_pass_over_whole_runs(self, c09_problem, mode, k_max):
+        # the schedules of the acceptance check's N = 200 runs are certified
+        # over every step those runs take
+        sched = build_schedule(c09_problem, SolverConfig(mode=mode, eta=0.0, max_iters=k_max))
+        report = validate_stepsize_condition(sched, k_max=k_max)
+        assert report.passed, report.min_slacks
 
     @pytest.mark.parametrize("k_max", [0, 200])
     def test_chunked_slacks_equal_the_one_table_result(self, k_max, monkeypatch):
-        # the rows are taken chunk by chunk with the last row carried over;
+        # the tables are filled chunk by chunk, consecutive chunks sharing a row;
         # every slack is the one-table float, over 3 or more chunks, an
         # uneven last chunk and chunks of one k, still one row per k
         agg = aggregate_constants(_random_lip(np.random.default_rng(7), 3, 4))
@@ -351,6 +423,23 @@ def _per_k_slacks(schedule, k_max):
     return slacks
 
 
+def _validator_tables(schedule, name, k_max):
+    # the tables the validator fills through the schedule's side ``name``
+    # ("_tau_vec" or "_sigma_vec"), one per chunk, in order
+    tables, bound = [], getattr(schedule, name)
+
+    def recorded(th, t):
+        tables.append(bound(th, t))
+        return tables[-1]
+
+    setattr(schedule, name, recorded)
+    try:
+        validate_stepsize_condition(schedule, k_max=k_max)
+    finally:
+        setattr(schedule, name, bound)
+    return tables
+
+
 def _explicit_diminishing(agg, fp, M, N, eta, k):
     # Reference: the diminishing step formula written out as one expression.
     g1, g2, l1, l2, db = fp.gamma1, fp.gamma2, fp.lambda1, fp.lambda2, fp.delta_bar
@@ -376,9 +465,11 @@ def _explicit_diminishing(agg, fp, M, N, eta, k):
 
 class TestPerBlockSteps:
     @pytest.mark.parametrize("M,N", [(1, 1), (3, 5), (10, 200)])
-    def test_block_steps_equal_vector_entries(self, M, N):
+    def test_block_steps_equal_vector_entries(self, M, N, monkeypatch):
         # the solver reads one step per side; each must be the exact float of
-        # the vector formula, for every k, eta and delta_bar
+        # the vector formula, and of the validator's table row, for every k,
+        # eta and delta_bar
+        monkeypatch.setattr(stepsize, "_K_CHUNK", 128)  # k in [0, 301] over 3 chunks
         rng = np.random.default_rng(10 * M + N)
         agg = aggregate_constants(_random_lip(rng, M, N))
         for delta_bar in (0.0, 0.1):
@@ -401,6 +492,16 @@ class TestPerBlockSteps:
                     assert (sched.theta(k), sched.t(k)) == (schedule_theta(k, eta), schedule_t(k, eta))
                 assert type(sched.tau(0, 0)) is float and type(sched.sigma(0, 0)) is float
                 assert np.array_equal(sched.tau(7), _explicit_diminishing(agg, fp_d, M, N, eta, 7)[0])
+                tau_at, sigma_at = sched.block_steps()
+                for name, steps in (("_tau_vec", tau_at), ("_sigma_vec", sigma_at)):
+                    tables = _validator_tables(sched, name, k_max=300)
+                    assert len(tables) == 3
+                    # consecutive chunks share a row: k = 0..128, 128..256, 256..301
+                    rows = np.concatenate([tables[0]] + [table[1:] for table in tables[1:]])
+                    assert rows.shape == (302, len(steps))
+                    for k in range(302):
+                        th, t, _ = sched.row(k)
+                        assert rows[k].tolist() == [step(th, t) for step in steps], (name, k)
 
     def test_block_index_out_of_range(self):
         agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]))
