@@ -10,6 +10,7 @@ block-level partial gradients as first-class oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -304,10 +305,12 @@ class SaddleProblem:
         after returning it.  Only the primal side is sampled, so the dual
         oracle is always a block's full partial gradient.
 
-    A step of the solver calls ``grad_y`` and ``batch_grad_x``; the
+    A step of the solver calls ``grad_y`` and ``batch_grad_x``, or at batch
+    size 1 ``one_row_grad_x`` in place of ``batch_grad_x`` (below); the
     full-gradient baseline and the sup-gap best responses call one full
-    gradient per side, ``full_grad_x`` and ``full_grad_y``.  The last three
-    default to enumeration: ``batch_grad_x`` and ``full_grad_x`` of the
+    gradient per side, ``full_grad_x`` and ``full_grad_y``.  Of these,
+    ``batch_grad_x``, ``full_grad_x`` and ``full_grad_y`` default to
+    enumeration: ``batch_grad_x`` and ``full_grad_x`` of the
     component closures, ``full_grad_y`` of the ``grad_y`` rows; built-in
     problems override them with vectorized closures.  Function values
     (``phi_value``, ``phi_component``) are needed only by metrics and may
@@ -326,6 +329,20 @@ class SaddleProblem:
         work (row gathers, margins, Q x) once per distinct primal array,
         recognised by identity, and fold the weights in before its products
         with the data, so that a call costs one product, not one per point.
+
+    one_row_grad_x(l, i, points, weights, cache)
+        Optional: ``batch_grad_x`` at the one index ``l`` (an int) in
+        factored form, ``(coef, row)``: a float and a float64 ``(dim_i,)``
+        array whose product ``coef * row`` equals
+        ``batch_grad_x([l], i, points, weights)`` bit for bit, under the
+        coupling cache ``cache``, which it always receives (None without
+        one); robust ERM's row is a block of a data row.  ``row_bound``
+        bounds every entry of every row in absolute value (inf, the
+        default, when no bound is known).  A step of batch size 1 calls it instead of
+        ``batch_grad_x`` while the instance's ``batch_grad_x`` is still the
+        one the problem was built with, and its prox forms
+        ``M * (coef * row)`` in place; a wrapper set on ``batch_grad_x``
+        afterwards switches this off, so the wrapper sees every call.
 
     full_grad_x(x, y) and full_grad_y(x, y)
         The whole-side partial gradients of Phi at one point, as ``(m,)``
@@ -347,7 +364,7 @@ class SaddleProblem:
         * the solver passes the cache as the keyword ``cache=`` to
           ``grad_y``, ``batch_grad_x``, ``full_grad_y`` and ``full_grad_x``
           (never otherwise, so problems without a cache keep their
-          signatures);
+          signatures), and as the last argument to ``one_row_grad_x``;
         * the oracles look cached products up by identity of the primal
           array they receive (x^k or x^(k-1)); any other array is computed
           from scratch, so a cache never changes what an oracle means;
@@ -387,6 +404,8 @@ class SaddleProblem:
     phi_value: Optional[Callable] = None
     phi_component: Optional[Callable] = None
     coupling_cache: Optional[Callable] = None
+    one_row_grad_x: Optional[Callable] = None
+    row_bound: float = math.inf
     start_x: Optional[np.ndarray] = None
     start_y: Optional[np.ndarray] = None
     name: str = "problem"
@@ -401,8 +420,12 @@ class SaddleProblem:
             raise ValueError("need one dual prox spec per dual block")
         if self.grad_y is None:
             raise ValueError("need grad_y")
+        if not self.row_bound >= 0:  # also rejects NaN
+            raise ValueError(f"row_bound must be nonnegative, got row_bound = {self.row_bound}")
         if self.batch_grad_x is None:
             self.batch_grad_x = self._batch_grad_x_looped
+        # the batch_grad_x that one_row_grad_x factors; a step compares it by identity
+        self._factored = self.batch_grad_x
         if self.full_grad_x is None:
             everything = np.arange(self.p)
             self.full_grad_x = lambda x, y, cache=None: np.concatenate(
@@ -492,7 +515,11 @@ def validate_problem(
     differs from the block's component mean (the finite-sum identity), a
     ``full_grad_y`` block that differs from the ``grad_y`` row, and
     Phi-value inconsistencies.  These probe checks are skipped when p
-    exceeds ``max_enumeration``.  Returns a report; never raises.
+    exceeds ``max_enumeration``.  A ``one_row_grad_x`` is checked at index
+    0 of every block, at one probe and at all probes with random weights:
+    its row must be a float64 ``(dim_i,)`` array within ``row_bound``, and
+    ``coef * row`` must have the bits of ``batch_grad_x([0], ...)``.
+    Returns a report; never raises.
     """
     failures = []
     st = problem.structure
@@ -588,5 +615,22 @@ def validate_problem(
                     failures.append(
                         f"Phi value mismatch: mean of components {total:.6e} vs full {full:.6e}"
                     )
+
+    if problem.one_row_grad_x is not None and not failures:
+        weights = tuple(rng.uniform(-2.0, 2.0, len(points)))
+        for i, dim in enumerate(st.primal.dims):
+            for pts, ws in ((points[:1], (1.0,)), (points, weights)):
+                try:
+                    coef, row = problem.one_row_grad_x(0, i, pts, ws, None)
+                    want = np.asarray(problem.batch_grad_x(np.array([0]), i, pts, ws), dtype=float)
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"one_row_grad_x(0, {i}) raised: {exc}")
+                    break
+                if type(row) is not np.ndarray or row.dtype != np.float64 or row.shape != (dim,):
+                    failures.append(f"one_row_grad_x block {i}: the row is not a float64 ({dim},) array")
+                elif not np.abs(row).max() <= problem.row_bound:
+                    failures.append(f"one_row_grad_x block {i}: a row entry exceeds row_bound")
+                elif (coef * row).tobytes() != want.tobytes():
+                    failures.append(f"one_row_grad_x block {i}: coef * row differs from batch_grad_x([0]) in its bits")
 
     return ValidationReport(failures)

@@ -236,7 +236,49 @@ def _float_kernel(geom: BregmanGeometry, spec):
     return _float_clip(spec.lower.item(0), spec.upper.item(0))
 
 
-def prox_kernel(geom: BregmanGeometry, spec, scalar: bool = False):
+_OVERFLOW_FREE = 2.0**1000  # a product of this size and a few roundings is still finite
+
+
+def _factored_kernel(geom: BregmanGeometry, spec, scale: float, row_bound: float):
+    """The prox of the linear term ``scale * (coef * row)``; see :func:`prox_kernel`."""
+    array = _array_kernel(geom, spec)
+    if geom.is_entropy or spec.kind not in _SCALAR_KINDS:
+
+        def prox_formed(linear, step, x_bar):
+            coef, row = linear
+            return array(scale * (coef * row), step, x_bar)
+
+        return prox_formed
+    lower = spec.lower if spec.kind == "box" else 0.0 if spec.kind == "nonneg" else None
+    upper = spec.upper if spec.kind == "box" else None
+    # |coef| below the limit keeps every entry of the term below 2**1000, so
+    # finite; a NaN or infinite coef, or one past the limit, is checked entrywise
+    bound = scale * row_bound
+    limit = math.inf if bound == 0 else _OVERFLOW_FREE / bound
+
+    def prox_factored(linear, step, x_bar):
+        coef, row = linear
+        if row.shape != x_bar.shape:
+            raise ValueError("dimension mismatch between linear term and x_bar")
+        r = coef * row
+        r *= scale
+        if not -limit < coef < limit and b"\x00" in np.isfinite(r).tobytes():
+            raise ValueError("non-finite entries in the linear term")
+        if not step > 0:
+            raise ValueError("step must be positive")
+        # x_bar - step * r, written into r: the array kernel's operations in its order
+        r *= step
+        np.subtract(x_bar, r, out=r)
+        if lower is not None:
+            np.maximum(r, lower, out=r)
+        if upper is not None:
+            np.minimum(r, upper, out=r)
+        return r
+
+    return prox_factored
+
+
+def prox_kernel(geom: BregmanGeometry, spec, scalar: bool = False, factored=None):
     """The prox of one block, resolved once, as a function ``(linear, step, x_bar) -> point``.
 
     The geometry and ``spec`` (its kind and bounds) are read here; each call
@@ -247,7 +289,19 @@ def prox_kernel(geom: BregmanGeometry, spec, scalar: bool = False):
     that has no prox (entropy geometry off the simplex, an unknown kind, a
     float against a wider box) gives a function that makes the common
     checks and then raises ValueError.
+
+    With ``factored = (scale, row_bound)`` the linear term comes factored,
+    as ``(coef, row)``: a float and a float64 1-d array of ``x_bar``'s
+    shape whose entries are at most ``row_bound`` in absolute value.  The
+    function proxes ``scale * (coef * row)`` bit for bit.  For zero, box
+    and nonneg specs it forms the term once and scales, subtracts and
+    clips it in place, and its finiteness check is one comparison of
+    ``coef`` wherever ``|coef| * scale * row_bound`` is certainly finite;
+    elsewhere the check runs entrywise, so every verdict is kept.  Other
+    kinds form the term and call their array kernel.
     """
+    if factored is not None:
+        return _factored_kernel(geom, spec, *factored)
     if scalar and spec.kind in _SCALAR_KINDS:
         return _float_kernel(geom, spec)
     array = _array_kernel(geom, spec)

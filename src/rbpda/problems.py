@@ -285,6 +285,9 @@ def robust_erm_problem(
     column block of primal block i.  ``Lxx_whole`` is the whole-vector
     bound, ``max_r ||a_r||^2 / 4`` on the simplex and ``||A||_2^2 / 4`` in
     the boxes; only the whole-vector solvers read it.
+
+    ``A`` and ``b`` must be finite, and ``A``'s entries small enough that
+    its squared norms are; otherwise ValueError names the array.
     """
     A, b = data.A, data.b
     n, m = A.shape
@@ -297,6 +300,12 @@ def robust_erm_problem(
         raise ValueError(f"n_blocks={n_blocks} does not divide n={n}")
     mb, nb = m // m_blocks, n // n_blocks
     entropy = n_blocks == 1
+    a_max = float(np.abs(A).max())  # NaN if an entry is NaN
+    for name, finite in (("A", math.isfinite(a_max)), ("b", np.isfinite(b).all())):
+        if not finite:
+            raise ValueError(f"robust_erm_problem needs finite data: {name} has non-finite entries")
+    if not math.isfinite(a_max * a_max * n * m):  # bounds the Gram matrix's eigenvalues
+        raise ValueError(f"robust_erm_problem needs A's squared norms to be finite: A has an entry of {a_max:.3g}")
 
     structure = BlockStructure.from_dims([mb] * m_blocks, [nb] * n_blocks)
     # equal blocks share one (immutable) spec, and a step plan one kernel for it
@@ -330,9 +339,23 @@ def robust_erm_problem(
         return (p * float(y[l]) * t) * a[i * mb : (i + 1) * mb]
 
     def one_row_grad_x(l, i, points, weights, cache):
-        # batch size 1 in Python floats: one margin and sigmoid per distinct
-        # primal array, the points' coefficients summed, then one scaled row block
+        # batch size 1 as (coef, row block of a_l), coef in Python floats: one
+        # margin and sigmoid per distinct primal array, and the points' terms
+        # summed in order from 0.0
         a, nbl = A[l], neg_b_list[l]
+        if len(points) == 3 and points[1][0] is points[0][0]:
+            # the step's three points, of which the first two share x^k
+            (x, y0), (_, y1), (x2, y2) = points
+            w0, w1, w2 = weights
+            u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[l]
+            t = nbl * _sigmoid1(nbl * float(u))
+            if x2 is x:
+                t2 = t
+            else:
+                u = a.dot(x2) if cache is None or (z := cache.margins(x2)) is None else z[l]
+                t2 = nbl * _sigmoid1(nbl * float(u))
+            coef = 0.0 + w0 * p * y0.item(l) * t + w1 * p * y1.item(l) * t + w2 * p * y2.item(l) * t2
+            return coef, a[cols[i]]
         coef, x_seen = 0.0, None
         for (x, y), w in zip(points, weights):
             if x is not x_seen:
@@ -340,7 +363,7 @@ def robust_erm_problem(
                 u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[l]
                 t = nbl * _sigmoid1(nbl * float(u))
             coef += w * p * y.item(l) * t
-        return coef * a[cols[i]]
+        return coef, a[cols[i]]
 
     def batch_grad_x(indices, i, points, weights, cache=None):
         # a run's drawn indices are used as they are, without the asarray call
@@ -350,7 +373,8 @@ def robust_erm_problem(
             rows = np.asarray(indices, dtype=int)
         count = rows.size
         if count == 1:
-            return one_row_grad_x(rows.item(0), i, points, weights, cache)
+            coef, row = one_row_grad_x(rows.item(0), i, points, weights, cache)
+            return coef * row
         full = count == n and np.array_equal(rows, all_rows)
         if full:
             rows = slice(None)  # the whole index set: read A in place
@@ -450,6 +474,8 @@ def robust_erm_problem(
         phi_value=phi_value,
         phi_component=phi_component,
         coupling_cache=coupling_cache,
+        one_row_grad_x=one_row_grad_x,
+        row_bound=a_max,
         start_x=np.zeros(m),
         start_y=start_y,
         name=f"robust_erm(n={n},m={m},M={m_blocks},N={n_blocks})",

@@ -222,7 +222,9 @@ class StepPlan:
       schedule's :meth:`~rbpda.stepsize.StepSchedule.row` of k, computed
       once per k, and the ergodic weights read the same row;
     * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
-      and for a one-coordinate dual block its coordinate and float kernel;
+      for a one-coordinate dual block its coordinate and float kernel, and
+      on a problem with a ``one_row_grad_x`` each primal block's factored
+      kernel;
     * the batch rule: :func:`~rbpda.sampling.next_batch_size` as this
       module holds it when the plan is built, called once per step.
 
@@ -254,10 +256,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     blocks, take_indices = draws.blocks, draws.indices
     kernels = {}  # blocks that share a spec object share its kernel
 
-    def kernel(spec, scalar=False):
-        key = id(spec), scalar
+    def kernel(spec, scalar=False, factored=None):
+        key = id(spec), scalar, factored
         if key not in kernels:
-            kernels[key] = prox_kernel(spec.geometry, spec, scalar)
+            kernels[key] = prox_kernel(spec.geometry, spec, scalar, factored)
         return kernels[key]
 
     # a one-coordinate dual block gets its float kernel; its array kernel is
@@ -266,7 +268,16 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         (blk, blk.start, kernel(spec, scalar=True), spec) if dim == 1 else (blk, None, kernel(spec), spec)
         for blk, dim, spec in zip(st.dual.ranges, st.dual.dims, problem.dual_prox)
     ]
-    primal = [(blk, kernel(spec)) for blk, spec in zip(st.primal.ranges, problem.primal_prox)]
+    # at batch size 1 a problem's one-row oracle gives the term as (coef, row),
+    # while its batch_grad_x is the one the oracle factors (a wrapper set on
+    # the instance is called instead); the kernel forms M * (coef * row) in place
+    one_row = getattr(problem, "one_row_grad_x", None)  # optional: a problem-like object may lack it
+    factored = None if one_row is None else (M_float, problem.row_bound)
+    factors = None if one_row is None else problem._factored
+    primal = [
+        (blk, kernel(spec), None if one_row is None else kernel(spec, factored=factored))
+        for blk, spec in zip(st.primal.ranges, problem.primal_prox)
+    ]
     if schedule.mode == "constant":
         row = tau_at = sigma_at = None
         taus = np.asarray(schedule.tau(0), dtype=float).tolist()
@@ -329,21 +340,25 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
             # give M g_new with the bits of the per-point form
             c = (N - 1) * theta
             points, weights = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), (1.0, c, -c)
+            blk_i, prox_primal, prox_row = primal[i]
             try:
-                if cache is None:
-                    r = problem.batch_grad_x(indices, i, points, weights)
+                if v == 1 and problem.batch_grad_x is factors:
+                    prox_primal = prox_row
+                    r = one_row(indices.item(0), i, points, weights, cache)
                 else:
-                    r = problem.batch_grad_x(indices, i, points, weights, cache=cache)
-                if type(r) is not np.ndarray or r.dtype is not _FLOAT64:
-                    r = np.asarray(r, dtype=float)
-                r = M_float * r
+                    if cache is None:
+                        r = problem.batch_grad_x(indices, i, points, weights)
+                    else:
+                        r = problem.batch_grad_x(indices, i, points, weights, cache=cache)
+                    if type(r) is not np.ndarray or r.dtype is not _FLOAT64:
+                        r = np.asarray(r, dtype=float)
+                    r = M_float * r
             except Exception as exc:
                 raise SolverError(
                     f"batch_grad_x failed at iteration {k}, primal block {i}: {exc}"
                 ) from exc
             state.grad_budget += 3 * v
 
-            blk_i, prox_primal = primal[i]
             try:
                 x_blk = prox_primal(r, taus[i] if row is None else tau_at[i](theta, t), x_k[blk_i])
             except Exception as exc:
@@ -574,15 +589,22 @@ def rbpda_step(
     The dual gradient at (x^(k-1), y^(k-1)) is the previous step's row when
     it is kept (``RunState.dual_row``), so ``grad_y`` then takes only
     (x^k, y^k); either way a step counts two dual gradients.  The primal
-    linear term is one weighted ``batch_grad_x`` call.  The state's coupling
-    cache is passed to ``grad_y`` and ``batch_grad_x`` and moves only once
-    both blocks are written.
+    linear term is one weighted ``batch_grad_x`` call.  At batch size 1, on
+    a problem with a ``one_row_grad_x`` whose ``batch_grad_x`` is still the
+    one it was built with, it is one ``one_row_grad_x`` call instead: the
+    term stays ``(coef, row)``, and the prox kernel forms ``M * (coef *
+    row)`` in place, to the same bits (see
+    :class:`~rbpda.blocks.SaddleProblem`); a wrapper set on the instance's
+    ``batch_grad_x`` therefore sees every call.  The state's coupling cache
+    is passed to the oracles and moves only once both blocks are written.
     An exception from an oracle or a prox becomes a :class:`SolverError`
     naming the iteration, the block and the failing call, with the original
     as its ``__cause__``.
     """
     plan = state.plan
-    if plan is None or not plan.serves(problem, rng, schedule, batch):
+    # plan.serves(...) written out: a method call costs more than the four tests
+    if plan is None or not (plan.problem is problem and plan.rng is rng and plan.schedule is schedule
+                            and (plan.batch is batch or plan.batch == batch)):
         plan = state.plan = StepPlan(problem, rng, schedule, batch)
         state.dual_row = None
     return plan.step(state)

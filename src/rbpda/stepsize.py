@@ -15,6 +15,7 @@ the convergence guarantees to hold, with the schedule's own constants.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -234,6 +235,17 @@ def _sigma_step(n, count, inv, d, r0, r1, q):
     return lambda th, t, d=d, r0=r0, r1=r1, q=q: 1.0 / (n * (d + count * th * inv + r0 + r1 + q / t))
 
 
+def _frozen_copy(obj):
+    """A copy of the dataclass ``obj`` with read-only copies of its arrays, which no later write to ``obj`` reaches."""
+    out = copy.copy(obj)
+    for name, v in vars(obj).items():
+        if isinstance(v, np.ndarray):
+            v = v.copy()
+            v.flags.writeable = False
+            object.__setattr__(out, name, v)  # also on a frozen dataclass
+    return out
+
+
 def _bind_steps(template, terms):
     """One side's diminishing step bound to its arrays, and to each block's floats, as ``(vector, per_block)``.
 
@@ -256,9 +268,11 @@ class StepSchedule:
     ``mode`` is ``"constant"`` (theta = t = 1 for all k) or ``"diminishing"``
     (the decay exponent ``eta`` lies in [0, 1), and ``fp.beta`` is set).
     ``M`` and ``N`` are the block counts of ``agg``, set once at
-    construction, and the validator and the ergodic averages read ``agg``,
-    ``fp`` and the mode from the schedule.  A diminishing schedule without
-    ``agg`` and ``fp`` gives only theta(k) and t(k), and its M and N are None.
+    construction.  The schedule copies ``agg`` and ``fp`` then, with
+    read-only arrays: its steps and the validator read the copies, so a
+    later write to ``agg`` or ``fp`` changes neither.  A diminishing
+    schedule without ``agg`` and ``fp`` gives only theta(k) and t(k), and
+    its M and N are None.
     ``tau(k)`` and ``sigma(k)`` return the step vectors, a constant
     schedule's own arrays, read-only.  With a block index,
     ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
@@ -280,20 +294,22 @@ class StepSchedule:
         if self.mode == "constant" and self._missing:
             raise ValueError(f"a constant schedule needs {self._missing}")
         self.M, self.N = (None, None) if self.agg is None else (self.agg.L_yx.size, self.agg.L_xy.size)
-        if not self._missing and self.fp.alpha.shape not in ((1,), (self.M,)):
-            raise ValueError(f"alpha has shape {self.fp.alpha.shape}; it needs 1 or M = {self.M} entries")
+        if not self._missing:
+            agg, fp = self._agg, self._fp = _frozen_copy(self.agg), _frozen_copy(self.fp)
+            if fp.alpha.shape not in ((1,), (self.M,)):
+                raise ValueError(f"alpha has shape {fp.alpha.shape}; it needs 1 or M = {self.M} entries")
         if self.mode == "constant":
-            self._tau0, self._sigma0 = constant_stepsizes(self.agg, self.fp)
+            self._tau0, self._sigma0 = constant_stepsizes(agg, fp)
             # tau(k) and sigma(k) return these arrays; a write into one would change every later step
             self._tau0.flags.writeable = self._sigma0.flags.writeable = False
         elif not 0 <= self.eta < 1:
             raise ValueError(f"eta must lie in [0, 1), got eta = {self.eta}")
         elif not self._missing:
-            if self.fp.beta is None:
+            if fp.beta is None:
                 raise ValueError("diminishing step sizes need FreeParams.beta")
-            if self.fp.beta.shape not in ((1,), (self.N,)):
-                raise ValueError(f"beta has shape {self.fp.beta.shape}; it needs 1 or N = {self.N} entries")
-            self._tau_terms, self._sigma_terms = _diminishing_terms(self.agg, self.fp)
+            if fp.beta.shape not in ((1,), (self.N,)):
+                raise ValueError(f"beta has shape {fp.beta.shape}; it needs 1 or N = {self.N} entries")
+            self._tau_terms, self._sigma_terms = _diminishing_terms(agg, fp)
             self._tau_vec, self._tau_at = _bind_steps(_tau_step, self._tau_terms)
             self._sigma_vec, self._sigma_at = _bind_steps(_sigma_step, self._sigma_terms)
         self._power = 0.5 * (1.0 + self.eta)  # the exponent of schedule_theta and schedule_t
@@ -383,7 +399,7 @@ class StepsizeReport:
 
 def _m_matrices(schedule: StepSchedule, theta: np.ndarray, tau: np.ndarray, sigma: np.ndarray):
     """M1..M4 with one row per k: ``theta`` is a column over k, ``tau`` and ``sigma`` are the step tables."""
-    agg, fp, M, N = schedule.agg, schedule.fp, schedule.M, schedule.N
+    agg, fp, M, N = schedule._agg, schedule._fp, schedule.M, schedule.N
     m1 = M * theta * (fp.lambda2 * N * agg.L_yx**2 + (N - 1) * fp.gamma1 * agg.C_x**2)
     m2 = M * theta * (fp.gamma2 * (N - 1) * agg.L_xy**2 + fp.lambda1 * N * agg.C_y**2)
     m3 = (
@@ -417,7 +433,7 @@ def _chunk_slacks(schedule: StepSchedule, ks: range) -> dict:
         theta, t = rows[:, :1], rows[:, 1:]
         tau, sigma = schedule._tau_vec(theta, t), schedule._sigma_vec(theta, t)
     m1, m2, m3, m4 = _m_matrices(schedule, theta, tau, sigma)
-    fp = schedule.fp
+    fp = schedule._fp
     now, nxt = slice(None, -1), slice(1, None)
     t_k, t_next = t[now], t[nxt]
     b_k = fp.beta / t_k if schedule.mode == "diminishing" else 0.0
@@ -443,7 +459,8 @@ _K_CHUNK = 256  # most values of k whose rows the validator holds at once
 def validate_stepsize_condition(schedule: StepSchedule, k_max: int = 200, tolerance: float = 1e-9) -> StepsizeReport:
     """Numerically check the schedule's per-block step-size inequalities for k in [0, k_max].
 
-    The constants and free parameters are the schedule's own.  All matrices
+    The constants and free parameters are the schedule's own copies, the
+    ones its steps were built from.  All matrices
     involved are diagonal by construction, so each semidefinite ordering
     reduces to scalar inequalities per block.  The noise weights are
     A^k = diag(alpha)/t^k and, in diminishing mode, B^k = diag(beta)/t^k

@@ -93,6 +93,27 @@ class TestRobustErmProblem:
         with pytest.raises(ValueError):
             robust_erm_problem(data, n_blocks=3)
 
+    @pytest.mark.parametrize("n_blocks", [1, 10])
+    @pytest.mark.parametrize("name,value,message", [
+        ("A", np.nan, "A has non-finite entries"),
+        ("A", -np.inf, "A has non-finite entries"),
+        ("b", np.nan, "b has non-finite entries"),
+        ("b", np.inf, "b has non-finite entries"),
+        ("A", 1e200, "A's squared norms to be finite: A has an entry of 1e\\+200"),
+    ])
+    def test_non_finite_data_refused_by_name(self, name, value, message, n_blocks):
+        # one bad entry used to surface as a LinAlgError from the Lipschitz
+        # constants ("SVD did not converge", "Eigenvalues did not converge")
+        data = generate_robust_erm(1, 10, 8, 0.1)
+        getattr(data, name)[3] = value
+        with pytest.raises(ValueError, match=message):
+            robust_erm_problem(data, n_blocks=n_blocks)
+
+    def test_row_bound_is_the_largest_entry(self):
+        data = generate_robust_erm(1, 10, 8, 0.1)
+        prob = robust_erm_problem(data, m_blocks=2, n_blocks=10)
+        assert prob.row_bound == np.abs(data.A).max()
+
     def test_box_relaxation_recorded(self):
         data = generate_robust_erm(1, 10, 8, 0.1)
         split = robust_erm_problem(data, n_blocks=10)

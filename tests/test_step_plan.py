@@ -238,7 +238,8 @@ def opcodes_per_iteration(problem, iters: int, **config) -> float:
     return (counts[1] - counts[0]) / iters
 
 
-OPCODES_PER_SINGLE_SAMPLE_ITERATION = 1284  # the test's count, measured on CPython 3.11
+OPCODES_PER_SINGLE_SAMPLE_ITERATION = 1200  # the test's count, measured on CPython 3.11
+OPCODES_PER_ENTROPY_SINGLE_SAMPLE_ITERATION = 1345  # likewise
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are CPython 3.11's")
@@ -252,3 +253,14 @@ def test_single_sample_iteration_opcodes():
     assert prob.coupling_cache(prob.start_x, prob.start_y, prob.start_x, prob.start_y, 1) is None
     got = opcodes_per_iteration(prob, 500, mode="single_sample", eta=0.0, seed=5, stream=2)
     assert got <= 1.05 * OPCODES_PER_SINGLE_SAMPLE_ITERATION, f"{got:.1f} opcodes per iteration"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are CPython 3.11's")
+def test_entropy_single_sample_iteration_opcodes():
+    # the shape of the benchmark's entropy workload: one simplex dual block,
+    # with the coupling cache the run builds for it
+    data = generate_robust_erm(3, 60, 120, 0.1)
+    prob = robust_erm_problem(data, radius=10.0, m_blocks=4, n_blocks=1)
+    assert prob.coupling_cache(prob.start_x, prob.start_y, prob.start_x, prob.start_y, 1) is not None
+    got = opcodes_per_iteration(prob, 500, mode="single_sample", eta=0.0, seed=5, stream=2)
+    assert got <= 1.05 * OPCODES_PER_ENTROPY_SINGLE_SAMPLE_ITERATION, f"{got:.1f} opcodes per iteration"

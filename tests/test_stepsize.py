@@ -233,6 +233,31 @@ class TestScheduleInputs:
                 v *= 100
         assert (sched.tau(0).tolist(), sched.sigma(0).tolist()) == want
 
+    @pytest.mark.parametrize("mode", ["constant", "diminishing"])
+    def test_writes_to_agg_and_fp_after_construction_change_neither_steps_nor_verdict(self, mode):
+        # the steps are built from agg and fp at construction; the validator
+        # must judge those same inputs, so a later write to the caller's
+        # objects, by assignment or in place, reaches neither
+        agg = aggregate_constants(_random_lip(np.random.default_rng(13), 2, 3))
+        sched = StepSchedule(mode, agg, default_free_params(agg, mode), eta=0.25 if mode == "diminishing" else 0.0)
+
+        def observed():
+            steps = [v.tobytes() for k in (0, 1, 7) for v in (np.asarray(sched.tau(k)), np.asarray(sched.sigma(k)))]
+            report = validate_stepsize_condition(sched, k_max=50)
+            return steps, {key: v.hex() for key, v in report.min_slacks.items()}, report.passed
+
+        before = observed()
+        assert before[2]
+        sched.fp.alpha = sched.fp.alpha * 100.0  # alone, it would turn primal_lipschitz negative
+        sched.fp.gamma1 *= 3.0
+        sched.fp.beta[:] = 1e-3
+        sched.agg.Lxx_diag[:] = 0.0
+        sched.agg.C_x[:] *= 4.0
+        assert observed() == before
+        # the caller's objects did change: a schedule built from them now takes other steps
+        rebuilt = StepSchedule(mode, sched.agg, sched.fp, eta=sched.eta)
+        assert np.asarray(rebuilt.tau(1)).tobytes() != np.asarray(sched.tau(1)).tobytes()
+
 
 def _random_lip(rng, M, N):
     return _lip(
