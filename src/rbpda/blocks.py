@@ -305,10 +305,11 @@ class SaddleProblem:
         after returning it.  Only the primal side is sampled, so the dual
         oracle is always a block's full partial gradient.
 
-    A step of the solver calls ``grad_y`` and ``batch_grad_x``, or at batch
-    size 1 ``one_row_grad_x`` in place of ``batch_grad_x`` (below); the
-    full-gradient baseline and the sup-gap best responses call one full
-    gradient per side, ``full_grad_x`` and ``full_grad_y``.  Of these,
+    A step of the solver calls ``grad_y``, or on a one-coordinate dual block
+    ``one_row_grad_y`` in its place, and ``batch_grad_x``, or at batch size
+    1 ``one_row_grad_x`` in its place (below); the full-gradient baseline
+    and the sup-gap best responses call one full gradient per side,
+    ``full_grad_x`` and ``full_grad_y``.  Of these,
     ``batch_grad_x``, ``full_grad_x`` and ``full_grad_y`` default to
     enumeration: ``batch_grad_x`` and ``full_grad_x`` of the
     component closures, ``full_grad_y`` of the ``grad_y`` rows; built-in
@@ -344,6 +345,16 @@ class SaddleProblem:
         ``M * (coef * row)`` in place; a wrapper set on ``batch_grad_x``
         afterwards switches this off, so the wrapper sees every call.
 
+    one_row_grad_y(j, points, cache)
+        Optional: the column of ``grad_y(j, points)`` on a one-coordinate
+        dual block j, as a sequence of Python floats, one per point, each
+        with the bits of ``grad_y``'s entry, under the coupling cache
+        ``cache``, which it always receives (None without one).  A step
+        calls it instead of ``grad_y`` on such a block while the instance's
+        ``grad_y`` is still the one the problem was built with, and keeps
+        the dual step in Python floats; a wrapper set on ``grad_y``
+        afterwards switches this off, so the wrapper sees every call.
+
     full_grad_x(x, y) and full_grad_y(x, y)
         The whole-side partial gradients of Phi at one point, as ``(m,)``
         and ``(n,)`` arrays: every block's component mean, and every block's
@@ -364,7 +375,8 @@ class SaddleProblem:
         * the solver passes the cache as the keyword ``cache=`` to
           ``grad_y``, ``batch_grad_x``, ``full_grad_y`` and ``full_grad_x``
           (never otherwise, so problems without a cache keep their
-          signatures), and as the last argument to ``one_row_grad_x``;
+          signatures), and as the last argument to ``one_row_grad_x`` and
+          ``one_row_grad_y``;
         * the oracles look cached products up by identity of the primal
           array they receive (x^k or x^(k-1)); any other array is computed
           from scratch, so a cache never changes what an oracle means;
@@ -405,6 +417,7 @@ class SaddleProblem:
     phi_component: Optional[Callable] = None
     coupling_cache: Optional[Callable] = None
     one_row_grad_x: Optional[Callable] = None
+    one_row_grad_y: Optional[Callable] = None
     row_bound: float = math.inf
     start_x: Optional[np.ndarray] = None
     start_y: Optional[np.ndarray] = None
@@ -424,8 +437,9 @@ class SaddleProblem:
             raise ValueError(f"row_bound must be nonnegative, got row_bound = {self.row_bound}")
         if self.batch_grad_x is None:
             self.batch_grad_x = self._batch_grad_x_looped
-        # the batch_grad_x that one_row_grad_x factors; a step compares it by identity
-        self._factored = self.batch_grad_x
+        # the batch_grad_x that one_row_grad_x factors and the grad_y whose
+        # column one_row_grad_y gives; a step compares them by identity
+        self._one_row_x_of, self._one_row_y_of = self.batch_grad_x, self.grad_y
         if self.full_grad_x is None:
             everything = np.arange(self.p)
             self.full_grad_x = lambda x, y, cache=None: np.concatenate(
@@ -518,8 +532,10 @@ def validate_problem(
     exceeds ``max_enumeration``.  A ``one_row_grad_x`` is checked at index
     0 of every block, at one probe and at all probes with random weights:
     its row must be a float64 ``(dim_i,)`` array within ``row_bound``, and
-    ``coef * row`` must have the bits of ``batch_grad_x([0], ...)``.
-    Returns a report; never raises.
+    ``coef * row`` must have the bits of ``batch_grad_x([0], ...)``.  A
+    ``one_row_grad_y`` is checked at every one-coordinate dual block, at one
+    probe and at all probes: it must give one Python float per point, with
+    the bits of ``grad_y``'s column.  Returns a report; never raises.
     """
     failures = []
     st = problem.structure
@@ -632,5 +648,21 @@ def validate_problem(
                     failures.append(f"one_row_grad_x block {i}: a row entry exceeds row_bound")
                 elif (coef * row).tobytes() != want.tobytes():
                     failures.append(f"one_row_grad_x block {i}: coef * row differs from batch_grad_x([0]) in its bits")
+
+    if problem.one_row_grad_y is not None and not failures:
+        for j, dim in enumerate(st.dual.dims):
+            if dim != 1:
+                continue
+            for pts in (points[:1], points):
+                try:
+                    got = list(problem.one_row_grad_y(j, pts, None))
+                    want = np.asarray(problem.grad_y(j, pts), dtype=float)
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"one_row_grad_y({j}) raised: {exc}")
+                    break
+                if len(got) != len(pts) or any(type(g) is not float for g in got):
+                    failures.append(f"one_row_grad_y block {j}: not one Python float per point")
+                elif want.shape != (len(pts), 1) or np.array(got).tobytes() != want.tobytes():
+                    failures.append(f"one_row_grad_y block {j}: differs from grad_y's column in its bits")
 
     return ValidationReport(failures)

@@ -350,7 +350,8 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     Individual run failures are recorded in the summary and the remaining
     runs continue.  A setting that :class:`~rbpda.solver.SolverConfig`
     rejects (an unknown mode, negative ``iters``, ``checkpoint_every`` below
-    1, an ``eta`` outside its mode's range, a ``batch`` below 1) raises
+    1, an ``eta`` outside its mode's range, a ``batch`` below 1, a negative
+    or non-integral seed, whether ``seed`` or an entry of ``seeds``) raises
     :class:`ConfigError` before any run, and so does a constant ``batch``
     above the problem's p, checked once every spec's problem is built.
     Baseline specs take the ``iters`` and ``checkpoint_every`` checks, and
@@ -369,7 +370,8 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
                     if getattr(spec, key) != _FIELDS[key].default:
                         raise ValueError(f"baseline mode ignores {key}, got {key} = {getattr(spec, key)}")
             else:
-                spec.solver_config(spec.seed, 0)
+                for seed, stream in _stream_seeds(spec):  # every seed of ``seeds`` too
+                    spec.solver_config(seed, stream)
         except ValueError as exc:
             raise ConfigError(f"[{spec.name}] {exc}") from exc
     built = [build_problem(spec) for spec in specs]

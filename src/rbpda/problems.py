@@ -429,14 +429,18 @@ def robust_erm_problem(
     def full_grad_y(x, y, cache=None):
         return np.logaddexp(0.0, neg_b * margins(x, cache))
 
+    def one_row_grad_y(j, points, cache):
+        # a one-row dual block's column as Python floats, one margin each
+        a, nbl = A[j], neg_b_list[j]
+        out = []
+        for x, _ in points:
+            u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[j]
+            out.append(_logaddexp0(nbl * float(u)))
+        return out
+
     def grad_y(j, points, cache=None):
         if nb == 1:
-            a, nbl = A[j], neg_b_list[j]
-            out = np.empty((len(points), 1))
-            for k, (x, _) in enumerate(points):
-                u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[j]
-                out[k, 0] = _logaddexp0(nbl * float(u))
-            return out
+            return np.array(one_row_grad_y(j, points, cache))[:, None]
         rows = slice(j * nb, (j + 1) * nb)
         z = np.empty((len(points), nb))
         for k, (x, _) in enumerate(points):
@@ -475,6 +479,7 @@ def robust_erm_problem(
         phi_component=phi_component,
         coupling_cache=coupling_cache,
         one_row_grad_x=one_row_grad_x,
+        one_row_grad_y=one_row_grad_y if nb == 1 else None,
         row_bound=a_max,
         start_x=np.zeros(m),
         start_y=start_y,

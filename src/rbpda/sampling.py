@@ -8,10 +8,11 @@ enumerates all components instead, which makes the estimate exact.
 
 A step takes its draws from a draw source: ``blocks()`` gives its dual and
 primal blocks and, once its batch size v is known, ``indices(v)`` its
-component indices.  :class:`SequentialDraws` calls :func:`draw_block` and
-:func:`sample_indices` one at a time; :class:`WordDraws` draws the
-generator's raw 32-bit words ahead and maps them to blocks and indices as
-numpy does, so both give the same draws for any sequence of batch sizes.
+component indices, or ``index()`` its one index as an int where v is 1.
+:class:`SequentialDraws` calls :func:`draw_block` and :func:`sample_indices`
+one at a time; :class:`WordDraws` draws the generator's raw 32-bit words
+ahead and maps them to blocks and indices as numpy does, so both give the
+same draws for any sequence of batch sizes.
 :func:`rbpda.solver.run` draws from words while N, M and p are at most
 2**32; steps driven by hand, and runs past those bounds, draw one call at a
 time.  The trajectory is fixed by (seed, stream) either way; only the
@@ -163,10 +164,10 @@ class WordDraws:
     next word w, it rejects w while ``m % 2**32 < (2**32 - r) % r`` and
     otherwise gives ``m >> 32``; a bound of 1 takes no word.  A fill draws
     the words themselves, ``rng.integers(0, 2**32, size=n, dtype=np.uint64)``,
-    and this class maps them the same way, so :meth:`blocks` and
-    :meth:`indices` give exactly what :func:`draw_block` and
-    :func:`sample_indices` give step after step, for any sequence of batch
-    sizes.
+    and this class maps them the same way, so :meth:`blocks`,
+    :meth:`indices` and :meth:`index` give exactly what :func:`draw_block`
+    and :func:`sample_indices` give step after step, for any sequence of
+    batch sizes.
 
     Each fill maps every word by N, by M and by p at once, with one flag per
     bound for a rejection anywhere in the fill.  In a fill clean for N and
@@ -190,7 +191,7 @@ class WordDraws:
         self._off = int(N > 1)  # the primal block's word, after the dual block's
         self.full = None
         self.words = np.zeros(0, dtype=np.uint64)
-        self._dual = self._primal = self._map = None  # the words mapped by N, M and p
+        self._dual = self._primal = self._map = self._index = None  # the words mapped by N, M and p
         self._fast = 0  # blocks are read from the maps while the position is below it
         self._clean = True
         self._at = self._size = 0
@@ -208,6 +209,7 @@ class WordDraws:
         m.flags.writeable = False  # indices are handed out as views
         # the primal map starts at the primal block's word, so both blocks are read at one position
         self._dual, self._primal, self._map = memoryview(m[0]), memoryview(m[1, self._off:]), m[2]
+        self._index = memoryview(m[2])  # the p map's entries as ints
         # the last word cannot hold both blocks; blocks() then maps word by word
         self._fast = words.size - 1 if clean[0] and clean[1] else 0
         self._clean = clean[2]
@@ -253,6 +255,19 @@ class WordDraws:
         cut = self._cut[2]
         return np.array([self._bounded(p, cut) for _ in range(v)], dtype=np.int64)
 
+    def index(self) -> int:
+        """``indices(1)``'s one index as an int, taking the words it takes: none at p = 1."""
+        if self.p == 1:
+            return 0
+        at = self._at
+        if at == self._size:
+            self._fill(1)
+            at = 0
+        if self._clean:
+            self._at = at + 1
+            return self._index[at]
+        return self._bounded(self.p, self._cut[2])
+
 
 class SequentialDraws:
     """A step's draws, taken from the generator one call at a time as the step needs them.
@@ -277,6 +292,10 @@ class SequentialDraws:
     def indices(self, v: int) -> np.ndarray:
         """The step's v component indices, drawn after its blocks."""
         return np.arange(self.p) if v >= self.p else sample_indices(self.rng, v, self.p)
+
+    def index(self) -> int:
+        """``indices(1)``'s one index as an int, drawn by the same call."""
+        return 0 if self.p == 1 else sample_indices(self.rng, 1, self.p).item(0)
 
 
 def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:

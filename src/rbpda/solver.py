@@ -27,7 +27,9 @@ a run, is unspecified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -87,6 +89,9 @@ class SolverConfig:
     least 1 in either mode (e.g. v = p for the deterministic reduction; a
     run refuses one above p).  ``as_mode`` requests
     the almost-sure-convergence regime, which needs delta_bar > 0.
+    ``max_iters``, ``checkpoint_every``, ``batch``, ``seed`` and ``stream``
+    must be integers (Python's or numpy's), and ``seed`` and ``stream``
+    nonnegative; a refusal names the value given.
     """
 
     mode: str = "increasing_batch"
@@ -107,6 +112,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
+        for name in ("max_iters", "checkpoint_every", "batch", "seed", "stream"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) or value is None and name == "batch"):
+                raise ValueError(f"{name} must be an integer, got {name} = {value!r}")
+        for name in ("seed", "stream"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {name} = {getattr(self, name)}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got max_iters = {self.max_iters}")
         if self.checkpoint_every < 1:
@@ -137,7 +149,10 @@ class RunState:
     buffers are solver-owned: callers must not write to them between steps.
     :meth:`start` and :func:`restart_if_saturated` set whole vectors and keep
     the invariant.  After each step ``x_prev`` and ``y_prev`` therefore
-    equal x^k and y^k, and :func:`run`'s ergodic fold reads them as such.
+    equal x^k and y^k, and the ergodic fold of :func:`run`'s
+    step-then-update path reads them as such; on its own path the plan's
+    step folds x^k and y^k from ``x`` and ``y`` before writing the new
+    blocks (:meth:`ErgodicAccumulator.follow`).
 
     ``cache`` is the problem's per-run coupling cache over these buffers
     (see :class:`~rbpda.blocks.SaddleProblem`), or None.  It moves with the
@@ -210,7 +225,8 @@ class StepPlan:
 
     * the draws: ``draws`` is the steps' draw source on ``rng``.  A step
       takes its blocks from ``draws.blocks()`` and, once its batch size v is
-      known, its indices from ``draws.indices(v)``.  With ``ahead`` (as
+      known, its indices from ``draws.indices(v)``, or on the factored
+      one-row path its one index from ``draws.index()``.  With ``ahead`` (as
       :func:`run` builds it) and N, M and p of at most 2**32, it is a
       :class:`~rbpda.sampling.WordDraws`, which draws words ahead; otherwise
       a :class:`~rbpda.sampling.SequentialDraws`, which draws one call at a
@@ -225,21 +241,29 @@ class StepPlan:
       for a one-coordinate dual block its coordinate and float kernel, and
       on a problem with a ``one_row_grad_x`` each primal block's factored
       kernel;
+    * the optional one-row oracles ``one_row_grad_x`` and ``one_row_grad_y``
+      and the oracles they stand for, which a step compares by identity;
     * the batch rule: :func:`~rbpda.sampling.next_batch_size` as this
-      module holds it when the plan is built, called once per step.
+      module holds it when the plan is built, called once per step;
+    * with ``acc``, the run's :class:`ErgodicAccumulator`, each block's fold
+      kind (:meth:`ErgodicAccumulator.folds`): the step then folds x^k and
+      y^k into the averages before it writes the new blocks, with the
+      weights of the row it read, so :meth:`ErgodicAccumulator.update` is
+      not called.  The accumulator must follow the state's iterates
+      (:meth:`ErgodicAccumulator.follow`), as in :func:`run`.
 
     The oracles, the counters and the coupling cache are read from the
     problem and the state on every step.
     """
 
     def __init__(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
-                 batch: BatchSchedule, ahead: bool = False):
+                 batch: BatchSchedule, ahead: bool = False, acc: Optional["ErgodicAccumulator"] = None):
         st = problem.structure
         self.problem, self.rng, self.schedule, self.batch = problem, rng, schedule, batch
         M, N, p = st.M, st.N, problem.p
         source = WordDraws if ahead and max(N, M, p) <= WORD_BOUND else SequentialDraws
         self.draws = source(rng, N, M, p)
-        self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size)
+        self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size, acc)
 
     def serves(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
                batch: BatchSchedule) -> bool:
@@ -248,12 +272,12 @@ class StepPlan:
                 and (self.batch is batch or self.batch == batch))
 
 
-def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSchedule, draws, batch_size):
+def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSchedule, draws, batch_size, acc):
     """The step of a :class:`StepPlan`, as a closure over what the plan resolved."""
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
     M_float = float(M)  # a float scalar multiplies an array faster than an int, to the same bits
-    blocks, take_indices = draws.blocks, draws.indices
+    blocks, take_indices, take_index = draws.blocks, draws.indices, draws.index
     kernels = {}  # blocks that share a spec object share its kernel
 
     def kernel(spec, scalar=False, factored=None):
@@ -268,12 +292,16 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         (blk, blk.start, kernel(spec, scalar=True), spec) if dim == 1 else (blk, None, kernel(spec), spec)
         for blk, dim, spec in zip(st.dual.ranges, st.dual.dims, problem.dual_prox)
     ]
-    # at batch size 1 a problem's one-row oracle gives the term as (coef, row),
-    # while its batch_grad_x is the one the oracle factors (a wrapper set on
-    # the instance is called instead); the kernel forms M * (coef * row) in place
-    one_row = getattr(problem, "one_row_grad_x", None)  # optional: a problem-like object may lack it
+    # a problem's one-row oracles (optional: a problem-like object may lack
+    # them) stand in for the oracles they were built with; a wrapper set on
+    # the instance's batch_grad_x or grad_y is called instead.  At batch size
+    # 1 the primal term stays (coef, row), and the kernel forms M * (coef *
+    # row) in place; a one-coordinate dual block takes its column as floats
+    one_row = getattr(problem, "one_row_grad_x", None)
     factored = None if one_row is None else (M_float, problem.row_bound)
-    factors = None if one_row is None else problem._factored
+    factors = None if one_row is None else problem._one_row_x_of
+    one_row_y = getattr(problem, "one_row_grad_y", None)
+    columns = None if one_row_y is None else problem._one_row_y_of
     primal = [
         (blk, kernel(spec), None if one_row is None else kernel(spec, factored=factored))
         for blk, spec in zip(st.primal.ranges, problem.primal_prox)
@@ -285,6 +313,9 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     else:
         row = schedule.row
         tau_at, sigma_at = schedule.block_steps()
+    if acc is not None:
+        weigh = acc.weigh
+        fold_x, fold_y = acc.folds(st.primal.ranges, st.dual.ranges)
 
     def step(state: RunState) -> RunState:
         k = state.k
@@ -293,9 +324,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         y_next = state.y_next
         cache = state.cache  # passed by keyword only when there is one: **kw costs more than a branch
         if row is None:
-            theta = 1.0
+            theta, row_k = 1.0, None
         else:
-            theta, t, _ = row(k)
+            row_k = row(k)
+            theta, t, _ = row_k
 
         j, i = blocks()
         kept = state.dual_row
@@ -304,26 +336,36 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         ):
             kept = None
         points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
-        try:
-            g = problem.grad_y(j, points) if cache is None else problem.grad_y(j, points, cache=cache)
-            # a float64 array is used as it is: asarray with a dtype costs more than the test
-            if type(g) is not np.ndarray or g.dtype is not _FLOAT64:
-                g = np.asarray(g, dtype=float)
-        except Exception as exc:
-            raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
-        state.dual_grad_evals += 2
+        # a one-coordinate block runs in Python floats: the same operations as
+        # on one-element arrays, bit for bit, without numpy's per-call overhead;
+        # its rows come as floats from one_row_grad_y where that stands in for grad_y
         blk_j, at_j, prox_dual, spec = dual[j]
-        if at_j is not None and g.shape == (len(points), 1):
-            # a one-coordinate block in Python floats: the same operations as on
-            # one-element arrays, bit for bit, without numpy's per-call overhead
-            g_now, y_base = g.item(0), y_k.item(at_j)
-            g_old = g.item(1) if kept is None else kept[1]
+        if at_j is not None and problem.grad_y is columns:
+            try:
+                g = one_row_y(j, points, cache)
+                g_now = g[0]
+                g_old = g[1] if kept is None else kept[1]
+            except Exception as exc:
+                raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
+            y_base = y_k.item(at_j)
         else:
-            if at_j is not None:
-                prox_dual = prox_kernel(spec.geometry, spec)
-            at_j = blk_j
-            g_now, y_base = g[0], y_k[blk_j]
-            g_old = g[1] if kept is None else kept[1]
+            try:
+                g = problem.grad_y(j, points) if cache is None else problem.grad_y(j, points, cache=cache)
+                # a float64 array is used as it is: asarray with a dtype costs more than the test
+                if type(g) is not np.ndarray or g.dtype is not _FLOAT64:
+                    g = np.asarray(g, dtype=float)
+            except Exception as exc:
+                raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
+            if at_j is not None and g.shape == (len(points), 1):
+                g_now, y_base = g.item(0), y_k.item(at_j)
+                g_old = g.item(1) if kept is None else kept[1]
+            else:
+                if at_j is not None:
+                    prox_dual = prox_kernel(spec.geometry, spec)
+                at_j = blk_j
+                g_now, y_base = g[0], y_k[blk_j]
+                g_old = g[1] if kept is None else kept[1]
+        state.dual_grad_evals += 2
         s = N * g_now + N * M * theta * (g_now - g_old)
 
         try:
@@ -334,7 +376,8 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         y_next[at_j] = y_blk
         try:
             v = batch_size(batch, state.counters, i, k, p)
-            indices = take_indices(v)
+            one = v == 1 and problem.batch_grad_x is factors
+            indices = take_index() if one else take_indices(v)
             # r = M (g_new + (N-1) theta (g_cur - g_old)), the sum in one weighted
             # call; M is applied to its result, so at N = 1 the weights (1, 0, -0)
             # give M g_new with the bits of the per-point form
@@ -342,9 +385,9 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
             points, weights = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), (1.0, c, -c)
             blk_i, prox_primal, prox_row = primal[i]
             try:
-                if v == 1 and problem.batch_grad_x is factors:
+                if one:
                     prox_primal = prox_row
-                    r = one_row(indices.item(0), i, points, weights, cache)
+                    r = one_row(indices, i, points, weights, cache)
                 else:
                     if cache is None:
                         r = problem.batch_grad_x(indices, i, points, weights)
@@ -370,6 +413,11 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         last_x, last_y = state.last_x, state.last_y
         x_prev[last_x] = x_k[last_x]
         y_prev[last_y] = y_k[last_y]
+        if acc is not None:
+            # x^k and y^k, before the new blocks overwrite them
+            w_x, w_y = weigh(row_k)
+            fold_x[i](w_x, x_k)
+            fold_y[j](w_y, y_k)
         dx = None if cache is None else x_blk - x_k[blk_i]
         x_k[blk_i] = x_blk
         y_k[at_j] = y_blk
@@ -383,6 +431,16 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     return step
 
 
+def _coordinate(blk, size: int):
+    """The coordinate of a one-coordinate index ``blk`` (an int, or a slice within ``size``), else None."""
+    if blk.__class__ is int:
+        return blk
+    c = blk.start
+    if c is None or blk.stop != c + 1 or not 0 <= c < size or blk.step is not None:
+        return None
+    return c
+
+
 class _LazySum:
     """One side's running weighted sum of its iterates, with lazy one-coordinate folds.
 
@@ -394,16 +452,20 @@ class _LazySum:
     last touch, one float while every coordinate shares it, else None and
     ``stamps`` holds it per coordinate.
 
-    A one-coordinate slice (a scalar block) is folded alone, in O(1).  Any
-    other slice widens to a whole-side fold, which is exact because the
-    coordinates outside the slice keep their values: a whole-side add takes
-    two or three numpy calls, against five plus slicing for a lazy fold of
-    a multi-coordinate slice, so it is the cheaper one until a side has a
-    few thousand coordinates (~1.5 us against ~3 us at 500).
+    There are two fold kinds, each one method: :meth:`fold_one` folds a
+    one-coordinate index alone, in O(1) and in Python floats, and
+    :meth:`fold_all` folds the whole side, which is exact for any other
+    index because the coordinates outside it keep their values: a
+    whole-side add takes two or three numpy calls, against five plus
+    slicing for a lazy fold of a multi-coordinate slice, so it is the
+    cheaper one until a side has a few thousand coordinates (~1.5 us
+    against ~3 us at 500).  :meth:`fold` picks the kind per call,
+    :meth:`kind` once per block.
 
     ``last`` is the sum's own copy of the iterate, ``own``, until a fold is
-    handed the previous iterate (``old``); from then on it is the caller's
-    array.
+    handed the previous iterate (``old``) or the sum follows the caller's
+    array (:meth:`ErgodicAccumulator.follow`); from then on it is the
+    caller's array.
     """
 
     def __init__(self, v0: np.ndarray):
@@ -421,30 +483,43 @@ class _LazySum:
         with it they come from ``old``, an array equal to the current
         iterate, and ``new`` itself becomes ``last``.
         """
-        weight = self.weight
-        self.weight = weight + w
         if old is None:
             old = self.own
             if self.last is not old:
                 raise ValueError("a sum that was handed the previous iterate needs it on every fold")
         else:
             self.last = new
-        if blk.__class__ is int:
-            c = blk
-        else:
-            c = blk.start
-            if c is None or blk.stop != c + 1 or not 0 <= c < old.size or blk.step is not None:
-                c = None
+        c = _coordinate(blk, old.size)
         if c is not None:
-            stamps = self.stamps
-            if self.stamp is not None:
-                stamps.fill(self.stamp)
-                self.stamp = None
-            self.total[c] += (weight - stamps[c]) * old[c]
-            stamps[c] = weight
+            self.fold_one(c, w, old)
             if old is self.own:
                 old[c] = new[c]
-            return
+        else:
+            self.fold_all(w, old)
+            if old is self.own:
+                old[...] = new
+
+    def kind(self, blk: slice):
+        """Block ``blk``'s fold, a callable of ``(w, old)``: :meth:`fold_one` at its coordinate, or :meth:`fold_all`."""
+        c = _coordinate(blk, self.total.size)
+        return self.fold_all if c is None else partial(self.fold_one, c)
+
+    def fold_one(self, c: int, w: float, old) -> None:
+        """Fold coordinate ``c``, the only one that changes, with weight ``w``; ``old`` holds the current iterate."""
+        weight = self.weight
+        self.weight = weight + w
+        stamps = self.stamps
+        if self.stamp is not None:
+            stamps.fill(self.stamp)
+            self.stamp = None
+        total = self.total
+        total[c] = total.item(c) + (weight - stamps.item(c)) * old.item(c)
+        stamps[c] = weight
+
+    def fold_all(self, w: float, old) -> None:
+        """Fold every coordinate with weight ``w``; ``old`` holds the current iterate."""
+        weight = self.weight
+        self.weight = weight + w
         stamp = self.stamp
         if stamp is None:
             self.total += (weight - self.stamps) * old
@@ -453,8 +528,6 @@ class _LazySum:
         else:
             self.total += (weight - stamp) * old
         self.stamp = weight
-        if old is self.own:
-            old[...] = new
 
     def sum_to(self, weight: float) -> np.ndarray:
         """The sum with every coordinate's pending terms up to running weight ``weight``, as a new array."""
@@ -472,11 +545,17 @@ class ErgodicAccumulator:
     t^k * [1 + (M-1)(1 - 1/theta^(k+1))] and the final iterate an extra
     (M-1) * t^K, so the total weight telescopes to T_K + M - 1 exactly.
 
-    The sums are lazy where that pays (:class:`_LazySum`): :meth:`update`
-    folds a touched one-coordinate block alone and any other touched slice
-    at the whole side, and :meth:`finalize` folds every pending coordinate
-    into a copy.  Whole-side folds in uniform mode reproduce the eager
-    running sum bit for bit; lazy folds agree with it to rounding.
+    The sums are lazy where that pays (:class:`_LazySum`): a touched
+    one-coordinate block is folded alone and any other touched slice at the
+    whole side, and :meth:`finalize` folds every pending coordinate into a
+    copy.  Whole-side folds in uniform mode reproduce the eager running sum
+    bit for bit; lazy folds agree with it to rounding.
+
+    Who folds: :func:`deterministic_baseline_run`, and :func:`run` on its
+    step-then-update path, call :meth:`update` once per iterate.  On
+    :func:`run`'s own path the accumulator follows the state's iterates
+    (:meth:`follow`), and the :class:`StepPlan`'s step folds them through
+    :meth:`weigh` and :meth:`folds`, to the same bits.
     """
 
     def __init__(self, M: int, N: int, x0, y0, schedule: Optional[StepSchedule] = None):
@@ -488,6 +567,21 @@ class ErgodicAccumulator:
         self.count = 0
         self.sum_x, self.sum_y = _LazySum(self.x0), _LazySum(self.y0)
         self.t_total = 0.0
+
+    def weigh(self, row) -> tuple[float, float]:
+        """Count one more iterate, x^(k+1), and give its primal and dual weights.
+
+        ``row`` is the schedule's :meth:`~rbpda.stepsize.StepSchedule.row`
+        of k, the row the step of k read (t^k, and theta^(k+1) of the next
+        step), and None for uniform averages.
+        """
+        self.count += 1
+        if row is None:
+            return 1.0, 1.0
+        _, t_k, th_next = row
+        self.t_total += t_k
+        grow = 1.0 - 1.0 / th_next
+        return t_k * (1.0 + (self.M - 1) * grow), t_k * (1.0 + (self.N - 1) * grow)
 
     def update(self, x_new, y_new, k: int, touched=(slice(None), slice(None)), old=None) -> None:
         """Fold in the post-step iterate of iteration k (i.e. x^(k+1)).
@@ -506,27 +600,33 @@ class ErgodicAccumulator:
         and y^(k+1) whenever :meth:`finalize` is called, until the next
         update; the next update's ``old`` equals them; and every later
         update passes ``old`` (one without it raises ``ValueError``).
-        :func:`run` passes ``(state.x_prev, state.y_prev)``, which equal
-        x^k and y^k after each step by :class:`RunState`'s block-copy
-        invariant.  Both ways give the same sums bit for bit.
+        :func:`run`'s step-then-update path passes ``(state.x_prev,
+        state.y_prev)``, which equal x^k and y^k after each step by
+        :class:`RunState`'s block-copy invariant.  Both ways give the same
+        sums bit for bit.
         """
-        schedule = self.schedule
-        if schedule is None:
-            w_x = w_y = 1.0
-        else:
-            # the row the step of k read (StepPlan): t^k, and theta^(k+1) of the next step
-            _, t_k, th_next = schedule.row(k)
-            grow = 1.0 - 1.0 / th_next
-            w_x = t_k * (1.0 + (self.M - 1) * grow)
-            w_y = t_k * (1.0 + (self.N - 1) * grow)
-            self.t_total += t_k
+        w_x, w_y = self.weigh(None if self.schedule is None else self.schedule.row(k))
         if old is None:
             self.sum_x.fold(touched[0], x_new, w_x)
             self.sum_y.fold(touched[1], y_new, w_y)
         else:
             self.sum_x.fold(touched[0], x_new, w_x, old[0])
             self.sum_y.fold(touched[1], y_new, w_y, old[1])
-        self.count += 1
+
+    def follow(self, x, y) -> None:
+        """Read the current iterate from the arrays ``x`` and ``y``, which hold it now, from here on.
+
+        Just before writing a block into them, the caller calls that block's
+        fold (:meth:`folds`) with the weight of :meth:`weigh` and ``x``
+        (``y``) itself, as :func:`run`'s :class:`StepPlan` does; it does not
+        call :meth:`update`.
+        """
+        self.sum_x.last, self.sum_y.last = x, y
+
+    def folds(self, primal_blocks, dual_blocks) -> tuple[list, list]:
+        """Each primal and each dual block's fold (:meth:`_LazySum.kind`), resolved once."""
+        return ([self.sum_x.kind(blk) for blk in primal_blocks],
+                [self.sum_y.kind(blk) for blk in dual_blocks])
 
     def total_weights(self) -> tuple[float, float]:
         """Total primal and dual averaging weight at the current K."""
@@ -570,7 +670,11 @@ def rbpda_step(
     The step is ``state.plan``'s (:class:`StepPlan`), which resolved the
     step sizes, the prox kernels, the draw source and the batch rule once;
     a plan built for other objects than the ones passed is rebuilt, and the
-    kept dual row forgotten.  :func:`run` builds a plan that draws ahead.
+    kept dual row forgotten.  :func:`run` builds a plan that draws ahead,
+    and on its own path one whose step also folds the ergodic averages; a
+    plan this function builds folds nothing, and the caller folds, as
+    :func:`run`'s step-then-update path does with
+    :meth:`ErgodicAccumulator.update`.
     A step driven by hand builds a plan on its first call for the problem,
     ``rng``, ``schedule`` and ``batch`` (and again when one of them
     changes; an equal batch rule keeps it), and that plan draws from
@@ -591,15 +695,20 @@ def rbpda_step(
     (x^k, y^k); either way a step counts two dual gradients.  The primal
     linear term is one weighted ``batch_grad_x`` call.  At batch size 1, on
     a problem with a ``one_row_grad_x`` whose ``batch_grad_x`` is still the
-    one it was built with, it is one ``one_row_grad_x`` call instead: the
-    term stays ``(coef, row)``, and the prox kernel forms ``M * (coef *
-    row)`` in place, to the same bits (see
-    :class:`~rbpda.blocks.SaddleProblem`); a wrapper set on the instance's
-    ``batch_grad_x`` therefore sees every call.  The state's coupling cache
-    is passed to the oracles and moves only once both blocks are written.
-    An exception from an oracle or a prox becomes a :class:`SolverError`
-    naming the iteration, the block and the failing call, with the original
-    as its ``__cause__``.
+    one it was built with, it is one ``one_row_grad_x`` call instead, on
+    the one index the draw source gives as an int: the term stays ``(coef,
+    row)``, and the prox kernel forms ``M * (coef * row)`` in place, to the
+    same bits (see :class:`~rbpda.blocks.SaddleProblem`).  Likewise, on a
+    one-coordinate dual block of a problem with a ``one_row_grad_y`` whose
+    ``grad_y`` is still the one it was built with, the dual rows come from
+    ``one_row_grad_y`` as floats.  A wrapper set on the instance's
+    ``batch_grad_x`` or ``grad_y`` therefore sees every call.  The state's
+    coupling cache is passed to the oracles and moves only once both blocks
+    are written.  An exception from an oracle or a prox becomes a
+    :class:`SolverError` naming the iteration, the block and the failing
+    call (``grad_y`` for the dual rows, ``batch_grad_x`` for the primal
+    term, whichever oracle gave them), with the original as its
+    ``__cause__``.
     """
     plan = state.plan
     # plan.serves(...) written out: a method call costs more than the four tests
@@ -608,6 +717,10 @@ def rbpda_step(
         plan = state.plan = StepPlan(problem, rng, schedule, batch)
         state.dual_row = None
     return plan.step(state)
+
+
+# run() folds in its plan's step while this module holds these three
+_OWN_PATH = (rbpda_step, ErgodicAccumulator, ErgodicAccumulator.update)
 
 
 def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: float = 0.0) -> RunState:
@@ -674,7 +787,13 @@ def run(
 
     Fully deterministic given (seed, stream); the draws are taken ahead as
     buffered words (:class:`StepPlan`), so the generator's final position
-    is unspecified.  A step failure aborts the run but the partial trace is
+    is unspecified.  While this module holds its own :func:`rbpda_step`,
+    :class:`ErgodicAccumulator` and ``ErgodicAccumulator.update``, each
+    iteration is one call of the plan's step, which also folds the ergodic
+    averages (the plan is built with the accumulator).  With any of them
+    replaced, as by a tracing wrapper or a reference oracle, each iteration
+    calls ``rbpda_step`` and then ``acc.update``: the step-then-update path,
+    to the same bits.  A step failure aborts the run but the partial trace is
     preserved on the raised :class:`SolverError` (see :func:`_drive`).  A
     problem's coupling cache is built once, for the largest batch size the
     run can draw: p for an increasing schedule, the constant batch size
@@ -694,20 +813,30 @@ def run(
         batch = BatchSchedule.constant(1, p)
     rng = make_rng(config.seed, config.stream)
     state = RunState.start(problem, config.x0, config.y0)
-    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True)
+    acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
+    restart = config.restart_enabled and batch.kind == "increasing"
+    own = all(a is b for a, b in zip((rbpda_step, ErgodicAccumulator, ErgodicAccumulator.update), _OWN_PATH))
+    if own:
+        acc.follow(state.x, state.y)  # the plan's step folds x^k and y^k before it overwrites them
+    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True, acc=acc if own else None)
     if problem.coupling_cache is not None:
         v_max = p if batch.kind == "increasing" else batch.v
         state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
-    acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
-    restart = config.restart_enabled and batch.kind == "increasing"
-    one_step = rbpda_step  # read with the plan, so a replaced rbpda_step is the one called
-    old = (state.x_prev, state.y_prev)  # x^k and y^k after each step, so the fold copies nothing
+    if own:
+        step = state.plan.step
+    else:
+        module_step = rbpda_step  # read with the plan, so a replaced rbpda_step is the one called
+        old = (state.x_prev, state.y_prev)  # x^k and y^k after each step, so the fold copies nothing
 
-    def step():
-        k = state.k
-        one_step(state, problem, schedule, batch, rng)
-        acc.update(state.x, state.y, k, (state.last_x, state.last_y), old=old)
-        if restart:
+        def step(state):
+            k = state.k
+            module_step(state, problem, schedule, batch, rng)
+            acc.update(state.x, state.y, k, (state.last_x, state.last_y), old=old)
+    if restart:
+        iteration = step
+
+        def step(state):
+            iteration(state)
             restart_if_saturated(state, p, config.restart_threshold, batch.eta)
 
     return _drive(problem, state, acc, step, config.max_iters, config.checkpoint_every,
@@ -718,8 +847,8 @@ def _drive(problem: SaddleProblem, state: RunState, acc: ErgodicAccumulator, ste
            checkpoint_every: int, **metrics) -> RunResult:
     """The run loop of :func:`run` and :func:`deterministic_baseline_run`.
 
-    ``step()`` advances ``state`` by one iteration, with its budget, and
-    folds the new iterate into ``acc``; it is called ``iters`` times.  A
+    ``step(state)`` advances ``state`` by one iteration, with its budget,
+    and folds the new iterate into ``acc``; it is called ``iters`` times.  A
     checkpoint at k = 0, every ``checkpoint_every`` iterations and at the
     end checks that the iterate lies in the domain (slack 1e-9) and appends
     :func:`~rbpda.metrics.evaluate_checkpoint` of the averages, with
@@ -739,7 +868,7 @@ def _drive(problem: SaddleProblem, state: RunState, acc: ErgodicAccumulator, ste
     checkpoint()
     for _ in range(iters):
         try:
-            step()
+            step(state)
             if state.k % checkpoint_every == 0 or state.k == iters:
                 checkpoint()
         except Exception as exc:
@@ -811,7 +940,7 @@ def deterministic_baseline_run(
     # coincide.
     g_old = None
 
-    def step():
+    def step(state):
         nonlocal g_old
         g_now = np.asarray(problem.full_grad_y(x, y, **kw), dtype=float)
         s = 2.0 * g_now - (g_now if g_old is None else g_old)

@@ -488,6 +488,17 @@ class TestMainCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["seed = -1", "seeds = 3, -1"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, line):
+        # a negative seed, alone or in the seed list, used to fail every run
+        # in numpy's seeding and exit 1
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"problem = box_game\n{line}\niters = 10\nrepeats = 1\n")
+        out = tmp_path / "bad"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert "seed must be nonnegative, got seed = -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_refusal_shows_the_value_given(self, tmp_path, capsys):
         argv = ["--problem", "box_game", "--mode", "single_sample", "--eta", "1.0", "--iters", "10",
                 "--repeats", "1", "--out", str(tmp_path / "bad")]

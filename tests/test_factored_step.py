@@ -9,7 +9,7 @@ import pytest
 import rbpda.solver as solver
 from rbpda.blocks import ProxSpec, validate_problem
 from rbpda.bregman import EUCLIDEAN, prox_kernel
-from rbpda.sampling import BatchSchedule, make_rng
+from rbpda.sampling import BatchSchedule, draw_block, make_rng, sample_indices
 from rbpda.solver import RunState, SolverConfig, SolverError, rbpda_step, run
 
 from test_solver import FixedSchedule, lockstep_problem
@@ -76,6 +76,64 @@ def test_a_wrapper_on_batch_grad_x_switches_the_factored_path_off():
     prob.batch_grad_x = lambda idx, i, points, w, **kw: seen.append(len(idx)) or inner(idx, i, points, w, **kw)
     assert_same_run(run(prob, cfg), want)
     assert seen == [1] * 200 and calls == []
+
+
+def counted_one_row_y(prob):
+    """Count the step's calls of the instance's one-row dual oracle."""
+    inner, calls = prob.one_row_grad_y, []
+    prob.one_row_grad_y = lambda j, points, cache: calls.append(j) or inner(j, points, cache)
+    return calls
+
+
+def test_a_wrapper_on_grad_y_switches_the_float_dual_row_off():
+    # one-coordinate dual blocks take their rows from one_row_grad_y; a
+    # wrapper set on the instance's grad_y sees every call instead, and the
+    # run keeps its bits
+    prob = lockstep_problem("erm_box_scalar")
+    assert set(prob.structure.dual.dims) == {1}
+    cfg = SolverConfig(mode="single_sample", max_iters=200, seed=2, checkpoint_every=100, compute_sup_gap=False)
+    rows = counted_one_row_y(prob)
+    want = run(prob, cfg)
+    assert len(rows) == 200
+    rows.clear()
+    seen = []
+    inner = prob.grad_y
+    prob.grad_y = lambda j, points, **kw: seen.append(len(points)) or inner(j, points, **kw)
+    assert_same_run(run(prob, cfg), want)
+    assert len(seen) == 200 and set(seen) <= {1, 2} and rows == []
+
+
+def test_a_raising_one_row_y_oracle_fails_the_step_as_grad_y_would():
+    prob = lockstep_problem("erm_box_scalar")
+
+    def broken(j, points, cache):
+        raise RuntimeError("broken")
+
+    prob.one_row_grad_y = broken
+    state = RunState.start(prob)
+    sched = FixedSchedule([0.05] * prob.structure.M, [0.03] * prob.structure.N)
+    with pytest.raises(SolverError, match=r"^grad_y failed at iteration 0, dual block \d+: broken$") as excinfo:
+        rbpda_step(state, prob, sched, BatchSchedule.constant(1, prob.p), make_rng(1))
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    assert state.k == 0 and state.dual_grad_evals == 0 and state.grad_budget == 0
+    assert np.array_equal(state.x, prob.start_x) and np.array_equal(state.y, prob.start_y)
+
+
+def test_hand_driven_one_row_steps_draw_one_call_at_a_time():
+    # float dual rows and single draws (index()) on a hand-driven plan: after
+    # every step the generator sits where draw_block and sample_indices,
+    # called in turn, leave it
+    prob = lockstep_problem("erm_box_scalar")
+    st = prob.structure
+    rows, calls = counted_one_row_y(prob), counted_one_row(prob)
+    sched = FixedSchedule([0.05] * st.M, [0.03] * st.N)
+    state, rng, ref = RunState.start(prob), make_rng(8), make_rng(8)
+    for it in range(40):
+        v = 1 if it % 4 else 3
+        rbpda_step(state, prob, sched, BatchSchedule.constant(v, prob.p), rng)
+        draw_block(ref, st.N), draw_block(ref, st.M), sample_indices(ref, v, prob.p)
+        assert rng.bit_generator.state == ref.bit_generator.state, it
+    assert len(rows) == 40 and len(calls) == 30
 
 
 def hand_step_with_coefficient(coef, factored: bool):
@@ -169,6 +227,41 @@ def test_factored_kernel_never_writes_its_inputs():
     out = kernel((0.75, row), 0.5, x_bar)
     assert out is not row and out is not x_bar
     assert row.tolist() == [1.0, -2.0, 0.5] and x_bar.tolist() == [0.2, 0.1, -0.3]
+
+
+class TestValidateOneRowY:
+    def test_built_in_erm_oracle_passes(self):
+        prob = lockstep_problem("erm_box_scalar")
+        assert prob.one_row_grad_y is not None and validate_problem(prob).ok
+        for name in ("erm_box", "erm_entropy"):  # no one-coordinate dual block
+            assert lockstep_problem(name).one_row_grad_y is None
+
+    @pytest.mark.parametrize("fault,message", [
+        ("ulp", "one_row_grad_y block 0: differs from grad_y's column in its bits"),
+        ("ulp_at_all_probes", "one_row_grad_y block 0: differs from grad_y's column in its bits"),
+        ("numpy_float", "one_row_grad_y block 0: not one Python float per point"),
+        ("short", "one_row_grad_y block 0: not one Python float per point"),
+        ("raises", "one_row_grad_y(0) raised: broken"),
+    ])
+    def test_broken_one_row_y_oracle_flagged(self, fault, message):
+        prob = lockstep_problem("erm_box_scalar")
+        inner = prob.one_row_grad_y
+
+        def broken(j, points, cache):
+            col = list(inner(j, points, cache))
+            if fault == "raises":
+                raise RuntimeError("broken")
+            if fault == "ulp" or fault == "ulp_at_all_probes" and len(points) > 1:
+                col[-1] = float(np.nextafter(col[-1], math.inf))
+            elif fault == "numpy_float":
+                col[0] = np.float64(col[0])
+            elif fault == "short":
+                col.pop()
+            return col
+
+        prob.one_row_grad_y = broken
+        report = validate_problem(prob)
+        assert any(message in msg for msg in report.failures), report.failures
 
 
 class TestValidateOneRow:

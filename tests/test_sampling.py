@@ -135,6 +135,38 @@ class TestWordDraws:
             part[0] = 1
 
 
+class TestSingleIndex:
+    """``index()`` gives ``indices(1)``'s index as an int and takes the same words."""
+
+    @pytest.mark.parametrize("p", [1, 2, 200, BIG])
+    @pytest.mark.parametrize("source", [WordDraws, SequentialDraws])
+    def test_index_takes_what_indices_of_one_takes(self, source, p, monkeypatch):
+        # steps alternate index() with indices(v) across small fills; a twin
+        # source on the same seed takes indices(1) where the first takes
+        # index(), and both generators stay in step
+        monkeypatch.setattr(sampling, "WORD_CHUNK", 8)
+        got, want = source(make_rng(11), 7, 3, p), source(make_rng(11), 7, 3, p)
+        for t in range(120):
+            assert got.blocks() == want.blocks()
+            if t % 3 == 2:
+                assert np.array_equal(got.indices(2), want.indices(2))
+            else:
+                l = got.index()
+                assert type(l) is int and [l] == want.indices(1).tolist(), t
+            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+        if source is WordDraws:
+            assert (got._at, got._size) == (want._at, want._size)
+
+    def test_index_at_one_component_takes_no_word(self):
+        draws = WordDraws(make_rng(2), 5, 4, 1)
+        draws.blocks()
+        at, words = draws._at, draws.words
+        assert draws.index() == 0 and (draws._at, draws.words) == (at, words)
+        rng = make_rng(2)
+        state = rng.bit_generator.state
+        assert SequentialDraws(rng, 5, 4, 1).index() == 0 and rng.bit_generator.state == state
+
+
 class TestSequentialDraws:
     def test_bounds_past_32_bits_are_drawn_one_call_at_a_time(self, small_erm):
         # 32-bit words cannot be mapped to a bound past 2**32, so a plan that

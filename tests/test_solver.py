@@ -1060,6 +1060,29 @@ class TestRun:
             SolverConfig(**kwargs)
         assert str(excinfo.value).endswith(", " + tail)
 
+    @pytest.mark.parametrize("kwargs, tail", [
+        ({"max_iters": 10.5}, "max_iters must be an integer, got max_iters = 10.5"),
+        ({"checkpoint_every": 2.5}, "checkpoint_every must be an integer, got checkpoint_every = 2.5"),
+        ({"batch": 1.5}, "batch must be an integer, got batch = 1.5"),
+        ({"seed": 1.5}, "seed must be an integer, got seed = 1.5"),
+        ({"stream": 0.5}, "stream must be an integer, got stream = 0.5"),
+        ({"seed": -1}, "seed must be nonnegative, got seed = -1"),
+        ({"stream": -2}, "stream must be nonnegative, got stream = -2"),
+    ], ids=["max_iters", "checkpoint_every", "batch", "seed", "stream", "negative_seed", "negative_stream"])
+    def test_non_integral_and_negative_counts_are_refused(self, kwargs, tail):
+        # seed = 1.5 used to run as seed 1, checkpoint_every = 2.5 to
+        # checkpoint every 5 iterations, max_iters = 10.5 to die in range()
+        # and seed = -1 to fail in numpy's seeding at the run
+        with pytest.raises(ValueError) as excinfo:
+            SolverConfig(**kwargs)
+        assert str(excinfo.value) == tail
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = SolverConfig(max_iters=np.int64(3), checkpoint_every=np.int32(2), batch=np.int64(1),
+                           seed=np.uint8(4), stream=np.int64(0))
+        res = run(scalar_bilinear_problem(), cfg)
+        assert res.iterations == 3 and len(res.trace.rows) == 3  # k = 0, 2 and 3
+
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_is_refused(self, batch):
         # these used to pass and fail every run in BatchSchedule.constant

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +133,47 @@ def test_each_experiment_iteration_calls_the_step_and_the_batch_rule_once(tmp_pa
     assert calls == {"rbpda_step": 360, "next_batch_size": 360}
 
 
+def count_sum_folds(monkeypatch):
+    """Count the folds that go through ``_LazySum.fold``, which only ``ErgodicAccumulator.update`` calls."""
+    calls = []
+    fold = solver._LazySum.fold
+    monkeypatch.setattr(solver._LazySum, "fold", lambda self, *args: calls.append(1) or fold(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["erm_box_scalar", "erm_entropy", "qp"])
+def test_run_folds_in_the_step_unless_a_step_or_update_is_replaced(name, monkeypatch):
+    # run() on this module's own step and accumulator folds in the plan's
+    # step and never calls update(); replacing rbpda_step, or update alone,
+    # puts it on the step-then-update path, which reaches the same bits
+    prob = lockstep_problem(name)
+    cfg = SolverConfig(mode="single_sample", eta=0.3, max_iters=300, seed=2, stream=1, checkpoint_every=100)
+    folds = count_sum_folds(monkeypatch)
+    want = run(prob, cfg)
+    assert folds == []
+    for target, attr in ((solver, "rbpda_step"), (solver.ErgodicAccumulator, "update")):
+        calls = []
+        inner = getattr(target, attr)
+        with monkeypatch.context() as m:
+            m.setattr(target, attr, lambda *args, **kw: calls.append(1) or inner(*args, **kw))
+            got = run(prob, cfg)
+        assert_same_run(got, want)
+        assert len(calls) == cfg.max_iters and len(folds) == 2 * cfg.max_iters, attr
+        folds.clear()
+
+
+def test_a_plan_builds_for_a_problem_like_object_without_grad_y():
+    # the plan reads the optional oracles with getattr, with and without an accumulator
+    prob = lockstep_problem("erm_box_scalar")
+    like = SimpleNamespace(structure=prob.structure, p=prob.p, dual_prox=prob.dual_prox,
+                           primal_prox=prob.primal_prox)
+    sched = build_schedule(prob, SolverConfig(mode="single_sample"))
+    acc = solver.ErgodicAccumulator(prob.structure.M, prob.structure.N, prob.start_x, prob.start_y, sched)
+    for fold_with in (None, acc):
+        plan = StepPlan(like, make_rng(1), sched, BatchSchedule.constant(1, prob.p), ahead=True, acc=fold_with)
+        assert callable(plan.step)
+
+
 def overflowing_lipschitz():
     # C_x overflows to inf and (N - 1) * C_x**2 is 0 * inf: the terms are NaN
     return BlockLipschitz(np.array([[1e200]]), np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
@@ -238,8 +280,8 @@ def opcodes_per_iteration(problem, iters: int, **config) -> float:
     return (counts[1] - counts[0]) / iters
 
 
-OPCODES_PER_SINGLE_SAMPLE_ITERATION = 1200  # the test's count, measured on CPython 3.11
-OPCODES_PER_ENTROPY_SINGLE_SAMPLE_ITERATION = 1345  # likewise
+OPCODES_PER_SINGLE_SAMPLE_ITERATION = 1022  # the test's count, measured on CPython 3.11
+OPCODES_PER_ENTROPY_SINGLE_SAMPLE_ITERATION = 1196  # likewise
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are CPython 3.11's")
