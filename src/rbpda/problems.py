@@ -325,6 +325,7 @@ def robust_erm_problem(
     neg_b_list = neg_b.tolist()
     all_rows = np.arange(n)
     cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]  # each primal block's columns
+    row_views = list(A)  # built once: a list index costs less than A[l]
 
     def slope(z, rows=slice(None)):
         # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a: the factor of
@@ -342,18 +343,21 @@ def robust_erm_problem(
         # batch size 1 as (coef, row block of a_l), coef in Python floats: one
         # margin and sigmoid per distinct primal array, and the points' terms
         # summed in order from 0.0
-        a, nbl = A[l], neg_b_list[l]
+        a, nbl = row_views[l], neg_b_list[l]
         if len(points) == 3 and points[1][0] is points[0][0]:
-            # the step's three points, of which the first two share x^k
+            # the step's three points, of which the first two share x^k; the
+            # sigmoids are _sigmoid1's, written out
             (x, y0), (_, y1), (x2, y2) = points
             w0, w1, w2 = weights
-            u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[l]
-            t = nbl * _sigmoid1(nbl * float(u))
+            u = nbl * float(a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[l])
+            e = float(_exp(-abs(u)))
+            t = nbl * (1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e))
             if x2 is x:
                 t2 = t
             else:
-                u = a.dot(x2) if cache is None or (z := cache.margins(x2)) is None else z[l]
-                t2 = nbl * _sigmoid1(nbl * float(u))
+                u = nbl * float(a.dot(x2) if cache is None or (z := cache.margins(x2)) is None else z[l])
+                e = float(_exp(-abs(u)))
+                t2 = nbl * (1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e))
             coef = 0.0 + w0 * p * y0.item(l) * t + w1 * p * y1.item(l) * t + w2 * p * y2.item(l) * t2
             return coef, a[cols[i]]
         coef, x_seen = 0.0, None
@@ -431,7 +435,7 @@ def robust_erm_problem(
 
     def one_row_grad_y(j, points, cache):
         # a one-row dual block's column as Python floats, one margin each
-        a, nbl = A[j], neg_b_list[j]
+        a, nbl = row_views[j], neg_b_list[j]
         out = []
         for x, _ in points:
             u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[j]

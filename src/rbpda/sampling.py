@@ -8,7 +8,9 @@ enumerates all components instead, which makes the estimate exact.
 
 A step takes its draws from a draw source: ``blocks()`` gives its dual and
 primal blocks and, once its batch size v is known, ``indices(v)`` its
-component indices, or ``index()`` its one index as an int where v is 1.
+component indices, or ``index()`` its one index as an int where v is 1;
+:meth:`WordDraws.steps` gives the draws of many steps of one batch size at
+once.
 :class:`SequentialDraws` calls :func:`draw_block` and :func:`sample_indices`
 one at a time; :class:`WordDraws` draws the generator's raw 32-bit words
 ahead and maps them to blocks and indices as numpy does, so both give the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -178,6 +181,15 @@ class WordDraws:
     ``arange(p)``, built on its first use.  Words a fill leaves over carry
     into the next.  A fill draws :data:`WORD_CHUNK` words, or more when one
     step's indices need more.  N, M and p must be at most 2**32.
+
+    :meth:`steps` reads many steps of one batch size at once: from a fill
+    clean for every bound its steps take words of, as strided slices of the
+    maps; from a fill with a rejection, word by word.  The plans that
+    :func:`rbpda.solver.run` builds with a constant batch rule fill their
+    control rows through it (see :class:`~rbpda.solver.StepPlan`); a
+    replaced ``next_batch_size``, ``rbpda_step`` or
+    ``ErgodicAccumulator.update`` in :mod:`rbpda.solver` switches that off,
+    and the steps then read one step at a time, from the same words.
     """
 
     def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
@@ -191,9 +203,9 @@ class WordDraws:
         self._off = int(N > 1)  # the primal block's word, after the dual block's
         self.full = None
         self.words = np.zeros(0, dtype=np.uint64)
-        self._dual = self._primal = self._map = self._index = None  # the words mapped by N, M and p
+        self._maps = self._dual = self._primal = self._map = self._index = None  # the words mapped by N, M and p
         self._fast = 0  # blocks are read from the maps while the position is below it
-        self._clean = True
+        self._clean_blocks = self._clean = True  # no rejection in the fill for N and M, and for p
         self._at = self._size = 0
 
     def _fill(self, need: int) -> None:
@@ -208,10 +220,12 @@ class WordDraws:
         m = m.view(np.int64)
         m.flags.writeable = False  # indices are handed out as views
         # the primal map starts at the primal block's word, so both blocks are read at one position
+        self._maps = m
         self._dual, self._primal, self._map = memoryview(m[0]), memoryview(m[1, self._off:]), m[2]
         self._index = memoryview(m[2])  # the p map's entries as ints
+        self._clean_blocks = clean[0] and clean[1]
         # the last word cannot hold both blocks; blocks() then maps word by word
-        self._fast = words.size - 1 if clean[0] and clean[1] else 0
+        self._fast = words.size - 1 if self._clean_blocks else 0
         self._clean = clean[2]
         self.words = words
         self._at, self._size = 0, words.size
@@ -267,6 +281,44 @@ class WordDraws:
             self._at = at + 1
             return self._index[at]
         return self._bounded(self.p, self._cut[2])
+
+    def steps(self, n: int, v: int, one: bool = False) -> tuple:
+        """The draws of up to ``n`` steps of batch size ``v``, at least one, as ``(duals, primals, indices)``.
+
+        ``duals`` and ``primals`` are int64 arrays of the blocks that
+        :meth:`blocks` would give step after step, from the same words.
+        With ``one`` (which needs v = 1) ``indices`` is an int64 array of
+        the indices :meth:`index` would give; otherwise it is a list of the
+        index arrays :meth:`indices` would give.  Where the fill is clean
+        for every bound the steps take words of, the steps are strided views
+        of its maps, as many as the fill holds (it is refilled first if it
+        cannot hold one step); otherwise ``n`` steps are mapped word by word.
+        """
+        p = self.p
+        per = self._width + (v if v < p else 0)  # the words of one step without a rejection
+        if per == 0:  # N = M = 1 and v >= p: no step takes a word
+            zeros = np.zeros(n, dtype=np.int64)
+            return zeros, zeros, zeros if one else [self.indices(v)] * n
+        if self._size - self._at < per:
+            self._fill(per)
+        if not (self._clean_blocks and (v >= p or self._clean)):
+            take = self.index if one else partial(self.indices, v)
+            duals, primals, indices = zip(*[(*self.blocks(), take()) for _ in range(n)])
+            return (np.array(duals, dtype=np.int64), np.array(primals, dtype=np.int64),
+                    np.array(indices, dtype=np.int64) if one else list(indices))
+        at = self._at
+        count = min(n, (self._size - at) // per)
+        self._at = at + count * per
+        # one row of `per` words per step: the dual block's word, the primal
+        # block's and the indices'; a bound of 1 maps every word to 0
+        m = self._maps[:, at:self._at].reshape(3, count, per)
+        if v >= p:
+            indices = np.zeros(count, dtype=np.int64) if one else [self.indices(v)] * count
+        elif one:
+            indices = m[2, :, self._width]
+        else:
+            indices = list(m[2, :, self._width:])
+        return m[0, :, 0], m[1, :, self._off if self.M > 1 else 0], indices
 
 
 class SequentialDraws:

@@ -30,6 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -68,6 +69,8 @@ __all__ = [
 
 MODES = ("increasing_batch", "single_sample")
 _FLOAT64 = np.dtype(float)
+_BATCH_RULE = next_batch_size  # the batch rule a plan fills control rows for in bulk
+CHUNK = 256  # most control rows a StepPlan fills at once
 
 
 class SolverError(RuntimeError):
@@ -223,20 +226,15 @@ class StepPlan:
     ``schedule`` and ``batch`` (:meth:`serves`), and ``step(state)`` is the
     iteration :func:`rbpda_step` describes.  It resolves once, when built:
 
-    * the draws: ``draws`` is the steps' draw source on ``rng``.  A step
-      takes its blocks from ``draws.blocks()`` and, once its batch size v is
-      known, its indices from ``draws.indices(v)``, or on the factored
-      one-row path its one index from ``draws.index()``.  With ``ahead`` (as
-      :func:`run` builds it) and N, M and p of at most 2**32, it is a
-      :class:`~rbpda.sampling.WordDraws`, which draws words ahead; otherwise
-      a :class:`~rbpda.sampling.SequentialDraws`, which draws one call at a
-      time;
+    * the draws: ``draws`` is the steps' draw source on ``rng``.  With
+      ``ahead`` (as :func:`run` builds it) and N, M and p of at most 2**32,
+      it is a :class:`~rbpda.sampling.WordDraws`, which draws words ahead;
+      otherwise a :class:`~rbpda.sampling.SequentialDraws`, which draws one
+      call at a time;
     * the step sizes: a constant schedule's per-block floats, or a
       diminishing schedule's per-block step functions of (theta^k, t^k)
       (:meth:`~rbpda.stepsize.StepSchedule.block_steps`, which refuses
-      non-finite terms here, before any step).  The pair comes from the
-      schedule's :meth:`~rbpda.stepsize.StepSchedule.row` of k, computed
-      once per k, and the ergodic weights read the same row;
+      non-finite terms here, before any step);
     * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
       for a one-coordinate dual block its coordinate and float kernel, and
       on a problem with a ``one_row_grad_x`` each primal block's factored
@@ -244,13 +242,38 @@ class StepPlan:
     * the optional one-row oracles ``one_row_grad_x`` and ``one_row_grad_y``
       and the oracles they stand for, which a step compares by identity;
     * the batch rule: :func:`~rbpda.sampling.next_batch_size` as this
-      module holds it when the plan is built, called once per step;
+      module holds it when the plan is built;
     * with ``acc``, the run's :class:`ErgodicAccumulator`, each block's fold
       kind (:meth:`ErgodicAccumulator.folds`): the step then folds x^k and
       y^k into the averages before it writes the new blocks, with the
-      weights of the row it read, so :meth:`ErgodicAccumulator.update` is
-      not called.  The accumulator must follow the state's iterates
-      (:meth:`ErgodicAccumulator.follow`), as in :func:`run`.
+      weights of its control row, and sets the accumulator's ``count`` and
+      ``t_total`` after it, so :meth:`ErgodicAccumulator.update` is not
+      called.  The accumulator must follow the state's iterates
+      (:meth:`ErgodicAccumulator.follow`), and the plan's steps take k = 0,
+      1, 2, ... in turn, as in :func:`run`.
+
+    Each step reads a **control row**, everything it needs that depends on
+    k and the draws alone: its dual and primal blocks j and i, its batch
+    size v and indices (the one index as an int where the step takes the
+    one-row oracle), sigma_j and tau_i at (theta^k, t^k), (N-1) theta^k
+    and N M theta^k, the ergodic weights of x^(k+1) and the running total
+    of t.  A plan built with ``acc`` on a
+    :class:`~rbpda.sampling.WordDraws`, a constant batch rule and this
+    module's own :func:`~rbpda.sampling.next_batch_size` fills up to
+    :data:`CHUNK` rows at a time: the draws from one bulk read of the words
+    (:meth:`~rbpda.sampling.WordDraws.steps`), theta^k and t^k from
+    :meth:`~rbpda.stepsize.StepSchedule.columns` (Python's float ``**``),
+    the step sizes from :meth:`~rbpda.stepsize.StepSchedule.steps_at` and
+    the weights from :meth:`ErgodicAccumulator.weights` on arrays, whose
+    entries are the per-step floats bit for bit.  Whether a chunk takes the
+    one-row oracle is decided when it is filled.  Every other plan (a step
+    driven by hand, the increasing rule, :func:`run`'s step-then-update
+    path, a replaced ``next_batch_size``) gets each row from that step's
+    own calls, in the order blocks, batch rule, indices, with the batch
+    rule called once per step; its dual and primal blocks come from
+    ``draws.blocks()`` and its indices from ``draws.indices(v)``, or
+    ``draws.index()`` for the one-row oracle.  Either way there is one step
+    body, and the same bits.
 
     The oracles, the counters and the coupling cache are read from the
     problem and the state on every step.
@@ -314,8 +337,59 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         row = schedule.row
         tau_at, sigma_at = schedule.block_steps()
     if acc is not None:
-        weigh = acc.weigh
+        weights = acc.weights
         fold_x, fold_y = acc.folds(st.primal.ranges, st.dual.ranges)
+
+    c_one, nm_one = (N - 1) * 1.0, N * M * 1.0  # (N-1) theta and N M theta at theta = 1
+
+    def control(state: RunState) -> tuple:
+        """The step's control row, from this step's calls: the draws, the batch rule and the steps."""
+        k = state.k
+        j, i = blocks()
+        v = batch_size(batch, state.counters, i, k, p)
+        indices = take_index() if v == 1 and problem.batch_grad_x is factors else take_indices(v)
+        if row is None:  # theta = 1 and uniform weights, which leave t_total at 0
+            return j, i, v, indices, sigmas[j], taus[i], c_one, nm_one, 1.0, 1.0, 0.0
+        theta, t, th_next = row(k)
+        if acc is None:
+            w_x = w_y = t_total = None
+        else:
+            w_x, w_y = weights(t, th_next)
+            t_total = acc.t_total + t
+        return (j, i, v, indices, sigma_at[j](theta, t), tau_at[i](theta, t), (N - 1) * theta, N * M * theta,
+                w_x, w_y, t_total)
+
+    if (acc is not None and isinstance(draws, WordDraws) and batch.kind == "constant" and batch.v <= p
+            and batch_size is _BATCH_RULE):
+        take_steps, v = draws.steps, batch.v
+
+        def tables():
+            """The control rows of k = 0, 1, 2, ..., one iterator over up to CHUNK rows per bulk read."""
+            k, t_total = 0, acc.t_total
+            while True:
+                one = v == 1 and problem.batch_grad_x is factors
+                js, is_, indices = take_steps(CHUNK, v, one)
+                n = len(js)
+                theta, t = schedule.columns(range(k, k + n + 1))
+                th, th_next, t = theta[:-1], theta[1:], t[:-1]
+                tau, sigma = schedule.steps_at(is_, js, th, t)
+                if row is None:  # uniform weights, which leave t_total at 0
+                    w_x = w_y = np.ones(n)
+                    totals = np.zeros(n)
+                else:
+                    w_x, w_y = weights(t, th_next)
+                    # running sums left to right, as t_total += t^k adds them
+                    totals = np.add.accumulate(np.concatenate(([t_total], t)))[1:]
+                # a row's ints and floats are made as the step takes it, from
+                # memoryviews of the columns, and zip reuses the row's tuple
+                yield zip(memoryview(js), memoryview(is_), repeat(v), memoryview(indices) if one else indices,
+                          *map(memoryview, (sigma, tau, (N - 1) * th, N * M * th, w_x, w_y, totals)))
+                k, t_total = k + n, totals.item(-1)
+
+        # take(state) is next(rows, state), and the rows never run out
+        take = partial(next, chain.from_iterable(tables()))
+    else:
+        take = control
 
     def step(state: RunState) -> RunState:
         k = state.k
@@ -323,13 +397,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         x_prev, y_prev = state.x_prev, state.y_prev
         y_next = state.y_next
         cache = state.cache  # passed by keyword only when there is one: **kw costs more than a branch
-        if row is None:
-            theta, row_k = 1.0, None
-        else:
-            row_k = row(k)
-            theta, t, _ = row_k
-
-        j, i = blocks()
+        j, i, v, indices, sigma, tau, c, nm_theta, w_x, w_y, t_total = take(state)
         kept = state.dual_row
         if kept is not None and (
             kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
@@ -366,33 +434,29 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                 g_now, y_base = g[0], y_k[blk_j]
                 g_old = g[1] if kept is None else kept[1]
         state.dual_grad_evals += 2
-        s = N * g_now + N * M * theta * (g_now - g_old)
+        s = N * g_now + nm_theta * (g_now - g_old)
 
         try:
-            y_blk = prox_dual(-s, sigmas[j] if row is None else sigma_at[j](theta, t), y_base)
+            y_blk = prox_dual(-s, sigma, y_base)
         except Exception as exc:
             raise SolverError(f"dual prox failed at iteration {k}, block {j}: {exc}") from exc
 
         y_next[at_j] = y_blk
         try:
-            v = batch_size(batch, state.counters, i, k, p)
-            one = v == 1 and problem.batch_grad_x is factors
-            indices = take_index() if one else take_indices(v)
             # r = M (g_new + (N-1) theta (g_cur - g_old)), the sum in one weighted
             # call; M is applied to its result, so at N = 1 the weights (1, 0, -0)
             # give M g_new with the bits of the per-point form
-            c = (N - 1) * theta
-            points, weights = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), (1.0, c, -c)
+            points, weights_k = ((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), (1.0, c, -c)
             blk_i, prox_primal, prox_row = primal[i]
             try:
-                if one:
+                if indices.__class__ is int:  # the row's one index: the one-row oracle's path
                     prox_primal = prox_row
-                    r = one_row(indices, i, points, weights, cache)
+                    r = one_row(indices, i, points, weights_k, cache)
                 else:
                     if cache is None:
-                        r = problem.batch_grad_x(indices, i, points, weights)
+                        r = problem.batch_grad_x(indices, i, points, weights_k)
                     else:
-                        r = problem.batch_grad_x(indices, i, points, weights, cache=cache)
+                        r = problem.batch_grad_x(indices, i, points, weights_k, cache=cache)
                     if type(r) is not np.ndarray or r.dtype is not _FLOAT64:
                         r = np.asarray(r, dtype=float)
                     r = M_float * r
@@ -403,7 +467,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
             state.grad_budget += 3 * v
 
             try:
-                x_blk = prox_primal(r, taus[i] if row is None else tau_at[i](theta, t), x_k[blk_i])
+                x_blk = prox_primal(r, tau, x_k[blk_i])
             except Exception as exc:
                 raise SolverError(f"primal prox failed at iteration {k}, block {i}: {exc}") from exc
         except BaseException:
@@ -415,9 +479,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         y_prev[last_y] = y_k[last_y]
         if acc is not None:
             # x^k and y^k, before the new blocks overwrite them
-            w_x, w_y = weigh(row_k)
             fold_x[i](w_x, x_k)
             fold_y[j](w_y, y_k)
+            acc.count = k + 1
+            acc.t_total = t_total
         dx = None if cache is None else x_blk - x_k[blk_i]
         x_k[blk_i] = x_blk
         y_k[at_j] = y_blk
@@ -555,7 +620,14 @@ class ErgodicAccumulator:
     step-then-update path, call :meth:`update` once per iterate.  On
     :func:`run`'s own path the accumulator follows the state's iterates
     (:meth:`follow`), and the :class:`StepPlan`'s step folds them through
-    :meth:`weigh` and :meth:`folds`, to the same bits.
+    :meth:`folds`, with the weights of its control row (:meth:`weights`,
+    per step or on a chunk's arrays), to the same bits.  The plan fills
+    the weights and running totals of t for up to :data:`CHUNK` steps at a
+    time where :func:`run` has a constant batch rule and this module's own
+    ``next_batch_size``, ``rbpda_step`` and ``update``; replacing any of
+    them switches that off.  Either way ``count`` and ``t_total`` are
+    current after every step that succeeded, and a failed step moves
+    neither.
     """
 
     def __init__(self, M: int, N: int, x0, y0, schedule: Optional[StepSchedule] = None):
@@ -568,18 +640,12 @@ class ErgodicAccumulator:
         self.sum_x, self.sum_y = _LazySum(self.x0), _LazySum(self.y0)
         self.t_total = 0.0
 
-    def weigh(self, row) -> tuple[float, float]:
-        """Count one more iterate, x^(k+1), and give its primal and dual weights.
+    def weights(self, t_k, th_next):
+        """The primal and dual weights of x^(k+1) in weighted averages, from t^k and theta^(k+1).
 
-        ``row`` is the schedule's :meth:`~rbpda.stepsize.StepSchedule.row`
-        of k, the row the step of k read (t^k, and theta^(k+1) of the next
-        step), and None for uniform averages.
+        Floats give floats; arrays of them give arrays, whose entries are
+        the floats' bits (only +, -, * and /, each correctly rounded).
         """
-        self.count += 1
-        if row is None:
-            return 1.0, 1.0
-        _, t_k, th_next = row
-        self.t_total += t_k
         grow = 1.0 - 1.0 / th_next
         return t_k * (1.0 + (self.M - 1) * grow), t_k * (1.0 + (self.N - 1) * grow)
 
@@ -605,7 +671,13 @@ class ErgodicAccumulator:
         :class:`RunState`'s block-copy invariant.  Both ways give the same
         sums bit for bit.
         """
-        w_x, w_y = self.weigh(None if self.schedule is None else self.schedule.row(k))
+        self.count += 1
+        if self.schedule is None:
+            w_x = w_y = 1.0
+        else:
+            _, t_k, th_next = self.schedule.row(k)
+            self.t_total += t_k
+            w_x, w_y = self.weights(t_k, th_next)
         if old is None:
             self.sum_x.fold(touched[0], x_new, w_x)
             self.sum_y.fold(touched[1], y_new, w_y)
@@ -617,9 +689,10 @@ class ErgodicAccumulator:
         """Read the current iterate from the arrays ``x`` and ``y``, which hold it now, from here on.
 
         Just before writing a block into them, the caller calls that block's
-        fold (:meth:`folds`) with the weight of :meth:`weigh` and ``x``
-        (``y``) itself, as :func:`run`'s :class:`StepPlan` does; it does not
-        call :meth:`update`.
+        fold (:meth:`folds`) with the weight of :meth:`weights` and ``x``
+        (``y``) itself, and after it sets ``count`` and ``t_total``, as
+        :func:`run`'s :class:`StepPlan` does; it does not call
+        :meth:`update`.
         """
         self.sum_x.last, self.sum_y.last = x, y
 
@@ -790,7 +863,9 @@ def run(
     is unspecified.  While this module holds its own :func:`rbpda_step`,
     :class:`ErgodicAccumulator` and ``ErgodicAccumulator.update``, each
     iteration is one call of the plan's step, which also folds the ergodic
-    averages (the plan is built with the accumulator).  With any of them
+    averages (the plan is built with the accumulator); with a constant
+    batch rule and this module's own ``next_batch_size`` it reads control
+    rows filled up to :data:`CHUNK` iterations at a time.  With any of them
     replaced, as by a tracing wrapper or a reference oracle, each iteration
     calls ``rbpda_step`` and then ``acc.update``: the step-then-update path,
     to the same bits.  A step failure aborts the run but the partial trace is

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -247,18 +248,27 @@ def _frozen_copy(obj):
 
 
 def _bind_steps(template, terms):
-    """One side's diminishing step bound to its arrays, and to each block's floats, as ``(vector, per_block)``.
+    """One side's diminishing step bound three ways, as ``(vector, per_block, gathered)``.
 
     The template is ``1 / (n * (diag + count*theta*inv + rest... + noise/t))``
     summed left to right, a function of (theta, t) with the terms bound as
-    defaults, which a call reads as locals.  It uses only +, * and /, which
-    numpy computes elementwise and correctly rounded, as Python does on
-    floats, so the vector function's entries, or its table at columns of
-    theta and t, are the per-block floats bit for bit.
+    defaults, which a call reads as locals.  ``vector`` is it bound to the
+    side's arrays, ``per_block[i]`` to block i's floats, and
+    ``gathered(blocks)`` to the entries of the blocks in the index array
+    ``blocks``, one per entry of the theta and t it is then called on.  It
+    uses only +, * and /, which numpy computes elementwise and correctly
+    rounded, as Python does on floats, so the vector function's entries, its
+    table at columns of theta and t, and the gathered function's entries
+    are the per-block floats bit for bit.
     """
     n, count, inv, *arrays = terms
-    rows = zip(*(np.broadcast_to(np.asarray(v, dtype=float), (n,)).tolist() for v in arrays))
-    return template(*terms), [template(n, count, inv, *row) for row in rows]
+    arrays = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in arrays]
+    rows = zip(*(v.tolist() for v in arrays))
+
+    def gathered(blocks):
+        return template(n, count, inv, *(v[blocks] for v in arrays))
+
+    return template(*terms), [template(n, count, inv, *row) for row in rows], gathered
 
 
 @dataclass
@@ -277,8 +287,9 @@ class StepSchedule:
     schedule's own arrays, read-only.  With a block index,
     ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
     O(1), bitwise equal to the vector entry.  A run's step plan reads the
-    same floats through :meth:`block_steps` and :meth:`row`.  The fields
-    are read once, at construction.
+    same floats through :meth:`block_steps` and :meth:`row`, one step at a
+    time, or through :meth:`columns` and :meth:`steps_at`, a chunk of steps
+    at a time.  The fields are read once, at construction.
     """
 
     mode: str
@@ -310,8 +321,8 @@ class StepSchedule:
             if fp.beta.shape not in ((1,), (self.N,)):
                 raise ValueError(f"beta has shape {fp.beta.shape}; it needs 1 or N = {self.N} entries")
             self._tau_terms, self._sigma_terms = _diminishing_terms(agg, fp)
-            self._tau_vec, self._tau_at = _bind_steps(_tau_step, self._tau_terms)
-            self._sigma_vec, self._sigma_at = _bind_steps(_sigma_step, self._sigma_terms)
+            self._tau_vec, self._tau_at, self._tau_of = _bind_steps(_tau_step, self._tau_terms)
+            self._sigma_vec, self._sigma_at, self._sigma_of = _bind_steps(_sigma_step, self._sigma_terms)
         self._power = 0.5 * (1.0 + self.eta)  # the exponent of schedule_theta and schedule_t
         self._k, self._row = -2, None  # the iteration whose row is cached, and the row
 
@@ -337,6 +348,42 @@ class StepSchedule:
             self._row = (th, (1.0 / (k + 1)) ** e, ((k + 2) / (k + 1)) ** e)
             self._k = k
         return self._row
+
+    def columns(self, ks: range) -> tuple[np.ndarray, np.ndarray]:
+        """theta^k and t^k over the consecutive ``ks``, as two float arrays with the bits of :meth:`row`.
+
+        Each value is Python's float ``**``, as in :meth:`row`: numpy's
+        array ``**`` differs from it in the last bit on some values.  A
+        constant schedule gives ones.
+        """
+        if self.mode == "constant":
+            return np.ones(len(ks)), np.ones(len(ks))
+        if ks and ks[0] < 0:
+            raise ValueError("k must be nonnegative")
+        # the bases (k+1)/k and 1/(k+1) are single correctly rounded
+        # divisions of exact floats, in numpy as in Python, and pow is **
+        k = np.arange(ks.start, ks.stop, dtype=float)
+        e = repeat(self._power)
+        theta = list(map(pow, ((k + 1.0) / np.maximum(k, 1.0)).tolist(), e))
+        if ks and ks[0] == 0:
+            theta[0] = 1.0
+        return np.array(theta), np.array(list(map(pow, (1.0 / (k + 1.0)).tolist(), e)))
+
+    def steps_at(self, primal_blocks, dual_blocks, theta, t) -> tuple[np.ndarray, np.ndarray]:
+        """Each drawn block's step at its iteration: ``(tau, sigma)`` as float arrays.
+
+        ``primal_blocks`` and ``dual_blocks`` are index arrays, and
+        ``theta`` and ``t`` arrays of the same length (a constant schedule
+        ignores them); entry s of ``tau`` is block ``primal_blocks[s]``'s
+        step at (theta[s], t[s]), bit for bit the float of ``tau(k, i)``
+        where (theta[s], t[s]) is :meth:`row`'s pair of k (see
+        :func:`_bind_steps`), and likewise ``sigma``.
+        """
+        if self.mode == "constant":
+            return self._tau0[primal_blocks], self._sigma0[dual_blocks]
+        if self._missing:
+            raise ValueError(f"steps_at needs a schedule with {self._missing}")
+        return self._tau_of(primal_blocks)(theta, t), self._sigma_of(dual_blocks)(theta, t)
 
     def block_steps(self):
         """The diminishing per-block steps as ``(tau_at, sigma_at)``, for a run's step plan.
@@ -421,16 +468,15 @@ def _chunk_slacks(schedule: StepSchedule, ks: range) -> dict:
     """Each inequality's least slack over the consecutive ``ks``: every k but the last is "now".
 
     A diminishing schedule's tables are its steps bound to arrays, at the
-    columns of (theta^k, t^k) from :meth:`StepSchedule.row`, so they are the
-    floats a run's steps take; a constant schedule's are ``tau(0)`` and
+    columns of (theta^k, t^k) from :meth:`StepSchedule.columns`, so they are
+    the floats a run's steps take; a constant schedule's are ``tau(0)`` and
     ``sigma(0)`` broadcast, with theta = t = 1.
     """
     if schedule.mode == "constant":
         theta = t = np.ones((len(ks), 1))
         tau, sigma = (np.broadcast_to(v, (len(ks), v.size)) for v in (schedule._tau0, schedule._sigma0))
     else:
-        rows = np.array([schedule.row(k)[:2] for k in ks])
-        theta, t = rows[:, :1], rows[:, 1:]
+        theta, t = (v[:, None] for v in schedule.columns(ks))
         tau, sigma = schedule._tau_vec(theta, t), schedule._sigma_vec(theta, t)
     m1, m2, m3, m4 = _m_matrices(schedule, theta, tau, sigma)
     fp = schedule._fp

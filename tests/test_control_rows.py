@@ -1,0 +1,147 @@
+"""Control rows: a run's draws, step sizes and ergodic weights filled in bulk equal the per-step ones, bit for bit."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import rbpda.solver as solver
+from rbpda import sampling
+from rbpda.problems import generate_robust_erm, robust_erm_problem
+from rbpda.solver import SolverConfig, SolverError, run
+
+from test_solver import lockstep_problem
+from test_step_plan import assert_same_run
+
+PROBLEMS = ["erm_box_scalar", "erm_box", "erm_entropy", "box_game", "qp"]
+MODES = {
+    "single_eta0": dict(mode="single_sample", eta=0.0),
+    "single_eta03": dict(mode="single_sample", eta=0.3),
+    "increasing_v1": dict(mode="increasing_batch", batch=1),
+    "increasing_v3": dict(mode="increasing_batch", batch=3),
+    "increasing_vp": dict(mode="increasing_batch", batch="p"),
+}
+LENGTHS = (1, 255, 256, 257, 1000)  # around one chunk of control rows, and across several
+
+
+def config(prob, mode, **kw):
+    cfg = dict(MODES[mode], **kw)
+    if "batch" in cfg:
+        cfg["batch"] = prob.p if cfg["batch"] == "p" else min(cfg["batch"], prob.p)
+    return SolverConfig(seed=3, stream=1, **cfg)
+
+
+def counted_bulk_reads(monkeypatch):
+    """Count the calls of ``WordDraws.steps``, the bulk read behind a plan's control rows."""
+    calls = []
+    inner = sampling.WordDraws.steps
+    monkeypatch.setattr(sampling.WordDraws, "steps", lambda self, *args: calls.append(args) or inner(self, *args))
+    return calls
+
+
+def per_step_run(prob, cfg, monkeypatch):
+    """run() with its control rows from per-step calls: a wrapper on the batch rule switches the chunk off."""
+    inner = solver.next_batch_size
+    with monkeypatch.context() as m:
+        m.setattr(solver, "next_batch_size", lambda *args: inner(*args))
+        return run(prob, cfg)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_chunked_rows_equal_per_step_rows_bitwise(name, mode, monkeypatch):
+    # iterates, averages and their weights, budgets and every trace row,
+    # with checkpoints inside the chunks
+    prob = lockstep_problem(name)
+    reads = counted_bulk_reads(monkeypatch)
+    for iters in LENGTHS:
+        cfg = config(prob, mode, max_iters=iters, checkpoint_every=100, compute_sup_gap=iters < 300)
+        reads.clear()
+        got = run(prob, cfg)
+        assert reads, "the run did not fill its rows in bulk"
+        reads.clear()
+        assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
+        assert reads == []
+        assert got.iterations == iters
+
+
+@pytest.mark.parametrize("name", ["erm_box_scalar", "erm_entropy", "qp"])
+def test_chunks_cut_short_by_small_fills_keep_the_bits(name, monkeypatch):
+    # a fill of 7 words holds a few steps, so each bulk read gives fewer
+    # rows than a chunk and the rows of k come from many fills
+    monkeypatch.setattr(sampling, "WORD_CHUNK", 7)
+    prob = lockstep_problem(name)
+    reads = counted_bulk_reads(monkeypatch)
+    cfg = config(prob, "single_eta03", max_iters=600, checkpoint_every=150, compute_sup_gap=False)
+    got = run(prob, cfg)
+    assert len(reads) > 600 // solver.CHUNK + 1
+    assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
+
+
+def nan_at(prob, call: int, attr: str):
+    """Make the instance's ``attr`` oracle give NaN from its ``call``-th call on."""
+    inner, calls = getattr(prob, attr), []
+
+    def broken(*args, **kw):
+        calls.append(1)
+        out = inner(*args, **kw)
+        if len(calls) < call:
+            return out
+        if attr == "one_row_grad_x":
+            return float("nan"), out[1]
+        return np.full_like(np.asarray(out, dtype=float), np.nan)
+
+    setattr(prob, attr, broken)
+
+
+@pytest.mark.parametrize("name, attr", [("erm_box_scalar", "grad_y"), ("erm_box_scalar", "one_row_grad_x"),
+                                        ("erm_entropy", "grad_y"), ("erm_entropy", "one_row_grad_x"),
+                                        ("qp", "grad_y")])
+def test_a_nan_mid_chunk_fails_with_the_per_step_partial_result(name, attr, monkeypatch):
+    # the failing step's row is taken, but the accumulator's count and t
+    # total move only with a step that succeeds: the partial result is the
+    # per-step run's, iterations, budgets, weights and averages included
+    results = []
+    for runner in (run, lambda prob, cfg: per_step_run(prob, cfg, monkeypatch)):
+        prob = lockstep_problem(name)
+        nan_at(prob, 300, attr)  # at k = 299, inside the second chunk
+        cfg = config(prob, "single_eta03", max_iters=1000, checkpoint_every=100, compute_sup_gap=False)
+        with pytest.raises(SolverError, match="non-finite") as excinfo:
+            runner(prob, cfg)
+        results.append(excinfo.value.result)
+    got, want = results
+    assert got.iterations == want.iterations == 299
+    assert_same_run(got, want)
+
+
+def degenerate_erm(case: str, n_blocks):
+    """A small robust-ERM problem with a degenerate size or data."""
+    n, m, m_blocks = {"p1": (1, 4, 2), "mn1": (6, 4, 1), "p1_mn1": (1, 4, 1)}.get(case, (6, 4, 2))
+    data = generate_robust_erm(5, n, m, 0.1)
+    if case == "zero_A":
+        data = dataclasses.replace(data, A=np.zeros((n, m)))
+    elif case == "zero_block":
+        A = data.A.copy()
+        A[:, : m // m_blocks] = 0.0
+        data = dataclasses.replace(data, A=A)
+    return robust_erm_problem(data, radius=2.0, m_blocks=m_blocks, n_blocks=n_blocks)
+
+
+# p = 1 and N = 1 leave only the entropy dual (a single dual block);
+# p = M = N = 1 takes no word in any step
+DEGENERATE = [("p1", 1), ("mn1", 1), ("p1_mn1", 1), ("zero_A", 1), ("zero_A", 6), ("zero_block", 1),
+              ("zero_block", 6)]
+
+
+@pytest.mark.parametrize("mode", ["single_sample", "increasing_batch"])
+@pytest.mark.parametrize("case, n_blocks", DEGENERATE)
+def test_degenerate_robust_erm_runs_finish_in_the_domain(case, n_blocks, mode, monkeypatch):
+    prob = degenerate_erm(case, n_blocks)
+    cfg = SolverConfig(mode=mode, max_iters=600, seed=2, checkpoint_every=200)
+    res = run(prob, cfg)
+    assert_same_run(res, per_step_run(prob, cfg, monkeypatch))
+    assert res.iterations == 600 and res.grad_budget > 0
+    for v in (res.x, res.y, res.x_bar, res.y_bar):
+        assert np.isfinite(v).all()
+    assert prob.in_domain(res.x, res.y) and prob.in_domain(res.x_bar, res.y_bar)
+    assert all(np.isfinite(w) and w > 0 for w in res.ergodic_weights)

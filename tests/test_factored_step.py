@@ -221,6 +221,33 @@ def test_factored_kernel_verdicts_and_bits_equal_the_array_kernel():
             factored((1.0, row), 0.3, x_bar[:-1])
 
 
+def test_factored_box_kernel_equals_the_array_kernel_at_ties_signed_zeros_and_nan():
+    # bounds of +-0.0 and points that land on them, with either sign, or on a
+    # bound exactly; a NaN point stays NaN.  Blocks of one coordinate and of
+    # ten: numpy's clip ufunc, run in place on one element, keeps a -0.0
+    # point at a +0.0 upper bound where minimum gives the bound (numpy
+    # 2.4), so the kernel clips with maximum and then minimum, as the array
+    # kernel does
+    lower = np.array([0.0, -0.0, -1.0, -0.0, 0.0, -1.0, -1.0, 0.0, -0.0, -1.0])
+    upper = np.array([0.0, 0.0, -0.0, 1.0, 1.0, 0.0, 1.0, 0.0, -0.0, -0.0])
+    blocks = [slice(c, c + 1) for c in range(lower.size)] + [slice(None)]
+    points = [-0.0, 0.0, -1.0, 1.0, 0.5, -2.0, -5e-324, math.nan]
+    rng = np.random.default_rng(3)
+    for blk in blocks:
+        spec = ProxSpec.box(lower[blk], upper[blk])
+        array = prox_kernel(EUCLIDEAN, spec)
+        factored = prox_kernel(EUCLIDEAN, spec, factored=(2.0, 1.0))
+        size = lower[blk].size
+        for _ in range(60):
+            x_bar = rng.choice(points, size)
+            row = rng.choice([0.0, -0.0, 0.25, -0.5, 1.0], size)
+            for coef in (0.0, -0.0, 1.0, -2.0):
+                for step in (0.5, 1.0):
+                    got = factored((coef, row), step, x_bar)
+                    want = array(2.0 * (coef * row), step, x_bar)
+                    assert got.tobytes() == want.tobytes(), (x_bar, row, coef, step, got, want)
+
+
 def test_factored_kernel_never_writes_its_inputs():
     row, x_bar = np.array([1.0, -2.0, 0.5]), np.array([0.2, 0.1, -0.3])
     kernel = prox_kernel(EUCLIDEAN, ProxSpec.box(-np.ones(3), np.ones(3)), factored=(2.0, 2.0))

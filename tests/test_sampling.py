@@ -167,6 +167,58 @@ class TestSingleIndex:
         assert SequentialDraws(rng, 5, 4, 1).index() == 0 and rng.bit_generator.state == state
 
 
+class TestBulkSteps:
+    """``WordDraws.steps`` gives the one-step-at-a-time draws, from the same words."""
+
+    BOUNDS = [(1, 1, 1), (1, 1, 5), (7, 1, 1), (1, 5, 1), (7, 5, 1), (1, 5, 200), (7, 1, 200), (7, 5, 200),
+              (BIG, 5, 50), (7, BIG, 50), (7, 5, BIG)]
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, sampling.WORD_CHUNK])
+    @pytest.mark.parametrize("N, M, p, v, one", [
+        (N, M, p, v, one) for N, M, p in BOUNDS
+        for v, one in ((1, True), (1, False), (3, False), (p, False)) if v < BIG  # no arange(2**31 + 1)
+    ])
+    def test_bulk_reads_give_the_sequential_draws(self, N, M, p, v, one, chunk, monkeypatch):
+        # steps of 0, 1, 2 or more words; bulk reads of 1 to 256 steps
+        # alternate with single steps, across fills of 1 to 4096 words, and
+        # with bounds that reject about half the words
+        monkeypatch.setattr(sampling, "WORD_CHUNK", chunk)
+        rng, ref = make_rng(N + M + p, v), make_rng(N + M + p, v)
+        draws = WordDraws(rng, N, M, p)
+        t = reads = 0
+        while t < 700:
+            n = (1, 256, 5, 17)[reads % 4]
+            js, is_, indices = draws.steps(n, v, one)
+            reads += 1
+            assert 1 <= len(js) <= n and len(is_) == len(indices) == len(js)
+            assert js.dtype == is_.dtype == np.int64 and (not one or indices.dtype == np.int64)
+            for j, i, got in zip(js.tolist(), is_.tolist(), indices.tolist() if one else indices):
+                want = sequential_step(ref, N, M, p, v)
+                assert (j, i) == want[:2], t
+                if one:
+                    assert [got] == want[2].tolist(), t
+                else:
+                    assert got.dtype == np.int64 and np.array_equal(got, want[2]), t
+                    if p < BIG:  # a view of a clean fill's map, which a step must not write
+                        with pytest.raises(ValueError):
+                            got[0] = 1
+                t += 1
+            got, want = take(draws, v), sequential_step(ref, N, M, p, v)
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2]), t
+            t += 1
+
+    def test_steps_without_words_take_none(self):
+        # N = M = p = 1: every step is (0, 0, 0), and the generator is never read
+        rng = make_rng(3)
+        state = rng.bit_generator.state
+        draws = WordDraws(rng, 1, 1, 1)
+        assert [v.tolist() for v in draws.steps(4, 1, True)] == [[0] * 4] * 3
+        js, is_, full = draws.steps(3, 2)
+        assert js.tolist() == is_.tolist() == [0] * 3
+        assert all(ix is full[0] for ix in full) and full[0].tolist() == [0]
+        assert rng.bit_generator.state == state and draws.words.size == 0
+
+
 class TestSequentialDraws:
     def test_bounds_past_32_bits_are_drawn_one_call_at_a_time(self, small_erm):
         # 32-bit words cannot be mapped to a bound past 2**32, so a plan that

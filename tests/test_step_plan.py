@@ -280,8 +280,8 @@ def opcodes_per_iteration(problem, iters: int, **config) -> float:
     return (counts[1] - counts[0]) / iters
 
 
-OPCODES_PER_SINGLE_SAMPLE_ITERATION = 1022  # the test's count, measured on CPython 3.11
-OPCODES_PER_ENTROPY_SINGLE_SAMPLE_ITERATION = 1196  # likewise
+OPCODES_PER_SINGLE_SAMPLE_ITERATION = 754  # the test's count, measured on CPython 3.11
+OPCODES_PER_ENTROPY_SINGLE_SAMPLE_ITERATION = 927  # likewise
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are CPython 3.11's")

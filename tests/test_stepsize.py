@@ -528,6 +528,30 @@ class TestPerBlockSteps:
                         th, t, _ = sched.row(k)
                         assert rows[k].tolist() == [step(th, t) for step in steps], (name, k)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.3, 0.999])
+    def test_columns_and_gathered_steps_equal_the_rows_and_block_steps(self, eta):
+        # a chunk of control rows takes theta^k, t^k and the drawn blocks'
+        # steps as arrays; each entry is the float of row(k) and block_steps,
+        # also far into a run, where (k+1)/k rounds
+        rng = np.random.default_rng(int(eta * 1000))
+        agg = aggregate_constants(_random_lip(rng, 4, 6))
+        sched = StepSchedule(mode="diminishing", agg=agg, fp=default_free_params(agg, "diminishing"), eta=eta)
+        tau_at, sigma_at = sched.block_steps()
+        for ks in (range(0, 300), range(1, 2), range(65_000, 66_000), range(10**9, 10**9 + 257)):
+            theta, t = sched.columns(ks)
+            rows = [sched.row(k) for k in ks]
+            assert theta.tolist() == [r[0] for r in rows] and t.tolist() == [r[1] for r in rows], ks
+            js, is_ = rng.integers(0, 6, len(ks)), rng.integers(0, 4, len(ks))
+            tau, sigma = sched.steps_at(is_, js, theta, t)
+            assert tau.tolist() == [tau_at[i](th, tk) for i, (th, tk, _) in zip(is_, rows)]
+            assert sigma.tolist() == [sigma_at[j](th, tk) for j, (th, tk, _) in zip(js, rows)]
+        const = StepSchedule(mode="constant", agg=agg, fp=default_free_params(agg, "constant"))
+        assert [v.tolist() for v in const.columns(range(3, 6))] == [[1.0] * 3] * 2
+        tau, sigma = const.steps_at(np.array([3, 0]), np.array([5]), None, None)
+        assert tau.tolist() == [const.tau(0, 3), const.tau(0, 0)] and sigma.tolist() == [const.sigma(0, 5)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            sched.columns(range(-1, 3))
+
     def test_block_index_out_of_range(self):
         agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]))
         fp = default_free_params(agg, "diminishing")
