@@ -187,8 +187,7 @@ class WordDraws:
     maps; from a fill with a rejection, word by word.  The plans that
     :func:`rbpda.solver.run` builds with a constant batch rule fill their
     control rows through it (see :class:`~rbpda.solver.StepPlan`); a
-    replaced ``next_batch_size``, ``rbpda_step`` or
-    ``ErgodicAccumulator.update`` in :mod:`rbpda.solver` switches that off,
+    replaced ``next_batch_size`` in :mod:`rbpda.solver` switches that off,
     and the steps then read one step at a time, from the same words.
     """
 

@@ -152,9 +152,8 @@ class RunState:
     buffers are solver-owned: callers must not write to them between steps.
     :meth:`start` and :func:`restart_if_saturated` set whole vectors and keep
     the invariant.  After each step ``x_prev`` and ``y_prev`` therefore
-    equal x^k and y^k, and the ergodic fold of :func:`run`'s
-    step-then-update path reads them as such; on its own path the plan's
-    step folds x^k and y^k from ``x`` and ``y`` before writing the new
+    equal x^k and y^k.  The step of :func:`run`'s plan folds x^k and y^k
+    into the ergodic averages from ``x`` and ``y`` before writing the new
     blocks (:meth:`ErgodicAccumulator.follow`).
 
     ``cache`` is the problem's per-run coupling cache over these buffers
@@ -223,8 +222,8 @@ class StepPlan:
     """A run's step, built once: everything its steps need that does not depend on the iterates.
 
     A plan serves the steps on ``problem`` that draw from ``rng`` under
-    ``schedule`` and ``batch`` (:meth:`serves`), and ``step(state)`` is the
-    iteration :func:`rbpda_step` describes.  It resolves once, when built:
+    ``schedule`` and ``batch``, and ``step(state)`` is the iteration
+    :func:`rbpda_step` describes.  It resolves once, when built:
 
     * the draws: ``draws`` is the steps' draw source on ``rng``.  With
       ``ahead`` (as :func:`run` builds it) and N, M and p of at most 2**32,
@@ -232,9 +231,9 @@ class StepPlan:
       otherwise a :class:`~rbpda.sampling.SequentialDraws`, which draws one
       call at a time;
     * the step sizes: a constant schedule's per-block floats, or a
-      diminishing schedule's per-block step functions of (theta^k, t^k)
-      (:meth:`~rbpda.stepsize.StepSchedule.block_steps`, which refuses
-      non-finite terms here, before any step);
+      diminishing schedule's :meth:`~rbpda.stepsize.StepSchedule.steps_at`,
+      whose terms :meth:`~rbpda.stepsize.StepSchedule.check_finite` checks
+      here, before any step;
     * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
       for a one-coordinate dual block its coordinate and float kernel, and
       on a problem with a ``one_row_grad_x`` each primal block's factored
@@ -250,7 +249,8 @@ class StepPlan:
       ``t_total`` after it, so :meth:`ErgodicAccumulator.update` is not
       called.  The accumulator must follow the state's iterates
       (:meth:`ErgodicAccumulator.follow`), and the plan's steps take k = 0,
-      1, 2, ... in turn, as in :func:`run`.
+      1, 2, ... in turn, as in :func:`run`, which always builds its plan
+      with its accumulator.
 
     Each step reads a **control row**, everything it needs that depends on
     k and the draws alone: its dual and primal blocks j and i, its batch
@@ -259,21 +259,23 @@ class StepPlan:
     and N M theta^k, the ergodic weights of x^(k+1) and the running total
     of t.  A plan built with ``acc`` on a
     :class:`~rbpda.sampling.WordDraws`, a constant batch rule and this
-    module's own :func:`~rbpda.sampling.next_batch_size` fills up to
-    :data:`CHUNK` rows at a time: the draws from one bulk read of the words
+    module's own :func:`~rbpda.sampling.next_batch_size` fills its rows in
+    chunks of 16, 32, 64, ... up to :data:`CHUNK` rows, so a short run
+    fills few: the draws from one bulk read of the words
     (:meth:`~rbpda.sampling.WordDraws.steps`), theta^k and t^k from
     :meth:`~rbpda.stepsize.StepSchedule.columns` (Python's float ``**``),
     the step sizes from :meth:`~rbpda.stepsize.StepSchedule.steps_at` and
     the weights from :meth:`ErgodicAccumulator.weights` on arrays, whose
     entries are the per-step floats bit for bit.  Whether a chunk takes the
     one-row oracle is decided when it is filled.  Every other plan (a step
-    driven by hand, the increasing rule, :func:`run`'s step-then-update
-    path, a replaced ``next_batch_size``) gets each row from that step's
-    own calls, in the order blocks, batch rule, indices, with the batch
-    rule called once per step; its dual and primal blocks come from
-    ``draws.blocks()`` and its indices from ``draws.indices(v)``, or
-    ``draws.index()`` for the one-row oracle.  Either way there is one step
-    body, and the same bits.
+    driven by hand, the increasing rule, a replaced ``next_batch_size``)
+    gets each row from that step's own calls, in the order blocks, batch
+    rule, indices, with the batch rule called once per step; its dual and
+    primal blocks come from ``draws.blocks()``, its indices from
+    ``draws.indices(v)``, or ``draws.index()`` for the one-row oracle, and
+    its scalars from the schedule's ``theta``, ``t`` and ``steps_at`` at
+    one block per side.  Either way there is one step body, and the same
+    bits.
 
     The oracles, the counters and the coupling cache are read from the
     problem and the state on every step.
@@ -287,12 +289,6 @@ class StepPlan:
         source = WordDraws if ahead and max(N, M, p) <= WORD_BOUND else SequentialDraws
         self.draws = source(rng, N, M, p)
         self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size, acc)
-
-    def serves(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
-               batch: BatchSchedule) -> bool:
-        """Whether the plan was built for these objects; an equal batch rule serves as the same one."""
-        return (self.problem is problem and self.rng is rng and self.schedule is schedule
-                and (self.batch is batch or self.batch == batch))
 
 
 def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSchedule, draws, batch_size, acc):
@@ -329,13 +325,13 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         (blk, kernel(spec), None if one_row is None else kernel(spec, factored=factored))
         for blk, spec in zip(st.primal.ranges, problem.primal_prox)
     ]
-    if schedule.mode == "constant":
-        row = tau_at = sigma_at = None
+    constant = schedule.mode == "constant"
+    if constant:
         taus = np.asarray(schedule.tau(0), dtype=float).tolist()
         sigmas = np.asarray(schedule.sigma(0), dtype=float).tolist()
     else:
-        row = schedule.row
-        tau_at, sigma_at = schedule.block_steps()
+        schedule.check_finite()
+        theta_of, t_of, steps_at = schedule.theta, schedule.t, schedule.steps_at
     if acc is not None:
         weights = acc.weights
         fold_x, fold_y = acc.folds(st.primal.ranges, st.dual.ranges)
@@ -348,15 +344,16 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         j, i = blocks()
         v = batch_size(batch, state.counters, i, k, p)
         indices = take_index() if v == 1 and problem.batch_grad_x is factors else take_indices(v)
-        if row is None:  # theta = 1 and uniform weights, which leave t_total at 0
+        if constant:  # theta = 1 and uniform weights, which leave t_total at 0
             return j, i, v, indices, sigmas[j], taus[i], c_one, nm_one, 1.0, 1.0, 0.0
-        theta, t, th_next = row(k)
+        theta, t = theta_of(k), t_of(k)
+        tau, sigma = steps_at(i, j, theta, t)
         if acc is None:
             w_x = w_y = t_total = None
         else:
-            w_x, w_y = weights(t, th_next)
+            w_x, w_y = weights(t, theta_of(k + 1))
             t_total = acc.t_total + t
-        return (j, i, v, indices, sigma_at[j](theta, t), tau_at[i](theta, t), (N - 1) * theta, N * M * theta,
+        return (j, i, v, indices, float(sigma), float(tau), (N - 1) * theta, N * M * theta,
                 w_x, w_y, t_total)
 
     if (acc is not None and isinstance(draws, WordDraws) and batch.kind == "constant" and batch.v <= p
@@ -364,16 +361,16 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         take_steps, v = draws.steps, batch.v
 
         def tables():
-            """The control rows of k = 0, 1, 2, ..., one iterator over up to CHUNK rows per bulk read."""
-            k, t_total = 0, acc.t_total
+            """The control rows of k = 0, 1, 2, ..., one iterator per bulk read of 16, 32, ... up to CHUNK rows."""
+            k, t_total, size = 0, acc.t_total, 16
             while True:
                 one = v == 1 and problem.batch_grad_x is factors
-                js, is_, indices = take_steps(CHUNK, v, one)
-                n = len(js)
+                js, is_, indices = take_steps(size, v, one)
+                n, size = len(js), min(2 * size, CHUNK)
                 theta, t = schedule.columns(range(k, k + n + 1))
                 th, th_next, t = theta[:-1], theta[1:], t[:-1]
                 tau, sigma = schedule.steps_at(is_, js, th, t)
-                if row is None:  # uniform weights, which leave t_total at 0
+                if constant:  # uniform weights, which leave t_total at 0
                     w_x = w_y = np.ones(n)
                     totals = np.zeros(n)
                 else:
@@ -527,10 +524,10 @@ class _LazySum:
     against ~3 us at 500).  :meth:`fold` picks the kind per call,
     :meth:`kind` once per block.
 
-    ``last`` is the sum's own copy of the iterate, ``own``, until a fold is
-    handed the previous iterate (``old``) or the sum follows the caller's
-    array (:meth:`ErgodicAccumulator.follow`); from then on it is the
-    caller's array.
+    ``last`` is the sum's own copy of the iterate, ``own``, which
+    :meth:`fold` folds from, until the sum follows the caller's array
+    (:meth:`ErgodicAccumulator.follow`); from then on it is the caller's
+    array, and only the block folds of :meth:`kind` fold.
     """
 
     def __init__(self, v0: np.ndarray):
@@ -540,29 +537,22 @@ class _LazySum:
         self.stamp = 0.0
         self.stamps = np.zeros_like(v0)
 
-    def fold(self, blk, new, w: float, old=None) -> None:
+    def fold(self, blk, new, w: float) -> None:
         """Take the next iterate ``new``, equal to the current one outside ``blk``, with weight ``w``.
 
-        ``blk`` is a slice, or the index of one coordinate.  Without ``old``
-        the terms come from the own copy, which then takes ``new``'s values;
-        with it they come from ``old``, an array equal to the current
-        iterate, and ``new`` itself becomes ``last``.
+        ``blk`` is a slice, or the index of one coordinate.  The terms come
+        from the own copy, which then takes ``new``'s values.
         """
-        if old is None:
-            old = self.own
-            if self.last is not old:
-                raise ValueError("a sum that was handed the previous iterate needs it on every fold")
-        else:
-            self.last = new
-        c = _coordinate(blk, old.size)
+        own = self.own
+        if self.last is not own:
+            raise ValueError("a sum that follows the caller's array folds only through its block folds")
+        c = _coordinate(blk, own.size)
         if c is not None:
-            self.fold_one(c, w, old)
-            if old is self.own:
-                old[c] = new[c]
+            self.fold_one(c, w, own)
+            own[c] = new[c]
         else:
-            self.fold_all(w, old)
-            if old is self.own:
-                old[...] = new
+            self.fold_all(w, own)
+            own[...] = new
 
     def kind(self, blk: slice):
         """Block ``blk``'s fold, a callable of ``(w, old)``: :meth:`fold_one` at its coordinate, or :meth:`fold_all`."""
@@ -616,18 +606,17 @@ class ErgodicAccumulator:
     copy.  Whole-side folds in uniform mode reproduce the eager running sum
     bit for bit; lazy folds agree with it to rounding.
 
-    Who folds: :func:`deterministic_baseline_run`, and :func:`run` on its
-    step-then-update path, call :meth:`update` once per iterate.  On
-    :func:`run`'s own path the accumulator follows the state's iterates
-    (:meth:`follow`), and the :class:`StepPlan`'s step folds them through
-    :meth:`folds`, with the weights of its control row (:meth:`weights`,
-    per step or on a chunk's arrays), to the same bits.  The plan fills
-    the weights and running totals of t for up to :data:`CHUNK` steps at a
-    time where :func:`run` has a constant batch rule and this module's own
-    ``next_batch_size``, ``rbpda_step`` and ``update``; replacing any of
-    them switches that off.  Either way ``count`` and ``t_total`` are
-    current after every step that succeeded, and a failed step moves
-    neither.
+    Who folds: :func:`deterministic_baseline_run` and a caller driving
+    steps by hand call :meth:`update` once per iterate, which folds from
+    the accumulator's own copies.  In :func:`run` the accumulator follows
+    the state's iterates (:meth:`follow`), and the :class:`StepPlan`'s step
+    folds them through :meth:`folds`, with the weights of its control row
+    (:meth:`weights`, per step or on a chunk's arrays), to the same bits.
+    The plan fills the weights and running totals of t for up to
+    :data:`CHUNK` steps at a time where :func:`run` has a constant batch
+    rule and this module's own ``next_batch_size``; a replaced one switches
+    that off.  Either way ``count`` and ``t_total`` are current after
+    every step that succeeded, and a failed step moves neither.
     """
 
     def __init__(self, M: int, N: int, x0, y0, schedule: Optional[StepSchedule] = None):
@@ -649,41 +638,25 @@ class ErgodicAccumulator:
         grow = 1.0 - 1.0 / th_next
         return t_k * (1.0 + (self.M - 1) * grow), t_k * (1.0 + (self.N - 1) * grow)
 
-    def update(self, x_new, y_new, k: int, touched=(slice(None), slice(None)), old=None) -> None:
+    def update(self, x_new, y_new, k: int, touched=(slice(None), slice(None))) -> None:
         """Fold in the post-step iterate of iteration k (i.e. x^(k+1)).
 
         ``touched`` holds the (primal, dual) indices, slices or single
         coordinates, outside which x^(k+1) and y^(k+1) equal the previous
-        iterate; the default is the whole vectors.
-
-        Without ``old`` the accumulator copies what it needs of x^(k+1) and
-        y^(k+1), so the caller may overwrite ``x_new`` and ``y_new`` at once.
-        ``old=(x_old, y_old)`` holds arrays equal to the previous iterate,
-        x^k and y^k (x0 and y0 before the first update): the fold reads its
-        terms from them and keeps ``x_new`` and ``y_new`` themselves as the
-        current iterate, copying nothing.  The caller then keeps three
-        promises: the arrays passed as ``x_new`` and ``y_new`` hold x^(k+1)
-        and y^(k+1) whenever :meth:`finalize` is called, until the next
-        update; the next update's ``old`` equals them; and every later
-        update passes ``old`` (one without it raises ``ValueError``).
-        :func:`run`'s step-then-update path passes ``(state.x_prev,
-        state.y_prev)``, which equal x^k and y^k after each step by
-        :class:`RunState`'s block-copy invariant.  Both ways give the same
-        sums bit for bit.
+        iterate; the default is the whole vectors.  The accumulator copies
+        what it needs of x^(k+1) and y^(k+1), so the caller may overwrite
+        ``x_new`` and ``y_new`` at once.  An accumulator that follows the
+        caller's arrays (:meth:`follow`) refuses it with ``ValueError``.
         """
-        self.count += 1
         if self.schedule is None:
-            w_x = w_y = 1.0
+            t_k, w_x, w_y = 0.0, 1.0, 1.0
         else:
-            _, t_k, th_next = self.schedule.row(k)
-            self.t_total += t_k
-            w_x, w_y = self.weights(t_k, th_next)
-        if old is None:
-            self.sum_x.fold(touched[0], x_new, w_x)
-            self.sum_y.fold(touched[1], y_new, w_y)
-        else:
-            self.sum_x.fold(touched[0], x_new, w_x, old[0])
-            self.sum_y.fold(touched[1], y_new, w_y, old[1])
+            t_k = self.schedule.t(k)
+            w_x, w_y = self.weights(t_k, self.schedule.theta(k + 1))
+        self.sum_x.fold(touched[0], x_new, w_x)
+        self.sum_y.fold(touched[1], y_new, w_y)
+        self.count += 1
+        self.t_total += t_k
 
     def follow(self, x, y) -> None:
         """Read the current iterate from the arrays ``x`` and ``y``, which hold it now, from here on.
@@ -691,8 +664,8 @@ class ErgodicAccumulator:
         Just before writing a block into them, the caller calls that block's
         fold (:meth:`folds`) with the weight of :meth:`weights` and ``x``
         (``y``) itself, and after it sets ``count`` and ``t_total``, as
-        :func:`run`'s :class:`StepPlan` does; it does not call
-        :meth:`update`.
+        :func:`run`'s :class:`StepPlan` does; :meth:`update` is refused from
+        then on.
         """
         self.sum_x.last, self.sum_y.last = x, y
 
@@ -743,11 +716,11 @@ def rbpda_step(
     The step is ``state.plan``'s (:class:`StepPlan`), which resolved the
     step sizes, the prox kernels, the draw source and the batch rule once;
     a plan built for other objects than the ones passed is rebuilt, and the
-    kept dual row forgotten.  :func:`run` builds a plan that draws ahead,
-    and on its own path one whose step also folds the ergodic averages; a
-    plan this function builds folds nothing, and the caller folds, as
-    :func:`run`'s step-then-update path does with
-    :meth:`ErgodicAccumulator.update`.
+    kept dual row forgotten.  :func:`run` builds a plan that draws ahead
+    and whose step also folds the ergodic averages, and a replaced
+    ``rbpda_step`` that calls this one (a tracing wrapper) takes that plan;
+    a plan this function builds folds nothing, and a caller driving steps
+    by hand folds with :meth:`ErgodicAccumulator.update`.
     A step driven by hand builds a plan on its first call for the problem,
     ``rng``, ``schedule`` and ``batch`` (and again when one of them
     changes; an equal batch rule keeps it), and that plan draws from
@@ -784,7 +757,7 @@ def rbpda_step(
     ``__cause__``.
     """
     plan = state.plan
-    # plan.serves(...) written out: a method call costs more than the four tests
+    # a plan serves the objects it was built for; an equal batch rule serves as the same one
     if plan is None or not (plan.problem is problem and plan.rng is rng and plan.schedule is schedule
                             and (plan.batch is batch or plan.batch == batch)):
         plan = state.plan = StepPlan(problem, rng, schedule, batch)
@@ -792,8 +765,7 @@ def rbpda_step(
     return plan.step(state)
 
 
-# run() folds in its plan's step while this module holds these three
-_OWN_PATH = (rbpda_step, ErgodicAccumulator, ErgodicAccumulator.update)
+_OWN_STEP = rbpda_step  # run() calls its plan's step directly while this module holds it
 
 
 def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: float = 0.0) -> RunState:
@@ -860,15 +832,14 @@ def run(
 
     Fully deterministic given (seed, stream); the draws are taken ahead as
     buffered words (:class:`StepPlan`), so the generator's final position
-    is unspecified.  While this module holds its own :func:`rbpda_step`,
-    :class:`ErgodicAccumulator` and ``ErgodicAccumulator.update``, each
-    iteration is one call of the plan's step, which also folds the ergodic
-    averages (the plan is built with the accumulator); with a constant
-    batch rule and this module's own ``next_batch_size`` it reads control
-    rows filled up to :data:`CHUNK` iterations at a time.  With any of them
-    replaced, as by a tracing wrapper or a reference oracle, each iteration
-    calls ``rbpda_step`` and then ``acc.update``: the step-then-update path,
-    to the same bits.  A step failure aborts the run but the partial trace is
+    is unspecified.  The run's plan is built with its accumulator, so its
+    step also folds the ergodic averages; with a constant batch rule and
+    this module's own ``next_batch_size`` it reads control rows filled up
+    to :data:`CHUNK` iterations at a time.  Each iteration is one call of
+    the plan's step while this module holds its own :func:`rbpda_step`;
+    with it replaced, as by a tracing wrapper, each iteration calls the
+    replacement, and :func:`rbpda_step` takes the run's plan, to the same
+    bits.  A step failure aborts the run but the partial trace is
     preserved on the raised :class:`SolverError` (see :func:`_drive`).  A
     problem's coupling cache is built once, for the largest batch size the
     run can draw: p for an increasing schedule, the constant batch size
@@ -890,23 +861,17 @@ def run(
     state = RunState.start(problem, config.x0, config.y0)
     acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
     restart = config.restart_enabled and batch.kind == "increasing"
-    own = all(a is b for a, b in zip((rbpda_step, ErgodicAccumulator, ErgodicAccumulator.update), _OWN_PATH))
-    if own:
-        acc.follow(state.x, state.y)  # the plan's step folds x^k and y^k before it overwrites them
-    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True, acc=acc if own else None)
+    acc.follow(state.x, state.y)  # the plan's step folds x^k and y^k before it overwrites them
+    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True, acc=acc)
     if problem.coupling_cache is not None:
         v_max = p if batch.kind == "increasing" else batch.v
         state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
-    if own:
+    module_step = rbpda_step  # read per run, so a replaced rbpda_step is called once per iteration
+    if module_step is _OWN_STEP:
         step = state.plan.step
     else:
-        module_step = rbpda_step  # read with the plan, so a replaced rbpda_step is the one called
-        old = (state.x_prev, state.y_prev)  # x^k and y^k after each step, so the fold copies nothing
-
         def step(state):
-            k = state.k
             module_step(state, problem, schedule, batch, rng)
-            acc.update(state.x, state.y, k, (state.last_x, state.last_y), old=old)
     if restart:
         iteration = step
 

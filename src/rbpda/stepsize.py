@@ -198,12 +198,16 @@ def constant_stepsizes(agg: AggregateConstants, fp: FreeParams) -> tuple[np.ndar
 
 
 def schedule_t(k: int, eta: float) -> float:
-    """Weight t^k = (1/(k+1))^((1+eta)/2), with t^0 = 1."""
+    """Weight t^k = (1/(k+1))^((1+eta)/2), with t^0 = 1; k must be nonnegative."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     return (1.0 / (k + 1)) ** (0.5 * (1.0 + eta))
 
 
 def schedule_theta(k: int, eta: float) -> float:
-    """Momentum theta^k = ((k+1)/k)^((1+eta)/2) for k >= 1, theta^0 = 1."""
+    """Momentum theta^k = ((k+1)/k)^((1+eta)/2) for k >= 1, theta^0 = 1; k must be nonnegative."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0
     return ((k + 1) / k) ** (0.5 * (1.0 + eta))
@@ -248,27 +252,26 @@ def _frozen_copy(obj):
 
 
 def _bind_steps(template, terms):
-    """One side's diminishing step bound three ways, as ``(vector, per_block, gathered)``.
+    """One side's diminishing step bound twice, as ``(vector, gathered)``.
 
     The template is ``1 / (n * (diag + count*theta*inv + rest... + noise/t))``
     summed left to right, a function of (theta, t) with the terms bound as
     defaults, which a call reads as locals.  ``vector`` is it bound to the
-    side's arrays, ``per_block[i]`` to block i's floats, and
-    ``gathered(blocks)`` to the entries of the blocks in the index array
-    ``blocks``, one per entry of the theta and t it is then called on.  It
-    uses only +, * and /, which numpy computes elementwise and correctly
-    rounded, as Python does on floats, so the vector function's entries, its
-    table at columns of theta and t, and the gathered function's entries
-    are the per-block floats bit for bit.
+    side's arrays, and ``gathered(blocks)`` to the entries of the blocks in
+    ``blocks``: an index array, one entry per entry of the theta and t it is
+    then called on, or one block's index.  It uses only +, * and /, which
+    numpy computes elementwise and correctly rounded, as Python does on
+    floats, so the vector function's entries, its table at columns of theta
+    and t, and the gathered function's entries are the same floats bit for
+    bit.
     """
     n, count, inv, *arrays = terms
     arrays = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in arrays]
-    rows = zip(*(v.tolist() for v in arrays))
 
     def gathered(blocks):
         return template(n, count, inv, *(v[blocks] for v in arrays))
 
-    return template(*terms), [template(n, count, inv, *row) for row in rows], gathered
+    return template(*terms), gathered
 
 
 @dataclass
@@ -286,10 +289,11 @@ class StepSchedule:
     ``tau(k)`` and ``sigma(k)`` return the step vectors, a constant
     schedule's own arrays, read-only.  With a block index,
     ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
-    O(1), bitwise equal to the vector entry.  A run's step plan reads the
-    same floats through :meth:`block_steps` and :meth:`row`, one step at a
-    time, or through :meth:`columns` and :meth:`steps_at`, a chunk of steps
-    at a time.  The fields are read once, at construction.
+    O(1), bitwise equal to the vector entry.  ``theta(k)`` and ``t(k)`` are
+    :func:`schedule_theta` and :func:`schedule_t`.  A run's step plan reads
+    the same floats through :meth:`steps_at`, one step at a time or, with
+    :meth:`columns`, a chunk of steps at a time.  The fields are read once,
+    at construction.
     """
 
     mode: str
@@ -321,40 +325,16 @@ class StepSchedule:
             if fp.beta.shape not in ((1,), (self.N,)):
                 raise ValueError(f"beta has shape {fp.beta.shape}; it needs 1 or N = {self.N} entries")
             self._tau_terms, self._sigma_terms = _diminishing_terms(agg, fp)
-            self._tau_vec, self._tau_at, self._tau_of = _bind_steps(_tau_step, self._tau_terms)
-            self._sigma_vec, self._sigma_at, self._sigma_of = _bind_steps(_sigma_step, self._sigma_terms)
+            self._tau_vec, self._tau_of = _bind_steps(_tau_step, self._tau_terms)
+            self._sigma_vec, self._sigma_of = _bind_steps(_sigma_step, self._sigma_terms)
         self._power = 0.5 * (1.0 + self.eta)  # the exponent of schedule_theta and schedule_t
-        self._k, self._row = -2, None  # the iteration whose row is cached, and the row
-
-    def row(self, k: int) -> tuple[float, float, float]:
-        """The diminishing scalars (theta^k, t^k, theta^(k+1)) of iteration k, computed once per k.
-
-        A step at k reads (theta^k, t^k), and the ergodic weights of its
-        iterate read t^k and theta^(k+1).  Repeated calls for one k reuse
-        the row, and the row of k + 1 takes its theta from the row of k.
-        Each value has the bits of :func:`schedule_theta` and
-        :func:`schedule_t`.
-        """
-        if k != self._k:
-            e = self._power
-            if k == self._k + 1 and k > 0:
-                th = self._row[2]
-            elif k > 0:
-                th = ((k + 1) / k) ** e
-            elif k == 0:
-                th = 1.0
-            else:
-                raise ValueError("k must be nonnegative")
-            self._row = (th, (1.0 / (k + 1)) ** e, ((k + 2) / (k + 1)) ** e)
-            self._k = k
-        return self._row
 
     def columns(self, ks: range) -> tuple[np.ndarray, np.ndarray]:
-        """theta^k and t^k over the consecutive ``ks``, as two float arrays with the bits of :meth:`row`.
+        """theta^k and t^k over the consecutive ``ks``, as two float arrays with the bits of :meth:`theta` and :meth:`t`.
 
-        Each value is Python's float ``**``, as in :meth:`row`: numpy's
-        array ``**`` differs from it in the last bit on some values.  A
-        constant schedule gives ones.
+        Each value is Python's float ``**``, as in :func:`schedule_theta` and
+        :func:`schedule_t`: numpy's array ``**`` differs from it in the last
+        bit on some values.  A constant schedule gives ones.
         """
         if self.mode == "constant":
             return np.ones(len(ks)), np.ones(len(ks))
@@ -376,8 +356,9 @@ class StepSchedule:
         ``theta`` and ``t`` arrays of the same length (a constant schedule
         ignores them); entry s of ``tau`` is block ``primal_blocks[s]``'s
         step at (theta[s], t[s]), bit for bit the float of ``tau(k, i)``
-        where (theta[s], t[s]) is :meth:`row`'s pair of k (see
-        :func:`_bind_steps`), and likewise ``sigma``.
+        where (theta[s], t[s]) is (theta(k), t(k)) (see :func:`_bind_steps`),
+        and likewise ``sigma``.  Two block indices and two floats give the
+        two blocks' steps as numpy floats, with the same bits.
         """
         if self.mode == "constant":
             return self._tau0[primal_blocks], self._sigma0[dual_blocks]
@@ -385,47 +366,40 @@ class StepSchedule:
             raise ValueError(f"steps_at needs a schedule with {self._missing}")
         return self._tau_of(primal_blocks)(theta, t), self._sigma_of(dual_blocks)(theta, t)
 
-    def block_steps(self):
-        """The diminishing per-block steps as ``(tau_at, sigma_at)``, for a run's step plan.
+    def check_finite(self) -> None:
+        """Refuse a diminishing step whose k-independent terms are not finite, before any step takes it.
 
-        ``tau_at[i](theta, t)`` is block i's step at the pair (theta^k, t^k)
-        of :meth:`row`, equal bit for bit to ``tau(k, i)``; likewise
-        ``sigma_at``.  Each is a function with its block's k-independent
-        terms bound, so a step evaluates only its k-dependent terms.  A
-        k-independent term that is not finite (an aggregate constant that
-        overflowed) raises ``ValueError("non-finite step-size
-        denominator")``, as the constant regime does, before any step
-        takes it.
+        An aggregate constant that overflowed raises ``ValueError("non-finite
+        step-size denominator")``, as the constant regime does.  A run's step
+        plan calls this when it is built.
         """
         if self.mode != "diminishing" or self._missing:
-            raise ValueError("block_steps needs a diminishing schedule with constants and free parameters")
+            raise ValueError("check_finite needs a diminishing schedule with constants and free parameters")
         for terms in (self._tau_terms, self._sigma_terms):
-            # the per-block terms are copies of these entries
             if not all(np.isfinite(v).all() for v in terms):
                 raise ValueError("non-finite step-size denominator")
-        return self._tau_at, self._sigma_at
 
     def tau(self, k: int, i: Optional[int] = None):
         if self.mode == "constant":
             return self._tau0 if i is None else float(self._tau0[i])
         if self._missing:
             raise ValueError(f"tau(k) needs a schedule with {self._missing}")
-        th, t, _ = self.row(k)
-        return self._tau_vec(th, t) if i is None else self._tau_at[i](th, t)
+        th, t = schedule_theta(k, self.eta), schedule_t(k, self.eta)
+        return self._tau_vec(th, t) if i is None else float(self._tau_of(i)(th, t))
 
     def sigma(self, k: int, j: Optional[int] = None):
         if self.mode == "constant":
             return self._sigma0 if j is None else float(self._sigma0[j])
         if self._missing:
             raise ValueError(f"sigma(k) needs a schedule with {self._missing}")
-        th, t, _ = self.row(k)
-        return self._sigma_vec(th, t) if j is None else self._sigma_at[j](th, t)
+        th, t = schedule_theta(k, self.eta), schedule_t(k, self.eta)
+        return self._sigma_vec(th, t) if j is None else float(self._sigma_of(j)(th, t))
 
     def theta(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else self.row(k)[0]
+        return 1.0 if self.mode == "constant" else schedule_theta(k, self.eta)
 
     def t(self, k: int) -> float:
-        return 1.0 if self.mode == "constant" else self.row(k)[1]
+        return 1.0 if self.mode == "constant" else schedule_t(k, self.eta)
 
 
 @dataclass

@@ -10,19 +10,58 @@ at a time.  It is the same iteration, so a run driven by it must reach the
 bits of :func:`rbpda.solver.run`.
 
 :class:`ReferenceAccumulator` is likewise the ergodic fold without what
-:func:`rbpda.solver.run` hands its accumulator: it keeps its own copy of
-the current iterate, analyses each touched slice on every call and reads
-theta and t from :func:`~rbpda.stepsize.schedule_theta` and
+:func:`rbpda.solver.run`'s plan resolves: it keeps its own copy of the
+current iterate, analyses each touched slice on every call and reads theta
+and t from :func:`~rbpda.stepsize.schedule_theta` and
 :func:`~rbpda.stepsize.schedule_t`.  A run folded by it must reach the same
 averages, weights and trace rows.
+
+:func:`reference_run` drives both through the solver's run loop, as
+:func:`rbpda.solver.run` would under the same configuration.
 """
 
 import numpy as np
 
+from rbpda import solver
 from rbpda.bregman import prox_step
-from rbpda.sampling import SequentialDraws, next_batch_size
-from rbpda.solver import SolverError
+from rbpda.sampling import BatchSchedule, SequentialDraws, make_rng, next_batch_size
+from rbpda.solver import RunState, SolverError, build_schedule, restart_if_saturated
 from rbpda.stepsize import schedule_t, schedule_theta
+
+
+def reference_run(problem, config, **metrics):
+    """The run :func:`rbpda.solver.run` makes under ``config``, with each iteration :func:`reference_step`,
+    then :meth:`ReferenceAccumulator.update`, then the restart check, through ``solver._drive``.
+
+    The schedule, batch rule, generator, start state and coupling cache are
+    set up as :func:`rbpda.solver.run` sets them up; ``metrics`` are its
+    keyword arguments ``reference`` and ``f_star``.
+    """
+    st, p = problem.structure, problem.p
+    schedule = build_schedule(problem, config)
+    if config.batch is not None:
+        batch = BatchSchedule.constant(config.batch, p)
+    elif config.mode == "increasing_batch":
+        batch = BatchSchedule.increasing(config.eta)
+    else:
+        batch = BatchSchedule.constant(1, p)
+    rng = make_rng(config.seed, config.stream)
+    state = RunState.start(problem, config.x0, config.y0)
+    acc = ReferenceAccumulator(st.M, st.N, state.x, state.y, schedule)
+    if problem.coupling_cache is not None:
+        v_max = p if batch.kind == "increasing" else batch.v
+        state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
+    restart = config.restart_enabled and batch.kind == "increasing"
+
+    def step(state):
+        k = state.k
+        reference_step(state, problem, schedule, batch, rng)
+        acc.update(state.x, state.y, k, (state.last_x, state.last_y))
+        if restart:
+            restart_if_saturated(state, p, config.restart_threshold, batch.eta)
+
+    return solver._drive(problem, state, acc, step, config.max_iters, config.checkpoint_every,
+                         auto_best_response=config.compute_sup_gap, **metrics)
 
 
 def reference_step(state, problem, schedule, batch, rng):
@@ -152,11 +191,7 @@ class _ReferenceSum:
 
 
 class ReferenceAccumulator:
-    """:class:`rbpda.solver.ErgodicAccumulator`'s averages, folded from private copies.
-
-    ``update`` takes and ignores ``old``, so :func:`rbpda.solver.run` can
-    be driven with it in place of the accumulator under test.
-    """
+    """:class:`rbpda.solver.ErgodicAccumulator`'s averages, folded from private copies by ``update``."""
 
     def __init__(self, M, N, x0, y0, schedule=None):
         self.M, self.N = M, N
@@ -167,7 +202,7 @@ class ReferenceAccumulator:
         self.sum_x, self.sum_y = _ReferenceSum(self.x0), _ReferenceSum(self.y0)
         self.t_total = 0.0
 
-    def update(self, x_new, y_new, k, touched=(slice(None), slice(None)), old=None):
+    def update(self, x_new, y_new, k, touched=(slice(None), slice(None))):
         if self.eta is None:
             w_x = w_y = 1.0
         else:

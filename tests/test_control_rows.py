@@ -65,6 +65,35 @@ def test_chunked_rows_equal_per_step_rows_bitwise(name, mode, monkeypatch):
         assert got.iterations == iters
 
 
+@pytest.mark.parametrize("mode", ["single_eta03", "increasing_v1"])
+def test_a_short_run_fills_few_rows(mode, monkeypatch):
+    # the first bulk read asks for 16 rows, and each later one for twice
+    # the last, up to a chunk: a 1-iteration run reads 16 rows, not CHUNK
+    prob = lockstep_problem("erm_box_scalar")
+    reads = counted_bulk_reads(monkeypatch)
+    run(prob, config(prob, mode, max_iters=1, compute_sup_gap=False))
+    assert [size for size, *_ in reads] == [16]
+    reads.clear()
+    run(prob, config(prob, mode, max_iters=1000, compute_sup_gap=False))
+    assert [size for size, *_ in reads] == [16, 32, 64, 128, 256, 256, 256]  # 1,008 rows
+
+
+@pytest.mark.parametrize("name", ["erm_box_scalar", "erm_entropy", "qp"])
+def test_a_wrapper_on_the_step_keeps_the_chunked_rows(name, monkeypatch):
+    # a replaced rbpda_step that calls the solver's (a tracing wrapper) is
+    # called once per iteration and takes the run's plan, which still fills
+    # its rows in bulk and folds the averages: the same bits
+    prob = lockstep_problem(name)
+    cfg = config(prob, "single_eta03", max_iters=600, checkpoint_every=150, compute_sup_gap=False)
+    want = run(prob, cfg)
+    reads, calls = counted_bulk_reads(monkeypatch), []
+    inner = solver.rbpda_step
+    monkeypatch.setattr(solver, "rbpda_step", lambda *args: calls.append(1) or inner(*args))
+    got = run(prob, cfg)
+    assert len(calls) == 600 and reads
+    assert_same_run(got, want)
+
+
 @pytest.mark.parametrize("name", ["erm_box_scalar", "erm_entropy", "qp"])
 def test_chunks_cut_short_by_small_fills_keep_the_bits(name, monkeypatch):
     # a fill of 7 words holds a few steps, so each bulk read gives fewer

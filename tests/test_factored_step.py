@@ -12,8 +12,9 @@ from rbpda.bregman import EUCLIDEAN, prox_kernel
 from rbpda.sampling import BatchSchedule, draw_block, make_rng, sample_indices
 from rbpda.solver import RunState, SolverConfig, SolverError, rbpda_step, run
 
+from reference_step import reference_run
 from test_solver import FixedSchedule, lockstep_problem
-from test_step_plan import assert_same_run, cached, reference_run
+from test_step_plan import assert_same_run, cached
 
 FACTORED_CASES = {
     # (problem, coupling cache, config): every config draws v = 1 on some steps
@@ -55,7 +56,7 @@ def test_factored_steps_equal_the_reference_step_bitwise(case, monkeypatch):
     calls = counted_one_row(prob)
     got = run(prob, cfg)
     monkeypatch.undo()
-    assert_same_run(got, reference_run(prob, cfg, monkeypatch))
+    assert_same_run(got, reference_run(prob, cfg))
     if calls is None:
         assert name in ("box_game", "qp")
     else:

@@ -213,11 +213,6 @@ def attach_cache(state, prob):
     return state
 
 
-def bits_equal(a, b) -> bool:
-    """Whether two float arrays have the same bits, signed zeros and NaNs included."""
-    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
-
-
 def assert_close(got, want, tol=1e-12):
     assert np.max(np.abs(got - want)) <= tol * max(1.0, float(np.max(np.abs(want))))
 
@@ -1402,24 +1397,15 @@ class TestLazyErgodicSums:
         rng = np.random.default_rng(2)
         x0, y0 = rng.standard_normal(x_blocks[-1].stop), rng.standard_normal(y_blocks[-1].stop)
         acc = ErgodicAccumulator(M, N, x0, y0, sched if mode == "weighted" else None)
-        # handed the previous iterates, the fold copies nothing and gives the same bits
-        lent = ErgodicAccumulator(M, N, x0, y0, sched if mode == "weighted" else None)
         xs, ys = [], []
-        old = (x0, y0)
         for k, (x, y, touched) in enumerate(random_touches(rng, x0, y0, x_blocks, y_blocks, 300)):
             acc.update(x, y, k, touched)
-            lent.update(x, y, k, touched, old=old)
-            old = (x, y)
             xs.append(x.copy())
             ys.append(y.copy())
-            for a, b in zip(lazy_state(acc), lazy_state(lent)):
-                assert np.array_equal(a, b)
             if k % 37 == 0 or k == 299:
                 want = eager_averages(mode, M, N, xs, ys, range(k + 1), sched)
                 for got, ref in zip(acc.finalize(), want):
                     assert_close(got, ref)
-                assert all(bits_equal(a, b) for a, b in zip(acc.finalize(), lent.finalize()))
-                assert acc.total_weights() == lent.total_weights()
 
     @pytest.mark.parametrize("sides", sorted(SIDES))
     @pytest.mark.parametrize("mode", ["uniform", "weighted"])
@@ -1429,61 +1415,33 @@ class TestLazyErgodicSums:
         x_blocks, y_blocks = SIDES[sides]
         sched = StepSchedule(mode="diminishing", eta=0.0) if mode == "weighted" else None
         x0, y0 = np.zeros(x_blocks[-1].stop), np.zeros(y_blocks[-1].stop)
-        for lend in (False, True):  # folds from own copies, or from the previous iterates handed in
-            plain = ErgodicAccumulator(4, 3, x0, y0, sched)
-            probed = ErgodicAccumulator(4, 3, x0, y0, sched)
-            rng = np.random.default_rng(3)
-            old = (x0, y0)
-            for k, (x, y, touched) in enumerate(random_touches(rng, x0, y0, x_blocks, y_blocks, 60)):
-                kw = {"old": old} if lend else {}
-                plain.update(x, y, k, touched, **kw)
-                probed.update(x, y, k, touched, **kw)
-                old = (x, y)
-                before = lazy_state(probed)
-                first, second = probed.finalize(), probed.finalize()
-                for a, b in zip(first, second):
-                    assert np.array_equal(a, b)
-                for a, b in zip(before, lazy_state(probed)):
-                    assert np.array_equal(a, b)
-            for a, b in zip(plain.finalize(), probed.finalize()):
+        plain = ErgodicAccumulator(4, 3, x0, y0, sched)
+        probed = ErgodicAccumulator(4, 3, x0, y0, sched)
+        rng = np.random.default_rng(3)
+        for k, (x, y, touched) in enumerate(random_touches(rng, x0, y0, x_blocks, y_blocks, 60)):
+            plain.update(x, y, k, touched)
+            probed.update(x, y, k, touched)
+            before = lazy_state(probed)
+            first, second = probed.finalize(), probed.finalize()
+            for a, b in zip(first, second):
                 assert np.array_equal(a, b)
+            for a, b in zip(before, lazy_state(probed)):
+                assert np.array_equal(a, b)
+        for a, b in zip(plain.finalize(), probed.finalize()):
+            assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("sides", sorted(SIDES))
     @pytest.mark.parametrize("mode", ["uniform", "weighted"])
-    def test_previous_iterates_handed_in_equal_own_copies(self, mode, sides):
-        # the run's protocol: live arrays written block by block, the
-        # previous iterate kept by block copies, and whole-vector resets of
-        # it mid-sequence, as a restart does; the fold handed x_prev and
-        # y_prev gives the own-copy fold's bits at every step
-        x_blocks, y_blocks = SIDES[sides]
-        M, N = len(x_blocks), len(y_blocks)
+    def test_an_accumulator_that_follows_the_iterates_refuses_update(self, mode):
+        # after follow() only the plan's block folds fold: update() raises and moves nothing
         sched = StepSchedule(mode="diminishing", eta=0.3) if mode == "weighted" else None
-        rng = np.random.default_rng(5)
-        x, y = rng.standard_normal(x_blocks[-1].stop), rng.standard_normal(y_blocks[-1].stop)
-        x_prev, y_prev = x.copy(), y.copy()
-        own = ErgodicAccumulator(M, N, x, y, sched)
-        lent = ErgodicAccumulator(M, N, x, y, sched)
-        last = (slice(None), slice(None))
-        for k, (x_new, y_new, touched) in enumerate(random_touches(rng, x, y, x_blocks, y_blocks, 200)):
-            x_prev[last[0]] = x[last[0]]
-            y_prev[last[1]] = y[last[1]]
-            x[touched[0]] = x_new[touched[0]]
-            y[touched[1]] = y_new[touched[1]]
-            last = touched
-            own.update(x, y, k, touched)
-            lent.update(x, y, k, touched, old=(x_prev, y_prev))
-            if rng.random() < 0.1:  # a restart: the history collapses onto the iterate
-                x_prev[:] = x
-                y_prev[:] = y
-            assert all(bits_equal(a, b) for a, b in zip(own.finalize(), lent.finalize())), k
-            assert own.total_weights() == lent.total_weights()
-
-    def test_previous_iterates_once_handed_in_are_needed_on_every_update(self):
-        # the fold keeps the caller's arrays as its iterate, so it cannot go back to copies
-        acc = ErgodicAccumulator(2, 2, np.zeros(3), np.zeros(2))
-        acc.update(np.ones(3), np.ones(2), 0, old=(np.zeros(3), np.zeros(2)))
-        with pytest.raises(ValueError, match="needs it on every fold"):
+        acc = ErgodicAccumulator(2, 2, np.zeros(3), np.zeros(2), sched)
+        acc.update(np.ones(3), np.ones(2), 0)
+        acc.follow(np.ones(3), np.ones(2))
+        before = (acc.count, acc.t_total, lazy_state(acc))
+        with pytest.raises(ValueError, match="folds only through its block folds"):
             acc.update(np.ones(3), np.ones(2), 1)
+        assert before[:2] == (acc.count, acc.t_total)
+        assert all(np.array_equal(a, b) for a, b in zip(before[2], lazy_state(acc)))
 
     @pytest.mark.parametrize("dim", [3, 40])
     def test_whole_vector_uniform_sums_are_the_eager_running_sum(self, dim):
@@ -1512,13 +1470,15 @@ class TestLazyErgodicSums:
         # direct formula over every iterate, restarts included
         prob = lockstep_problem("erm_box")
         seen = []
-        update = ErgodicAccumulator.update
+        step = rbpda_step
 
-        def recording(self, x, y, k, touched=(slice(None), slice(None)), **kw):
-            seen.append((x.copy(), y.copy(), k))
-            return update(self, x, y, k, touched, **kw)
+        def recording(state, *args):
+            k = state.k
+            step(state, *args)
+            seen.append((state.x.copy(), state.y.copy(), k))
+            return state
 
-        monkeypatch.setattr(ErgodicAccumulator, "update", recording)
+        monkeypatch.setattr("rbpda.solver.rbpda_step", recording)
         cfg = SolverConfig(max_iters=300, seed=4, checkpoint_every=10**9, compute_sup_gap=False, **config)
         res = run(prob, cfg)
         if cfg.restart_enabled:

@@ -15,7 +15,7 @@ from rbpda.sampling import BatchSchedule, make_rng
 from rbpda.solver import RunState, SolverConfig, StepPlan, build_schedule, rbpda_step, run
 from rbpda.stepsize import BlockLipschitz, FreeParams, StepSchedule, aggregate_constants, default_free_params
 
-from reference_step import ReferenceAccumulator, reference_step
+from reference_step import reference_run
 from test_solver import LOCKSTEP_BUILTINS, lockstep_problem, scalar_bilinear_problem
 
 REFERENCE_CONFIGS = {
@@ -40,15 +40,6 @@ def assert_same_run(got, want):
         assert [bits(v) for v in vars(a).values()] == [bits(v) for v in vars(b).values()], (a, b)
 
 
-def reference_run(problem, config, monkeypatch, **kw):
-    """run() with every step taken by :func:`reference_step` instead of the plan's, and folded by
-    :class:`ReferenceAccumulator` instead of the accumulator run() hands its previous iterates."""
-    with monkeypatch.context() as m:
-        m.setattr(solver, "rbpda_step", reference_step)
-        m.setattr(solver, "ErgodicAccumulator", ReferenceAccumulator)
-        return run(problem, config, **kw)
-
-
 def cached(problem, on: bool):
     """The problem with its coupling cache switched off, or forced on for every batch size."""
     factory = problem.coupling_cache
@@ -62,14 +53,14 @@ def cached(problem, on: bool):
 @pytest.mark.parametrize("cache", [False, True])
 @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
 @pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
-def test_run_equals_the_reference_step_bitwise(name, config, cache, monkeypatch):
+def test_run_equals_the_reference_step_bitwise(name, config, cache):
     # iterates, averages and their weights, budgets, restarts and every
     # trace row, sup-gaps included, are the reference's bits; the reference
     # run folds from its own copies of the iterates
     prob = cached(lockstep_problem(name), cache)
     cfg = SolverConfig(max_iters=400, seed=3, stream=1, checkpoint_every=100, **REFERENCE_CONFIGS[config])
     got = run(prob, cfg)
-    want = reference_run(prob, cfg, monkeypatch)
+    want = reference_run(prob, cfg)
     assert_same_run(got, want)
     assert not np.array_equal(got.x, prob.start_x)
     if config == "increasing_restarts":
@@ -77,7 +68,7 @@ def test_run_equals_the_reference_step_bitwise(name, config, cache, monkeypatch)
 
 
 @pytest.mark.parametrize("n_blocks", [200, 1])
-def test_benchmark_erm_runs_equal_the_reference_step_bitwise(n_blocks, monkeypatch):
+def test_benchmark_erm_runs_equal_the_reference_step_bitwise(n_blocks):
     # the c09 problem of the ERM workloads: N = 200 boxes with the float
     # dual path, and the N = 1 entropy simplex, whose run amplifies a
     # one-ulp change in any step
@@ -86,7 +77,7 @@ def test_benchmark_erm_runs_equal_the_reference_step_bitwise(n_blocks, monkeypat
     for stream in (0, 1):
         cfg = SolverConfig(mode="single_sample", eta=0.0, max_iters=1500, seed=1, stream=stream,
                            checkpoint_every=500, compute_sup_gap=False)
-        assert_same_run(run(prob, cfg), reference_run(prob, cfg, monkeypatch))
+        assert_same_run(run(prob, cfg), reference_run(prob, cfg))
 
 
 def count_calls(monkeypatch, names):
@@ -142,24 +133,23 @@ def count_sum_folds(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["erm_box_scalar", "erm_entropy", "qp"])
-def test_run_folds_in_the_step_unless_a_step_or_update_is_replaced(name, monkeypatch):
-    # run() on this module's own step and accumulator folds in the plan's
-    # step and never calls update(); replacing rbpda_step, or update alone,
-    # puts it on the step-then-update path, which reaches the same bits
+def test_run_folds_in_the_step_with_or_without_a_replaced_step_or_update(name, monkeypatch):
+    # run() folds in its plan's step and never calls _LazySum.fold, also
+    # with a wrapper on rbpda_step (called once per iteration, and taking
+    # the run's plan) or on update (never called), to the same bits
     prob = lockstep_problem(name)
     cfg = SolverConfig(mode="single_sample", eta=0.3, max_iters=300, seed=2, stream=1, checkpoint_every=100)
     folds = count_sum_folds(monkeypatch)
     want = run(prob, cfg)
     assert folds == []
-    for target, attr in ((solver, "rbpda_step"), (solver.ErgodicAccumulator, "update")):
+    for target, attr, count in ((solver, "rbpda_step", cfg.max_iters), (solver.ErgodicAccumulator, "update", 0)):
         calls = []
         inner = getattr(target, attr)
         with monkeypatch.context() as m:
             m.setattr(target, attr, lambda *args, **kw: calls.append(1) or inner(*args, **kw))
             got = run(prob, cfg)
         assert_same_run(got, want)
-        assert len(calls) == cfg.max_iters and len(folds) == 2 * cfg.max_iters, attr
-        folds.clear()
+        assert len(calls) == count and folds == [], attr
 
 
 def test_a_plan_builds_for_a_problem_like_object_without_grad_y():
@@ -201,9 +191,9 @@ def test_run_refuses_non_finite_diminishing_terms():
 
 
 def test_a_plan_serves_only_its_schedule_and_batch_rule():
-    # a hand-driven step that passes another schedule, or an unequal batch
-    # rule, rebuilds the plan and forgets the kept dual row; an equal batch
-    # rule keeps both
+    # a hand-driven step that passes another schedule, an unequal batch
+    # rule or another generator rebuilds the plan and forgets the kept dual
+    # row; an equal batch rule keeps both
     prob = lockstep_problem("erm_box")
     agg = aggregate_constants(prob.lipschitz)
     sched = StepSchedule("constant", agg, default_free_params(agg, "constant"))
@@ -214,16 +204,18 @@ def test_a_plan_serves_only_its_schedule_and_batch_rule():
     prob.grad_y = lambda j, pts, **kw: forgotten.append(state.dual_row is None) or inner(j, pts, **kw)
     rbpda_step(state, prob, sched, BatchSchedule.constant(2, prob.p), rng)
     plan = state.plan
-    assert isinstance(plan, StepPlan) and plan.serves(prob, rng, sched, BatchSchedule.constant(2, prob.p))
+    assert isinstance(plan, StepPlan)
     rbpda_step(state, prob, sched, BatchSchedule.constant(2, prob.p), rng)
     assert state.plan is plan and forgotten == [True, False]
-    for sched_, batch in ((other, BatchSchedule.constant(2, prob.p)), (other, BatchSchedule.constant(3, prob.p))):
+    for sched_, batch, rng_ in ((other, BatchSchedule.constant(2, prob.p), rng),
+                                (other, BatchSchedule.constant(3, prob.p), rng),
+                                (other, BatchSchedule.constant(3, prob.p), make_rng(2))):
         previous = state.plan
-        rbpda_step(state, prob, sched_, batch, rng)
-        assert state.plan is not previous and state.plan.serves(prob, rng, sched_, batch)
-        assert forgotten[-1]
-    assert not plan.serves(prob, rng, other, BatchSchedule.constant(2, prob.p))
-    assert not plan.serves(prob, make_rng(2), sched, BatchSchedule.constant(2, prob.p))
+        rbpda_step(state, prob, sched_, batch, rng_)
+        rebuilt = state.plan
+        assert rebuilt is not previous and forgotten[-1]
+        rbpda_step(state, prob, sched_, BatchSchedule.constant(batch.v, prob.p), rng_)
+        assert state.plan is rebuilt and not forgotten[-1]
 
 
 def test_a_plan_reads_the_batch_rule_when_built(monkeypatch):

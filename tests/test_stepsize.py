@@ -492,8 +492,8 @@ class TestPerBlockSteps:
     @pytest.mark.parametrize("M,N", [(1, 1), (3, 5), (10, 200)])
     def test_block_steps_equal_vector_entries(self, M, N, monkeypatch):
         # the solver reads one step per side; each must be the exact float of
-        # the vector formula, and of the validator's table row, for every k,
-        # eta and delta_bar
+        # the vector formula, of steps_at at one block or at every block, and
+        # of the validator's table row, for every k, eta and delta_bar
         monkeypatch.setattr(stepsize, "_K_CHUNK", 128)  # k in [0, 301] over 3 chunks
         rng = np.random.default_rng(10 * M + N)
         agg = aggregate_constants(_random_lip(rng, M, N))
@@ -512,45 +512,48 @@ class TestPerBlockSteps:
                     ref_tau, ref_sigma = _explicit_diminishing(agg, fp_d, M, N, eta, k)
                     assert tau.tolist() == ref_tau.tolist()
                     assert sigma.tolist() == ref_sigma.tolist()
+                    th, t = sched.theta(k), sched.t(k)
+                    assert (th, t) == (schedule_theta(k, eta), schedule_t(k, eta))
                     assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
                     assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
-                    assert (sched.theta(k), sched.t(k)) == (schedule_theta(k, eta), schedule_t(k, eta))
+                    assert [v.tolist() for v in sched.steps_at(np.arange(M), np.arange(N), th, t)] == [
+                        tau.tolist(), sigma.tolist()]
+                    ones = [sched.steps_at(i, j, th, t) for i, j in zip(range(M), range(N))]
+                    assert [(a.item(), b.item()) for a, b in ones] == list(zip(tau.tolist(), sigma.tolist()))
                 assert type(sched.tau(0, 0)) is float and type(sched.sigma(0, 0)) is float
                 assert np.array_equal(sched.tau(7), _explicit_diminishing(agg, fp_d, M, N, eta, 7)[0])
-                tau_at, sigma_at = sched.block_steps()
-                for name, steps in (("_tau_vec", tau_at), ("_sigma_vec", sigma_at)):
+                for name, at in (("_tau_vec", sched.tau), ("_sigma_vec", sched.sigma)):
                     tables = _validator_tables(sched, name, k_max=300)
                     assert len(tables) == 3
                     # consecutive chunks share a row: k = 0..128, 128..256, 256..301
                     rows = np.concatenate([tables[0]] + [table[1:] for table in tables[1:]])
-                    assert rows.shape == (302, len(steps))
+                    assert rows.shape == (302, M if name == "_tau_vec" else N)
                     for k in range(302):
-                        th, t, _ = sched.row(k)
-                        assert rows[k].tolist() == [step(th, t) for step in steps], (name, k)
+                        assert rows[k].tolist() == [at(k, b) for b in range(rows.shape[1])], (name, k)
 
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.3, 0.999])
-    def test_columns_and_gathered_steps_equal_the_rows_and_block_steps(self, eta):
+    def test_columns_and_gathered_steps_equal_the_per_step_floats(self, eta):
         # a chunk of control rows takes theta^k, t^k and the drawn blocks'
-        # steps as arrays; each entry is the float of row(k) and block_steps,
-        # also far into a run, where (k+1)/k rounds
+        # steps as arrays; each entry is the float of theta(k), t(k),
+        # tau(k, i) and sigma(k, j), also far into a run, where (k+1)/k rounds
         rng = np.random.default_rng(int(eta * 1000))
         agg = aggregate_constants(_random_lip(rng, 4, 6))
         sched = StepSchedule(mode="diminishing", agg=agg, fp=default_free_params(agg, "diminishing"), eta=eta)
-        tau_at, sigma_at = sched.block_steps()
         for ks in (range(0, 300), range(1, 2), range(65_000, 66_000), range(10**9, 10**9 + 257)):
             theta, t = sched.columns(ks)
-            rows = [sched.row(k) for k in ks]
-            assert theta.tolist() == [r[0] for r in rows] and t.tolist() == [r[1] for r in rows], ks
+            assert theta.tolist() == [sched.theta(k) for k in ks] and t.tolist() == [sched.t(k) for k in ks], ks
             js, is_ = rng.integers(0, 6, len(ks)), rng.integers(0, 4, len(ks))
             tau, sigma = sched.steps_at(is_, js, theta, t)
-            assert tau.tolist() == [tau_at[i](th, tk) for i, (th, tk, _) in zip(is_, rows)]
-            assert sigma.tolist() == [sigma_at[j](th, tk) for j, (th, tk, _) in zip(js, rows)]
+            assert tau.tolist() == [sched.tau(k, i) for k, i in zip(ks, is_)]
+            assert sigma.tolist() == [sched.sigma(k, j) for k, j in zip(ks, js)]
         const = StepSchedule(mode="constant", agg=agg, fp=default_free_params(agg, "constant"))
         assert [v.tolist() for v in const.columns(range(3, 6))] == [[1.0] * 3] * 2
         tau, sigma = const.steps_at(np.array([3, 0]), np.array([5]), None, None)
         assert tau.tolist() == [const.tau(0, 3), const.tau(0, 0)] and sigma.tolist() == [const.sigma(0, 5)]
-        with pytest.raises(ValueError, match="nonnegative"):
-            sched.columns(range(-1, 3))
+        for negative in (lambda: sched.columns(range(-1, 3)), lambda: sched.theta(-1), lambda: sched.t(-2),
+                         lambda: sched.tau(-1, 0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                negative()
 
     def test_block_index_out_of_range(self):
         agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]))
