@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -53,7 +52,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass
 class BlockCounters:
-    """Per-primal-block selection counts; after k iterations they sum to k.
+    """Per-primal-block selection counts since the last restart, which lead k during a run (see ``StepPlan``).
 
     ``low`` is their minimum, kept by :meth:`record` and :meth:`reset`;
     ``counts`` changes only through them.
@@ -140,11 +139,14 @@ def next_batch_size(
 
 
 def increasing_batch_size(count: int, k: int, eta: float, p: int) -> int:
-    """The increasing rule v = min(p, ceil((count + 1) * (k + 1)^eta)).
+    """The increasing rule v = min(p, ceil((count + 1) * (k + 1)^eta)), which is p past float range.
 
     ``count`` is how often the block was selected before iteration k.
     """
-    return min(p, math.ceil((count + 1) * (k + 1) ** eta))
+    try:
+        return min(p, math.ceil((count + 1) * (k + 1) ** eta))
+    except OverflowError:  # raised by the power, or by the ceiling of an infinite product
+        return p
 
 
 def sample_indices(rng: np.random.Generator, v: int, p: int) -> np.ndarray:
@@ -182,13 +184,10 @@ class WordDraws:
     into the next.  A fill draws :data:`WORD_CHUNK` words, or more when one
     step's indices need more.  N, M and p must be at most 2**32.
 
-    :meth:`steps` reads many steps of one batch size at once: from a fill
-    clean for every bound its steps take words of, as strided slices of the
-    maps; from a fill with a rejection, word by word.  The plans that
-    :func:`rbpda.solver.run` builds with a constant batch rule fill their
-    control rows through it (see :class:`~rbpda.solver.StepPlan`); a
-    replaced ``next_batch_size`` in :mod:`rbpda.solver` switches that off,
-    and the steps then read one step at a time, from the same words.
+    :meth:`steps` reads many steps of one batch size at once, as strided
+    slices of the maps of a fill clean for every bound its steps take words
+    of, and gives None otherwise; a :class:`~rbpda.solver.StepPlan` then
+    takes those steps one at a time, from the same words.
     """
 
     def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
@@ -282,29 +281,25 @@ class WordDraws:
         return self._bounded(self.p, self._cut[2])
 
     def steps(self, n: int, v: int, one: bool = False) -> tuple:
-        """The draws of up to ``n`` steps of batch size ``v``, at least one, as ``(duals, primals, indices)``.
+        """The draws of up to ``n`` steps of batch size ``v``, at least one, as ``(duals, primals, indices)``, or None.
 
         ``duals`` and ``primals`` are int64 arrays of the blocks that
         :meth:`blocks` would give step after step, from the same words.
         With ``one`` (which needs v = 1) ``indices`` is an int64 array of
         the indices :meth:`index` would give; otherwise it is a list of the
-        index arrays :meth:`indices` would give.  Where the fill is clean
-        for every bound the steps take words of, the steps are strided views
-        of its maps, as many as the fill holds (it is refilled first if it
-        cannot hold one step); otherwise ``n`` steps are mapped word by word.
+        index arrays :meth:`indices` would give.  The steps are strided
+        views of the fill's maps, as many as it holds (it is refilled first
+        if it cannot hold one step), where it is clean for every bound they
+        take words of.  Otherwise, and where no step takes a word (N = M = 1
+        and v >= p), it gives None, and the caller takes the steps one at a
+        time.
         """
         p = self.p
         per = self._width + (v if v < p else 0)  # the words of one step without a rejection
-        if per == 0:  # N = M = 1 and v >= p: no step takes a word
-            zeros = np.zeros(n, dtype=np.int64)
-            return zeros, zeros, zeros if one else [self.indices(v)] * n
         if self._size - self._at < per:
             self._fill(per)
-        if not (self._clean_blocks and (v >= p or self._clean)):
-            take = self.index if one else partial(self.indices, v)
-            duals, primals, indices = zip(*[(*self.blocks(), take()) for _ in range(n)])
-            return (np.array(duals, dtype=np.int64), np.array(primals, dtype=np.int64),
-                    np.array(indices, dtype=np.int64) if one else list(indices))
+        if per == 0 or not (self._clean_blocks and (v >= p or self._clean)):
+            return None
         at = self._at
         count = min(n, (self._size - at) // per)
         self._at = at + count * per

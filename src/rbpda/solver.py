@@ -160,7 +160,8 @@ class RunState:
     (see :class:`~rbpda.blocks.SaddleProblem`), or None.  It moves with the
     iterates, only after a step has succeeded.  ``plan`` is the
     :class:`StepPlan` the steps read, built by :func:`run` or by the first
-    step.
+    step.  ``counters`` count the selections of the control rows filled
+    so far, which lead k by up to a chunk during a run.
 
     ``dual_row`` is ``(j, g, cache, syncs)``: the dual gradient g(x^k, y^k)
     on block j that the last step computed, under the coupling cache it
@@ -230,8 +231,8 @@ class StepPlan:
       it is a :class:`~rbpda.sampling.WordDraws`, which draws words ahead;
       otherwise a :class:`~rbpda.sampling.SequentialDraws`, which draws one
       call at a time;
-    * the step sizes: a constant schedule's per-block floats, or a
-      diminishing schedule's :meth:`~rbpda.stepsize.StepSchedule.steps_at`,
+    * the step sizes: a constant schedule's ``tau(0)`` and ``sigma(0)``, or
+      a diminishing schedule's :meth:`~rbpda.stepsize.StepSchedule.steps_at`,
       whose terms :meth:`~rbpda.stepsize.StepSchedule.check_finite` checks
       here, before any step;
     * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
@@ -246,52 +247,52 @@ class StepPlan:
       kind (:meth:`ErgodicAccumulator.folds`): the step then folds x^k and
       y^k into the averages before it writes the new blocks, with the
       weights of its control row, and sets the accumulator's ``count`` and
-      ``t_total`` after it, so :meth:`ErgodicAccumulator.update` is not
-      called.  The accumulator must follow the state's iterates
-      (:meth:`ErgodicAccumulator.follow`), and the plan's steps take k = 0,
-      1, 2, ... in turn, as in :func:`run`, which always builds its plan
-      with its accumulator.
+      ``t_total`` after it, in place of :meth:`ErgodicAccumulator.update`.
+      The accumulator must follow the state's iterates
+      (:meth:`ErgodicAccumulator.follow`), and the steps take k = 0, 1, 2,
+      ... in turn, as in :func:`run`.
 
     Each step reads a **control row**, everything it needs that depends on
-    k and the draws alone: its dual and primal blocks j and i, its batch
-    size v and indices (the one index as an int where the step takes the
-    one-row oracle), sigma_j and tau_i at (theta^k, t^k), (N-1) theta^k
-    and N M theta^k, the ergodic weights of x^(k+1) and the running total
-    of t.  A plan built with ``acc`` on a
-    :class:`~rbpda.sampling.WordDraws`, a constant batch rule and this
-    module's own :func:`~rbpda.sampling.next_batch_size` fills its rows in
-    chunks of 16, 32, 64, ... up to :data:`CHUNK` rows, so a short run
-    fills few: the draws from one bulk read of the words
-    (:meth:`~rbpda.sampling.WordDraws.steps`), theta^k and t^k from
-    :meth:`~rbpda.stepsize.StepSchedule.columns` (Python's float ``**``),
-    the step sizes from :meth:`~rbpda.stepsize.StepSchedule.steps_at` and
-    the weights from :meth:`ErgodicAccumulator.weights` on arrays, whose
-    entries are the per-step floats bit for bit.  Whether a chunk takes the
-    one-row oracle is decided when it is filled.  Every other plan (a step
-    driven by hand, the increasing rule, a replaced ``next_batch_size``)
-    gets each row from that step's own calls, in the order blocks, batch
-    rule, indices, with the batch rule called once per step; its dual and
-    primal blocks come from ``draws.blocks()``, its indices from
-    ``draws.indices(v)``, or ``draws.index()`` for the one-row oracle, and
-    its scalars from the schedule's ``theta``, ``t`` and ``steps_at`` at
-    one block per side.  Either way there is one step body, and the same
-    bits.
+    k and the draws alone: its blocks j and i, its batch size v and indices
+    (the one index as an int where the step takes the one-row oracle),
+    sigma_j and tau_i at (theta^k, t^k), (N-1) theta^k and N M theta^k, the
+    ergodic weights of x^(k+1), the running total of t, and whether a
+    restart follows.  A plan fills its rows from the state of its first
+    step on, none past ``iters`` (the run's length): on a
+    :class:`~rbpda.sampling.WordDraws` 16, 32, 64, ... up to :data:`CHUNK`
+    at a time, otherwise one per step at the state's k, so a step driven by
+    hand leaves the generator where one call at a time does.  A fill's
+    draws are one bulk read (:meth:`~rbpda.sampling.WordDraws.steps`) for
+    a constant rule and this module's own ``next_batch_size``.  Otherwise,
+    or where that gives None, each row calls ``draws.blocks()``, the batch
+    rule, then ``draws.index()`` (one-row oracle) or ``draws.indices(v)``.
+    With ``restart_threshold``, an increasing rule's row then applies
+    :func:`restart_if_saturated`'s test at its counts and k + 1, resetting
+    the counts where it holds, and the step that takes the row collapses
+    the history once it succeeds.
+    theta^k and t^k come from :meth:`~rbpda.stepsize.StepSchedule.columns`
+    (Python's float ``**``), the steps from ``steps_at`` and the weights
+    from :meth:`ErgodicAccumulator.weights`, on arrays whose entries are
+    the per-step floats bit for bit.
 
-    The oracles, the counters and the coupling cache are read from the
-    problem and the state on every step.
+    The batch rule is called once per row, up to a chunk before the step
+    that takes it, so during a run ``state.counters`` lead ``state.k`` by as
+    much.  The oracles and the coupling cache are read on every step.
     """
 
     def __init__(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
-                 batch: BatchSchedule, ahead: bool = False, acc: Optional["ErgodicAccumulator"] = None):
+                 batch: BatchSchedule, ahead: bool = False, acc: Optional["ErgodicAccumulator"] = None,
+                 iters: float = math.inf, restart_threshold: Optional[float] = None):
         st = problem.structure
         self.problem, self.rng, self.schedule, self.batch = problem, rng, schedule, batch
         M, N, p = st.M, st.N, problem.p
         source = WordDraws if ahead and max(N, M, p) <= WORD_BOUND else SequentialDraws
         self.draws = source(rng, N, M, p)
-        self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size, acc)
+        self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size, acc, iters, restart_threshold)
 
 
-def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSchedule, draws, batch_size, acc):
+def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSchedule, draws, batch_size, acc,
+               iters: float, threshold: Optional[float]):
     """The step of a :class:`StepPlan`, as a closure over what the plan resolved."""
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
@@ -327,66 +328,72 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     ]
     constant = schedule.mode == "constant"
     if constant:
-        taus = np.asarray(schedule.tau(0), dtype=float).tolist()
-        sigmas = np.asarray(schedule.sigma(0), dtype=float).tolist()
+        taus = np.asarray(schedule.tau(0), dtype=float)
+        sigmas = np.asarray(schedule.sigma(0), dtype=float)
     else:
         schedule.check_finite()
-        theta_of, t_of, steps_at = schedule.theta, schedule.t, schedule.steps_at
     if acc is not None:
         weights = acc.weights
         fold_x, fold_y = acc.folds(st.primal.ranges, st.dual.ranges)
+    # a bulk read gives the draws of a constant rule that this module's own next_batch_size gives
+    bulk = isinstance(draws, WordDraws) and batch.kind == "constant" and batch.v <= p and batch_size is _BATCH_RULE
+    # the least v_i that restarts, for an increasing rule with restarts
+    bar = None if threshold is None or batch.kind != "increasing" else math.ceil(threshold * p)
 
-    c_one, nm_one = (N - 1) * 1.0, N * M * 1.0  # (N-1) theta and N M theta at theta = 1
+    def tables(k: int, counters: BlockCounters, size: int):
+        """The control rows of k, k+1, ...: one iterator per fill of ``size``, twice that, ... up to CHUNK rows.
 
-    def control(state: RunState) -> tuple:
-        """The step's control row, from this step's calls: the draws, the batch rule and the steps."""
-        k = state.k
-        j, i = blocks()
-        v = batch_size(batch, state.counters, i, k, p)
-        indices = take_index() if v == 1 and problem.batch_grad_x is factors else take_indices(v)
-        if constant:  # theta = 1 and uniform weights, which leave t_total at 0
-            return j, i, v, indices, sigmas[j], taus[i], c_one, nm_one, 1.0, 1.0, 0.0
-        theta, t = theta_of(k), t_of(k)
-        tau, sigma = steps_at(i, j, theta, t)
-        if acc is None:
-            w_x = w_y = t_total = None
-        else:
-            w_x, w_y = weights(t, theta_of(k + 1))
-            t_total = acc.t_total + t
-        return (j, i, v, indices, float(sigma), float(tau), (N - 1) * theta, N * M * theta,
-                w_x, w_y, t_total)
-
-    if (acc is not None and isinstance(draws, WordDraws) and batch.kind == "constant" and batch.v <= p
-            and batch_size is _BATCH_RULE):
-        take_steps, v = draws.steps, batch.v
-
-        def tables():
-            """The control rows of k = 0, 1, 2, ..., one iterator per bulk read of 16, 32, ... up to CHUNK rows."""
-            k, t_total, size = 0, acc.t_total, 16
-            while True:
-                one = v == 1 and problem.batch_grad_x is factors
-                js, is_, indices = take_steps(size, v, one)
-                n, size = len(js), min(2 * size, CHUNK)
+        A fill holds at least one row but otherwise none past ``iters``, and
+        fewer where a bulk read ends early.  It starts once steps that
+        succeeded took the rows before it, so it reads ``acc``'s t total.
+        It holds ``counters``, not the state, which holds the plan.
+        """
+        while True:
+            n = max(1, min(size, iters - k))
+            one_row = problem.batch_grad_x is factors
+            got = bulk and draws.steps(n, batch.v, one_row and batch.v == 1)
+            if got:
+                js, is_, indices = got
+                n, vs, again = len(js), repeat(batch.v), repeat(False)
+                if one_row and batch.v == 1:
+                    indices = memoryview(indices)
+            else:
+                rows = []
+                for row_k in range(k, k + n):
+                    j, i = blocks()
+                    v = batch_size(batch, counters, i, row_k, p)
+                    again = bar is not None and increasing_batch_size(counters.low, row_k + 1, batch.eta, p) >= bar
+                    if again:  # restart_if_saturated's test at k + 1, and its reset of the counts
+                        counters.reset()
+                    rows.append((j, i, v, take_index() if v == 1 and one_row else take_indices(v), again))
+                js, is_, vs, indices, again = zip(*rows)
+                js, is_ = np.array(js), np.array(is_)
+            if constant:  # theta = t = 1
+                tau, sigma, th = taus[is_], sigmas[js], np.ones(n)
+            else:
                 theta, t = schedule.columns(range(k, k + n + 1))
-                th, th_next, t = theta[:-1], theta[1:], t[:-1]
+                th, t = theta[:-1], t[:-1]
                 tau, sigma = schedule.steps_at(is_, js, th, t)
-                if constant:  # uniform weights, which leave t_total at 0
-                    w_x = w_y = np.ones(n)
-                    totals = np.zeros(n)
-                else:
-                    w_x, w_y = weights(t, th_next)
-                    # running sums left to right, as t_total += t^k adds them
-                    totals = np.add.accumulate(np.concatenate(([t_total], t)))[1:]
-                # a row's ints and floats are made as the step takes it, from
-                # memoryviews of the columns, and zip reuses the row's tuple
-                yield zip(memoryview(js), memoryview(is_), repeat(v), memoryview(indices) if one else indices,
-                          *map(memoryview, (sigma, tau, (N - 1) * th, N * M * th, w_x, w_y, totals)))
-                k, t_total = k + n, totals.item(-1)
+            if constant or acc is None:  # uniform weights leave t_total at 0; without acc nothing is folded
+                w_x, w_y, totals = th, th, np.zeros(n)
+            else:
+                w_x, w_y = weights(t, theta[1:])
+                # running sums left to right, as t_total += t^k adds them
+                totals = np.add.accumulate(np.concatenate(([acc.t_total], t)))[1:]
+            # a row's ints and floats are made as the step takes it, from
+            # memoryviews of the columns, and zip reuses the row's tuple
+            yield zip(memoryview(js), memoryview(is_), vs, indices,
+                      *map(memoryview, (sigma, tau, (N - 1) * th, N * M * th, w_x, w_y, totals)), again)
+            k, size = k + n, min(2 * size, CHUNK)
 
-        # take(state) is next(rows, state), and the rows never run out
-        take = partial(next, chain.from_iterable(tables()))
-    else:
-        take = control
+    def take(state: RunState) -> tuple:
+        """The step's row: one fill of one row, or on WordDraws the first of the tables that serve the later steps."""
+        nonlocal take
+        if not isinstance(draws, WordDraws):  # one row per step, at the state's k
+            return next(next(tables(state.k, state.counters, 1)))
+        # take(state) is next(rows, state) from here on, and the rows never run out
+        take = partial(next, chain.from_iterable(tables(state.k, state.counters, 16)))
+        return take(state)
 
     def step(state: RunState) -> RunState:
         k = state.k
@@ -394,7 +401,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         x_prev, y_prev = state.x_prev, state.y_prev
         y_next = state.y_next
         cache = state.cache  # passed by keyword only when there is one: **kw costs more than a branch
-        j, i, v, indices, sigma, tau, c, nm_theta, w_x, w_y, t_total = take(state)
+        j, i, v, indices, sigma, tau, c, nm_theta, w_x, w_y, t_total, again = take(state)
         kept = state.dual_row
         if kept is not None and (
             kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
@@ -488,6 +495,8 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         if cache is not None:
             cache.move(i, dx)
         state.k = k + 1
+        if again:  # the row's restart, now that its step has succeeded
+            _collapse(state)
         return state
 
     return step
@@ -611,12 +620,9 @@ class ErgodicAccumulator:
     the accumulator's own copies.  In :func:`run` the accumulator follows
     the state's iterates (:meth:`follow`), and the :class:`StepPlan`'s step
     folds them through :meth:`folds`, with the weights of its control row
-    (:meth:`weights`, per step or on a chunk's arrays), to the same bits.
-    The plan fills the weights and running totals of t for up to
-    :data:`CHUNK` steps at a time where :func:`run` has a constant batch
-    rule and this module's own ``next_batch_size``; a replaced one switches
-    that off.  Either way ``count`` and ``t_total`` are current after
-    every step that succeeded, and a failed step moves neither.
+    (:meth:`weights`, on a fill's arrays), to the same bits.  Either way
+    ``count`` and ``t_total`` are current after every step that succeeded,
+    and a failed step moves neither.
     """
 
     def __init__(self, M: int, N: int, x0, y0, schedule: Optional[StepSchedule] = None):
@@ -714,21 +720,20 @@ def rbpda_step(
     """One primal-dual iteration; mutates and returns ``state``.
 
     The step is ``state.plan``'s (:class:`StepPlan`), which resolved the
-    step sizes, the prox kernels, the draw source and the batch rule once;
-    a plan built for other objects than the ones passed is rebuilt, and the
-    kept dual row forgotten.  :func:`run` builds a plan that draws ahead
-    and whose step also folds the ergodic averages, and a replaced
-    ``rbpda_step`` that calls this one (a tracing wrapper) takes that plan;
-    a plan this function builds folds nothing, and a caller driving steps
-    by hand folds with :meth:`ErgodicAccumulator.update`.
-    A step driven by hand builds a plan on its first call for the problem,
-    ``rng``, ``schedule`` and ``batch`` (and again when one of them
-    changes; an equal batch rule keeps it), and that plan draws from
-    ``rng`` one call at a time: after each step that returns, the generator
+    step sizes, the prox kernels, the draw source and the batch rule once.
+    :func:`run` builds a plan that draws ahead and whose step also folds
+    the ergodic averages and restarts, and a replaced ``rbpda_step`` that
+    calls this one (a tracing wrapper) takes that plan.  Otherwise this
+    function builds a plan for the problem, ``rng``, ``schedule`` and
+    ``batch`` on its first call, and again, forgetting the kept dual row,
+    when one of them changes (an equal batch rule keeps it).  That plan
+    neither folds nor restarts (a caller driving steps by hand calls
+    :meth:`ErgodicAccumulator.update` and :func:`restart_if_saturated`),
+    and it draws one call at a time: after each step that returns, ``rng``
     sits where :func:`~rbpda.sampling.draw_block` and
-    :func:`~rbpda.sampling.sample_indices` called in turn leave it.  After
-    a step that raised, its position is unspecified, as it is during and
-    after a run.
+    :func:`~rbpda.sampling.sample_indices` called in turn leave it, and
+    after a step that raised, as during and after a run, its position is
+    unspecified.
 
     Draw order is fixed (dual block, primal block, component indices) so a
     seed reproduces the whole trajectory.  Outside the oracles the step
@@ -776,18 +781,24 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
     cache, if any, is synced onto it, and the kept dual row is forgotten);
     iterates and ergodic accumulators are untouched.  The rule is
     nondecreasing in a block's count, so the least v_i is the rule at the
-    least count, and the test is O(1).
+    least count, and the test is O(1).  A run's plan applies the same test
+    and collapse itself (:class:`StepPlan`).
     """
     if increasing_batch_size(state.counters.low, state.k, eta, p) >= math.ceil(threshold * p):
         state.counters.reset()
-        state.x_prev[:] = state.x
-        state.y_prev[:] = state.y
-        state.y_next[:] = state.y
-        state.dual_row = None
-        if state.cache is not None:
-            state.cache.sync()
-        state.restarts += 1
+        _collapse(state)
     return state
+
+
+def _collapse(state: RunState) -> None:
+    """A restart's collapse of the extrapolation history onto the current iterate, counted in ``restarts``."""
+    state.x_prev[:] = state.x
+    state.y_prev[:] = state.y
+    state.y_next[:] = state.y
+    state.dual_row = None
+    if state.cache is not None:
+        state.cache.sync()
+    state.restarts += 1
 
 
 @dataclass
@@ -832,10 +843,11 @@ def run(
 
     Fully deterministic given (seed, stream); the draws are taken ahead as
     buffered words (:class:`StepPlan`), so the generator's final position
-    is unspecified.  The run's plan is built with its accumulator, so its
-    step also folds the ergodic averages; with a constant batch rule and
-    this module's own ``next_batch_size`` it reads control rows filled up
-    to :data:`CHUNK` iterations at a time.  Each iteration is one call of
+    is unspecified.  The run's plan is built with its accumulator, its
+    length and its restart threshold, so its step also folds the ergodic
+    averages and restarts, and it reads control rows filled up to
+    :data:`CHUNK` iterations at a time, none past the run's end (see
+    :class:`StepPlan`).  Each iteration is one call of
     the plan's step while this module holds its own :func:`rbpda_step`;
     with it replaced, as by a tracing wrapper, each iteration calls the
     replacement, and :func:`rbpda_step` takes the run's plan, to the same
@@ -860,9 +872,9 @@ def run(
     rng = make_rng(config.seed, config.stream)
     state = RunState.start(problem, config.x0, config.y0)
     acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
-    restart = config.restart_enabled and batch.kind == "increasing"
     acc.follow(state.x, state.y)  # the plan's step folds x^k and y^k before it overwrites them
-    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True, acc=acc)
+    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True, acc=acc, iters=config.max_iters,
+                          restart_threshold=config.restart_threshold if config.restart_enabled else None)
     if problem.coupling_cache is not None:
         v_max = p if batch.kind == "increasing" else batch.v
         state.cache = problem.coupling_cache(state.x, state.y, state.x_prev, state.y_prev, v_max)
@@ -872,13 +884,6 @@ def run(
     else:
         def step(state):
             module_step(state, problem, schedule, batch, rng)
-    if restart:
-        iteration = step
-
-        def step(state):
-            iteration(state)
-            restart_if_saturated(state, p, config.restart_threshold, batch.eta)
-
     return _drive(problem, state, acc, step, config.max_iters, config.checkpoint_every,
                   reference=reference, f_star=f_star, auto_best_response=config.compute_sup_gap)
 

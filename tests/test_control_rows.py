@@ -1,4 +1,4 @@
-"""Control rows: a run's draws, step sizes and ergodic weights filled in bulk equal the per-step ones, bit for bit."""
+"""Control rows: a run's draws, step sizes and ergodic weights filled in chunks equal the per-step ones, bit for bit."""
 
 import dataclasses
 
@@ -10,6 +10,7 @@ from rbpda import sampling
 from rbpda.problems import generate_robust_erm, robust_erm_problem
 from rbpda.solver import SolverConfig, SolverError, run
 
+from reference_step import reference_run
 from test_solver import lockstep_problem
 from test_step_plan import assert_same_run
 
@@ -20,6 +21,13 @@ MODES = {
     "increasing_v1": dict(mode="increasing_batch", batch=1),
     "increasing_v3": dict(mode="increasing_batch", batch=3),
     "increasing_vp": dict(mode="increasing_batch", batch="p"),
+    # the increasing rule, whose rows come from the per-row loop, with and without restarts
+    "increasing_eta0": dict(mode="increasing_batch", eta=0.0),
+    "increasing_eta0_restart05": dict(mode="increasing_batch", eta=0.0, restart_enabled=True, restart_threshold=0.5),
+    "increasing_eta0_restart09": dict(mode="increasing_batch", eta=0.0, restart_enabled=True, restart_threshold=0.9),
+    "increasing_eta03": dict(mode="increasing_batch", eta=0.3),
+    "increasing_eta03_restart05": dict(mode="increasing_batch", eta=0.3, restart_enabled=True, restart_threshold=0.5),
+    "increasing_eta03_restart09": dict(mode="increasing_batch", eta=0.3, restart_enabled=True, restart_threshold=0.9),
 }
 LENGTHS = (1, 255, 256, 257, 1000)  # around one chunk of control rows, and across several
 
@@ -40,7 +48,7 @@ def counted_bulk_reads(monkeypatch):
 
 
 def per_step_run(prob, cfg, monkeypatch):
-    """run() with its control rows from per-step calls: a wrapper on the batch rule switches the chunk off."""
+    """run() with its control rows from per-step calls: under a wrapper on the batch rule, no bulk read."""
     inner = solver.next_batch_size
     with monkeypatch.context() as m:
         m.setattr(solver, "next_batch_size", lambda *args: inner(*args))
@@ -50,32 +58,52 @@ def per_step_run(prob, cfg, monkeypatch):
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_chunked_rows_equal_per_step_rows_bitwise(name, mode, monkeypatch):
-    # iterates, averages and their weights, budgets and every trace row,
-    # with checkpoints inside the chunks
+    # iterates, averages and their weights, budgets, restarts and every
+    # trace row, with checkpoints inside the chunks; the increasing rule is
+    # compared with the reference run, which restarts after each step
     prob = lockstep_problem(name)
     reads = counted_bulk_reads(monkeypatch)
     for iters in LENGTHS:
         cfg = config(prob, mode, max_iters=iters, checkpoint_every=100, compute_sup_gap=iters < 300)
         reads.clear()
         got = run(prob, cfg)
-        assert reads, "the run did not fill its rows in bulk"
-        reads.clear()
-        assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
-        assert reads == []
+        if cfg.mode == "increasing_batch" and cfg.batch is None:
+            assert reads == []
+            assert_same_run(got, reference_run(prob, cfg))
+        else:
+            assert reads, "the run did not fill its rows in bulk"
+            reads.clear()
+            assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
+            assert reads == []
         assert got.iterations == iters
+
+
+@pytest.mark.parametrize("name", ["erm_box_scalar", "box_game"])
+def test_restarts_apply_to_the_increasing_rule_only(name, monkeypatch):
+    # a constant batch records no counts, so the increasing rule's test at
+    # eta = 2 would hold from the first rows on; restarts leave such a run
+    # as it is, with its rows from the bulk read or from per-step calls
+    prob = lockstep_problem(name)
+    cfg = config(prob, "increasing_v1", eta=2.0, max_iters=300, compute_sup_gap=False)
+    want = run(prob, cfg)
+    cfg = dataclasses.replace(cfg, restart_enabled=True, restart_threshold=0.5)
+    for got in (run(prob, cfg), per_step_run(prob, cfg, monkeypatch)):
+        assert got.restarts == 0
+        assert_same_run(got, want)
 
 
 @pytest.mark.parametrize("mode", ["single_eta03", "increasing_v1"])
 def test_a_short_run_fills_few_rows(mode, monkeypatch):
     # the first bulk read asks for 16 rows, and each later one for twice
-    # the last, up to a chunk: a 1-iteration run reads 16 rows, not CHUNK
+    # the last, up to a chunk, and never past the run's end: a 1-iteration
+    # run reads 1 row
     prob = lockstep_problem("erm_box_scalar")
     reads = counted_bulk_reads(monkeypatch)
     run(prob, config(prob, mode, max_iters=1, compute_sup_gap=False))
-    assert [size for size, *_ in reads] == [16]
+    assert [size for size, *_ in reads] == [1]
     reads.clear()
     run(prob, config(prob, mode, max_iters=1000, compute_sup_gap=False))
-    assert [size for size, *_ in reads] == [16, 32, 64, 128, 256, 256, 256]  # 1,008 rows
+    assert [size for size, *_ in reads] == [16, 32, 64, 128, 256, 256, 248]  # 1,000 rows
 
 
 @pytest.mark.parametrize("name", ["erm_box_scalar", "erm_entropy", "qp"])

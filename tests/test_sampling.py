@@ -168,7 +168,7 @@ class TestSingleIndex:
 
 
 class TestBulkSteps:
-    """``WordDraws.steps`` gives the one-step-at-a-time draws, from the same words."""
+    """``WordDraws.steps`` gives the one-step-at-a-time draws, from the same words, or None."""
 
     BOUNDS = [(1, 1, 1), (1, 1, 5), (7, 1, 1), (1, 5, 1), (7, 5, 1), (1, 5, 200), (7, 1, 200), (7, 5, 200),
               (BIG, 5, 50), (7, BIG, 50), (7, 5, BIG)]
@@ -181,15 +181,25 @@ class TestBulkSteps:
     def test_bulk_reads_give_the_sequential_draws(self, N, M, p, v, one, chunk, monkeypatch):
         # steps of 0, 1, 2 or more words; bulk reads of 1 to 256 steps
         # alternate with single steps, across fills of 1 to 4096 words, and
-        # with bounds that reject about half the words
+        # with bounds that reject about half the words; where a read gives
+        # None (a fill with a rejection, or steps without words), the caller
+        # takes a single step instead
         monkeypatch.setattr(sampling, "WORD_CHUNK", chunk)
         rng, ref = make_rng(N + M + p, v), make_rng(N + M + p, v)
         draws = WordDraws(rng, N, M, p)
         t = reads = 0
         while t < 700:
             n = (1, 256, 5, 17)[reads % 4]
-            js, is_, indices = draws.steps(n, v, one)
+            got = draws.steps(n, v, one)
             reads += 1
+            if got is None:
+                assert max(N, M, p) == BIG or N == M == 1 and v >= p
+                j, i = draws.blocks()
+                index, want = draws.index() if one else draws.indices(v), sequential_step(ref, N, M, p, v)
+                assert (j, i) == want[:2] and np.array_equal(np.atleast_1d(index), want[2]), t
+                t += 1
+                continue
+            js, is_, indices = got
             assert 1 <= len(js) <= n and len(is_) == len(indices) == len(js)
             assert js.dtype == is_.dtype == np.int64 and (not one or indices.dtype == np.int64)
             for j, i, got in zip(js.tolist(), is_.tolist(), indices.tolist() if one else indices):
@@ -208,14 +218,15 @@ class TestBulkSteps:
             t += 1
 
     def test_steps_without_words_take_none(self):
-        # N = M = p = 1: every step is (0, 0, 0), and the generator is never read
+        # N = M = p = 1: no bulk read, and the per-step draws are (0, 0, 0),
+        # the one arange(1) at v >= p, with the generator never read
         rng = make_rng(3)
         state = rng.bit_generator.state
         draws = WordDraws(rng, 1, 1, 1)
-        assert [v.tolist() for v in draws.steps(4, 1, True)] == [[0] * 4] * 3
-        js, is_, full = draws.steps(3, 2)
-        assert js.tolist() == is_.tolist() == [0] * 3
-        assert all(ix is full[0] for ix in full) and full[0].tolist() == [0]
+        assert draws.steps(4, 1, True) is None and draws.steps(3, 2) is None
+        assert [draws.blocks() for _ in range(3)] == [(0, 0)] * 3 and draws.index() == 0
+        full = draws.indices(2)
+        assert draws.indices(1) is full and full.tolist() == [0]
         assert rng.bit_generator.state == state and draws.words.size == 0
 
 

@@ -1677,16 +1677,16 @@ def test_increasing_batch_grows_per_block_and_resets_on_restart(eta, monkeypatch
     prob.batch_grad_x = lambda idx, i, points, w, **kw: (
         drawn.append((len(idx), i)) or inner(idx, i, points, w, **kw)
     )
-    restart = solver_mod.restart_if_saturated
+    step = solver_mod.rbpda_step
 
-    def watched(state, *args):
+    def watched(state, *args):  # a restart is counted by the step whose row carries it
         before = state.restarts
-        out = restart(state, *args)
+        out = step(state, *args)
         if state.restarts > before:
             restart_at.append(state.k)
         return out
 
-    monkeypatch.setattr(solver_mod, "restart_if_saturated", watched)
+    monkeypatch.setattr(solver_mod, "rbpda_step", watched)
     cfg = SolverConfig(mode="increasing_batch", eta=eta, max_iters=200, seed=3, restart_enabled=True,
                        checkpoint_every=10**9, compute_sup_gap=False)
     res = run(prob, cfg)
@@ -1701,3 +1701,24 @@ def test_increasing_batch_grows_per_block_and_resets_on_restart(eta, monkeypatch
         saturated += v == p
         counts[i] += 1
     assert saturated > 0
+
+
+@pytest.mark.parametrize("name", ["box_game", "erm_box"])
+def test_increasing_rule_saturates_at_p_past_float_range(name, monkeypatch):
+    # (count + 1)(k + 1)^eta leaves float range at k = 5 for eta = 400; the
+    # rule's value there is p, and the run finishes with each batch charged
+    import math
+
+    import rbpda.solver as solver_mod
+
+    from rbpda.sampling import increasing_batch_size
+
+    assert increasing_batch_size(0, 5, 400.0, 7) == 7 and increasing_batch_size(2**60, 1, 1e3, 7) == 7
+    assert increasing_batch_size(3, 9, 0.5, 1000) == math.ceil(4 * 10**0.5)  # below overflow: unchanged
+    prob = lockstep_problem(name)
+    sizes = []
+    inner = solver_mod.next_batch_size
+    monkeypatch.setattr(solver_mod, "next_batch_size", lambda *args: sizes.append(inner(*args)) or sizes[-1])
+    res = run(prob, SolverConfig(mode="increasing_batch", eta=400.0, max_iters=20, checkpoint_every=10))
+    assert res.iterations == 20 and len(sizes) == 20
+    assert res.grad_budget == 3 * sum(sizes) and sizes == [1] + [prob.p] * 19

@@ -124,6 +124,31 @@ def test_each_experiment_iteration_calls_the_step_and_the_batch_rule_once(tmp_pa
     assert calls == {"rbpda_step": 360, "next_batch_size": 360}
 
 
+def test_a_wrapped_batch_rule_calls_the_schedule_only_at_checkpoints(monkeypatch):
+    # under wrappers on next_batch_size and rbpda_step, as in the benchmark's
+    # traced mode, a single-sample run takes its steps, theta and t from the
+    # chunked columns: the schedule's own methods run only at checkpoints
+    prob = lockstep_problem("erm_box_scalar")
+    count_calls(monkeypatch, ("next_batch_size",))
+    stepping, calls = [], []
+    inner_step = solver.rbpda_step
+
+    def step(*args):
+        stepping.append(1)
+        inner_step(*args)
+        stepping.pop()
+
+    monkeypatch.setattr(solver, "rbpda_step", step)
+    for attr in ("theta", "t", "tau", "sigma"):
+        inner = getattr(StepSchedule, attr)
+        monkeypatch.setattr(StepSchedule, attr,
+                            lambda self, *args, _inner=inner: calls.append(bool(stepping)) or _inner(self, *args))
+    cfg = SolverConfig(mode="single_sample", eta=0.3, max_iters=600, seed=2, checkpoint_every=200,
+                       compute_sup_gap=False)
+    assert run(prob, cfg).iterations == 600
+    assert calls and not any(calls) and not stepping
+
+
 def count_sum_folds(monkeypatch):
     """Count the folds that go through ``_LazySum.fold``, which only ``ErgodicAccumulator.update`` calls."""
     calls = []
