@@ -44,7 +44,6 @@ from .sampling import (
     BlockCounters,
     SequentialDraws,
     WordDraws,
-    increasing_batch_size,
     make_rng,
     next_batch_size,
 )
@@ -261,23 +260,28 @@ class StepPlan:
     step on, none past ``iters`` (the run's length): on a
     :class:`~rbpda.sampling.WordDraws` 16, 32, 64, ... up to :data:`CHUNK`
     at a time, otherwise one per step at the state's k, so a step driven by
-    hand leaves the generator where one call at a time does.  A fill's
-    draws are one bulk read (:meth:`~rbpda.sampling.WordDraws.steps`) for
-    a constant rule and this module's own ``next_batch_size``.  Otherwise,
-    or where that gives None, each row calls ``draws.blocks()``, the batch
-    rule, then ``draws.index()`` (one-row oracle) or ``draws.indices(v)``.
-    With ``restart_threshold``, an increasing rule's row then applies
-    :func:`restart_if_saturated`'s test at its counts and k + 1, resetting
-    the counts where it holds, and the step that takes the row collapses
-    the history once it succeeds.
+    hand leaves the generator where one call at a time does.  With this
+    module's own ``next_batch_size``, a fill's draws are one bulk read: a
+    strided read (:meth:`~rbpda.sampling.WordDraws.steps`) for a constant
+    rule, one scan (:meth:`~rbpda.sampling.WordDraws.increasing_steps`)
+    for the increasing rule, which also records the counts, and strided
+    again once the rule is saturated without restarts.  Otherwise (a replaced batch rule, a
+    :class:`~rbpda.sampling.SequentialDraws`), or where the read gives
+    None, each row calls ``draws.blocks()``, the batch rule, then
+    ``draws.index()`` (one-row oracle) or ``draws.indices(v)``.  With
+    ``restart_threshold``, an increasing rule's row applies
+    :meth:`~rbpda.sampling.BlockCounters.restart`, the test of
+    :func:`restart_if_saturated`, at its counts and k + 1, resetting the
+    counts where it holds, on either path, and the step that takes the row
+    collapses the history once it succeeds.
     theta^k and t^k come from :meth:`~rbpda.stepsize.StepSchedule.columns`
     (Python's float ``**``), the steps from ``steps_at`` and the weights
     from :meth:`ErgodicAccumulator.weights`, on arrays whose entries are
     the per-step floats bit for bit.
 
-    The batch rule is called once per row, up to a chunk before the step
-    that takes it, so during a run ``state.counters`` lead ``state.k`` by as
-    much.  The oracles and the coupling cache are read on every step.
+    A row's count is recorded up to a chunk before the step that takes
+    it, so during a run ``state.counters`` lead ``state.k`` by as much.
+    The oracles and the coupling cache are read on every step.
     """
 
     def __init__(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
@@ -335,8 +339,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     if acc is not None:
         weights = acc.weights
         fold_x, fold_y = acc.folds(st.primal.ranges, st.dual.ranges)
-    # a bulk read gives the draws of a constant rule that this module's own next_batch_size gives
-    bulk = isinstance(draws, WordDraws) and batch.kind == "constant" and batch.v <= p and batch_size is _BATCH_RULE
+    # a bulk read gives the draws of the rule this module's own next_batch_size gives: a strided read
+    # for a constant rule (v > p is left to the per-row loop, whose batch rule raises), a scan for an
+    # increasing one
+    bulk = isinstance(draws, WordDraws) and batch_size is _BATCH_RULE and (batch.kind == "increasing" or batch.v <= p)
     # the least v_i that restarts, for an increasing rule with restarts
     bar = None if threshold is None or batch.kind != "increasing" else math.ceil(threshold * p)
 
@@ -351,20 +357,24 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         while True:
             n = max(1, min(size, iters - k))
             one_row = problem.batch_grad_x is factors
-            got = bulk and draws.steps(n, batch.v, one_row and batch.v == 1)
+            got = None
+            if bulk and batch.kind == "increasing":
+                got = draws.increasing_steps(n, counters, k, batch.eta, bar, one_row)
+            elif bulk:
+                one = one_row and batch.v == 1
+                got = draws.steps(n, batch.v, one)
+                if got:  # the rule's sizes and restart flags, and the one-row indices as ints
+                    got = *got[:2], repeat(batch.v), memoryview(got[2]) if one else got[2], repeat(False)
             if got:
-                js, is_, indices = got
-                n, vs, again = len(js), repeat(batch.v), repeat(False)
-                if one_row and batch.v == 1:
-                    indices = memoryview(indices)
+                js, is_, vs, indices, again = got
+                n = len(js)
             else:
                 rows = []
                 for row_k in range(k, k + n):
                     j, i = blocks()
                     v = batch_size(batch, counters, i, row_k, p)
-                    again = bar is not None and increasing_batch_size(counters.low, row_k + 1, batch.eta, p) >= bar
-                    if again:  # restart_if_saturated's test at k + 1, and its reset of the counts
-                        counters.reset()
+                    # restart_if_saturated's test at k + 1, which resets the counts where it holds
+                    again = bar is not None and counters.restart(row_k + 1, batch.eta, p, bar)
                     rows.append((j, i, v, take_index() if v == 1 and one_row else take_indices(v), again))
                 js, is_, vs, indices, again = zip(*rows)
                 js, is_ = np.array(js), np.array(is_)
@@ -733,7 +743,11 @@ def rbpda_step(
     sits where :func:`~rbpda.sampling.draw_block` and
     :func:`~rbpda.sampling.sample_indices` called in turn leave it, and
     after a step that raised, as during and after a run, its position is
-    unspecified.
+    unspecified.  Such a plan fills a one-row table of control rows per
+    step, so a step driven by hand costs several steps of :func:`run`
+    (~49 µs against ~14 µs per iteration on c09 data with N = 200 under a
+    single-sample schedule); nothing in the package drives steps by hand,
+    only tests do.
 
     Draw order is fixed (dual block, primal block, component indices) so a
     seed reproduces the whole trajectory.  Outside the oracles the step
@@ -779,13 +793,11 @@ def restart_if_saturated(state: RunState, p: int, threshold: float = 0.9, eta: f
     When min_i v_i >= ceil(threshold * p), the counters return to zero and the
     extrapolation history collapses onto the current iterate (the coupling
     cache, if any, is synced onto it, and the kept dual row is forgotten);
-    iterates and ergodic accumulators are untouched.  The rule is
-    nondecreasing in a block's count, so the least v_i is the rule at the
-    least count, and the test is O(1).  A run's plan applies the same test
-    and collapse itself (:class:`StepPlan`).
+    iterates and ergodic accumulators are untouched.  The test is
+    :meth:`~rbpda.sampling.BlockCounters.restart`, which a run's plan also
+    applies, before it collapses the history itself (:class:`StepPlan`).
     """
-    if increasing_batch_size(state.counters.low, state.k, eta, p) >= math.ceil(threshold * p):
-        state.counters.reset()
+    if state.counters.restart(state.k, eta, p, math.ceil(threshold * p)):
         _collapse(state)
     return state
 

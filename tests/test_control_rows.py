@@ -21,13 +21,15 @@ MODES = {
     "increasing_v1": dict(mode="increasing_batch", batch=1),
     "increasing_v3": dict(mode="increasing_batch", batch=3),
     "increasing_vp": dict(mode="increasing_batch", batch="p"),
-    # the increasing rule, whose rows come from the per-row loop, with and without restarts
+    # the increasing rule, whose rows come from a scan of the words, with and without restarts; at
+    # eta = 2 the rule reaches p within the first fill, and its rows then come from strided reads
     "increasing_eta0": dict(mode="increasing_batch", eta=0.0),
     "increasing_eta0_restart05": dict(mode="increasing_batch", eta=0.0, restart_enabled=True, restart_threshold=0.5),
     "increasing_eta0_restart09": dict(mode="increasing_batch", eta=0.0, restart_enabled=True, restart_threshold=0.9),
     "increasing_eta03": dict(mode="increasing_batch", eta=0.3),
     "increasing_eta03_restart05": dict(mode="increasing_batch", eta=0.3, restart_enabled=True, restart_threshold=0.5),
     "increasing_eta03_restart09": dict(mode="increasing_batch", eta=0.3, restart_enabled=True, restart_threshold=0.9),
+    "increasing_eta2": dict(mode="increasing_batch", eta=2.0),
 }
 LENGTHS = (1, 255, 256, 257, 1000)  # around one chunk of control rows, and across several
 
@@ -39,11 +41,11 @@ def config(prob, mode, **kw):
     return SolverConfig(seed=3, stream=1, **cfg)
 
 
-def counted_bulk_reads(monkeypatch):
-    """Count the calls of ``WordDraws.steps``, the bulk read behind a plan's control rows."""
+def counted_bulk_reads(monkeypatch, method="steps"):
+    """Count the calls of ``WordDraws.steps`` (or of ``method``), the bulk reads behind a plan's control rows."""
     calls = []
-    inner = sampling.WordDraws.steps
-    monkeypatch.setattr(sampling.WordDraws, "steps", lambda self, *args: calls.append(args) or inner(self, *args))
+    inner = getattr(sampling.WordDraws, method)
+    monkeypatch.setattr(sampling.WordDraws, method, lambda self, *args: calls.append(args) or inner(self, *args))
     return calls
 
 
@@ -63,19 +65,55 @@ def test_chunked_rows_equal_per_step_rows_bitwise(name, mode, monkeypatch):
     # compared with the reference run, which restarts after each step
     prob = lockstep_problem(name)
     reads = counted_bulk_reads(monkeypatch)
+    scans = counted_bulk_reads(monkeypatch, "increasing_steps")
     for iters in LENGTHS:
         cfg = config(prob, mode, max_iters=iters, checkpoint_every=100, compute_sup_gap=iters < 300)
         reads.clear()
+        scans.clear()
         got = run(prob, cfg)
         if cfg.mode == "increasing_batch" and cfg.batch is None:
-            assert reads == []
+            assert scans, "the run did not read its rows in bulk"
             assert_same_run(got, reference_run(prob, cfg))
+            if iters == LENGTHS[-1] and not cfg.restart_enabled:
+                # the rule saturated: later fills are strided reads, after scanned
+                # ones unless p = 1, where it is saturated from the first row
+                assert reads and (prob.p == 1 or len(reads) < len(scans))
         else:
             assert reads, "the run did not fill its rows in bulk"
             reads.clear()
             assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
             assert reads == []
         assert got.iterations == iters
+
+
+INCREASING = sorted(mode for mode, cfg in MODES.items() if cfg["mode"] == "increasing_batch" and "batch" not in cfg)
+
+
+@pytest.mark.parametrize("mode", INCREASING)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_counters_keep_their_least_count(name, mode, monkeypatch):
+    # after every step of a run, whose rows record the counts by scans,
+    # strided reads or the per-row loop, low is the least count and
+    # _at_low counts the blocks at it; both runs fill their rows up to the
+    # run's end, so they end with the same counts
+    prob = lockstep_problem(name)
+    inner, states = solver.rbpda_step, []
+
+    def step(state, *args):
+        inner(state, *args)
+        counters = state.counters
+        assert counters.low == counters.counts.min(), state.k
+        assert counters._at_low == (counters.counts == counters.low).sum(), state.k
+        states.append(state)
+
+    monkeypatch.setattr(solver, "rbpda_step", step)
+    for iters in (257, 1000):
+        cfg = config(prob, mode, max_iters=iters, compute_sup_gap=False)
+        run(prob, cfg)
+        per_step_run(prob, cfg, monkeypatch)
+        bulk, per_row = states[iters - 1].counters, states[-1].counters
+        assert bulk.counts.tolist() == per_row.counts.tolist() and len(states) == 2 * iters
+        states.clear()
 
 
 @pytest.mark.parametrize("name", ["erm_box_scalar", "box_game"])
