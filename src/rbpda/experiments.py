@@ -352,8 +352,12 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     rejects (an unknown mode, negative ``iters``, ``checkpoint_every`` below
     1, an ``eta`` outside its mode's range, a ``batch`` below 1, a negative
     or non-integral seed, whether ``seed`` or an entry of ``seeds``) raises
-    :class:`ConfigError` before any run, and so does a constant ``batch``
-    above the problem's p, checked once every spec's problem is built.
+    :class:`ConfigError` before any run, and so do ``repeats`` below 1
+    without ``seeds``, a problem that :func:`build_problem` cannot build
+    (block counts that do not divide its dimensions or are below 1, robust
+    ERM data of no rows, a ``flip_prob`` outside [0, 1], a negative
+    ``radius`` or ``data_seed``), and a constant ``batch`` above the
+    problem's p, checked once every spec's problem is built.
     Baseline specs take the ``iters`` and ``checkpoint_every`` checks, and
     one that sets ``batch``, ``eta``, ``restart`` or ``restart_threshold``
     away from its default raises :class:`ConfigError`, since the baseline
@@ -363,6 +367,8 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     for spec in specs:
         if spec.iters < 0:  # SolverConfig would name its own field, max_iters
             raise ConfigError(f"[{spec.name}] iters must be nonnegative, got iters = {spec.iters}")
+        if spec.repeats < 1 and not spec.seeds:  # no run at all
+            raise ConfigError(f"[{spec.name}] repeats must be at least 1, got repeats = {spec.repeats}")
         try:
             if spec.mode == "baseline":
                 SolverConfig(checkpoint_every=spec.checkpoint_every)
@@ -374,7 +380,12 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
                     spec.solver_config(seed, stream)
         except ValueError as exc:
             raise ConfigError(f"[{spec.name}] {exc}") from exc
-    built = [build_problem(spec) for spec in specs]
+    built = []
+    for spec in specs:
+        try:
+            built.append(build_problem(spec))
+        except ValueError as exc:
+            raise ConfigError(f"[{spec.name}] {exc}") from exc
     for spec, (problem, _, _) in zip(specs, built):
         if spec.mode != "baseline" and spec.batch > problem.p:
             raise ConfigError(f"[{spec.name}] batch = {spec.batch} exceeds the problem's p = {problem.p}")

@@ -294,10 +294,10 @@ def robust_erm_problem(
     p = n
     if n_blocks is None:
         n_blocks = n
-    if m % m_blocks != 0:
-        raise ValueError(f"m_blocks={m_blocks} does not divide m={m}")
-    if n % n_blocks != 0:
-        raise ValueError(f"n_blocks={n_blocks} does not divide n={n}")
+    if m_blocks < 1 or m % m_blocks != 0:
+        raise ValueError(f"m_blocks={m_blocks} is below 1 or does not divide m={m}")
+    if n_blocks < 1 or n % n_blocks != 0:
+        raise ValueError(f"n_blocks={n_blocks} is below 1 or does not divide n={n}")
     mb, nb = m // m_blocks, n // n_blocks
     entropy = n_blocks == 1
     a_max = float(np.abs(A).max())  # NaN if an entry is NaN
@@ -636,8 +636,9 @@ def box_game_problem(
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n1, n2 = A.shape
-    if n1 % m_blocks or n2 % n_blocks:
-        raise ValueError("block counts must divide the payoff dimensions")
+    for name, blocks, dim in (("m_blocks", m_blocks, n1), ("n_blocks", n_blocks, n2)):
+        if blocks < 1 or dim % blocks:
+            raise ValueError(f"{name}={blocks} is below 1 or does not divide the payoff dimension {dim}")
     mb, nb = n1 // m_blocks, n2 // n_blocks
     structure = BlockStructure.from_dims([mb] * m_blocks, [nb] * n_blocks)
     w = float(half_width)
@@ -757,8 +758,8 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
         G = np.zeros((1, m))
         d = np.zeros(1)
         n_con = 1
-    if m % m_blocks:
-        raise ValueError("m_blocks must divide the primal dimension")
+    if m_blocks < 1 or m % m_blocks:
+        raise ValueError(f"m_blocks={m_blocks} is below 1 or does not divide the primal dimension {m}")
     mb = m // m_blocks
     p = n_con
     structure = BlockStructure.from_dims([mb] * m_blocks, [1] * n_con)

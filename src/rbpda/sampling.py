@@ -10,8 +10,7 @@ A step takes its draws from a draw source: ``blocks()`` gives its dual and
 primal blocks and, once its batch size v is known, ``indices(v)`` its
 component indices, or ``index()`` its one index as an int where v is 1;
 :meth:`WordDraws.steps` gives the draws of many steps of one batch size at
-once, and :meth:`WordDraws.increasing_steps` those of many steps of the
-increasing rule, recording their blocks' counts.
+once.
 :class:`SequentialDraws` calls :func:`draw_block` and :func:`sample_indices`
 one at a time; :class:`WordDraws` draws the generator's raw 32-bit words
 ahead and maps them to blocks and indices as numpy does, so both give the
@@ -205,11 +204,8 @@ class WordDraws:
 
     :meth:`steps` reads many steps of one batch size at once, as strided
     slices of the maps of a fill clean for every bound its steps take words
-    of, and gives None otherwise; :meth:`increasing_steps` reads many steps
-    of the increasing rule in one scan of a clean fill, or strided once the
-    rule is saturated.  Where they give None a
-    :class:`~rbpda.solver.StepPlan` takes those steps one at a time, from
-    the same words.
+    of, and gives None otherwise; a :class:`~rbpda.solver.StepPlan` then
+    takes those steps one at a time, from the same words.
     """
 
     def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
@@ -314,8 +310,8 @@ class WordDraws:
         if it cannot hold one step), where it is clean for every bound they
         take words of.  Otherwise, and where no step takes a word (N = M = 1
         and v >= p), it gives None, and the caller takes the steps one at a
-        time.  It serves a constant batch rule, and the increasing rule once
-        every step has v = p (:meth:`increasing_steps`).
+        time.  It serves a constant batch rule, and the increasing rule
+        without restarts once it gives every step v = p.
         """
         p = self.p
         per = self._width + (v if v < p else 0)  # the words of one step without a rejection
@@ -336,70 +332,6 @@ class WordDraws:
         else:
             indices = list(m[2, :, self._width:])
         return m[0, :, 0], m[1, :, self._off if self.M > 1 else 0], indices
-
-    def increasing_steps(self, n: int, counters: BlockCounters, k: int, eta: float, bar=None,
-                         one: bool = False) -> tuple:
-        """The draws of up to ``n`` steps k, k+1, ... of the increasing rule, at least one, as ``(duals, primals, sizes, indices, restarts)``, or None.
-
-        Step by step, as :meth:`blocks`, :func:`next_batch_size` and
-        :meth:`index` or :meth:`indices` give them from the same words: a
-        step's primal block i is read at its word, its batch size v is
-        :func:`increasing_batch_size` at i's count and k, and ``counters``
-        records i; with a restart ``bar``, :meth:`BlockCounters.restart`
-        then tests at k + 1, and the step's flag in ``restarts`` says whether
-        it reset the counts.  Its indices are the int where ``one`` and v = 1,
-        else a read-only slice of the p map, or the shared ``arange(p)`` at
-        v >= p.  ``duals`` and ``primals`` are int64 arrays, the others
-        sequences.  Where the fill cannot hold a step the read refills it,
-        keeping the words not yet taken, so it reads ``n`` steps unless a
-        fill has a rejection: it stops before the first step in such a fill,
-        which one-at-a-time draws then take, and gives None if that is the
-        first step, having recorded nothing.
-
-        Without a bar, once the rule at the least count and k reaches p
-        every later step has v = p, since the rule never decreases in a
-        count or in k: those steps take block words only and are read as
-        :meth:`steps` reads them, and recorded by :meth:`BlockCounters.add`.
-        """
-        p, M, width = self.p, self.M, self._width
-        if bar is None and width and increasing_batch_size(counters.low, k, eta, p) >= p:
-            got = self.steps(n, p)
-            if got:
-                counters.add(got[1])
-                count = len(got[0])
-                got = *got[:2], [p] * count, [0] * count if one and p == 1 else got[2], [False] * count
-            return got
-        if not (self._clean_blocks and self._clean):
-            return None
-        N, at, row_k = self.N, self._at, k
-        counts, record, restart, rows = counters.counts, counters.record, counters.restart, []
-        while row_k < k + n:
-            need = width
-            if at + width <= self._size:  # the blocks fit: i's batch size gives the words of its indices
-                i = self._primal[at] if M > 1 else 0
-                v = increasing_batch_size(counts.item(i), row_k, eta, p)
-                need += v if v < p else 0
-            if at + need > self._size:  # a refill, keeping the words not yet taken
-                self._at = at
-                self._fill(need)
-                at = 0
-                if not (self._clean_blocks and self._clean):
-                    break
-                continue
-            if v == 1 and one:
-                got = self._index[at + width] if p > 1 else 0
-            else:
-                got = self._map[at + width:at + need] if v < p else self.indices(p)
-            record(i)
-            restarted = bar is not None and restart(row_k + 1, eta, p, bar)
-            rows.append((self._dual[at] if N > 1 else 0, i, v, got, restarted))
-            at += need
-            row_k += 1
-        self._at = at
-        if not rows:
-            return None
-        duals, primals, sizes, indices, restarts = zip(*rows)
-        return np.array(duals, dtype=np.int64), np.array(primals, dtype=np.int64), sizes, indices, restarts
 
 
 class SequentialDraws:

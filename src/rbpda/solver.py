@@ -44,6 +44,7 @@ from .sampling import (
     BlockCounters,
     SequentialDraws,
     WordDraws,
+    increasing_batch_size,
     make_rng,
     next_batch_size,
 )
@@ -261,19 +262,21 @@ class StepPlan:
     :class:`~rbpda.sampling.WordDraws` 16, 32, 64, ... up to :data:`CHUNK`
     at a time, otherwise one per step at the state's k, so a step driven by
     hand leaves the generator where one call at a time does.  With this
-    module's own ``next_batch_size``, a fill's draws are one bulk read: a
-    strided read (:meth:`~rbpda.sampling.WordDraws.steps`) for a constant
-    rule, one scan (:meth:`~rbpda.sampling.WordDraws.increasing_steps`)
-    for the increasing rule, which also records the counts, and strided
-    again once the rule is saturated without restarts.  Otherwise (a replaced batch rule, a
-    :class:`~rbpda.sampling.SequentialDraws`), or where the read gives
-    None, each row calls ``draws.blocks()``, the batch rule, then
+    module's own ``next_batch_size``, a fill whose rows all have one batch
+    size v is one strided read (:meth:`~rbpda.sampling.WordDraws.steps`):
+    v is a constant rule's, or p once the increasing rule without restarts
+    reaches p at the least count at the fill's first k, which it then keeps,
+    as the rule never decreases in a count or in k; such a read records its
+    primal blocks' counts with :meth:`~rbpda.sampling.BlockCounters.add`.
+    Otherwise (the increasing rule below p or with restarts, a replaced
+    batch rule, a :class:`~rbpda.sampling.SequentialDraws`), or where the
+    read gives None, each row calls ``draws.blocks()``, the batch rule, then
     ``draws.index()`` (one-row oracle) or ``draws.indices(v)``.  With
-    ``restart_threshold``, an increasing rule's row applies
+    ``restart_threshold``, an increasing rule's row then applies
     :meth:`~rbpda.sampling.BlockCounters.restart`, the test of
     :func:`restart_if_saturated`, at its counts and k + 1, resetting the
-    counts where it holds, on either path, and the step that takes the row
-    collapses the history once it succeeds.
+    counts where it holds, and the step that takes the row collapses the
+    history once it succeeds.
     theta^k and t^k come from :meth:`~rbpda.stepsize.StepSchedule.columns`
     (Python's float ``**``), the steps from ``steps_at`` and the weights
     from :meth:`ErgodicAccumulator.weights`, on arrays whose entries are
@@ -339,12 +342,14 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     if acc is not None:
         weights = acc.weights
         fold_x, fold_y = acc.folds(st.primal.ranges, st.dual.ranges)
-    # a bulk read gives the draws of the rule this module's own next_batch_size gives: a strided read
-    # for a constant rule (v > p is left to the per-row loop, whose batch rule raises), a scan for an
-    # increasing one
-    bulk = isinstance(draws, WordDraws) and batch_size is _BATCH_RULE and (batch.kind == "increasing" or batch.v <= p)
+    increasing = batch.kind == "increasing"
     # the least v_i that restarts, for an increasing rule with restarts
-    bar = None if threshold is None or batch.kind != "increasing" else math.ceil(threshold * p)
+    bar = None if threshold is None or not increasing else math.ceil(threshold * p)
+    # a strided read gives the rows of one batch size that this module's own next_batch_size gives: a
+    # constant rule's (v > p is left to the per-row loop, whose batch rule raises), or p for an
+    # increasing rule without restarts once it is saturated
+    v_bulk = p if increasing else batch.v
+    bulk = isinstance(draws, WordDraws) and batch_size is _BATCH_RULE and bar is None and v_bulk <= p
 
     def tables(k: int, counters: BlockCounters, size: int):
         """The control rows of k, k+1, ...: one iterator per fill of ``size``, twice that, ... up to CHUNK rows.
@@ -357,17 +362,16 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         while True:
             n = max(1, min(size, iters - k))
             one_row = problem.batch_grad_x is factors
-            got = None
-            if bulk and batch.kind == "increasing":
-                got = draws.increasing_steps(n, counters, k, batch.eta, bar, one_row)
-            elif bulk:
-                one = one_row and batch.v == 1
-                got = draws.steps(n, batch.v, one)
-                if got:  # the rule's sizes and restart flags, and the one-row indices as ints
-                    got = *got[:2], repeat(batch.v), memoryview(got[2]) if one else got[2], repeat(False)
+            one = one_row and v_bulk == 1
+            got = (bulk and (not increasing or increasing_batch_size(counters.low, k, batch.eta, p) >= p)
+                   and draws.steps(n, v_bulk, one))
             if got:
-                js, is_, vs, indices, again = got
-                n = len(js)
+                js, is_, indices = got
+                n, vs, again = len(js), repeat(v_bulk), repeat(False)
+                if one:
+                    indices = memoryview(indices)
+                if increasing:  # the counts the batch rule records row by row
+                    counters.add(is_)
             else:
                 rows = []
                 for row_k in range(k, k + n):

@@ -8,6 +8,7 @@ import pytest
 import rbpda.solver as solver
 from rbpda import sampling
 from rbpda.problems import generate_robust_erm, robust_erm_problem
+from rbpda.sampling import BatchSchedule, BlockCounters, increasing_batch_size, make_rng, next_batch_size
 from rbpda.solver import SolverConfig, SolverError, run
 
 from reference_step import reference_run
@@ -21,8 +22,8 @@ MODES = {
     "increasing_v1": dict(mode="increasing_batch", batch=1),
     "increasing_v3": dict(mode="increasing_batch", batch=3),
     "increasing_vp": dict(mode="increasing_batch", batch="p"),
-    # the increasing rule, whose rows come from a scan of the words, with and without restarts; at
-    # eta = 2 the rule reaches p within the first fill, and its rows then come from strided reads
+    # the increasing rule, whose rows come from the per-row loop, with and without restarts; without
+    # them its rows come from strided reads once it reaches p, within the first fill at eta = 2
     "increasing_eta0": dict(mode="increasing_batch", eta=0.0),
     "increasing_eta0_restart05": dict(mode="increasing_batch", eta=0.0, restart_enabled=True, restart_threshold=0.5),
     "increasing_eta0_restart09": dict(mode="increasing_batch", eta=0.0, restart_enabled=True, restart_threshold=0.9),
@@ -41,11 +42,11 @@ def config(prob, mode, **kw):
     return SolverConfig(seed=3, stream=1, **cfg)
 
 
-def counted_bulk_reads(monkeypatch, method="steps"):
-    """Count the calls of ``WordDraws.steps`` (or of ``method``), the bulk reads behind a plan's control rows."""
+def counted_bulk_reads(monkeypatch):
+    """Count the calls of ``WordDraws.steps``, the bulk reads behind a plan's control rows."""
     calls = []
-    inner = getattr(sampling.WordDraws, method)
-    monkeypatch.setattr(sampling.WordDraws, method, lambda self, *args: calls.append(args) or inner(self, *args))
+    inner = sampling.WordDraws.steps
+    monkeypatch.setattr(sampling.WordDraws, "steps", lambda self, *args: calls.append(args) or inner(self, *args))
     return calls
 
 
@@ -65,19 +66,14 @@ def test_chunked_rows_equal_per_step_rows_bitwise(name, mode, monkeypatch):
     # compared with the reference run, which restarts after each step
     prob = lockstep_problem(name)
     reads = counted_bulk_reads(monkeypatch)
-    scans = counted_bulk_reads(monkeypatch, "increasing_steps")
     for iters in LENGTHS:
         cfg = config(prob, mode, max_iters=iters, checkpoint_every=100, compute_sup_gap=iters < 300)
         reads.clear()
-        scans.clear()
         got = run(prob, cfg)
         if cfg.mode == "increasing_batch" and cfg.batch is None:
-            assert scans, "the run did not read its rows in bulk"
             assert_same_run(got, reference_run(prob, cfg))
             if iters == LENGTHS[-1] and not cfg.restart_enabled:
-                # the rule saturated: later fills are strided reads, after scanned
-                # ones unless p = 1, where it is saturated from the first row
-                assert reads and (prob.p == 1 or len(reads) < len(scans))
+                assert reads, "the rule saturated, but no later fill was a strided read"
         else:
             assert reads, "the run did not fill its rows in bulk"
             reads.clear()
@@ -92,8 +88,8 @@ INCREASING = sorted(mode for mode, cfg in MODES.items() if cfg["mode"] == "incre
 @pytest.mark.parametrize("mode", INCREASING)
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_counters_keep_their_least_count(name, mode, monkeypatch):
-    # after every step of a run, whose rows record the counts by scans,
-    # strided reads or the per-row loop, low is the least count and
+    # after every step of a run, whose rows record the counts by strided
+    # reads or the per-row loop, low is the least count and
     # _at_low counts the blocks at it; both runs fill their rows up to the
     # run's end, so they end with the same counts
     prob = lockstep_problem(name)
@@ -114,6 +110,43 @@ def test_counters_keep_their_least_count(name, mode, monkeypatch):
         bulk, per_row = states[iters - 1].counters, states[-1].counters
         assert bulk.counts.tolist() == per_row.counts.tolist() and len(states) == 2 * iters
         states.clear()
+
+
+def fill_starts(iters):
+    """The first k of each fill of a run where every fill holds the rows it asks for: 16, 32, ... up to a chunk."""
+    k, size = 0, 16
+    while k < iters:
+        yield k
+        k, size = k + min(size, iters - k), min(2 * size, solver.CHUNK)
+
+
+@pytest.mark.parametrize("mode", INCREASING)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_strided_reads_start_where_the_increasing_rule_saturates(name, mode, monkeypatch):
+    # without restarts the rule gives every row p from the first fill whose
+    # first k has it at p at the least count, found here by replaying the
+    # draws one call at a time; no read of p comes earlier, and with
+    # restarts every row comes from the per-row loop
+    prob = lockstep_problem(name)
+    st, p, iters = prob.structure, prob.p, 1000
+    cfg = config(prob, mode, max_iters=iters, compute_sup_gap=False)
+    draws = sampling.SequentialDraws(make_rng(cfg.seed, cfg.stream), st.N, st.M, p)
+    counters, lows = BlockCounters.zeros(st.M), []
+    for k in range(iters):
+        lows.append(counters.low)
+        i = draws.blocks()[1]
+        draws.indices(next_batch_size(BatchSchedule.increasing(cfg.eta), counters, i, k, p))
+    first = next(k for k in fill_starts(iters) if increasing_batch_size(lows[k], k, cfg.eta, p) == p)
+    at, reads = [], []
+    inner_step, inner_steps = solver.rbpda_step, sampling.WordDraws.steps
+    monkeypatch.setattr(solver, "rbpda_step", lambda state, *args: at.append(state.k) or inner_step(state, *args))
+    monkeypatch.setattr(sampling.WordDraws, "steps",
+                        lambda self, n, v, *args: reads.append((at[-1], v)) or inner_steps(self, n, v, *args))
+    run(prob, cfg)
+    if cfg.restart_enabled:
+        assert reads == []
+    else:
+        assert reads[0] == (first, p) and {v for _, v in reads} == {p}
 
 
 @pytest.mark.parametrize("name", ["erm_box_scalar", "box_game"])
@@ -160,17 +193,24 @@ def test_a_wrapper_on_the_step_keeps_the_chunked_rows(name, monkeypatch):
     assert_same_run(got, want)
 
 
+@pytest.mark.parametrize("mode", ["single_eta03", "increasing_eta03", "increasing_eta03_restart05"])
 @pytest.mark.parametrize("name", ["erm_box_scalar", "erm_entropy", "qp"])
-def test_chunks_cut_short_by_small_fills_keep_the_bits(name, monkeypatch):
+def test_chunks_cut_short_by_small_fills_keep_the_bits(name, mode, monkeypatch):
     # a fill of 7 words holds a few steps, so each bulk read gives fewer
-    # rows than a chunk and the rows of k come from many fills
+    # rows than a chunk and the rows of k come from many fills; the
+    # increasing rule's per-row loop refills for index batches longer than a fill
     monkeypatch.setattr(sampling, "WORD_CHUNK", 7)
     prob = lockstep_problem(name)
     reads = counted_bulk_reads(monkeypatch)
-    cfg = config(prob, "single_eta03", max_iters=600, checkpoint_every=150, compute_sup_gap=False)
+    cfg = config(prob, mode, max_iters=600, checkpoint_every=150, compute_sup_gap=False)
     got = run(prob, cfg)
-    assert len(reads) > 600 // solver.CHUNK + 1
-    assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
+    # strided reads, cut short by the fills; the increasing rule takes them once it is saturated, and
+    # with restarts never
+    assert reads == [] if cfg.restart_enabled else len(reads) > 600 // solver.CHUNK + 1
+    if cfg.mode == "increasing_batch":
+        assert_same_run(got, reference_run(prob, cfg))
+    else:
+        assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
 
 
 def nan_at(prob, call: int, attr: str):

@@ -499,6 +499,37 @@ class TestMainCli:
         assert "seed must be nonnegative, got seed = -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("problem = box_game\nblocks_m = 3", "m_blocks=3 is below 1 or does not divide the payoff dimension 4"),
+        ("problem = robust_erm\nblocks_m = 0", "m_blocks=0 is below 1"),
+        ("problem = robust_erm\nn = 0", "n and m must be positive"),
+        ("problem = robust_erm\nflip_prob = 2", "flip_prob must lie in [0, 1]"),
+        ("problem = robust_erm\nradius = -1", "box lower bound exceeds upper bound"),
+        ("problem = robust_erm\ndata_seed = -1", ""),
+    ], ids=["box_game_blocks_m", "erm_blocks_m", "erm_n", "erm_flip_prob", "erm_radius", "erm_data_seed"])
+    def test_a_problem_that_cannot_be_built_exit_code(self, tmp_path, capsys, lines, message):
+        # the problem's own ValueError (ZeroDivisionError for blocks_m = 0)
+        # used to print a traceback and exit 1
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(f"{lines}\niters = 10\nrepeats = 1\n")
+        out = tmp_path / "bad"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: [default] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_repeats_below_one_exit_code(self, tmp_path, capsys, repeats):
+        # without seeds this used to run nothing, write a header-only summary and exit 0
+        out = tmp_path / "bad"
+        argv = ["--problem", "box_game", "--iters", "10", "--repeats", str(repeats), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"repeats must be at least 1, got repeats = {repeats}" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "seeds.cfg"  # a seed list sets the runs, and repeats is not read
+        cfg.write_text(f"problem = box_game\nseeds = 3\nrepeats = {repeats}\niters = 10\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        assert len(list(out.glob("trace_*.csv"))) == 1
+
     def test_solver_refusal_shows_the_value_given(self, tmp_path, capsys):
         argv = ["--problem", "box_game", "--mode", "single_sample", "--eta", "1.0", "--iters", "10",
                 "--repeats", "1", "--out", str(tmp_path / "bad")]

@@ -280,6 +280,21 @@ class TestBoxGame:
         assert prob.lipschitz.Lyx[1, 0] == pytest.approx(np.linalg.norm(A[:2, 2:], 2))
 
 
+@pytest.mark.parametrize("blocks", [0, -2])
+@pytest.mark.parametrize("build, name", [
+    (lambda b: robust_erm_problem(generate_robust_erm(1, 6, 4), m_blocks=b), "m_blocks"),
+    (lambda b: robust_erm_problem(generate_robust_erm(1, 6, 4), n_blocks=b), "n_blocks"),
+    (lambda b: box_game_problem(np.eye(4), m_blocks=b), "m_blocks"),
+    (lambda b: box_game_problem(np.eye(4), n_blocks=b), "n_blocks"),
+    (lambda b: constrained_qp_problem(ConstrainedSpec(Q=np.eye(2), c=[0.0, 0.0], G=[[1.0, 1.0]], d=[1.0]),
+                                      m_blocks=b), "m_blocks"),
+], ids=["erm_m", "erm_n", "box_game_m", "box_game_n", "qp_m"])
+def test_block_counts_below_one_are_refused_by_name(build, name, blocks):
+    # 0 used to raise ZeroDivisionError, and -2 divides the dimensions
+    with pytest.raises(ValueError, match=f"{name}={blocks} is below 1"):
+        build(blocks)
+
+
 class TestQpProblems:
     def test_reference_x_ge_one(self):
         x, y = qp_reference([[2.0]], [0.0], [[-1.0]], [-1.0])

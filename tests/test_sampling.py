@@ -1,6 +1,5 @@
 """Seeded draws, batch schedules, counters, and the gradient estimator."""
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +16,6 @@ from rbpda.sampling import (
     WordDraws,
     draw_block,
     expected_inverse_batch,
-    increasing_batch_size,
     make_rng,
     next_batch_size,
     sample_indices,
@@ -230,92 +228,6 @@ class TestBulkSteps:
         full = draws.indices(2)
         assert draws.indices(1) is full and full.tolist() == [0]
         assert rng.bit_generator.state == state and draws.words.size == 0
-
-
-def increasing_row(draws, counters, k, eta, bar, one):
-    """Step k's row of the increasing rule as a plan's per-row loop takes it from ``draws``."""
-    j, i = draws.blocks()
-    v = next_batch_size(BatchSchedule.increasing(eta), counters, i, k, draws.p)
-    again = bar is not None and counters.restart(k + 1, eta, draws.p, bar)
-    return j, i, v, draws.index() if v == 1 and one else draws.indices(v), again
-
-
-def assert_same_counters(got, want):
-    assert got.counts.tolist() == want.counts.tolist()
-    assert (got.low, got._at_low) == (want.low, want._at_low)
-
-
-class TestIncreasingSteps:
-    """``WordDraws.increasing_steps`` gives the rows of the per-row loop on one-call-at-a-time draws, or None."""
-
-    BOUNDS = [(7, 5, 200, False), (7, 5, 12, True), (1, 5, 1, True), (7, 5, 1, False), (1, 1, 50, True),
-              (1, 1, 1, True), (BIG, 5, 50, False), (7, 5, BIG, True)]
-
-    @pytest.mark.parametrize("N, M, p, one, eta, threshold, chunk", [
-        (*bounds, eta, threshold, chunk) for bounds in BOUNDS
-        for eta in (0.0, 0.3, 400.0)  # at 400 the rule overflows to p from k = 5 on
-        for threshold in (None, 0.5, 0.9)
-        for chunk in (1, 5, sampling.WORD_CHUNK)
-        # at p = 2**31 + 1: no arange(p), no restart within reach, and
-        # one-word fills of indices mapped word by word are slow
-        if bounds[2] < BIG or eta < 1 and threshold is None and chunk > 1
-    ])
-    def test_reads_give_the_per_row_loop_rows(self, N, M, p, one, eta, threshold, chunk, monkeypatch):
-        # reads of 1 to 256 rows across fills of 1 to 4096 words, with and
-        # without restarts, on either side of saturation; where a read gives
-        # None (a fill with a rejection) the caller takes one row per step
-        monkeypatch.setattr(sampling, "WORD_CHUNK", chunk)
-        draws, ref = WordDraws(make_rng(N + p, M), N, M, p), SequentialDraws(make_rng(N + p, M), N, M, p)
-        counters, want_counters = BlockCounters.zeros(M), BlockCounters.zeros(M)
-        bar = None if threshold is None else math.ceil(threshold * p)
-        k = reads = 0
-        while k < 700:
-            n = (1, 256, 5, 17)[reads % 4]
-            got = draws.increasing_steps(n, counters, k, eta, bar, one)
-            reads += 1
-            if got is None:
-                assert max(N, M, p) == BIG
-                rows = [increasing_row(draws, counters, k, eta, bar, one)]
-            else:
-                duals, primals, *rest = got
-                assert 1 <= len(duals) <= n and all(len(column) == len(duals) for column in (primals, *rest))
-                assert duals.dtype == primals.dtype == np.int64
-                rows = zip(duals.tolist(), primals.tolist(), *rest)
-            for j, i, v, index, again in rows:
-                want = increasing_row(ref, want_counters, k, eta, bar, one)
-                assert (j, i, v, again) == (want[0], want[1], want[2], want[4]), k
-                if type(want[3]) is int:
-                    assert type(index) is int and index == want[3], k
-                else:
-                    assert index.dtype == np.int64 and np.array_equal(index, want[3]), k
-                    if p < BIG:  # a view of a clean fill's map, or the shared arange(p): read-only
-                        with pytest.raises(ValueError):
-                            index[0] = 1
-                k += 1
-            assert_same_counters(counters, want_counters)
-
-    def test_a_read_that_crosses_saturation_is_followed_by_strided_reads(self, monkeypatch):
-        # at eta = 0.3 and p = 12 the rule at the least count reaches p
-        # inside the first 256-row read, which scans the rows past that point
-        # as v = p rows; the later reads are strided reads of block words only
-        strided = []
-        inner = WordDraws.steps
-        monkeypatch.setattr(WordDraws, "steps", lambda self, *args: strided.append(args) or inner(self, *args))
-        draws, ref = WordDraws(make_rng(8), 7, 5, 12), SequentialDraws(make_rng(8), 7, 5, 12)
-        counters, want_counters = BlockCounters.zeros(5), BlockCounters.zeros(5)
-        first = draws.increasing_steps(256, counters, 0, 0.3)
-        k = len(first[0])
-        assert not strided and first[2][0] < 12 and first[2][-1] == 12
-        assert increasing_batch_size(counters.low, k, 0.3, 12) == 12
-        second = draws.increasing_steps(256, counters, k, 0.3)
-        assert strided == [(256, 12)] and set(second[2]) == {12} and not any(second[4])
-        k = 0
-        for duals, primals, *rest in (first, second):
-            for row in zip(duals.tolist(), primals.tolist(), *rest):
-                want = increasing_row(ref, want_counters, k, 0.3, None, False)
-                assert row[:3] == want[:3] and np.array_equal(row[3], want[3]) and not row[4], k
-                k += 1
-        assert_same_counters(counters, want_counters)
 
 
 class TestSequentialDraws:
