@@ -12,7 +12,7 @@ from rbpda.sampling import BatchSchedule, BlockCounters, increasing_batch_size, 
 from rbpda.solver import SolverConfig, SolverError, run
 
 from reference_step import reference_run
-from test_solver import lockstep_problem
+from test_solver import LOCKSTEP_BUILTINS, lockstep_problem
 from test_step_plan import assert_same_run
 
 PROBLEMS = ["erm_box_scalar", "erm_box", "erm_entropy", "box_game", "qp"]
@@ -211,6 +211,30 @@ def test_chunks_cut_short_by_small_fills_keep_the_bits(name, mode, monkeypatch):
         assert_same_run(got, reference_run(prob, cfg))
     else:
         assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, sampling.WORD_CHUNK])
+@pytest.mark.parametrize("threshold", [None, 0.5, 0.9])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 400.0])  # at 400 the rule overflows to p from k = 5 on
+@pytest.mark.parametrize("name", LOCKSTEP_BUILTINS)
+def test_increasing_rows_from_fills_of_any_size_keep_the_bits(name, eta, threshold, chunk, monkeypatch):
+    # the increasing rule's rows over fills of 1 to 4,096 words, with and
+    # without restarts, on either side of saturation: per-row rows that
+    # refill inside a row, strided reads cut short by a fill or given up
+    # for the per-row loop, and the counts they record, all reach the
+    # reference run's bits, drawn one call at a time
+    monkeypatch.setattr(sampling, "WORD_CHUNK", chunk)
+    prob = lockstep_problem(name)
+    cfg = SolverConfig(seed=3, stream=1, mode="increasing_batch", eta=eta, restart_enabled=threshold is not None,
+                       restart_threshold=threshold or 0.9, max_iters=300, checkpoint_every=100,
+                       compute_sup_gap=False)
+    reads = counted_bulk_reads(monkeypatch)
+    got = run(prob, cfg)
+    assert_same_run(got, reference_run(prob, cfg))
+    if threshold is not None:
+        assert reads == []
+    elif eta == 400.0:  # saturated at the second fill, k = 16, if not at the first
+        assert reads and {v for _, v, *_ in reads} == {prob.p}
 
 
 def nan_at(prob, call: int, attr: str):
