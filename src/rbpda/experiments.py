@@ -50,7 +50,7 @@ class ExperimentSpec:
     m: int = 100
     flip_prob: float = 0.1
     radius: float = 10.0
-    blocks_m: int = 1
+    blocks_m: int = 1  # at least 1: only blocks_n has a 0 default
     blocks_n: int = 0  # 0: problem default (games 1, robust_erm n)
     eta: float = 0.0
     iters: int = 10_000
@@ -165,11 +165,12 @@ def build_problem(spec: ExperimentSpec):
         )
         return problem, (ref.x, ref.y), f"matrix_game:{spec.geometry}"
     if spec.problem == "box_game":
-        mb = spec.blocks_m or 1
-        nb = spec.blocks_n or 1
+        mb, nb = spec.blocks_m, spec.blocks_n or 1
         problem, ref = problems_mod.box_game_problem(_BOX4, half_width=1.0, m_blocks=mb, n_blocks=nb)
         return problem, (ref.x, ref.y), f"box_game:M{mb}:N{nb}"
     if spec.problem == "robust_erm":
+        if spec.data_seed < 0:  # numpy's own refusal would not name the key
+            raise ValueError(f"data_seed must be nonnegative, got data_seed = {spec.data_seed}")
         data = problems_mod.generate_robust_erm(spec.data_seed, spec.n, spec.m, spec.flip_prob)
         n_blocks = spec.blocks_n or spec.n
         problem = problems_mod.robust_erm_problem(

@@ -287,11 +287,14 @@ def robust_erm_problem(
     the boxes; only the whole-vector solvers read it.
 
     ``A`` and ``b`` must be finite, and ``A``'s entries small enough that
-    its squared norms are; otherwise ValueError names the array.
+    its squared norms are; otherwise ValueError names the array.  A
+    negative or NaN ``radius`` is refused by name.
     """
     A, b = data.A, data.b
     n, m = A.shape
     p = n
+    if not radius >= 0:  # also rejects NaN
+        raise ValueError(f"radius must be nonnegative, got radius = {radius}")
     if n_blocks is None:
         n_blocks = n
     if m_blocks < 1 or m % m_blocks != 0:

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import SaddleProblem
-from .bregman import prox_kernel
+from .bregman import FLOAT_KINDS, prox_kernel
 from .metrics import ConvergenceTrace, evaluate_checkpoint
 from .sampling import (
     WORD_BOUND,
@@ -71,6 +71,10 @@ MODES = ("increasing_batch", "single_sample")
 _FLOAT64 = np.dtype(float)
 _BATCH_RULE = next_batch_size  # the batch rule a plan fills control rows for in bulk
 CHUNK = 256  # most control rows a StepPlan fills at once
+# the widest zero, box or nonneg block whose step runs in Python floats: a
+# block update in floats costs less than numpy's per-call overhead up to ~14
+# coordinates (measured on CPython 3.11, both sides), so 12 keeps a margin
+SMALL = 12
 
 
 class SolverError(RuntimeError):
@@ -164,7 +168,8 @@ class RunState:
     so far, which lead k by up to a chunk during a run.
 
     ``dual_row`` is ``(j, g, cache, syncs)``: the dual gradient g(x^k, y^k)
-    on block j that the last step computed, under the coupling cache it
+    on block j that the last step computed (a float on a one-coordinate
+    block, a list of floats on a small one), under the coupling cache it
     passed (or None) and that cache's ``syncs`` count.  After that
     step it is g(x^(k-1), y^(k-1)), so the next step reuses it if it draws
     block j under the same cache with no sync since; a margin read from the
@@ -236,9 +241,13 @@ class StepPlan:
       whose terms :meth:`~rbpda.stepsize.StepSchedule.check_finite` checks
       here, before any step;
     * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
-      for a one-coordinate dual block its coordinate and float kernel, and
-      on a problem with a ``one_row_grad_x`` each primal block's factored
-      kernel;
+      for a one-coordinate dual block its coordinate and float kernel, for
+      any other zero, box or nonneg block of at most :data:`SMALL`
+      coordinates (a one-coordinate primal block included) its list kernel
+      and shape, and on a problem with a ``one_row_grad_x`` each primal
+      block's factored kernel.  A small block steps in Python floats: on a
+      few coordinates numpy's per-call overhead is most of the cost of the
+      block's arithmetic and prox, and floats give the same bits;
     * the optional one-row oracles ``one_row_grad_x`` and ``one_row_grad_y``
       and the oracles they stand for, which a step compares by identity;
     * the batch rule: :func:`~rbpda.sampling.next_batch_size` as this
@@ -307,18 +316,26 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     blocks, take_indices, take_index = draws.blocks, draws.indices, draws.index
     kernels = {}  # blocks that share a spec object share its kernel
 
-    def kernel(spec, scalar=False, factored=None):
-        key = id(spec), scalar, factored
+    def kernel(spec, form="array", factored=None):
+        key = id(spec), form, factored
         if key not in kernels:
-            kernels[key] = prox_kernel(spec.geometry, spec, scalar, factored)
+            kernels[key] = prox_kernel(spec.geometry, spec, form, factored)
         return kernels[key]
 
-    # a one-coordinate dual block gets its float kernel; its array kernel is
-    # resolved only if its oracle ever returns wider rows
+    def small(spec, dim):
+        """A block's width if it steps in Python floats, else 0."""
+        return dim if dim <= SMALL and spec.kind in FLOAT_KINDS else 0
+
+    # a one-coordinate dual block gets its float kernel, a small one its list
+    # kernel, whose width the step reads only off the one-row path; their
+    # array kernels are resolved only if an oracle ever returns rows of
+    # another shape
     dual = [
-        (blk, blk.start, kernel(spec, scalar=True), spec) if dim == 1 else (blk, None, kernel(spec), spec)
+        (blk, blk.start, kernel(spec, "float"), spec) if dim == 1
+        else (blk, None, kernel(spec, "list") if small(spec, dim) else kernel(spec), spec)
         for blk, dim, spec in zip(st.dual.ranges, st.dual.dims, problem.dual_prox)
     ]
+    widths = [0 if dim == 1 else small(spec, dim) for dim, spec in zip(st.dual.dims, problem.dual_prox)]
     # a problem's one-row oracles (optional: a problem-like object may lack
     # them) stand in for the oracles they were built with; a wrapper set on
     # the instance's batch_grad_x or grad_y is called instead.  At batch size
@@ -332,6 +349,16 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     primal = [
         (blk, kernel(spec), None if one_row is None else kernel(spec, factored=factored))
         for blk, spec in zip(st.primal.ranges, problem.primal_prox)
+    ]
+
+    def on_array(prox):
+        """A list kernel called with the block's array as x_bar, which it reads with one tolist()."""
+        return lambda linear, step, x_bar: prox(linear, step, x_bar.tolist())
+
+    # a small primal block's shape and list kernel, which the batch path reads
+    listed = [
+        ((dim,), on_array(kernel(spec, "list"))) if small(spec, dim) else (None, None)
+        for dim, spec in zip(st.primal.dims, problem.primal_prox)
     ]
     constant = schedule.mode == "constant"
     if constant:
@@ -422,9 +449,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         ):
             kept = None
         points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
-        # a one-coordinate block runs in Python floats: the same operations as
-        # on one-element arrays, bit for bit, without numpy's per-call overhead;
-        # its rows come as floats from one_row_grad_y where that stands in for grad_y
+        # a one-coordinate or small block runs in Python floats: the same
+        # operations as on arrays, bit for bit, without numpy's per-call
+        # overhead; a one-coordinate block's rows come as floats from
+        # one_row_grad_y where that stands in for grad_y
         blk_j, at_j, prox_dual, spec = dual[j]
         if at_j is not None and problem.grad_y is columns:
             try:
@@ -434,6 +462,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
             except Exception as exc:
                 raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
             y_base = y_k.item(at_j)
+            linear = -(N * g_now + nm_theta * (g_now - g_old))  # -s, with s = N g + N M theta (g - g_old)
         else:
             try:
                 g = problem.grad_y(j, points) if cache is None else problem.grad_y(j, points, cache=cache)
@@ -442,20 +471,28 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                     g = np.asarray(g, dtype=float)
             except Exception as exc:
                 raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
-            if at_j is not None and g.shape == (len(points), 1):
-                g_now, y_base = g.item(0), y_k.item(at_j)
-                g_old = g.item(1) if kept is None else kept[1]
-            else:
-                if at_j is not None:
-                    prox_dual = prox_kernel(spec.geometry, spec)
+            width = widths[j]
+            if width and g.shape == (len(points), width):
+                rows = g.tolist()  # a small block's rows, as lists of floats
+                g_now, y_base = rows[0], y_k[blk_j].tolist()
+                g_old = rows[1] if kept is None else kept[1]
                 at_j = blk_j
-                g_now, y_base = g[0], y_k[blk_j]
-                g_old = g[1] if kept is None else kept[1]
+                linear = [-(N * a + nm_theta * (a - b)) for a, b in zip(g_now, g_old)]
+            else:
+                if at_j is not None and g.shape == (len(points), 1):
+                    g_now, y_base = g.item(0), y_k.item(at_j)
+                    g_old = g.item(1) if kept is None else kept[1]
+                else:
+                    if at_j is not None or width:
+                        prox_dual = prox_kernel(spec.geometry, spec)
+                    at_j = blk_j
+                    g_now, y_base = g[0], y_k[blk_j]
+                    g_old = g[1] if kept is None else kept[1]
+                linear = -(N * g_now + nm_theta * (g_now - g_old))  # as on the one-row path
         state.dual_grad_evals += 2
-        s = N * g_now + nm_theta * (g_now - g_old)
 
         try:
-            y_blk = prox_dual(-s, sigma, y_base)
+            y_blk = prox_dual(linear, sigma, y_base)
         except Exception as exc:
             raise SolverError(f"dual prox failed at iteration {k}, block {j}: {exc}") from exc
 
@@ -477,7 +514,11 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                         r = problem.batch_grad_x(indices, i, points, weights_k, cache=cache)
                     if type(r) is not np.ndarray or r.dtype is not _FLOAT64:
                         r = np.asarray(r, dtype=float)
-                    r = M_float * r
+                    shape, prox_list = listed[i]
+                    if r.shape == shape:  # a small block: M r and its prox in Python floats
+                        prox_primal, r = prox_list, [M_float * a for a in r.tolist()]
+                    else:
+                        r = M_float * r
             except Exception as exc:
                 raise SolverError(
                     f"batch_grad_x failed at iteration {k}, primal block {i}: {exc}"
@@ -771,12 +812,20 @@ def rbpda_step(
     one-coordinate dual block of a problem with a ``one_row_grad_y`` whose
     ``grad_y`` is still the one it was built with, the dual rows come from
     ``one_row_grad_y`` as floats.  A wrapper set on the instance's
-    ``batch_grad_x`` or ``grad_y`` therefore sees every call.  The state's
-    coupling cache is passed to the oracles and moves only once both blocks
-    are written.  An exception from an oracle or a prox becomes a
-    :class:`SolverError` naming the iteration, the block and the failing
-    call (``grad_y`` for the dual rows, ``batch_grad_x`` for the primal
-    term, whichever oracle gave them), with the original as its
+    ``batch_grad_x`` or ``grad_y`` therefore sees every call.  On a zero,
+    box or nonneg block of 2 to :data:`SMALL` coordinates (1 to
+    :data:`SMALL` on the primal side) whose oracle gives rows of the
+    block's shape, the step reads the rows with one ``tolist()``, forms the
+    dual term s or the primal term M r and the prox in Python floats (the
+    list kernel of :func:`~rbpda.bregman.prox_kernel`) and writes each new
+    block back with one slice assignment per array, to the bits of the
+    array operations, as numpy's per-call overhead is most of a small
+    block's cost; other blocks, and rows of another shape, take the array
+    kernels.  The state's coupling cache is passed to the oracles and moves
+    only once both blocks are written.  An exception from an oracle or a
+    prox becomes a :class:`SolverError` naming the iteration, the block and
+    the failing call (``grad_y`` for the dual rows, ``batch_grad_x`` for the
+    primal term, whichever oracle gave them), with the original as its
     ``__cause__``.
     """
     plan = state.plan

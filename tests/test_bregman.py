@@ -11,8 +11,10 @@ from rbpda.bregman import (
     DomainError,
     bregman_distance,
     project_simplex,
+    prox_kernel,
     prox_step,
 )
+from rbpda.solver import SMALL
 
 
 class TestBregmanDistance:
@@ -273,6 +275,88 @@ class TestScalarProx:
             prox_step(EUCLIDEAN, ProxSpec.box([0.0, 0.0], [1.0, 1.0]), 0.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="dimension mismatch"):
             prox_step(EUCLIDEAN, ProxSpec.zero(), 0.0, 1.0, np.array([0.5]))
+
+
+def list_specs(n, rng):
+    """Zero, nonneg and box specs for n coordinates: per-coordinate bounds with signed zeros and
+    infinities, and one bound for every coordinate."""
+    lo = rng.choice([0.0, -0.0, -1.0, -2.5, -np.inf, -1e300], size=n)
+    hi = np.maximum(lo, rng.choice([0.0, -0.0, 1.0, -0.5, np.inf, 1e300], size=n))
+    return [ProxSpec.zero(), ProxSpec.nonneg(), ProxSpec.box(lo, hi), ProxSpec.box([-0.0], [0.0]),
+            ProxSpec.box([-1.0], [np.inf])]
+
+
+class TestListProx:
+    """Lists of floats for a block of 1 to SMALL coordinates against the array kernel."""
+
+    def test_list_kernel_equals_the_array_kernel_bitwise(self):
+        rng = np.random.default_rng(34)
+        # the bounds' own values make ties likely; NaN and infinities only in x_bar
+        values = np.array(SPECIAL + [-2.5, -0.5, 1e-320])
+        points = np.concatenate([values, [np.nan, np.inf, -np.inf]])
+        for n in range(1, SMALL + 1):
+            for spec in list_specs(n, rng):
+                listed, array = prox_kernel(EUCLIDEAN, spec, "list"), prox_kernel(EUCLIDEAN, spec)
+                for _ in range(60):
+                    r, x_bar = rng.choice(values, size=n), rng.choice(points, size=n)
+                    for step in (1.0, 0.25, 1e-300, 1e300, np.inf):
+                        got = listed(r.tolist(), step, x_bar.tolist())
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            want = array(r, step, x_bar)
+                        assert type(got) is list and all(type(v) is float for v in got)
+                        assert bits(got).tobytes() == bits(want).tobytes(), (spec, r, step, x_bar)
+
+    def test_ties_keep_the_bound(self):
+        # a tie at either bound gives the bound's sign: the clip to [-0.0, 0.0]
+        # ends on the upper bound, 0.0, and -0.0 clipped to [0.0, 1.0] is 0.0
+        kernel = prox_kernel(EUCLIDEAN, ProxSpec.box([-0.0, 0.0, -1.0, -0.0], [0.0, 1.0, 1.0, -0.0]), "list")
+        got = kernel([0.0, 0.0, 1e300, -1.0], 1.0, [-0.0, -0.0, 0.5, 0.0])
+        assert bits(got).tolist() == bits([0.0, 0.0, -1.0, -0.0]).tolist()
+        assert bits(prox_kernel(EUCLIDEAN, ProxSpec.nonneg(), "list")([0.0], 1.0, [-0.0])) == bits([0.0])
+        assert np.isnan(prox_kernel(EUCLIDEAN, ProxSpec.nonneg(), "list")([1.0], 1.0, [np.nan])[0])
+
+    @pytest.mark.parametrize("linear, step, x_len, match", [
+        # the length check comes first, then the finiteness check, then the step's
+        ([np.nan, 1.0, 1.0], 0.0, 2, "dimension mismatch"),
+        ([1.0], 1.0, 2, "dimension mismatch"),
+        ([1.0, np.nan], -1.0, 2, "non-finite"),
+        ([np.inf, 1.0], np.nan, 2, "non-finite"),
+        ([1.0, -np.inf], 1.0, 2, "non-finite"),
+        ([1.0, 2.0], 0.0, 2, "step must be positive"),
+        ([1.0, 2.0], -1.0, 2, "step must be positive"),
+        ([1.0, 2.0], np.nan, 2, "step must be positive"),
+    ])
+    def test_refusals_are_the_array_kernels(self, linear, step, x_len, match):
+        for spec in list_specs(2, np.random.default_rng(5)):
+            x_bar = [0.5] * x_len
+            with pytest.raises(ValueError, match=match) as as_list:
+                prox_kernel(EUCLIDEAN, spec, "list")(linear, step, x_bar)
+            with pytest.raises(ValueError, match=match) as as_array:
+                prox_kernel(EUCLIDEAN, spec)(np.array(linear), step, np.array(x_bar))
+            assert str(as_list.value) == str(as_array.value)
+
+    def test_lists_the_bounds_do_not_fit_get_the_array_kernels_verdict(self):
+        spec = ProxSpec.box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        for n in (1, 2, 4):
+            with pytest.raises(ValueError) as as_list:
+                prox_kernel(EUCLIDEAN, spec, "list")([0.5] * n, 1.0, [0.5] * n)
+            with pytest.raises(ValueError) as as_array:
+                prox_kernel(EUCLIDEAN, spec)(np.full(n, 0.5), 1.0, np.full(n, 0.5))
+            assert str(as_list.value) == str(as_array.value)
+
+    def test_other_kinds_take_lists_through_the_array_kernel(self):
+        cases = [
+            (EUCLIDEAN, ProxSpec.simplex()),
+            (NEGATIVE_ENTROPY, ProxSpec.simplex(geometry=NEGATIVE_ENTROPY)),
+            (EUCLIDEAN, ProxSpec.scaled_l1(0.3)),
+        ]
+        for geom, spec in cases:
+            r, x_bar = [0.7, -2.0, 0.1], [0.2, 0.5, 0.3]
+            got = prox_kernel(geom, spec, "list")(r, 0.5, x_bar)
+            want = prox_kernel(geom, spec)(np.array(r), 0.5, np.array(x_bar))
+            assert type(got) is list and bits(got).tobytes() == bits(want).tobytes()
+        with pytest.raises(ValueError, match="only simplex"):
+            prox_kernel(NEGATIVE_ENTROPY, ProxSpec.box([0.0], [1.0]), "list")([0.0], 1.0, [0.5])
 
 
 class TestArrayProxChecks:

@@ -501,15 +501,18 @@ class TestMainCli:
 
     @pytest.mark.parametrize("lines, message", [
         ("problem = box_game\nblocks_m = 3", "m_blocks=3 is below 1 or does not divide the payoff dimension 4"),
+        ("problem = box_game\nblocks_m = 0", "m_blocks=0 is below 1"),
         ("problem = robust_erm\nblocks_m = 0", "m_blocks=0 is below 1"),
         ("problem = robust_erm\nn = 0", "n and m must be positive"),
         ("problem = robust_erm\nflip_prob = 2", "flip_prob must lie in [0, 1]"),
-        ("problem = robust_erm\nradius = -1", "box lower bound exceeds upper bound"),
-        ("problem = robust_erm\ndata_seed = -1", ""),
-    ], ids=["box_game_blocks_m", "erm_blocks_m", "erm_n", "erm_flip_prob", "erm_radius", "erm_data_seed"])
+        ("problem = robust_erm\nradius = -1", "radius must be nonnegative, got radius = -1.0"),
+        ("problem = robust_erm\ndata_seed = -1", "data_seed must be nonnegative, got data_seed = -1"),
+    ], ids=["box_game_blocks_m", "box_game_blocks_m_zero", "erm_blocks_m", "erm_n", "erm_flip_prob", "erm_radius",
+            "erm_data_seed"])
     def test_a_problem_that_cannot_be_built_exit_code(self, tmp_path, capsys, lines, message):
         # the problem's own ValueError (ZeroDivisionError for blocks_m = 0)
-        # used to print a traceback and exit 1
+        # used to print a traceback and exit 1; the box game read blocks_m = 0
+        # as 1 and ran
         cfg = tmp_path / "problem.cfg"
         cfg.write_text(f"{lines}\niters = 10\nrepeats = 1\n")
         out = tmp_path / "bad"

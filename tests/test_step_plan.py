@@ -10,7 +10,7 @@ import pytest
 
 import rbpda.experiments as experiments
 import rbpda.solver as solver
-from rbpda.problems import generate_robust_erm, robust_erm_problem
+from rbpda.problems import box_game_problem, generate_robust_erm, robust_erm_problem
 from rbpda.sampling import BatchSchedule, make_rng
 from rbpda.solver import RunState, SolverConfig, StepPlan, build_schedule, rbpda_step, run
 from rbpda.stepsize import BlockLipschitz, FreeParams, StepSchedule, aggregate_constants, default_free_params
@@ -78,6 +78,35 @@ def test_benchmark_erm_runs_equal_the_reference_step_bitwise(n_blocks):
         cfg = SolverConfig(mode="single_sample", eta=0.0, max_iters=1500, seed=1, stream=stream,
                            checkpoint_every=500, compute_sup_gap=False)
         assert_same_run(run(prob, cfg), reference_run(prob, cfg))
+
+
+@pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+@pytest.mark.parametrize("width", [solver.SMALL, solver.SMALL + 1])
+def test_blocks_step_in_floats_up_to_small_coordinates(width, config, monkeypatch):
+    # a box game of two blocks a side, each of SMALL coordinates (the list
+    # kernel's path) or SMALL + 1 (the array path), equals the reference's
+    # array steps bit for bit either way
+    A = np.random.default_rng(width).standard_normal((2 * width, 2 * width))
+    assert np.linalg.matrix_rank(A) == 2 * width
+    prob = box_game_problem(A, m_blocks=2, n_blocks=2)[0]
+    listed = []  # the block widths the list kernels were called on
+    inner = solver.prox_kernel
+
+    def counted(geom, spec, form="array", factored=None):
+        kernel = inner(geom, spec, form, factored)
+        if form != "list":
+            return kernel
+
+        def prox_list(linear, step, x_bar):
+            listed.append(len(x_bar))
+            return kernel(linear, step, x_bar)
+
+        return prox_list
+
+    monkeypatch.setattr(solver, "prox_kernel", counted)
+    cfg = SolverConfig(max_iters=300, seed=3, stream=1, checkpoint_every=100, **REFERENCE_CONFIGS[config])
+    assert_same_run(run(prob, cfg), reference_run(prob, cfg))
+    assert listed == ([width] * 600 if width <= solver.SMALL else [])
 
 
 def count_calls(monkeypatch, names):
