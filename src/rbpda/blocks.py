@@ -101,7 +101,8 @@ class ProxSpec:
 
     ``kind`` is one of ``zero``, ``box``, ``simplex``, ``nonneg``,
     ``scaled_l1``.  The prox of each kind has a closed form (see
-    :func:`rbpda.bregman.prox_step`).
+    :func:`rbpda.bregman.prox_step`).  A NaN box bound or ``scaled_l1``
+    weight is refused by name; infinite box bounds are allowed.
     """
 
     kind: str
@@ -118,7 +119,10 @@ class ProxSpec:
             hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
             if lo.shape != hi.shape:
                 raise ValueError("box bounds must have matching shapes")
-            if np.any(lo > hi):
+            if not (lo <= hi).all():  # one comparison on the common path; a NaN bound fails it too
+                for name, bound in (("lower", lo), ("upper", hi)):
+                    if np.isnan(bound).any():
+                        raise ValueError(f"box {name} bound has a NaN entry")
                 raise ValueError("box lower bound exceeds upper bound")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
@@ -127,8 +131,8 @@ class ProxSpec:
                 raise ValueError("simplex blocks support Euclidean or entropy geometry")
         elif self.geometry.is_entropy:
             raise ValueError("negative-entropy geometry is only defined on simplex blocks")
-        if self.kind == "scaled_l1" and self.weight < 0:
-            raise ValueError("scaled_l1 weight must be nonnegative")
+        if self.kind == "scaled_l1" and not self.weight >= 0:  # also refuses NaN
+            raise ValueError(f"scaled_l1 weight must be nonnegative, got weight = {self.weight}")
 
     # -- factories -------------------------------------------------------
     @staticmethod

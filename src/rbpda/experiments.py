@@ -8,7 +8,8 @@ their outputs are written in that order.  A baseline configuration draws
 nothing, so it runs once, at its first (seed, stream) pair.
 
 Config files are flat ``key = value`` text, optionally split into
-``[named]`` sections, one configuration per section.  Command-line flags
+``[named]`` sections, one configuration per section, each under its own
+name (a flat part is named ``default``).  Command-line flags
 override file values.  Exit codes: 0 full success, 1 any failed run, 2
 config error.
 """
@@ -349,23 +350,28 @@ def run_experiment(spec_or_specs, out: Optional[str] = None) -> Path:
     """Run every (configuration, seed) pair and write traces, summary, plot data.
 
     Individual run failures are recorded in the summary and the remaining
-    runs continue.  A setting that :class:`~rbpda.solver.SolverConfig`
-    rejects (an unknown mode, negative ``iters``, ``checkpoint_every`` below
-    1, an ``eta`` outside its mode's range, a ``batch`` below 1, a negative
-    or non-integral seed, whether ``seed`` or an entry of ``seeds``) raises
-    :class:`ConfigError` before any run, and so do ``repeats`` below 1
-    without ``seeds``, a problem that :func:`build_problem` cannot build
-    (block counts that do not divide its dimensions or are below 1, robust
-    ERM data of no rows, a ``flip_prob`` outside [0, 1], a negative
-    ``radius`` or ``data_seed``), and a constant ``batch`` above the
-    problem's p, checked once every spec's problem is built.
+    runs continue.  A configuration name used twice raises
+    :class:`ConfigError` before any run, since its traces, plot data and
+    summary rows would overwrite or mix with the first's.  A setting that
+    :class:`~rbpda.solver.SolverConfig` rejects (an unknown mode, negative
+    ``iters``, ``checkpoint_every`` below 1, an ``eta`` outside its mode's
+    range, a ``batch`` below 1, a negative or non-integral seed, whether
+    ``seed`` or an entry of ``seeds``) raises :class:`ConfigError` before
+    any run, and so do ``repeats`` below 1 without ``seeds``, a problem
+    that :func:`build_problem` cannot build (block counts that do not
+    divide its dimensions or are below 1, robust ERM data of no rows, a
+    ``flip_prob`` outside [0, 1], a negative ``radius`` or ``data_seed``),
+    and a constant ``batch`` above the problem's p, checked once every
+    spec's problem is built.
     Baseline specs take the ``iters`` and ``checkpoint_every`` checks, and
     one that sets ``batch``, ``eta``, ``restart`` or ``restart_threshold``
     away from its default raises :class:`ConfigError`, since the baseline
     never reads them.
     """
     specs = [spec_or_specs] if isinstance(spec_or_specs, ExperimentSpec) else list(spec_or_specs)
-    for spec in specs:
+    for at, spec in enumerate(specs):
+        if spec.name in (earlier.name for earlier in specs[:at]):
+            raise ConfigError(f"[{spec.name}] names two configurations; each needs its own name")
         if spec.iters < 0:  # SolverConfig would name its own field, max_iters
             raise ConfigError(f"[{spec.name}] iters must be nonnegative, got iters = {spec.iters}")
         if spec.repeats < 1 and not spec.seeds:  # no run at all

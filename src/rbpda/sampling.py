@@ -8,9 +8,9 @@ enumerates all components instead, which makes the estimate exact.
 
 A step takes its draws from a draw source: ``blocks()`` gives its dual and
 primal blocks and, once its batch size v is known, ``indices(v)`` its
-component indices, or ``index()`` its one index as an int where v is 1;
-:meth:`WordDraws.steps` gives the draws of many steps of one batch size at
-once.
+component indices.  :meth:`WordDraws.steps` gives the draws of many steps of
+one batch size at once, their indices as one block with a row per step.
+These are the only ways an index reaches a step.
 :class:`SequentialDraws` calls :func:`draw_block` and :func:`sample_indices`
 one at a time; :class:`WordDraws` draws the generator's raw 32-bit words
 ahead and maps them to blocks and indices as numpy does, so both give the
@@ -93,8 +93,7 @@ class BlockCounters:
 
     def reset(self) -> None:
         self.counts[:] = 0
-        self.low = 0
-        self._at_low = self.counts.size
+        self._set_low(0)
 
     def restart(self, k: int, eta: float, p: int, bar: int) -> bool:
         """Whether the increasing rule at the least count and k reaches ``bar``, resetting the counts where it does.
@@ -187,10 +186,10 @@ class WordDraws:
     next word w, it rejects w while ``m % 2**32 < (2**32 - r) % r`` and
     otherwise gives ``m >> 32``; a bound of 1 takes no word.  A fill draws
     the words themselves, ``rng.integers(0, 2**32, size=n, dtype=np.uint64)``,
-    and this class maps them the same way, so :meth:`blocks`,
-    :meth:`indices` and :meth:`index` give exactly what :func:`draw_block`
-    and :func:`sample_indices` give step after step, for any sequence of
-    batch sizes.
+    and this class maps them the same way, so :meth:`blocks` and
+    :meth:`indices` give exactly what :func:`draw_block` and
+    :func:`sample_indices` give step after step, for any sequence of batch
+    sizes.
 
     Each fill maps every word by N, by M and by p at once, with one flag per
     bound for a rejection anywhere in the fill.  In a fill clean for N and
@@ -219,7 +218,7 @@ class WordDraws:
         self._off = int(N > 1)  # the primal block's word, after the dual block's
         self.full = None
         self.words = np.zeros(0, dtype=np.uint64)
-        self._maps = self._dual = self._primal = self._map = self._index = None  # the words mapped by N, M and p
+        self._maps = self._dual = self._primal = self._map = None  # the words mapped by N, M and p
         self._fast = 0  # blocks are read from the maps while the position is below it
         self._clean_blocks = self._clean = True  # no rejection in the fill for N and M, and for p
         self._at = self._size = 0
@@ -238,7 +237,6 @@ class WordDraws:
         # the primal map starts at the primal block's word, so both blocks are read at one position
         self._maps = m
         self._dual, self._primal, self._map = memoryview(m[0]), memoryview(m[1, self._off:]), m[2]
-        self._index = memoryview(m[2])  # the p map's entries as ints
         self._clean_blocks = clean[0] and clean[1]
         # the last word cannot hold both blocks; blocks() then maps word by word
         self._fast = words.size - 1 if self._clean_blocks else 0
@@ -285,33 +283,20 @@ class WordDraws:
         cut = self._cut[2]
         return np.array([self._bounded(p, cut) for _ in range(v)], dtype=np.int64)
 
-    def index(self) -> int:
-        """``indices(1)``'s one index as an int, taking the words it takes: none at p = 1."""
-        if self.p == 1:
-            return 0
-        at = self._at
-        if at == self._size:
-            self._fill(1)
-            at = 0
-        if self._clean:
-            self._at = at + 1
-            return self._index[at]
-        return self._bounded(self.p, self._cut[2])
-
-    def steps(self, n: int, v: int, one: bool = False) -> tuple:
+    def steps(self, n: int, v: int) -> tuple:
         """The draws of up to ``n`` steps of batch size ``v``, at least one, as ``(duals, primals, indices)``, or None.
 
         ``duals`` and ``primals`` are int64 arrays of the blocks that
-        :meth:`blocks` would give step after step, from the same words.
-        With ``one`` (which needs v = 1) ``indices`` is an int64 array of
-        the indices :meth:`index` would give; otherwise it is a list of the
-        index arrays :meth:`indices` would give.  The steps are strided
-        views of the fill's maps, as many as it holds (it is refilled first
-        if it cannot hold one step), where it is clean for every bound they
-        take words of.  Otherwise, and where no step takes a word (N = M = 1
-        and v >= p), it gives None, and the caller takes the steps one at a
-        time.  It serves a constant batch rule, and the increasing rule
-        without restarts once it gives every step v = p.
+        :meth:`blocks` would give step after step, from the same words, and
+        ``indices`` is a read-only int64 block of one row per step, the
+        indices :meth:`indices` would give: at v >= p, ``arange(p)``
+        broadcast to every row.  The steps are strided views of the fill's
+        maps, as many as it holds (it is refilled first if it cannot hold
+        one step), where it is clean for every bound they take words of.
+        Otherwise, and where no step takes a word (N = M = 1 and v >= p), it
+        gives None, and the caller takes the steps one at a time.  It serves
+        a constant batch rule, and the increasing rule without restarts once
+        it gives every step v = p.
         """
         p = self.p
         per = self._width + (v if v < p else 0)  # the words of one step without a rejection
@@ -325,12 +310,11 @@ class WordDraws:
         # one row of `per` words per step: the dual block's word, the primal
         # block's and the indices'; a bound of 1 maps every word to 0
         m = self._maps[:, at:self._at].reshape(3, count, per)
-        if v >= p:
-            indices = np.zeros(count, dtype=np.int64) if one else [self.indices(v)] * count
-        elif one:
-            indices = m[2, :, self._width]
-        else:
-            indices = list(m[2, :, self._width:])
+        if v < p:
+            indices = m[2, :, self._width:]
+        else:  # arange(p) in every row, a zero-stride view; np.broadcast_to takes ~4x as long to make it
+            full = self.indices(v)
+            indices = np.ndarray((count, p), full.dtype, full, 0, (0, full.itemsize))  # read-only, as full is
         return m[0, :, 0], m[1, :, self._off if self.M > 1 else 0], indices
 
 
@@ -343,7 +327,8 @@ class SequentialDraws:
     each step the generator sits where those calls leave it, and it may be
     used, saved or restored between steps.  It gives the draws that
     :class:`WordDraws` takes ahead from the same generator, and serves
-    bounds of any size.
+    bounds of any size; a step that takes the one-row oracle reads its one
+    index with ``indices(1).item(0)``.
     """
 
     def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
@@ -357,10 +342,6 @@ class SequentialDraws:
     def indices(self, v: int) -> np.ndarray:
         """The step's v component indices, drawn after its blocks."""
         return np.arange(self.p) if v >= self.p else sample_indices(self.rng, v, self.p)
-
-    def index(self) -> int:
-        """``indices(1)``'s one index as an int, drawn by the same call."""
-        return 0 if self.p == 1 else sample_indices(self.rng, 1, self.p).item(0)
 
 
 def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:

@@ -231,15 +231,17 @@ class StepPlan:
     ``schedule`` and ``batch``, and ``step(state)`` is the iteration
     :func:`rbpda_step` describes.  It resolves once, when built:
 
-    * the draws: ``draws`` is the steps' draw source on ``rng``.  With
-      ``ahead`` (as :func:`run` builds it) and N, M and p of at most 2**32,
-      it is a :class:`~rbpda.sampling.WordDraws`, which draws words ahead;
-      otherwise a :class:`~rbpda.sampling.SequentialDraws`, which draws one
-      call at a time;
-    * the step sizes: a constant schedule's ``tau(0)`` and ``sigma(0)``, or
-      a diminishing schedule's :meth:`~rbpda.stepsize.StepSchedule.steps_at`,
-      whose terms :meth:`~rbpda.stepsize.StepSchedule.check_finite` checks
-      here, before any step;
+    * the draws: ``draws`` is the steps' draw source on ``rng``.  With a
+      run length ``iters`` (which only :func:`run` gives) and N, M and p of
+      at most 2**32, it is a :class:`~rbpda.sampling.WordDraws`, which draws
+      words ahead; otherwise a :class:`~rbpda.sampling.SequentialDraws`,
+      which draws one call at a time, as a step driven by hand needs;
+    * the step sizes: the schedule's
+      :meth:`~rbpda.stepsize.StepSchedule.steps_at` at the theta^k and t^k
+      of :meth:`~rbpda.stepsize.StepSchedule.columns`, in either regime
+      (ones for a constant schedule), and for a diminishing schedule
+      :meth:`~rbpda.stepsize.StepSchedule.check_finite`, called here,
+      before any step;
     * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
       for a one-coordinate dual block its coordinate and float kernel, for
       any other zero, box or nonneg block of at most :data:`SMALL`
@@ -280,7 +282,9 @@ class StepPlan:
     Otherwise (the increasing rule below p or with restarts, a replaced
     batch rule, a :class:`~rbpda.sampling.SequentialDraws`), or where the
     read gives None, each row calls ``draws.blocks()``, the batch rule, then
-    ``draws.index()`` (one-row oracle) or ``draws.indices(v)``.  With
+    ``draws.indices(v)``.  A row's indices are an index array, or where the
+    step takes the one-row oracle (v = 1) the one index as an int: the read
+    block's column 0, or the per-row draw's ``item(0)``.  With
     ``restart_threshold``, an increasing rule's row then applies
     :meth:`~rbpda.sampling.BlockCounters.restart`, the test of
     :func:`restart_if_saturated`, at its counts and k + 1, resetting the
@@ -297,12 +301,12 @@ class StepPlan:
     """
 
     def __init__(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
-                 batch: BatchSchedule, ahead: bool = False, acc: Optional["ErgodicAccumulator"] = None,
+                 batch: BatchSchedule, acc: Optional["ErgodicAccumulator"] = None,
                  iters: float = math.inf, restart_threshold: Optional[float] = None):
         st = problem.structure
         self.problem, self.rng, self.schedule, self.batch = problem, rng, schedule, batch
         M, N, p = st.M, st.N, problem.p
-        source = WordDraws if ahead and max(N, M, p) <= WORD_BOUND else SequentialDraws
+        source = WordDraws if iters < math.inf and max(N, M, p) <= WORD_BOUND else SequentialDraws
         self.draws = source(rng, N, M, p)
         self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size, acc, iters, restart_threshold)
 
@@ -313,7 +317,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
     M_float = float(M)  # a float scalar multiplies an array faster than an int, to the same bits
-    blocks, take_indices, take_index = draws.blocks, draws.indices, draws.index
+    blocks, take_indices = draws.blocks, draws.indices
     kernels = {}  # blocks that share a spec object share its kernel
 
     def kernel(spec, form="array", factored=None):
@@ -361,10 +365,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         for dim, spec in zip(st.primal.dims, problem.primal_prox)
     ]
     constant = schedule.mode == "constant"
-    if constant:
-        taus = np.asarray(schedule.tau(0), dtype=float)
-        sigmas = np.asarray(schedule.sigma(0), dtype=float)
-    else:
+    if not constant:
         schedule.check_finite()
     if acc is not None:
         weights = acc.weights
@@ -389,14 +390,15 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         while True:
             n = max(1, min(size, iters - k))
             one_row = problem.batch_grad_x is factors
-            one = one_row and v_bulk == 1
             got = (bulk and (not increasing or increasing_batch_size(counters.low, k, batch.eta, p) >= p)
-                   and draws.steps(n, v_bulk, one))
+                   and draws.steps(n, v_bulk))
             if got:
-                js, is_, indices = got
+                js, is_, block = got
                 n, vs, again = len(js), repeat(v_bulk), repeat(False)
-                if one:
-                    indices = memoryview(indices)
+                # the one-row oracle takes its index as an int; at v >= p every row is
+                # the same arange(p), which one view serves, as a view per row costs ~0.1 µs
+                indices = (memoryview(block[:, 0]) if one_row and v_bulk == 1
+                           else list(block) if v_bulk < p else repeat(block[0]))
                 if increasing:  # the counts the batch rule records row by row
                     counters.add(is_)
             else:
@@ -406,15 +408,12 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                     v = batch_size(batch, counters, i, row_k, p)
                     # restart_if_saturated's test at k + 1, which resets the counts where it holds
                     again = bar is not None and counters.restart(row_k + 1, batch.eta, p, bar)
-                    rows.append((j, i, v, take_index() if v == 1 and one_row else take_indices(v), again))
+                    rows.append((j, i, v, take_indices(1).item(0) if v == 1 and one_row else take_indices(v), again))
                 js, is_, vs, indices, again = zip(*rows)
                 js, is_ = np.array(js), np.array(is_)
-            if constant:  # theta = t = 1
-                tau, sigma, th = taus[is_], sigmas[js], np.ones(n)
-            else:
-                theta, t = schedule.columns(range(k, k + n + 1))
-                th, t = theta[:-1], t[:-1]
-                tau, sigma = schedule.steps_at(is_, js, th, t)
+            theta, t = schedule.columns(range(k, k + n + 1))  # ones for a constant schedule
+            th, t = theta[:-1], t[:-1]
+            tau, sigma = schedule.steps_at(is_, js, th, t)
             if constant or acc is None:  # uniform weights leave t_total at 0; without acc nothing is folded
                 w_x, w_y, totals = th, th, np.zeros(n)
             else:
@@ -776,16 +775,17 @@ def rbpda_step(
 
     The step is ``state.plan``'s (:class:`StepPlan`), which resolved the
     step sizes, the prox kernels, the draw source and the batch rule once.
-    :func:`run` builds a plan that draws ahead and whose step also folds
-    the ergodic averages and restarts, and a replaced ``rbpda_step`` that
-    calls this one (a tracing wrapper) takes that plan.  Otherwise this
-    function builds a plan for the problem, ``rng``, ``schedule`` and
-    ``batch`` on its first call, and again, forgetting the kept dual row,
-    when one of them changes (an equal batch rule keeps it).  That plan
-    neither folds nor restarts (a caller driving steps by hand calls
-    :meth:`ErgodicAccumulator.update` and :func:`restart_if_saturated`),
-    and it draws one call at a time: after each step that returns, ``rng``
-    sits where :func:`~rbpda.sampling.draw_block` and
+    :func:`run` builds a plan with its length, which draws ahead and whose
+    step also folds the ergodic averages and restarts, and a replaced
+    ``rbpda_step`` that calls this one (a tracing wrapper) takes that plan.
+    Otherwise this function builds a plan for the problem, ``rng``,
+    ``schedule`` and ``batch`` on its first call, and again, forgetting the
+    kept dual row, when one of them changes (an equal batch rule keeps it).
+    That plan has no length and neither folds nor restarts (a caller
+    driving steps by hand calls :meth:`ErgodicAccumulator.update` and
+    :func:`restart_if_saturated`), so it draws one call at a time: after
+    each step that returns, ``rng`` sits where
+    :func:`~rbpda.sampling.draw_block` and
     :func:`~rbpda.sampling.sample_indices` called in turn leave it, and
     after a step that raised, as during and after a run, its position is
     unspecified.  Such a plan fills a one-row table of control rows per
@@ -806,7 +806,7 @@ def rbpda_step(
     linear term is one weighted ``batch_grad_x`` call.  At batch size 1, on
     a problem with a ``one_row_grad_x`` whose ``batch_grad_x`` is still the
     one it was built with, it is one ``one_row_grad_x`` call instead, on
-    the one index the draw source gives as an int: the term stays ``(coef,
+    the one index of its control row, as an int: the term stays ``(coef,
     row)``, and the prox kernel forms ``M * (coef * row)`` in place, to the
     same bits (see :class:`~rbpda.blocks.SaddleProblem`).  Likewise, on a
     one-coordinate dual block of a problem with a ``one_row_grad_y`` whose
@@ -938,7 +938,7 @@ def run(
     state = RunState.start(problem, config.x0, config.y0)
     acc = ErgodicAccumulator(st.M, st.N, state.x, state.y, schedule)
     acc.follow(state.x, state.y)  # the plan's step folds x^k and y^k before it overwrites them
-    state.plan = StepPlan(problem, rng, schedule, batch, ahead=True, acc=acc, iters=config.max_iters,
+    state.plan = StepPlan(problem, rng, schedule, batch, acc=acc, iters=config.max_iters,
                           restart_threshold=config.restart_threshold if config.restart_enabled else None)
     if problem.coupling_cache is not None:
         v_max = p if batch.kind == "increasing" else batch.v

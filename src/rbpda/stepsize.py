@@ -252,18 +252,17 @@ def _frozen_copy(obj):
 
 
 def _bind_steps(template, terms):
-    """One side's diminishing step bound twice, as ``(vector, gathered)``.
+    """One side's diminishing step, as ``gathered(blocks)``: a function of (theta, t) at the blocks in ``blocks``.
 
     The template is ``1 / (n * (diag + count*theta*inv + rest... + noise/t))``
     summed left to right, a function of (theta, t) with the terms bound as
-    defaults, which a call reads as locals.  ``vector`` is it bound to the
-    side's arrays, and ``gathered(blocks)`` to the entries of the blocks in
-    ``blocks``: an index array, one entry per entry of the theta and t it is
-    then called on, or one block's index.  It uses only +, * and /, which
-    numpy computes elementwise and correctly rounded, as Python does on
-    floats, so the vector function's entries, its table at columns of theta
-    and t, and the gathered function's entries are the same floats bit for
-    bit.
+    defaults, which a call reads as locals.  ``gathered(blocks)`` binds it
+    to the entries of the side's arrays at ``blocks``: an index array, one
+    entry per entry of the theta and t it is then called on, one block's
+    index, or ``slice(None)`` for the whole vector.  It uses only +, * and
+    /, which numpy computes elementwise and correctly rounded, as Python
+    does on floats, so the vector's entries, its table at columns of theta
+    and t, and the gathered entries are the same floats bit for bit.
     """
     n, count, inv, *arrays = terms
     arrays = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in arrays]
@@ -271,7 +270,7 @@ def _bind_steps(template, terms):
     def gathered(blocks):
         return template(n, count, inv, *(v[blocks] for v in arrays))
 
-    return template(*terms), gathered
+    return gathered
 
 
 @dataclass
@@ -287,13 +286,11 @@ class StepSchedule:
     schedule without ``agg`` and ``fp`` gives only theta(k) and t(k), and
     its M and N are None.
     ``tau(k)`` and ``sigma(k)`` return the step vectors, a constant
-    schedule's own arrays, read-only.  With a block index,
-    ``tau(k, i)`` and ``sigma(k, j)`` return that block's step as a float in
-    O(1), bitwise equal to the vector entry.  ``theta(k)`` and ``t(k)`` are
-    :func:`schedule_theta` and :func:`schedule_t`.  A run's step plan reads
-    the same floats through :meth:`steps_at`, one step at a time or, with
-    :meth:`columns`, a chunk of steps at a time.  The fields are read once,
-    at construction.
+    schedule's own arrays, read-only; ``tau(k)[i]`` is block i's step.
+    ``theta(k)`` and ``t(k)`` are :func:`schedule_theta` and
+    :func:`schedule_t`.  A run's step plan reads the same floats through
+    :meth:`steps_at` and :meth:`columns`, a chunk of steps at a time.  The
+    fields are read once, at construction.
     """
 
     mode: str
@@ -325,8 +322,8 @@ class StepSchedule:
             if fp.beta.shape not in ((1,), (self.N,)):
                 raise ValueError(f"beta has shape {fp.beta.shape}; it needs 1 or N = {self.N} entries")
             self._tau_terms, self._sigma_terms = _diminishing_terms(agg, fp)
-            self._tau_vec, self._tau_of = _bind_steps(_tau_step, self._tau_terms)
-            self._sigma_vec, self._sigma_of = _bind_steps(_sigma_step, self._sigma_terms)
+            self._tau_of = _bind_steps(_tau_step, self._tau_terms)
+            self._sigma_of = _bind_steps(_sigma_step, self._sigma_terms)
         self._power = 0.5 * (1.0 + self.eta)  # the exponent of schedule_theta and schedule_t
 
     def columns(self, ks: range) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +352,7 @@ class StepSchedule:
         ``primal_blocks`` and ``dual_blocks`` are index arrays, and
         ``theta`` and ``t`` arrays of the same length (a constant schedule
         ignores them); entry s of ``tau`` is block ``primal_blocks[s]``'s
-        step at (theta[s], t[s]), bit for bit the float of ``tau(k, i)``
+        step at (theta[s], t[s]), bit for bit the float of ``tau(k)[i]``
         where (theta[s], t[s]) is (theta(k), t(k)) (see :func:`_bind_steps`),
         and likewise ``sigma``.  Two block indices and two floats give the
         two blocks' steps as numpy floats, with the same bits.
@@ -379,21 +376,19 @@ class StepSchedule:
             if not all(np.isfinite(v).all() for v in terms):
                 raise ValueError("non-finite step-size denominator")
 
-    def tau(self, k: int, i: Optional[int] = None):
+    def tau(self, k: int) -> np.ndarray:
         if self.mode == "constant":
-            return self._tau0 if i is None else float(self._tau0[i])
+            return self._tau0
         if self._missing:
             raise ValueError(f"tau(k) needs a schedule with {self._missing}")
-        th, t = schedule_theta(k, self.eta), schedule_t(k, self.eta)
-        return self._tau_vec(th, t) if i is None else float(self._tau_of(i)(th, t))
+        return self._tau_of(slice(None))(schedule_theta(k, self.eta), schedule_t(k, self.eta))
 
-    def sigma(self, k: int, j: Optional[int] = None):
+    def sigma(self, k: int) -> np.ndarray:
         if self.mode == "constant":
-            return self._sigma0 if j is None else float(self._sigma0[j])
+            return self._sigma0
         if self._missing:
             raise ValueError(f"sigma(k) needs a schedule with {self._missing}")
-        th, t = schedule_theta(k, self.eta), schedule_t(k, self.eta)
-        return self._sigma_vec(th, t) if j is None else float(self._sigma_of(j)(th, t))
+        return self._sigma_of(slice(None))(schedule_theta(k, self.eta), schedule_t(k, self.eta))
 
     def theta(self, k: int) -> float:
         return 1.0 if self.mode == "constant" else schedule_theta(k, self.eta)
@@ -451,7 +446,7 @@ def _chunk_slacks(schedule: StepSchedule, ks: range) -> dict:
         tau, sigma = (np.broadcast_to(v, (len(ks), v.size)) for v in (schedule._tau0, schedule._sigma0))
     else:
         theta, t = (v[:, None] for v in schedule.columns(ks))
-        tau, sigma = schedule._tau_vec(theta, t), schedule._sigma_vec(theta, t)
+        tau, sigma = schedule._tau_of(slice(None))(theta, t), schedule._sigma_of(slice(None))(theta, t)
     m1, m2, m3, m4 = _m_matrices(schedule, theta, tau, sigma)
     fp = schedule._fp
     now, nxt = slice(None, -1), slice(1, None)

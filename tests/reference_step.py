@@ -24,7 +24,7 @@ import numpy as np
 
 from rbpda import solver
 from rbpda.bregman import prox_step
-from rbpda.sampling import BatchSchedule, SequentialDraws, make_rng, next_batch_size
+from rbpda.sampling import BatchSchedule, draw_block, make_rng, next_batch_size, sample_indices
 from rbpda.solver import RunState, SolverError, build_schedule, restart_if_saturated
 from rbpda.stepsize import schedule_t, schedule_theta
 
@@ -81,8 +81,7 @@ def reference_step(state, problem, schedule, batch, rng):
     cache = state.cache
     kw = {} if cache is None else {"cache": cache}
 
-    draws = SequentialDraws(rng, N, M, p)  # draws nothing ahead, so one per step is the same source
-    j, i = draws.blocks()
+    j, i = draw_block(rng, N), draw_block(rng, M)
     kept = state.dual_row
     if kept is not None and (
         kept[0] != j or kept[2] is not cache or (cache is not None and kept[3] != cache.syncs)
@@ -113,7 +112,7 @@ def reference_step(state, problem, schedule, batch, rng):
     y_next[at_j] = y_blk
     try:
         v = next_batch_size(batch, state.counters, i, k, p)
-        indices = draws.indices(v)
+        indices = np.arange(p) if v >= p else sample_indices(rng, v, p)
         c = (N - 1) * theta
         try:
             r = M * np.asarray(

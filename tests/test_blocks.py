@@ -60,6 +60,18 @@ class TestProxSpec:
         with pytest.raises(ValueError):
             ProxSpec.box([1.0], [0.0])
 
+    @pytest.mark.parametrize("lower, upper, name", [([np.nan], [1.0], "lower"), ([0.0, 0.0], [1.0, np.nan], "upper")])
+    def test_nan_box_bound_rejected_by_name(self, lower, upper, name):
+        # a NaN bound used to build a box whose contains() is False everywhere
+        with pytest.raises(ValueError, match=f"box {name} bound has a NaN entry"):
+            ProxSpec.box(lower, upper)
+
+    @pytest.mark.parametrize("weight", [np.nan, -1.0])
+    def test_scaled_l1_weight_below_zero_or_nan_rejected_by_name(self, weight):
+        # a NaN weight used to build a spec whose prox returns NaN
+        with pytest.raises(ValueError, match=f"scaled_l1 weight must be nonnegative, got weight = {weight}"):
+            ProxSpec.scaled_l1(weight)
+
     def test_simplex_geometry_restriction(self):
         with pytest.raises(ValueError):
             ProxSpec("nonneg", geometry=__import__("rbpda.bregman", fromlist=["NEGATIVE_ENTROPY"]).NEGATIVE_ENTROPY)

@@ -8,7 +8,15 @@ import pytest
 import rbpda.solver as solver
 from rbpda import sampling
 from rbpda.problems import generate_robust_erm, robust_erm_problem
-from rbpda.sampling import BatchSchedule, BlockCounters, increasing_batch_size, make_rng, next_batch_size
+from rbpda.sampling import (
+    BatchSchedule,
+    BlockCounters,
+    draw_block,
+    increasing_batch_size,
+    make_rng,
+    next_batch_size,
+    sample_indices,
+)
 from rbpda.solver import SolverConfig, SolverError, run
 
 from reference_step import reference_run
@@ -130,12 +138,14 @@ def test_strided_reads_start_where_the_increasing_rule_saturates(name, mode, mon
     prob = lockstep_problem(name)
     st, p, iters = prob.structure, prob.p, 1000
     cfg = config(prob, mode, max_iters=iters, compute_sup_gap=False)
-    draws = sampling.SequentialDraws(make_rng(cfg.seed, cfg.stream), st.N, st.M, p)
+    rng = make_rng(cfg.seed, cfg.stream)
     counters, lows = BlockCounters.zeros(st.M), []
     for k in range(iters):
         lows.append(counters.low)
-        i = draws.blocks()[1]
-        draws.indices(next_batch_size(BatchSchedule.increasing(cfg.eta), counters, i, k, p))
+        draw_block(rng, st.N)
+        v = next_batch_size(BatchSchedule.increasing(cfg.eta), counters, draw_block(rng, st.M), k, p)
+        if v < p:  # at v >= p the step enumerates every component and draws nothing
+            sample_indices(rng, v, p)
     first = next(k for k in fill_starts(iters) if increasing_batch_size(lows[k], k, cfg.eta, p) == p)
     at, reads = [], []
     inner_step, inner_steps = solver.rbpda_step, sampling.WordDraws.steps

@@ -127,15 +127,17 @@ class TestRunExperiment:
             assert {r["runs"] for r in csv.DictReader(fh)} == {"1"}
 
     def test_identical_seeds_identical_traces(self, tmp_path):
-        spec = ExperimentSpec(
-            name="same", iters=200, seeds=(5, 5), checkpoint_every=50, out=str(tmp_path / "s")
-        )
-        out_dir = run_experiment(spec)
-        t0 = (out_dir / "trace_same_s5_r0.csv").read_text()
-        assert t0 == t0  # file written once per (seed, stream); duplicate seeds collapse
-        with open(out_dir / "summary.csv") as fh:
-            rows = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
-        assert len({r["final_gap"] for r in rows}) == 1
+        # two separate experiments at seed 5 write the same trace file, and a
+        # seed listed twice gives the same run twice
+        traces = []
+        for out, seeds in (("s", (5, 5)), ("t", (5,))):
+            spec = ExperimentSpec(name="same", iters=200, seeds=seeds, checkpoint_every=50, out=str(tmp_path / out))
+            out_dir = run_experiment(spec)
+            traces.append((out_dir / "trace_same_s5_r0.csv").read_text())
+            with open(out_dir / "summary.csv") as fh:
+                rows = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
+            assert len(rows) == len(seeds) and len({r["final_gap"] for r in rows}) == 1
+        assert traces[0] == traces[1] and traces[0].count("\n") > 2
 
     def test_runs_execute_sequentially_in_order(self, tmp_path, monkeypatch):
         # the retired worker variable must not bring back concurrent runs
@@ -518,6 +520,20 @@ class TestMainCli:
         out = tmp_path / "bad"
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: [default] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, name", [
+        ("[a]\niters = 10\n[b]\niters = 10\n[a]\niters = 20\n", "a"),
+        ("iters = 10\n[default]\niters = 20\n", "default"),
+    ], ids=["two_sections", "flat_part_and_default"])
+    def test_a_configuration_name_used_twice_exit_code(self, tmp_path, capsys, text, name):
+        # the second [a] used to run too: it overwrote the first's trace and
+        # plot-data files, and summary.csv held two rows named a
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"problem = box_game\nrepeats = 1\n{text}")
+        out = tmp_path / "bad"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: [{name}] names two configurations" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("repeats", [0, -2])

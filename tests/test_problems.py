@@ -279,6 +279,11 @@ class TestBoxGame:
         assert prob.lipschitz.Lxy[0, 1] == pytest.approx(np.linalg.norm(A[:2, 2:], 2))
         assert prob.lipschitz.Lyx[1, 0] == pytest.approx(np.linalg.norm(A[:2, 2:], 2))
 
+    def test_a_nan_half_width_is_refused(self):
+        # it used to build boxes of NaN bounds, which contain no point
+        with pytest.raises(ValueError, match="box lower bound has a NaN entry"):
+            box_game_problem(np.eye(2), half_width=np.nan)
+
 
 @pytest.mark.parametrize("blocks", [0, -2])
 @pytest.mark.parametrize("build, name", [

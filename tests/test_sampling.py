@@ -135,38 +135,6 @@ class TestWordDraws:
             part[0] = 1
 
 
-class TestSingleIndex:
-    """``index()`` gives ``indices(1)``'s index as an int and takes the same words."""
-
-    @pytest.mark.parametrize("p", [1, 2, 200, BIG])
-    @pytest.mark.parametrize("source", [WordDraws, SequentialDraws])
-    def test_index_takes_what_indices_of_one_takes(self, source, p, monkeypatch):
-        # steps alternate index() with indices(v) across small fills; a twin
-        # source on the same seed takes indices(1) where the first takes
-        # index(), and both generators stay in step
-        monkeypatch.setattr(sampling, "WORD_CHUNK", 8)
-        got, want = source(make_rng(11), 7, 3, p), source(make_rng(11), 7, 3, p)
-        for t in range(120):
-            assert got.blocks() == want.blocks()
-            if t % 3 == 2:
-                assert np.array_equal(got.indices(2), want.indices(2))
-            else:
-                l = got.index()
-                assert type(l) is int and [l] == want.indices(1).tolist(), t
-            assert got.rng.bit_generator.state == want.rng.bit_generator.state
-        if source is WordDraws:
-            assert (got._at, got._size) == (want._at, want._size)
-
-    def test_index_at_one_component_takes_no_word(self):
-        draws = WordDraws(make_rng(2), 5, 4, 1)
-        draws.blocks()
-        at, words = draws._at, draws.words
-        assert draws.index() == 0 and (draws._at, draws.words) == (at, words)
-        rng = make_rng(2)
-        state = rng.bit_generator.state
-        assert SequentialDraws(rng, 5, 4, 1).index() == 0 and rng.bit_generator.state == state
-
-
 class TestBulkSteps:
     """``WordDraws.steps`` gives the one-step-at-a-time draws, from the same words, or None."""
 
@@ -183,30 +151,35 @@ class TestBulkSteps:
         # alternate with single steps, across fills of 1 to 4096 words, and
         # with bounds that reject about half the words; where a read gives
         # None (a fill with a rejection, or steps without words), the caller
-        # takes a single step instead
+        # takes a single step instead.  With ``one`` the indices are taken
+        # as the one-row oracle takes them at v = 1: a read's column 0, or a
+        # single step's item(0), as ints
         monkeypatch.setattr(sampling, "WORD_CHUNK", chunk)
         rng, ref = make_rng(N + M + p, v), make_rng(N + M + p, v)
         draws = WordDraws(rng, N, M, p)
         t = reads = 0
         while t < 700:
             n = (1, 256, 5, 17)[reads % 4]
-            got = draws.steps(n, v, one)
+            got = draws.steps(n, v)
             reads += 1
             if got is None:
                 assert max(N, M, p) == BIG or N == M == 1 and v >= p
                 j, i = draws.blocks()
-                index, want = draws.index() if one else draws.indices(v), sequential_step(ref, N, M, p, v)
+                index, want = draws.indices(v), sequential_step(ref, N, M, p, v)
+                if one:
+                    index = index.item(0)
+                    assert type(index) is int, t
                 assert (j, i) == want[:2] and np.array_equal(np.atleast_1d(index), want[2]), t
                 t += 1
                 continue
             js, is_, indices = got
             assert 1 <= len(js) <= n and len(is_) == len(indices) == len(js)
-            assert js.dtype == is_.dtype == np.int64 and (not one or indices.dtype == np.int64)
-            for j, i, got in zip(js.tolist(), is_.tolist(), indices.tolist() if one else indices):
+            assert js.dtype == is_.dtype == indices.dtype == np.int64 and indices.shape[1] == min(v, p)
+            for j, i, got in zip(js.tolist(), is_.tolist(), memoryview(indices[:, 0]) if one else indices):
                 want = sequential_step(ref, N, M, p, v)
                 assert (j, i) == want[:2], t
                 if one:
-                    assert [got] == want[2].tolist(), t
+                    assert type(got) is int and [got] == want[2].tolist(), t
                 else:
                     assert got.dtype == np.int64 and np.array_equal(got, want[2]), t
                     if p < BIG:  # a view of a clean fill's map, which a step must not write
@@ -223,8 +196,8 @@ class TestBulkSteps:
         rng = make_rng(3)
         state = rng.bit_generator.state
         draws = WordDraws(rng, 1, 1, 1)
-        assert draws.steps(4, 1, True) is None and draws.steps(3, 2) is None
-        assert [draws.blocks() for _ in range(3)] == [(0, 0)] * 3 and draws.index() == 0
+        assert draws.steps(4, 1) is None and draws.steps(3, 2) is None
+        assert [draws.blocks() for _ in range(3)] == [(0, 0)] * 3
         full = draws.indices(2)
         assert draws.indices(1) is full and full.tolist() == [0]
         assert rng.bit_generator.state == state and draws.words.size == 0
@@ -232,22 +205,24 @@ class TestBulkSteps:
 
 class TestSequentialDraws:
     def test_bounds_past_32_bits_are_drawn_one_call_at_a_time(self, small_erm):
-        # 32-bit words cannot be mapped to a bound past 2**32, so a plan that
-        # draws ahead gets the one-call source there, with the sequential
-        # draws, and leaves the generator where they leave it
+        # 32-bit words cannot be mapped to a bound past 2**32, so a plan with
+        # a run length, which draws ahead, gets the one-call source there,
+        # with the sequential draws, and leaves the generator where they
+        # leave it; a plan without one, as a step driven by hand builds it,
+        # draws one call at a time
         big = SimpleNamespace(structure=small_erm.structure, p=2**32 + 1,
                               dual_prox=small_erm.dual_prox, primal_prox=small_erm.primal_prox)
         st = small_erm.structure
         rng, ref = make_rng(5), make_rng(5)
         sched = build_schedule(small_erm, SolverConfig())
         batch = BatchSchedule.constant(1, small_erm.p)
-        draws = StepPlan(big, rng, sched, batch, ahead=True).draws
+        draws = StepPlan(big, rng, sched, batch, iters=10).draws
         assert isinstance(draws, SequentialDraws)
         for v in (1, 3, 2):
             got, want = take(draws, v), sequential_step(ref, st.N, st.M, big.p, v)
             assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
             assert rng.bit_generator.state == ref.bit_generator.state
-        assert isinstance(StepPlan(small_erm, rng, sched, batch, ahead=True).draws, WordDraws)
+        assert isinstance(StepPlan(small_erm, rng, sched, batch, iters=10).draws, WordDraws)
         assert isinstance(StepPlan(small_erm, rng, sched, batch).draws, SequentialDraws)
 
 

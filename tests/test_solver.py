@@ -69,7 +69,7 @@ def scalar_bilinear_problem():
 
 
 class FixedSchedule:
-    """Constant schedule with caller-chosen steps, for hand simulations."""
+    """Constant schedule with caller-chosen steps, for hand simulations: what a step plan and the reference read."""
 
     mode = "constant"
 
@@ -77,11 +77,17 @@ class FixedSchedule:
         self._tau = np.atleast_1d(np.asarray(tau, float))
         self._sigma = np.atleast_1d(np.asarray(sigma, float))
 
-    def tau(self, k, i=None):
-        return self._tau if i is None else float(self._tau[i])
+    def tau(self, k):
+        return self._tau
 
-    def sigma(self, k, j=None):
-        return self._sigma if j is None else float(self._sigma[j])
+    def sigma(self, k):
+        return self._sigma
+
+    def columns(self, ks):
+        return np.ones(len(ks)), np.ones(len(ks))
+
+    def steps_at(self, primal_blocks, dual_blocks, theta, t):
+        return self._tau[primal_blocks], self._sigma[dual_blocks]
 
     def theta(self, k):
         return 1.0

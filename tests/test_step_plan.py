@@ -214,7 +214,7 @@ def test_a_plan_builds_for_a_problem_like_object_without_grad_y():
     sched = build_schedule(prob, SolverConfig(mode="single_sample"))
     acc = solver.ErgodicAccumulator(prob.structure.M, prob.structure.N, prob.start_x, prob.start_y, sched)
     for fold_with in (None, acc):
-        plan = StepPlan(like, make_rng(1), sched, BatchSchedule.constant(1, prob.p), ahead=True, acc=fold_with)
+        plan = StepPlan(like, make_rng(1), sched, BatchSchedule.constant(1, prob.p), acc=fold_with, iters=10)
         assert callable(plan.step)
 
 
@@ -227,7 +227,7 @@ def test_non_finite_diminishing_terms_refused_before_any_step():
     with np.errstate(over="ignore", invalid="ignore"):
         agg = aggregate_constants(overflowing_lipschitz())
         sched = StepSchedule("diminishing", agg, FreeParams(1.0, 1.0, 1.0, 1.0, [1.0], [1.0]))
-    assert math.isnan(sched.tau(0, 0))  # the schedule itself takes them
+    assert math.isnan(sched.tau(0)[0])  # the schedule itself takes them
     prob = scalar_bilinear_problem()
     state = RunState.start(prob)
     with pytest.raises(ValueError, match="non-finite step-size denominator"):

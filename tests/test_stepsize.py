@@ -200,7 +200,7 @@ class TestScheduleInputs:
         assert (sched.theta(3), sched.t(3)) == (schedule_theta(3, 0.25), schedule_t(3, 0.25))
         for name, call in (
             ("tau", lambda: sched.tau(3)),
-            ("sigma", lambda: sched.sigma(3, 0)),
+            ("sigma", lambda: sched.sigma(3)),
             ("validate_stepsize_condition", lambda: validate_stepsize_condition(sched, k_max=3)),
         ):
             with pytest.raises(ValueError, match=rf"^{name}(\(k\))? needs a schedule with agg and fp$"):
@@ -360,7 +360,7 @@ class TestStepsizeCondition:
             for delta_bar in (0.0, 0.1):
                 sched = StepSchedule(mode, agg, default_free_params(agg, mode, delta_bar), eta=eta)
                 want = _per_k_slacks(sched, k_max)
-                calls = {"tau": 0, "sigma": 0, "_tau_vec": 0, "_sigma_vec": 0}
+                calls = {"tau": 0, "sigma": 0, "_tau_of": 0, "_sigma_of": 0}
                 for name in calls:
                     if hasattr(sched, name):
                         def counted(*args, _name=name, _fn=getattr(sched, name)):
@@ -369,7 +369,7 @@ class TestStepsizeCondition:
                         setattr(sched, name, counted)
                 got = validate_stepsize_condition(sched, k_max=k_max)
                 chunks = -(-(k_max + 1) // 64) if mode == "diminishing" else 0
-                assert calls == {"tau": 0, "sigma": 0, "_tau_vec": chunks, "_sigma_vec": chunks}
+                assert calls == {"tau": 0, "sigma": 0, "_tau_of": chunks, "_sigma_of": chunks}
                 assert list(got.min_slacks) == list(want)
                 assert [v.hex() for v in got.min_slacks.values()] == [v.hex() for v in want.values()]
                 if mode == "constant":
@@ -450,12 +450,14 @@ def _per_k_slacks(schedule, k_max):
 
 def _validator_tables(schedule, name, k_max):
     # the tables the validator fills through the schedule's side ``name``
-    # ("_tau_vec" or "_sigma_vec"), one per chunk, in order
+    # ("_tau_of" or "_sigma_of"), one per chunk, in order
     tables, bound = [], getattr(schedule, name)
 
-    def recorded(th, t):
-        tables.append(bound(th, t))
-        return tables[-1]
+    def recorded(blocks):
+        def step(th, t):
+            tables.append(bound(blocks)(th, t))
+            return tables[-1]
+        return step
 
     setattr(schedule, name, recorded)
     try:
@@ -488,6 +490,12 @@ def _explicit_diminishing(agg, fp, M, N, eta, k):
     return 1.0 / (M * tau_den), 1.0 / (N * sigma_den)
 
 
+def one_block_steps(sched, M, N, th, t):
+    # steps_at at one block per side, every block of both sides in turn, as (tau, sigma) lists
+    ones = [sched.steps_at(b % M, b % N, th, t) for b in range(max(M, N))]
+    return [a.item() for a, _ in ones[:M]], [b.item() for _, b in ones[:N]]
+
+
 class TestPerBlockSteps:
     @pytest.mark.parametrize("M,N", [(1, 1), (3, 5), (10, 200)])
     def test_block_steps_equal_vector_entries(self, M, N, monkeypatch):
@@ -503,8 +511,8 @@ class TestPerBlockSteps:
             sched = StepSchedule(mode="constant", agg=agg, fp=fp_c)
             tau, sigma = constant_stepsizes(agg, fp_c)
             for k in (0, 300):
-                assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
-                assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
+                assert sched.tau(k).tolist() == tau.tolist() and sched.sigma(k).tolist() == sigma.tolist()
+                assert one_block_steps(sched, M, N, None, None) == (tau.tolist(), sigma.tolist())
             for eta in (0.0, 0.3, 0.9):
                 sched = StepSchedule(mode="diminishing", agg=agg, fp=fp_d, eta=eta)
                 for k in range(301):
@@ -514,28 +522,24 @@ class TestPerBlockSteps:
                     assert sigma.tolist() == ref_sigma.tolist()
                     th, t = sched.theta(k), sched.t(k)
                     assert (th, t) == (schedule_theta(k, eta), schedule_t(k, eta))
-                    assert [sched.tau(k, i) for i in range(M)] == tau.tolist()
-                    assert [sched.sigma(k, j) for j in range(N)] == sigma.tolist()
                     assert [v.tolist() for v in sched.steps_at(np.arange(M), np.arange(N), th, t)] == [
                         tau.tolist(), sigma.tolist()]
-                    ones = [sched.steps_at(i, j, th, t) for i, j in zip(range(M), range(N))]
-                    assert [(a.item(), b.item()) for a, b in ones] == list(zip(tau.tolist(), sigma.tolist()))
-                assert type(sched.tau(0, 0)) is float and type(sched.sigma(0, 0)) is float
+                    assert one_block_steps(sched, M, N, th, t) == (tau.tolist(), sigma.tolist())
                 assert np.array_equal(sched.tau(7), _explicit_diminishing(agg, fp_d, M, N, eta, 7)[0])
-                for name, at in (("_tau_vec", sched.tau), ("_sigma_vec", sched.sigma)):
+                for name, at in (("_tau_of", sched.tau), ("_sigma_of", sched.sigma)):
                     tables = _validator_tables(sched, name, k_max=300)
                     assert len(tables) == 3
                     # consecutive chunks share a row: k = 0..128, 128..256, 256..301
                     rows = np.concatenate([tables[0]] + [table[1:] for table in tables[1:]])
-                    assert rows.shape == (302, M if name == "_tau_vec" else N)
+                    assert rows.shape == (302, M if name == "_tau_of" else N)
                     for k in range(302):
-                        assert rows[k].tolist() == [at(k, b) for b in range(rows.shape[1])], (name, k)
+                        assert rows[k].tolist() == at(k).tolist(), (name, k)
 
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.3, 0.999])
     def test_columns_and_gathered_steps_equal_the_per_step_floats(self, eta):
         # a chunk of control rows takes theta^k, t^k and the drawn blocks'
         # steps as arrays; each entry is the float of theta(k), t(k),
-        # tau(k, i) and sigma(k, j), also far into a run, where (k+1)/k rounds
+        # tau(k)[i] and sigma(k)[j], also far into a run, where (k+1)/k rounds
         rng = np.random.default_rng(int(eta * 1000))
         agg = aggregate_constants(_random_lip(rng, 4, 6))
         sched = StepSchedule(mode="diminishing", agg=agg, fp=default_free_params(agg, "diminishing"), eta=eta)
@@ -544,20 +548,13 @@ class TestPerBlockSteps:
             assert theta.tolist() == [sched.theta(k) for k in ks] and t.tolist() == [sched.t(k) for k in ks], ks
             js, is_ = rng.integers(0, 6, len(ks)), rng.integers(0, 4, len(ks))
             tau, sigma = sched.steps_at(is_, js, theta, t)
-            assert tau.tolist() == [sched.tau(k, i) for k, i in zip(ks, is_)]
-            assert sigma.tolist() == [sched.sigma(k, j) for k, j in zip(ks, js)]
+            assert tau.tolist() == [sched.tau(k)[i] for k, i in zip(ks, is_)]
+            assert sigma.tolist() == [sched.sigma(k)[j] for k, j in zip(ks, js)]
         const = StepSchedule(mode="constant", agg=agg, fp=default_free_params(agg, "constant"))
         assert [v.tolist() for v in const.columns(range(3, 6))] == [[1.0] * 3] * 2
         tau, sigma = const.steps_at(np.array([3, 0]), np.array([5]), None, None)
-        assert tau.tolist() == [const.tau(0, 3), const.tau(0, 0)] and sigma.tolist() == [const.sigma(0, 5)]
+        assert tau.tolist() == [const.tau(0)[3], const.tau(0)[0]] and sigma.tolist() == [const.sigma(0)[5]]
         for negative in (lambda: sched.columns(range(-1, 3)), lambda: sched.theta(-1), lambda: sched.t(-2),
-                         lambda: sched.tau(-1, 0)):
+                         lambda: sched.tau(-1)):
             with pytest.raises(ValueError, match="nonnegative"):
                 negative()
-
-    def test_block_index_out_of_range(self):
-        agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]))
-        fp = default_free_params(agg, "diminishing")
-        sched = StepSchedule(mode="diminishing", agg=agg, fp=fp)
-        with pytest.raises(IndexError):
-            sched.tau(0, 1)
