@@ -135,6 +135,41 @@ class TestWordDraws:
             part[0] = 1
 
 
+class TestSingleIndex:
+    """A one-row step's index, ``indices(1).item(0)``, is the sequential draw as an int, from the same words."""
+
+    @pytest.mark.parametrize("p", [1, 2, 200, BIG])
+    @pytest.mark.parametrize("source", [WordDraws, SequentialDraws])
+    def test_index_takes_what_indices_of_one_takes(self, source, p, monkeypatch):
+        # steps alternate a single index, taken as the per-row draw takes it
+        # for the one-row oracle, with indices(v) across small fills; the
+        # generator stays where the one-call-at-a-time draws leave it
+        monkeypatch.setattr(sampling, "WORD_CHUNK", 8)
+        rng, ref = make_rng(11), make_rng(11)
+        draws = source(rng, 7, 3, p)
+        for t in range(120):
+            v = 2 if t % 3 == 2 else 1
+            j, i = draws.blocks()
+            want = sequential_step(ref, 7, 3, p, v)
+            assert (j, i) == want[:2], t
+            if v == 2:
+                assert np.array_equal(draws.indices(2), want[2]), t
+            else:
+                l = draws.indices(1).item(0)
+                assert type(l) is int and [l] == want[2].tolist(), t
+            if source is SequentialDraws:
+                assert rng.bit_generator.state == ref.bit_generator.state, t
+
+    def test_index_at_one_component_takes_no_word(self):
+        draws = WordDraws(make_rng(2), 5, 4, 1)
+        draws.blocks()
+        at, words = draws._at, draws.words
+        assert draws.indices(1).item(0) == 0 and (draws._at, draws.words) == (at, words)
+        rng = make_rng(2)
+        state = rng.bit_generator.state
+        assert SequentialDraws(rng, 5, 4, 1).indices(1).item(0) == 0 and rng.bit_generator.state == state
+
+
 class TestBulkSteps:
     """``WordDraws.steps`` gives the one-step-at-a-time draws, from the same words, or None."""
 

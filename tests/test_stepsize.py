@@ -558,3 +558,12 @@ class TestPerBlockSteps:
                          lambda: sched.tau(-1)):
             with pytest.raises(ValueError, match="nonnegative"):
                 negative()
+
+    def test_block_index_out_of_range(self):
+        agg = aggregate_constants(_lip([[1.0]], [[1.0]], [[0.0]], [[1.0]]))
+        for mode in ("constant", "diminishing"):
+            sched = StepSchedule(mode=mode, agg=agg, fp=default_free_params(agg, mode))
+            th, t = sched.theta(0), sched.t(0)
+            for blocks in ((1, 0), (0, 1), (np.array([0, 1]), np.array([0]))):
+                with pytest.raises(IndexError):
+                    sched.steps_at(*blocks, th, t)
