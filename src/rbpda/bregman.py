@@ -203,14 +203,22 @@ def _array_kernel(geom: BregmanGeometry, spec):
         if kind != "simplex":
             return _refusal("negative-entropy geometry supports only simplex blocks", False)
         floor = geom.epsilon_floor
+        largest, total = np.maximum.reduce, np.add.reduce  # .max() and .sum() without their Python-level wrappers
 
         def prox_entropy(linear, step, x_bar):
             r, x_bar = _checked(linear, step, x_bar)
-            z = np.log(np.maximum(x_bar, floor)) - step * r
-            z -= z.max()
-            w = np.exp(z)
-            w = np.maximum(w, floor)
-            return w / w.sum()
+            w = np.maximum(x_bar, floor)
+            if not w.ndim:  # 0-d inputs give a numpy scalar: its one entry is stepped as an array
+                return prox_entropy(r.reshape(1), step, w.reshape(1))[0]
+            # log(max(x_bar, floor)) - step r, less its max, exponentiated,
+            # floored and normalized, each written in place into the new array w
+            np.log(w, out=w)
+            w -= step * r
+            w -= largest(w, axis=None)
+            np.exp(w, out=w)
+            np.maximum(w, floor, out=w)
+            w /= total(w, axis=None)
+            return w
 
         return prox_entropy
     if kind == "zero":
@@ -341,7 +349,9 @@ def prox_kernel(geom: BregmanGeometry, spec, form: str = "array", factored=None)
     operations per coordinate instead of numpy's per-call overhead, which
     makes the list form the cheaper one up to about 14 coordinates
     (:data:`rbpda.solver.SMALL`).  Any other kind goes through its array
-    kernel.  A pair that has no prox (entropy
+    kernel.  The entropy kernel writes one new array in place:
+    max(x_bar, floor), its log, less step times the linear term, less its
+    max, its exp, floored, then normalized.  A pair that has no prox (entropy
     geometry off the simplex, an unknown kind, a float against a wider box)
     gives a function that makes the common checks and then raises
     ValueError.

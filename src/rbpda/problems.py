@@ -194,7 +194,8 @@ class ErmMargins:
     The ERM oracles read ``z`` for the array ``x`` and ``z_prev`` for
     ``x_prev``, found by identity (:meth:`margins`); for any other array
     they compute the rows they read.  A move of primal block i costs one
-    ``(n, mb)`` product with a column block of A, read in place.  Every
+    ``(n, mb)`` product with a column block of A, read in place through
+    a strided view built once.  Every
     ``period`` moves, ``period`` being the number of primal blocks, ``z``
     is recomputed as ``A @ x``: that refresh costs as much as ``period``
     moves together, and it bounds the rounding drift of the rank-block
@@ -211,7 +212,7 @@ class ErmMargins:
         n, m = A.shape
         mb = m // m_blocks
         self.A = A
-        self.cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]
+        self.columns = [A[:, i * mb : (i + 1) * mb] for i in range(m_blocks)]  # each primal block's columns
         self.period = m_blocks
         self.x, self.x_prev = x, x_prev
         self.z, self.z_prev = np.empty(n), np.empty(n)
@@ -259,7 +260,7 @@ class ErmMargins:
             np.matmul(self.A, self.x, out=self.z)
             self.moves = 0
         else:
-            np.add(self.z_prev, self.A[:, self.cols[i]] @ dx, out=self.z)
+            np.add(self.z_prev, self.columns[i] @ dx, out=self.z)
 
 
 _INDEX = np.dtype(int)  # the dtype of a run's drawn index arrays
@@ -277,6 +278,12 @@ def robust_erm_problem(
     ||x||_inf <= radius split across ``m_blocks``; the dual weight vector uses
     a single entropy-geometry simplex block when ``n_blocks == 1`` and
     per-coordinate [0, 1] boxes otherwise (recorded in ``notes``).
+
+    ``grad_y`` on a block of several rows (the whole simplex at N = 1)
+    allocates one new ``(len(points), nb)`` array per call, since the solver
+    keeps a row of it, and writes each point's ``-b z`` and then the losses
+    ``logaddexp(0, -b z)`` into it in place; the margins z are the coupling
+    cache's, or the block's rows of A times x.
 
     The primal-primal constants depend on the dual domain.  On the simplex
     the weights sum to one, so ``Lxx[l, i] = max_r ||a_{r,l}|| ||a_{r,i}|| / 4``
@@ -328,6 +335,8 @@ def robust_erm_problem(
     neg_b_list = neg_b.tolist()
     all_rows = np.arange(n)
     cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]  # each primal block's columns
+    # each dual block's rows and their -b, built once
+    dual_rows = [(rows, neg_b[rows]) for rows in (slice(j * nb, (j + 1) * nb) for j in range(n_blocks))]
     row_views = list(A)  # built once: a list index costs less than A[l]
 
     def slope(z, rows=slice(None)):
@@ -448,12 +457,12 @@ def robust_erm_problem(
     def grad_y(j, points, cache=None):
         if nb == 1:
             return np.array(one_row_grad_y(j, points, cache))[:, None]
-        rows = slice(j * nb, (j + 1) * nb)
-        z = np.empty((len(points), nb))
-        for k, (x, _) in enumerate(points):
-            z[k] = margins(x, cache, rows)
+        rows, signs = dual_rows[j]
+        out = np.empty((len(points), nb))  # new at each call: the step keeps a row of it
+        for row, (x, _) in zip(out, points):
+            np.multiply(signs, margins(x, cache, rows), out=row)
         # elementwise, so each row equals a one-point call bit for bit
-        return np.logaddexp(0.0, neg_b[rows] * z)
+        return np.logaddexp(0.0, out, out=out)
 
     def phi_value(x, y):
         return float(y @ full_grad_y(x, y))

@@ -481,13 +481,21 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                 if at_j is not None and g.shape == (len(points), 1):
                     g_now, y_base = g.item(0), y_k.item(at_j)
                     g_old = g.item(1) if kept is None else kept[1]
+                    linear = -(N * g_now + nm_theta * (g_now - g_old))  # as on the one-row path
                 else:
                     if at_j is not None or width:
                         prox_dual = prox_kernel(spec.geometry, spec)
                     at_j = blk_j
                     g_now, y_base = g[0], y_k[blk_j]
                     g_old = g[1] if kept is None else kept[1]
-                linear = -(N * g_now + nm_theta * (g_now - g_old))  # as on the one-row path
+                    # the same term in one new array, with the bits of -(N g +
+                    # ...): a sum's order, a product by N = 1 and one by -1 (a
+                    # negation, but for a NaN's sign, and the prox refuses NaN)
+                    # round nothing; 0-d terms give numpy scalars
+                    linear = g_now - g_old
+                    linear *= nm_theta
+                    linear += g_now if N == 1 else N * g_now
+                    linear *= -1.0
         state.dual_grad_evals += 2
 
         try:
@@ -821,7 +829,10 @@ def rbpda_step(
     block back with one slice assignment per array, to the bits of the
     array operations, as numpy's per-call overhead is most of a small
     block's cost; other blocks, and rows of another shape, take the array
-    kernels.  The state's coupling cache is passed to the oracles and moves
+    kernels, and there the dual term -s is formed in one new array: g -
+    g_old, scaled by N M theta in place, N g added (g itself at N = 1) and
+    the sum negated in place, to the bits of -(N g + N M theta (g - g_old)).
+    The state's coupling cache is passed to the oracles and moves
     only once both blocks are written.  An exception from an oracle or a
     prox becomes a :class:`SolverError` naming the iteration, the block and
     the failing call (``grad_y`` for the dual rows, ``batch_grad_x`` for the

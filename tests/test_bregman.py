@@ -9,6 +9,7 @@ from rbpda.bregman import (
     NEGATIVE_ENTROPY,
     BregmanGeometry,
     DomainError,
+    _checked,
     bregman_distance,
     project_simplex,
     prox_kernel,
@@ -424,3 +425,84 @@ class TestArrayProxChecks:
         assert out is not x_bar and out is not r
         for old, cur in zip(keep, (r, x_bar, spec.lower, spec.upper)):
             np.testing.assert_array_equal(old, cur)
+
+
+def replaced_prox_entropy(linear, step, x_bar, floor=NEGATIVE_ENTROPY.epsilon_floor):
+    """The entropy prox as it was before it wrote its one array in place: a literal copy, kept to pin its bits."""
+    r, x_bar = _checked(linear, step, x_bar)
+    z = np.log(np.maximum(x_bar, floor)) - step * r
+    z -= z.max()
+    w = np.exp(z)
+    w = np.maximum(w, floor)
+    return w / w.sum()
+
+
+class TestEntropyProxBits:
+    """The entropy kernel, which writes one new array in place, against the formula it replaced."""
+
+    kernel = staticmethod(prox_kernel(NEGATIVE_ENTROPY, ProxSpec.simplex(geometry=NEGATIVE_ENTROPY)))
+    steps = [1e-300, 1e-10, 0.5, 1.0, 7.0, 1e10, 1e300]
+
+    def assert_same(self, linear, step, x_bar):
+        before = (bits(linear).copy(), bits(x_bar).copy())
+        with np.errstate(all="ignore"):  # steps of 1e300 give infinite and NaN entries, alike in both
+            want = replaced_prox_entropy(linear, step, x_bar)
+            got = self.kernel(linear, step, x_bar)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(bits(got), bits(want)), (linear, step, x_bar)
+        # the inputs are read, never written
+        assert np.array_equal(bits(linear), before[0]) and np.array_equal(bits(x_bar), before[1])
+
+    def test_equals_the_replaced_formula_bitwise(self):
+        rng = np.random.default_rng(36)
+        floor = NEGATIVE_ENTROPY.epsilon_floor
+        for size in (1, 2, 7, 200):
+            mixed = rng.dirichlet(np.ones(size))
+            mixed[:: 3] = rng.choice([0.0, floor, floor / 10, 1e-300], size=mixed[:: 3].size)
+            x_bars = [
+                rng.dirichlet(np.ones(size)),
+                np.full(size, floor),  # at the floor
+                np.full(size, floor / 10),  # below it
+                np.zeros(size),  # exact zeros
+                np.eye(size)[size // 2],  # one-hot
+                mixed,
+            ]
+            linears = [
+                rng.standard_normal(size),
+                np.zeros(size),
+                np.full(size, 1e300),  # saturates exp: every entry at the floor, before normalization
+                np.full(size, -1e300),
+                rng.choice([1e300, -1e300, 0.0, -0.0, 1.0], size=size),
+            ]
+            for x_bar in x_bars:
+                for linear in linears:
+                    for step in self.steps:
+                        self.assert_same(linear, step, x_bar)
+
+    def test_other_shapes_and_layouts_equal_the_replaced_formula_bitwise(self):
+        # the reductions run over every axis, as .max() and .sum() do; 0-d
+        # inputs give a numpy scalar; a strided x_bar is read in place
+        rng = np.random.default_rng(7)
+        x = rng.dirichlet(np.ones(12))
+        r = rng.standard_normal(12)
+        for step in self.steps:
+            self.assert_same(r.reshape(3, 4), step, x.reshape(3, 4))
+            self.assert_same(r.reshape(4, 3).T, step, x.reshape(3, 4))
+            self.assert_same(r[::2], step, x[1::2])
+            self.assert_same(np.array(r[0]), step, np.array(x[0]))
+            self.assert_same(r[:1], step, x[:1])
+
+    def test_refusals_keep_their_messages_and_order(self):
+        # each input carries every fault after the first it is refused for
+        cases = [
+            ([np.nan, 1.0, 1.0], 0.0, [0.5, 0.5], "dimension mismatch between linear term and x_bar"),
+            ([np.nan, 1.0], 0.0, [0.5, 0.5], "non-finite entries in the linear term"),
+            ([1.0, -np.inf], -1.0, [0.5, 0.5], "non-finite entries in the linear term"),
+            ([1.0, 1.0], 0.0, [0.5, 0.5], "step must be positive"),
+            ([1.0, 1.0], np.nan, [0.0, 1.0], "step must be positive"),
+            ([1.0, 1.0], -1e300, [0.5, 0.5], "step must be positive"),
+        ]
+        for linear, step, x_bar, message in cases:
+            for prox in (self.kernel, replaced_prox_entropy):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    prox(np.array(linear), step, np.array(x_bar))

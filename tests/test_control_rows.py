@@ -223,6 +223,26 @@ def test_chunks_cut_short_by_small_fills_keep_the_bits(name, mode, monkeypatch):
         assert_same_run(got, per_step_run(prob, cfg, monkeypatch))
 
 
+_REFERENCES = {}  # (problem name, repr of the config) -> its reference run
+
+
+def shared_reference_run(name, cfg):
+    """``reference_run`` of ``lockstep_problem(name)`` under ``cfg``, computed once and then shared.
+
+    The reference draws one call at a time from its own generator and never
+    reads ``sampling.WORD_CHUNK``, so the cases that differ only in the fill
+    size compare against one run.  Its arrays are made read-only, so no
+    case can change what the next one compares against.
+    """
+    key = (name, repr(cfg))
+    if key not in _REFERENCES:
+        want = reference_run(lockstep_problem(name), cfg)
+        for a in (want.x, want.y, want.x_bar, want.y_bar):
+            a.flags.writeable = False
+        _REFERENCES[key] = want
+    return _REFERENCES[key]
+
+
 @pytest.mark.parametrize("chunk", [1, 5, sampling.WORD_CHUNK])
 @pytest.mark.parametrize("threshold", [None, 0.5, 0.9])
 @pytest.mark.parametrize("eta", [0.0, 0.3, 400.0])  # at 400 the rule overflows to p from k = 5 on
@@ -240,7 +260,7 @@ def test_increasing_rows_from_fills_of_any_size_keep_the_bits(name, eta, thresho
                        compute_sup_gap=False)
     reads = counted_bulk_reads(monkeypatch)
     got = run(prob, cfg)
-    assert_same_run(got, reference_run(prob, cfg))
+    assert_same_run(got, shared_reference_run(name, cfg))
     if threshold is not None:
         assert reads == []
     elif eta == 400.0:  # saturated at the second fill, k = 16, if not at the first

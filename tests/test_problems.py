@@ -470,3 +470,46 @@ def test_erm_one_row_scalar_paths_agree_with_array_paths():
         want = [[np.logaddexp(0.0, -b[l] * (A[l] @ x))] for x in (x_k, x_prev)]
         close(got, np.array(want))
         close(got, prob.grad_y(l, ((x_k, y_k), (x_prev, y_prev)), cache=cache))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 4])
+@pytest.mark.parametrize("cached", [False, True])
+def test_erm_grad_y_equals_the_loss_formula_bitwise(cached, n_blocks):
+    # each point's row of a dual block of several rows is logaddexp(0, -b (A x))
+    # on the block's rows, bit for bit, whether the margins come from the
+    # synced cache (A x, then the rows) or from the block's rows of A; at
+    # N = 1 both are -b * (A @ x); one point (the step's usual call) and two
+    data = generate_robust_erm(5, 40, 12, 0.1)
+    prob = robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=n_blocks)
+    A, b, nb = data.A, data.b, 40 // n_blocks
+    rng = np.random.default_rng(4)
+    x_k, x_prev = rng.uniform(-2, 2, (2, 12))
+    y = prob.start_y
+    kw = {}
+    if cached:
+        kw["cache"] = prob.coupling_cache(x_k, y, x_prev, y, 40)
+        assert kw["cache"] is not None
+    for j in range(n_blocks):
+        rows = slice(j * nb, (j + 1) * nb)
+        want = [np.logaddexp(0.0, -b[rows] * ((A @ x)[rows] if cached else A[rows] @ x)) for x in (x_k, x_prev)]
+        for points in (((x_k, y),), ((x_k, y), (x_prev, y))):
+            got = prob.grad_y(j, points, **kw)
+            assert got.shape == (len(points), nb)
+            assert np.array_equal(got.view(np.int64), np.array(want[: len(points)]).view(np.int64))
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_erm_grad_y_calls_return_arrays_of_their_own(cached):
+    # the step keeps a row of one call's result while it makes the next
+    # call, so no two calls may share an output buffer
+    data = generate_robust_erm(5, 40, 12, 0.1)
+    prob = robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=1)
+    x = np.random.default_rng(4).uniform(-2, 2, 12)
+    y = prob.start_y
+    kw = {"cache": prob.coupling_cache(x, y, x.copy(), y, 40)} if cached else {}
+    first = prob.grad_y(0, ((x, y),), **kw)
+    kept = first.copy()
+    second = prob.grad_y(0, ((x, y),), **kw)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first.view(np.int64), kept.view(np.int64))
+    assert np.array_equal(first.view(np.int64), second.view(np.int64))

@@ -67,6 +67,21 @@ def test_run_equals_the_reference_step_bitwise(name, config, cache):
         assert got.restarts >= 1
 
 
+@pytest.mark.parametrize("cache", [False, True])
+@pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+def test_wide_box_dual_blocks_equal_the_reference_step_bitwise(config, cache):
+    # robust ERM in N = 2 box blocks of 20 rows, wider than SMALL: the step
+    # forms their linear term, N g + N M theta (g - g_old) negated, as arrays
+    # in place, with N * g for N > 1
+    data = generate_robust_erm(5, 40, 12, 0.1)
+    prob = cached(robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=2), cache)
+    assert 40 // 2 > solver.SMALL
+    cfg = SolverConfig(max_iters=300, seed=3, stream=1, checkpoint_every=100, **REFERENCE_CONFIGS[config])
+    got = run(prob, cfg)
+    assert_same_run(got, reference_run(prob, cfg))
+    assert not np.array_equal(got.y, prob.start_y)
+
+
 @pytest.mark.parametrize("n_blocks", [200, 1])
 def test_benchmark_erm_runs_equal_the_reference_step_bitwise(n_blocks):
     # the c09 problem of the ERM workloads: N = 200 boxes with the float
