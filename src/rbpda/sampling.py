@@ -6,18 +6,18 @@ reproduces full trajectories bit for bit.  Component indices are drawn
 uniformly with replacement; when the scheduled batch reaches p the solver
 enumerates all components instead, which makes the estimate exact.
 
-A step takes its draws from a draw source: ``blocks()`` gives its dual and
-primal blocks and, once its batch size v is known, ``indices(v)`` its
+A step takes its draws from a :class:`WordDraws`: ``blocks()`` gives its dual
+and primal blocks and, once its batch size v is known, ``indices(v)`` its
 component indices.  :meth:`WordDraws.steps` gives the draws of many steps of
 one batch size at once, their indices as one block with a row per step.
-These are the only ways an index reaches a step.
-:class:`SequentialDraws` calls :func:`draw_block` and :func:`sample_indices`
-one at a time; :class:`WordDraws` draws the generator's raw 32-bit words
-ahead and maps them to blocks and indices as numpy does, so both give the
-same draws for any sequence of batch sizes.
-:func:`rbpda.solver.run` draws from words while N, M and p are at most
-2**32; steps driven by hand, and runs past those bounds, draw one call at a
-time.  The trajectory is fixed by (seed, stream) either way; only the
+These are the only ways an index reaches a step.  :func:`draw_block` and
+:func:`sample_indices`, called one at a time, define the draws:
+:class:`WordDraws` draws the generator's raw 32-bit words and maps them to
+blocks and indices as numpy does, so it gives the same draws for any
+sequence of batch sizes.  :func:`rbpda.solver.run` draws its words ahead;
+steps driven by hand draw only the words each step takes, so after each of
+them the generator sits where those calls leave it.  N, M and p must be at
+most 2**32.  The trajectory is fixed by (seed, stream) either way; only the
 generator's position after a failed step, or after a run, is unspecified.
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "WORD_BOUND",
     "WORD_CHUNK",
     "WordDraws",
-    "SequentialDraws",
 ]
 
 
@@ -133,7 +132,7 @@ class BatchSchedule:
 
 
 def draw_block(rng: np.random.Generator, count: int) -> int:
-    """Uniform draw over {0, ..., count-1}."""
+    """Uniform draw over {0, ..., count-1}: a block draw, which :class:`WordDraws` reproduces."""
     if count < 1:
         raise ValueError("count must be at least 1")
     return int(rng.integers(count))
@@ -167,7 +166,10 @@ def increasing_batch_size(count: int, k: int, eta: float, p: int) -> int:
 
 
 def sample_indices(rng: np.random.Generator, v: int, p: int) -> np.ndarray:
-    """v i.i.d. uniform component indices over {0, ..., p-1}; duplicates permitted."""
+    """v i.i.d. uniform component indices over {0, ..., p-1}; duplicates permitted.
+
+    These are a step's index draws, which :class:`WordDraws` reproduces.
+    """
     if v < 1 or p < 1:
         raise ValueError("need v >= 1 and p >= 1")
     return rng.integers(0, p, size=v)
@@ -178,7 +180,7 @@ WORD_BOUND = 1 << 32  # the largest bound WordDraws maps words by
 
 
 class WordDraws:
-    """A run's draws, taken ahead as the generator's raw 32-bit words.
+    """A plan's draws, taken as the generator's raw 32-bit words.
 
     numpy draws an integer below a bound r <= 2**32 from the generator's
     stream of 32-bit words by Lemire's method (Lemire, "Fast random integer
@@ -198,8 +200,13 @@ class WordDraws:
     indices are a read-only slice of the p map.  Otherwise they are mapped
     word by word.  A batch of v >= p takes no word and gets the read-only
     ``arange(p)``, built on its first use.  Words a fill leaves over carry
-    into the next.  A fill draws :data:`WORD_CHUNK` words, or more when one
-    step's indices need more.  N, M and p must be at most 2**32.
+    into the next.  With ``ahead`` a fill draws :data:`WORD_CHUNK` words, or
+    more when one step's indices need more.  Without it a fill draws only
+    the words the call needs, one step's at most, so once a step's draws
+    are taken no word is left over: the generator sits where
+    :func:`draw_block` and :func:`sample_indices` called in turn leave it,
+    and it may be used, saved or restored between steps.  N, M and p of
+    more than 2**32 raise ValueError, naming the bound.
 
     :meth:`steps` reads many steps of one batch size at once, as strided
     slices of the maps of a fill clean for every bound its steps take words
@@ -207,10 +214,11 @@ class WordDraws:
     takes those steps one at a time, from the same words.
     """
 
-    def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
-        if max(N, M, p) > WORD_BOUND:
-            raise ValueError("WordDraws needs N, M and p of at most 2**32")
-        self.rng = rng
+    def __init__(self, rng: np.random.Generator, N: int, M: int, p: int, ahead: bool = True):
+        for name, r in (("N", N), ("M", M), ("p", p)):
+            if r > WORD_BOUND:
+                raise ValueError(f"{name} = {r} exceeds 2**32")
+        self.rng, self.ahead = rng, ahead
         self.N, self.M, self.p = N, M, p
         self._bounds = np.array([[N], [M], [p]], dtype=np.uint64)
         self._cut = [(WORD_BOUND - r) % r for r in (N, M, p)]  # rejection thresholds
@@ -226,7 +234,8 @@ class WordDraws:
     def _fill(self, need: int) -> None:
         """Draw words so that at least ``need`` are left, keeping the ones not yet taken."""
         rest = self.words[self._at:]
-        words = self.rng.integers(0, WORD_BOUND, size=max(need - rest.size, WORD_CHUNK), dtype=np.uint64)
+        size = max(need - rest.size, WORD_CHUNK) if self.ahead else need - rest.size
+        words = self.rng.integers(0, WORD_BOUND, size=size, dtype=np.uint64)
         if rest.size:
             words = np.concatenate((rest, words))
         m = self._bounds * words  # one row per bound, in one pass
@@ -316,32 +325,6 @@ class WordDraws:
             full = self.indices(v)
             indices = np.ndarray((count, p), full.dtype, full, 0, (0, full.itemsize))  # read-only, as full is
         return m[0, :, 0], m[1, :, self._off if self.M > 1 else 0], indices
-
-
-class SequentialDraws:
-    """A step's draws, taken from the generator one call at a time as the step needs them.
-
-    :meth:`blocks` calls :func:`draw_block` over N and then over M, and
-    :meth:`indices` calls :func:`sample_indices` over p, or draws nothing
-    and gives ``arange(p)`` at v >= p.  Nothing is drawn ahead, so after
-    each step the generator sits where those calls leave it, and it may be
-    used, saved or restored between steps.  It gives the draws that
-    :class:`WordDraws` takes ahead from the same generator, and serves
-    bounds of any size; a step that takes the one-row oracle reads its one
-    index with ``indices(1).item(0)``.
-    """
-
-    def __init__(self, rng: np.random.Generator, N: int, M: int, p: int):
-        self.rng = rng
-        self.N, self.M, self.p = N, M, p
-
-    def blocks(self) -> tuple[int, int]:
-        """The next step's dual and primal blocks."""
-        return draw_block(self.rng, self.N), draw_block(self.rng, self.M)
-
-    def indices(self, v: int) -> np.ndarray:
-        """The step's v component indices, drawn after its blocks."""
-        return np.arange(self.p) if v >= self.p else sample_indices(self.rng, v, self.p)
 
 
 def estimate_partial_grad_x(problem, indices, i: int, points, **kw) -> np.ndarray:

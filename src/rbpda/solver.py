@@ -17,11 +17,11 @@ error vanishes and the method reduces to its deterministic counterpart for
 M = N = 1.
 
 A run's draws come from one generator in the fixed order of
-:mod:`rbpda.sampling`, through the draw source of its :class:`StepPlan`.
-:func:`run` takes them ahead as buffered 32-bit words; a step driven by hand
-draws one call at a time.  That changes no trajectory: (seed, stream) fixes
-it either way.  The generator's position after a step that raised, or after
-a run, is unspecified.
+:mod:`rbpda.sampling`, through the :class:`~rbpda.sampling.WordDraws` of its
+:class:`StepPlan`.  :func:`run` takes them ahead as buffered 32-bit words; a
+step driven by hand takes only its own words.  That changes no trajectory:
+(seed, stream) fixes it either way.  The generator's position after a step
+that raised, or after a run, is unspecified.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .blocks import SaddleProblem
 from .bregman import FLOAT_KINDS, prox_kernel
 from .metrics import ConvergenceTrace, evaluate_checkpoint
 from .sampling import (
-    WORD_BOUND,
     BatchSchedule,
     BlockCounters,
-    SequentialDraws,
     WordDraws,
     increasing_batch_size,
     make_rng,
@@ -231,11 +229,11 @@ class StepPlan:
     ``schedule`` and ``batch``, and ``step(state)`` is the iteration
     :func:`rbpda_step` describes.  It resolves once, when built:
 
-    * the draws: ``draws`` is the steps' draw source on ``rng``.  With a
-      run length ``iters`` (which only :func:`run` gives) and N, M and p of
-      at most 2**32, it is a :class:`~rbpda.sampling.WordDraws`, which draws
-      words ahead; otherwise a :class:`~rbpda.sampling.SequentialDraws`,
-      which draws one call at a time, as a step driven by hand needs;
+    * the draws: ``draws`` is the steps' :class:`~rbpda.sampling.WordDraws`
+      on ``rng``.  With a run length ``iters`` (which only :func:`run`
+      gives) it draws words ahead; without one, as a step driven by hand
+      needs, only the words each step takes.  N, M or p above 2**32 raise
+      ValueError, naming the bound, before any draw;
     * the step sizes: the schedule's
       :meth:`~rbpda.stepsize.StepSchedule.steps_at` at the theta^k and t^k
       of :meth:`~rbpda.stepsize.StepSchedule.columns`, in either regime
@@ -268,11 +266,12 @@ class StepPlan:
     (the one index as an int where the step takes the one-row oracle),
     sigma_j and tau_i at (theta^k, t^k), (N-1) theta^k and N M theta^k, the
     ergodic weights of x^(k+1), the running total of t, and whether a
-    restart follows.  A plan fills its rows from the state of its first
-    step on, none past ``iters`` (the run's length): on a
-    :class:`~rbpda.sampling.WordDraws` 16, 32, 64, ... up to :data:`CHUNK`
-    at a time, otherwise one per step at the state's k, so a step driven by
-    hand leaves the generator where one call at a time does.  With this
+    restart follows.  A plan with a run length fills its rows from the
+    state of its first step on, none past ``iters``: 16, 32, 64, ... up to
+    :data:`CHUNK` at a time.  A plan without one fills one row per step, at
+    the state's k and from the step's own words, so a step driven by hand
+    leaves the generator where one call at a time does, and a step retried
+    after one that raised takes the row of its k anew.  With this
     module's own ``next_batch_size``, a fill whose rows all have one batch
     size v is one strided read (:meth:`~rbpda.sampling.WordDraws.steps`):
     v is a constant rule's, or p once the increasing rule without restarts
@@ -280,11 +279,11 @@ class StepPlan:
     as the rule never decreases in a count or in k; such a read records its
     primal blocks' counts with :meth:`~rbpda.sampling.BlockCounters.add`.
     Otherwise (the increasing rule below p or with restarts, a replaced
-    batch rule, a :class:`~rbpda.sampling.SequentialDraws`), or where the
-    read gives None, each row calls ``draws.blocks()``, the batch rule, then
-    ``draws.indices(v)``.  A row's indices are an index array, or where the
-    step takes the one-row oracle (v = 1) the one index as an int: the read
-    block's column 0, or the per-row draw's ``item(0)``.  With
+    batch rule), or where the read gives None, each row calls
+    ``draws.blocks()``, the batch rule, then ``draws.indices(v)``.  A row's
+    indices are an index array, or where the step takes the one-row oracle
+    (v = 1) the one index as an int: the read block's column 0, or the
+    per-row draw's ``item(0)``.  With
     ``restart_threshold``, an increasing rule's row then applies
     :meth:`~rbpda.sampling.BlockCounters.restart`, the test of
     :func:`restart_if_saturated`, at its counts and k + 1, resetting the
@@ -306,8 +305,7 @@ class StepPlan:
         st = problem.structure
         self.problem, self.rng, self.schedule, self.batch = problem, rng, schedule, batch
         M, N, p = st.M, st.N, problem.p
-        source = WordDraws if iters < math.inf and max(N, M, p) <= WORD_BOUND else SequentialDraws
-        self.draws = source(rng, N, M, p)
+        self.draws = WordDraws(rng, N, M, p, ahead=iters < math.inf)
         self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size, acc, iters, restart_threshold)
 
 
@@ -377,7 +375,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
     # constant rule's (v > p is left to the per-row loop, whose batch rule raises), or p for an
     # increasing rule without restarts once it is saturated
     v_bulk = p if increasing else batch.v
-    bulk = isinstance(draws, WordDraws) and batch_size is _BATCH_RULE and bar is None and v_bulk <= p
+    bulk = batch_size is _BATCH_RULE and bar is None and v_bulk <= p
 
     def tables(k: int, counters: BlockCounters, size: int):
         """The control rows of k, k+1, ...: one iterator per fill of ``size``, twice that, ... up to CHUNK rows.
@@ -427,9 +425,9 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
             k, size = k + n, min(2 * size, CHUNK)
 
     def take(state: RunState) -> tuple:
-        """The step's row: one fill of one row, or on WordDraws the first of the tables that serve the later steps."""
+        """The step's row: without a run length one fill of one row, else the first of the later steps' tables."""
         nonlocal take
-        if not isinstance(draws, WordDraws):  # one row per step, at the state's k
+        if iters == math.inf:  # one row per step, at the state's k
             return next(next(tables(state.k, state.counters, 1)))
         # take(state) is next(rows, state) from here on, and the rows never run out
         take = partial(next, chain.from_iterable(tables(state.k, state.counters, 16)))
@@ -782,7 +780,7 @@ def rbpda_step(
     """One primal-dual iteration; mutates and returns ``state``.
 
     The step is ``state.plan``'s (:class:`StepPlan`), which resolved the
-    step sizes, the prox kernels, the draw source and the batch rule once.
+    step sizes, the prox kernels, the draws and the batch rule once.
     :func:`run` builds a plan with its length, which draws ahead and whose
     step also folds the ergodic averages and restarts, and a replaced
     ``rbpda_step`` that calls this one (a tracing wrapper) takes that plan.
@@ -791,16 +789,17 @@ def rbpda_step(
     kept dual row, when one of them changes (an equal batch rule keeps it).
     That plan has no length and neither folds nor restarts (a caller
     driving steps by hand calls :meth:`ErgodicAccumulator.update` and
-    :func:`restart_if_saturated`), so it draws one call at a time: after
-    each step that returns, ``rng`` sits where
+    :func:`restart_if_saturated`), so it draws only the words each step
+    takes: after each step that returns, ``rng`` sits where
     :func:`~rbpda.sampling.draw_block` and
-    :func:`~rbpda.sampling.sample_indices` called in turn leave it, and
-    after a step that raised, as during and after a run, its position is
-    unspecified.  Such a plan fills a one-row table of control rows per
-    step, so a step driven by hand costs several steps of :func:`run`
-    (~49 µs against ~14 µs per iteration on c09 data with N = 200 under a
-    single-sample schedule); nothing in the package drives steps by hand,
-    only tests do.
+    :func:`~rbpda.sampling.sample_indices` called in turn leave it, and a
+    plan rebuilt for a changed batch rule loses no draw.  After a step that
+    raised, as during and after a run, its position is unspecified.  Such
+    a plan fills a one-row table of control rows and maps its own few words
+    per step, so a step driven by hand costs several steps of :func:`run`
+    (~63 µs against ~14 µs per iteration on c09 data with N = 200 under a
+    single-sample schedule, on a 2-core Xeon VM); nothing in the package
+    drives steps by hand, only tests do.
 
     Draw order is fixed (dual block, primal block, component indices) so a
     seed reproduces the whole trajectory.  Outside the oracles the step
@@ -917,24 +916,24 @@ def run(
 ) -> RunResult:
     """Execute the configured number of iterations with checkpointed metrics.
 
-    Fully deterministic given (seed, stream); the draws are taken ahead as
-    buffered words (:class:`StepPlan`), so the generator's final position
-    is unspecified.  The run's plan is built with its accumulator, its
-    length and its restart threshold, so its step also folds the ergodic
-    averages and restarts, and it reads control rows filled up to
-    :data:`CHUNK` iterations at a time, none past the run's end (see
-    :class:`StepPlan`).  Each iteration is one call of
-    the plan's step while this module holds its own :func:`rbpda_step`;
-    with it replaced, as by a tracing wrapper, each iteration calls the
-    replacement, and :func:`rbpda_step` takes the run's plan, to the same
-    bits.  A step failure aborts the run but the partial trace is
-    preserved on the raised :class:`SolverError` (see :func:`_drive`).  A
-    problem's coupling cache is built once, for the largest batch size the
-    run can draw: p for an increasing schedule, the constant batch size
-    otherwise.  The run's :class:`~rbpda.stepsize.StepSchedule` carries its
-    regime, and the ergodic averages read it: weighted exactly when it is
-    diminishing.  Restarts, when enabled, apply to the increasing batch
-    rule only.
+    Fully deterministic given (seed, stream); the plan's
+    :class:`~rbpda.sampling.WordDraws` take the draws ahead as buffered
+    words, so the generator's final position is unspecified.  The run's
+    plan is built with its accumulator, its length and its restart
+    threshold, so its step also folds the ergodic averages and restarts,
+    and it reads control rows filled up to :data:`CHUNK` iterations at a
+    time, none past the run's end (see :class:`StepPlan`).  Each iteration
+    is one call of the plan's step while this module holds its own
+    :func:`rbpda_step`; with it replaced, as by a tracing wrapper, each
+    iteration calls the replacement, and :func:`rbpda_step` takes the run's
+    plan, to the same bits.  A step failure aborts the run but the partial
+    trace is preserved on the raised :class:`SolverError` (see
+    :func:`_drive`).  A problem's coupling cache is built once, for the
+    largest batch size the run can draw: p for an increasing schedule, the
+    constant batch size otherwise.  The run's
+    :class:`~rbpda.stepsize.StepSchedule` carries its regime, and the
+    ergodic averages read it: weighted exactly when it is diminishing.
+    Restarts, when enabled, apply to the increasing batch rule only.
     """
     st = problem.structure
     schedule = build_schedule(problem, config)

@@ -1,5 +1,6 @@
 """The factored one-row primal step: the generic step's bits, its identity guard, and its finiteness verdicts."""
 
+import copy
 import dataclasses
 import math
 
@@ -10,7 +11,7 @@ import rbpda.solver as solver
 from rbpda.blocks import ProxSpec, validate_problem
 from rbpda.bregman import EUCLIDEAN, prox_kernel
 from rbpda.sampling import BatchSchedule, draw_block, make_rng, sample_indices
-from rbpda.solver import RunState, SolverConfig, SolverError, rbpda_step, run
+from rbpda.solver import RunState, SolverConfig, SolverError, StepPlan, build_schedule, rbpda_step, run
 
 from reference_step import reference_run
 from test_solver import FixedSchedule, lockstep_problem
@@ -118,6 +119,43 @@ def test_a_raising_one_row_y_oracle_fails_the_step_as_grad_y_would():
     assert isinstance(excinfo.value.__cause__, RuntimeError)
     assert state.k == 0 and state.dual_grad_evals == 0 and state.grad_budget == 0
     assert np.array_equal(state.x, prob.start_x) and np.array_equal(state.y, prob.start_y)
+
+
+def test_a_retried_hand_driven_step_is_the_step_a_fresh_plan_takes():
+    # one_row_grad_y fails once, at k = 3, under the diminishing steps of a
+    # single-sample schedule.  The retry takes the row of k = 3 anew, from
+    # where the generator sits, so it and the steps after it equal, bit for
+    # bit, those of a plan built afresh on a copy of the state and generator
+    prob = lockstep_problem("erm_box_scalar")
+    sched = build_schedule(prob, SolverConfig(mode="single_sample", eta=0.5))
+    assert sched.mode == "diminishing"
+    batch = BatchSchedule.constant(1, prob.p)
+    inner, fail = prob.one_row_grad_y, []
+
+    def once(j, points, cache):
+        if fail:
+            raise RuntimeError(fail.pop())
+        return inner(j, points, cache)
+
+    prob.one_row_grad_y = once
+    state, rng = RunState.start(prob), make_rng(6)
+    for _ in range(3):
+        rbpda_step(state, prob, sched, batch, rng)
+    fail.append("once")
+    with pytest.raises(SolverError, match=r"^grad_y failed at iteration 3, dual block \d+: once$"):
+        rbpda_step(state, prob, sched, batch, rng)
+    assert state.k == 3 and not fail
+    twin, twin_rng = copy.deepcopy(dataclasses.replace(state, plan=None)), make_rng(0)
+    twin_rng.bit_generator.state = rng.bit_generator.state
+    twin.plan = StepPlan(prob, twin_rng, sched, batch)
+    for it in range(3, 12):
+        rbpda_step(state, prob, sched, batch, rng)
+        rbpda_step(twin, prob, sched, batch, twin_rng)
+        assert state.k == twin.k == it + 1 and state.grad_budget == twin.grad_budget, it
+        for got, want in ((state.x, twin.x), (state.y, twin.y), (state.x_prev, twin.x_prev),
+                          (state.y_prev, twin.y_prev), (state.counters.counts, twin.counters.counts)):
+            assert np.array_equal(got, want), it
+        assert rng.bit_generator.state == twin_rng.bit_generator.state, it
 
 
 def test_hand_driven_one_row_steps_draw_one_call_at_a_time():

@@ -1,5 +1,6 @@
 """Seeded draws, batch schedules, counters, and the gradient estimator."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,6 @@ from rbpda.problems import generate_robust_erm, robust_erm_problem
 from rbpda.sampling import (
     BatchSchedule,
     BlockCounters,
-    SequentialDraws,
     WordDraws,
     draw_block,
     expected_inverse_batch,
@@ -46,7 +46,7 @@ def sequential_step(rng, N, M, p, v):
 
 
 def take(draws, v):
-    """One step's draws from a draw source, in the order a step takes them."""
+    """One step's draws from a WordDraws, in the order a step takes them."""
     j, i = draws.blocks()
     return j, i, draws.indices(v)
 
@@ -139,14 +139,15 @@ class TestSingleIndex:
     """A one-row step's index, ``indices(1).item(0)``, is the sequential draw as an int, from the same words."""
 
     @pytest.mark.parametrize("p", [1, 2, 200, BIG])
-    @pytest.mark.parametrize("source", [WordDraws, SequentialDraws])
-    def test_index_takes_what_indices_of_one_takes(self, source, p, monkeypatch):
+    @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "exact"])
+    def test_index_takes_what_indices_of_one_takes(self, ahead, p, monkeypatch):
         # steps alternate a single index, taken as the per-row draw takes it
-        # for the one-row oracle, with indices(v) across small fills; the
-        # generator stays where the one-call-at-a-time draws leave it
+        # for the one-row oracle, with indices(v) across small fills; with
+        # exact fills the generator stays where the one-call-at-a-time draws
+        # leave it
         monkeypatch.setattr(sampling, "WORD_CHUNK", 8)
         rng, ref = make_rng(11), make_rng(11)
-        draws = source(rng, 7, 3, p)
+        draws = WordDraws(rng, 7, 3, p, ahead=ahead)
         for t in range(120):
             v = 2 if t % 3 == 2 else 1
             j, i = draws.blocks()
@@ -157,17 +158,17 @@ class TestSingleIndex:
             else:
                 l = draws.indices(1).item(0)
                 assert type(l) is int and [l] == want[2].tolist(), t
-            if source is SequentialDraws:
+            if not ahead:
                 assert rng.bit_generator.state == ref.bit_generator.state, t
 
-    def test_index_at_one_component_takes_no_word(self):
-        draws = WordDraws(make_rng(2), 5, 4, 1)
-        draws.blocks()
-        at, words = draws._at, draws.words
-        assert draws.indices(1).item(0) == 0 and (draws._at, draws.words) == (at, words)
+    @pytest.mark.parametrize("ahead", [True, False])
+    def test_index_at_one_component_takes_no_word(self, ahead):
         rng = make_rng(2)
-        state = rng.bit_generator.state
-        assert SequentialDraws(rng, 5, 4, 1).indices(1).item(0) == 0 and rng.bit_generator.state == state
+        draws = WordDraws(rng, 5, 4, 1, ahead=ahead)
+        draws.blocks()
+        at, words, state = draws._at, draws.words, rng.bit_generator.state
+        assert draws.indices(1).item(0) == 0 and (draws._at, draws.words) == (at, words)
+        assert rng.bit_generator.state == state
 
 
 class TestBulkSteps:
@@ -238,27 +239,46 @@ class TestBulkSteps:
         assert rng.bit_generator.state == state and draws.words.size == 0
 
 
-class TestSequentialDraws:
-    def test_bounds_past_32_bits_are_drawn_one_call_at_a_time(self, small_erm):
-        # 32-bit words cannot be mapped to a bound past 2**32, so a plan with
-        # a run length, which draws ahead, gets the one-call source there,
-        # with the sequential draws, and leaves the generator where they
-        # leave it; a plan without one, as a step driven by hand builds it,
-        # draws one call at a time
-        big = SimpleNamespace(structure=small_erm.structure, p=2**32 + 1,
-                              dual_prox=small_erm.dual_prox, primal_prox=small_erm.primal_prox)
+class TestExactFills:
+    """Without ``ahead``, a fill draws only the words a step takes, so no word is left over between steps."""
+
+    @pytest.mark.parametrize("N, M, p", [(1, 1, 5), (7, 1, 1), (200, 10, 200), (1, 10, 200), (7, 5, 3),
+                                         (BIG, 5, 50), (7, BIG, 50), (7, 5, BIG)])
+    def test_each_step_leaves_the_generator_where_the_sequential_draws_do(self, N, M, p):
+        # steps taken one call at a time and by one-step reads, with batch
+        # sizes below and at or past p, and bounds that reject about half
+        # the words; after each step every word drawn is taken
+        rng, ref = make_rng(N + M + p), make_rng(N + M + p)
+        draws = WordDraws(rng, N, M, p, ahead=False)
+        for t in range(300):
+            v = (1, 3, 1, p if p < BIG else 7, 2)[t % 5]  # no arange(2**31 + 1)
+            got = draws.steps(4, v) if t % 2 else None
+            if got is None:
+                got = take(draws, v)
+            else:
+                assert len(got[0]) == 1, t  # the words of one step at most
+                got = int(got[0][0]), int(got[1][0]), got[2][0]
+            want = sequential_step(ref, N, M, p, v)
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2]), (t, v)
+            assert draws._at == draws._size and rng.bit_generator.state == ref.bit_generator.state, (t, v)
+
+    @pytest.mark.parametrize("bound", ["N", "M", "p"])
+    @pytest.mark.parametrize("iters", [10, math.inf])
+    def test_bounds_past_32_bits_are_refused_by_name(self, bound, iters, small_erm):
+        # 32-bit words cannot be mapped to a bound past 2**32: a plan, with
+        # or without a run length, refuses it by name before any draw
         st = small_erm.structure
-        rng, ref = make_rng(5), make_rng(5)
+        sizes = dict(N=st.N, M=st.M, p=small_erm.p)
+        sizes[bound] = 2**32 + 1
+        big = SimpleNamespace(structure=SimpleNamespace(N=sizes["N"], M=sizes["M"]), p=sizes["p"])
+        rng = make_rng(5)
+        state = rng.bit_generator.state
         sched = build_schedule(small_erm, SolverConfig())
-        batch = BatchSchedule.constant(1, small_erm.p)
-        draws = StepPlan(big, rng, sched, batch, iters=10).draws
-        assert isinstance(draws, SequentialDraws)
-        for v in (1, 3, 2):
-            got, want = take(draws, v), sequential_step(ref, st.N, st.M, big.p, v)
-            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert isinstance(StepPlan(small_erm, rng, sched, batch, iters=10).draws, WordDraws)
-        assert isinstance(StepPlan(small_erm, rng, sched, batch).draws, SequentialDraws)
+        with pytest.raises(ValueError, match=rf"^{bound} = 4294967297 exceeds 2\*\*32$"):
+            StepPlan(big, rng, sched, BatchSchedule.constant(1, small_erm.p), iters=iters)
+        assert rng.bit_generator.state == state
+        draws = StepPlan(small_erm, rng, sched, BatchSchedule.constant(1, small_erm.p), iters=iters).draws
+        assert isinstance(draws, WordDraws) and draws.ahead == (iters < math.inf)
 
 
 class TestDrawBlock:
