@@ -202,13 +202,18 @@ class ErmMargins:
     updates whatever the run length.  The problem's factory builds one only
     for runs whose largest batch makes it pay.
 
-    :meth:`slopes` gives ``slope(z)`` or ``slope(z_prev)``, the primal
-    estimator's per-row factor, computed on first use after the margins
-    change; a move hands the slopes of x^k on to x^(k-1) with the margins,
-    so each step computes them for x^k alone.
+    :meth:`slopes` gives ``neg_b * sigmoid(neg_b * z)`` or the same of
+    ``z_prev``, the primal estimator's per-row factor, computed on first use
+    after the margins change; a move hands the slopes of x^k on to x^(k-1)
+    with the margins, so each step computes them for x^k alone.  They are
+    written into two buffers the cache owns, used in turn: new slopes never
+    go into the buffer the other iterate's slopes hold.  So an array that
+    :meth:`slopes` returns keeps its values through the next move, as the
+    slopes of x^(k-1), and is overwritten once the cache computes slopes
+    after a second move or after a sync.
     """
 
-    def __init__(self, A: np.ndarray, m_blocks: int, x: np.ndarray, x_prev: np.ndarray, slope):
+    def __init__(self, A: np.ndarray, m_blocks: int, x: np.ndarray, x_prev: np.ndarray, neg_b: np.ndarray):
         n, m = A.shape
         mb = m // m_blocks
         self.A = A
@@ -216,7 +221,9 @@ class ErmMargins:
         self.period = m_blocks
         self.x, self.x_prev = x, x_prev
         self.z, self.z_prev = np.empty(n), np.empty(n)
-        self.slope = slope
+        self.neg_b = neg_b
+        self.buffers = (np.empty(n), np.empty(n))  # the slopes of x^k and x^(k-1), in turn
+        self.spare = np.empty(n)  # for the intermediate values of the slopes
         self.syncs = 0
         self.sync()
 
@@ -229,16 +236,30 @@ class ErmMargins:
         return None
 
     def slopes(self, x) -> Optional[np.ndarray]:
-        """``slope`` of the cached margins of the buffer ``x``; None where :meth:`margins` is."""
+        """The slopes of the cached margins of the buffer ``x``, in a slope buffer; None where :meth:`margins` is."""
         if x is self.x:
             if self.s is None:
-                self.s = self.slope(self.z)
+                self.s = self._slopes_of(self.z, self.s_prev)
             return self.s
         if x is self.x_prev:
             if self.s_prev is None:
-                self.s_prev = self.slope(self.z_prev)
+                self.s_prev = self._slopes_of(self.z_prev, self.s)
             return self.s_prev
         return None
+
+    def _slopes_of(self, z, kept) -> np.ndarray:
+        # neg_b * _sigmoid(neg_b * z) with _sigmoid's ufuncs in its order, so
+        # bit for bit, in the slope buffer that ``kept`` is not
+        out = self.buffers[kept is self.buffers[0]]
+        u, neg_b = self.spare, self.neg_b
+        np.multiply(neg_b, z, out=u)
+        np.abs(u, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        num = np.exp(np.minimum(u, 0.0, out=u), out=u)
+        np.add(out, 1.0, out=out)
+        np.divide(num, out, out=out)
+        return np.multiply(neg_b, out, out=out)
 
     def sync(self) -> None:
         """Recompute ``z`` and ``z_prev`` exactly."""
@@ -284,6 +305,19 @@ def robust_erm_problem(
     keeps a row of it, and writes each point's ``-b z`` and then the losses
     ``logaddexp(0, -b z)`` into it in place; the margins z are the coupling
     cache's, or the block's rows of A times x.
+
+    ``batch_grad_x`` on two rows or more, with a coupling cache that holds
+    the slopes of every point's primal array, forms the coefficient
+    ``sum_k (w_k p) y_k * slope(x_k)`` over all n rows and gathers the drawn
+    rows of it once.  The step's three points ``((x^k, y^(k+1)), (x^k,
+    y^k), (x^(k-1), y^(k-1)))`` take a path of their own that writes this
+    sum out; any other points take the grouped loop, with the same bits.
+    The drawn rows of A on primal block i are gathered from a C-contiguous
+    ``(n, mb)`` copy of the block's columns, which gives the values of
+    ``A[rows, block i]`` in less time; the whole index set reads A in place.
+    The copies, one more copy of A per problem, are built on the first
+    such call, so runs that make none (single samples, uncached runs) never
+    build them.  An empty index set is refused with ValueError.
 
     The primal-primal constants depend on the dual domain.  On the simplex
     the weights sum to one, so ``Lxx[l, i] = max_r ||a_{r,l}|| ||a_{r,i}|| / 4``
@@ -335,6 +369,10 @@ def robust_erm_problem(
     neg_b_list = neg_b.tolist()
     all_rows = np.arange(n)
     cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]  # each primal block's columns
+    # each primal block's columns as a C-contiguous (n, mb) copy, from which
+    # take() gathers rows faster than A[rows, cols[i]]; built on the first
+    # cached batch call, so runs that make none never pay for the copy
+    col_blocks = None
     # each dual block's rows and their -b, built once
     dual_rows = [(rows, neg_b[rows]) for rows in (slice(j * nb, (j + 1) * nb) for j in range(n_blocks))]
     row_views = list(A)  # built once: a list index costs less than A[l]
@@ -381,39 +419,80 @@ def robust_erm_problem(
             coef += w * p * y.item(l) * t
         return coef, a[cols[i]]
 
+    def groups(points):
+        # consecutive points that share a primal array form one group: the
+        # distinct arrays in order, and each point's group
+        xs, which = [points[0][0]], []
+        for x, _ in points:
+            if x is not xs[-1]:
+                xs.append(x)
+            which.append(len(xs) - 1)
+        return xs, which
+
+    def cached_coef(points, weights, cache):
+        # sum_k (w_k p) y_k * slope(x_k) over all n rows, from the cache's
+        # slopes; None when the cache holds no slopes for some point's array
+        if len(points) == 3 and points[1][0] is points[0][0]:
+            # the step's three points, of which the first two share x^k: the
+            # grouped sum below, written out, in its order
+            (x, y0), (_, y1), (x2, y2) = points
+            s = cache.slopes(x)
+            s2 = s if x2 is x else cache.slopes(x2)
+            if s is None or s2 is None:
+                return None
+            w0, w1, w2 = weights
+            coef = y0 * (w0 * p)
+            coef *= s
+            term = y1 * (w1 * p)
+            term *= s
+            coef += term
+            np.multiply(y2, w2 * p, out=term)
+            term *= s2
+            coef += term
+            return coef
+        xs, which = groups(points)
+        slopes = [cache.slopes(x) for x in xs]
+        if not all(s is not None for s in slopes):
+            return None
+        coef = None
+        for (_, y), w, r in zip(points, weights, which):
+            term = y * (w * p)
+            term *= slopes[r]
+            coef = term if coef is None else np.add(coef, term, out=coef)
+        return coef
+
     def batch_grad_x(indices, i, points, weights, cache=None):
+        nonlocal col_blocks
         # a run's drawn indices are used as they are, without the asarray call
         if type(indices) is np.ndarray and indices.dtype is _INDEX:
             rows = indices
         else:
             rows = np.asarray(indices, dtype=int)
         count = rows.size
-        if count == 1:
-            coef, row = one_row_grad_x(rows.item(0), i, points, weights, cache)
+        if count < 2:
+            try:  # an empty index set fails here, at no cost to the other paths
+                l = rows.item(0)
+            except IndexError:
+                raise ValueError("batch_grad_x needs a nonempty index set, got an empty one") from None
+            coef, row = one_row_grad_x(l, i, points, weights, cache)
             return coef * row
         full = count == n and np.array_equal(rows, all_rows)
         if full:
             rows = slice(None)  # the whole index set: read A in place
-        # consecutive points that share a primal array form one group
-        xs, which = [points[0][0]], []
-        for x, _ in points:
-            if x is not xs[-1]:
-                xs.append(x)
-            which.append(len(xs) - 1)
-        slopes = None if cache is None else [cache.slopes(x) for x in xs]
-        if slopes is not None and all(s is not None for s in slopes):
-            # the cache holds every group's slopes over all n rows: the
-            # coefficient is formed over all rows and gathered once, which
+        coef = None if cache is None else cached_coef(points, weights, cache)
+        if coef is not None:
+            # the coefficient is formed over all rows and gathered once, which
             # costs fewer numpy calls than gathering each group's rows; its
             # O(n) is below the O(n mb) of the move that keeps the cache current
-            coef = None
-            for (_, y), w, r in zip(points, weights, which):
-                term = y * (w * p)
-                term *= slopes[r]
-                coef = term if coef is None else np.add(coef, term, out=coef)
-            coef = coef[rows]
-            sub_i = A[rows, cols[i]]
+            if full:
+                sub_i = A[:, cols[i]]  # a view: the copy's row stride changes the product's bits
+            else:
+                if col_blocks is None:
+                    col_blocks = [np.ascontiguousarray(A[:, c]) for c in cols]
+                coef = coef[rows]
+                sub_i = col_blocks[i].take(rows, axis=0)
         else:
+            xs, which = groups(points)
             # one margin row per group; take() gathers whole rows faster
             # than fancy indexing
             sub = A if full else A.take(rows, axis=0)
@@ -477,7 +556,7 @@ def robust_erm_problem(
         # refresh, 2 n mb
         if (nb + v) * m <= n * mb:
             return None
-        return ErmMargins(A, m_blocks, x, x_prev, slope)
+        return ErmMargins(A, m_blocks, x, x_prev, neg_b)
 
     start_y = np.full(n, 1.0 / p)
     return SaddleProblem(
@@ -794,9 +873,13 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
     def batch_grad_x(indices, i, points, weights):
         rows = np.asarray(indices, dtype=int)
         blk = slice(i * mb, (i + 1) * mb)
+        try:  # an empty index set fails here, at no cost to the other paths
+            scale = p / rows.size
+        except ZeroDivisionError:
+            raise ValueError("batch_grad_x needs a nonempty index set, got an empty one") from None
         # linear in y: one product with the weighted dual points, then the
         # weighted Q x + c, computed once per distinct primal array
-        out = (p / rows.size) * (_weighted_y(points, weights)[rows] @ G[rows, blk])
+        out = scale * (_weighted_y(points, weights)[rows] @ G[rows, blk])
         x_seen, base = None, None
         for (x, _), w in zip(points, weights):
             if x is not x_seen:

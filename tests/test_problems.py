@@ -1,5 +1,7 @@
 """Benchmark problem construction: data generation, gradients, Lipschitz bounds, oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,15 @@ class TestQpProblems:
         with pytest.raises(ValueError):
             ConstrainedSpec(Q=[[2.0]], c=[0.0], G=[[1.0]], d=[-1.0], slater=[0.0])
 
+    def test_empty_index_set_is_refused_by_name(self):
+        # the mean over no constraints is refused by name, not by a ZeroDivisionError
+        spec = ConstrainedSpec(Q=[[2.0, 0.3], [0.3, 1.0]], c=[0.5, -1.0], G=[[1.0, -1.0], [0.5, 1.0]], d=[0.5, 0.2])
+        prob, _, _ = constrained_qp_problem(spec, m_blocks=2)
+        x, y = np.zeros(2), np.ones(2)
+        for indices in ([], np.array([], dtype=int)):
+            with pytest.raises(ValueError, match="nonempty index set"):
+                prob.batch_grad_x(indices, 0, [(x, y)], (1.0,))
+
 
 def test_component_fd_on_game_and_qp():
     # central finite differences of the component values reproduce the
@@ -434,6 +445,104 @@ def test_erm_batch_grad_matches_single_point_formula_bitwise():
                 assert np.array_equal(prob.batch_grad_x(rows, i, [(x, y)], (1.0,)), want), (v, i)
                 select = tuple(float(k == q) for q in range(3))
                 assert np.array_equal(prob.batch_grad_x(rows, i, points, select), want), (v, i, k)
+
+
+def _grouped_cached_grad_x(A, neg_b, p, mb, indices, i, points, weights, cache):
+    # the cached branch of robust ERM's batch_grad_x as the grouped loop
+    # computes it: one coefficient over all rows from each group's slopes,
+    # gathered once, times the rows of A on primal block i; the slopes are
+    # the formula on the cache's margins
+    n = A.shape[0]
+    rows = np.asarray(indices, dtype=int)
+    count = rows.size
+    if count == n and np.array_equal(rows, np.arange(n)):
+        rows = slice(None)
+    xs, which = [points[0][0]], []
+    for x, _ in points:
+        if x is not xs[-1]:
+            xs.append(x)
+        which.append(len(xs) - 1)
+    slopes = [neg_b * _sigmoid(neg_b * cache.margins(x)) for x in xs]
+    coef = None
+    for (_, y), w, r in zip(points, weights, which):
+        term = y * (w * p)
+        term *= slopes[r]
+        coef = term if coef is None else np.add(coef, term, out=coef)
+    coef = coef[rows]
+    sub_i = A[rows, i * mb : (i + 1) * mb]
+    out = coef @ sub_i
+    out /= count
+    return out
+
+
+def test_erm_cached_three_point_path_equals_the_grouped_formula_bitwise():
+    # the step's three points, the first two at x^k, take a path of their
+    # own when the cache holds the slopes of both arrays; it has the bits of
+    # the grouped loop, whatever the rows (a few, all but one, all of them,
+    # repeated, unsorted, a list), the cache's state (fresh, moved, synced
+    # after a move, which drops the slopes of x^(k-1)) and with x^(k-1) the
+    # same array as x^k; one point, two, and the three in another order or
+    # with four take the grouped loop and have its bits too
+    data = generate_robust_erm(8, 40, 12, 0.1)
+    prob = robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=40)
+    A, neg_b, p, mb = data.A, -data.b, prob.p, 4
+    rng = np.random.default_rng(11)
+    x_k, x_prev = rng.uniform(-2, 2, (2, 12))
+    y_next, y_k, y_prev = rng.uniform(0, 1, (3, 40))
+    cache = prob.coupling_cache(x_k, y_k, x_prev, y_prev, p)
+    assert cache is not None
+    row_sets = [
+        rng.integers(0, p, size=2),
+        rng.permutation(p)[:7],
+        np.delete(np.arange(p), 17),
+        np.arange(p),
+        np.array([5, 3, 5, 39, 0, 3]),
+        [9, 2, 2, 30],
+    ]
+
+    def check(points, weights):
+        for rows in row_sets:
+            for i in range(3):
+                got = prob.batch_grad_x(rows, i, points, weights, cache=cache)
+                want = _grouped_cached_grad_x(A, neg_b, p, mb, rows, i, points, weights, cache)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (rows, i, len(points))
+
+    for state in ("fresh", "moved", "synced"):
+        if state == "moved":
+            cache.slopes(x_k)
+            dx = rng.uniform(-0.5, 0.5, mb)
+            x_prev[:] = x_k
+            x_k[mb : 2 * mb] += dx
+            cache.move(1, dx)
+            assert cache.s_prev is not None and cache.s is None
+        elif state == "synced":
+            cache.sync()
+            assert cache.s_prev is None and cache.s is None
+        for weights in ((1.0, 2.5, -2.5), (1.0, 0.0, -0.0)):
+            check(((x_k, y_next), (x_k, y_k), (x_prev, y_prev)), weights)
+            check(((x_k, y_next), (x_k, y_k), (x_k, y_prev)), weights)
+        check(((x_k, y_k),), (1.0,))
+        check(((x_k, y_k), (x_prev, y_prev)), (1.0, -0.5))
+        check(((x_prev, y_prev), (x_k, y_next), (x_k, y_k)), (-2.5, 1.0, 2.5))
+        check(((x_k, y_next), (x_prev, y_k), (x_k, y_prev)), (1.0, 2.5, -2.5))
+        check(((x_k, y_next), (x_k, y_k), (x_prev, y_prev), (x_prev, y_k)), (1.0, 2.5, -2.5, 0.5))
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_erm_empty_index_set_is_refused_by_name(cached):
+    # an empty batch has no mean: ValueError names it, with no warning and
+    # no NaN row first
+    data = generate_robust_erm(8, 40, 12, 0.1)
+    prob = robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=40)
+    x, x_prev = np.zeros(12), np.ones(12)
+    y = prob.start_y
+    kw = {"cache": prob.coupling_cache(x, y, x_prev, y, prob.p)} if cached else {}
+    points = ((x, y), (x, y), (x_prev, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for indices in ([], np.array([], dtype=int), np.zeros(0)):
+            with pytest.raises(ValueError, match="nonempty index set"):
+                prob.batch_grad_x(indices, 0, points, (1.0, 0.5, -0.5), **kw)
 
 
 def test_erm_one_row_scalar_paths_agree_with_array_paths():

@@ -711,6 +711,49 @@ def test_cached_slopes_move_with_the_margins():
     assert state.restarts == 3
 
 
+def test_slope_buffers_keep_the_slopes_of_x_prev_while_new_ones_are_computed():
+    # the cache writes slopes into two buffers in turn: after a step, the
+    # slopes of x^k taken before it are those of x^(k-1), the same array,
+    # and keep their bits while the slopes of the new x^k go into the other
+    # buffer; after a second step the first buffer takes new slopes; a sync
+    # (here by a restart) drops both, and the next two go into different
+    # buffers
+    data = generate_robust_erm(3, 40, 60, 0.1)
+    prob = robust_erm_problem(data, radius=10.0, m_blocks=6, n_blocks=40)
+    neg_b = -data.b
+    state = attach_cache(RunState.start(prob), prob)
+    cache = state.cache
+    sched = FixedSchedule(np.full(6, 0.5), np.full(40, 0.5))
+    batch = BatchSchedule.constant(5, prob.p)
+    rng = make_rng(3)
+
+    def formula(z):
+        return (neg_b * _sigmoid(neg_b * z)).view(np.int64)
+
+    for it in range(9):
+        if it % 3 == 2:
+            restart_if_saturated(state, prob.p, threshold=0.0)
+            assert cache.s is None and cache.s_prev is None
+            s_prev, s = cache.slopes(state.x_prev), cache.slopes(state.x)
+            assert not np.shares_memory(s, s_prev)
+            assert np.array_equal(s_prev.view(np.int64), formula(cache.z_prev))
+            assert np.array_equal(s.view(np.int64), formula(cache.z))
+        s = cache.slopes(state.x)
+        kept = s.copy()
+        rbpda_step(state, prob, sched, batch, rng)
+        assert cache.slopes(state.x_prev) is s
+        s_next = cache.slopes(state.x)
+        assert not np.shares_memory(s_next, s)
+        assert np.array_equal(s.view(np.int64), kept.view(np.int64))
+        assert np.array_equal(s.view(np.int64), formula(cache.z_prev))
+        assert np.array_equal(s_next.view(np.int64), formula(cache.z))
+        rbpda_step(state, prob, sched, batch, rng)
+        assert cache.slopes(state.x_prev) is s_next
+        assert cache.slopes(state.x) is s
+        assert np.array_equal(s.view(np.int64), formula(cache.z))
+    assert state.restarts == 3
+
+
 def test_cache_drift_stays_below_1e12_and_refresh_is_exact():
     # rank-block updates accumulate rounding; every `period` moves the cache
     # recomputes A x, so after 5 periods the margins still match A x and
