@@ -308,16 +308,15 @@ def robust_erm_problem(
 
     ``batch_grad_x`` on two rows or more, with a coupling cache that holds
     the slopes of every point's primal array, forms the coefficient
-    ``sum_k (w_k p) y_k * slope(x_k)`` over all n rows and gathers the drawn
-    rows of it once.  The step's three points ``((x^k, y^(k+1)), (x^k,
-    y^k), (x^(k-1), y^(k-1)))`` take a path of their own that writes this
-    sum out; any other points take the grouped loop, with the same bits.
-    The drawn rows of A on primal block i are gathered from a C-contiguous
-    ``(n, mb)`` copy of the block's columns, which gives the values of
+    ``sum_k (w_k p) y_k * slope(x_k)`` over all n rows, one term per point
+    in the points' order, and gathers the drawn rows of it once.  The drawn
+    rows of A on primal block i are gathered from a C-contiguous ``(n, mb)``
+    copy of the block's columns, which gives the values of
     ``A[rows, block i]`` in less time; the whole index set reads A in place.
-    The copies, one more copy of A per problem, are built on the first
-    such call, so runs that make none (single samples, uncached runs) never
-    build them.  An empty index set is refused with ValueError.
+    The copies together hold as many bytes as A, so they double the memory
+    that A's data takes for the problem's lifetime.  They are built on the
+    first such call, so runs that make none (single samples, uncached runs)
+    never build them.  An empty index set is refused with ValueError.
 
     The primal-primal constants depend on the dual domain.  On the simplex
     the weights sum to one, so ``Lxx[l, i] = max_r ||a_{r,l}|| ||a_{r,i}|| / 4``
@@ -419,46 +418,23 @@ def robust_erm_problem(
             coef += w * p * y.item(l) * t
         return coef, a[cols[i]]
 
-    def groups(points):
-        # consecutive points that share a primal array form one group: the
-        # distinct arrays in order, and each point's group
-        xs, which = [points[0][0]], []
-        for x, _ in points:
-            if x is not xs[-1]:
-                xs.append(x)
-            which.append(len(xs) - 1)
-        return xs, which
-
     def cached_coef(points, weights, cache):
         # sum_k (w_k p) y_k * slope(x_k) over all n rows, from the cache's
-        # slopes; None when the cache holds no slopes for some point's array
-        if len(points) == 3 and points[1][0] is points[0][0]:
-            # the step's three points, of which the first two share x^k: the
-            # grouped sum below, written out, in its order
-            (x, y0), (_, y1), (x2, y2) = points
+        # slopes, summed in the points' order into the first point's term,
+        # the later terms formed in one buffer; None when the cache holds no
+        # slopes for some point's array
+        coef = term = None
+        for (x, y), w in zip(points, weights):
             s = cache.slopes(x)
-            s2 = s if x2 is x else cache.slopes(x2)
-            if s is None or s2 is None:
+            if s is None:
                 return None
-            w0, w1, w2 = weights
-            coef = y0 * (w0 * p)
-            coef *= s
-            term = y1 * (w1 * p)
-            term *= s
-            coef += term
-            np.multiply(y2, w2 * p, out=term)
-            term *= s2
-            coef += term
-            return coef
-        xs, which = groups(points)
-        slopes = [cache.slopes(x) for x in xs]
-        if not all(s is not None for s in slopes):
-            return None
-        coef = None
-        for (_, y), w, r in zip(points, weights, which):
-            term = y * (w * p)
-            term *= slopes[r]
-            coef = term if coef is None else np.add(coef, term, out=coef)
+            if coef is None:
+                coef = y * (w * p)
+                coef *= s
+            else:
+                term = np.multiply(y, w * p, out=term)
+                term *= s
+                coef += term
         return coef
 
     def batch_grad_x(indices, i, points, weights, cache=None):
@@ -492,7 +468,13 @@ def robust_erm_problem(
                 coef = coef[rows]
                 sub_i = col_blocks[i].take(rows, axis=0)
         else:
-            xs, which = groups(points)
+            # consecutive points that share a primal array form one group:
+            # the distinct arrays in order, and each point's group
+            xs, which = [points[0][0]], []
+            for x, _ in points:
+                if x is not xs[-1]:
+                    xs.append(x)
+                which.append(len(xs) - 1)
             # one margin row per group; take() gathers whole rows faster
             # than fancy indexing
             sub = A if full else A.take(rows, axis=0)

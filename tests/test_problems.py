@@ -475,14 +475,14 @@ def _grouped_cached_grad_x(A, neg_b, p, mb, indices, i, points, weights, cache):
     return out
 
 
-def test_erm_cached_three_point_path_equals_the_grouped_formula_bitwise():
-    # the step's three points, the first two at x^k, take a path of their
-    # own when the cache holds the slopes of both arrays; it has the bits of
-    # the grouped loop, whatever the rows (a few, all but one, all of them,
-    # repeated, unsorted, a list), the cache's state (fresh, moved, synced
-    # after a move, which drops the slopes of x^(k-1)) and with x^(k-1) the
-    # same array as x^k; one point, two, and the three in another order or
-    # with four take the grouped loop and have its bits too
+def test_erm_cached_coefficient_equals_the_grouped_formula_bitwise():
+    # the cached branch sums one term per point, with each point's slopes
+    # from the cache; it has the bits of the grouped loop it replaced on the
+    # step's three points, the first two at x^k, whatever the rows (a few,
+    # all but one, all of them, repeated, unsorted, a list), the cache's
+    # state (fresh, moved, synced after a move, which drops the slopes of
+    # x^(k-1)) and with x^(k-1) the same array as x^k; and on one point,
+    # two, the three in another order and four
     data = generate_robust_erm(8, 40, 12, 0.1)
     prob = robust_erm_problem(data, radius=2.0, m_blocks=3, n_blocks=40)
     A, neg_b, p, mb = data.A, -data.b, prob.p, 4
