@@ -341,7 +341,8 @@ class SaddleProblem:
         array whose product ``coef * row`` equals
         ``batch_grad_x([l], i, points, weights)`` bit for bit, under the
         coupling cache ``cache``, which it always receives (None without
-        one); robust ERM's row is a block of a data row.  ``row_bound``
+        one); robust ERM's row is a block of a data row (the QP has none:
+        its primal term is not coef * row).  ``row_bound``
         bounds every entry of every row in absolute value (inf, the
         default, when no bound is known).  A step of batch size 1 calls it instead of
         ``batch_grad_x`` while the instance's ``batch_grad_x`` is still the
@@ -357,7 +358,8 @@ class SaddleProblem:
         calls it instead of ``grad_y`` on such a block while the instance's
         ``grad_y`` is still the one the problem was built with, and keeps
         the dual step in Python floats; a wrapper set on ``grad_y``
-        afterwards switches this off, so the wrapper sees every call.
+        afterwards switches this off, so the wrapper sees every call.  Robust
+        ERM on one-row dual blocks and the QP give it.
 
     full_grad_x(x, y) and full_grad_y(x, y)
         The whole-side partial gradients of Phi at one point, as ``(m,)``
@@ -366,7 +368,8 @@ class SaddleProblem:
 
     coupling_cache(x, y, x_prev, y_prev, v)
         Optional factory of a per-run cache of coupling products (robust ERM
-        keeps the margins ``A x^k`` and ``A x^(k-1)``).  :func:`rbpda.run`
+        and the QP, the row-coupled built-ins, keep the margins ``R x^k`` and
+        ``R x^(k-1)`` of their row matrix R).  :func:`rbpda.run`
         calls it once, over the run's iterate buffers after the start point
         is set, with v the largest batch size the run can draw (p for an
         increasing schedule, the constant v otherwise); a hand-driven caller

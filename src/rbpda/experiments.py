@@ -192,9 +192,9 @@ def baseline_stepsizes(problem) -> tuple[float, float]:
 
     The block Lipschitz matrices fold into valid whole-vector constants, and
     the single-block step formulas apply to those.  The primal curvature is
-    the problem's ``Lxx_whole`` when it gives one (robust ERM does), else
-    the spectral norm of ``Lxx``; ``Lyy`` folds by its spectral norm and
-    the couplings by their Frobenius norms.
+    the problem's ``Lxx_whole`` when it gives one (robust ERM and the QP
+    do), else the spectral norm of ``Lxx``; ``Lyy`` folds by its spectral
+    norm and the couplings by their Frobenius norms.
     """
     lip = problem.lipschitz
     folded = BlockLipschitz(

@@ -11,6 +11,13 @@ Three families:
   equilibrium oracle) and their box-relaxed variant with an interior saddle;
 * convex quadratic programs with affine inequality constraints, rewritten as
   saddle problems via Lagrangian duality, with an active-set reference oracle.
+
+Robust ERM and the QP are row-coupled: component l is
+``Phi_l(x, y) = q(x) + p y_l phi_l(r_l . x)`` for the rows r_l of a matrix
+R (the data A, the constraints G), the saddle form of SPDC (Zhang & Xiao,
+2015) and SPDHG (Chambolle et al., 2018).  :func:`row_coupling` builds the
+oracles and the margin cache :class:`RowMargins` of that form once for
+both; each problem supplies R, phi, phi', q and its one-row float kernels.
 """
 
 from __future__ import annotations
@@ -40,20 +47,22 @@ __all__ = [
     "game_saddle_oracle",
     "constrained_qp_problem",
     "qp_reference",
+    "row_coupling",
 ]
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None, spare=None):
     # exp(-|z|) lies in [0, 1], so neither branch overflows; each branch is
     # the usual one-sided form for its sign of z, 1 / (1 + e) or e / (1 + e),
     # as one divide of the selected numerator.  That numerator is
     # exp(min(z, 0)): exp(0) = 1 where z >= 0, and exp(z) = e elsewhere,
     # since -|z| is z there; an exp costs less than a comparison and a select.
-    z = np.asarray(z, dtype=float)
-    e = np.abs(z, out=np.empty_like(z))  # an array also for 0-d z, so it is written in place
+    # z is a float64 array; the result goes into out, and the numerator into
+    # spare, which may be z.
+    e = np.abs(z, out=np.empty_like(z) if out is None else out)  # an array also for 0-d z, so it is written in place
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.exp(np.minimum(z, 0.0))
+    num = np.exp(np.minimum(z, 0.0, out=spare), out=spare)
     np.add(e, 1.0, out=e)
     return np.divide(num, e, out=e)
 
@@ -91,11 +100,312 @@ def _weighted_y(points, weights) -> np.ndarray:
     return total
 
 
+def _refuse_non_finite(caller: str, **arrays) -> None:
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{caller} needs finite data: {name} has non-finite entries")
+
+
+# ---------------------------------------------------------------------------
+# Row-coupled problems: Phi_l(x, y) = q(x) + p y_l phi_l(r_l . x)
+# ---------------------------------------------------------------------------
+
+
+class RowMargins:
+    """Per-run cache of the margins ``z = A x^k`` and ``z_prev = A x^(k-1)`` of a row-coupled problem.
+
+    ``A`` is the problem's row matrix R.  Built over the run's primal
+    buffers ``x`` and ``x_prev``, and synced.  The oracles read ``z`` for
+    the array ``x`` and ``z_prev`` for ``x_prev``, found by identity
+    (:meth:`margins`); for any other array they compute the rows they read.
+    A move of primal block i costs one ``(n, mb)`` product with a column
+    block of A, read in place through a strided view built once.  Every
+    ``period`` moves, ``period`` being the number of primal blocks, ``z``
+    is recomputed as ``A @ x``: that refresh costs as much as ``period``
+    moves together, and it bounds the rounding drift of the rank-block
+    updates whatever the run length.  The problem's factory builds one only
+    for runs whose largest batch makes it pay.
+
+    :meth:`slopes` gives ``phi'(z)`` or ``phi'(z_prev)`` on every row, the
+    primal estimator's per-row factor, from the problem's ``slope`` and
+    computed on first use after the margins change; a move hands the slopes
+    of x^k on to x^(k-1) with the margins, so each step computes them for
+    x^k alone.  They are written into two buffers the cache owns, used in
+    turn: new slopes never go into the buffer the other iterate's slopes
+    hold.  So an array that :meth:`slopes` returns keeps its values through
+    the next move, as the slopes of x^(k-1), and is overwritten once the
+    cache computes slopes after a second move or after a sync.
+    """
+
+    def __init__(self, A: np.ndarray, m_blocks: int, x: np.ndarray, x_prev: np.ndarray, slope):
+        n, m = A.shape
+        mb = m // m_blocks
+        self.A = A
+        self.columns = [A[:, i * mb : (i + 1) * mb] for i in range(m_blocks)]  # each primal block's columns
+        self.period = m_blocks
+        self.x, self.x_prev = x, x_prev
+        self.z, self.z_prev = np.empty(n), np.empty(n)
+        self.slope = slope
+        self.buffers = (np.empty(n), np.empty(n))  # the slopes of x^k and x^(k-1), in turn
+        self.spare = np.empty(n)  # for the intermediate values of the slopes
+        self.syncs = 0
+        self.sync()
+
+    def margins(self, x) -> Optional[np.ndarray]:
+        """The cached margins of the buffer ``x``; None for any other array."""
+        if x is self.x:
+            return self.z
+        if x is self.x_prev:
+            return self.z_prev
+        return None
+
+    def slopes(self, x) -> Optional[np.ndarray]:
+        """The slopes of the cached margins of the buffer ``x``, in a slope buffer; None where :meth:`margins` is.
+
+        New slopes go into the slope buffer that the other iterate's slopes are not in.
+        """
+        if x is self.x:
+            if self.s is None:
+                self.s = self.slope(self.z, slice(None), self.buffers[self.s_prev is self.buffers[0]], self.spare)
+            return self.s
+        if x is self.x_prev:
+            if self.s_prev is None:
+                self.s_prev = self.slope(self.z_prev, slice(None), self.buffers[self.s is self.buffers[0]], self.spare)
+            return self.s_prev
+        return None
+
+    def sync(self) -> None:
+        """Recompute ``z`` and ``z_prev`` exactly."""
+        np.matmul(self.A, self.x, out=self.z)
+        if self.x_prev is self.x:
+            np.copyto(self.z_prev, self.z)
+        else:
+            np.matmul(self.A, self.x_prev, out=self.z_prev)
+        self.s = self.s_prev = None
+        self.moves = 0  # since the last exact product
+        self.syncs += 1
+
+    def move(self, i: int, dx: np.ndarray) -> None:
+        """x_prev took the old x and block i of x moved by dx: shift both margins."""
+        self.z_prev, self.z = self.z, self.z_prev  # z_prev takes the old z
+        self.s_prev, self.s = self.s, None
+        self.moves += 1
+        if self.moves == self.period:
+            np.matmul(self.A, self.x, out=self.z)
+            self.moves = 0
+        else:
+            np.add(self.z_prev, self.columns[i] @ dx, out=self.z)
+
+
+_INDEX = np.dtype(int)  # the dtype of a run's drawn index arrays
+
+
+def row_coupling(R, m_blocks, n_blocks, phi, slope, q=None, one_row_grad_x=None, one_row_grad_y=None,
+                 caller="row_coupling", matrix="R") -> dict:
+    """The oracles of a row-coupled problem, as keyword arguments of :class:`SaddleProblem`.
+
+    Component l of the finite sum is ``Phi_l(x, y) = q(x) + p y_l
+    phi_l(r_l . x)``, one per row r_l of the ``(n, m)`` matrix ``R``
+    (p = n), with x in ``m_blocks`` equal primal blocks and y in
+    ``n_blocks`` equal dual blocks of consecutive rows.  The problem gives:
+
+    * ``phi(z, rows, out)``: ``phi_l`` at the margins ``z`` of the given
+      rows (a slice), written into ``out``, which it returns;
+    * ``slope(z, rows, out=None, spare=None, scale=None)``: ``phi_l'`` at
+      the margins ``z`` of the given rows (a slice or an index array; z
+      may hold one row of margins per primal point), times ``scale`` when
+      given, into ``out`` (a new array when None), with ``spare`` for its
+      intermediate values (it may be z, which is then overwritten);
+    * ``q``: None, or ``(value, gradient)`` of the primal term;
+    * the optional one-row float kernels ``one_row_grad_x`` and, for dual
+      blocks of one row, ``one_row_grad_y`` (see :class:`SaddleProblem`);
+      the dict passes them on, and ``batch_grad_x`` and ``grad_y`` call them
+      at one row, so they have each other's bits.
+
+    ``batch_grad_x`` on two rows or more, with a coupling cache that holds
+    the slopes of every point's primal array, forms the coefficient
+    ``sum_k (w_k p) y_k * slope(x_k)`` over all n rows, one term per point
+    in the points' order, and gathers the drawn rows of it once.  The drawn
+    rows of R on primal block i are gathered from a C-contiguous ``(n, mb)``
+    copy of the block's columns, which gives the values of
+    ``R[rows, block i]`` in less time; the whole index set reads R in place.
+    The copies together hold as many bytes as R, so they double the memory
+    that R's data takes for the problem's lifetime.  They are built on the
+    first such call, so runs that make none (single samples, uncached runs)
+    never build them.  Without a cache it computes one margin row per group
+    of consecutive points that share a primal array.  ``q``'s gradient is
+    added once per distinct primal array.  An empty index set is refused
+    with ValueError.
+
+    ``grad_y`` on a block of several rows allocates one new ``(len(points),
+    nb)`` array per call, since the solver keeps a row of it, and writes
+    each point's ``phi`` into it; the margins are the coupling cache's, or
+    the block's rows of R times x.  The cache factory keeps
+    :class:`RowMargins` where it pays.
+
+    ``R`` must be finite, and its entries small enough that its squared
+    norms are; otherwise ValueError names ``matrix`` and ``caller``.
+    ``row_bound`` is R's largest entry in absolute value.
+    """
+    n, m = R.shape
+    p = n
+    mb, nb = m // m_blocks, n // n_blocks
+    r_max = float(np.abs(R).max())  # NaN if an entry is NaN
+    _refuse_non_finite(caller, **{matrix: r_max})
+    if not math.isfinite(r_max * r_max * n * m):  # bounds the Gram matrix's eigenvalues
+        raise ValueError(f"{caller} needs {matrix}'s squared norms to be finite: {matrix} has an entry of {r_max:.3g}")
+    q_value, q_grad = (lambda x: 0.0, None) if q is None else q
+    all_rows = np.arange(n)
+    cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]  # each primal block's columns
+    dual_rows = [slice(j * nb, (j + 1) * nb) for j in range(n_blocks)]  # each dual block's rows
+    # each primal block's columns as a C-contiguous (n, mb) copy, from which
+    # take() gathers rows faster than R[rows, cols[i]]; built on the first
+    # cached batch call, so runs that make none never pay for the copy
+    col_blocks = None
+
+    def margins(x, cache):
+        z = None if cache is None else cache.margins(x)
+        return R @ x if z is None else z
+
+    def cached_coef(points, weights, cache):
+        # sum_k (w_k p) y_k * slope(x_k) over all n rows, from the cache's
+        # slopes, summed in the points' order into the first point's term,
+        # the later terms formed in one buffer; None when the cache holds no
+        # slopes for some point's array
+        coef = term = None
+        for (x, y), w in zip(points, weights):
+            s = cache.slopes(x)
+            if s is None:
+                return None
+            if coef is None:
+                coef = y * (w * p)
+                coef *= s
+            else:
+                term = np.multiply(y, w * p, out=term)
+                term *= s
+                coef += term
+        return coef
+
+    def batch_grad_x(indices, i, points, weights, cache=None):
+        nonlocal col_blocks
+        # a run's drawn indices are used as they are, without the asarray call
+        if type(indices) is np.ndarray and indices.dtype is _INDEX:
+            rows = indices
+        else:
+            rows = np.asarray(indices, dtype=int)
+        count = rows.size
+        if count < 2:
+            try:  # an empty index set fails here, at no cost to the other paths
+                l = rows.item(0)
+            except IndexError:
+                raise ValueError("batch_grad_x needs a nonempty index set, got an empty one") from None
+            if one_row_grad_x is not None:
+                coef, row = one_row_grad_x(l, i, points, weights, cache)
+                return coef * row
+        full = count == n and np.array_equal(rows, all_rows)
+        if full:
+            rows = slice(None)  # the whole index set: read R in place
+        coef = None if cache is None else cached_coef(points, weights, cache)
+        if coef is not None:
+            # the coefficient is formed over all rows and gathered once, which
+            # costs fewer numpy calls than gathering each group's rows; its
+            # O(n) is below the O(n mb) of the move that keeps the cache current
+            if full:
+                sub_i = R[:, cols[i]]  # a view: the copy's row stride changes the product's bits
+            else:
+                if col_blocks is None:
+                    col_blocks = [np.ascontiguousarray(R[:, c]) for c in cols]
+                coef = coef[rows]
+                sub_i = col_blocks[i].take(rows, axis=0)
+        else:
+            # consecutive points that share a primal array form one group:
+            # the distinct arrays in order, and each point's group
+            xs, which = [points[0][0]], []
+            for x, _ in points:
+                if x is not xs[-1]:
+                    xs.append(x)
+                which.append(len(xs) - 1)
+            # one margin row per group; take() gathers whole rows faster
+            # than fancy indexing
+            sub = R if full else R.take(rows, axis=0)
+            z = np.empty((len(xs), count))
+            for r, x in enumerate(xs):
+                np.matmul(sub, x, out=z[r])
+            sub_i = sub[:, cols[i]]
+            t = slope(z, rows, spare=z)
+            # each group's sum_k (w_k p) y_k[rows] as one small product,
+            # times the group's t, summed over the groups
+            ys = np.empty((len(points), count))
+            ws = np.zeros((len(xs), len(points)))
+            for k, ((_, y), w) in enumerate(zip(points, weights)):
+                ys[k] = y[rows]
+                ws[which[k], k] = w * p
+            parts = ws @ ys
+            parts *= t
+            coef = np.add.reduce(parts, axis=0)
+        # one (v,) @ (v, mb) product; a single point of weight 1 keeps the
+        # one-point formula's order, ((p y) t) @ R / v, bit for bit
+        out = coef @ sub_i
+        out /= count
+        if q_grad is not None:
+            x_seen = None
+            for (x, _), w in zip(points, weights):
+                if x is not x_seen:
+                    x_seen, base = x, q_grad(x)[cols[i]]
+                out += w * base
+        return out
+
+    def grad_y(j, points, cache=None):
+        if one_row_grad_y is not None:
+            return np.array(one_row_grad_y(j, points, cache))[:, None]
+        rows = dual_rows[j]
+        out = np.empty((len(points), nb))  # new at each call: the step keeps a row of it
+        for row, (x, _) in zip(out, points):
+            z = None if cache is None else cache.margins(x)  # written out: a call per point costs the step time
+            phi(R[rows] @ x if z is None else z[rows], rows, row)
+        return out
+
+    def full_grad_x(x, y, cache=None):
+        g = R.T @ slope(margins(x, cache), slice(None), scale=y)
+        return g if q_grad is None else q_grad(x) + g
+
+    def full_grad_y(x, y, cache=None):
+        return phi(margins(x, cache), slice(None), np.empty(n))
+
+    def phi_value(x, y):
+        return q_value(x) + float(y @ full_grad_y(x, y))
+
+    def phi_component(l, x, y):
+        z = R[l : l + 1] @ x
+        return q_value(x) + p * y[l] * float(phi(z, slice(l, l + 1), z)[0])
+
+    def coupling_cache(x, y, x_prev, y_prev, v):
+        # without the cache a step reads 2 (nb + v) rows of R, each m long:
+        # the dual block's nb rows and the v drawn rows, at x^k and x^(k-1);
+        # keeping the margins current costs a move and its share of the
+        # refresh, 2 n mb
+        if (nb + v) * m <= n * mb:
+            return None
+        return RowMargins(R, m_blocks, x, x_prev, slope)
+
+    return dict(
+        component_grad_x=lambda l, i, x, y: batch_grad_x(np.array([l]), i, ((x, y),), (1.0,)),
+        grad_y=grad_y,
+        batch_grad_x=batch_grad_x,
+        full_grad_x=full_grad_x,
+        full_grad_y=full_grad_y,
+        phi_value=phi_value,
+        phi_component=phi_component,
+        coupling_cache=coupling_cache,
+        one_row_grad_x=one_row_grad_x,
+        one_row_grad_y=one_row_grad_y,
+        row_bound=r_max,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Robust empirical risk minimization
 # ---------------------------------------------------------------------------
-
-
 @dataclass
 class RobustErmDataset:
     """Synthetic classification data with a planted classifier and flipped labels."""
@@ -187,106 +497,6 @@ def _erm_lipschitz(A: np.ndarray, m_blocks: int, n_blocks: int, entropy: bool) -
     return BlockLipschitz(Lxx=Lxx, Lxy=Lxy, Lyy=Lyy, Lyx=Lyx, Lxx_whole=whole)
 
 
-class ErmMargins:
-    """Per-run cache of the robust-ERM margins ``z = A x^k`` and ``z_prev = A x^(k-1)``.
-
-    Built over the run's primal buffers ``x`` and ``x_prev``, and synced.
-    The ERM oracles read ``z`` for the array ``x`` and ``z_prev`` for
-    ``x_prev``, found by identity (:meth:`margins`); for any other array
-    they compute the rows they read.  A move of primal block i costs one
-    ``(n, mb)`` product with a column block of A, read in place through
-    a strided view built once.  Every
-    ``period`` moves, ``period`` being the number of primal blocks, ``z``
-    is recomputed as ``A @ x``: that refresh costs as much as ``period``
-    moves together, and it bounds the rounding drift of the rank-block
-    updates whatever the run length.  The problem's factory builds one only
-    for runs whose largest batch makes it pay.
-
-    :meth:`slopes` gives ``neg_b * sigmoid(neg_b * z)`` or the same of
-    ``z_prev``, the primal estimator's per-row factor, computed on first use
-    after the margins change; a move hands the slopes of x^k on to x^(k-1)
-    with the margins, so each step computes them for x^k alone.  They are
-    written into two buffers the cache owns, used in turn: new slopes never
-    go into the buffer the other iterate's slopes hold.  So an array that
-    :meth:`slopes` returns keeps its values through the next move, as the
-    slopes of x^(k-1), and is overwritten once the cache computes slopes
-    after a second move or after a sync.
-    """
-
-    def __init__(self, A: np.ndarray, m_blocks: int, x: np.ndarray, x_prev: np.ndarray, neg_b: np.ndarray):
-        n, m = A.shape
-        mb = m // m_blocks
-        self.A = A
-        self.columns = [A[:, i * mb : (i + 1) * mb] for i in range(m_blocks)]  # each primal block's columns
-        self.period = m_blocks
-        self.x, self.x_prev = x, x_prev
-        self.z, self.z_prev = np.empty(n), np.empty(n)
-        self.neg_b = neg_b
-        self.buffers = (np.empty(n), np.empty(n))  # the slopes of x^k and x^(k-1), in turn
-        self.spare = np.empty(n)  # for the intermediate values of the slopes
-        self.syncs = 0
-        self.sync()
-
-    def margins(self, x) -> Optional[np.ndarray]:
-        """The cached margins of the buffer ``x``; None for any other array."""
-        if x is self.x:
-            return self.z
-        if x is self.x_prev:
-            return self.z_prev
-        return None
-
-    def slopes(self, x) -> Optional[np.ndarray]:
-        """The slopes of the cached margins of the buffer ``x``, in a slope buffer; None where :meth:`margins` is."""
-        if x is self.x:
-            if self.s is None:
-                self.s = self._slopes_of(self.z, self.s_prev)
-            return self.s
-        if x is self.x_prev:
-            if self.s_prev is None:
-                self.s_prev = self._slopes_of(self.z_prev, self.s)
-            return self.s_prev
-        return None
-
-    def _slopes_of(self, z, kept) -> np.ndarray:
-        # neg_b * _sigmoid(neg_b * z) with _sigmoid's ufuncs in its order, so
-        # bit for bit, in the slope buffer that ``kept`` is not
-        out = self.buffers[kept is self.buffers[0]]
-        u, neg_b = self.spare, self.neg_b
-        np.multiply(neg_b, z, out=u)
-        np.abs(u, out=out)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        num = np.exp(np.minimum(u, 0.0, out=u), out=u)
-        np.add(out, 1.0, out=out)
-        np.divide(num, out, out=out)
-        return np.multiply(neg_b, out, out=out)
-
-    def sync(self) -> None:
-        """Recompute ``z`` and ``z_prev`` exactly."""
-        np.matmul(self.A, self.x, out=self.z)
-        if self.x_prev is self.x:
-            np.copyto(self.z_prev, self.z)
-        else:
-            np.matmul(self.A, self.x_prev, out=self.z_prev)
-        self.s = self.s_prev = None
-        self.moves = 0  # since the last exact product
-        self.syncs += 1
-
-    def move(self, i: int, dx: np.ndarray) -> None:
-        """x_prev took the old x and block i of x moved by dx: shift both margins."""
-        self.z_prev, self.z = self.z, self.z_prev  # z_prev takes the old z
-        self.s_prev, self.s = self.s, None
-        self.moves += 1
-        if self.moves == self.period:
-            np.matmul(self.A, self.x, out=self.z)
-            self.moves = 0
-        else:
-            np.add(self.z_prev, self.columns[i] @ dx, out=self.z)
-
-
-_INDEX = np.dtype(int)  # the dtype of a run's drawn index arrays
-
-
 def robust_erm_problem(
     data: RobustErmDataset,
     radius: float = 10.0,
@@ -295,28 +505,14 @@ def robust_erm_problem(
 ) -> SaddleProblem:
     """Worst-case-weighted logistic regression as a saddle problem.
 
-    One coupling component per datum (p = n).  The primal sits in the box
-    ||x||_inf <= radius split across ``m_blocks``; the dual weight vector uses
-    a single entropy-geometry simplex block when ``n_blocks == 1`` and
-    per-coordinate [0, 1] boxes otherwise (recorded in ``notes``).
-
-    ``grad_y`` on a block of several rows (the whole simplex at N = 1)
-    allocates one new ``(len(points), nb)`` array per call, since the solver
-    keeps a row of it, and writes each point's ``-b z`` and then the losses
-    ``logaddexp(0, -b z)`` into it in place; the margins z are the coupling
-    cache's, or the block's rows of A times x.
-
-    ``batch_grad_x`` on two rows or more, with a coupling cache that holds
-    the slopes of every point's primal array, forms the coefficient
-    ``sum_k (w_k p) y_k * slope(x_k)`` over all n rows, one term per point
-    in the points' order, and gathers the drawn rows of it once.  The drawn
-    rows of A on primal block i are gathered from a C-contiguous ``(n, mb)``
-    copy of the block's columns, which gives the values of
-    ``A[rows, block i]`` in less time; the whole index set reads A in place.
-    The copies together hold as many bytes as A, so they double the memory
-    that A's data takes for the problem's lifetime.  They are built on the
-    first such call, so runs that make none (single samples, uncached runs)
-    never build them.  An empty index set is refused with ValueError.
+    One coupling component per datum (p = n), row-coupled through the data
+    (:func:`row_coupling` with R = A, ``phi_l(u) = log(1 + exp(-b_l u))``
+    and no q).  The primal sits in the box ||x||_inf <= radius split across
+    ``m_blocks``; the dual weight vector uses a single entropy-geometry
+    simplex block when ``n_blocks == 1`` and per-coordinate [0, 1] boxes
+    otherwise (recorded in ``notes``).  Its one-row float kernels are
+    ``one_row_grad_x``, whose row is a block of a data row, and on one-row
+    dual blocks ``one_row_grad_y``.
 
     The primal-primal constants depend on the dual domain.  On the simplex
     the weights sum to one, so ``Lxx[l, i] = max_r ||a_{r,l}|| ||a_{r,i}|| / 4``
@@ -343,50 +539,22 @@ def robust_erm_problem(
         raise ValueError(f"n_blocks={n_blocks} is below 1 or does not divide n={n}")
     mb, nb = m // m_blocks, n // n_blocks
     entropy = n_blocks == 1
-    a_max = float(np.abs(A).max())  # NaN if an entry is NaN
-    for name, finite in (("A", math.isfinite(a_max)), ("b", np.isfinite(b).all())):
-        if not finite:
-            raise ValueError(f"robust_erm_problem needs finite data: {name} has non-finite entries")
-    if not math.isfinite(a_max * a_max * n * m):  # bounds the Gram matrix's eigenvalues
-        raise ValueError(f"robust_erm_problem needs A's squared norms to be finite: A has an entry of {a_max:.3g}")
-
-    structure = BlockStructure.from_dims([mb] * m_blocks, [nb] * n_blocks)
-    # equal blocks share one (immutable) spec, and a step plan one kernel for it
-    primal_prox = [ProxSpec.box(-radius * np.ones(mb), radius * np.ones(mb))] * m_blocks
-    if entropy:
-        dual_prox = [ProxSpec.simplex(geometry=NEGATIVE_ENTROPY)]
-    else:
-        dual_prox = [ProxSpec.box(np.zeros(nb), np.ones(nb))] * n_blocks
-
-    lip = _erm_lipschitz(A, m_blocks, n_blocks, entropy)
-
-    def margins(x, cache, rows=slice(None)):
-        z = None if cache is None else cache.margins(x)
-        return A[rows] @ x if z is None else z[rows]
-
     neg_b = -b
     neg_b_list = neg_b.tolist()
-    all_rows = np.arange(n)
     cols = [slice(i * mb, (i + 1) * mb) for i in range(m_blocks)]  # each primal block's columns
-    # each primal block's columns as a C-contiguous (n, mb) copy, from which
-    # take() gathers rows faster than A[rows, cols[i]]; built on the first
-    # cached batch call, so runs that make none never pay for the copy
-    col_blocks = None
-    # each dual block's rows and their -b, built once
-    dual_rows = [(rows, neg_b[rows]) for rows in (slice(j * nb, (j + 1) * nb) for j in range(n_blocks))]
     row_views = list(A)  # built once: a list index costs less than A[l]
 
-    def slope(z, rows=slice(None)):
-        # d/dx log(1 + exp(-b a'x)) = -b * sigmoid(-b a'x) * a: the factor of
-        # each row's a at its margin z = a'x, for the given rows
-        neg_b_rows = neg_b[rows]
-        return neg_b_rows * _sigmoid(neg_b_rows * z)
+    def loss(z, rows, out):
+        np.multiply(neg_b[rows], z, out=out)
+        return np.logaddexp(0.0, out, out=out)
 
-    def component_grad_x(l, i, x, y):
-        a = A[l]
-        nbl = neg_b_list[l]
-        t = nbl * _sigmoid1(nbl * float(a.dot(x)))
-        return (p * float(y[l]) * t) * a[i * mb : (i + 1) * mb]
+    def slope(z, rows, out=None, spare=None, scale=None):
+        # d/du log(1 + exp(-b u)) = -b * sigmoid(-b u), with _sigmoid's
+        # ufuncs in its order, so bit for bit
+        neg_b_rows = neg_b[rows]
+        u = np.multiply(neg_b_rows, z, out=spare)
+        t = _sigmoid(u, out, u)
+        return np.multiply(neg_b_rows if scale is None else scale * neg_b_rows, t, out=t)
 
     def one_row_grad_x(l, i, points, weights, cache):
         # batch size 1 as (coef, row block of a_l), coef in Python floats: one
@@ -418,154 +586,40 @@ def robust_erm_problem(
             coef += w * p * y.item(l) * t
         return coef, a[cols[i]]
 
-    def cached_coef(points, weights, cache):
-        # sum_k (w_k p) y_k * slope(x_k) over all n rows, from the cache's
-        # slopes, summed in the points' order into the first point's term,
-        # the later terms formed in one buffer; None when the cache holds no
-        # slopes for some point's array
-        coef = term = None
-        for (x, y), w in zip(points, weights):
-            s = cache.slopes(x)
-            if s is None:
-                return None
-            if coef is None:
-                coef = y * (w * p)
-                coef *= s
-            else:
-                term = np.multiply(y, w * p, out=term)
-                term *= s
-                coef += term
-        return coef
-
-    def batch_grad_x(indices, i, points, weights, cache=None):
-        nonlocal col_blocks
-        # a run's drawn indices are used as they are, without the asarray call
-        if type(indices) is np.ndarray and indices.dtype is _INDEX:
-            rows = indices
-        else:
-            rows = np.asarray(indices, dtype=int)
-        count = rows.size
-        if count < 2:
-            try:  # an empty index set fails here, at no cost to the other paths
-                l = rows.item(0)
-            except IndexError:
-                raise ValueError("batch_grad_x needs a nonempty index set, got an empty one") from None
-            coef, row = one_row_grad_x(l, i, points, weights, cache)
-            return coef * row
-        full = count == n and np.array_equal(rows, all_rows)
-        if full:
-            rows = slice(None)  # the whole index set: read A in place
-        coef = None if cache is None else cached_coef(points, weights, cache)
-        if coef is not None:
-            # the coefficient is formed over all rows and gathered once, which
-            # costs fewer numpy calls than gathering each group's rows; its
-            # O(n) is below the O(n mb) of the move that keeps the cache current
-            if full:
-                sub_i = A[:, cols[i]]  # a view: the copy's row stride changes the product's bits
-            else:
-                if col_blocks is None:
-                    col_blocks = [np.ascontiguousarray(A[:, c]) for c in cols]
-                coef = coef[rows]
-                sub_i = col_blocks[i].take(rows, axis=0)
-        else:
-            # consecutive points that share a primal array form one group:
-            # the distinct arrays in order, and each point's group
-            xs, which = [points[0][0]], []
-            for x, _ in points:
-                if x is not xs[-1]:
-                    xs.append(x)
-                which.append(len(xs) - 1)
-            # one margin row per group; take() gathers whole rows faster
-            # than fancy indexing
-            sub = A if full else A.take(rows, axis=0)
-            z = np.empty((len(xs), count))
-            for r, x in enumerate(xs):
-                np.matmul(sub, x, out=z[r])
-            sub_i = sub[:, cols[i]]
-            t = slope(z, rows)
-            # each group's sum_k (w_k p) y_k[rows] as one small product,
-            # times the group's t, summed over the groups
-            ys = np.empty((len(points), count))
-            ws = np.zeros((len(xs), len(points)))
-            for k, ((_, y), w) in enumerate(zip(points, weights)):
-                ys[k] = y[rows]
-                ws[which[k], k] = w * p
-            parts = ws @ ys
-            parts *= t
-            coef = np.add.reduce(parts, axis=0)
-        # one (v,) @ (v, mb) product; a single point of weight 1 keeps the
-        # one-point formula's order, ((p y) t) @ A / v, bit for bit
-        out = coef @ sub_i
-        out /= count
-        return out
-
-    def full_grad_x(x, y, cache=None):
-        w = y * neg_b * _sigmoid(neg_b * margins(x, cache))
-        return A.T @ w
-
-    def full_grad_y(x, y, cache=None):
-        return np.logaddexp(0.0, neg_b * margins(x, cache))
-
     def one_row_grad_y(j, points, cache):
         # a one-row dual block's column as Python floats, one margin each
         a, nbl = row_views[j], neg_b_list[j]
-        out = []
+        out = []  # a loop: a list comprehension's frame costs more per step
         for x, _ in points:
             u = a.dot(x) if cache is None or (z := cache.margins(x)) is None else z[j]
             out.append(_logaddexp0(nbl * float(u)))
         return out
 
-    def grad_y(j, points, cache=None):
-        if nb == 1:
-            return np.array(one_row_grad_y(j, points, cache))[:, None]
-        rows, signs = dual_rows[j]
-        out = np.empty((len(points), nb))  # new at each call: the step keeps a row of it
-        for row, (x, _) in zip(out, points):
-            np.multiply(signs, margins(x, cache, rows), out=row)
-        # elementwise, so each row equals a one-point call bit for bit
-        return np.logaddexp(0.0, out, out=out)
-
-    def phi_value(x, y):
-        return float(y @ full_grad_y(x, y))
-
-    def phi_component(l, x, y):
-        return p * y[l] * float(np.logaddexp(0.0, -b[l] * float(A[l] @ x)))
-
-    def coupling_cache(x, y, x_prev, y_prev, v):
-        # without the cache a step reads 2 (nb + v) rows of A, each m long:
-        # the dual block's nb rows and the v drawn rows, at x^k and x^(k-1);
-        # keeping the margins current costs a move and its share of the
-        # refresh, 2 n mb
-        if (nb + v) * m <= n * mb:
-            return None
-        return ErmMargins(A, m_blocks, x, x_prev, neg_b)
-
-    start_y = np.full(n, 1.0 / p)
+    oracles = row_coupling(A, m_blocks, n_blocks, loss, slope, one_row_grad_x=one_row_grad_x,
+                           one_row_grad_y=one_row_grad_y if nb == 1 else None, caller="robust_erm_problem",
+                           matrix="A")
+    _refuse_non_finite("robust_erm_problem", b=b)
+    # equal blocks share one (immutable) spec, and a step plan one kernel for it
+    primal_prox = [ProxSpec.box(-radius * np.ones(mb), radius * np.ones(mb))] * m_blocks
+    if entropy:
+        dual_prox = [ProxSpec.simplex(geometry=NEGATIVE_ENTROPY)]
+    else:
+        dual_prox = [ProxSpec.box(np.zeros(nb), np.ones(nb))] * n_blocks
     return SaddleProblem(
-        structure=structure,
+        structure=BlockStructure.from_dims([mb] * m_blocks, [nb] * n_blocks),
         p=p,
         primal_prox=primal_prox,
         dual_prox=dual_prox,
-        component_grad_x=component_grad_x,
-        lipschitz=lip,
-        grad_y=grad_y,
-        batch_grad_x=batch_grad_x,
-        full_grad_x=full_grad_x,
-        full_grad_y=full_grad_y,
-        phi_value=phi_value,
-        phi_component=phi_component,
-        coupling_cache=coupling_cache,
-        one_row_grad_x=one_row_grad_x,
-        one_row_grad_y=one_row_grad_y if nb == 1 else None,
-        row_bound=a_max,
+        lipschitz=_erm_lipschitz(A, m_blocks, n_blocks, entropy),
         start_x=np.zeros(m),
-        start_y=start_y,
+        start_y=np.full(n, 1.0 / p),
         name=f"robust_erm(n={n},m={m},M={m_blocks},N={n_blocks})",
         notes={
             "dual_box_relaxation": not entropy,
             "radius": radius,
             "flip_prob": data.flip_prob,
         },
+        **oracles,
     )
 
 
@@ -817,11 +871,24 @@ def qp_reference(Q, c, G, d, tol: float = 1e-9):
     raise ValueError("no feasible active set found")
 
 
+_QP_TOL = 1e-10  # relative tolerance of the QP's symmetry and semidefiniteness checks
+
+
 def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
     """Inequality-constrained QP as a saddle problem over x free, y >= 0.
 
     L(x, y) = 0.5 x'Qx + c'x + y'(Gx - d); each constraint is one dual block.
+    It is row-coupled (:func:`row_coupling`) through R = G, with
+    ``q(x) = 0.5 x'Qx + c'x`` and ``phi_l(u) = u - d_l``, and its one-row
+    float kernel ``one_row_grad_y`` gives ``G_j x - d_j``.  It has no
+    ``one_row_grad_x``: with q nonzero the primal term is not coef * row.
+    ``Lxx_whole`` is ``||Q||_2``, the largest eigenvalue of Q.
     Returns the problem, the reference (x*, y*), and the optimal value.
+
+    ``Q``, ``c``, ``G`` and ``d`` must be finite, and ``Q`` symmetric
+    positive semidefinite: ``max |Q - Q'|`` at most ``1e-10 max |Q|``, and
+    its smallest eigenvalue at least ``-1e-10`` times its largest in
+    absolute value; otherwise ValueError names the array.
     """
     Q, c, G, d = spec.Q, spec.c, spec.G, spec.d
     m = Q.shape[0]
@@ -833,10 +900,33 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
         n_con = 1
     if m_blocks < 1 or m % m_blocks:
         raise ValueError(f"m_blocks={m_blocks} is below 1 or does not divide the primal dimension {m}")
+    _refuse_non_finite("constrained_qp_problem", Q=Q, c=c, d=d)
+    if np.abs(Q - Q.T).max() > _QP_TOL * np.abs(Q).max():
+        raise ValueError("constrained_qp_problem needs a symmetric Q: Q differs from its transpose")
+    eig = np.linalg.eigvalsh(Q)
+    whole = float(np.abs(eig).max())
+    if eig[0] < -_QP_TOL * whole:
+        raise ValueError(f"constrained_qp_problem needs a positive semidefinite Q: Q has the eigenvalue {eig[0]:.3g}")
     mb = m // m_blocks
-    p = n_con
-    structure = BlockStructure.from_dims([mb] * m_blocks, [1] * n_con)
+    d_list = d.tolist()
 
+    def objective(x):
+        return float(0.5 * x @ Q @ x + c @ x)
+
+    def residual(z, rows, out):
+        return np.subtract(z, d[rows], out=out)
+
+    def unit_slope(z, rows, out=None, spare=None, scale=None):
+        out = np.empty_like(z) if out is None else out
+        out[...] = 1.0 if scale is None else scale
+        return out
+
+    def one_row_grad_y(j, points, cache):
+        return [float(G[j] @ x if cache is None or (z := cache.margins(x)) is None else z[j]) - d_list[j]
+                for x, _ in points]
+
+    oracles = row_coupling(G, m_blocks, n_con, residual, unit_slope, q=(objective, lambda x: Q @ x + c),
+                           one_row_grad_y=one_row_grad_y, caller="constrained_qp_problem", matrix="G")
     Lxx = np.zeros((m_blocks, m_blocks))
     for l in range(m_blocks):
         for i in range(m_blocks):
@@ -845,59 +935,19 @@ def constrained_qp_problem(spec: ConstrainedSpec, m_blocks: int = 1):
         [np.linalg.norm(G[:, i * mb : (i + 1) * mb], axis=1) for i in range(m_blocks)], axis=1
     )  # (n_con, m_blocks)
     lip = BlockLipschitz(
-        Lxx=Lxx, Lxy=Gnorm.T.copy(), Lyy=np.zeros((n_con, n_con)), Lyx=Gnorm
+        Lxx=Lxx, Lxy=Gnorm.T.copy(), Lyy=np.zeros((n_con, n_con)), Lyx=Gnorm, Lxx_whole=whole
     )
-
-    def component_grad_x(l, i, x, y):
-        base = (Q @ x + c)[i * mb : (i + 1) * mb]
-        return base + p * y[l] * G[l, i * mb : (i + 1) * mb]
-
-    def batch_grad_x(indices, i, points, weights):
-        rows = np.asarray(indices, dtype=int)
-        blk = slice(i * mb, (i + 1) * mb)
-        try:  # an empty index set fails here, at no cost to the other paths
-            scale = p / rows.size
-        except ZeroDivisionError:
-            raise ValueError("batch_grad_x needs a nonempty index set, got an empty one") from None
-        # linear in y: one product with the weighted dual points, then the
-        # weighted Q x + c, computed once per distinct primal array
-        out = scale * (_weighted_y(points, weights)[rows] @ G[rows, blk])
-        x_seen, base = None, None
-        for (x, _), w in zip(points, weights):
-            if x is not x_seen:
-                x_seen, base = x, (Q @ x + c)[blk]
-            out += w * base
-        return out
-
-    def grad_y(j, points):
-        return np.array([[G[j] @ x - d[j]] for x, _ in points])
-
-    def phi_value(x, y):
-        return float(0.5 * x @ Q @ x + c @ x + y @ (G @ x - d))
-
-    def phi_component(l, x, y):
-        return float(0.5 * x @ Q @ x + c @ x + p * y[l] * (G[l] @ x - d[l]))
-
     problem = SaddleProblem(
-        structure=structure,
-        p=p,
+        structure=BlockStructure.from_dims([mb] * m_blocks, [1] * n_con),
+        p=n_con,
         primal_prox=[ProxSpec.zero() for _ in range(m_blocks)],
         dual_prox=[ProxSpec.nonneg() for _ in range(n_con)],
-        component_grad_x=component_grad_x,
         lipschitz=lip,
-        grad_y=grad_y,
-        batch_grad_x=batch_grad_x,
-        full_grad_x=lambda x, y: Q @ x + c + G.T @ y,
-        full_grad_y=lambda x, y: G @ x - d,
-        phi_value=phi_value,
-        phi_component=phi_component,
         start_x=np.zeros(m) if spec.slater is None else spec.slater.copy(),
         start_y=np.zeros(n_con),
         name=f"constrained_qp(m={m},constraints={n_con})",
-        notes={"objective_Q": Q, "objective_c": c},
+        notes={"objective_Q": Q, "objective_c": c, "objective": objective, "constraints": lambda x: G @ x - d},
+        **oracles,
     )
-    problem.notes["objective"] = lambda x: float(0.5 * x @ Q @ x + c @ x)
-    problem.notes["constraints"] = lambda x: G @ x - d
     x_star, y_star = qp_reference(Q, c, G, d)
-    f_star = float(0.5 * x_star @ Q @ x_star + c @ x_star)
-    return problem, (x_star, y_star), f_star
+    return problem, (x_star, y_star), objective(x_star)

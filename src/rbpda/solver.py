@@ -477,6 +477,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                 linear = [-(N * a + nm_theta * (a - b)) for a, b in zip(g_now, g_old)]
             else:
                 if at_j is not None and g.shape == (len(points), 1):
+                    # a one-coordinate block whose grad_y has no one_row_grad_y
+                    # in its place: both row-coupled built-ins give one, so
+                    # only the games' blocks and a wrapped grad_y (traced
+                    # runs) come here
                     g_now, y_base = g.item(0), y_k.item(at_j)
                     g_old = g.item(1) if kept is None else kept[1]
                     linear = -(N * g_now + nm_theta * (g_now - g_old))  # as on the one-row path
@@ -1039,9 +1043,9 @@ def deterministic_baseline_run(
     Budget accounting charges p component gradients per iteration for the full
     primal gradient.  Both full gradients of an iteration are taken at the
     same x, so a problem's coupling cache, synced exactly onto x once per
-    iteration, lets them share its products (one ``A @ x`` per iteration for
-    robust ERM).  The loop is :func:`run`'s (:func:`_drive`): the same start
-    point checks, checkpoints with the domain check, and a
+    iteration, lets them share its products (one ``R @ x`` per iteration for
+    robust ERM and the QP).  The loop is :func:`run`'s (:func:`_drive`): the
+    same start point checks, checkpoints with the domain check, and a
     :class:`SolverError` carrying the partial result on any failure.  A
     negative ``iters`` or a ``checkpoint_every`` below 1 raises
     ``ValueError``, as in :class:`SolverConfig`.

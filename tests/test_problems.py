@@ -355,6 +355,57 @@ class TestQpProblems:
         with pytest.raises(ValueError):
             ConstrainedSpec(Q=[[2.0]], c=[0.0], G=[[1.0]], d=[-1.0], slater=[0.0])
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("c", [np.nan, -1.0], "c has non-finite entries"),
+        ("d", [0.5, np.nan], "d has non-finite entries"),
+        ("Q", [[2.0, np.nan], [np.nan, 1.0]], "Q has non-finite entries"),
+        ("G", [[1.0, -1.0], [np.inf, 1.0]], "G has non-finite entries"),
+        ("Q", [[-1.0, 0.0], [0.0, 1.0]], "positive semidefinite Q: Q has the eigenvalue -1"),
+        ("Q", [[2.0, 0.3], [-0.3, 1.0]], "symmetric Q"),
+    ], ids=["nan_c", "nan_d", "nan_Q", "inf_G", "indefinite_Q", "nonsymmetric_Q"])
+    def test_bad_data_refused_by_name(self, name, value, message):
+        # each used to build: NaN in c gave a NaN x* and f*, NaN in d a
+        # reference that counted the constraint as met, NaN in Q numpy's
+        # "SVD did not converge", an indefinite Q the finite f* of an
+        # unbounded problem, a nonsymmetric Q a Q x + c that is not the
+        # objective's gradient
+        data = dict(Q=[[2.0, 0.3], [0.3, 1.0]], c=[0.5, -1.0], G=[[1.0, -1.0], [0.5, 1.0]], d=[0.5, 0.2])
+        data[name] = value
+        with pytest.raises(ValueError, match=message):
+            constrained_qp_problem(ConstrainedSpec(**data))
+
+    def test_semidefinite_q_within_the_tolerance_is_accepted(self):
+        # a singular Q (an LP's zero, a rank-one Q whose computed smallest
+        # eigenvalue may be a rounding below 0) builds; x <= 0 binds both
+        # coordinates, so the active-set reference has a regular system
+        for Q in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            spec = ConstrainedSpec(Q=Q, c=[-1.0, -1.0], G=np.eye(2), d=[0.0, 0.0])
+            prob, (x_star, _), _ = constrained_qp_problem(spec)
+            np.testing.assert_allclose(x_star, [0.0, 0.0], atol=1e-12)
+            assert prob.lipschitz.Lxx_whole == pytest.approx(max(np.linalg.eigvalsh(Q)))
+
+    @pytest.mark.parametrize("m_blocks", [1, 3])
+    def test_whole_vector_curvature_certification(self, m_blocks):
+        # Lxx_whole = lambda_max(Q) bounds ||grad_x(x1, y) - grad_x(x2, y)|| /
+        # ||x1 - x2|| over random pairs, and is met along Q's top eigenvector
+        rng = np.random.default_rng(12)
+        B = rng.standard_normal((6, 4))
+        Q = B @ B.T
+        G = rng.standard_normal((3, 6))
+        spec = ConstrainedSpec(Q=Q, c=rng.standard_normal(6), G=G, d=G @ rng.standard_normal(6) + 1.0)
+        prob, _, _ = constrained_qp_problem(spec, m_blocks=m_blocks)
+        whole = prob.lipschitz.Lxx_whole
+        top = np.linalg.eigh(Q)[1][:, -1]
+        worst = 0.0
+        for k in range(200):
+            x1, y = rng.standard_normal(6), np.abs(rng.standard_normal(3))
+            d = top if k == 0 else rng.standard_normal(6) * 10 ** rng.uniform(-3, 1)
+            lhs = np.linalg.norm(prob.full_grad_x(x1 + d, y) - prob.full_grad_x(x1, y))
+            rhs = np.linalg.norm(d)
+            assert lhs <= whole * rhs * (1 + 1e-9)
+            worst = max(worst, lhs / rhs)
+        assert worst >= 0.99 * whole
+
     def test_empty_index_set_is_refused_by_name(self):
         # the mean over no constraints is refused by name, not by a ZeroDivisionError
         spec = ConstrainedSpec(Q=[[2.0, 0.3], [0.3, 1.0]], c=[0.5, -1.0], G=[[1.0, -1.0], [0.5, 1.0]], d=[0.5, 0.2])
@@ -395,6 +446,14 @@ def test_validate_problem_on_builtins():
         assert validate_problem(prob).ok
     game, _ = matrix_game_problem(MatrixGameSpec(np.diag([1.0, 2.0])))
     assert validate_problem(game).ok
+    box, _ = box_game_problem(np.arange(16.0).reshape(4, 4) + np.eye(4), m_blocks=2, n_blocks=2)
+    assert validate_problem(box).ok
+    # the QP's one_row_grad_y is checked against its grad_y, bit for bit
+    spec = ConstrainedSpec(Q=[[2.0, 0.3], [0.3, 1.0]], c=[0.5, -1.0], G=[[1.0, -1.0], [0.5, 1.0]], d=[0.5, 0.2])
+    for m_blocks in (1, 2):
+        qp, _, _ = constrained_qp_problem(spec, m_blocks=m_blocks)
+        assert qp.one_row_grad_y is not None
+        assert validate_problem(qp).ok, m_blocks
 
 
 def _masked_sigmoid(z):

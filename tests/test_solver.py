@@ -558,7 +558,7 @@ def test_golden_trajectory_with_and_without_cache(name, config):
             assert getattr(got, attr) == getattr(want, attr), attr
         if config == "increasing_restarts":
             assert got.restarts >= 1
-    assert len(built) == (2 if name.startswith("erm") else 0)
+    assert len(built) == (2 if name.startswith("erm") or name == "qp" else 0)  # the row-coupled built-ins
 
 
 @pytest.mark.parametrize("name", ["erm_entropy", "game_euclidean", "box_game", "erm_box"])
