@@ -344,22 +344,27 @@ class SaddleProblem:
         one); robust ERM's row is a block of a data row (the QP has none:
         its primal term is not coef * row).  ``row_bound``
         bounds every entry of every row in absolute value (inf, the
-        default, when no bound is known).  A step of batch size 1 calls it instead of
-        ``batch_grad_x`` while the instance's ``batch_grad_x`` is still the
-        one the problem was built with, and its prox forms
-        ``M * (coef * row)`` in place; a wrapper set on ``batch_grad_x``
-        afterwards switches this off, so the wrapper sees every call.
+        default, when no bound is known).  A step of batch size 1 calls it
+        instead of ``batch_grad_x`` where the instance's ``batch_grad_x``
+        was still the one the problem was built with when the step plan was
+        built, and its prox forms ``M * (coef * row)`` in place.  The plan
+        decides this once.  A wrapper set on ``batch_grad_x`` before a run
+        starts, or between steps driven by hand (after which
+        :func:`~rbpda.solver.rbpda_step` rebuilds its plan), switches it off
+        and sees every call; a run reads its oracles when it starts.
 
     one_row_grad_y(j, points, cache)
         Optional: the column of ``grad_y(j, points)`` on a one-coordinate
         dual block j, as a sequence of Python floats, one per point, each
         with the bits of ``grad_y``'s entry, under the coupling cache
         ``cache``, which it always receives (None without one).  A step
-        calls it instead of ``grad_y`` on such a block while the instance's
-        ``grad_y`` is still the one the problem was built with, and keeps
-        the dual step in Python floats; a wrapper set on ``grad_y``
-        afterwards switches this off, so the wrapper sees every call.  Robust
-        ERM on one-row dual blocks and the QP give it.
+        calls it instead of ``grad_y`` on such a block where the instance's
+        ``grad_y`` was still the one the problem was built with when the
+        step plan was built, and keeps the dual step in Python floats.  The
+        plan decides this once, as for ``one_row_grad_x``: a wrapper set on
+        ``grad_y`` switches it off and sees every call, and such a block
+        then takes ``grad_y``'s rows through the list kernel of width 1.
+        Robust ERM on one-row dual blocks and the QP give it.
 
     full_grad_x(x, y) and full_grad_y(x, y)
         The whole-side partial gradients of Phi at one point, as ``(m,)``

@@ -834,8 +834,11 @@ def qp_reference(Q, c, G, d, tol: float = 1e-9):
     """Primal-dual QP solution by enumerating active constraint subsets.
 
     For each subset the KKT linear system is solved; the first candidate that
-    is primal feasible with nonnegative multipliers wins.  Construction error
-    if no subset yields a feasible candidate.
+    is primal feasible with nonnegative multipliers wins.  A singular system
+    (a singular Q, or dependent active rows) is solved by least squares, and
+    its solution is a candidate only where it leaves a residual of at most
+    ``tol`` in every equation.  Construction error if no subset yields a
+    feasible candidate.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -858,8 +861,10 @@ def qp_reference(Q, c, G, d, tol: float = 1e-9):
             rhs = np.concatenate([-c, d[S]])
             try:
                 sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
+            except np.linalg.LinAlgError:  # singular: a least-squares point, if it solves the system
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+                if np.any(np.abs(kkt @ sol - rhs) > tol):
+                    continue
             x = sol[: Q.shape[0]]
             y = np.zeros(n_con)
             y[S] = sol[Q.shape[0] :]

@@ -150,7 +150,7 @@ class RunState:
     ``x_prev`` / ``y_prev`` differ from ``x`` / ``y`` at most at the indices
     ``last_x`` / ``last_y`` (the whole vectors until the first step).  An
     index is the block's slice, or the coordinate of a one-coordinate dual
-    block that the step took in Python floats.  The
+    block whose rows ``one_row_grad_y`` gave as floats.  The
     buffers are solver-owned: callers must not write to them between steps.
     :meth:`start` and :func:`restart_if_saturated` set whole vectors and keep
     the invariant.  After each step ``x_prev`` and ``y_prev`` therefore
@@ -166,9 +166,9 @@ class RunState:
     so far, which lead k by up to a chunk during a run.
 
     ``dual_row`` is ``(j, g, cache, syncs)``: the dual gradient g(x^k, y^k)
-    on block j that the last step computed (a float on a one-coordinate
-    block, a list of floats on a small one), under the coupling cache it
-    passed (or None) and that cache's ``syncs`` count.  After that
+    on block j that the last step computed (a float where
+    ``one_row_grad_y`` gave it, a list of floats on a small block), under
+    the coupling cache it passed (or None) and that cache's ``syncs`` count.  After that
     step it is g(x^(k-1), y^(k-1)), so the next step reuses it if it draws
     block j under the same cache with no sync since; a margin read from the
     cache and one computed directly can differ in the last bit, and so can
@@ -240,16 +240,22 @@ class StepPlan:
       (ones for a constant schedule), and for a diminishing schedule
       :meth:`~rbpda.stepsize.StepSchedule.check_finite`, called here,
       before any step;
-    * each block's slice and prox kernel (:func:`~rbpda.bregman.prox_kernel`),
-      for a one-coordinate dual block its coordinate and float kernel, for
-      any other zero, box or nonneg block of at most :data:`SMALL`
-      coordinates (a one-coordinate primal block included) its list kernel
-      and shape, and on a problem with a ``one_row_grad_x`` each primal
-      block's factored kernel.  A small block steps in Python floats: on a
-      few coordinates numpy's per-call overhead is most of the cost of the
-      block's arithmetic and prox, and floats give the same bits;
-    * the optional one-row oracles ``one_row_grad_x`` and ``one_row_grad_y``
-      and the oracles they stand for, which a step compares by identity;
+    * the oracles: ``grad_y`` and ``batch_grad_x``, the instance's as the
+      plan reads them when built, and whether the optional one-row oracles
+      stand in for them: ``one_row_grad_x`` where the instance's
+      ``batch_grad_x`` is still the one the problem was built with, and
+      likewise ``one_row_grad_y`` for ``grad_y``.  A wrapper set on either
+      before the plan is built is called on every step instead;
+    * each block's path, decided once: its slice and prox kernel
+      (:func:`~rbpda.bregman.prox_kernel`); for a one-coordinate dual block
+      where ``one_row_grad_y`` stands in, its coordinate and float kernel;
+      for any other zero, box or nonneg block of at most :data:`SMALL`
+      coordinates (one-coordinate blocks of either side included) its list
+      kernel and width, with its array kernel for rows of another shape;
+      and where ``one_row_grad_x`` stands in, each primal block's factored
+      kernel.  A small block steps in Python floats: on a few coordinates
+      numpy's per-call overhead is most of the cost of the block's
+      arithmetic and prox, and floats give the same bits;
     * the batch rule: :func:`~rbpda.sampling.next_batch_size` as this
       module holds it when the plan is built;
     * with ``acc``, the run's :class:`ErgodicAccumulator`, each block's fold
@@ -296,7 +302,8 @@ class StepPlan:
 
     A row's count is recorded up to a chunk before the step that takes
     it, so during a run ``state.counters`` lead ``state.k`` by as much.
-    The oracles and the coupling cache are read on every step.
+    The coupling cache is read on every step, the oracles only when the
+    plan is built.
     """
 
     def __init__(self, problem: SaddleProblem, rng: np.random.Generator, schedule: StepSchedule,
@@ -306,11 +313,13 @@ class StepPlan:
         self.problem, self.rng, self.schedule, self.batch = problem, rng, schedule, batch
         M, N, p = st.M, st.N, problem.p
         self.draws = WordDraws(rng, N, M, p, ahead=iters < math.inf)
-        self.step = _bind_step(problem, schedule, batch, self.draws, next_batch_size, acc, iters, restart_threshold)
+        self.grad_y, self.batch_grad_x = getattr(problem, "grad_y", None), getattr(problem, "batch_grad_x", None)
+        self.step = _bind_step(problem, self.grad_y, self.batch_grad_x, schedule, batch, self.draws, next_batch_size,
+                               acc, iters, restart_threshold)
 
 
-def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSchedule, draws, batch_size, acc,
-               iters: float, threshold: Optional[float]):
+def _bind_step(problem: SaddleProblem, grad_y, batch_grad_x, schedule: StepSchedule, batch: BatchSchedule, draws,
+               batch_size, acc, iters: float, threshold: Optional[float]):
     """The step of a :class:`StepPlan`, as a closure over what the plan resolved."""
     st = problem.structure
     M, N, p = st.M, st.N, problem.p
@@ -328,26 +337,27 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         """A block's width if it steps in Python floats, else 0."""
         return dim if dim <= SMALL and spec.kind in FLOAT_KINDS else 0
 
-    # a one-coordinate dual block gets its float kernel, a small one its list
-    # kernel, whose width the step reads only off the one-row path; their
-    # array kernels are resolved only if an oracle ever returns rows of
-    # another shape
+    # a problem's one-row oracles (optional: a problem-like object may lack
+    # them) stand in for the instance's batch_grad_x and grad_y where these
+    # are still the oracles they were built with; a wrapper set on either is
+    # called instead.  At batch size 1 the primal term stays (coef, row), and
+    # the kernel forms M * (coef * row) in place; a one-coordinate dual block
+    # takes its column as floats
+    one_row = getattr(problem, "one_row_grad_x", None)
+    if one_row is not None and batch_grad_x is not problem._one_row_x_of:
+        one_row = None
+    one_row_y = getattr(problem, "one_row_grad_y", None)
+    if one_row_y is not None and grad_y is not problem._one_row_y_of:
+        one_row_y = None
+    factored = None if one_row is None else (M_float, problem.row_bound)
+    # each dual block's path: (slice, coordinate, kernel, width, array kernel).  A one-coordinate
+    # block whose rows one_row_grad_y gives has its coordinate and float kernel; a small block has
+    # its list kernel and width, and its array kernel for rows of another shape
     dual = [
-        (blk, blk.start, kernel(spec, "float"), spec) if dim == 1
-        else (blk, None, kernel(spec, "list") if small(spec, dim) else kernel(spec), spec)
+        (blk, blk.start, kernel(spec, "float"), 0, None) if dim == 1 and one_row_y is not None
+        else (blk, None, kernel(spec, "list") if small(spec, dim) else kernel(spec), small(spec, dim), kernel(spec))
         for blk, dim, spec in zip(st.dual.ranges, st.dual.dims, problem.dual_prox)
     ]
-    widths = [0 if dim == 1 else small(spec, dim) for dim, spec in zip(st.dual.dims, problem.dual_prox)]
-    # a problem's one-row oracles (optional: a problem-like object may lack
-    # them) stand in for the oracles they were built with; a wrapper set on
-    # the instance's batch_grad_x or grad_y is called instead.  At batch size
-    # 1 the primal term stays (coef, row), and the kernel forms M * (coef *
-    # row) in place; a one-coordinate dual block takes its column as floats
-    one_row = getattr(problem, "one_row_grad_x", None)
-    factored = None if one_row is None else (M_float, problem.row_bound)
-    factors = None if one_row is None else problem._one_row_x_of
-    one_row_y = getattr(problem, "one_row_grad_y", None)
-    columns = None if one_row_y is None else problem._one_row_y_of
     primal = [
         (blk, kernel(spec), None if one_row is None else kernel(spec, factored=factored))
         for blk, spec in zip(st.primal.ranges, problem.primal_prox)
@@ -387,7 +397,6 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         """
         while True:
             n = max(1, min(size, iters - k))
-            one_row = problem.batch_grad_x is factors
             got = (bulk and (not increasing or increasing_batch_size(counters.low, k, batch.eta, p) >= p)
                    and draws.steps(n, v_bulk))
             if got:
@@ -395,7 +404,7 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                 n, vs, again = len(js), repeat(v_bulk), repeat(False)
                 # the one-row oracle takes its index as an int; at v >= p every row is
                 # the same arange(p), which one view serves, as a view per row costs ~0.1 µs
-                indices = (memoryview(block[:, 0]) if one_row and v_bulk == 1
+                indices = (memoryview(block[:, 0]) if one_row is not None and v_bulk == 1
                            else list(block) if v_bulk < p else repeat(block[0]))
                 if increasing:  # the counts the batch rule records row by row
                     counters.add(is_)
@@ -406,7 +415,8 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                     v = batch_size(batch, counters, i, row_k, p)
                     # restart_if_saturated's test at k + 1, which resets the counts where it holds
                     again = bar is not None and counters.restart(row_k + 1, batch.eta, p, bar)
-                    rows.append((j, i, v, take_indices(1).item(0) if v == 1 and one_row else take_indices(v), again))
+                    rows.append((j, i, v, take_indices(1).item(0) if v == 1 and one_row is not None
+                                 else take_indices(v), again))
                 js, is_, vs, indices, again = zip(*rows)
                 js, is_ = np.array(js), np.array(is_)
             theta, t = schedule.columns(range(k, k + n + 1))  # ones for a constant schedule
@@ -448,10 +458,10 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
         points = ((x_k, y_k),) if kept is not None else ((x_k, y_k), (x_prev, y_prev))
         # a one-coordinate or small block runs in Python floats: the same
         # operations as on arrays, bit for bit, without numpy's per-call
-        # overhead; a one-coordinate block's rows come as floats from
-        # one_row_grad_y where that stands in for grad_y
-        blk_j, at_j, prox_dual, spec = dual[j]
-        if at_j is not None and problem.grad_y is columns:
+        # overhead; a block with a coordinate takes its rows as floats from
+        # one_row_grad_y
+        blk_j, at_j, prox_dual, width, prox_array = dual[j]
+        if at_j is not None:
             try:
                 g = one_row_y(j, points, cache)
                 g_now = g[0]
@@ -462,42 +472,30 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
             linear = -(N * g_now + nm_theta * (g_now - g_old))  # -s, with s = N g + N M theta (g - g_old)
         else:
             try:
-                g = problem.grad_y(j, points) if cache is None else problem.grad_y(j, points, cache=cache)
+                g = grad_y(j, points) if cache is None else grad_y(j, points, cache=cache)
                 # a float64 array is used as it is: asarray with a dtype costs more than the test
                 if type(g) is not np.ndarray or g.dtype is not _FLOAT64:
                     g = np.asarray(g, dtype=float)
             except Exception as exc:
                 raise SolverError(f"grad_y failed at iteration {k}, dual block {j}: {exc}") from exc
-            width = widths[j]
+            at_j = blk_j
             if width and g.shape == (len(points), width):
                 rows = g.tolist()  # a small block's rows, as lists of floats
                 g_now, y_base = rows[0], y_k[blk_j].tolist()
                 g_old = rows[1] if kept is None else kept[1]
-                at_j = blk_j
                 linear = [-(N * a + nm_theta * (a - b)) for a, b in zip(g_now, g_old)]
             else:
-                if at_j is not None and g.shape == (len(points), 1):
-                    # a one-coordinate block whose grad_y has no one_row_grad_y
-                    # in its place: both row-coupled built-ins give one, so
-                    # only the games' blocks and a wrapped grad_y (traced
-                    # runs) come here
-                    g_now, y_base = g.item(0), y_k.item(at_j)
-                    g_old = g.item(1) if kept is None else kept[1]
-                    linear = -(N * g_now + nm_theta * (g_now - g_old))  # as on the one-row path
-                else:
-                    if at_j is not None or width:
-                        prox_dual = prox_kernel(spec.geometry, spec)
-                    at_j = blk_j
-                    g_now, y_base = g[0], y_k[blk_j]
-                    g_old = g[1] if kept is None else kept[1]
-                    # the same term in one new array, with the bits of -(N g +
-                    # ...): a sum's order, a product by N = 1 and one by -1 (a
-                    # negation, but for a NaN's sign, and the prox refuses NaN)
-                    # round nothing; 0-d terms give numpy scalars
-                    linear = g_now - g_old
-                    linear *= nm_theta
-                    linear += g_now if N == 1 else N * g_now
-                    linear *= -1.0
+                prox_dual = prox_array
+                g_now, y_base = g[0], y_k[blk_j]
+                g_old = g[1] if kept is None else kept[1]
+                # the same term in one new array, with the bits of -(N g +
+                # ...): a sum's order, a product by N = 1 and one by -1 (a
+                # negation, but for a NaN's sign, and the prox refuses NaN)
+                # round nothing; 0-d terms give numpy scalars
+                linear = g_now - g_old
+                linear *= nm_theta
+                linear += g_now if N == 1 else N * g_now
+                linear *= -1.0
         state.dual_grad_evals += 2
 
         try:
@@ -518,9 +516,9 @@ def _bind_step(problem: SaddleProblem, schedule: StepSchedule, batch: BatchSched
                     r = one_row(indices, i, points, weights_k, cache)
                 else:
                     if cache is None:
-                        r = problem.batch_grad_x(indices, i, points, weights_k)
+                        r = batch_grad_x(indices, i, points, weights_k)
                     else:
-                        r = problem.batch_grad_x(indices, i, points, weights_k, cache=cache)
+                        r = batch_grad_x(indices, i, points, weights_k, cache=cache)
                     if type(r) is not np.ndarray or r.dtype is not _FLOAT64:
                         r = np.asarray(r, dtype=float)
                     shape, prox_list = listed[i]
@@ -784,14 +782,17 @@ def rbpda_step(
     """One primal-dual iteration; mutates and returns ``state``.
 
     The step is ``state.plan``'s (:class:`StepPlan`), which resolved the
-    step sizes, the prox kernels, the draws and the batch rule once.
-    :func:`run` builds a plan with its length, which draws ahead and whose
-    step also folds the ergodic averages and restarts, and a replaced
-    ``rbpda_step`` that calls this one (a tracing wrapper) takes that plan.
+    step sizes, the oracles, each block's path, the draws and the batch rule
+    once, when it was built.  :func:`run` builds a plan with its length,
+    which draws ahead and whose step also folds the ergodic averages and
+    restarts, and a replaced ``rbpda_step`` that calls this one (a tracing
+    wrapper) takes that plan, with the oracles the run started with.
     Otherwise this function builds a plan for the problem, ``rng``,
     ``schedule`` and ``batch`` on its first call, and again, forgetting the
-    kept dual row, when one of them changes (an equal batch rule keeps it).
-    That plan has no length and neither folds nor restarts (a caller
+    kept dual row, when one of them changes (an equal batch rule keeps it)
+    or when the instance's ``grad_y`` or ``batch_grad_x`` is no longer the
+    one the plan was built with, so a wrapper set on either between steps
+    driven by hand sees every later call.  That plan has no length and neither folds nor restarts (a caller
     driving steps by hand calls :meth:`ErgodicAccumulator.update` and
     :func:`restart_if_saturated`), so it draws only the words each step
     takes: after each step that returns, ``rng`` sits where
@@ -815,17 +816,19 @@ def rbpda_step(
     it is kept (``RunState.dual_row``), so ``grad_y`` then takes only
     (x^k, y^k); either way a step counts two dual gradients.  The primal
     linear term is one weighted ``batch_grad_x`` call.  At batch size 1, on
-    a problem with a ``one_row_grad_x`` whose ``batch_grad_x`` is still the
-    one it was built with, it is one ``one_row_grad_x`` call instead, on
-    the one index of its control row, as an int: the term stays ``(coef,
-    row)``, and the prox kernel forms ``M * (coef * row)`` in place, to the
-    same bits (see :class:`~rbpda.blocks.SaddleProblem`).  Likewise, on a
-    one-coordinate dual block of a problem with a ``one_row_grad_y`` whose
-    ``grad_y`` is still the one it was built with, the dual rows come from
+    a problem with a ``one_row_grad_x`` whose ``batch_grad_x`` was still the
+    one it was built with when the plan was built, it is one
+    ``one_row_grad_x`` call instead, on the one index of its control row,
+    as an int: the term stays ``(coef, row)``, and the prox kernel forms
+    ``M * (coef * row)`` in place, to the same bits (see
+    :class:`~rbpda.blocks.SaddleProblem`).  Likewise, on a one-coordinate
+    dual block of a problem with a ``one_row_grad_y`` whose ``grad_y`` was
+    still the one it was built with, the dual rows come from
     ``one_row_grad_y`` as floats.  A wrapper set on the instance's
-    ``batch_grad_x`` or ``grad_y`` therefore sees every call.  On a zero,
-    box or nonneg block of 2 to :data:`SMALL` coordinates (1 to
-    :data:`SMALL` on the primal side) whose oracle gives rows of the
+    ``batch_grad_x`` or ``grad_y`` before the plan is built therefore sees
+    every call.  On a zero, box or nonneg block of 1 to :data:`SMALL`
+    coordinates (a one-coordinate dual block whose rows come from
+    ``grad_y`` included) whose oracle gives rows of the
     block's shape, the step reads the rows with one ``tolist()``, forms the
     dual term s or the primal term M r and the prox in Python floats (the
     list kernel of :func:`~rbpda.bregman.prox_kernel`) and writes each new
@@ -843,9 +846,12 @@ def rbpda_step(
     ``__cause__``.
     """
     plan = state.plan
-    # a plan serves the objects it was built for; an equal batch rule serves as the same one
+    # a plan serves the objects it was built for (an equal batch rule serves as the same one) and, but
+    # for a run's, the instance's oracles it was built with
     if plan is None or not (plan.problem is problem and plan.rng is rng and plan.schedule is schedule
-                            and (plan.batch is batch or plan.batch == batch)):
+                            and (plan.batch is batch or plan.batch == batch)
+                            and (plan.draws.ahead or plan.grad_y is problem.grad_y
+                                 and plan.batch_grad_x is problem.batch_grad_x)):
         plan = state.plan = StepPlan(problem, rng, schedule, batch)
         state.dual_row = None
     return plan.step(state)
@@ -926,7 +932,10 @@ def run(
     plan is built with its accumulator, its length and its restart
     threshold, so its step also folds the ergodic averages and restarts,
     and it reads control rows filled up to :data:`CHUNK` iterations at a
-    time, none past the run's end (see :class:`StepPlan`).  Each iteration
+    time, none past the run's end (see :class:`StepPlan`).  The run reads
+    the problem's oracles once, when it starts: a wrapper set on its
+    ``grad_y`` or ``batch_grad_x`` before the call sees every step's call,
+    one set during the run none.  Each iteration
     is one call of the plan's step while this module holds its own
     :func:`rbpda_step`; with it replaced, as by a tracing wrapper, each
     iteration calls the replacement, and :func:`rbpda_step` takes the run's

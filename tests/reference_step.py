@@ -1,13 +1,17 @@
 """The solver's iteration as one self-contained function, an equivalence oracle for the tests.
 
 :func:`rbpda.solver.rbpda_step` calls the step that its
-:class:`~rbpda.solver.StepPlan` bound once per run: step sizes, prox kernels,
-the one-coordinate dual path, the cache keywords and the batch rule are
-resolved when the plan is built.  :func:`reference_step` decides all of them
-again on every call: its step sizes are entries of the schedule's step
-vectors, its prox is :func:`~rbpda.bregman.prox_step`, and it draws one call
-at a time.  It is the same iteration, so a run driven by it must reach the
-bits of :func:`rbpda.solver.run`.
+:class:`~rbpda.solver.StepPlan` bound once per run: step sizes, the oracles,
+each block's path (its float, list or array kernel), the cache keywords and
+the batch rule are resolved when the plan is built.  A run reads its oracles
+when it starts, and ``rbpda_step`` rebuilds a hand-driven plan once the
+instance's ``grad_y`` or ``batch_grad_x`` is replaced.  :func:`reference_step`
+decides all of them again on every call: it calls the instance's
+``grad_y`` and ``batch_grad_x``, never a one-row oracle, its step sizes are
+entries of the schedule's step vectors, its prox is
+:func:`~rbpda.bregman.prox_step`, in floats on any one-coordinate dual block,
+and it draws one call at a time.  It is the same iteration, so a run driven
+by it must reach the bits of :func:`rbpda.solver.run`.
 
 :class:`ReferenceAccumulator` is likewise the ergodic fold without what
 :func:`rbpda.solver.run`'s plan resolves: it keeps its own copy of the

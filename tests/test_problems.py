@@ -384,6 +384,18 @@ class TestQpProblems:
             np.testing.assert_allclose(x_star, [0.0, 0.0], atol=1e-12)
             assert prob.lipschitz.Lxx_whole == pytest.approx(max(np.linalg.eigvalsh(Q)))
 
+    @pytest.mark.parametrize("Q", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]], ids=["rank_one", "zero"])
+    def test_singular_kkt_systems_give_a_reference(self, Q):
+        # every KKT system of x1 + x2 <= 1 is singular with this Q; both
+        # problems are minimised at f* = 0 (x = 0 among others), which the
+        # reference used to miss ("no feasible active set found")
+        Q, c, G, d = np.array(Q), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0])
+        prob, (x, y), f_star = constrained_qp_problem(ConstrainedSpec(Q=Q, c=c, G=G, d=d))
+        assert f_star == 0.0 and prob.structure.N == 1
+        assert np.linalg.norm(Q @ x + c + G.T @ y) <= 1e-9
+        assert np.all(G @ x - d <= 1e-9) and np.all(y >= 0.0)
+        assert abs(y @ (G @ x - d)) <= 1e-9
+
     @pytest.mark.parametrize("m_blocks", [1, 3])
     def test_whole_vector_curvature_certification(self, m_blocks):
         # Lxx_whole = lambda_max(Q) bounds ||grad_x(x1, y) - grad_x(x2, y)|| /

@@ -208,6 +208,8 @@ def lockstep_problem(name):
         "game_euclidean": lambda: matrix_game_problem(MatrixGameSpec(A3))[0],
         "game_entropy": lambda: matrix_game_problem(MatrixGameSpec(A3, "negative_entropy"))[0],
         "box_game": lambda: box_game_problem(A4, m_blocks=2, n_blocks=2)[0],
+        # one-coordinate blocks on both sides, with no one_row_grad_y: the dual steps take the list kernel
+        "box_game_scalar": lambda: box_game_problem(A4, m_blocks=4, n_blocks=4)[0],
         "qp": lambda: constrained_qp_problem(qp, m_blocks=2)[0],
     }
     return builders[name]()
@@ -273,7 +275,8 @@ def run_lockstep(name, mode, cached):
     assert not np.array_equal(new.x, prob.start_x)
 
 
-LOCKSTEP_BUILTINS = ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp", "erm_box_scalar"]
+LOCKSTEP_BUILTINS = ["erm_box", "erm_entropy", "game_euclidean", "game_entropy", "box_game", "qp", "erm_box_scalar",
+                     "box_game_scalar"]
 
 
 @pytest.mark.parametrize("batch", [None, 2])

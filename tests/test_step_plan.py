@@ -287,6 +287,50 @@ def test_a_plan_serves_only_its_schedule_and_batch_rule():
         assert state.plan is rebuilt and not forgotten[-1]
 
 
+def test_a_hand_driven_plan_is_rebuilt_when_an_oracle_is_replaced():
+    # the plan reads grad_y and batch_grad_x when built; a wrapper set on
+    # either between hand-driven steps gets a new plan, which forgets the
+    # kept dual row and calls the wrapper in place of the one-row oracle, to
+    # the bits of steps that never met a wrapper
+    prob, twin = lockstep_problem("erm_box_scalar"), lockstep_problem("erm_box_scalar")
+    sched = build_schedule(prob, SolverConfig(mode="single_sample", eta=0.3))
+    batch = BatchSchedule.constant(1, prob.p)
+    state, rng, ref, ref_rng = RunState.start(prob), make_rng(4), RunState.start(twin), make_rng(4)
+    seen = []
+    for it in range(30):
+        if it in (10, 20):
+            attr = "grad_y" if it == 10 else "batch_grad_x"
+            inner = getattr(prob, attr)
+            setattr(prob, attr, lambda *args, _attr=attr, _inner=inner, **kw: seen.append(_attr) or _inner(*args, **kw))
+            previous = state.plan
+        rbpda_step(state, prob, sched, batch, rng)
+        rbpda_step(ref, twin, sched, batch, ref_rng)
+        if it in (10, 20):
+            assert state.plan is not previous
+        assert state.x.tobytes() == ref.x.tobytes() and state.y.tobytes() == ref.y.tobytes(), it
+    assert seen.count("grad_y") == 20 and seen.count("batch_grad_x") == 10
+
+
+def test_a_run_reads_its_oracles_when_it_starts(monkeypatch):
+    # a wrapper set on grad_y during a run, through a replaced rbpda_step,
+    # is never called: the run's plan keeps the oracles it started with, and
+    # with them its folds, so the run keeps its bits
+    prob = lockstep_problem("erm_box_scalar")
+    cfg = SolverConfig(mode="single_sample", eta=0.3, max_iters=200, seed=2, checkpoint_every=100)
+    want = run(prob, cfg)
+    seen, inner_step, inner = [], solver.rbpda_step, prob.grad_y
+
+    def step(state, *args):
+        if state.k == 100:
+            prob.grad_y = lambda *a, **kw: seen.append(1) or inner(*a, **kw)
+        return inner_step(state, *args)
+
+    monkeypatch.setattr(solver, "rbpda_step", step)
+    got = run(prob, cfg)
+    assert_same_run(got, want)
+    assert seen == [] and prob.grad_y is not inner
+
+
 def test_a_plan_reads_the_batch_rule_when_built(monkeypatch):
     # the batch rule is the module's next_batch_size at build time: a plan
     # built before a replacement keeps the old one, a plan built after it
@@ -341,7 +385,7 @@ def opcodes_per_iteration(problem, iters: int, **config) -> float:
     return (counts[1] - counts[0]) / iters
 
 
-OPCODES_PER_SINGLE_SAMPLE_ITERATION = 754  # the test's count, measured on CPython 3.11
+OPCODES_PER_SINGLE_SAMPLE_ITERATION = 751  # the test's count, measured on CPython 3.11
 OPCODES_PER_ENTROPY_SINGLE_SAMPLE_ITERATION = 927  # likewise
 
 
